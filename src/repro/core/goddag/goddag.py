@@ -592,10 +592,13 @@ class KyGoddag:
         Built once on first use; hierarchy adds/removes afterwards are
         merged in place (DESIGN.md §6) instead of discarding it.
         """
-        from repro.core.goddag.index import SpanIndex
-
         index = self._index
         if index is None:
+            # imported on the build branch only: the accessor sits on
+            # every per-node probe's path and an import statement costs
+            # ~1 µs per execution even when the module is loaded
+            from repro.core.goddag.index import SpanIndex
+
             index = SpanIndex(self)
             self._index = index
             self.index_full_builds += 1

@@ -90,7 +90,7 @@ class _NameInterval:
     __slots__ = ("nodes", "starts", "ends", "ranks", "preorders",
                  "subtree_ends", "okeys",
                  "prefix_max_ends", "suffix_min_ends",
-                 "e_nodes", "e_starts", "e_ends", "e_okeys")
+                 "e_order", "e_nodes", "e_starts", "e_ends", "e_okeys")
 
     def __init__(self, nodes: np.ndarray, starts: np.ndarray,
                  ends: np.ndarray, ranks: np.ndarray,
@@ -110,6 +110,9 @@ class _NameInterval:
             self.prefix_max_ends = ends
             self.suffix_min_ends = ends
         e_order = np.argsort(_end_keys(starts, ends), kind="stable")
+        #: start-sorted row of each end-sorted entry: carries a row
+        #: mask over the start order into the end order
+        self.e_order = e_order
         self.e_nodes = nodes[e_order]
         self.e_starts = starts[e_order]
         self.e_ends = ends[e_order]
@@ -380,6 +383,9 @@ class SpanIndex:
         if sub is None or not len(sub):
             return
         keep = self.ranks != sub.rank
+        # read off the live name column, not the sub-index's own table:
+        # in-place renames patch only the former
+        names = {name for name in self._names[~keep] if name is not None}
         self._s_keys = self._s_keys[keep]
         self.nodes = self.nodes[keep]
         self.starts = self.starts[keep]
@@ -398,12 +404,7 @@ class SpanIndex:
         self.e_ranks = self.e_ranks[e_keep]
         self._e_names = self._e_names[e_keep]
         self._refresh_nonempty()
-        if isinstance(sub, _SubIndex):
-            self._clear_derived(names={name for name in sub.s_names
-                                       if name is not None})
-        else:
-            # Restored sub-indexes carry no name table: clear wholesale.
-            self._clear_derived()
+        self._clear_derived(names=names)
         self.incremental_removes += 1
 
     def rename_node(self, node: GNode) -> None:

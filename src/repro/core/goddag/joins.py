@@ -559,20 +559,30 @@ def join_axis_batch(goddag: KyGoddag, axis: str, nodes: list,
 
 
 def exists_axis_batch(goddag: KyGoddag, axis: str, nodes: list,
-                      name: str) -> np.ndarray:
+                      name: str, *,
+                      among: np.ndarray | None = None) -> np.ndarray:
     """Batched EBV existence probe: per context, does ``axis::name``
     yield anything?
 
     The vectorized counterpart of
     :func:`repro.core.goddag.axes.axis_exists_named` — one boolean per
-    context in one pass over the per-name join columns.  The rare
-    all-witnesses-span-equal cases fall back to the per-node probe,
-    which is also the differential oracle for this function.
+    context in one pass over the per-name join columns.
+
+    ``among`` restricts the witnesses to a subset of the name: a
+    boolean mask over the rows of ``SpanIndex.name_interval(name)``
+    (start order).  It is how a decorrelated ``axis::name[P]``
+    predicate probes only the rows that passed ``P`` (DESIGN.md §16).
+    The name columns exclude the root, so under ``among`` the root is
+    never a witness; the caller keeps ``xancestor::<root name>[P]`` on
+    the per-node path.
+
+    A witness whose span differs from the context's can never sit on
+    the context's own ancestor/descendant chain, so the Definition 1
+    exclusions only need checking when *every* witness is span-equal —
+    resolved per context against the actual (subset) rows.
     """
     if axis not in JOIN_KERNELS:
         raise GoddagError(f"'{axis}' is not an extended axis")
-    from repro.core.goddag.axes import axis_exists_named
-
     index = goddag.span_index()
     count = len(nodes)
     out = np.zeros(count, dtype=bool)
@@ -582,75 +592,83 @@ def exists_axis_batch(goddag: KyGoddag, axis: str, nodes: list,
     live = starts < ends
     if not live.any():
         return out
+    interval = index.name_interval(name)
+    n_starts, n_ends = interval.starts, interval.ends
+    if among is not None:
+        n_starts, n_ends = n_starts[among], n_ends[among]
+    n_named = len(n_starts)
     if axis in ("overlapping", "preceding-overlapping",
                 "following-overlapping"):
-        interval = index.name_interval(name)
-        if not len(interval):
+        if not n_named:
             return out
         chosen = np.flatnonzero(live)
         ctx_starts = starts[chosen]
         ctx_ends = ends[chosen]
         if axis != "following-overlapping":
-            reps, _positions = _stab_preceding(
-                interval.e_starts, interval.e_ends, ctx_starts, ctx_ends)
+            e_starts, e_ends = interval.e_starts, interval.e_ends
+            if among is not None:
+                e_among = among[interval.e_order]
+                e_starts, e_ends = e_starts[e_among], e_ends[e_among]
+            reps, _positions = _stab_preceding(e_starts, e_ends,
+                                               ctx_starts, ctx_ends)
             found = np.bincount(reps, minlength=len(chosen)) > 0
             out[chosen[found]] = True
         if axis != "preceding-overlapping":
-            reps, _positions = _stab_following(
-                interval.starts, interval.ends, ctx_starts, ctx_ends)
+            reps, _positions = _stab_following(n_starts, n_ends,
+                                               ctx_starts, ctx_ends)
             found = np.bincount(reps, minlength=len(chosen)) > 0
             out[chosen[found]] = True
         return out
-    interval = index.name_interval(name)
     if axis == "xfollowing":
-        if len(interval):
-            out = live & (ends <= int(interval.starts[-1]))
+        if n_named:
+            out = live & (ends <= int(n_starts[-1]))
         return out
     if axis == "xpreceding":
-        if len(interval):
-            out = live & (starts >= int(interval.suffix_min_ends[0]))
+        if n_named:
+            out = live & (starts >= int(n_ends.min()))
         return out
     if axis == "xdescendant":
-        leafless = live & np.fromiter(
-            (not isinstance(node, GLeaf) for node in nodes),
-            dtype=bool, count=count)
-        if len(interval):
-            n_named = len(interval)
-            pos_left = np.searchsorted(interval.starts, starts,
-                                       side="left")
-            pos_right = np.searchsorted(interval.starts, starts,
-                                        side="right")
-            huge = np.int64(np.iinfo(np.int64).max)
-            smin = interval.suffix_min_ends
-            reach_left = np.where(pos_left < n_named,
-                                  smin[np.minimum(pos_left, n_named - 1)],
-                                  huge)
-            reach_right = np.where(pos_right < n_named,
-                                   smin[np.minimum(pos_right,
-                                                   n_named - 1)],
-                                   huge)
-            weak = leafless & (reach_left <= ends)
-            sure = leafless & ((reach_left < ends) | (reach_right <= ends))
-            out |= sure
-            for position in np.flatnonzero(weak & ~sure):
-                out[position] = bool(axis_exists_named(
-                    goddag, axis, nodes[position], name))
-        return out
-    # xancestor: prefix-max reverse containment + the special root case.
-    root = goddag.root
-    if root.name == name:
-        out |= live
-        for position, node in enumerate(nodes):
-            if node is root:
-                out[position] = False
-        if out.all():
+        if not n_named:
             return out
-    if len(interval):
-        n_named = len(interval)
-        pmax = interval.prefix_max_ends
-        pos_right = np.searchsorted(interval.starts, starts,
-                                    side="right")
-        pos_left = np.searchsorted(interval.starts, starts, side="left")
+        smin = (interval.suffix_min_ends if among is None
+                else np.minimum.accumulate(n_ends[::-1])[::-1])
+        pos_left = np.searchsorted(n_starts, starts, side="left")
+        pos_right = np.searchsorted(n_starts, starts, side="right")
+        huge = np.int64(np.iinfo(np.int64).max)
+        reach_left = np.where(pos_left < n_named,
+                              smin[np.minimum(pos_left, n_named - 1)],
+                              huge)
+        reach_right = np.where(pos_right < n_named,
+                               smin[np.minimum(pos_right, n_named - 1)],
+                               huge)
+        weak = live & (reach_left <= ends)
+        # xdescendant(leaf) is empty; only contexts with a contained
+        # witness need the type check
+        spanning = np.flatnonzero(weak)
+        leaves = np.fromiter((isinstance(nodes[position], GLeaf)
+                              for position in spanning.tolist()),
+                             dtype=bool, count=len(spanning))
+        weak[spanning[leaves]] = False
+        sure = weak & ((reach_left < ends) | (reach_right <= ends))
+        out |= sure
+        valid = _valid_descendant_witness
+    else:
+        # xancestor: prefix-max reverse containment + the special root
+        # case (the root is not a row, so never a witness under among).
+        root = goddag.root
+        if among is None and root.name == name:
+            out |= live
+            for position, node in enumerate(nodes):
+                if node is root:
+                    out[position] = False
+            if out.all():
+                return out
+        if not n_named:
+            return out
+        pmax = (interval.prefix_max_ends if among is None
+                else np.maximum.accumulate(n_ends))
+        pos_right = np.searchsorted(n_starts, starts, side="right")
+        pos_left = np.searchsorted(n_starts, starts, side="left")
         reach_right = np.where(pos_right > 0,
                                pmax[np.maximum(pos_right - 1, 0)],
                                np.int64(-1))
@@ -660,7 +678,17 @@ def exists_axis_batch(goddag: KyGoddag, axis: str, nodes: list,
         weak = live & (reach_right >= ends)
         sure = live & ((reach_right > ends) | (reach_left >= ends))
         out |= sure
-        for position in np.flatnonzero(weak & ~sure & ~out):
-            out[position] = bool(axis_exists_named(
-                goddag, axis, nodes[position], name))
+        valid = _valid_ancestor_witness
+    pending = np.flatnonzero(weak & ~sure & ~out)
+    if len(pending):
+        # Every witness shares the context's span, i.e. is one of the
+        # rows starting at its start and ending at its end.
+        n_nodes = interval.nodes if among is None else interval.nodes[among]
+        for position in pending:
+            left = int(pos_left[position])
+            right = int(pos_right[position])
+            rows = left + np.flatnonzero(
+                n_ends[left:right] == ends[position])
+            out[position] = any(valid(n_nodes[row], nodes[position], goddag)
+                                for row in rows)
     return out

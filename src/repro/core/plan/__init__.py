@@ -49,8 +49,10 @@ __all__ = [
 #: bumped by PR 7 (``collection()`` lowers to a CollectionOp leaf);
 #: bumped by PR 10 (the cost pass: statistics-driven join reversal and
 #: predicate reordering — costed plans additionally key on the
-#: statistics fingerprint, see ``SharedPlanCache``).
-PLAN_VERSION = 4
+#: statistics fingerprint, see ``SharedPlanCache``); bumped by PR 13
+#: (costed plans decorrelate nested existence predicates into mask
+#: plans).
+PLAN_VERSION = 5
 
 
 class CompiledQuery:
@@ -108,7 +110,8 @@ def compile_query(query: str | ast.Expr, *, xpath: bool = False,
 
     With ``stats`` (a :class:`~repro.core.goddag.stats.PlanStats`) the
     cost pass runs between planning and closure compilation: join-pair
-    reversal, predicate reordering, and per-step cardinality estimates
+    reversal, predicate reordering, predicate decorrelation, and
+    per-step cardinality estimates
     (DESIGN.md §16).  Without it the lowering is purely mechanical —
     the differential oracle the costed path is tested against.
     """

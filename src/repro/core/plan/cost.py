@@ -17,7 +17,12 @@ given :class:`~repro.core.goddag.stats.PlanStats` it
   (``op_id``/``est_rows``) so the physical layer can record actuals,
   ``explain()`` can render ``est=…/act=…``, and the executor can fall
   back to source order when an estimate misses
-  (:mod:`repro.core.plan.physical`).
+  (:mod:`repro.core.plan.physical`), and
+* decorrelates nested existence predicates
+  (``line[xdescendant::w[xancestor::dmg or …]]``) into mask plans:
+  the inner pattern becomes one boolean column over the name's rows
+  and the outer test one subset semi-join, instead of one probe per
+  candidate per inner node.
 
 Every transform preserves item-for-item results — the mechanical
 lowering stays on as the differential oracle
@@ -68,6 +73,15 @@ DEFAULT_SEL = 0.5
 #: Reversing a join pair must look at least this much cheaper before
 #: the pass rewrites it (hysteresis against estimate noise).
 REVERSAL_MARGIN = 2.0
+
+#: Decorrelation trade-off (DESIGN.md §16): one row of a vectorized
+#: mask column is taken to cost 1/MARGIN of one Python-level per-node
+#: probe, so a predicate is decorrelated when its columns span at most
+#: MARGIN rows per probe they replace.  Where the candidate count per
+#: entry is unknown — a predicate under a relative path or a filter,
+#: re-entered from some enclosing loop — the loop is assumed to run
+#: MARGIN times with one candidate each.
+DECORRELATION_MARGIN = 16.0
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +306,126 @@ def _reverse_join_pair(path: L.PathOp, stats: PlanStats,
 
 
 # ---------------------------------------------------------------------------
+# predicate decorrelation
+# ---------------------------------------------------------------------------
+
+
+def _mask_term(plan: L.Plan) -> tuple | None:
+    """The mask term of a decorrelatable predicate body, else ``None``.
+
+    The recognised grammar (DESIGN.md §16): ``and`` / ``or`` /
+    ``not()`` over ``extended-axis::name`` and, recursively,
+    ``extended-axis::name[P]…``.  Every such body is a pure function
+    of the context node — no position, no variable, no error — so its
+    verdicts form a column.
+    """
+    if isinstance(plan, L.BoolOp):
+        terms = tuple(_mask_term(operand) for operand in plan.operands)
+        if None in terms:
+            return None
+        return (plan.kind, terms)
+    if isinstance(plan, L.FuncOp):
+        if plan.name != "not" or len(plan.args) != 1:
+            return None
+        inner = _mask_term(plan.args[0])
+        return None if inner is None else ("not", inner)
+    if not (isinstance(plan, L.PathOp) and plan.input is None
+            and plan.anchor == "relative" and len(plan.steps) == 1):
+        return None
+    step = plan.steps[0]
+    if not (isinstance(step, L.StepOp) and step.axis in JOIN_KERNELS
+            and isinstance(step.test, ast.NameTest)):
+        return None
+    inner = []
+    for predicate in step.predicates:
+        if not (predicate.boolean_only and predicate.position_free):
+            return None
+        term = _mask_term(predicate.plan)
+        if term is None:
+            return None
+        inner.append(term)
+    if not inner:
+        return ("axis", step.axis, step.test.name, None)
+    # stacked position-free boolean predicates are a conjunction
+    return ("axis", step.axis, step.test.name,
+            inner[0] if len(inner) == 1 else ("and", tuple(inner)))
+
+
+def _mask_work(stats: PlanStats, term: tuple, rows: float,
+               ctx_name: str | None) -> tuple[float, float]:
+    """``(per-node probes, column rows)``: the Python-level probes the
+    per-node loop makes for ``rows`` candidates against the rows the
+    mask columns span."""
+    kind = term[0]
+    if kind in ("and", "or"):
+        parts = [_mask_work(stats, operand, rows, ctx_name)
+                 for operand in term[1]]
+        return (sum(probes for probes, _rows in parts),
+                sum(spanned for _probes, spanned in parts))
+    if kind == "not":
+        return _mask_work(stats, term[1], rows, ctx_name)
+    _kind, axis, name, inner = term
+    if inner is None:
+        return rows, 0.0
+    reached = rows * join_fanout(stats, axis, ctx_name, name)
+    probes, spanned = _mask_work(stats, inner, reached, name)
+    return rows + probes, stats.card(name) + spanned
+
+
+def _root_named_ancestor(term: tuple, root_name: str) -> bool:
+    """Does the term hold ``xancestor::<root name>[P]``?  The root is
+    in no name column, so a subset probe cannot see it as a witness."""
+    return any(part[0] == "axis" and part[1] == "xancestor"
+               and part[2] == root_name and part[3] is not None
+               for part in L.mask_terms(term))
+
+
+def _decorrelate(predicate: L.PredicateOp, stats: PlanStats,
+                 rows: float | None, ctx_name: str | None,
+                 counter, notes: list[str]) -> None:
+    """Annotate one predicate with a mask plan when that is cheaper.
+
+    ``rows`` is the estimated candidate count the predicate filters in
+    one go, or ``None`` when it is entered per item of some enclosing
+    loop.  Re-entered predicates only pay off through the columns the
+    evaluation memoises: without one, a kernel call per entry loses to
+    the handful of probes it replaces.  Plain ``[axis::name]`` probes
+    stay semi-joins (the reorder pass and the adaptive executor work
+    on those), and ``xancestor::<root name>[P]`` stays per-node.
+    """
+    if (predicate.semi_join is not None
+            or not (predicate.boolean_only and predicate.position_free)):
+        return
+    term = _mask_term(predicate.plan)
+    if term is None:
+        return
+    if _root_named_ancestor(term, stats.root_name):
+        return
+    probes, spanned = _mask_work(
+        stats, term, DECORRELATION_MARGIN if rows is None else rows,
+        ctx_name)
+    if rows is None and not spanned:
+        return
+    if spanned > probes * DECORRELATION_MARGIN:
+        return
+    predicate.mask = term
+    predicate.op_id = next(counter)
+    notes.append(f"cost: decorrelated predicate [{L.render_mask(term)}]"
+                 " into whole-column masks and subset semi-joins")
+
+
+# ---------------------------------------------------------------------------
 # annotation
 # ---------------------------------------------------------------------------
 
 
 def _estimate_step(stats: PlanStats, step: L.StepOp,
                    ctx_rows: float | None,
-                   ctx_name: str | None) -> float:
-    """Estimated output cardinality of one step (post-dedup)."""
+                   ctx_name: str | None, counter,
+                   notes: list[str]) -> float:
+    """Estimated output cardinality of one step (post-dedup); also
+    where the step's predicates are offered for decorrelation, each
+    against the candidate estimate it will filter."""
     card = _test_card(stats, step.test)
     if isinstance(step, L.IntervalJoinOp) and isinstance(
             step.test, ast.NameTest):
@@ -316,6 +442,9 @@ def _estimate_step(stats: PlanStats, step: L.StepOp,
     for predicate in step.predicates:
         ctx = (step.test.name
                if isinstance(step.test, ast.NameTest) else None)
+        _decorrelate(predicate, stats,
+                     estimate if ctx_rows is not None else None, ctx,
+                     counter, notes)
         selectivity = predicate_selectivity(stats, predicate, ctx)
         if predicate.est_selectivity is None:
             predicate.est_selectivity = selectivity
@@ -323,9 +452,16 @@ def _estimate_step(stats: PlanStats, step: L.StepOp,
     return max(0.0, estimate)
 
 
+def _root_anchored(path: L.PathOp) -> bool:
+    """Does the path start from one document root?  ``collection()``
+    resolves to the root of the shard (or fused corpus) a plan runs
+    on, so it anchors a path like ``/`` does."""
+    return path.anchor == "root" or isinstance(path.input, L.CollectionOp)
+
+
 def _annotate_path(path: L.PathOp, stats: PlanStats,
-                   counter) -> None:
-    if path.anchor == "root":
+                   counter, notes: list[str]) -> None:
+    if _root_anchored(path):
         ctx_rows: float | None = 1.0
         ctx_name: str | None = stats.root_name
     else:
@@ -337,18 +473,31 @@ def _annotate_path(path: L.PathOp, stats: PlanStats,
             ctx_name = None
             continue
         step.op_id = next(counter)
-        step.est_rows = _estimate_step(stats, step, ctx_rows, ctx_name)
+        step.est_rows = _estimate_step(stats, step, ctx_rows, ctx_name,
+                                       counter, notes)
         ctx_rows = step.est_rows
         ctx_name = (step.test.name
                     if isinstance(step.test, ast.NameTest) else None)
 
 
+def _filter_rows(op: L.FilterOp) -> float | None:
+    """Estimated rows a filter's predicates see in one go: the last
+    step estimate of a root-anchored input path, else ``None`` (a
+    variable bound by an enclosing loop, typically)."""
+    source = op.input
+    if (isinstance(source, L.PathOp) and _root_anchored(source)
+            and source.steps
+            and all(isinstance(step, L.StepOp) for step in source.steps)):
+        return source.steps[-1].est_rows
+    return None
+
+
 def _subplans(plan: L.Plan) -> list[L.Plan]:
     """All child plans, including those the explain tree elides —
-    except the inner paths of batched semi-join / positional
+    except the inner paths of batched semi-join / mask / positional
     predicates, which the physical layer never runs as plans."""
     if isinstance(plan, L.PredicateOp):
-        if (plan.semi_join is not None
+        if (plan.semi_join is not None or plan.mask is not None
                 or plan.positional_literal is not None):
             return []
         return [plan.plan]
@@ -360,38 +509,47 @@ def _subplans(plan: L.Plan) -> list[L.Plan]:
     return L._children(plan)
 
 
+def _walk(plan: L.Plan):
+    """``plan`` and every operator under it that runs, pre-order."""
+    yield plan
+    for child in _subplans(plan):
+        yield from _walk(child)
+
+
 def apply_cost(plan: L.Plan, stats: PlanStats,
                notes: list[str]) -> int:
     """Run the cost pass over a freshly-built logical plan, in place.
 
     Transforms first (join-pair reversal, then predicate reordering —
     reversal synthesizes probes the reorder pass then ranks), then the
-    estimate annotation walk.  Returns the number of operators
-    annotated with ``op_id``/``est_rows``.
+    estimate annotation walk, which also decorrelates predicates: a
+    pre-order walk, so a predicate turned into a mask plan takes its
+    inner steps out of the walk before they are reached.  Returns the
+    number of operators annotated with ``op_id``.
     """
-    paths: list[L.PathOp] = []
-    steps: list[L.StepOp] = []
-
-    def visit(node: L.Plan) -> None:
+    # each pass re-walks: reversal replaces the steps it rewrites
+    for node in list(_walk(plan)):
         if isinstance(node, L.PathOp):
-            paths.append(node)
+            _reverse_join_pair(node, stats, notes)
+    for node in list(_walk(plan)):
         if isinstance(node, L.StepOp):
-            steps.append(node)
-        for child in _subplans(node):
-            visit(child)
-
-    visit(plan)
-    for path in paths:
-        _reverse_join_pair(path, stats, notes)
-    # re-collect: reversal replaced steps
-    paths = []
-    steps = []
-    visit(plan)
-    for step in steps:
-        _reorder_predicates(step, stats, notes)
+            _reorder_predicates(node, stats, notes)
     counter = itertools.count()
-    for path in paths:
-        _annotate_path(path, stats, counter)
+
+    def annotate(node: L.Plan) -> None:
+        if isinstance(node, L.PathOp):
+            _annotate_path(node, stats, counter, notes)
+        elif isinstance(node, L.FilterOp):
+            annotate(node.input)
+            rows = _filter_rows(node)
+            for predicate in node.predicates:
+                _decorrelate(predicate, stats, rows, None, counter, notes)
+                annotate(predicate)
+            return
+        for child in _subplans(node):
+            annotate(child)
+
+    annotate(plan)
     return next(counter)
 
 
@@ -400,15 +558,9 @@ def final_estimate(plan: L.Plan) -> tuple[int, float] | None:
     plan's bottom-line cardinality estimate for observability
     (``/statz``, access logs)."""
     best: tuple[int, float] | None = None
-
-    def visit(node: L.Plan) -> None:
-        nonlocal best
+    for node in _walk(plan):
         if (isinstance(node, L.StepOp) and node.op_id >= 0
                 and node.est_rows is not None):
             if best is None or node.op_id > best[0]:
                 best = (node.op_id, node.est_rows)
-        for child in _subplans(node):
-            visit(child)
-
-    visit(plan)
     return best

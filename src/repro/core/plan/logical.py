@@ -182,11 +182,23 @@ class PredicateOp(Plan):
     #: cost pass reorders a conjunction so the adaptive executor can
     #: fall back to source order mid-plan
     source_order: int = -1
+    #: the decorrelated form chosen by the cost pass (DESIGN.md §16): a
+    #: mask term — ``("and" | "or", terms)``, ``("not", term)`` or
+    #: ``("axis", axis, name, term | None)`` for ``axis::name[term]`` —
+    #: evaluated set-at-a-time as boolean columns instead of one EBV
+    #: evaluation of ``plan`` per candidate.  Terms are plain hashable
+    #: tuples: the executor memoises columns by term value.
+    mask: tuple | None = None
+    #: operator id the executor records the survivor count under
+    #: (mask predicates only; assigned by the cost pass)
+    op_id: int = -1
 
     def _label(self) -> str:
         if self.positional_literal is not None:
             return f"predicate [position={self.positional_literal}]"
-        if self.semi_join is not None:
+        if self.mask is not None:
+            label = f"predicate [mask {render_mask(self.mask)}]"
+        elif self.semi_join is not None:
             axis, name = self.semi_join
             label = f"predicate [semi-join {axis}::{name}]"
         elif self.boolean_only:
@@ -243,8 +255,9 @@ class IntervalJoinOp(StepOp):
     order-normalization rules treat it as a step), carrying the kernel
     family (``containment``, ``containment-reverse``, ``boundary``,
     ``stab``) the join engine will run (DESIGN.md §11).  With
-    predicates that are not all batched semi-joins, execution falls
-    back to the per-node step machinery — the oracle path.
+    predicates that are not all batched semi-joins or mask plans,
+    execution falls back to the per-node step machinery — the oracle
+    path.
     """
 
     kernel: str = ""
@@ -432,6 +445,33 @@ def render_test(test: ast.NodeTest) -> str:
     return f"{test.kind}({inner})"
 
 
+def render_mask(term: tuple, nested: bool = False) -> str:
+    """A mask term in query syntax (the ``[mask …]`` explain label)."""
+    kind = term[0]
+    if kind in ("and", "or"):
+        rendered = f" {kind} ".join(render_mask(operand, True)
+                                    for operand in term[1])
+        return f"({rendered})" if nested else rendered
+    if kind == "not":
+        return f"not({render_mask(term[1])})"
+    _kind, axis, name, inner = term
+    if inner is None:
+        return f"{axis}::{name}"
+    return f"{axis}::{name}[{render_mask(inner)}]"
+
+
+def mask_terms(term: tuple):
+    """Every term of a mask plan, the plan itself included."""
+    yield term
+    if term[0] in ("and", "or"):
+        for operand in term[1]:
+            yield from mask_terms(operand)
+    elif term[0] == "not":
+        yield from mask_terms(term[1])
+    elif term[0] == "axis" and term[3] is not None:
+        yield from mask_terms(term[3])
+
+
 def _children(plan: Plan) -> list[Plan]:
     if isinstance(plan, SeqOp):
         return list(plan.parts)
@@ -452,7 +492,8 @@ def _children(plan: Plan) -> list[Plan]:
     if isinstance(plan, QuantOp):
         return [p for _name, p in plan.bindings] + [plan.condition]
     if isinstance(plan, PredicateOp):
-        if plan.positional_literal is not None or plan.semi_join is not None:
+        if (plan.positional_literal is not None
+                or plan.semi_join is not None or plan.mask is not None):
             return []  # the label carries the whole story
         return [plan.plan]
     if isinstance(plan, StepOp):
@@ -493,9 +534,13 @@ def render_plan(plan: Plan, indent: int = 0,
     On costed plans each step carries its estimate; with ``actuals``
     (the executor's per-operator cardinality record, keyed by
     ``op_id``) the line becomes ``[est=… act=…]``, with ``!`` flagging
-    estimates that missed by more than ``miss_factor``.
+    estimates that missed by more than ``miss_factor``.  A mask
+    predicate shows its survivor count as ``[act=…]``.
     """
     label = plan._label()
+    if (isinstance(plan, PredicateOp) and actuals is not None
+            and plan.op_id in actuals):
+        label += f" [act={actuals[plan.op_id]}]"
     if isinstance(plan, StepOp) and plan.est_rows is not None:
         annotation = f"est={plan.est_rows:.0f}"
         if actuals is not None and plan.op_id in actuals:

@@ -24,8 +24,11 @@ differential tests in ``tests/test_plan_pipeline.py``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable
+
+import numpy as np
 
 from repro.errors import QueryEvaluationError
 from repro.markup import dom
@@ -76,7 +79,8 @@ class Frame:
     """Mutable pipeline evaluation state (EvalContext duck type)."""
 
     __slots__ = ("goddag", "functions", "options", "temp_manager",
-                 "variables", "item", "position", "size", "stats")
+                 "variables", "item", "position", "size", "stats",
+                 "mask_memo")
 
     def __init__(self, goddag, functions, options, temp_manager,
                  variables, stats) -> None:
@@ -89,6 +93,11 @@ class Frame:
         self.position = 0
         self.size = 0
         self.stats = stats
+        #: ``(epoch, {(name, term): column})`` — the mask columns of
+        #: this evaluation (:func:`_mask_column`).  They live here and
+        #: die with the frame: a compiled plan outlives the documents
+        #: it runs against and must never hold one of their arrays.
+        self.mask_memo = None
 
     def context_item(self):
         if self.item is None:
@@ -661,6 +670,8 @@ def _compile_predicate(op: L.PredicateOp):
                 frame.size = old_size
             return kept
 
+        if op.mask is not None:
+            return _compile_mask(op, run_boolean)
         return run_boolean
     plan_fn = compile_plan(op.plan)
 
@@ -690,6 +701,103 @@ def _compile_predicate(op: L.PredicateOp):
     return run
 
 
+def _compile_mask(op: L.PredicateOp, per_node):
+    """The set-at-a-time filter of a decorrelated predicate
+    (DESIGN.md §16): one boolean column per mask term over the whole
+    candidate list, no focus loop.  ``per_node`` — the predicate's
+    ordinary boolean runner — answers whenever the masks would not be
+    the same function: a candidate that is not a KyGODDAG node (it
+    raises what it always raised), an overridden ``not``,
+    ``xancestor::<root name>[P]`` on a document whose root carries the
+    probed name.
+    """
+    term = op.mask
+    op_id = op.op_id
+    builtin_not = (_builtin("not")
+                   if any(part[0] == "not" for part in L.mask_terms(term))
+                   else None)
+    #: names probed as ``xancestor::name[P]``: the root is a witness
+    #: of that axis but a row of no name column
+    subset_ancestors = {part[2] for part in L.mask_terms(term)
+                        if part[0] == "axis" and part[1] == "xancestor"
+                        and part[3] is not None}
+
+    def run_mask(frame: Frame, candidates: list) -> list:
+        if not candidates:
+            return candidates
+        if (builtin_not is not None
+                and frame.functions.get("not") is not builtin_not):
+            return per_node(frame, candidates)
+        if frame.goddag.root.name in subset_ancestors:
+            return per_node(frame, candidates)
+        for item in candidates:
+            if not isinstance(item, GNode):
+                return per_node(frame, candidates)
+        if not isinstance(candidates, ColumnarNodeSet):
+            # every term probes the same spans: extract them once
+            candidates = ColumnarNodeSet(candidates)
+        kept = _select(candidates, _mask_over(frame, term, candidates))
+        actuals = frame.stats.op_actuals
+        actuals[op_id] = actuals.get(op_id, 0) + len(kept)
+        return kept
+
+    return run_mask
+
+
+def _mask_over(frame: Frame, term: tuple, nodes: list) -> np.ndarray:
+    """One boolean per node: the verdict of mask term ``term``.
+
+    Every batched probe counts as one axis step, run set-at-a-time by
+    the join engine.
+    """
+    kind = term[0]
+    if kind in ("and", "or"):
+        operands = iter(term[1])
+        out = _mask_over(frame, next(operands), nodes)
+        for operand in operands:
+            part = _mask_over(frame, operand, nodes)
+            out = out & part if kind == "and" else out | part
+        return out
+    if kind == "not":
+        return ~_mask_over(frame, term[1], nodes)
+    _kind, axis, name, inner = term
+    goddag = frame.goddag
+    among = None
+    if inner is not None:
+        among = _mask_column(frame, name, inner)
+    stats = frame.stats
+    stats.axis_steps += 1
+    stats.batched_steps += 1
+    stats.join_steps += 1
+    return exists_axis_batch(goddag, axis, nodes, name, among=among)
+
+
+def _mask_column(frame: Frame, name: str, term: tuple) -> np.ndarray:
+    """The verdicts of ``term`` over the rows of ``name``'s interval
+    columns, built once per evaluation.
+
+    A column is a pure function of the index contents and the term, so
+    the memo is keyed by term value (equal sub-predicates share one
+    column) under an epoch that any membership change — an
+    ``analyze-string`` temporary coming or going — moves.
+    """
+    goddag = frame.goddag
+    index = goddag.span_index()
+    epoch = (index, goddag.version, index.incremental_adds,
+             index.incremental_removes)
+    memo = frame.mask_memo
+    if memo is None or memo[0] != epoch:
+        memo = frame.mask_memo = (epoch, {})
+    key = (name, term)
+    column = memo[1].get(key)
+    if column is None:
+        interval = index.name_interval(name)
+        rows = ColumnarNodeSet(interval.nodes.tolist(), interval.starts,
+                               interval.ends)
+        column = memo[1][key] = _mask_over(frame, term, rows)
+    return column
+
+
 def _compile_filter(op: L.FilterOp) -> Runner:
     input_fn = compile_plan(op.input)
     predicate_fns = [_compile_predicate(p) for p in op.predicates]
@@ -715,6 +823,17 @@ def _semi_join_probes(predicates: list[L.PredicateOp]
     cost pass may have reordered)."""
     return [(p.semi_join[0], p.semi_join[1], p.est_selectivity,
              p.source_order) for p in predicates]
+
+
+def _select(candidates: list, keep: np.ndarray) -> list:
+    """The candidates a boolean column keeps, span columns carried."""
+    if keep.all():
+        return candidates
+    kept = [node for node, flag in zip(candidates, keep) if flag]
+    if isinstance(candidates, ColumnarNodeSet):
+        starts, ends = candidates.span_columns()
+        return ColumnarNodeSet(kept, starts[keep], ends[keep])
+    return kept
 
 
 def _apply_semi_joins(frame: "Frame",
@@ -760,15 +879,32 @@ def _apply_semi_joins(frame: "Frame",
                 adaptive = False
             else:
                 expected = float(actual)
-        if mask.all():
-            continue
-        kept = [node for node, keep in zip(candidates, mask) if keep]
-        if isinstance(candidates, ColumnarNodeSet):
-            starts, ends = candidates.span_columns()
-            candidates = ColumnarNodeSet(kept, starts[mask], ends[mask])
-        else:
-            candidates = kept
+        candidates = _select(candidates, mask)
     return candidates
+
+
+def _compile_set_filters(predicates: list[L.PredicateOp]):
+    """``[fn(frame, candidates) -> candidates]`` when every predicate
+    filters a whole candidate set at once — batched semi-join probes
+    (consecutive ones share one adaptive schedule) and decorrelated
+    mask plans — else ``None``.  All of them are boolean and
+    position-free, so their verdicts cannot depend on how the
+    candidates are grouped per input node.
+    """
+    if not all(p.semi_join is not None or p.mask is not None
+               for p in predicates):
+        return None
+    filters = []
+    for batched, group in itertools.groupby(
+            predicates, key=lambda p: p.semi_join is not None):
+        if batched:
+            probes = _semi_join_probes(list(group))
+            filters.append(
+                lambda frame, candidates, probes=probes:
+                _apply_semi_joins(frame, probes, candidates))
+        else:
+            filters.extend(_compile_predicate(p) for p in group)
+    return filters
 
 
 def _compile_join(op: L.IntervalJoinOp):
@@ -778,15 +914,15 @@ def _compile_join(op: L.IntervalJoinOp):
     (:func:`repro.core.goddag.joins.join_axis_batch`): candidates are
     gathered as positions into the span-index columns and merged into
     global document order by one ``np.unique`` over packed order keys.
-    Semi-join predicates filter the joined set with batched existence
-    probes; any other predicate shape falls back to the per-node step
-    machinery (:func:`_compile_step`), which is also the oracle path.
+    Semi-join and mask predicates filter the joined set with batched
+    existence probes (:func:`_compile_set_filters`); any other
+    predicate shape falls back to the per-node step machinery
+    (:func:`_compile_step`), which is also the oracle path.
     """
-    if op.predicates and not all(p.semi_join is not None
-                                 for p in op.predicates):
+    set_filters = _compile_set_filters(op.predicates)
+    if set_filters is None:
         return _compile_step(op)
     axis = op.axis
-    semi_joins = _semi_join_probes(op.predicates)
     test_factory = _make_test_factory(op.test, axis)
     skip_leaves = op.skip_leaves
     leaves_only = op.leaves_only
@@ -813,8 +949,8 @@ def _compile_join(op: L.IntervalJoinOp):
                               skip_leaves=skip_leaves,
                               leaves_only=leaves_only,
                               test=test_factory(goddag), stats=stats)
-        if semi_joins:
-            out = _apply_semi_joins(frame, semi_joins, out)
+        for set_filter in set_filters:
+            out = set_filter(frame, out)
         return out
 
     return run
@@ -900,14 +1036,13 @@ def _compile_step(op: L.StepOp):
     """
     axis = op.axis
     reverse = axis in REVERSE_AXES
-    predicate_fns = [_compile_predicate(p) for p in op.predicates]
     #: all predicates are recognized cross-hierarchy existence tests:
     #: filter the step's batched union with vectorized semi-joins
     #: instead of looping candidates per input node (DESIGN.md §11)
-    semi_joins = (_semi_join_probes(op.predicates)
-                  if op.predicates and all(p.semi_join is not None
-                                           for p in op.predicates)
-                  else None)
+    set_filters = (_compile_set_filters(op.predicates)
+                   if op.predicates else None)
+    predicate_fns = ([_compile_predicate(p) for p in op.predicates]
+                     if set_filters is None else set_filters)
     test_factory = _make_test_factory(op.test, axis)
     skip_leaves = op.skip_leaves
     leaves_only = op.leaves_only
@@ -975,7 +1110,7 @@ def _compile_step(op: L.StepOp):
             return evaluate_axis_batch(
                 goddag, axis, inputs, hint, skip_leaves=skip_leaves,
                 leaves_only=leaves_only, test=test)
-        if semi_joins is not None:
+        if set_filters is not None:
             # Boolean, position-free existence predicates filter the
             # same set regardless of per-input grouping: take the
             # batched union once, then one vectorized probe per
@@ -985,7 +1120,9 @@ def _compile_step(op: L.StepOp):
                 leaves_only=leaves_only, test=test)
             if len(inputs) == 1 and emits_document_order(axis, inputs[0]):
                 stats.ordered_steps += 1
-            return _apply_semi_joins(frame, semi_joins, found)
+            for set_filter in set_filters:
+                found = set_filter(frame, found)
+            return found
         # Predicated: candidates per input in legacy predicate order
         # (reverse axes count positions away from the context node),
         # then one merge across inputs.
@@ -1068,7 +1205,9 @@ def _compile_ebv(plan: L.Plan):
         step = plan.steps[0]
         if not step.predicates:
             return _compile_step_exists(step)
-        if all(p.boolean_only and p.position_free
+        # a mask predicate filters the materialized step; the probe
+        # below would run its plan once per candidate
+        if all(p.boolean_only and p.position_free and p.mask is None
                for p in step.predicates):
             return _compile_step_exists_predicated(step)
     fn = compile_plan(plan)

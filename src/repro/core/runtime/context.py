@@ -41,13 +41,18 @@ class QueryStats:
     join_steps:
         Pipeline only: vectorized interval-join executions — one per
         extended-axis step run through the join engine plus one per
-        batched semi-join existence probe (DESIGN.md §11).
+        batched existence probe: a semi-join predicate, or one
+        ``axis::name`` term of a decorrelated mask predicate, which
+        also counts as one batched axis step (DESIGN.md §11, §16).
     batched_extended_steps:
         Pipeline only: extended-axis steps actually served by the
         set-at-a-time join kernels instead of per-node span arithmetic
         (a subset of ``join_steps``; single-context steps delegated to
-        the per-node walk count in ``join_steps`` only, and predicated
-        steps that fall back to the per-node machinery in neither).
+        the per-node walk count in ``join_steps`` only).  A predicated
+        step whose predicates are neither semi-joins nor mask plans —
+        positional, variable-dependent, or outside the decorrelated
+        grammar — runs the per-node machinery and counts in neither;
+        there every probed candidate is one ``axis_steps``.
     plan_cache_hit:
         Pipeline only: the compiled plan came from the engine's LRU
         cache instead of a fresh parse/rewrite/plan run.

@@ -89,6 +89,55 @@ def join_scenarios(draw, max_hierarchies: int = 3, max_spans: int = 6,
 
 
 # ---------------------------------------------------------------------------
+# decorrelatable predicates (the mask-plan differential suite, DESIGN.md §16)
+# ---------------------------------------------------------------------------
+
+EXTENDED_AXES = ("xancestor", "xdescendant", "xfollowing", "xpreceding",
+                 "overlapping", "preceding-overlapping",
+                 "following-overlapping")
+
+
+@st.composite
+def predicate_trees(draw, depth: int = 2) -> str:
+    """The text of one predicate body in the grammar the cost pass
+    decorrelates: ``and`` / ``or`` / ``not()`` over
+    ``extended-axis::name`` and — ``depth`` levels deep —
+    ``extended-axis::name[tree]``.
+
+    One atom in eight is ``string(.) = "literal"``, which is outside
+    the grammar: a tree holding one stays on the per-node path, so the
+    suite keeps comparing that path too.  Literals are drawn from
+    :data:`TEXT_ALPHABET`, so on generated documents a string test now
+    and then names an element's text.
+    """
+    def atom() -> str:
+        kinds = ("axis",) * 3 + ("nested",) * 4 if depth else ("axis",) * 7
+        kind = draw(st.sampled_from(kinds + ("string",)))
+        if kind == "string":
+            literal = draw(st.text(alphabet=TEXT_ALPHABET, max_size=3))
+            return f'string(.) = "{literal}"'
+        step = (f"{draw(st.sampled_from(EXTENDED_AXES))}::"
+                f"{draw(st.sampled_from(ELEMENT_NAMES))}")
+        if kind == "nested":
+            step += f"[{draw(predicate_trees(depth=depth - 1))}]"
+        return step
+
+    def operand() -> str:
+        shape = draw(st.sampled_from(("atom", "atom", "not", "group")))
+        if shape == "atom":
+            return atom()
+        if shape == "not":
+            return f"not({atom()})"
+        return f"({atom()} {draw(st.sampled_from(('and', 'or')))} {atom()})"
+
+    connective = draw(st.sampled_from((None, "and", "or")))
+    if connective is None:
+        return operand()
+    count = draw(st.integers(min_value=2, max_value=3))
+    return f" {connective} ".join(operand() for _ in range(count))
+
+
+# ---------------------------------------------------------------------------
 # update statements (the differential update fuzzer, DESIGN.md §9)
 # ---------------------------------------------------------------------------
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Engine
 from repro.cmh import MultihierarchicalDocument
@@ -77,6 +78,17 @@ def pick_contexts(goddag: KyGoddag, picks: list[int]) -> list:
     return [pool[index % len(pool)] for index in picks]
 
 
+def assert_among(goddag: KyGoddag, axis: str, contexts: list, name: str,
+                 among: np.ndarray) -> None:
+    rows = goddag.span_index().name_interval(name).nodes
+    subset = {id(node) for node, keep in zip(rows, among) if keep}
+    got = exists_axis_batch(goddag, axis, contexts, name, among=among)
+    for position, node in enumerate(contexts):
+        want = any(id(found) in subset
+                   for found in evaluate_axis(goddag, axis, node, name))
+        assert bool(got[position]) == want, (axis, name, node, among)
+
+
 class TestDifferentialJoins:
     @SETTINGS
     @given(scenario=join_scenarios())
@@ -117,6 +129,33 @@ class TestDifferentialJoins:
             manager.drop_all()
 
     @SETTINGS
+    @given(scenario=join_scenarios(),
+           bits=st.lists(st.booleans(), min_size=1, max_size=8))
+    def test_exists_among_matches_pernode_subset(self, scenario, bits):
+        """``among=`` restricts the witnesses to a row subset of the
+        name column: per context, the per-node axis result intersected
+        with the subset is non-empty.  The context pool holds the root,
+        leaves and empty-span nodes; ``r`` is the root's name (the root
+        is no row, so never a witness under ``among``)."""
+        document, picks, temporary = scenario
+        goddag = KyGoddag.build(document)
+        manager = TemporaryHierarchyManager(goddag)
+        if temporary is not None and temporary.spans:
+            manager.create(temporary)
+        try:
+            contexts = pick_contexts(goddag, picks)
+            for name in ("w", "dmg", "nosuch", "r"):
+                rows = goddag.span_index().name_interval(name).nodes
+                drawn = np.array([bits[row % len(bits)]
+                                  for row in range(len(rows))], dtype=bool)
+                for among in (drawn, np.zeros(len(rows), dtype=bool),
+                              np.ones(len(rows), dtype=bool)):
+                    for axis in sorted(EXTENDED_AXES):
+                        assert_among(goddag, axis, contexts, name, among)
+        finally:
+            manager.drop_all()
+
+    @SETTINGS
     @given(scenario=join_scenarios())
     def test_pipeline_joins_match_legacy_evaluator(self, scenario):
         document, _picks, _temporary = scenario
@@ -134,6 +173,56 @@ class TestDifferentialJoins:
             assert len(got.items) == len(expected), query
             for want, have in zip(expected, got.items):
                 assert want is have, query
+
+
+class TestExistsAmongEdges:
+    """The ``among=`` cases a random draw rarely lands on."""
+
+    def every_subset(self, goddag, name):
+        contexts = all_nodes(goddag)
+        count = len(goddag.span_index().name_interval(name))
+        for pattern in range(1 << count):
+            among = np.array([bool(pattern >> row & 1)
+                              for row in range(count)], dtype=bool)
+            for axis in sorted(EXTENDED_AXES):
+                assert_among(goddag, axis, contexts, name, among)
+
+    def test_span_equal_same_hierarchy_witnesses(self):
+        # h0 nests three span-equal w's (each on the others' ancestor
+        # chain); h1 holds a fourth with the same span off that chain
+        document = MultihierarchicalDocument.from_xml("abcde", {
+            "h0": "<r>a<w><w><w>bcd</w></w></w>e</r>",
+            "h1": "<r>a<w>bcd</w>e</r>",
+        })
+        self.every_subset(KyGoddag.build(document), "w")
+
+    def test_root_carrying_the_probed_name(self):
+        # elements share the root's name: they are rows, the root not
+        document = MultihierarchicalDocument.from_xml("abcde", {
+            "h0": "<r>a<r>bcd</r>e</r>",
+            "h1": "<r><r>ab</r><x>cd</x>e</r>",
+        })
+        goddag = KyGoddag.build(document)
+        assert goddag.root.name == "r"
+        self.every_subset(goddag, "r")
+
+    def test_empty_spans_and_leaf_contexts(self):
+        document = MultihierarchicalDocument.from_xml("abcd", {
+            "h0": '<r><w k="v">ab</w><w/><w>cd</w></r>',
+            "h1": "<r>a<w>bc</w>d</r>",
+        })
+        goddag = KyGoddag.build(document)
+        # the empty <w/> is no row; attribute and leaf contexts are in
+        # the pool and must answer as the per-node axes do
+        assert len(goddag.span_index().name_interval("w")) == 3
+        self.every_subset(goddag, "w")
+
+    def test_subset_of_missing_name_is_empty(self, goddag):
+        contexts = all_nodes(goddag)
+        for axis in sorted(EXTENDED_AXES):
+            got = exists_axis_batch(goddag, axis, contexts, "nosuch",
+                                    among=np.zeros(0, dtype=bool))
+            assert not got.any()
 
 
 class TestColumnarFlow:

@@ -9,15 +9,25 @@ Three contracts, in suite order:
   hypothesis-drawn documents;
 * the adaptive executor notices misestimates mid-plan (cost_fallbacks)
   and still returns the oracle answer, and stale statistics never
-  serve a cached plan.
+  serve a cached plan;
+* decorrelated predicates (mask plans) agree item for item with the
+  mechanical lowering and the tree-walking evaluator, every fallback
+  shape stays on the per-node path, and the per-node hole of ROADMAP
+  item 3 stays closed by count, not by clock.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Engine
+from repro.bench import corpus_at_size
 from repro.cmh import Hierarchy, MultihierarchicalDocument
 from repro.cmh.spans import Span, SpanSet
 from repro.core.goddag import KyGoddag
@@ -27,13 +37,19 @@ from repro.core.goddag.stats import (
     collect,
     collect_plan_stats,
 )
-from repro.core.plan import compile_query
+from repro.core.goddag.nodes import GNode
+from repro.core.plan import compile_query, cost
 from repro.core.runtime import QueryOptions
+from repro.errors import QueryEvaluationError
 from repro.corpus import GeneratorConfig, generate_document
 from repro.experiments.paperdata import PAPER_QUERIES
 from repro.store.plancache import SharedPlanCache
 
-from tests.strategies import multihierarchical_documents
+from tests.strategies import (
+    ELEMENT_NAMES,
+    multihierarchical_documents,
+    predicate_trees,
+)
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -338,3 +354,351 @@ class TestPlanCacheFingerprints:
         _plan, hit = cache.get(query, second.options,
                                stats=second.plan_stats())
         assert hit is True
+
+
+# ---------------------------------------------------------------------------
+# decorrelated predicates: mask plans vs both oracles
+# ---------------------------------------------------------------------------
+
+Q_I1_PREDICATE = ('xdescendant::w[string(.) = "singallice"] or '
+                  'overlapping::w[string(.) = "singallice"]')
+Q_I2_PREDICATE = ("xdescendant::w[xancestor::dmg or xdescendant::dmg "
+                  "or overlapping::dmg]")
+
+#: every recognised predicate shape, as whole queries
+MASK_QUERIES = (
+    f"/descendant::line[{Q_I2_PREDICATE}]",
+    # connectives over plain probes, no nested predicate
+    "/descendant::w[xancestor::dmg or xdescendant::dmg]",
+    "/descendant::w[xancestor::res and not(overlapping::dmg)]",
+    # two levels deep
+    "/descendant::line[xdescendant::w[xancestor::res"
+    "[xdescendant::w[overlapping::line]]]]",
+    # stacked inner predicates are a conjunction
+    "/descendant::line[xdescendant::w[xancestor::dmg][overlapping::line]]",
+    # beside a batched semi-join, in both orders
+    f"/descendant::line[overlapping::w][{Q_I2_PREDICATE}]",
+    f"/descendant::line[{Q_I2_PREDICATE}][overlapping::w]",
+    # on an interval-join step
+    "/descendant::line/xdescendant::w[xancestor::dmg or overlapping::dmg]",
+    # a filter over a root-anchored path
+    f"(/descendant::line)[{Q_I2_PREDICATE}]",
+    # a filter re-entered from a loop
+    f"for $l in /descendant::line return $l[{Q_I2_PREDICATE}]",
+    # every axis, as the outer probe
+    *(f"/descendant::line[{axis}::w[xancestor::dmg]]"
+      for axis in ("xfollowing", "xpreceding", "preceding-overlapping",
+                   "following-overlapping", "xancestor")),
+)
+
+#: shapes that must stay on the per-node path: ``(query, variables)``
+FALLBACK_QUERIES = (
+    ("/descendant::line[xdescendant::w[2]]", None),
+    ("/descendant::line[xdescendant::w[position() = 1]]", None),
+    ("/descendant::line[xdescendant::w[last()]]", None),
+    ("/descendant::line[xdescendant::w[xancestor::dmg][1]]", None),
+    ("/descendant::line[xdescendant::w[string(.) = $x]]",
+     {"x": ["singallice"]}),
+    ("/descendant::line[xdescendant::w[xancestor::dmg] or $x]",
+     {"x": []}),
+    ('/descendant::line[xdescendant::w[string(.) != "singallice"]]', None),
+    # string-value tests are not mask terms (yet): Q-I.1's predicate,
+    # and one string test spoiling an otherwise recognised body
+    (f"/descendant::line[{Q_I1_PREDICATE}]", None),
+    ("/descendant::line[xdescendant::w[xancestor::dmg and "
+     'string(.) = "singallice"]]', None),
+    ("/descendant::line[descendant::w[xancestor::dmg]]", None),
+    ("/descendant::line[xdescendant::*[xancestor::dmg]]", None),
+    # re-entered per item with no column to memoise
+    ("for $l in /descendant::line "
+     "return $l[xancestor::dmg or overlapping::dmg]", None),
+)
+
+
+def engines_over(document) -> tuple[Engine, Engine, Engine]:
+    """``(costed, mechanical, tree-walking)`` engines over one shared
+    KyGODDAG, so results compare by node identity."""
+    goddag = KyGoddag.build(document)
+    return tuple(Engine.from_parts(goddag, document=document, **flags)
+                 for flags in ({}, {"use_cost": False},
+                               {"use_pipeline": False}))
+
+
+def assert_item_for_item(engines, query, variables=None) -> None:
+    costed, *oracles = (engine.query(query, variables).items
+                        for engine in engines)
+    for oracle in oracles:
+        assert len(costed) == len(oracle), query
+        for got, want in zip(costed, oracle):
+            if isinstance(want, GNode):
+                assert got is want, query
+            else:
+                assert got == want, query
+
+
+def always_decorrelate():
+    """Take the cost decision out of a differential run: every
+    recognised predicate with something to batch gets its mask plan."""
+    return mock.patch.object(cost, "DECORRELATION_MARGIN", 1e12)
+
+
+@pytest.fixture(scope="module")
+def boethius_engines():
+    from repro.corpus.boethius import boethius_document
+
+    return engines_over(boethius_document(validate=False))
+
+
+@pytest.fixture(scope="module")
+def skewed_engines():
+    return engines_over(skewed_document())
+
+
+class TestDecorrelatedPredicates:
+    @pytest.mark.parametrize("query", MASK_QUERIES)
+    def test_recognised_shapes_decorrelate(self, skewed_engines, query):
+        report = skewed_engines[0].explain(query)
+        assert "predicate [mask " in report, report
+        assert "cost: decorrelated predicate" in report
+        assert_item_for_item(skewed_engines, query)
+
+    @pytest.mark.parametrize("query", MASK_QUERIES)
+    def test_boethius(self, boethius_engines, query):
+        with always_decorrelate():
+            assert_item_for_item(boethius_engines, query)
+
+    @pytest.mark.parametrize("query,variables", FALLBACK_QUERIES)
+    def test_fallback_shapes_stay_per_node(self, skewed_engines, query,
+                                           variables):
+        with always_decorrelate():
+            report = compile_query(
+                query, stats=skewed_engines[0].plan_stats()).explain()
+        assert "[mask " not in report, report
+        assert_item_for_item(skewed_engines, query, variables)
+
+    def test_few_candidates_stay_per_node(self, skewed_engines):
+        # eight dmg candidates reaching a word or two each: a 400-row
+        # w column would cost more than the dozen probes it replaces
+        query = "/descendant::dmg[xdescendant::w[xancestor::res]]"
+        report = skewed_engines[0].explain(query)
+        assert "[mask " not in report and "decorrelated" not in report
+        with always_decorrelate():
+            assert "predicate [mask " in compile_query(
+                query, stats=skewed_engines[0].plan_stats()).explain()
+        assert_item_for_item(skewed_engines, query)
+
+    def test_collection_anchors_like_the_root(self, skewed_engines):
+        # shard workers run corpus queries with collection() resolved
+        # to their shard's root: a whole-batch step, not a re-entry
+        query = f'collection("c")/descendant::line[{Q_I2_PREDICATE}]'
+        compiled = compile_query(query,
+                                 stats=skewed_engines[0].plan_stats())
+        assert "predicate [mask " in compiled.explain()
+        goddag = skewed_engines[0].goddag
+        got = compiled.execute(goddag, functions={
+            "collection": lambda frame, args: [frame.goddag.root]})
+        want = skewed_engines[1].query(
+            f"/descendant::line[{Q_I2_PREDICATE}]").items
+        assert [id(n) for n in got] == [id(n) for n in want]
+
+    def test_paper_queries_byte_identical(self, boethius_engines,
+                                          skewed_engines):
+        for engines in (boethius_engines, skewed_engines):
+            for spec in PAPER_QUERIES:
+                for query in filter(None, (spec.query,
+                                           spec.amended_query)):
+                    costed, *oracles = (engine.query(query).serialize()
+                                        for engine in engines)
+                    assert [costed] * 2 == oracles, spec.id
+
+    def test_mechanical_plans_are_untouched(self, skewed_engines):
+        for query in MASK_QUERIES:
+            report = compile_query(query).explain()
+            assert "mask" not in report and "act=" not in report
+
+    @SETTINGS
+    @given(tree=predicate_trees(),
+           name=st.sampled_from(("line", "w", "dmg", "*")))
+    def test_drawn_predicates_on_corpora(self, boethius_engines,
+                                         skewed_engines, tree, name):
+        for engines in (boethius_engines, skewed_engines):
+            for query in (f"/descendant::{name}[{tree}]",
+                          f"for $n in /descendant::{name} "
+                          f"return $n[{tree}]"):
+                assert_item_for_item(engines, query)
+
+    @SETTINGS
+    @given(document=multihierarchical_documents(),
+           tree=predicate_trees(),
+           name=st.sampled_from(ELEMENT_NAMES + ("*",)))
+    def test_drawn_predicates_on_drawn_documents(self, document, tree,
+                                                 name):
+        engines = engines_over(document)
+        with always_decorrelate():
+            for query in (f"/descendant::{name}[{tree}]",
+                          f"/descendant::{name}/overlapping::*[{tree}]",
+                          f"for $n in /descendant::{name} "
+                          f"return $n[{tree}]"):
+                assert_item_for_item(engines, query)
+
+
+class TestMaskFallbacksAtRunTime:
+    """Cases the compiled mask plan hands back to the per-node runner
+    while the query runs."""
+
+    def test_overridden_not_function(self, skewed_engines):
+        costed, mechanical, _legacy = skewed_engines
+        query = "/descendant::w[not(overlapping::line) or xancestor::dmg]"
+        compiled = costed.compile(query)
+        assert "predicate [mask " in compiled.explain()
+        functions = {"not": lambda context, args: [False]}
+        got = compiled.execute(costed.goddag, functions=functions)
+        want = mechanical.compile(query).execute(mechanical.goddag,
+                                                 functions=functions)
+        assert [id(n) for n in got] == [id(n) for n in want]
+        assert 0 < len(got) < len(costed.query(query).items)
+
+    def test_non_node_candidates_raise_as_before(self, skewed_engines):
+        query = f"(1, 2)[{Q_I2_PREDICATE}]"
+        with always_decorrelate():
+            assert "predicate [mask " in skewed_engines[0].explain(query)
+            messages = []
+            for engine in skewed_engines:
+                with pytest.raises(QueryEvaluationError) as raised:
+                    engine.query(query)
+                messages.append(str(raised.value))
+        assert len(set(messages)) == 1
+
+    def test_root_named_ancestor_subset(self):
+        # elements carry the root's name: xancestor::r[P] has the root
+        # as a witness, which no column row stands for
+        document = MultihierarchicalDocument.from_xml("abcdef", {
+            "h0": "<r><r><w>ab</w></r><w>cd</w>ef</r>",
+            "h1": "<r>a<dmg>bc</dmg>def</r>",
+        })
+        engines = engines_over(document)
+        query = "/descendant::w[xancestor::r[xdescendant::dmg]]"
+        with always_decorrelate():
+            assert "[mask " not in engines[0].explain(query)
+            assert_item_for_item(engines, query)
+            assert len(engines[0].query(query).items) == 2
+            # compiled against another document's statistics, the guard
+            # moves to run time
+            elsewhere = MultihierarchicalDocument.from_xml("abcdef", {
+                "h0": "<doc><r><w>ab</w></r><w>cd</w>ef</doc>",
+                "h1": "<doc>a<dmg>bc</dmg>def</doc>",
+            })
+            foreign = compile_query(
+                query, stats=Engine(elsewhere).plan_stats())
+        assert "predicate [mask " in foreign.explain()
+        got = foreign.execute(engines[0].goddag)
+        assert [id(n) for n in got] == [
+            id(n) for n in engines[1].query(query).items]
+
+
+class TestMaskLifetime:
+    def test_column_built_once_per_evaluation(self, skewed_engines):
+        costed = skewed_engines[0]
+        lines = len(costed.query("/descendant::line").items)
+        query = ("for $l in /descendant::line "
+                 "return $l[xdescendant::w[xancestor::dmg]]")
+        assert "predicate [mask " in costed.explain(query)
+        stats = costed.query(query).stats
+        # one subset probe per entry, plus the one probe that built the
+        # w column; the per-node path would make none
+        assert stats.join_steps == lines + 1
+        assert costed.query(query).stats.join_steps == lines + 1
+
+    def test_equal_subpredicates_share_a_column(self, skewed_engines):
+        # both operands probe the same w[xancestor::dmg] column: the
+        # line scan, one probe building it, two subset probes
+        query = ("/descendant::line[xdescendant::w[xancestor::dmg] or "
+                 "overlapping::w[xancestor::dmg]]")
+        stats = skewed_engines[0].query(query).stats
+        assert stats.join_steps == 3 and stats.axis_steps == 4
+
+    def test_temporary_hierarchies_move_the_epoch(self, skewed_engines):
+        # each analyze-string call changes index membership between
+        # two entries of the predicate: the m column must follow
+        query = ('for $w in (/descendant::w)[position() < 6] '
+                 'let $res := analyze-string($w, "[aeiou]") '
+                 "return count($res/descendant::leaf()"
+                 "[xancestor::m[xancestor::w[xancestor::line]]])")
+        with always_decorrelate():
+            assert "predicate [mask " in skewed_engines[0].explain(query)
+            assert_item_for_item(skewed_engines, query)
+        assert sum(skewed_engines[0].query(query).items) > 0
+
+    def test_compiled_plan_pins_no_goddag(self):
+        document = skewed_document()
+        engine = Engine(document)
+        query = f"/descendant::line[{Q_I2_PREDICATE}]"
+        compiled = compile_query(query, stats=engine.plan_stats())
+        assert "predicate [mask " in compiled.explain()
+        assert compiled.execute(engine.goddag)
+        released = weakref.ref(engine.goddag)
+        engine.goddag.release_caches()
+        del engine, document
+        gc.collect()
+        assert released() is None
+        assert compiled.explain()  # the plan itself is still alive
+
+
+class TestMaskObservability:
+    def test_analyze_shows_survivors(self, skewed_engines):
+        costed = skewed_engines[0]
+        query = f"/descendant::line[{Q_I2_PREDICATE}]"
+        kept = len(costed.query(query).items)
+        report = costed.explain(query, analyze=True)
+        (line,) = [line for line in report.splitlines()
+                   if "predicate [mask " in line]
+        assert line.endswith(f"[act={kept}]")
+        assert f"[mask {Q_I2_PREDICATE}]" in line
+        # the masked inner steps are not plan operators any more
+        assert "interval-join" not in report
+        assert "act=" not in costed.explain(query)
+
+    def test_probes_count_as_batched_join_steps(self, skewed_engines):
+        stats = skewed_engines[0].query(
+            f"/descendant::line[{Q_I2_PREDICATE}]").stats
+        # the line scan, three inner terms over the w column, one
+        # subset probe
+        assert stats.axis_steps == 5 and stats.batched_steps == 5
+        assert stats.join_steps == 4
+        assert stats.est_rows is not None
+        assert stats.act_rows == len(skewed_engines[0].query(
+            f"/descendant::line[{Q_I2_PREDICATE}]").items)
+
+
+class TestPerNodeHoleClosed:
+    """ROADMAP item 4a: the deterministic stand-in for the wall-clock
+    floor of ``benchmarks/test_pipeline_speedup.py`` — operator counts
+    at n=800, which repeat exactly."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        return Engine(corpus_at_size(800))
+
+    def test_q_i2_outer_predicate_makes_no_per_node_probe(self, engine):
+        import repro.core.goddag.axes as axes
+        import repro.core.plan.physical as physical
+
+        calls = []
+        original = axes.axis_exists_named
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        # the name the plan operators imported and the one the kernels
+        # would look up, as the perfbench census wraps them
+        with mock.patch.object(axes, "axis_exists_named", counting), \
+                mock.patch.object(physical, "axis_exists_named", counting):
+            engine.query(f"/descendant::line[{Q_I2_PREDICATE}]")
+            outer = len(calls)
+            engine.query(PAPER_QUERIES[1].query)
+        assert outer == 0 and not calls
+        oracle = Engine(corpus_at_size(800), use_cost=False)
+        with mock.patch.object(physical, "axis_exists_named", counting):
+            oracle.query(PAPER_QUERIES[1].query)
+        assert len(calls) > 1000  # the wrapper does see the old loop

@@ -493,11 +493,14 @@ class TestObservability:
         log.clear()
         handle.get_json("/query?name=boe&q=count(/descendant::seg)",
                         headers={"X-Tenant": "logged"})
-        # log entries land on the event loop after the response bytes
+        # log entries land on the event loop after the response bytes —
+        # this request's, and the previous test's /statz, which may
+        # arrive after the clear() above
         deadline = time.monotonic() + 5.0
-        while not log and time.monotonic() < deadline:
+        while (not any(e["path"] == "/query" for e in list(log))
+               and time.monotonic() < deadline):
             time.sleep(0.005)
-        entry = log[-1]
+        entry = [e for e in log if e["path"] == "/query"][-1]
         assert sorted(entry) == [
             "act_rows", "bytes_out", "cost_fallbacks", "est_rows",
             "latency_ms", "method", "path", "plan_cache_hit",

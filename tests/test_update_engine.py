@@ -331,6 +331,22 @@ class TestPlanCacheInvalidation:
         assert engine.query("/descendant::alpha[xdescendant::leaf()]"
                             ).items != []
 
+    def test_rename_then_remove_markup_drops_interval_rows(self, engine):
+        """The per-name interval columns behind the batched existence
+        probes must forget a removed element under its *current* name:
+        an in-place rename patches the index's live name column, not
+        the name table the hierarchy was merged with."""
+        engine.goddag.span_index()
+        engine.update("rename node (//a)[1] as 'alpha'")
+        # warm the alpha columns, then take the element away again
+        assert engine.query("count(//c[xdescendant::alpha])").items == [1]
+        engine.update("remove markup (//alpha)[1]")
+        assert len(engine.goddag.span_index().name_interval("alpha")) == 0
+        assert engine.query("count(//c[xdescendant::alpha])").items == [0]
+        assert engine.query(
+            "count(//c[xdescendant::alpha or overlapping::alpha])"
+        ).items == [0]
+
     def test_cache_keys_include_version(self, engine):
         first = engine.query("count(//a)")
         assert first.stats.plan_cache_hit is False
