@@ -18,11 +18,16 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
+from functools import partial
 from pathlib import Path
 from typing import Any
 
 from repro.errors import ReproError
-from repro.cmh import ConcurrentMarkupHierarchy, MultihierarchicalDocument
+from repro.cmh import (
+    ConcurrentMarkupHierarchy,
+    Hierarchy,
+    MultihierarchicalDocument,
+)
 from repro.core.goddag import KyGoddag, collect, describe, to_dot
 from repro.core.goddag.stats import GoddagStats
 from repro.core.lang import parse_xpath
@@ -94,7 +99,7 @@ class Engine:
                  use_pipeline: bool = True,
                  use_cost: bool = True) -> None:
         self._document = document
-        self._document_loader = None
+        self._dtds = None
         self.options = options or QueryOptions()
         self.goddag = KyGoddag.build(document)
         self.use_pipeline = use_pipeline
@@ -105,49 +110,59 @@ class Engine:
 
     @property
     def document(self) -> MultihierarchicalDocument:
-        """The DOM-side document (materialized lazily after a ``.mhxb``
-        cold load — queries need only the KyGODDAG; updates and
-        serialization fault the DOM in on first use).
+        """The DOM-side document.
 
-        Safe to race on a shared frozen engine: the loader is captured
-        in a local before use, ``_document`` is assigned before the
-        loader is cleared, and a duplicate materialization just wastes
-        work (both results are equivalent).
+        An engine assembled around a KyGODDAG (``.mhxb`` cold load,
+        store fork) has none until it is asked for: queries and saves
+        need only the KyGODDAG.  What it then gets is a shell whose
+        hierarchies each build their DOM from the component's arrays on
+        first access, so an update materializes only the hierarchies it
+        changes (DESIGN.md §9) and serialization the ones it prints.
+
+        Safe to race on a shared frozen engine: a duplicate
+        materialization just wastes work (both results are equivalent).
         """
         document = self._document
         if document is None:
-            loader = self._document_loader
-            if loader is None:
-                return self._document  # another thread just finished
-            document = loader()
+            goddag = self.goddag
+            document = MultihierarchicalDocument(goddag.text)
+            for name in goddag.persistent_hierarchy_names:
+                document.hierarchies[name] = Hierarchy(
+                    name, loader=partial(goddag.hierarchy_dom, name))
+            if self._dtds:
+                document.cmh = ConcurrentMarkupHierarchy.from_sources(
+                    goddag.root.root_name, self._dtds)
             self._document = document
-            self._document_loader = None
         return document
+
+    def dtd_sources(self) -> dict | None:
+        """The CMH's DTD sources, when the document has a schema whose
+        sources are known — without materializing the document."""
+        if self._document is None:
+            return self._dtds
+        cmh = self._document.cmh
+        return None if cmh is None else cmh.sources()
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_parts(cls, goddag: KyGoddag, *,
                    document: MultihierarchicalDocument | None = None,
-                   document_loader=None,
+                   dtds: dict | None = None,
                    options: QueryOptions | None = None,
                    use_pipeline: bool = True,
                    use_cost: bool = True) -> "Engine":
         """Assemble an engine around an already-built KyGODDAG.
 
         The ``.mhxb`` cold-load and store-fork paths: the goddag was
-        reconstructed (or cloned) elsewhere, so nothing is rebuilt
-        here.  Exactly one of ``document`` / ``document_loader`` must
-        be provided; the loader defers DOM materialization to first
-        access.
+        reconstructed elsewhere, so nothing is rebuilt here.  Without a
+        ``document`` the DOM side derives lazily from the goddag (see
+        :attr:`document`); ``dtds`` are the schema sources it then
+        attaches.
         """
-        if (document is None) == (document_loader is None):
-            raise ReproError(
-                "from_parts needs exactly one of document / "
-                "document_loader")
         self = cls.__new__(cls)
         self._document = document
-        self._document_loader = document_loader
+        self._dtds = dtds
         self.options = options or QueryOptions()
         self.goddag = goddag
         self.use_pipeline = use_pipeline

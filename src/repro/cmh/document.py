@@ -15,7 +15,7 @@ is what the KyGODDAG builder consumes.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from repro.errors import AlignmentError, CMHError, ValidationError
 from repro.markup import dom, parse
@@ -25,11 +25,37 @@ from repro.cmh.schema import ConcurrentMarkupHierarchy
 
 
 class Hierarchy:
-    """One named markup hierarchy: a DOM document over the base text."""
+    """One named markup hierarchy: a DOM document over the base text.
 
-    def __init__(self, name: str, document: dom.Document) -> None:
+    The DOM is either given or built on first access by ``loader`` —
+    how an engine assembled around a KyGODDAG (``.mhxb`` cold load,
+    store fork) defers each hierarchy's DOM until an update or a
+    serialization needs that one (DESIGN.md §10).
+    """
+
+    def __init__(self, name: str, document: dom.Document | None = None,
+                 *, loader: Callable[[], dom.Document] | None = None
+                 ) -> None:
+        if (document is None) == (loader is None):
+            raise CMHError(
+                f"hierarchy '{name}' needs exactly one of a DOM "
+                f"document and a loader")
         self.name = name
-        self.document = document
+        self._document = document
+        self._loader = loader
+
+    @property
+    def materialized(self) -> bool:
+        """True once the DOM exists (always, unless built lazily)."""
+        return self._document is not None
+
+    @property
+    def document(self) -> dom.Document:
+        """The hierarchy's DOM document."""
+        document = self._document
+        if document is None:
+            document = self._document = self._loader()
+        return document
 
     @property
     def root(self) -> dom.Element:
@@ -158,10 +184,12 @@ class MultihierarchicalDocument:
                 f"{cursor} of {len(text)} characters of the base text",
                 hierarchy=hierarchy.name, offset=cursor)
 
-    def verify_alignment(self) -> None:
-        """Re-check alignment of every hierarchy (after mutation)."""
-        for hierarchy in self.hierarchies.values():
-            self._align(hierarchy)
+    def verify_alignment(self, names: Iterable[str] | None = None
+                         ) -> None:
+        """Re-check alignment after mutation: of every hierarchy, or of
+        the ``names`` a mutation touched when the text is unchanged."""
+        for name in self.hierarchies if names is None else names:
+            self._align(self.hierarchies[name])
 
     # -- forking -----------------------------------------------------------
 
@@ -170,9 +198,9 @@ class MultihierarchicalDocument:
 
         Every hierarchy DOM is cloned node-by-node (text spans survive,
         so no re-alignment pass is needed); the CMH schema — immutable
-        once parsed — is shared.  This is the copy-on-write fork of the
-        document store's single-writer path (DESIGN.md §10): the writer
-        mutates the clone while readers keep querying the original.
+        once parsed — is shared.  ``DocumentStore.add(document=...)``
+        registers a clone so the caller keeps ownership of theirs; the
+        store's own versions fork from arrays instead (DESIGN.md §10).
         """
         copy = MultihierarchicalDocument(self.text)
         for name, hierarchy in self.hierarchies.items():

@@ -8,6 +8,12 @@ from a :class:`~repro.cmh.spans.SpanSet`, and may be registered as
 whose match markup lives in a hierarchy that disappears when query
 evaluation finishes.
 
+Each component keeps its hierarchy as the column arrays ``.mhxb``
+stores (:class:`_HierarchyComponent`); node objects are created from
+them, so a structure can be assembled around existing arrays — a
+mapped file's, or another version's (:meth:`KyGoddag.from_arrays`,
+:meth:`KyGoddag.fork`) — without parsing, numbering or sorting.
+
 Node order follows the paper's Definition 3: root first, nodes of one
 hierarchy in its DOM document order, hierarchies ordered by (stable)
 registration rank.  Leaves are shared; we place them after all
@@ -41,49 +47,219 @@ from repro.core.goddag.nodes import (
 from repro.core.goddag.partition import Partition
 
 
-class _HierarchyComponent:
-    """Bookkeeping for one hierarchy inside the KyGODDAG."""
+#: node kind codes of the component tables (the ``.mhxb`` ``kinds`` block)
+KIND_ELEMENT, KIND_TEXT, KIND_COMMENT, KIND_PI = 0, 1, 2, 3
 
-    def __init__(self, name: str, rank: int, temporary: bool) -> None:
+#: the per-hierarchy numeric columns, in ``.mhxb`` block order
+COLUMNS = ("kinds", "name_ids", "starts", "ends", "parents",
+           "subtree_ends", "okeys")
+
+
+def pack_okeys(rank: int, count: int) -> np.ndarray:
+    """The packed Definition 3 keys of one component (layout below, at
+    :meth:`KyGoddag.order_key`): preorder is the row number."""
+    if rank >= KyGoddag._RANK_LIMIT or count > KyGoddag._PREORDER_LIMIT:
+        raise GoddagError(
+            "document-order key overflow: rank/preorder/attribute "
+            f"position ({rank}, {count}, 0) exceeds the packed int64 "
+            "layout (see DESIGN.md §1)")
+    return ((1 << 61) | (rank << 45)
+            | (np.arange(count, dtype=np.int64) << 13))
+
+
+class _HierarchyComponent:
+    """One hierarchy inside the KyGODDAG, held as column arrays.
+
+    The columns are exactly the blocks ``.mhxb`` stores per hierarchy
+    (DESIGN.md §10): one row per node in preorder — kind, id into
+    ``names``, span, parent row (-1 = the shared root), last row of the
+    subtree, packed order key — plus what is not numeric (attributes,
+    comment and PI data, the comments/PIs around the root element, the
+    root element's attributes).  Node objects, the hierarchy's DOM and
+    its file blocks are all derived from them, so a component that no
+    update touches is forked, saved and turned into a DOM without a
+    Python pass over a node graph.
+
+    Columns and tables are never written in place once another
+    component shares them (:meth:`detached`); :meth:`rename` copies
+    first when it finds a column read-only.
+    """
+
+    def __init__(self, name: str, rank: int, temporary: bool, *,
+                 names: list[str], columns: dict[str, np.ndarray],
+                 attrs: list, comments: list, pis: list,
+                 prolog: list, epilog: list,
+                 root_attrs: dict[str, str],
+                 perms: tuple[np.ndarray, np.ndarray] | None = None,
+                 rows: dict[str, list[int]] | None = None) -> None:
         self.name = name
         self.rank = rank
         self.temporary = temporary
-        # All nodes of the component in preorder (excluding the root).
-        # ``nodes[i].preorder == i``, so every standard axis over this
-        # hierarchy is a contiguous slice of this list (DESIGN.md §5).
+        #: the name table ``name_ids`` indexes (elements and PI targets)
+        self.names = names
+        self.kinds = columns["kinds"]
+        self.name_ids = columns["name_ids"]
+        self.starts = columns["starts"]
+        self.ends = columns["ends"]
+        self.parents = columns["parents"]
+        self.subtree_ends = columns["subtree_ends"]
+        self._okeys = columns.get("okeys")
+        #: ``[row, value]`` pairs: attribute mappings, comment data, PI
+        #: data; ``prolog``/``epilog`` are the DOM-only comments and PIs
+        #: before and after the root element
+        self.attrs = attrs
+        self.comments = comments
+        self.pis = pis
+        self.prolog = prolog
+        self.epilog = epilog
+        self.root_attrs = root_attrs
+        self._perms = perms
+        # The builder's own lists, until :meth:`attach` has used them:
+        # nodes made from these share their int objects (a text node
+        # starts where its neighbour ends), ``tolist`` would not.
+        self._rows = rows
+        # All nodes of the component in preorder (excluding the root),
+        # created by :meth:`attach`.  ``nodes[i].preorder == i``, so
+        # every standard axis over this hierarchy is a contiguous slice
+        # of this list (DESIGN.md §5).
         self.nodes: list[_HierarchyNode] = []
-        # Text nodes in text order, with parallel start offsets for
-        # binary search (leaf -> parent text node lookup).
-        self.text_nodes: list[GText] = []
-        self.text_starts: list[int] = []
-        # Boundary offsets this hierarchy contributed to the partition.
-        self.boundaries: list[int] = []
-        # Lazy parallel arrays over ``nodes`` (immutable after build).
+        # Lazy caches over ``nodes`` (idempotent fills).
         self._nodes_arr: np.ndarray | None = None
-        self._subtree_ends_arr: np.ndarray | None = None
         self._name_index: dict[str, "_NameEntry"] | None = None
+        self._text_index: tuple[list[int], list[GText]] | None = None
+
+    @property
+    def okeys(self) -> np.ndarray:
+        """The packed order keys: a file's block when loaded, else
+        packed on first use — a structure that is only queried keys the
+        nodes it sorts and never needs the column."""
+        okeys = self._okeys
+        if okeys is None:
+            okeys = self._okeys = pack_okeys(self.rank, len(self.kinds))
+        return okeys
+
+    # -- derived: node objects ------------------------------------------------
+
+    def attach(self, goddag: "KyGoddag") -> None:
+        """Create the node objects from the columns, under ``goddag``.
+
+        One linear pass, constructors inlined: this loop builds every
+        node of a cold-loaded or forked document and is the largest
+        cost of both at scale.
+        """
+        names = self.names
+        rows, self._rows = self._rows, None
+        if rows is None:
+            rows = {key: getattr(self, key).tolist() for key in COLUMNS}
+        kinds, ids = rows["kinds"], rows["name_ids"]
+        starts, ends = rows["starts"], rows["ends"]
+        parents, subtree_ends = rows["parents"], rows["subtree_ends"]
+        # a freshly built component leaves the keys to ``order_key``
+        okeys = rows.get("okeys") or [None] * len(kinds)
+        attrs = dict(self.attrs)
+        comments = dict(self.comments)
+        pis = dict(self.pis)
+        hierarchy = self.name
+        root = goddag.root
+        nodes: list = []
+        top_nodes: list = []
+        for position, kind in enumerate(kinds):
+            if kind == KIND_ELEMENT:
+                node = GElement.__new__(GElement)
+                node._name = names[ids[position]]
+                # shared with ``self.attrs`` (and with every fork of
+                # it): nothing mutates a node's attribute mapping
+                node.attributes = attrs.get(position) or {}
+                node.children = []
+                node._attr_nodes = None
+                node._child_positions = None
+            elif kind == KIND_TEXT:
+                node = GText.__new__(GText)
+            elif kind == KIND_COMMENT:
+                node = GComment.__new__(GComment)
+                node.data = comments[position]
+            else:
+                node = GPi.__new__(GPi)
+                node.target = names[ids[position]]
+                node.data = pis[position]
+            node.goddag = goddag
+            node.start = starts[position]
+            node.end = ends[position]
+            node._hierarchy = hierarchy
+            node.preorder = position
+            node.subtree_end = subtree_ends[position]
+            node._okey = okeys[position]
+            parent_position = parents[position]
+            if parent_position < 0:
+                node._parent = root
+                top_nodes.append(node)
+            else:
+                parent = nodes[parent_position]
+                node._parent = parent
+                parent.children.append(node)
+            nodes.append(node)
+        self.nodes = nodes
+        root.children_by_hierarchy[hierarchy] = top_nodes
+        root.attributes_by_hierarchy[hierarchy] = dict(self.root_attrs)
+
+    def detached(self) -> "_HierarchyComponent":
+        """A copy without node objects that shares every column.
+
+        What :meth:`KyGoddag.fork` attaches to the next version.  The
+        shared columns turn read-only on both sides, so whichever side
+        renames next copies the one column it writes.
+        """
+        # base-class views: a version made in memory does not inherit
+        # the ``np.memmap`` type of blocks its ancestor was loaded with
+        columns = {key: np.asarray(getattr(self, key)) for key in COLUMNS}
+        for column in columns.values():
+            column.setflags(write=False)
+        return _HierarchyComponent(
+            self.name, self.rank, self.temporary, names=self.names,
+            columns=columns, attrs=self.attrs, comments=self.comments,
+            pis=self.pis, prolog=self.prolog, epilog=self.epilog,
+            root_attrs=self.root_attrs, perms=self.perms())
 
     def node_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(nodes, subtree_ends)`` as parallel arrays, preorder order.
 
-        Reads capture both fields locally so a concurrent
-        :meth:`release_arrays` (retired-version hygiene) can never be
-        observed half-way; the fill is idempotent, so racing rebuilds
-        are wasted work, not wrong answers.
+        The object array is a cache :meth:`release_arrays` may drop
+        under a reader; the fill is idempotent, so racing rebuilds are
+        wasted work, not wrong answers.
         """
         arr = self._nodes_arr
-        ends = self._subtree_ends_arr
-        if arr is None or ends is None:
-            count = len(self.nodes)
-            arr = np.empty(count, dtype=object)
-            for position, node in enumerate(self.nodes):
-                arr[position] = node
-            ends = np.fromiter(
-                (node.subtree_end for node in self.nodes),
-                dtype=np.int64, count=count)
+        if arr is None:
+            arr = np.empty(len(self.nodes), dtype=object)
+            arr[:] = self.nodes
             self._nodes_arr = arr
-            self._subtree_ends_arr = ends
-        return arr, ends
+        return arr, self.subtree_ends
+
+    def _texts(self) -> tuple[list[int], list[GText]]:
+        index = self._text_index
+        if index is None:
+            rows = np.flatnonzero(self.kinds == KIND_TEXT)
+            nodes = self.nodes
+            index = (self.starts[rows].tolist(),
+                     [nodes[row] for row in rows.tolist()])
+            self._text_index = index
+        return index
+
+    @property
+    def text_starts(self) -> list[int]:
+        """Start offsets of the text nodes, in text order (for the
+        leaf -> containing text node binary search)."""
+        return self._texts()[0]
+
+    @property
+    def text_nodes(self) -> list[GText]:
+        """The text nodes, parallel to :attr:`text_starts`."""
+        return self._texts()[1]
+
+    @property
+    def boundaries(self) -> list[int]:
+        """Every markup boundary of this hierarchy — each node's start
+        and each node's end, a multiset — as the partition counts them."""
+        return np.concatenate((self.starts, self.ends)).tolist()
 
     def name_entry(self, name: str) -> "_NameEntry | None":
         """The per-name element index entry (DESIGN.md §8).
@@ -118,13 +294,107 @@ class _HierarchyComponent:
         object array -> node -> ``node.goddag`` closes a reference
         cycle the collector cannot see through.  Dropping the arrays
         leaves only ordinary Python containers in the cycle, which the
-        collector handles.  All three caches are idempotent lazy
-        fills, so a still-pinned reader that needs one again simply
-        rebuilds it.
+        collector handles.  Both caches are idempotent lazy fills, so a
+        still-pinned reader that needs one again simply rebuilds it;
+        the numeric columns hold no objects and stay.
         """
         self._nodes_arr = None
-        self._subtree_ends_arr = None
         self._name_index = None
+
+    # -- derived: span-index permutations, DOM --------------------------------
+
+    def span_rows(self) -> np.ndarray:
+        """Rows of the span-bearing nodes (elements and text nodes):
+        the component's Definition 1 domain, in preorder."""
+        return np.flatnonzero(self.kinds <= KIND_TEXT)
+
+    def span_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, nodes, names)`` of the span-bearing nodes — the
+        object columns the span index keeps per hierarchy; a text
+        node's name is ``None``."""
+        rows = self.span_rows()
+        table = np.empty(len(self.names) + 1, dtype=object)
+        table[:-1] = self.names  # name id -1 (text) lands on the None
+        return (rows, self.node_arrays()[0][rows],
+                table[self.name_ids[rows]])
+
+    def perms(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(s_perm, e_perm)``: the stable argsorts of the span rows by
+        start key and by end key — the order in which this hierarchy's
+        nodes appear in the span index's two global orders."""
+        perms = self._perms
+        if perms is None:
+            from repro.core.goddag.index import _end_keys, _start_keys
+
+            rows = self.span_rows()
+            starts, ends = self.starts[rows], self.ends[rows]
+            perms = self._perms = (
+                np.argsort(_start_keys(starts, ends), kind="stable"),
+                np.argsort(_end_keys(starts, ends), kind="stable"))
+        return perms
+
+    def build_dom(self, text: str, root_name: str) -> dom.Document:
+        """This hierarchy's DOM document, text nodes aligned."""
+        document = dom.Document()
+        for entry in self.prolog:
+            document.append(_aux_node(entry))
+        root = dom.Element(root_name, self.root_attrs)
+        document.append(root)
+        for entry in self.epilog:
+            document.append(_aux_node(entry))
+        names = self.names
+        ids = self.name_ids.tolist()
+        starts = self.starts.tolist()
+        ends = self.ends.tolist()
+        parents = self.parents.tolist()
+        attrs = dict(self.attrs)
+        comments = dict(self.comments)
+        pis = dict(self.pis)
+        nodes: list[dom.Node] = []
+        for position, kind in enumerate(self.kinds.tolist()):
+            if kind == KIND_ELEMENT:
+                node: dom.Node = dom.Element(names[ids[position]],
+                                             attrs.get(position))
+            elif kind == KIND_TEXT:
+                node = dom.Text(text[starts[position]:ends[position]])
+                node.start = starts[position]
+                node.end = ends[position]
+            elif kind == KIND_COMMENT:
+                node = dom.Comment(comments[position])
+            else:
+                node = dom.ProcessingInstruction(names[ids[position]],
+                                                 pis[position])
+            parent_position = parents[position]
+            parent = (root if parent_position < 0
+                      else nodes[parent_position])
+            # straight onto the child list: ``append`` would first
+            # search the (absent) old parent
+            node.parent = parent
+            parent.children.append(node)
+            nodes.append(node)
+        return document
+
+    # -- in-place mutation ----------------------------------------------------
+
+    def rename(self, position: int, name: str) -> None:
+        """Point row ``position`` at ``name`` (an element rename)."""
+        names = self.names
+        if name in names:
+            ident = names.index(name)
+        else:
+            ident = len(names)
+            self.names = [*names, name]  # the old table may be shared
+        ids = self.name_ids
+        if not ids.flags.writeable:
+            ids = self.name_ids = np.array(ids)
+        ids[position] = ident
+        self._name_index = None
+
+
+def _aux_node(entry: list) -> dom.Node:
+    if entry[0] == "comment":
+        return dom.Comment(entry[1])
+    return dom.ProcessingInstruction(entry[1], entry[2])
 
 
 class _NameEntry:
@@ -185,17 +455,90 @@ class KyGoddag:
             goddag.add_hierarchy_from_dom(name, hierarchy.document)
         return goddag
 
+    @classmethod
+    def from_arrays(cls, text: str, root_name: str,
+                    components: list[_HierarchyComponent],
+                    partition: tuple[np.ndarray, np.ndarray],
+                    index_columns: dict[str, np.ndarray] | None,
+                    version: int) -> "KyGoddag":
+        """Assemble a KyGODDAG around ready-made column arrays.
+
+        The one pass behind both a ``.mhxb`` cold load and
+        :meth:`fork` (DESIGN.md §10): node objects are created from
+        each component's columns, the partition from its sorted
+        ``(offsets, refcounts)`` and the span index from its numeric
+        columns in both sorted orders — nothing is parsed, aligned,
+        numbered or sorted.  The arrays may be memory-mapped or shared
+        with another version; they are only ever replaced, never
+        written.  Without ``index_columns`` the span index is built on
+        first use.
+        """
+        from repro.core.goddag.index import SpanIndex
+
+        goddag = cls(text, root_name)
+        goddag.partition = Partition.restore(goddag, len(text), *partition)
+        for component in components:
+            if component.name in goddag._components:
+                raise GoddagError(
+                    f"duplicate hierarchy name '{component.name}'")
+            goddag._components[component.name] = component
+            goddag._next_rank = max(goddag._next_rank, component.rank + 1)
+            component.attach(goddag)
+        if index_columns is not None:
+            goddag._index = SpanIndex.restore(goddag, index_columns,
+                                              components)
+        goddag.version = version
+        return goddag
+
+    def fork(self) -> "KyGoddag":
+        """An unfrozen KyGODDAG at the same version with its own nodes.
+
+        The new structure shares this one's column arrays, partition
+        multiset and span-index numeric columns and rebuilds only what
+        carries a ``node.goddag`` back-reference: the node objects and
+        the index's object columns.  Updates of the fork replace the
+        arrays of the hierarchies they touch and leave this structure
+        as it was (DESIGN.md §10).
+        """
+        latch = self.read_latch
+        if latch is not None:
+            # a frozen source may be running analyze-string: its
+            # temporaries sit in the partition and the span index
+            latch.acquire_read()
+        try:
+            if any(component.temporary
+                   for component in self._components.values()):
+                raise GoddagError(
+                    "cannot fork a KyGODDAG holding temporary "
+                    "(analyze-string) hierarchies")
+            components = [component.detached()
+                          for component in self._components.values()]
+            partition = self.partition.export_arrays()
+            index = self._index
+            columns = None if index is None else index.numeric_columns()
+        finally:
+            if latch is not None:
+                latch.release_read()
+        return KyGoddag.from_arrays(self.text, self.root.root_name,
+                                    components, partition, columns,
+                                    self.version)
+
     def add_hierarchy_from_dom(self, name: str, document: dom.Document,
                                temporary: bool = False) -> None:
         """Register a hierarchy from an aligned DOM document.
 
-        The document's text nodes must carry ``start``/``end`` spans (as
-        produced by CMH alignment) or cover the base text contiguously
-        (spans are then derived by walking).
+        The document's text nodes must cover the base text contiguously
+        (spans are derived by walking).
         """
-        component = self._new_component(name, temporary)
-        builder = _ComponentBuilder(self, component)
-        builder.build_from_dom(document.root)
+        if self.frozen and not temporary:
+            self._frozen_violation(f"add hierarchy '{name}'")
+        if name in self._components:
+            raise GoddagError(f"duplicate hierarchy name '{name}'")
+        component = _ComponentBuilder(
+            self.text, self.root.root_name, name, self._next_rank,
+            temporary).build_from_dom(document)
+        self._next_rank += 1
+        self._components[name] = component
         self._finish_component(component)
 
     def add_hierarchy_from_spans(self, name: str, spans: SpanSet,
@@ -207,40 +550,8 @@ class KyGoddag:
         document = spans.to_document(self.root.root_name)
         self.add_hierarchy_from_dom(name, document, temporary=temporary)
 
-    def adopt_component(self, component: _HierarchyComponent,
-                        top_nodes: list[_HierarchyNode],
-                        root_attributes: dict[str, str]) -> None:
-        """Attach a fully reconstructed hierarchy component.
-
-        The ``.mhxb`` cold-load path (DESIGN.md §10): the caller built
-        the component's node objects straight from persisted arrays —
-        preorder numbers, subtree ends, spans, boundaries and text-node
-        tables already filled — so nothing is re-derived here.  The
-        partition and span index are restored wholesale by the same
-        caller; this only wires the component into the catalog and the
-        shared root.
-        """
-        if component.name in self._components:
-            raise GoddagError(
-                f"duplicate hierarchy name '{component.name}'")
-        self._components[component.name] = component
-        self._next_rank = max(self._next_rank, component.rank + 1)
-        self.root.children_by_hierarchy[component.name] = list(top_nodes)
-        self.root.attributes_by_hierarchy[component.name] = dict(
-            root_attributes)
-
-    def _new_component(self, name: str,
-                       temporary: bool) -> _HierarchyComponent:
-        if self.frozen and not temporary:
-            self._frozen_violation(f"add hierarchy '{name}'")
-        if name in self._components:
-            raise GoddagError(f"duplicate hierarchy name '{name}'")
-        component = _HierarchyComponent(name, self._next_rank, temporary)
-        self._next_rank += 1
-        self._components[name] = component
-        return component
-
     def _finish_component(self, component: _HierarchyComponent) -> None:
+        component.attach(self)
         self.partition.add_boundaries(component.boundaries)
         if self._index is not None:
             # Merge the new hierarchy into the live index instead of
@@ -348,7 +659,7 @@ class KyGoddag:
             raise GoddagError(
                 "rename target is not a registered node of this KyGODDAG")
         node._name = name
-        component._name_index = None
+        component.rename(node.preorder, name)
         if self._index is not None:
             self._index.rename_node(node)
         self.version += 1
@@ -359,26 +670,27 @@ class KyGoddag:
         The incremental mutation path: the old component's boundaries
         are spliced out of the partition and its sub-arrays compressed
         out of the span index, then the fresh component merges back in —
-        every *other* hierarchy's nodes, leaves, caches and order keys
-        survive untouched.  The base text must be unchanged; use
-        :meth:`rebuild_hierarchies` when it is not.
+        every *other* hierarchy's arrays, nodes, leaves, caches and
+        order keys survive untouched.  The base text must be unchanged;
+        use :meth:`rebuild_hierarchies` when it is not.
         """
         if self.frozen:
             self._frozen_violation(f"replace hierarchy '{name}'")
         component = self._components.get(name)
         if component is None:
             raise GoddagError(f"no hierarchy named '{name}'")
+        # Built before anything is taken apart: a DOM the builder
+        # rejects leaves the structure as it was.
+        fresh = _ComponentBuilder(
+            self.text, self.root.root_name, name, component.rank,
+            component.temporary).build_from_dom(document)
         self.partition.remove_boundaries(component.boundaries)
         if self._index is not None:
             self._index.remove_component(component)
         self._detach_component_root(name)
-        fresh = _HierarchyComponent(name, component.rank,
-                                    component.temporary)
         # Assigning to the existing key keeps the dict position, so the
         # Definition 3 iteration order (registration order) is stable.
         self._components[name] = fresh
-        builder = _ComponentBuilder(self, fresh)
-        builder.build_from_dom(document.root)
         self._finish_component(fresh)
 
     def rebuild_hierarchies(self, text: str,
@@ -397,6 +709,11 @@ class KyGoddag:
             raise GoddagError(
                 "rebuild_hierarchies needs exactly the registered "
                 "hierarchies")
+        root_name = self.root.root_name
+        fresh = [_ComponentBuilder(text, root_name, name, old.rank,
+                                   old.temporary
+                                   ).build_from_dom(documents[name])
+                 for name, old in self._components.items()]
         index = self._index
         if index is not None:
             for component in self._components.values():
@@ -406,13 +723,10 @@ class KyGoddag:
         if index is not None:
             index.reset_root()
         self.partition = Partition(self, len(text))
-        for name, old in list(self._components.items()):
-            self._detach_component_root(name)
-            fresh = _HierarchyComponent(name, old.rank, old.temporary)
-            self._components[name] = fresh
-            builder = _ComponentBuilder(self, fresh)
-            builder.build_from_dom(documents[name].root)
-            self._finish_component(fresh)
+        for component in fresh:
+            self._detach_component_root(component.name)
+            self._components[component.name] = component
+            self._finish_component(component)
         self.version += 1
 
     def _detach_component_root(self, name: str) -> None:
@@ -461,6 +775,11 @@ class KyGoddag:
     def nodes_of(self, hierarchy: str) -> list[_HierarchyNode]:
         """All nodes of one component in document (pre)order."""
         return self._components[hierarchy].nodes
+
+    def hierarchy_dom(self, hierarchy: str) -> dom.Document:
+        """One hierarchy as a freshly built, aligned DOM document."""
+        return self._components[hierarchy].build_dom(
+            self.text, self.root.root_name)
 
     def iter_nodes(self, include_leaves: bool = True,
                    include_attributes: bool = False) -> Iterator[GNode]:
@@ -621,92 +940,115 @@ class KyGoddag:
             component.release_arrays()
 
 
+def document_level_nodes(hier_doc: dom.Document) -> tuple[list, list]:
+    """Comments/PIs outside the root element: they exist only in the
+    DOM, not in the KyGODDAG, and ride along as component metadata."""
+    prolog: list[list] = []
+    epilog: list[list] = []
+    target = prolog
+    for child in hier_doc.children:
+        if isinstance(child, dom.Element):
+            target = epilog
+        elif isinstance(child, dom.Comment):
+            target.append(["comment", child.data])
+        elif isinstance(child, dom.ProcessingInstruction):
+            target.append(["pi", child.target, child.data])
+    return prolog, epilog
+
+
 class _ComponentBuilder:
-    """Translates one aligned DOM tree into a hierarchy component."""
+    """Translates one aligned DOM tree into a hierarchy component.
 
-    def __init__(self, goddag: KyGoddag, component: _HierarchyComponent
-                 ) -> None:
-        self.goddag = goddag
-        self.component = component
+    One preorder walk fills the columns — a row's number is its
+    preorder, an element's subtree ends at the last row written when
+    the walk leaves it — and verifies on the way that the text nodes
+    spell out the base text.
+    """
+
+    def __init__(self, text: str, root_name: str, name: str, rank: int,
+                 temporary: bool) -> None:
+        self.text = text
+        self.root_name = root_name
+        self.name = name
+        self.rank = rank
+        self.temporary = temporary
         self.cursor = 0
+        self.names: list[str] = []
+        self.interned: dict[str, int] = {}
+        self.kinds: list[int] = []
+        self.name_ids: list[int] = []
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        self.parents: list[int] = []
+        self.subtree_ends: list[int] = []
+        self.attrs: list[list] = []
+        self.comments: list[list] = []
+        self.pis: list[list] = []
 
-    def build_from_dom(self, root_element: dom.Element) -> None:
-        goddag, component = self.goddag, self.component
-        if root_element.name != goddag.root.root_name:
+    def build_from_dom(self, document: dom.Document
+                       ) -> _HierarchyComponent:
+        root_element = document.root
+        if root_element.name != self.root_name:
             raise GoddagError(
-                f"hierarchy '{component.name}' has root element "
-                f"'{root_element.name}', expected '{goddag.root.root_name}'")
-        goddag.root.attributes_by_hierarchy[component.name] = dict(
-            root_element.attributes)
-        children = [self._convert(child, goddag.root)
-                    for child in root_element.children]
-        goddag.root.children_by_hierarchy[component.name] = [
-            child for child in children if child is not None]
-        if self.cursor != len(goddag.text):
+                f"hierarchy '{self.name}' has root element "
+                f"'{root_element.name}', expected '{self.root_name}'")
+        self._convert(root_element.children, -1)
+        if self.cursor != len(self.text):
             raise GoddagError(
-                f"hierarchy '{component.name}' text covers {self.cursor} "
-                f"of {len(goddag.text)} characters")
-        self._assign_preorder()
-        self._collect_boundaries()
+                f"hierarchy '{self.name}' text covers {self.cursor} "
+                f"of {len(self.text)} characters")
+        prolog, epilog = document_level_nodes(document)
+        rows = {key: getattr(self, key) for key in COLUMNS[:-1]}
+        columns = {key: np.asarray(values, dtype=np.int64)
+                   for key, values in rows.items()}
+        columns["kinds"] = columns["kinds"].astype(np.int8)
+        return _HierarchyComponent(
+            self.name, self.rank, self.temporary, names=self.names,
+            columns=columns, attrs=self.attrs, comments=self.comments,
+            pis=self.pis, prolog=prolog, epilog=epilog,
+            root_attrs=dict(root_element.attributes), rows=rows)
 
-    def _convert(self, node: dom.Node, parent: GNode) -> _HierarchyNode | None:
-        goddag, component = self.goddag, self.component
-        if isinstance(node, dom.Text):
-            start = self.cursor
-            end = start + len(node.data)
-            if goddag.text[start:end] != node.data:
-                raise GoddagError(
-                    f"hierarchy '{component.name}' text diverges from the "
-                    f"base text at offset {start}")
-            self.cursor = end
-            gtext = GText(goddag, component.name, start, end)
-            gtext._parent = parent
-            component.text_nodes.append(gtext)
-            component.text_starts.append(start)
-            return gtext
-        if isinstance(node, dom.Element):
-            element = GElement(goddag, component.name, node.name,
-                               self.cursor, self.cursor, node.attributes)
-            element._parent = parent
-            converted = [self._convert(child, element)
-                         for child in node.children]
-            element.children = [c for c in converted if c is not None]
-            element.end = self.cursor
-            return element
-        if isinstance(node, dom.Comment):
-            comment = GComment(goddag, component.name, self.cursor, node.data)
-            comment._parent = parent
-            return comment
-        if isinstance(node, dom.ProcessingInstruction):
-            pi = GPi(goddag, component.name, self.cursor, node.target,
-                     node.data)
-            pi._parent = parent
-            return pi
-        return None  # doctype/etc. — nothing to represent
+    def _intern(self, name: str) -> int:
+        ident = self.interned.get(name)
+        if ident is None:
+            ident = self.interned[name] = len(self.names)
+            self.names.append(name)
+        return ident
 
-    def _assign_preorder(self) -> None:
-        """Number the component's nodes in preorder; record subtree ends."""
-        nodes = self.component.nodes
-        counter = 0
+    def _row(self, kind: int, name_id: int, end: int, parent: int) -> int:
+        position = len(self.kinds)
+        self.kinds.append(kind)
+        self.name_ids.append(name_id)
+        self.starts.append(self.cursor)
+        self.ends.append(end)
+        self.parents.append(parent)
+        self.subtree_ends.append(position)
+        return position
 
-        def visit(node: _HierarchyNode) -> None:
-            nonlocal counter
-            node.preorder = counter
-            counter += 1
-            nodes.append(node)
-            if isinstance(node, GElement):
-                for child in node.children:
-                    visit(child)  # type: ignore[arg-type]
-            node.subtree_end = counter - 1
-
-        for top in self.goddag.root.children_by_hierarchy[
-                self.component.name]:
-            visit(top)  # type: ignore[arg-type]
-
-    def _collect_boundaries(self) -> None:
-        """Every markup boundary of this hierarchy, for the partition."""
-        offsets: list[int] = []
-        for node in self.component.nodes:
-            offsets.append(node.start)
-            offsets.append(node.end)
-        self.component.boundaries = offsets
+    def _convert(self, children: list[dom.Node], parent: int) -> None:
+        for node in children:
+            if isinstance(node, dom.Text):
+                start = self.cursor
+                end = start + len(node.data)
+                if self.text[start:end] != node.data:
+                    raise GoddagError(
+                        f"hierarchy '{self.name}' text diverges from "
+                        f"the base text at offset {start}")
+                self._row(KIND_TEXT, -1, end, parent)
+                self.cursor = end
+            elif isinstance(node, dom.Element):
+                position = self._row(KIND_ELEMENT, self._intern(node.name),
+                                     -1, parent)
+                if node.attributes:
+                    self.attrs.append([position, dict(node.attributes)])
+                self._convert(node.children, position)
+                self.ends[position] = self.cursor
+                self.subtree_ends[position] = len(self.kinds) - 1
+            elif isinstance(node, dom.Comment):
+                position = self._row(KIND_COMMENT, -1, self.cursor, parent)
+                self.comments.append([position, node.data])
+            elif isinstance(node, dom.ProcessingInstruction):
+                position = self._row(KIND_PI, self._intern(node.target),
+                                     self.cursor, parent)
+                self.pis.append([position, node.data])
+            # doctype/etc. — nothing to represent

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import GoddagError
-from repro.core.goddag.nodes import GElement, GNode, GText, _HierarchyNode
+from repro.core.goddag.nodes import GNode, _HierarchyNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.goddag.goddag import KyGoddag, _HierarchyComponent
@@ -130,33 +130,22 @@ class _SubIndex:
                  "e_keys", "e_nodes", "e_starts", "e_ends", "e_names",
                  "e_preorders")
 
-    def __init__(self, rank: int, nodes: list[GNode]) -> None:
+    def __init__(self, rank: int, objects: np.ndarray, names: np.ndarray,
+                 starts: np.ndarray, ends: np.ndarray,
+                 preorders: np.ndarray, subtree_ends: np.ndarray,
+                 perms: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> None:
         self.rank = rank
-        count = len(nodes)
-        starts = np.fromiter((n.start for n in nodes), dtype=np.int64,
-                             count=count)
-        ends = np.fromiter((n.end for n in nodes), dtype=np.int64,
-                           count=count)
-        if count and int(ends.max()) >= _OFFSET_LIMIT:
+        if len(ends) and int(ends.max()) >= _OFFSET_LIMIT:
             raise GoddagError(
                 "span offsets exceed 2^31; the packed int64 merge keys "
                 "of the span index cannot represent this text")
-        # The root carries no preorder bookkeeping; -1 matches the
-        # rank guard in ancestor_or_self_exclusion.
-        preorders = np.fromiter(
-            (getattr(n, "preorder", -1) for n in nodes),
-            dtype=np.int64, count=count)
-        subtree_ends = np.fromiter(
-            (getattr(n, "subtree_end", -1) for n in nodes),
-            dtype=np.int64, count=count)
-        objects = np.empty(count, dtype=object)
-        for position, node in enumerate(nodes):
-            objects[position] = node
-        names = np.empty(count, dtype=object)
-        for position, node in enumerate(nodes):
-            names[position] = node.name
         s_keys = _start_keys(starts, ends)
-        s_order = np.argsort(s_keys, kind="stable")
+        e_keys = _end_keys(starts, ends)
+        if perms is None:
+            perms = (np.argsort(s_keys, kind="stable"),
+                     np.argsort(e_keys, kind="stable"))
+        s_order, e_order = perms
         self.s_keys = s_keys[s_order]
         self.s_nodes = objects[s_order]
         self.s_starts = starts[s_order]
@@ -164,8 +153,6 @@ class _SubIndex:
         self.s_preorders = preorders[s_order]
         self.s_subtree_ends = subtree_ends[s_order]
         self.s_names = names[s_order]
-        e_keys = _end_keys(starts, ends)
-        e_order = np.argsort(e_keys, kind="stable")
         self.e_keys = e_keys[e_order]
         self.e_nodes = objects[e_order]
         self.e_starts = starts[e_order]
@@ -173,26 +160,40 @@ class _SubIndex:
         self.e_names = names[e_order]
         self.e_preorders = preorders[e_order]
 
+    @classmethod
+    def of_root(cls, root: GNode) -> "_SubIndex":
+        """The shared root's one-entry sub-index (rank -1).  The root
+        carries no preorder bookkeeping; -1 matches the rank guard in
+        ``ancestor_or_self_exclusion``."""
+        objects = np.empty(1, dtype=object)
+        objects[0] = root
+        names = np.empty(1, dtype=object)
+        names[0] = root.name
+        minus_one = np.full(1, -1, dtype=np.int64)
+        return cls(-1, objects, names, np.zeros(1, dtype=np.int64),
+                   np.array([root.end], dtype=np.int64), minus_one,
+                   minus_one)
+
+    @classmethod
+    def of_component(cls, component: "_HierarchyComponent"
+                     ) -> "_SubIndex":
+        """A hierarchy's Definition 1 domain — its element and text
+        nodes — read off the component's columns."""
+        rows, objects, names = component.span_columns()
+        return cls(component.rank, objects, names, component.starts[rows],
+                   component.ends[rows], rows,
+                   component.subtree_ends[rows], component.perms())
+
     def __len__(self) -> int:
         return len(self.s_nodes)
 
 
-def _span_nodes_of(component: "_HierarchyComponent") -> list[GNode]:
-    """The component's Definition 1 domain: its element/text nodes."""
-    return [node for node in component.nodes
-            if isinstance(node, (GElement, GText))]
-
-
-class _RestoredSub:
-    """Stand-in sub-index for a hierarchy restored from ``.mhxb``.
-
-    A restored global index never replays the merge that produced it,
-    so the only sub-index state later operations touch is the rank (the
+class _MergedSub:
+    """What the index remembers of a hierarchy it holds: the rank (the
     compression mask of :meth:`SpanIndex.remove_component`) and the
-    length (its empty-component early-out).  Everything else — the
-    per-hierarchy sorted arrays — exists only transiently during a
-    merge and is not reconstructed.
-    """
+    size (its empty-component early-out).  The per-hierarchy sorted
+    arrays of a :class:`_SubIndex` exist only during the merge — and
+    never for a restored index, which does not replay one."""
 
     __slots__ = ("rank", "count")
 
@@ -209,7 +210,7 @@ class SpanIndex:
 
     def __init__(self, goddag: "KyGoddag") -> None:
         self.goddag = goddag
-        self._subs: dict[str, _SubIndex] = {}
+        self._subs: dict[str, _MergedSub] = {}
         self._name_masks: dict[str, np.ndarray] = {}
         self._e_name_masks: dict[str, np.ndarray] = {}
         self._intervals: dict[str, _NameInterval] = {}
@@ -225,7 +226,7 @@ class SpanIndex:
         self.incremental_removes = 0
         # Seed the global arrays with the shared root (rank -1, never
         # removed), then merge every registered hierarchy in.
-        root = _SubIndex(-1, [goddag.root])
+        root = _SubIndex.of_root(goddag.root)
         self.nodes = root.s_nodes
         self.starts = root.s_starts
         self.ends = root.s_ends
@@ -257,21 +258,39 @@ class SpanIndex:
 
     # -- persistence (the .mhxb cold-load path, DESIGN.md §10) ---------------
 
-    @classmethod
-    def restore(cls, goddag: "KyGoddag", arrays: dict,
-                subs: dict[str, tuple[int, int]]) -> "SpanIndex":
-        """Rebuild a span index from persisted global arrays.
+    #: the numeric columns of both sorted orders: ``.mhxb`` block name
+    #: under ``index/`` -> attribute
+    COLUMNS = {"s_keys": "_s_keys", "starts": "starts", "ends": "ends",
+               "ranks": "ranks", "preorders": "preorders",
+               "subtree_ends": "subtree_ends", "e_keys": "_e_keys",
+               "e_starts": "e_starts", "e_ends": "ends_sorted",
+               "e_ranks": "e_ranks"}
 
-        ``arrays`` holds both sorted orders exactly as they left
-        :func:`repro.store.mhxb.save_engine` — the numeric columns may
-        stay memory-mapped (they are only ever replaced wholesale) and
-        nothing is re-sorted or re-merged.  ``subs`` maps hierarchy
-        name to ``(rank, span node count)``.
+    def numeric_columns(self) -> dict[str, np.ndarray]:
+        """Every numeric column (:attr:`COLUMNS` plus ``e_preorders``):
+        what :meth:`restore` rebuilds an index around.  The arrays are
+        handed over, not copied — they are only ever replaced."""
+        self._flush_pending()
+        columns = {key: np.asarray(getattr(self, attribute))
+                   for key, attribute in self.COLUMNS.items()}
+        columns["e_preorders"] = self.e_preorders
+        return columns
+
+    @classmethod
+    def restore(cls, goddag: "KyGoddag", columns: dict[str, np.ndarray],
+                components: list["_HierarchyComponent"]) -> "SpanIndex":
+        """Rebuild a span index around existing numeric columns.
+
+        ``columns`` holds both sorted orders as :meth:`numeric_columns`
+        or a ``.mhxb`` file has them — they may stay memory-mapped or
+        shared with another version, and nothing is re-sorted or
+        re-merged.  The object columns (nodes, names) come from one
+        rank-gather per hierarchy through its two permutations; the
+        end-sorted preorder column, which the file does not carry, is
+        gathered the same way.
         """
         index = cls.__new__(cls)
         index.goddag = goddag
-        index._subs = {name: _RestoredSub(rank, count)
-                       for name, (rank, count) in subs.items()}
         index._name_masks = {}
         index._e_name_masks = {}
         index._intervals = {}
@@ -280,23 +299,42 @@ class SpanIndex:
         index._pending = []
         index.incremental_adds = 0
         index.incremental_removes = 0
-        index._s_keys = arrays["s_keys"]
-        index.nodes = arrays["nodes"]
-        index.starts = arrays["starts"]
-        index.ends = arrays["ends"]
-        index.ranks = arrays["ranks"]
-        index.preorders = arrays["preorders"]
-        index.subtree_ends = arrays["subtree_ends"]
-        index._names = arrays["names"]
-        index._e_keys = arrays["e_keys"]
-        index.e_nodes = arrays["e_nodes"]
-        index.e_starts = arrays["e_starts"]
-        index.ends_sorted = arrays["ends_sorted"]
-        index.e_ranks = arrays["e_ranks"]
-        # Not persisted in .mhxb: derived lazily from the node objects
-        # on first interval-join use (see _e_preorders_now).
-        index.e_preorders = arrays.get("e_preorders")
-        index._e_names = arrays["e_names"]
+        for key, attribute in cls.COLUMNS.items():
+            setattr(index, attribute, columns[key])
+        ranks, e_ranks = index.ranks, index.e_ranks
+        total = len(ranks)
+        nodes = np.empty(total, dtype=object)
+        names = np.empty(total, dtype=object)
+        e_nodes = np.empty(total, dtype=object)
+        e_names = np.empty(total, dtype=object)
+        e_preorders = columns.get("e_preorders")
+        gather_preorders = e_preorders is None
+        if gather_preorders:
+            e_preorders = np.full(total, -1, dtype=np.int64)
+        root = goddag.root
+        nodes[ranks == -1] = root
+        names[ranks == -1] = root.name
+        e_nodes[e_ranks == -1] = root
+        e_names[e_ranks == -1] = root.name
+        index._subs = {}
+        for component in components:
+            rows, objects, labels = component.span_columns()
+            s_perm, e_perm = component.perms()
+            mask = ranks == component.rank
+            nodes[mask] = objects[s_perm]
+            names[mask] = labels[s_perm]
+            e_mask = e_ranks == component.rank
+            e_nodes[e_mask] = objects[e_perm]
+            e_names[e_mask] = labels[e_perm]
+            if gather_preorders:
+                e_preorders[e_mask] = rows[e_perm]
+            index._subs[component.name] = _MergedSub(component.rank,
+                                                       len(rows))
+        index.nodes = nodes
+        index._names = names
+        index.e_nodes = e_nodes
+        index._e_names = e_names
+        index.e_preorders = e_preorders
         index._refresh_nonempty()
         return index
 
@@ -307,7 +345,7 @@ class SpanIndex:
         *replacement* (the temporary-hierarchy merge/compress paths)
         stays possible; those build fresh arrays."""
         self._flush_pending()
-        self.okey_columns()  # materializes e_preorders too
+        self.okey_columns()
         for array in (self._s_keys, self.starts, self.ends, self.ranks,
                       self.preorders, self.subtree_ends, self._e_keys,
                       self.e_starts, self.ends_sorted, self.e_ranks,
@@ -334,8 +372,9 @@ class SpanIndex:
             self._merge_component(component)
 
     def _merge_component(self, component: "_HierarchyComponent") -> None:
-        sub = _SubIndex(component.rank, _span_nodes_of(component))
-        self._subs[component.name] = sub
+        sub = _SubIndex.of_component(component)
+        # once merged, only the rank and the size are ever read again
+        self._subs[component.name] = _MergedSub(component.rank, len(sub))
         if len(sub):
             positions = np.searchsorted(self._s_keys, sub.s_keys,
                                         side="right")
@@ -352,9 +391,6 @@ class SpanIndex:
             self._names = np.insert(self._names, positions, sub.s_names)
             e_positions = np.searchsorted(self._e_keys, sub.e_keys,
                                           side="right")
-            # Materialize the (possibly lazily-derived) preorder column
-            # before e_nodes changes underneath the derivation.
-            e_preorders = self._e_preorders_now()
             self._e_keys = np.insert(self._e_keys, e_positions, sub.e_keys)
             self.e_nodes = np.insert(self.e_nodes, e_positions, sub.e_nodes)
             self.e_starts = np.insert(self.e_starts, e_positions,
@@ -365,7 +401,7 @@ class SpanIndex:
                                      np.int64(sub.rank))
             self._e_names = np.insert(self._e_names, e_positions,
                                       sub.e_names)
-            self.e_preorders = np.insert(e_preorders, e_positions,
+            self.e_preorders = np.insert(self.e_preorders, e_positions,
                                          sub.e_preorders)
             self._refresh_nonempty()
         self._clear_derived(names={name for name in sub.s_names
@@ -395,12 +431,11 @@ class SpanIndex:
         self.subtree_ends = self.subtree_ends[keep]
         self._names = self._names[keep]
         e_keep = self.e_ranks != sub.rank
-        e_preorders = self._e_preorders_now()
         self._e_keys = self._e_keys[e_keep]
         self.e_nodes = self.e_nodes[e_keep]
         self.e_starts = self.e_starts[e_keep]
         self.ends_sorted = self.ends_sorted[e_keep]
-        self.e_preorders = e_preorders[e_keep]
+        self.e_preorders = self.e_preorders[e_keep]
         self.e_ranks = self.e_ranks[e_keep]
         self._e_names = self._e_names[e_keep]
         self._refresh_nonempty()
@@ -449,7 +484,7 @@ class SpanIndex:
             raise GoddagError(
                 "reset_root requires all hierarchy components to be "
                 "removed first")
-        root = _SubIndex(-1, [self.goddag.root])
+        root = _SubIndex.of_root(self.goddag.root)
         self.nodes = root.s_nodes
         self.starts = root.s_starts
         self.ends = root.s_ends
@@ -539,20 +574,6 @@ class SpanIndex:
 
     # -- interval-join columns (DESIGN.md §11) -------------------------------
 
-    def _e_preorders_now(self) -> np.ndarray:
-        """The end-sorted preorder column, deriving it when absent.
-
-        Indexes restored from ``.mhxb`` don't persist the column (the
-        container predates it); one ``np.fromiter`` over the restored
-        node objects fills it, after which it is maintained
-        incrementally like every other column.
-        """
-        if self.e_preorders is None:
-            self.e_preorders = np.fromiter(
-                (getattr(node, "preorder", -1) for node in self.e_nodes),
-                dtype=np.int64, count=len(self.e_nodes))
-        return self.e_preorders
-
     def okey_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Packed Definition 3 order keys, in both sort orders.
 
@@ -566,8 +587,7 @@ class SpanIndex:
         if self._okeys is None:
             # Guard attribute assigned last: racing fills on a shared
             # frozen snapshot must never expose a half-built pair.
-            self._e_okeys = _pack_okeys(self.e_ranks,
-                                        self._e_preorders_now())
+            self._e_okeys = _pack_okeys(self.e_ranks, self.e_preorders)
             self._okeys = _pack_okeys(self.ranks, self.preorders)
         return self._okeys, self._e_okeys
 

@@ -10,27 +10,38 @@ of what that means:
 
 * hierarchy ranks are unique and registration order follows rank, so
   the Definition 3 node order is well defined;
-* per component: ``nodes[i].preorder == i``, subtree intervals nest,
-  child spans tile their parent's span in order, text nodes tile the
-  base text exactly, and the recorded boundary multiset matches the
-  node spans;
-* cached packed order keys agree with recomputation, and the global
-  ``iter_nodes`` order is strictly increasing;
+* per component: every column row agrees with its node object — kind,
+  name, span, parent, preorder (``nodes[i].preorder == i``), subtree
+  end, order key, attributes, comment/PI data; forks, saves and the
+  span index read the columns, queries read the nodes — subtree
+  intervals nest, child spans tile their parent's span in order, and
+  text nodes tile the base text exactly;
+* the order-key columns are the packed Definition 3 keys of their rank
+  and row, so (with the row check) no node caches a stale key, and the
+  global ``iter_nodes`` order is strictly increasing;
 * the partition's boundary refcounts equal the contribution of every
   registered component (plus the permanent text ends), and its leaf
   list tiles the text;
-* the span index (when built) holds exactly the span-bearing nodes
-  with array entries matching the live node attributes, in key order.
+* the span index (when built) holds exactly the span-bearing nodes, in
+  key order, each entry the node object its rank and preorder name and
+  carrying that node's span, subtree end and name.
+
+Whatever a column holds is compared as a column (NumPy, or one list
+comparison), never by a Python branch per node and attribute: the check
+runs after every store update, over the hierarchies the statement left
+alone as well.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import GoddagError
+from repro.core.goddag.index import _end_keys, _start_keys
 from repro.core.goddag.nodes import (
     GComment,
     GElement,
@@ -40,7 +51,7 @@ from repro.core.goddag.nodes import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.goddag.goddag import KyGoddag
+    from repro.core.goddag.goddag import KyGoddag, _HierarchyComponent
 
 
 def _fail(message: str) -> None:
@@ -71,40 +82,112 @@ def _check_ranks(goddag: "KyGoddag") -> None:
               f"does not follow rank order {ranks}")
 
 
+#: node class per kind code of the ``kinds`` column
+_KIND_CLASSES = (GElement, GText, GComment, GPi)
+
+#: node attribute -> the column it must repeat, row by row
+_NODE_COLUMNS = {"start": "starts", "end": "ends",
+                 "subtree_end": "subtree_ends"}
+
+
 def _check_component(goddag: "KyGoddag", name: str) -> None:
     component = goddag._components[name]
-    nodes = component.nodes
+    _check_rows(goddag, component)
+    # From here on a node attribute and its column row are one value.
+    count = len(component.nodes)
     length = len(goddag.text)
-    for position, node in enumerate(nodes):
-        if node.preorder != position:
-            _fail(f"hierarchy '{name}' node {position} carries preorder "
-                  f"{node.preorder}")
-        if not (position <= node.subtree_end < len(nodes)):
-            _fail(f"hierarchy '{name}' node {position} has subtree_end "
-                  f"{node.subtree_end} outside [{position}, {len(nodes)})")
-        if not (0 <= node.start <= node.end <= length):
-            _fail(f"hierarchy '{name}' node {position} span "
-                  f"[{node.start},{node.end}) escapes the text "
-                  f"(length {length})")
-        if node.hierarchy != name:
-            _fail(f"hierarchy '{name}' node {position} claims hierarchy "
-                  f"'{node.hierarchy}'")
-        if isinstance(node, (GComment, GPi)) and node.start != node.end:
-            _fail(f"hierarchy '{name}' {node.kind} node {position} has a "
-                  f"non-empty span")
-    top_nodes = goddag.root.children_in(name)
-    _check_children(name, goddag.root, top_nodes, 0,
-                    len(nodes) - 1 if nodes else -1, 0, length)
-    for node in nodes:
+    rows = np.arange(count)
+    starts, ends = component.starts, component.ends
+    subtree_ends = component.subtree_ends
+    bad = (subtree_ends < rows) | (subtree_ends >= count)
+    if bad.any():
+        position = int(np.argmax(bad))
+        _fail(f"hierarchy '{name}' node {position} has subtree_end "
+              f"{subtree_ends[position]} outside [{position}, {count})")
+    bad = (starts < 0) | (starts > ends) | (ends > length)
+    if bad.any():
+        position = int(np.argmax(bad))
+        _fail(f"hierarchy '{name}' node {position} span "
+              f"[{starts[position]},{ends[position]}) escapes the text "
+              f"(length {length})")
+    bad = (component.kinds >= 2) & (starts != ends)
+    if bad.any():
+        _fail(f"hierarchy '{name}' comment/PI node {int(np.argmax(bad))} "
+              f"has a non-empty span")
+    bad = (component.kinds != 0) & (subtree_ends != rows)
+    if bad.any():
+        _fail(f"hierarchy '{name}' non-element node "
+              f"{int(np.argmax(bad))} has a subtree")
+    _check_children(name, goddag.root, goddag.root.children_in(name), 0,
+                    count - 1, 0, length)
+    for node in component.nodes:
         if isinstance(node, GElement):
-            first = node.preorder + 1
-            _check_children(name, node, node.children, first,
+            _check_children(name, node, node.children, node.preorder + 1,
                             node.subtree_end, node.start, node.end)
-        elif node.subtree_end != node.preorder:
-            _fail(f"hierarchy '{name}' non-element node {node.preorder} "
-                  f"has a subtree")
     _check_text_tiling(goddag, component)
-    _check_boundaries_record(component)
+
+
+def _check_rows(goddag: "KyGoddag",
+                component: "_HierarchyComponent") -> None:
+    """Every column row agrees with its node object."""
+    name = component.name
+    nodes = component.nodes
+    count = len(nodes)
+    if any(len(getattr(component, key)) != count for key in (
+            "kinds", "name_ids", "starts", "ends", "parents",
+            "subtree_ends", "okeys")):
+        _fail(f"hierarchy '{name}' holds {count} nodes but columns of "
+              f"other lengths")
+
+    def compare(what: str, found: list, expected: list) -> None:
+        if found != expected:
+            position = next(
+                row for row, pair in enumerate(zip(found, expected))
+                if pair[0] is not pair[1] and pair[0] != pair[1])
+            _fail(f"hierarchy '{name}' row {position}: column says "
+                  f"{what} {expected[position]!r}, node "
+                  f"{nodes[position]!r} has {found[position]!r}")
+
+    kinds = component.kinds.tolist()
+    compare("class", list(map(type, nodes)),
+            [_KIND_CLASSES[kind] for kind in kinds])
+    compare("preorder", list(map(attrgetter("preorder"), nodes)),
+            list(range(count)))
+    compare("hierarchy", list(map(attrgetter("_hierarchy"), nodes)),
+            [name] * count)
+    for attribute, column in _NODE_COLUMNS.items():
+        compare(attribute, list(map(attrgetter(attribute), nodes)),
+                getattr(component, column).tolist())
+    # a key is cached when a file supplied it or a sort asked for it
+    okeys = component.okeys.tolist()
+    compare("order key", [okey if node._okey is None else node._okey
+                          for node, okey in zip(nodes, okeys)], okeys)
+    root = goddag.root
+    if (component.parents >= np.arange(count)).any():
+        _fail(f"hierarchy '{name}' parents column names a row at or "
+              f"after the child's own")
+    compare("parent", list(map(attrgetter("_parent"), nodes)),
+            [nodes[parent] if parent >= 0 else root
+             for parent in component.parents.tolist()])
+    names = component.names
+    compare("name", [node.name for node in nodes],
+            [names[name_id] if name_id >= 0 else None
+             for name_id in component.name_ids.tolist()])
+    attrs = dict(component.attrs)
+    data = {**dict(component.comments), **dict(component.pis)}
+    for position, kind in enumerate(kinds):
+        node = nodes[position]
+        if kind == 0:
+            if (node.attributes or position in attrs) \
+                    and node.attributes != attrs.get(position):
+                _fail(f"hierarchy '{name}' attributes of row {position} "
+                      f"diverge from its node {node!r}")
+        elif kind >= 2 and node.data != data.get(position):
+            _fail(f"hierarchy '{name}' data of row {position} diverges "
+                  f"from its node {node!r}")
+    if root.attributes_by_hierarchy.get(name) != component.root_attrs:
+        _fail(f"hierarchy '{name}' root attributes diverge from the "
+              f"component's")
 
 
 def _check_children(name: str, parent, children, first_preorder: int,
@@ -156,24 +239,34 @@ def _check_text_tiling(goddag: "KyGoddag", component) -> None:
               f"of {len(goddag.text)} characters")
 
 
-def _check_boundaries_record(component) -> None:
-    expected: list[int] = []
-    for node in component.nodes:
-        expected.append(node.start)
-        expected.append(node.end)
-    if Counter(component.boundaries) != Counter(expected):
-        _fail(f"hierarchy '{component.name}' recorded boundary multiset "
-              f"diverges from its node spans")
-
-
 # ---------------------------------------------------------------------------
 # global order
 # ---------------------------------------------------------------------------
 
 
 def _check_order_keys(goddag: "KyGoddag") -> None:
+    """No stale cached key, and ``iter_nodes`` order strictly increases.
+
+    Hierarchy nodes: the ``okeys`` column must be the packed key of its
+    rank and row (the row check ties every node's cached key to it);
+    such keys increase with the row and — ranks following registration
+    order — from one component to the next, above the root's 0 and
+    below every leaf's tier.  Leaves and the root are recomputed one by
+    one.
+    """
+    from repro.core.goddag.goddag import pack_okeys
+
+    for name in goddag.hierarchy_names:
+        component = goddag._components[name]
+        expected = pack_okeys(component.rank, len(component.okeys))
+        if not np.array_equal(component.okeys, expected):
+            position = int(np.argmax(component.okeys != expected))
+            _fail(f"stale cached order key on "
+                  f"{component.nodes[position]!r}: cached "
+                  f"{component.okeys[position]}, recomputed "
+                  f"{expected[position]}")
     previous = -1
-    for node in goddag.iter_nodes():
+    for node in (goddag.root, *goddag.partition.leaves()):
         fresh = goddag._compute_order_key(node)
         if node._okey is not None and node._okey != fresh:
             _fail(f"stale cached order key on {node!r}: cached "
@@ -196,30 +289,30 @@ def _check_partition(goddag: "KyGoddag") -> None:
         _fail(f"partition length {partition.length} diverges from the "
               f"text length {length}")
     expected = Counter({0: 1, length: 1})
-    for name in goddag.hierarchy_names:
-        expected.update(goddag._components[name].boundaries)
-    if +partition._refcounts != +expected:
+    contributed = [column for name in goddag.hierarchy_names
+                   for column in (goddag._components[name].starts,
+                                  goddag._components[name].ends)]
+    if contributed:
+        offsets, counts = np.unique(np.concatenate(contributed),
+                                    return_counts=True)
+        expected.update(dict(zip(offsets.tolist(), counts.tolist())))
+    if +partition._refcounts != expected:
         _fail("partition boundary refcounts diverge from the registered "
               "hierarchy boundaries")
-    bounds = partition.boundaries
-    if bounds != sorted(set(bounds)) or bounds != sorted(expected):
+    bounds = sorted(expected)
+    if partition.boundaries != bounds:
         _fail("partition boundary list is not the sorted distinct "
               "offset set")
-    array = partition.boundary_array
-    if len(array) != len(bounds) or not bool((array == np.fromiter(
-            bounds, dtype=np.int64, count=len(bounds))).all()):
+    if partition.boundary_array.tolist() != bounds:
         _fail("partition boundary array diverges from the boundary list")
     leaves = partition.leaves()
     spans = partition.leaf_spans()
     if [(leaf.start, leaf.end) for leaf in leaves] != spans:
         _fail("partition leaf list diverges from the boundary spans")
-    cursor = 0
-    for start, end in spans:
-        if start != cursor or end <= start:
-            _fail(f"partition leaves do not tile the text at {cursor}")
-        cursor = end
-    if spans and cursor != length:
-        _fail(f"partition leaves stop at {cursor} of {length}")
+    # ``bounds`` is the sorted distinct offsets from 0 to ``length``,
+    # and ``spans`` its consecutive pairs: they tile by construction.
+    if spans and (spans[0][0] != 0 or spans[-1][1] != length):
+        _fail("partition leaves do not tile the text")
 
 
 # ---------------------------------------------------------------------------
@@ -231,37 +324,59 @@ def _check_span_index(goddag: "KyGoddag") -> None:
     index = goddag._index
     if index is None:
         return
-    expected_count = 1 + sum(
-        1 for name in goddag.hierarchy_names
-        for node in goddag._components[name].nodes
-        if isinstance(node, (GElement, GText)))
+    components = [goddag._components[name]
+                  for name in goddag.hierarchy_names]
+    expected_count = 1 + sum(len(component.span_rows())
+                             for component in components)
     if len(index) != expected_count:
         _fail(f"span index holds {len(index)} entries, expected "
               f"{expected_count}")
-    for side, keys in (("start", index._s_keys), ("end", index._e_keys)):
+    root = goddag.root
+    sides = (
+        ("start", index._s_keys, _start_keys, index.nodes, index.starts,
+         index.ends, index.ranks, index.preorders, index._names),
+        ("end", index._e_keys, _end_keys, index.e_nodes, index.e_starts,
+         index.ends_sorted, index.e_ranks, index.e_preorders,
+         index._e_names))
+    for (side, keys, pack, nodes, starts, ends, ranks, preorders,
+         names) in sides:
         if len(keys) and bool((np.diff(keys) < 0).any()):
             _fail(f"span index {side}-sorted keys are out of order")
-    for position in range(len(index.nodes)):
-        node = index.nodes[position]
-        rank = (-1 if node is goddag.root
-                else goddag.hierarchy_rank(node.hierarchy))
-        if (index.starts[position] != node.start
-                or index.ends[position] != node.end
-                or index.ranks[position] != rank
-                or index._names[position] != node.name
-                or index.preorders[position] != getattr(
-                    node, "preorder", -1)
-                or index.subtree_ends[position] != getattr(
-                    node, "subtree_end", -1)):
-            _fail(f"span index start-side entry {position} is stale "
-                  f"for {node!r}")
-    for position in range(len(index.e_nodes)):
-        node = index.e_nodes[position]
-        rank = (-1 if node is goddag.root
-                else goddag.hierarchy_rank(node.hierarchy))
-        if (index.e_starts[position] != node.start
-                or index.ends_sorted[position] != node.end
-                or index.e_ranks[position] != rank
-                or index._e_names[position] != node.name):
-            _fail(f"span index end-side entry {position} is stale "
-                  f"for {node!r}")
+        if not np.array_equal(keys, pack(np.asarray(starts),
+                                         np.asarray(ends))):
+            _fail(f"span index {side}-sorted keys diverge from the "
+                  f"span columns")
+        at_root = np.flatnonzero(ranks == -1)
+        if (len(at_root) != 1 or nodes[at_root[0]] is not root
+                or (starts[at_root[0]], ends[at_root[0]],
+                    preorders[at_root[0]], names[at_root[0]])
+                != (root.start, root.end, -1, root.name)):
+            _fail(f"span index {side}-side root entry is stale")
+        seen = 1
+        for component in components:
+            at = ranks == component.rank
+            rows, objects, labels = component.span_columns()
+            found = preorders[at]
+            seen += len(found)
+            if not np.array_equal(np.sort(found), rows):
+                _fail(f"span index {side}-side entries of hierarchy "
+                      f"'{component.name}' are not its span nodes")
+            # preorder -> position among the span rows, where the
+            # gathered object columns hold that node
+            slot = np.searchsorted(rows, found)
+            stale = ((nodes[at] != objects[slot])
+                     | (names[at] != labels[slot])
+                     | (starts[at] != component.starts[found])
+                     | (ends[at] != component.ends[found]))
+            if side == "start":
+                stale |= (index.subtree_ends[at]
+                          != component.subtree_ends[found])
+            if stale.any():
+                position = int(np.flatnonzero(at)[np.argmax(stale)])
+                _fail(f"span index {side}-side entry {position} is "
+                      f"stale for {nodes[position]!r}")
+        if seen != len(ranks):
+            _fail(f"span index {side}-side holds entries of an "
+                  f"unregistered hierarchy")
+    if index.subtree_ends[index.ranks == -1].tolist() != [-1]:
+        _fail("span index start-side root entry is stale")

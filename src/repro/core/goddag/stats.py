@@ -438,6 +438,8 @@ def plan_stats_payload(header: dict,
     span index does.
     """
     name_table = header["names"]
+    table = np.empty(len(name_table), dtype=object)
+    table[:] = name_table
     text = bytes(np.ascontiguousarray(arrays["text"])).decode("utf-8")
     cards: dict[str, dict[str, int]] = {}
     elem_names: list[np.ndarray] = []
@@ -456,10 +458,7 @@ def plan_stats_payload(header: dict,
         cards[meta["name"]] = {
             name_table[int(value)]: int(count)
             for value, count in zip(values, counts)}
-        labels = np.empty(int(elem.sum()), dtype=object)
-        for slot, value in enumerate(ids[elem]):
-            labels[slot] = name_table[int(value)]
-        elem_names.append(labels)
+        elem_names.append(table[ids[elem]])
         elem_starts.append(starts[elem])
         elem_ends.append(ends[elem])
     stats = _assemble_plan_stats(

@@ -26,7 +26,11 @@ KyGODDAG.  The algorithm (DESIGN.md §9):
 4. **Re-align**: hierarchy DOMs are normalized (adjacent text merged,
    empty text dropped — exactly the canonicalization a serialize/parse
    round trip would apply) and the document re-verifies alignment,
-   re-recording every text span.
+   re-recording every text span.  With the base text unchanged this —
+   like every other DOM step — runs over the *dirty* hierarchies only,
+   the ones a markup primitive restructures: a hierarchy whose DOM was
+   never materialized (``.mhxb`` cold load, store fork) stays that way,
+   and a rename reaches it through the KyGODDAG alone.
 5. **Goddag patch**: renames apply in place; structurally-changed
    hierarchies re-register through
    :meth:`~repro.core.goddag.goddag.KyGoddag.replace_hierarchy`
@@ -50,7 +54,6 @@ from repro.core.update.pul import (
     InsertPrim,
     PendingUpdateList,
     RemoveMarkupPrim,
-    RenamePrim,
     ReplaceValuePrim,
 )
 
@@ -132,11 +135,23 @@ class _Applier:
             self._dom_maps[hierarchy] = nodes
         return nodes
 
-    def _resolve(self, node: GElement) -> dom.Element:
-        if node.hierarchy not in self.document.hierarchies:
+    def _resolve(self, node: GElement) -> dom.Element | None:
+        """The DOM element behind ``node`` — ``None`` when its
+        hierarchy has no DOM yet and the statement does not need one
+        (a rename: the KyGODDAG side is then the whole change)."""
+        hierarchy = self.document.hierarchies.get(node.hierarchy)
+        if hierarchy is None:
             raise UpdateError(
                 f"target hierarchy '{node.hierarchy}' is not part of "
                 f"this document")
+        if not hierarchy.materialized and node.hierarchy not in self.dirty:
+            registered = self.goddag.nodes_of(node.hierarchy)
+            if not (0 <= node.preorder < len(registered)
+                    and registered[node.preorder] is node):
+                raise UpdateError(
+                    "target node does not belong to this document's "
+                    "KyGODDAG (stale reference?)")
+            return None
         nodes = self._dom_map(node.hierarchy)
         if not (0 <= node.preorder < len(nodes)):
             raise UpdateError(
@@ -154,20 +169,24 @@ class _Applier:
 
     def run(self) -> UpdateApplyStats:
         pending = self.pending
+        self._build_edits(pending)
         # Resolve every node reference against the untouched pre-state.
-        resolved: dict[int, dom.Element] = {}
+        resolved: dict[int, dom.Element | None] = {}
         for primitive in pending:
             node = getattr(primitive, "node", None) \
                 or getattr(primitive, "target", None)
             if node is not None:
                 resolved[id(primitive)] = self._resolve(node)
-        plan = self._build_edits(pending, resolved)
+        self.renames = [(primitive.node, resolved[id(primitive)],
+                         primitive.name)
+                        for primitive in pending.of_kind("rename")]
         self._check_edit_conflicts()
         self._validate_add_markup(pending)
 
         # Mutation starts here.
         for node, element, name in self.renames:
-            element.name = name
+            if element is not None:
+                element.name = name
         for primitive in pending.of_kind("remove-markup"):
             self._unwrap(resolved[id(primitive)], primitive.node)
         for primitive in pending.of_kind("add-markup"):
@@ -178,17 +197,16 @@ class _Applier:
         # lands *after* the replacement clears it, whichever side of
         # the comma it was written on).
         for kind in ("replace-value", "delete", "insert"):
-            for primitive, element in plan:
-                if primitive.kind == kind:
-                    self._apply_owner(primitive, element)
+            for primitive in pending.of_kind(kind):
+                self._apply_owner(primitive, resolved[id(primitive)])
         new_text = self._splice_text()
         self._propagate_edits()
-        for hierarchy in self.document.hierarchies.values():
-            hierarchy.document.normalize()
+        for name in self.dirty:
+            self.document.hierarchies[name].document.normalize()
         old_text = self.document.text
         self.document.text = new_text
         try:
-            self.document.verify_alignment()
+            self.document.verify_alignment(self.dirty)
         except AlignmentError as error:  # pragma: no cover - safety net
             self.document.text = old_text
             raise UpdateError(
@@ -198,14 +216,13 @@ class _Applier:
 
     # -- edit construction ---------------------------------------------------
 
-    def _build_edits(self, pending, resolved):
-        plan: list[tuple[object, dom.Element]] = []
+    def _build_edits(self, pending) -> None:
+        """The base-text edits the statement implies, and its dirty
+        set: the hierarchies whose DOM it works on — the one each
+        structural primitive changes, or all of them once a text edit
+        shifts every span."""
         for primitive in pending:
-            if isinstance(primitive, RenamePrim):
-                self.renames.append((primitive.node,
-                                     resolved[id(primitive)],
-                                     primitive.name))
-            elif isinstance(primitive, RemoveMarkupPrim):
+            if isinstance(primitive, RemoveMarkupPrim):
                 self.dirty.add(primitive.node.hierarchy)
             elif isinstance(primitive, AddMarkupPrim):
                 self.dirty.add(primitive.hierarchy)
@@ -216,14 +233,12 @@ class _Applier:
                     self.edits.append(_TextEdit(
                         node.start, node.end, primitive.value,
                         node.hierarchy))
-                plan.append((primitive, resolved[id(primitive)]))
             elif isinstance(primitive, DeletePrim):
                 node = primitive.node
                 self.dirty.add(node.hierarchy)
                 if node.start < node.end:
                     self.edits.append(_TextEdit(
                         node.start, node.end, "", node.hierarchy))
-                plan.append((primitive, resolved[id(primitive)]))
             elif isinstance(primitive, InsertPrim):
                 target = primitive.target
                 self.dirty.add(target.hierarchy)
@@ -233,8 +248,8 @@ class _Applier:
                 if primitive.text:
                     self.edits.append(_TextEdit(
                         point, point, primitive.text, target.hierarchy))
-                plan.append((primitive, resolved[id(primitive)]))
-        return plan
+        if self.edits:
+            self.dirty.update(self.document.hierarchies)
 
     def _check_edit_conflicts(self) -> None:
         """Text edits must be pairwise disjoint (DESIGN.md §9).

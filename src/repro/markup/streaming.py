@@ -20,11 +20,13 @@ writes node tables directly:
   ``(1 << 61) | (rank << 45) | (arange(count) << 13)``;
 * **partition boundaries are a Counter** — the multiset seeded with
   ``{0, len(text)}`` plus every node's start and end offset;
-* **SpanIndex columns** reuse :func:`repro.store.mhxb._save_span_index`
-  on the masked span rows, exactly as the DOM path does.
+* **the tables are hierarchy components** — the column form a live
+  KyGODDAG holds (:class:`~repro.core.goddag.goddag._HierarchyComponent`,
+  here without node objects), so the file is written by the very
+  function that saves an engine, :func:`repro.store.mhxb.write_container`.
 
-The output is **byte-identical** to ``save_engine`` on the same input
-(``tests/test_streaming.py`` enforces this differentially), so loaders,
+The output is therefore **byte-identical** to ``save_engine`` on the
+same input (``tests/test_streaming.py`` enforces this differentially), so loaders,
 CRC verification, sharded stores, and the server need no new code: a
 streamed ``.mhxb`` *is* a saved engine, and the DOM stays lazy behind
 ``Engine.from_mhxb``/``Engine.document``.
@@ -56,16 +58,17 @@ import numpy as np
 
 from repro.cmh.document import _first_divergence
 from repro.cmh.spans import Span, SpanSet
-from repro.core.goddag.goddag import KyGoddag
-from repro.core.goddag.index import _end_keys, _start_keys
-from repro.errors import (AlignmentError, CMHError, GoddagError, MarkupError,
+from repro.core.goddag.goddag import (KIND_COMMENT as _KIND_COMMENT,
+                                      KIND_ELEMENT as _KIND_ELEMENT,
+                                      KIND_PI as _KIND_PI,
+                                      KIND_TEXT as _KIND_TEXT,
+                                      _HierarchyComponent)
+from repro.errors import (AlignmentError, CMHError, MarkupError,
                           ReproError, StoreError)
 from repro.markup import dom
 from repro.markup.entities import PREDEFINED, decode_char_reference
 from repro.markup.parser import parse
-from repro.store.mhxb import (MHXB_FORMAT, MHXB_FORMAT_V1, _KIND_COMMENT,
-                              _KIND_ELEMENT, _KIND_PI, _KIND_TEXT, _pack,
-                              _save_span_index)
+from repro.store.mhxb import write_container
 from repro.store.sharding import (CorpusStats, ShardStats, balanced_cuts,
                                   valid_cut_positions)
 
@@ -556,96 +559,35 @@ class StreamingBuilder:
              format_version: int = 2) -> int:
         """Write the tables as a ``.mhxb`` container; returns its size.
 
-        Array layout, header key order, permutations, partition
-        multiset, and checksums match ``save_engine`` byte for byte.
+        Same writer as ``save_engine``, fed the same column form: the
+        two match byte for byte.
         """
         if not self._tables:
             raise ReproError("cannot save an empty document to .mhxb")
-        if len(self.text) >= (1 << 31):
-            raise ReproError(
-                "base text exceeds 2^31 characters; the packed "
-                "span-index keys cannot represent it")
-        if format_version not in (1, 2):
-            raise ReproError(
-                f"unknown .mhxb format version {format_version!r}")
-        arrays: dict[str, np.ndarray] = {}
-        hierarchy_meta: list[dict] = []
-        # Seed the span index with the virtual root covering the text.
-        sub_starts = [np.array([0], dtype=np.int64)]
-        sub_ends = [np.array([len(self.text)], dtype=np.int64)]
-        sub_ranks = [np.array([-1], dtype=np.int64)]
-        sub_preorders = [np.array([-1], dtype=np.int64)]
-        sub_subtrees = [np.array([-1], dtype=np.int64)]
+        components: list[_HierarchyComponent] = []
         boundaries: Counter[int] = Counter({0: 1, len(self.text): 1})
         for rank, (name, tables) in enumerate(self._tables.items()):
-            prefix = f"h{rank}"
-            count = len(tables.kinds)
-            if count > KyGoddag._PREORDER_LIMIT:
-                raise GoddagError(
-                    "document-order key overflow: rank/preorder/attribute "
-                    f"position ({rank}, {KyGoddag._PREORDER_LIMIT}, 0) "
-                    "exceeds the packed int64 layout (see DESIGN.md §1)")
-            kinds = np.asarray(tables.kinds, dtype=np.int8)
-            starts_arr = np.asarray(tables.starts, dtype=np.int64)
-            ends_arr = np.asarray(tables.ends, dtype=np.int64)
-            subtrees_arr = np.asarray(tables.subtree_ends, dtype=np.int64)
-            arrays[f"{prefix}/kinds"] = kinds
-            arrays[f"{prefix}/name_ids"] = np.asarray(tables.name_ids,
-                                                      dtype=np.int64)
-            arrays[f"{prefix}/starts"] = starts_arr
-            arrays[f"{prefix}/ends"] = ends_arr
-            arrays[f"{prefix}/parents"] = np.asarray(tables.parents,
-                                                     dtype=np.int64)
-            arrays[f"{prefix}/subtree_ends"] = subtrees_arr
-            arrays[f"{prefix}/okeys"] = (
-                (1 << 61) | (rank << 45)
-                | (np.arange(count, dtype=np.int64) << 13))
-            meta = {
-                "name": name,
-                "rank": rank,
-                "count": count,
-                "root_attrs": dict(tables.root_attrs),
-                "attrs": tables.attrs,
-                "comments": tables.comments,
-                "pis": tables.pis,
-                "prolog": tables.prolog,
-                "epilog": tables.epilog,
-            }
-            span_mask = kinds <= _KIND_TEXT
-            span_starts = starts_arr[span_mask]
-            span_ends = ends_arr[span_mask]
-            meta["span_count"] = int(len(span_starts))
-            arrays[f"{prefix}/s_perm"] = np.argsort(
-                _start_keys(span_starts, span_ends), kind="stable")
-            arrays[f"{prefix}/e_perm"] = np.argsort(
-                _end_keys(span_starts, span_ends), kind="stable")
-            hierarchy_meta.append(meta)
-            sub_starts.append(span_starts)
-            sub_ends.append(span_ends)
-            sub_ranks.append(np.full(len(span_starts), rank, dtype=np.int64))
-            sub_preorders.append(np.nonzero(span_mask)[0].astype(np.int64))
-            sub_subtrees.append(subtrees_arr[span_mask])
+            columns = {
+                key: np.asarray(getattr(tables, key), dtype=np.int64)
+                for key in ("name_ids", "starts", "ends", "parents",
+                            "subtree_ends")}
+            columns["kinds"] = np.asarray(tables.kinds, dtype=np.int8)
+            components.append(_HierarchyComponent(
+                name, rank, False, names=self._names, columns=columns,
+                attrs=tables.attrs, comments=tables.comments,
+                pis=tables.pis, prolog=tables.prolog,
+                epilog=tables.epilog, root_attrs=tables.root_attrs))
             boundaries.update(tables.starts)
             boundaries.update(tables.ends)
-        _save_span_index(arrays, sub_starts, sub_ends, sub_ranks,
-                         sub_preorders, sub_subtrees)
         offsets = sorted(boundaries)
-        arrays["partition/offsets"] = np.array(offsets, dtype=np.int64)
-        arrays["partition/counts"] = np.array(
-            [boundaries[offset] for offset in offsets], dtype=np.int64)
-        arrays["text"] = np.frombuffer(self.text.encode("utf-8"),
-                                       dtype=np.uint8)
-        header = {
-            "format": MHXB_FORMAT if format_version == 2 else MHXB_FORMAT_V1,
-            "root": self._root_name,
-            "version": len(self._tables),
-            "text_chars": len(self.text),
-            "names": self._names,
-            "hierarchies": hierarchy_meta,
-            "dtds": None,
-        }
-        return _pack(path, header, arrays, durability=durability,
-                     format_version=format_version)
+        partition = (np.array(offsets, dtype=np.int64),
+                     np.array([boundaries[offset] for offset in offsets],
+                              dtype=np.int64))
+        return write_container(
+            path, root=self._root_name, version=len(self._tables),
+            text=self.text, components=components, partition=partition,
+            dtds=None, durability=durability,
+            format_version=format_version)
 
     # ------------------------------------------------------------------
     # sharding

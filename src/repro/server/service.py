@@ -63,6 +63,7 @@ from repro.server.http import (
     response,
     stream_head,
 )
+from repro.core.runtime.serializer import serialize_item
 from repro.server.quota import TenantQuotas
 from repro.store import DocumentStore
 
@@ -193,9 +194,9 @@ def _as_int(value, name: str, minimum: int) -> int:
     return out
 
 
-def _page(items: list[str], offset: int,
-          limit: int | None) -> tuple[list[str], int | None]:
-    """``(page, next offset or None)`` over a serialized item list."""
+def _page(items: list, offset: int,
+          limit: int | None) -> tuple[list, int | None]:
+    """``(page, next offset or None)`` over a result's item list."""
     end = offset + limit if limit is not None else len(items)
     page = items[offset:end]
     nxt = offset + len(page)
@@ -290,14 +291,15 @@ class QueryService:
         snapshot = self.store.snapshot(name)
         result = (snapshot.xpath(text) if xpath
                   else snapshot.query(text))
-        items = result.strings()
-        page, nxt = _page(items, offset, limit)
+        # slice first: only the page that goes out is serialized
+        page, nxt = _page(result.items, offset, limit)
+        page = [serialize_item(item) for item in page]
         payload = {
             "name": name,
             "next": nxt,
             "offset": offset,
             "snapshot_version": snapshot.version,
-            "total": len(items),
+            "total": len(result),
         }
         if not stream:
             payload["items"] = page

@@ -7,10 +7,11 @@ readers**, per store:
   frozen engine at a version.  ``snapshot(name)`` is a single dict
   read (atomic under the GIL) and never takes the writer lock;
 * ``update(name, statements)`` serializes writers on one re-entrant
-  lock, **forks** the current snapshot (DOM clone + goddag rebuild —
-  the engine's incremental update paths then run on the private fork),
-  applies the whole statement batch transactionally, persists the new
-  ``.mhxb``, and publishes the fork as the next snapshot.  A failing
+  lock, **forks** the current snapshot (new node objects over the
+  published version's arrays — the engine's incremental update paths
+  then replace the arrays of the hierarchies they touch on the private
+  fork), applies the whole statement batch transactionally, persists
+  the new ``.mhxb``, and publishes the fork as the next snapshot.  A failing
   statement aborts the entire batch: the fork is discarded and both
   the published snapshot and the on-disk file stay at the old version;
 * compiled plans live in one :class:`SharedPlanCache` keyed by query
@@ -76,17 +77,21 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 
 def fork_engine(engine: Engine) -> Engine:
-    """An unfrozen deep copy of an engine at the same version.
+    """An unfrozen engine at the same version that shares no node.
 
-    The document DOM is cloned node-by-node (no XML re-parse) and the
-    KyGODDAG rebuilt from the clone; the version counter carries over,
-    so subsequent updates continue the original version sequence.
+    The writer's private copy (DESIGN.md §10): :meth:`KyGoddag.fork`
+    attaches new node objects to the source's column arrays, partition
+    multiset and span-index columns — no DOM is built or copied, and
+    nothing is re-numbered or re-sorted.  The fork's DOM side derives
+    from those arrays one hierarchy at a time, when an update or a
+    serialization asks.  Options, evaluator flags and DTD sources carry
+    over; the version counter does too, so updates continue the
+    original's sequence.
     """
-    document = engine.document.clone()
-    forked = Engine(document, options=engine.options,
-                    use_pipeline=engine.use_pipeline)
-    forked.goddag.version = engine.goddag.version
-    return forked
+    return Engine.from_parts(
+        engine.goddag.fork(), dtds=engine.dtd_sources(),
+        options=engine.options, use_pipeline=engine.use_pipeline,
+        use_cost=engine.use_cost)
 
 
 def retire_engine(engine: Engine | None) -> None:

@@ -35,37 +35,43 @@ stay zero-copy.  Writes are atomic (temp + rename through the
 crash-durable: the temp file is fsynced before the rename and the
 directory after it.
 
-Every array block is 64-byte aligned and loaded through
-``np.memmap(..., mode="r")``, so a cold load touches only the pages a
-query actually reads; the loader reconstructs node objects from the
+Every array block is 64-byte aligned and loaded as a read-only
+``np.memmap`` over one ``mmap`` of the file, so a cold load touches only
+the pages a query actually reads; the loader reconstructs node objects from the
 arrays and never re-parses XML or re-sorts anything.  The DOM side of
 the document (needed only for updates and serialization) materializes
-lazily from the same arrays on first access.
+lazily, hierarchy by hierarchy, from the same arrays on first access.
+
+The module has two halves.  *Engine ⇄ arrays* is thin, because the
+per-hierarchy blocks are the form a
+:class:`~repro.core.goddag.goddag._HierarchyComponent` holds in memory:
+:func:`save_engine` hands the components, the partition multiset and
+the DTD sources to the writer, :func:`load_engine` wraps the mapped
+blocks in components and lets :meth:`KyGoddag.from_arrays` attach node
+objects — the same pass the store's fork runs over a live version's
+arrays.  *Arrays ⇄ file* (:func:`write_container`, :func:`read_header`,
+:func:`verify_blocks`) knows the layout, the name table, the span
+index's normal form and the checksums, and nothing about engines; the
+streaming builder writes through it too.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import zlib
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
 from repro.errors import IntegrityError, ReproError
 from repro.store import faultfs
-from repro.cmh import ConcurrentMarkupHierarchy, MultihierarchicalDocument
-from repro.cmh.document import Hierarchy
-from repro.markup import dom
-from repro.core.goddag.goddag import KyGoddag, _HierarchyComponent
-from repro.core.goddag.index import SpanIndex, _end_keys, _start_keys
-from repro.core.goddag.nodes import (
-    GComment,
-    GElement,
-    GPi,
-    GText,
+from repro.core.goddag.goddag import (
+    COLUMNS,
+    KyGoddag,
+    _HierarchyComponent,
 )
-from repro.core.goddag.partition import Partition
+from repro.core.goddag.index import SpanIndex, _end_keys, _start_keys
 
 MAGIC = b"MHXB1\x00"
 MAGIC_V2 = b"MHXB2\x00"
@@ -73,10 +79,6 @@ MHXB_FORMAT_V1 = "mhxb-1"
 MHXB_FORMAT = "mhxb-2"
 _FORMATS = {MAGIC: MHXB_FORMAT_V1, MAGIC_V2: MHXB_FORMAT}
 _ALIGN = 64
-
-#: node kind codes in the component tables
-_KIND_ELEMENT, _KIND_TEXT, _KIND_COMMENT, _KIND_PI = 0, 1, 2, 3
-
 
 def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
@@ -92,7 +94,7 @@ def looks_like_mhxb(path: str | Path) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# save
+# engine -> arrays
 # ---------------------------------------------------------------------------
 
 
@@ -102,13 +104,17 @@ def save_engine(engine, path: str | Path, *,
     """Serialize an engine's full state to ``path``; return the size.
 
     The write is atomic (temp file + rename) and deterministic: saving
-    the same logical state twice — or saving a freshly cold-loaded
-    engine — produces byte-identical files.  ``durability="full"``
-    additionally fsyncs the temp file before the rename and the
-    directory after it, so the commit survives a power cut;
-    ``"off"`` (the default for direct library use — the store applies
-    its own policy) leaves flushing to the OS.  ``format_version=1``
-    writes the legacy checksum-free layout for compatibility tests.
+    the same logical state twice — or saving a freshly cold-loaded or
+    forked engine — produces byte-identical files.  Nothing is walked:
+    every hierarchy component already holds its file blocks, and what
+    lives only on the DOM side (DTD sources, comments around the root
+    element) is kept with the engine and the components, so saving
+    never materializes a DOM.  ``durability="full"`` additionally
+    fsyncs the temp file before the rename and the directory after it,
+    so the commit survives a power cut; ``"off"`` (the default for
+    direct library use — the store applies its own policy) leaves
+    flushing to the OS.  ``format_version=1`` writes the legacy
+    checksum-free layout for compatibility tests.
     """
     goddag = engine.goddag
     if not goddag.hierarchy_names:
@@ -117,79 +123,88 @@ def save_engine(engine, path: str | Path, *,
         raise ReproError(
             "cannot save a KyGODDAG holding temporary (analyze-string) "
             "hierarchies")
-    if len(goddag.text) >= (1 << 31):
+    return write_container(
+        path, root=goddag.root.root_name, version=goddag.version,
+        text=goddag.text,
+        components=[goddag._components[name]
+                    for name in goddag.hierarchy_names],
+        partition=goddag.partition.export_arrays(),
+        dtds=engine.dtd_sources(), durability=durability,
+        format_version=format_version)
+
+
+# ---------------------------------------------------------------------------
+# arrays -> file
+# ---------------------------------------------------------------------------
+
+
+def write_container(path: str | Path, *, root: str, version: int,
+                    text: str, components: list[_HierarchyComponent],
+                    partition: tuple[np.ndarray, np.ndarray],
+                    dtds: dict | None, durability: str = "off",
+                    format_version: int = 2) -> int:
+    """Write hierarchy components (column form) as one ``.mhxb`` file.
+
+    Shared by :func:`save_engine` and the streaming builder, which is
+    why the two are byte-identical.  The file's name table is interned
+    here, hierarchy by hierarchy in order of first use, so it does not
+    depend on which tables the components happen to carry; a component
+    whose ids already agree is written as it is.
+    """
+    if len(text) >= (1 << 31):
         raise ReproError(
             "base text exceeds 2^31 characters; the packed span-index "
             "keys cannot represent it")
-
-    document = engine.document  # materializes a lazy DOM if needed
-    names: list[str] = []
-    name_ids: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        position = name_ids.get(name)
-        if position is None:
-            position = name_ids[name] = len(names)
-            names.append(name)
-        return position
-
-    arrays: dict[str, np.ndarray] = {}
-    hierarchy_meta: list[dict[str, Any]] = []
-    sub_starts: list[np.ndarray] = []
-    sub_ends: list[np.ndarray] = []
-    sub_ranks: list[np.ndarray] = []
-    sub_preorders: list[np.ndarray] = []
-    sub_subtrees: list[np.ndarray] = []
-
-    # rank -1: the shared root seeds both sorted orders.
-    sub_starts.append(np.array([0], dtype=np.int64))
-    sub_ends.append(np.array([len(goddag.text)], dtype=np.int64))
-    sub_ranks.append(np.array([-1], dtype=np.int64))
-    sub_preorders.append(np.array([-1], dtype=np.int64))
-    sub_subtrees.append(np.array([-1], dtype=np.int64))
-
-    for position, name in enumerate(goddag.hierarchy_names):
-        component = goddag._components[name]
-        prefix = f"h{position}"
-        meta = _save_component(goddag, component, document, prefix,
-                               arrays, intern)
-        hierarchy_meta.append(meta)
-        span_mask = (arrays[f"{prefix}/kinds"] <= _KIND_TEXT)
-        starts = arrays[f"{prefix}/starts"][span_mask]
-        ends = arrays[f"{prefix}/ends"][span_mask]
-        preorders = np.nonzero(span_mask)[0].astype(np.int64)
-        subtrees = arrays[f"{prefix}/subtree_ends"][span_mask]
-        meta["span_count"] = int(len(starts))
-        arrays[f"{prefix}/s_perm"] = np.argsort(
-            _start_keys(starts, ends), kind="stable")
-        arrays[f"{prefix}/e_perm"] = np.argsort(
-            _end_keys(starts, ends), kind="stable")
-        sub_starts.append(starts)
-        sub_ends.append(ends)
-        sub_ranks.append(np.full(len(starts), component.rank,
-                                 dtype=np.int64))
-        sub_preorders.append(preorders)
-        sub_subtrees.append(subtrees)
-
-    _save_span_index(arrays, sub_starts, sub_ends, sub_ranks,
-                     sub_preorders, sub_subtrees)
-    offsets, counts = goddag.partition.export_arrays()
-    arrays["partition/offsets"] = offsets
-    arrays["partition/counts"] = counts
-    arrays["text"] = np.frombuffer(
-        goddag.text.encode("utf-8"), dtype=np.uint8)
-
-    dtds = None
-    if document.cmh is not None:
-        dtds = document.cmh.sources()
     if format_version not in (1, 2):
         raise ReproError(
             f"unknown .mhxb format version {format_version!r}")
+    names: list[str] = []
+    interned: dict[str, int] = {}
+    arrays: dict[str, np.ndarray] = {}
+    hierarchy_meta: list[dict] = []
+    # rank -1: the shared root seeds both sorted orders.
+    sub_starts = [np.array([0], dtype=np.int64)]
+    sub_ends = [np.array([len(text)], dtype=np.int64)]
+    sub_ranks = [np.array([-1], dtype=np.int64)]
+    sub_preorders = [np.array([-1], dtype=np.int64)]
+    sub_subtrees = [np.array([-1], dtype=np.int64)]
+    for position, component in enumerate(components):
+        prefix = f"h{position}"
+        for key in COLUMNS:
+            arrays[f"{prefix}/{key}"] = getattr(component, key)
+        arrays[f"{prefix}/name_ids"] = _file_name_ids(component, names,
+                                                      interned)
+        rows = component.span_rows()
+        s_perm, e_perm = component.perms()
+        arrays[f"{prefix}/s_perm"] = s_perm
+        arrays[f"{prefix}/e_perm"] = e_perm
+        hierarchy_meta.append({
+            "name": component.name,
+            "rank": component.rank,
+            "count": len(component.kinds),
+            "root_attrs": component.root_attrs,
+            "attrs": component.attrs,
+            "comments": component.comments,
+            "pis": component.pis,
+            "prolog": component.prolog,
+            "epilog": component.epilog,
+            "span_count": len(rows),
+        })
+        sub_starts.append(component.starts[rows])
+        sub_ends.append(component.ends[rows])
+        sub_ranks.append(np.full(len(rows), component.rank,
+                                 dtype=np.int64))
+        sub_preorders.append(rows)
+        sub_subtrees.append(component.subtree_ends[rows])
+    _save_span_index(arrays, sub_starts, sub_ends, sub_ranks,
+                     sub_preorders, sub_subtrees)
+    arrays["partition/offsets"], arrays["partition/counts"] = partition
+    arrays["text"] = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     header = {
         "format": MHXB_FORMAT if format_version == 2 else MHXB_FORMAT_V1,
-        "root": goddag.root.root_name,
-        "version": goddag.version,
-        "text_chars": len(goddag.text),
+        "root": root,
+        "version": version,
+        "text_chars": len(text),
         "names": names,
         "hierarchies": hierarchy_meta,
         "dtds": dtds,
@@ -198,82 +213,23 @@ def save_engine(engine, path: str | Path, *,
                  format_version=format_version)
 
 
-def _save_component(goddag, component, document, prefix: str,
-                    arrays: dict[str, np.ndarray], intern) -> dict:
-    nodes = component.nodes
-    count = len(nodes)
-    kinds = np.empty(count, dtype=np.int8)
-    ids = np.full(count, -1, dtype=np.int64)
-    starts = np.empty(count, dtype=np.int64)
-    ends = np.empty(count, dtype=np.int64)
-    parents = np.empty(count, dtype=np.int64)
-    subtree_ends = np.empty(count, dtype=np.int64)
-    okeys = np.empty(count, dtype=np.int64)
-    attrs: list[list] = []
-    comments: list[list] = []
-    pis: list[list] = []
-    for position, node in enumerate(nodes):
-        starts[position] = node.start
-        ends[position] = node.end
-        subtree_ends[position] = node.subtree_end
-        okeys[position] = goddag.order_key(node)
-        parent = node._parent
-        parents[position] = (parent.preorder
-                             if isinstance(parent, GElement) else -1)
-        if isinstance(node, GElement):
-            kinds[position] = _KIND_ELEMENT
-            ids[position] = intern(node.name)
-            if node.attributes:
-                attrs.append([position, dict(node.attributes)])
-        elif isinstance(node, GText):
-            kinds[position] = _KIND_TEXT
-        elif isinstance(node, GComment):
-            kinds[position] = _KIND_COMMENT
-            comments.append([position, node.data])
-        elif isinstance(node, GPi):
-            kinds[position] = _KIND_PI
-            ids[position] = intern(node.target)
-            pis.append([position, node.data])
-        else:  # pragma: no cover - the component builder emits no others
-            raise ReproError(
-                f"cannot persist node kind {node.kind!r} to .mhxb")
-    arrays[f"{prefix}/kinds"] = kinds
-    arrays[f"{prefix}/name_ids"] = ids
-    arrays[f"{prefix}/starts"] = starts
-    arrays[f"{prefix}/ends"] = ends
-    arrays[f"{prefix}/parents"] = parents
-    arrays[f"{prefix}/subtree_ends"] = subtree_ends
-    arrays[f"{prefix}/okeys"] = okeys
-    hier_doc = document.hierarchies[component.name].document
-    prolog, epilog = _document_level_nodes(hier_doc)
-    return {
-        "name": component.name,
-        "rank": component.rank,
-        "count": count,
-        "root_attrs": dict(
-            goddag.root.attributes_by_hierarchy.get(component.name, {})),
-        "attrs": attrs,
-        "comments": comments,
-        "pis": pis,
-        "prolog": prolog,
-        "epilog": epilog,
-    }
-
-
-def _document_level_nodes(hier_doc: dom.Document) -> tuple[list, list]:
-    """Comments/PIs outside the root element (they exist only in the
-    DOM, not in the KyGODDAG, so they ride along in the header)."""
-    prolog: list[list] = []
-    epilog: list[list] = []
-    target = prolog
-    for child in hier_doc.children:
-        if isinstance(child, dom.Element):
-            target = epilog
-        elif isinstance(child, dom.Comment):
-            target.append(["comment", child.data])
-        elif isinstance(child, dom.ProcessingInstruction):
-            target.append(["pi", child.target, child.data])
-    return prolog, epilog
+def _file_name_ids(component: _HierarchyComponent, names: list[str],
+                   interned: dict[str, int]) -> np.ndarray:
+    """The component's ``name_ids`` against the file's name table,
+    interning into ``names`` what it uses, in row order."""
+    ids = component.name_ids
+    used, first = np.unique(ids[ids >= 0], return_index=True)
+    remap = np.full(len(component.names) + 1, -1, dtype=np.int64)
+    for local in used[np.argsort(first)].tolist():
+        name = component.names[local]
+        ident = interned.get(name)
+        if ident is None:
+            ident = interned[name] = len(names)
+            names.append(name)
+        remap[local] = ident
+    if np.array_equal(remap[used], used):
+        return ids
+    return remap[ids]  # -1 (no name) reads the trailing -1
 
 
 def _save_span_index(arrays, sub_starts, sub_ends, sub_ranks,
@@ -372,7 +328,7 @@ def _pack(path: str | Path, header: dict, arrays: dict[str, np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# load
+# file -> arrays
 # ---------------------------------------------------------------------------
 
 
@@ -460,16 +416,47 @@ def verify_blocks(path: str | Path, header: dict | None = None,
 
 def _map_arrays(path: Path, header: dict,
                 data_start: int) -> dict[str, np.ndarray]:
+    """Every block as a read-only ``np.memmap`` over one mapping.
+
+    ``np.memmap`` opens a mapping — and holds a descriptor — per array;
+    a forked version keeps the blocks of the hierarchies it never
+    touches, so mappings now live as long as the document does, and 50
+    descriptors per loaded file do not.  The blocks are therefore built
+    the way ``np.memmap`` builds its own, over **one** ``mmap`` of the
+    file; the arrays keep it alive and the descriptor goes with the
+    last of them.
+    """
+    try:
+        with open(path, "rb") as handle:
+            mapping = mmap.mmap(handle.fileno(), 0,
+                                access=mmap.ACCESS_READ)
+    except (OSError, ValueError) as error:
+        raise ReproError(
+            f"cannot map .mhxb file {path}: {error}") from error
     arrays: dict[str, np.ndarray] = {}
     for key, entry in header["arrays"].items():
         shape = tuple(entry["shape"])
+        dtype = np.dtype(entry["dtype"])
         if 0 in shape:
-            arrays[key] = np.empty(shape, dtype=np.dtype(entry["dtype"]))
+            arrays[key] = np.empty(shape, dtype=dtype)
             continue
-        arrays[key] = np.memmap(path, dtype=np.dtype(entry["dtype"]),
-                                mode="r", offset=data_start
-                                + entry["offset"], shape=shape)
+        offset = data_start + entry["offset"]
+        if offset + int(np.prod(shape)) * dtype.itemsize > len(mapping):
+            raise IntegrityError(
+                f"{path}: block {key!r} is truncated (the file ends "
+                f"inside it)", path=path, block=key)
+        block = np.ndarray.__new__(np.memmap, shape, dtype=dtype,
+                                   buffer=mapping, offset=offset)
+        # what ``np.memmap.__new__`` records: slices of the block stay
+        # memmap-typed views of the mapping, as they always were here
+        block._mmap = mapping
+        arrays[key] = block
     return arrays
+
+
+# ---------------------------------------------------------------------------
+# arrays -> engine
+# ---------------------------------------------------------------------------
 
 
 def load_engine(path: str | Path, options=None, use_pipeline: bool = True,
@@ -477,9 +464,11 @@ def load_engine(path: str | Path, options=None, use_pipeline: bool = True,
     """Cold-load an :class:`~repro.api.Engine` from a ``.mhxb`` file.
 
     Reconstructs the KyGODDAG — components, partition, span index,
-    order keys — straight from the memory-mapped arrays; no XML parse,
-    no alignment pass, no sort.  The DOM document materializes lazily
-    on first access (updates, serialization).
+    order keys — straight from the memory-mapped arrays
+    (:meth:`KyGoddag.from_arrays`, the pass a store fork runs over a
+    live version's arrays); no XML parse, no alignment pass, no sort.
+    Each hierarchy's DOM materializes on first access (updates that
+    touch it, serialization).
 
     ``verify=True`` deep-scans every block checksum before any array is
     trusted (the store's cold-load policy); the default keeps the load
@@ -493,222 +482,26 @@ def load_engine(path: str | Path, options=None, use_pipeline: bool = True,
         verify_blocks(path, header, data_start)
     arrays = _map_arrays(path, header, data_start)
     text = bytes(arrays["text"]).decode("utf-8")
-    names: list[str] = header["names"]
-
-    goddag = KyGoddag(text, header["root"])
-    goddag.partition = Partition.restore(
-        goddag, len(text), arrays["partition/offsets"],
-        arrays["partition/counts"])
-    span_lists: list[tuple[int, list, np.ndarray, np.ndarray]] = []
-    for position, meta in enumerate(header["hierarchies"]):
-        prefix = f"h{position}"
-        component, span_nodes = _load_component(goddag, meta, prefix,
-                                                arrays, names)
-        span_lists.append((component.rank, span_nodes,
-                           arrays[f"{prefix}/s_perm"],
-                           arrays[f"{prefix}/e_perm"]))
-    goddag._index = _restore_index(goddag, header, arrays, span_lists)
-    goddag.version = header["version"]
+    components = [
+        _HierarchyComponent(
+            meta["name"], meta["rank"], False, names=header["names"],
+            columns={key: arrays[f"h{position}/{key}"]
+                     for key in COLUMNS},
+            attrs=meta["attrs"], comments=meta["comments"],
+            pis=meta["pis"], prolog=meta["prolog"],
+            epilog=meta["epilog"], root_attrs=meta["root_attrs"],
+            perms=(arrays[f"h{position}/s_perm"],
+                   arrays[f"h{position}/e_perm"]))
+        for position, meta in enumerate(header["hierarchies"])]
+    goddag = KyGoddag.from_arrays(
+        text, header["root"], components,
+        (arrays["partition/offsets"], arrays["partition/counts"]),
+        {key: arrays[f"index/{key}"] for key in SpanIndex.COLUMNS},
+        header["version"])
     if "plan_stats" in header:
         # Stamped at pack time; absent on pre-§16 containers, which
         # simply recollect on the first costed compile.
         from repro.core.goddag.stats import PlanStats
         goddag._plan_stats = PlanStats.from_payload(header["plan_stats"])
-
-    loader = _DocumentLoader(header, arrays, text, names)
-    return Engine.from_parts(goddag, document_loader=loader,
+    return Engine.from_parts(goddag, dtds=header.get("dtds"),
                              options=options, use_pipeline=use_pipeline)
-
-
-def _load_component(goddag: KyGoddag, meta: dict, prefix: str,
-                    arrays: dict[str, np.ndarray], names: list[str]):
-    component = _HierarchyComponent(meta["name"], meta["rank"],
-                                    temporary=False)
-    kinds = arrays[f"{prefix}/kinds"].tolist()
-    ids = arrays[f"{prefix}/name_ids"].tolist()
-    starts = arrays[f"{prefix}/starts"].tolist()
-    ends = arrays[f"{prefix}/ends"].tolist()
-    parents = arrays[f"{prefix}/parents"].tolist()
-    subtree_ends = arrays[f"{prefix}/subtree_ends"].tolist()
-    okeys = arrays[f"{prefix}/okeys"].tolist()
-    attrs = {position: mapping for position, mapping in meta["attrs"]}
-    comments = {position: data for position, data in meta["comments"]}
-    pis = {position: data for position, data in meta["pis"]}
-    hierarchy = meta["name"]
-    nodes: list = []
-    top_nodes: list = []
-    span_nodes: list = []
-    # Hand-inlined constructors: this loop builds every node of the
-    # document, and the nested __init__ chains are the single largest
-    # cold-load cost at scale.
-    for position in range(meta["count"]):
-        kind = kinds[position]
-        start = starts[position]
-        end = ends[position]
-        if kind == _KIND_ELEMENT:
-            node = GElement.__new__(GElement)
-            node._name = names[ids[position]]
-            node.attributes = attrs.get(position) or {}
-            node.children = []
-            node._attr_nodes = None
-            node._child_positions = None
-            span_nodes.append(node)
-        elif kind == _KIND_TEXT:
-            node = GText.__new__(GText)
-            component.text_nodes.append(node)
-            component.text_starts.append(start)
-            span_nodes.append(node)
-        elif kind == _KIND_COMMENT:
-            node = GComment.__new__(GComment)
-            node.data = comments[position]
-        else:
-            node = GPi.__new__(GPi)
-            node.target = names[ids[position]]
-            node.data = pis[position]
-        node.goddag = goddag
-        node.start = start
-        node.end = end
-        node._hierarchy = hierarchy
-        node.preorder = position
-        node.subtree_end = subtree_ends[position]
-        node._okey = okeys[position]
-        parent_position = parents[position]
-        if parent_position < 0:
-            node._parent = goddag.root
-            top_nodes.append(node)
-        else:
-            parent = nodes[parent_position]
-            node._parent = parent
-            parent.children.append(node)
-        nodes.append(node)
-    component.nodes = nodes
-    component.boundaries = [offset for span in zip(starts, ends)
-                            for offset in span]
-    objects = np.empty(len(nodes), dtype=object)
-    for position, node in enumerate(nodes):
-        objects[position] = node
-    component._nodes_arr = objects
-    component._subtree_ends_arr = np.asarray(
-        arrays[f"{prefix}/subtree_ends"])
-    goddag.adopt_component(component, top_nodes, meta["root_attrs"])
-    return component, span_nodes
-
-
-def _restore_index(goddag: KyGoddag, header: dict,
-                   arrays: dict[str, np.ndarray], span_lists) -> SpanIndex:
-    """Rebuild the span index: numeric columns stay memory-mapped, the
-    object columns (nodes, names) come from one rank-gather per
-    hierarchy using the persisted per-hierarchy permutations."""
-    ranks = arrays["index/ranks"]
-    e_ranks = arrays["index/e_ranks"]
-    total = len(ranks)
-    nodes = np.empty(total, dtype=object)
-    node_names = np.empty(total, dtype=object)
-    e_nodes = np.empty(total, dtype=object)
-    e_names = np.empty(total, dtype=object)
-    root_mask = ranks == -1
-    nodes[root_mask] = goddag.root
-    node_names[root_mask] = goddag.root.name
-    e_root_mask = e_ranks == -1
-    e_nodes[e_root_mask] = goddag.root
-    e_names[e_root_mask] = goddag.root.name
-    subs: dict[str, tuple[int, int]] = {}
-    for (rank, span_nodes, s_perm, e_perm), meta in zip(
-            span_lists, header["hierarchies"]):
-        count = len(span_nodes)
-        subs[meta["name"]] = (rank, count)
-        objects = np.empty(count, dtype=object)
-        labels = np.empty(count, dtype=object)
-        for position, node in enumerate(span_nodes):
-            objects[position] = node
-            labels[position] = node.name
-        mask = ranks == rank
-        nodes[mask] = objects[s_perm]
-        node_names[mask] = labels[s_perm]
-        e_mask = e_ranks == rank
-        e_nodes[e_mask] = objects[e_perm]
-        e_names[e_mask] = labels[e_perm]
-    return SpanIndex.restore(goddag, {
-        "s_keys": arrays["index/s_keys"],
-        "nodes": nodes,
-        "starts": arrays["index/starts"],
-        "ends": arrays["index/ends"],
-        "ranks": ranks,
-        "preorders": arrays["index/preorders"],
-        "subtree_ends": arrays["index/subtree_ends"],
-        "names": node_names,
-        "e_keys": arrays["index/e_keys"],
-        "e_nodes": e_nodes,
-        "e_starts": arrays["index/e_starts"],
-        "ends_sorted": arrays["index/e_ends"],
-        "e_ranks": e_ranks,
-        "e_names": e_names,
-    }, subs)
-
-
-class _DocumentLoader:
-    """Materializes the DOM side of a cold-loaded engine on demand."""
-
-    def __init__(self, header: dict, arrays: dict[str, np.ndarray],
-                 text: str, names: list[str]) -> None:
-        self._header = header
-        self._arrays = arrays
-        self._text = text
-        self._names = names
-
-    def __call__(self) -> MultihierarchicalDocument:
-        header, text, names = self._header, self._text, self._names
-        document = MultihierarchicalDocument(text)
-        for position, meta in enumerate(header["hierarchies"]):
-            hier_doc = self._build_dom(meta, f"h{position}")
-            document.hierarchies[meta["name"]] = Hierarchy(
-                meta["name"], hier_doc)
-        if header.get("dtds"):
-            document.cmh = ConcurrentMarkupHierarchy.from_sources(
-                header["root"], header["dtds"])
-        return document
-
-    def _build_dom(self, meta: dict, prefix: str) -> dom.Document:
-        arrays, text, names = self._arrays, self._text, self._names
-        hier_doc = dom.Document()
-        for entry in meta["prolog"]:
-            hier_doc.append(_aux_node(entry))
-        root = dom.Element(self._header["root"], meta["root_attrs"])
-        hier_doc.append(root)
-        for entry in meta["epilog"]:
-            hier_doc.append(_aux_node(entry))
-        kinds = arrays[f"{prefix}/kinds"].tolist()
-        ids = arrays[f"{prefix}/name_ids"].tolist()
-        starts = arrays[f"{prefix}/starts"].tolist()
-        ends = arrays[f"{prefix}/ends"].tolist()
-        parents = arrays[f"{prefix}/parents"].tolist()
-        attrs = {position: mapping for position, mapping in meta["attrs"]}
-        comments = {position: data for position, data in meta["comments"]}
-        pis = {position: data for position, data in meta["pis"]}
-        nodes: list[dom.Node] = []
-        for position in range(meta["count"]):
-            kind = kinds[position]
-            if kind == _KIND_ELEMENT:
-                node: dom.Node = dom.Element(names[ids[position]],
-                                             attrs.get(position))
-            elif kind == _KIND_TEXT:
-                node = dom.Text(text[starts[position]:ends[position]])
-                node.start = starts[position]
-                node.end = ends[position]
-            elif kind == _KIND_COMMENT:
-                node = dom.Comment(comments[position])
-            else:
-                node = dom.ProcessingInstruction(names[ids[position]],
-                                                 pis[position])
-            parent_position = parents[position]
-            parent = (root if parent_position < 0
-                      else nodes[parent_position])
-            parent.append(node)
-            nodes.append(node)
-        return hier_doc
-
-
-def _aux_node(entry: list) -> dom.Node:
-    if entry[0] == "comment":
-        return dom.Comment(entry[1])
-    return dom.ProcessingInstruction(entry[1], entry[2])

@@ -5,7 +5,7 @@ The execution protocol (DESIGN.md §13):
 * the parent classifies the compiled plan
   (:mod:`repro.core.plan.distribute`), prunes shards against the
   manifest statistics, and dispatches one task per surviving shard;
-* each worker process ``np.memmap``s its shard's ``.mhxb`` read-only
+* each worker process maps its shard's ``.mhxb`` read-only
   (:meth:`Engine.from_mhxb` — fork-safe, no node tables cross the
   pipe), compiles the query once per process through a
   :class:`SharedPlanCache`, and executes with a ``collection``

@@ -317,8 +317,7 @@ class TestOverlappingEmissionOrder:
         assert [n.name for n in batched if n.name] == expected
         joined = join_axis_batch(crossing, "overlapping", [node])
         assert [n.name for n in joined if n.name] == expected
-        engine = Engine.from_parts(
-            goddag=crossing, document_loader=lambda: None)
+        engine = Engine.from_parts(crossing)
         result = engine.query("/descendant::n/overlapping::*")
         assert [n.name for n in result.items] == expected
         legacy = evaluate_query(crossing, "/descendant::n/overlapping::*")
@@ -327,7 +326,8 @@ class TestOverlappingEmissionOrder:
 
 class TestRestoredIndexJoins:
     """Joins over a ``.mhxb`` cold-loaded engine: the end-sorted
-    preorder column is not persisted and must be derived lazily."""
+    preorder column is not persisted; the restore gathers it through
+    each hierarchy's end permutation."""
 
     def test_joins_after_cold_load(self, tmp_path, boethius_doc):
         warm = Engine(boethius_doc)
@@ -336,19 +336,19 @@ class TestRestoredIndexJoins:
         warm.save_mhxb(path)
         cold = Engine.from_mhxb(path)
         index = cold.goddag.span_index()
-        assert index.e_preorders is None  # not persisted
+        assert index.e_preorders.tolist() == [
+            getattr(node, "preorder", -1) for node in index.e_nodes]
         queries = [
             "/descendant::w/overlapping::line",
             "/descendant::line/xpreceding::w",
             "/descendant::line[overlapping::w]",
             # Unnamed step: forces the *global* end-sorted okey column,
-            # whose preorder input is derived lazily on restored indexes
-            # (named steps gather per-name columns and never need it).
+            # packed from the gathered preorders (named steps gather
+            # per-name columns and never need it).
             "count(/descendant::line/xpreceding::node())",
         ]
         for query in queries:
             assert cold.query(query).strings() == \
                 warm.query(query).strings(), query
-        assert index.e_preorders is not None  # derived on first use
         okeys, e_okeys = index.okey_columns()
         assert np.array_equal(np.sort(okeys), np.sort(e_okeys))

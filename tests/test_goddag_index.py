@@ -71,13 +71,11 @@ class TestOffsetGuard:
         from repro.errors import GoddagError
         from repro.core.goddag.index import _SubIndex
 
-        class Huge:
-            start = 0
-            end = 1 << 31
-            name = "x"
-
+        one = np.zeros(1, dtype=np.int64)
+        objects = np.array([object()], dtype=object)
         with pytest.raises(GoddagError, match="2\\^31"):
-            _SubIndex(0, [Huge()])
+            _SubIndex(0, objects, np.array(["x"], dtype=object), one,
+                      np.array([1 << 31], dtype=np.int64), one, one)
 
 
 class TestSlices:

@@ -66,6 +66,35 @@ class TestRoundTrip:
         Engine.from_mhxb(first).save_mhxb(second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_saving_never_materializes_the_dom(self, tmp_path):
+        """What lives only on the DOM side — DTD sources, comments and
+        PIs around the root element — is kept with the engine and its
+        components, so a cold load, a fork and a fork's fork re-save
+        the same bytes without building a DOM node."""
+        from repro.markup import dom
+        from repro.store import fork_engine
+
+        document = boethius_document(validate=True)  # carries DTDs
+        hierarchy = next(iter(document.hierarchies.values()))
+        hierarchy.document.insert(0, dom.Comment("prolog"))
+        hierarchy.document.append(dom.ProcessingInstruction("epi", "log"))
+        first = tmp_path / "first.mhxb"
+        Engine(document).save_mhxb(first)
+        expected = first.read_bytes()
+        cold = Engine.from_mhxb(first)
+        fork = fork_engine(cold)
+        grandchild = fork_engine(fork)
+        for label, candidate in (("cold", cold), ("fork", fork),
+                                 ("fork of fork", grandchild)):
+            path = tmp_path / "again.mhxb"
+            candidate.save_mhxb(path)
+            assert path.read_bytes() == expected, label
+            assert candidate._document is None, label
+        assert grandchild.document.cmh.sources() == document.cmh.sources()
+        assert grandchild.document.hierarchies[hierarchy.name].to_xml() \
+            == hierarchy.to_xml()
+        assert "<!--prolog-->" in hierarchy.to_xml()
+
     def test_cold_load_passes_invariants(self, engine, tmp_path):
         path = tmp_path / "doc.mhxb"
         engine.save_mhxb(path)

@@ -16,9 +16,21 @@ probe query set (run against the long-lived incremental goddag vs. a
 freshly rebuilt one), and ``check_invariants()`` must pass on the
 incremental structure.  Statements that fail (conflicts, proper
 overlap, empty targets) must leave both sides untouched — atomicity.
+
+A second fuzzer runs the same sequences the way the document store
+does (DESIGN.md §10): every statement is applied to a
+``fork_engine`` copy of the previous generation, which shares that
+generation's arrays.  The fork must agree with the oracle and the
+generation it was forked from must not change by a byte — its saved
+``.mhxb`` image, its probe results, its invariants — whether it was
+built, cold-loaded, or cold-loaded with its DOM already materialized,
+and whatever part of its DOM earlier statements left materialized.
 """
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,6 +38,7 @@ from hypothesis import strategies as st
 from repro.api import Engine
 from repro.errors import QueryEvaluationError, UpdateError
 from repro.core.update import RebuildOracle
+from repro.store import DocumentStore, fork_engine, save_engine
 
 from tests.strategies import (
     build_update_statement,
@@ -117,6 +130,116 @@ def test_update_sequences_match_rebuild_oracle(data):
         _assert_states_match(engine, oracle, context)
         _assert_probes_match(engine, oracle, context)
     _APPLIED_TOTAL[0] += applied
+
+
+def _image(engine: Engine, folder: Path) -> tuple[bytes, list]:
+    """Everything an engine holds, read without touching its DOM: the
+    bytes ``save_engine`` writes (every column, attribute, comment and
+    the text) and the probe results off its live node objects."""
+    path = folder / "image.mhxb"
+    save_engine(engine, path)
+    return (path.read_bytes(),
+            [engine.query(query).strings() for query in PROBE_QUERIES])
+
+
+@settings(max_examples=FUZZ_EXAMPLES // 2, deadline=None,
+          suppress_health_check=[HealthCheck.data_too_large,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_forked_sequences_leave_every_source_untouched(data):
+    document = data.draw(multihierarchical_documents(max_text=30),
+                         label="document")
+    origin = data.draw(st.sampled_from(["built", "cold", "cold+dom"]),
+                       label="origin")
+    oracle = RebuildOracle(document)
+    with tempfile.TemporaryDirectory() as scratch:
+        folder = Path(scratch)
+        source = Engine(document)
+        if origin != "built":
+            save_engine(source, folder / "origin.mhxb")
+            source = Engine.from_mhxb(folder / "origin.mhxb")
+            if origin == "cold+dom":
+                _serialized_state(source)
+        steps = data.draw(st.integers(min_value=1, max_value=12),
+                          label="steps")
+        applied = 0
+        for step in range(steps):
+            op = data.draw(update_ops(), label=f"op-{step}")
+            element_count = int(source.query(
+                "count(/descendant::*)").items[0])
+            leaf_count = int(source.query("count(//leaf())").items[0])
+            statement = build_update_statement(
+                op, element_count, leaf_count,
+                source.goddag.persistent_hierarchy_names)
+            if statement is None:
+                continue
+            context = f"after step {step} ({origin}): {statement!r}"
+            before = _image(source, folder)
+            fork = fork_engine(source)
+            assert fork._document is None, context
+            try:
+                fork.update(statement, check=True)
+            except (UpdateError, QueryEvaluationError):
+                fork = None  # the store discards a failed fork
+            else:
+                applied += 1
+                oracle.apply(statement)
+                _assert_probes_match(fork, oracle, context)
+                # sometimes look at the DOM side too, sometimes leave
+                # the next generation's source partly materialized
+                if data.draw(st.booleans(), label=f"peek-{step}"):
+                    _assert_states_match(fork, oracle, context)
+            source.goddag.check_invariants()
+            assert _image(source, folder) == before, \
+                f"the forked-from generation changed {context}"
+            if fork is not None:
+                source = fork
+        _assert_states_match(source, oracle,
+                             f"at the end of a {origin} chain")
+    _APPLIED_TOTAL[0] += applied
+
+
+@settings(max_examples=max(20, FUZZ_EXAMPLES // 10), deadline=None,
+          suppress_health_check=[HealthCheck.data_too_large,
+                                 HealthCheck.too_slow])
+@given(document=multihierarchical_documents(max_text=30),
+       ops=st.lists(update_ops(), min_size=2, max_size=6))
+def test_unpersisted_generations_compact_to_the_oracle(document, ops):
+    """``persist=False`` chains: every generation forks the previous
+    one's arrays, nothing reaches the disk until ``compact``, and what
+    lands there reopens as the oracle's document."""
+    oracle = RebuildOracle(document)
+    with tempfile.TemporaryDirectory() as scratch:
+        store = DocumentStore.init(Path(scratch) / "catalog")
+        store.add("doc", document)
+        on_disk = (store.root / "doc.mhxb").read_bytes()
+        for op in ops:
+            engine = store.snapshot("doc").engine
+            statement = build_update_statement(
+                op, int(engine.query("count(/descendant::*)").items[0]),
+                int(engine.query("count(//leaf())").items[0]),
+                engine.goddag.persistent_hierarchy_names)
+            if statement is None:
+                continue
+            try:
+                store.update("doc", statement, persist=False)
+            except (UpdateError, QueryEvaluationError):
+                assert store.snapshot("doc").engine is engine
+                continue
+            oracle.apply(statement)
+            assert (store.root / "doc.mhxb").read_bytes() == on_disk
+        published = store.snapshot("doc").engine
+        store.compact()
+        save_engine(published, Path(scratch) / "direct.mhxb")
+        assert (store.root / "doc.mhxb").read_bytes() == \
+            (Path(scratch) / "direct.mhxb").read_bytes()
+        store.close()
+        reopened = DocumentStore(Path(scratch) / "catalog")
+        engine = reopened.snapshot("doc").engine
+        engine.goddag.check_invariants()
+        _assert_probes_match(engine, oracle, "after compact + reopen")
+        _assert_states_match(engine, oracle, "after compact + reopen")
+        reopened.close()
 
 
 def test_fuzzer_actually_applied_updates():

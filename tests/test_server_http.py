@@ -288,6 +288,32 @@ class TestQueryEndpoint:
         assert payload["next"] is None
         assert payload["total"] == 6
 
+    @pytest.mark.parametrize("extra, sent", [
+        ("&limit=2", 2), ("&offset=4&limit=5", 2), ("&offset=99", 0),
+        ("&stream=1&offset=1&limit=3", 3), ("", 6)])
+    def test_only_the_page_is_serialized(self, served, monkeypatch,
+                                         extra, sent):
+        """A page costs its own items, not the whole result: the
+        service slices the item list first and serializes the slice
+        (``total`` is the length of the unserialized result)."""
+        from repro.server import service
+
+        handle, _store, _log = served
+        calls = []
+
+        def counting(item):
+            calls.append(item)
+            return serialize_item(item)
+
+        serialize_item = service.serialize_item
+        monkeypatch.setattr(service, "serialize_item", counting)
+        raw = raw_exchange(
+            handle, b"GET /query?name=boe&q=/descendant::w"
+            + extra.encode() + b" HTTP/1.1\r\nConnection: close\r\n\r\n")
+        assert raw.startswith(b"HTTP/1.1 200")
+        assert len(calls) == sent
+        assert b'"total":6' in raw
+
     def test_bad_offset_and_limit_400(self, served):
         handle, _store, _log = served
         assert handle.get_json(

@@ -8,13 +8,21 @@ store`` CLI verbs.
 
 from __future__ import annotations
 
+from unittest import mock
+
+import numpy as np
 import pytest
 
 from repro.api import Engine
+from repro.bench.workloads import corpus_at_size
 from repro.cli import main
 from repro.errors import GoddagError, ReproError
 from repro.cmh import MultihierarchicalDocument
+from repro.core.goddag.goddag import _ComponentBuilder, _HierarchyComponent
+from repro.core.goddag.nodes import GElement
+from repro.core.runtime import QueryOptions
 from repro.corpus.boethius import boethius_document
+from repro.markup import dom
 from repro.store import DocumentStore, fork_engine
 
 
@@ -232,6 +240,21 @@ class TestPersistence:
         store.compact()
         assert path.read_bytes() == first
 
+    def test_fork_engine_carries_options_and_both_flags(self, store):
+        """``use_cost`` used to be dropped: ``add(engine=...)`` of an
+        uncosted engine silently published a costed one."""
+        options = QueryOptions(cost_fallback_factor=3.0)
+        engine = Engine(boethius_document(validate=False),
+                        options=options, use_pipeline=False,
+                        use_cost=False)
+        fork = fork_engine(engine)
+        assert (fork.options, fork.use_pipeline, fork.use_cost) == \
+            (options, False, False)
+        store.add("uncosted", engine=engine)
+        published = store.snapshot("uncosted").engine
+        assert (published.use_pipeline, published.use_cost) == \
+            (False, False)
+
     def test_fork_engine_preserves_version_and_results(self):
         engine = Engine(boethius_document(validate=False))
         engine.update('rename node /descendant::w[1] as "word"')
@@ -241,6 +264,136 @@ class TestPersistence:
         fork.update('rename node /descendant::word[1] as "w"')
         # the original is untouched by mutations of the fork
         assert engine.query("count(//word)").serialize() == "1"
+
+
+class TestUntouchedHierarchiesUntouched:
+    """The deterministic stand-in for ``store-write/heavy_ms``: what one
+    ``DocumentStore.update`` builds at n=800, counted by wrapping.  An
+    ``add markup`` changes one hierarchy, so one hierarchy's DOM and one
+    component are built and nothing is cloned or re-sorted; a text
+    change shifts every span and is the control."""
+
+    @pytest.fixture()
+    def stored(self, tmp_path):
+        store = DocumentStore.init(tmp_path / "catalog")
+        store.add("doc", corpus_at_size(800))
+        store.close()  # reopen: the published engine is a cold load
+        store = DocumentStore(tmp_path / "catalog")
+        yield store
+        store.close()
+
+    @staticmethod
+    def free_word(goddag) -> int:
+        """1-based index of a word no ``<dmg>`` touches."""
+        damage = [(node.start, node.end)
+                  for node in goddag.elements("dmg")]
+        return next(
+            index for index, word in enumerate(goddag.elements("w"), 1)
+            if all(end <= word.start or word.end <= start
+                   for start, end in damage))
+
+    @staticmethod
+    def counted(store, statement):
+        """``(DOMs built, elements created, components built, clones)``
+        of one update."""
+        elements, doms, components, clones = [], [], [], []
+
+        def wrapping(target, attribute, seen, key):
+            original = getattr(target, attribute)
+
+            def wrapper(self, *args, **kwargs):
+                seen.append(key(self))
+                return original(self, *args, **kwargs)
+
+            return mock.patch.object(target, attribute, wrapper)
+
+        with wrapping(dom.Element, "__init__", elements, id), \
+                wrapping(_HierarchyComponent, "build_dom", doms,
+                         lambda component: component.name), \
+                wrapping(_ComponentBuilder, "build_from_dom", components,
+                         lambda builder: builder.name), \
+                wrapping(dom.Document, "clone", clones, id), \
+                wrapping(MultihierarchicalDocument, "clone", clones, id):
+            store.update("doc", statement)
+        return doms, len(elements), components, clones
+
+    def test_add_markup_builds_one_hierarchy(self, stored):
+        before = stored.snapshot("doc").engine
+        word = self.free_word(before.goddag)
+        in_damage = sum(isinstance(node, GElement)
+                        for node in before.goddag.nodes_of("damage"))
+        doms, elements, components, clones = self.counted(
+            stored, f'add markup mark to "damage" covering '
+                    f'(/descendant::w)[{word}]')
+        assert doms == ["damage"] and components == ["damage"]
+        # the hierarchy's elements, its root element, the new wrapper
+        assert elements == in_damage + 2
+        assert not clones
+        after = stored.snapshot("doc").engine
+        assert after.goddag.index_full_builds == 0
+        assert before._document is None  # the source built no DOM
+        assert [name for name, hierarchy
+                in after.document.hierarchies.items()
+                if hierarchy.materialized] == ["damage"]
+        assert after.query("count(//mark)").serialize() == "1"
+        # untouched hierarchies still share the published arrays
+        for name in ("structural", "physical", "restoration"):
+            assert np.shares_memory(
+                after.goddag._components[name].starts,
+                before.goddag._components[name].starts)
+        assert not np.shares_memory(
+            after.goddag._components["damage"].starts,
+            before.goddag._components["damage"].starts)
+
+    def test_rename_builds_nothing(self, stored):
+        doms, elements, components, clones = self.counted(
+            stored, 'rename node (/descendant::w)[3] as "word"')
+        assert (doms, elements, components, clones) == ([], 0, [], [])
+        after = stored.snapshot("doc").engine
+        assert after.goddag.index_full_builds == 0
+        assert after.query("count(//word)").serialize() == "1"
+        assert after.document.hierarchies["structural"].to_xml().count(
+            "<word>") == 1
+
+    def test_failed_statement_discards_a_collectable_fork(self, stored):
+        """The fork of a rejected batch is retired like an unpublished
+        version: nothing (no object-array cache) keeps it alive."""
+        import gc
+        import weakref
+
+        from repro.errors import UpdateError
+        from repro.store import catalog
+
+        forks = []
+
+        def recording(engine):
+            fork = fork_engine(engine)
+            forks.append(weakref.ref(fork.goddag))
+            return fork
+
+        published = stored.snapshot("doc")
+        with mock.patch.object(catalog, "fork_engine", recording), \
+                pytest.raises(UpdateError):
+            stored.update("doc", [
+                'rename node (/descendant::w)[3] as "word"',
+                'rename node (/descendant::w)[1] as "x", '
+                'rename node (/descendant::w)[1] as "y"'])
+        assert stored.snapshot("doc") is published
+        gc.collect()
+        assert len(forks) == 1 and forks[0]() is None
+        assert published.query("count(//word)").serialize() == "0"
+
+    def test_text_change_rebuilds_every_hierarchy(self, stored):
+        names = stored.snapshot("doc").engine.goddag.hierarchy_names
+        doms, _elements, components, clones = self.counted(
+            stored, 'replace value of node (/descendant::w)[3] '
+                    'with "eac"')
+        assert sorted(doms) == sorted(components) == sorted(names)
+        assert not clones
+        after = stored.snapshot("doc").engine
+        assert after.goddag.index_full_builds == 0
+        assert after.query("string((/descendant::w)[3])").serialize() \
+            == "eac"
 
 
 class TestStoreCli:

@@ -409,6 +409,32 @@ class TestInvariantNet:
         with pytest.raises(GoddagError):
             engine.goddag.check_invariants()
 
+    @pytest.mark.parametrize("column", ["starts", "ends", "parents",
+                                        "subtree_ends", "name_ids",
+                                        "okeys", "kinds"])
+    def test_detects_column_diverging_from_its_node(self, engine, column):
+        """Forks and saves read the columns, queries the nodes: a row
+        that disagrees with its node object is corruption."""
+        from repro.errors import GoddagError
+
+        goddag = engine.goddag
+        component = goddag._components[goddag.hierarchy_names[0]]
+        forged = getattr(component, column).copy()
+        forged[1] += 1
+        setattr(component, "_okeys" if column == "okeys" else column,
+                forged)
+        with pytest.raises(GoddagError, match="invariant violation"):
+            goddag.check_invariants()
+
+    def test_detects_stale_span_index_column(self, engine):
+        from repro.errors import GoddagError
+
+        index = engine.goddag.span_index()
+        index.preorders = index.preorders.copy()
+        index.preorders[[1, 2]] = index.preorders[[2, 1]]
+        with pytest.raises(GoddagError, match="span index"):
+            engine.goddag.check_invariants()
+
     def test_detects_partition_desync(self, engine):
         from repro.errors import GoddagError
 
