@@ -5,8 +5,9 @@
 Times the headline series — S-AXES (axis evaluation), S-ANALYZE
 (the ``analyze-string`` temporary-hierarchy lifecycle), S-BUILD
 (KyGODDAG + SpanIndex construction) — into ``BENCH_axes.json``, the
-end-to-end §4 query workload (S-QUERIES: legacy evaluator vs the
-compiled pipeline, per query and total) into ``BENCH_queries.json``,
+end-to-end §4 query workload (S-QUERIES: absolute warm-plan-cache ns
+through ``Engine.query``, per query and total) into
+``BENCH_queries.json``,
 the transactional update workload (S-UPDATE: incremental apply vs
 rebuild-per-update, DESIGN.md §9) into ``BENCH_updates.json``, the
 store cold-load path (S-STORE: ``.mhxb`` mmap load vs XML re-parse +
@@ -116,35 +117,22 @@ def bench_build(size: int, repeats: int) -> dict[str, int]:
 
 
 def bench_queries(size: int, repeats: int) -> dict:
-    """End-to-end §4 workload: legacy evaluator vs compiled pipeline."""
+    """End-to-end §4 workload through ``Engine.query``, plan cache
+    warm: absolute ns per query."""
     from repro.api import Engine
     from repro.bench.workloads import paper_query_workload
 
-    document = corpus_at_size(size)
-    pipeline = Engine(document)
-    legacy = Engine(document, use_pipeline=False)
-    pipeline.goddag.span_index()
-    legacy.goddag.span_index()
+    engine = Engine(corpus_at_size(size))
+    engine.goddag.span_index()
     workload = paper_query_workload()
     for _query_id, query in workload:  # warm plan cache + lazy indexes
-        pipeline.query(query)
-        legacy.query(query)
-    per_query: dict[str, dict[str, int]] = {}
-    for query_id, query in workload:
-        per_query[query_id] = {
-            "legacy-evaluator": median_ns(
-                lambda query=query: legacy.query(query), repeats),
-            "pipeline-warm": median_ns(
-                lambda query=query: pipeline.query(query), repeats),
-        }
-    total = {
-        "legacy-evaluator": sum(row["legacy-evaluator"]
-                                for row in per_query.values()),
-        "pipeline-warm": sum(row["pipeline-warm"]
-                             for row in per_query.values()),
-    }
-    total["speedup"] = round(
-        total["legacy-evaluator"] / total["pipeline-warm"], 2)
+        engine.query(query)
+    per_query = {
+        query_id: {"pipeline-warm": median_ns(
+            lambda query=query: engine.query(query), repeats)}
+        for query_id, query in workload}
+    total = {"pipeline-warm": sum(row["pipeline-warm"]
+                                  for row in per_query.values())}
     return {"per_query": per_query, "workload_total": total}
 
 

@@ -30,14 +30,8 @@ from repro.cmh import (
 )
 from repro.core.goddag import KyGoddag, collect, describe, to_dot
 from repro.core.goddag.stats import GoddagStats
-from repro.core.lang import parse_xpath
 from repro.core.plan import CompiledQuery, compile_query
-from repro.core.runtime import (
-    QueryOptions,
-    QueryStats,
-    evaluate_query,
-    serialize_items,
-)
+from repro.core.runtime import QueryOptions, QueryStats, serialize_items
 from repro.core.update import (
     CompiledUpdate,
     UpdateApplyStats,
@@ -57,10 +51,9 @@ PLAN_CACHE_SIZE = 256
 class QueryResult:
     """The result of one query: an item sequence plus serialization."""
 
-    def __init__(self, items: list,
-                 stats: QueryStats | None = None) -> None:
+    def __init__(self, items: list, stats: QueryStats) -> None:
         self.items = items
-        #: per-call evaluation counters (None for legacy-path results)
+        #: this call's evaluation counters (never shared between calls)
         self.stats = stats
 
     def __iter__(self):
@@ -87,22 +80,20 @@ class Engine:
     """A query engine bound to one multihierarchical document.
 
     Queries run through the compilation pipeline (parse → rewrite →
-    plan → set-at-a-time execution, DESIGN.md §8); compiled plans are
-    cached in an LRU keyed by query text + options, so repeated
-    ``query()`` calls skip everything up to execution.  Pass
-    ``use_pipeline=False`` to route through the legacy tree-walking
-    evaluator instead (the differential-testing oracle).
+    plan → set-at-a-time execution, DESIGN.md §8) — the only evaluator;
+    compiled plans are cached in an LRU keyed by query text + options,
+    so repeated ``query()`` calls skip everything up to execution.
+    ``use_cost=False`` skips the statistics-driven cost pass and runs
+    the mechanical lowering (DESIGN.md §16).
     """
 
     def __init__(self, document: MultihierarchicalDocument,
                  options: QueryOptions | None = None,
-                 use_pipeline: bool = True,
                  use_cost: bool = True) -> None:
         self._document = document
         self._dtds = None
         self.options = options or QueryOptions()
         self.goddag = KyGoddag.build(document)
-        self.use_pipeline = use_pipeline
         self.use_cost = use_cost
         self._plans: OrderedDict[tuple, CompiledQuery] = OrderedDict()
         self._plans_lock = threading.Lock()
@@ -150,7 +141,6 @@ class Engine:
                    document: MultihierarchicalDocument | None = None,
                    dtds: dict | None = None,
                    options: QueryOptions | None = None,
-                   use_pipeline: bool = True,
                    use_cost: bool = True) -> "Engine":
         """Assemble an engine around an already-built KyGODDAG.
 
@@ -165,7 +155,6 @@ class Engine:
         self._dtds = dtds
         self.options = options or QueryOptions()
         self.goddag = goddag
-        self.use_pipeline = use_pipeline
         self.use_cost = use_cost
         self._plans = OrderedDict()
         self._plans_lock = threading.Lock()
@@ -344,9 +333,8 @@ class Engine:
         Unfrozen engines (the single-owner case) evaluate directly.  A
         frozen engine may be shared by concurrent snapshot readers, so
         plain queries take the latch's shared side and queries that
-        mutate membership (``analyze-string`` temporaries — or a
-        pre-parsed AST whose text is unknown) take the exclusive side
-        (DESIGN.md §10).
+        mutate membership (``analyze-string`` temporaries, or any query
+        whose text is unknown) take the exclusive side (DESIGN.md §10).
         """
         latch = self.goddag.read_latch
         if latch is None:
@@ -374,41 +362,21 @@ class Engine:
             stats.est_rows = final[1]
             stats.act_rows = stats.op_actuals.get(final[0])
 
-    def execute(self, compiled, variables: dict[str, list] | None = None
-                ) -> QueryResult:
-        """Run a :class:`CompiledQuery` (or a pre-parsed legacy AST)."""
-        if isinstance(compiled, CompiledQuery):
-            with self._plans_lock:
-                cached = any(plan is compiled
-                             for plan in self._plans.values())
-            stats = QueryStats(plan_cache_hit=cached)
-            items = self._evaluate_guarded(
-                compiled.text,
-                lambda: compiled.execute(self.goddag,
-                                         variables=variables,
-                                         options=self.options,
-                                         stats=stats))
-            self._finalize_stats(compiled, stats)
-            return QueryResult(items, stats)
+    def execute(self, compiled: CompiledQuery,
+                variables: dict[str, list] | None = None) -> QueryResult:
+        """Run a :class:`CompiledQuery`."""
+        with self._plans_lock:
+            cached = any(plan is compiled for plan in self._plans.values())
+        stats = QueryStats(plan_cache_hit=cached)
         items = self._evaluate_guarded(
-            None,
-            lambda: evaluate_query(self.goddag, compiled,
-                                   variables=variables,
-                                   options=self.options))
-        return QueryResult(items)
+            compiled.text,
+            lambda: compiled.execute(self.goddag, variables=variables,
+                                     options=self.options, stats=stats))
+        self._finalize_stats(compiled, stats)
+        return QueryResult(items, stats)
 
     def _run(self, text: str, variables: dict[str, list] | None,
              xpath: bool) -> QueryResult:
-        if not self.use_pipeline:
-            expr = parse_xpath(text) if xpath else text
-            stats = QueryStats()
-            items = self._evaluate_guarded(
-                text,
-                lambda: evaluate_query(self.goddag, expr,
-                                       variables=variables,
-                                       options=self.options,
-                                       stats=stats))
-            return QueryResult(items, stats)
         self._sync_plan_cache()
         key = ("xpath" if xpath else "query", text, self.options)
         stats = QueryStats(plan_cache_hit=key in self._plans)

@@ -4,8 +4,8 @@ The paper's Figure 2 is a drawing; its checkable content is the node
 and edge inventory of the KyGODDAG built from Figure 1's encodings.
 :func:`collect` computes that inventory so the FIG2 benchmark (and
 EXPERIMENTS.md) can compare counts.  It is vectorized over the span
-index columns (the per-node walk survives as :func:`_collect_walk`,
-the differential oracle) because the same machinery now feeds
+index columns (``tests/test_plan_cost.py`` checks it against a
+per-node walk) because the same machinery feeds
 :class:`PlanStats` on the plan-compile path (DESIGN.md §16): per
 hierarchy per-name cardinalities, per-name span sums and bounds, and
 equi-depth histograms over the element start/length columns — enough
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.goddag.goddag import KyGoddag
-from repro.core.goddag.nodes import GComment, GElement, GPi, GText
+from repro.core.goddag.nodes import GComment, GPi
 
 #: Equi-depth histogram buckets; the boundary lists carry buckets + 1
 #: entries (``np.quantile(..., method="lower")`` picks actual data
@@ -161,32 +161,6 @@ def collect(goddag: KyGoddag) -> GoddagStats:
                     hierarchy.comments += 1
                 elif isinstance(node, GPi):
                     hierarchy.processing_instructions += 1
-        stats.hierarchies.append(hierarchy)
-    return stats
-
-
-def _collect_walk(goddag: KyGoddag) -> GoddagStats:
-    """The original per-node walk — kept as the differential oracle
-    for :func:`collect` (``tests/test_plan_cost.py``)."""
-    stats = GoddagStats(text_length=len(goddag.text),
-                        leaf_count=len(goddag.partition))
-    for name in goddag.hierarchy_names:
-        hierarchy = HierarchyStats(name=name,
-                                   temporary=goddag.is_temporary(name))
-        hierarchy.tree_edges += len(goddag.root.children_in(name))
-        for node in goddag.nodes_of(name):
-            if isinstance(node, GElement):
-                count = hierarchy.elements_by_name.get(node.name, 0)
-                hierarchy.elements_by_name[node.name] = count + 1
-                hierarchy.tree_edges += len(node.children)
-            elif isinstance(node, GText):
-                hierarchy.text_nodes += 1
-                hierarchy.text_leaf_edges += len(
-                    goddag.partition.leaves_in(node.start, node.end))
-            elif isinstance(node, GComment):
-                hierarchy.comments += 1
-            elif isinstance(node, GPi):
-                hierarchy.processing_instructions += 1
         stats.hierarchies.append(hierarchy)
     return stats
 

@@ -15,9 +15,11 @@ the array-backed navigation engine (DESIGN.md §8):
    set-at-a-time step execution over the batched axis entry point.
 
 :func:`compile_query` produces a :class:`CompiledQuery`; the engine
-caches these in an LRU keyed by query text + options.  The legacy
-tree-walking evaluator (:func:`repro.core.runtime.evaluate_query`)
-stays as the differential-testing oracle.
+caches these in an LRU keyed by query text + options, and
+:func:`repro.core.runtime.evaluate_query` is the uncached one-shot
+form.  This is the only evaluator in the package: the node-at-a-time
+tree-walker it is differentially tested against lives in
+``tests/treewalk.py``.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class CompiledQuery:
     def execute(self, goddag, variables=None, options=None,
                 functions=None, keep_temporaries: bool = False,
                 stats: QueryStats | None = None) -> list:
-        """Run against a KyGODDAG; same lifecycle as ``evaluate_query``."""
+        """Run against a KyGODDAG (lifecycle: see ``execute_plan``)."""
         return execute_plan(self._runner, goddag, variables=variables,
                             options=options, functions=functions,
                             keep_temporaries=keep_temporaries,

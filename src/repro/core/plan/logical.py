@@ -217,7 +217,8 @@ class StepOp(Plan):
     axis: str
     test: ast.NodeTest
     predicates: list[PredicateOp] = field(default_factory=list)
-    #: "legacy" reproduces the evaluator's emission order exactly;
+    #: "legacy" (a historical name) is the emission order a consumer
+    #: can observe — document order, duplicate-free (DESIGN.md §8);
     #: "any" means no later consumer can observe this step's order, so
     #: sorts/reversals are skipped (reverse-axis normalization).
     emit: str = "legacy"
@@ -354,7 +355,7 @@ class LetOp(Plan):
     plan: Plan
     #: evaluated once per FLWOR execution instead of once per tuple
     #: (loop-invariant hoisting, applied lazily so error timing and the
-    #: empty-stream case match the legacy evaluator exactly)
+    #: empty-stream case match per-tuple evaluation exactly)
     invariant: bool = False
 
     def _label(self) -> str:

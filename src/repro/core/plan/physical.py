@@ -6,26 +6,22 @@ of per AST node per evaluation, and path steps run **set-at-a-time** —
 one batched axis call per step over the whole context sequence, merged
 and deduplicated by the packed int64 order keys (DESIGN.md §8).
 
-The :class:`Frame` is the pipeline's mutable evaluation state.  It
-duck-types the attribute surface the builtin function registry reads
-from :class:`~repro.core.runtime.context.EvalContext` (``goddag``,
-``position``, ``size``, ``options``, ``temp_manager``,
-``context_item()``), so the whole function library runs unchanged.
-Focus and variable bindings are mutated in place with save/restore
-instead of context cloning — the single biggest constant-factor win
-over the tree-walking evaluator.
+The :class:`~repro.core.runtime.context.Frame` is the mutable
+evaluation state: focus and variable bindings are mutated in place
+with save/restore instead of cloning a context per item.
 
-Semantics contract: every runner reproduces the legacy evaluator's
-observable behavior item-for-item, including its ordering rules (a
-step's *output* is always document-ordered; only predicate-visible
-candidate order is reversed on reverse axes) — enforced by the
-differential tests in ``tests/test_plan_pipeline.py``.
+Semantics contract (DESIGN.md §8): a step's *output* is always
+document-ordered and duplicate-free; only the candidate order a
+predicate can observe is reversed on reverse axes; a dynamic error is
+raised when — and only if — the erroring subexpression is reached.
+Every runner holds to it item for item, which the differential tests
+in ``tests/test_plan_pipeline.py`` check against the reference
+tree-walker in ``tests/treewalk.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable
 
 import numpy as np
@@ -57,16 +53,22 @@ from repro.core.goddag.nodes import (
 from repro.core.lang import ast
 from repro.core.plan import logical as L
 from repro.core.runtime import values
-from repro.core.runtime.context import QueryOptions, QueryStats
-from repro.core.runtime.evaluator import (
-    LAST_QUERY_STATS,
+from repro.core.runtime.context import Frame, QueryOptions, QueryStats
+from repro.core.runtime.semantics import (
     REVERSE_AXES,
-    _append_content,
-    _predicate_holds,
-    _singleton_number,
-    _snapshot,
+    append_content,
+    copy_dom,
+    copy_gnode,
     node_in_hierarchies,
+    require_gnodes,
+    require_navigable,
+    snapshot,
+)
+from repro.core.runtime.values import (
+    arithmetic,
     order_key_value,
+    predicate_holds,
+    singleton_number,
 )
 from repro.core.goddag.temp import TemporaryHierarchyManager
 
@@ -75,46 +77,13 @@ Runner = Callable[["Frame"], list]
 _MISSING = object()
 
 
-class Frame:
-    """Mutable pipeline evaluation state (EvalContext duck type)."""
-
-    __slots__ = ("goddag", "functions", "options", "temp_manager",
-                 "variables", "item", "position", "size", "stats",
-                 "mask_memo")
-
-    def __init__(self, goddag, functions, options, temp_manager,
-                 variables, stats) -> None:
-        self.goddag = goddag
-        self.functions = functions
-        self.options = options
-        self.temp_manager = temp_manager
-        self.variables = variables
-        self.item = None
-        self.position = 0
-        self.size = 0
-        self.stats = stats
-        #: ``(epoch, {(name, term): column})`` — the mask columns of
-        #: this evaluation (:func:`_mask_column`).  They live here and
-        #: die with the frame: a compiled plan outlives the documents
-        #: it runs against and must never hold one of their arrays.
-        self.mask_memo = None
-
-    def context_item(self):
-        if self.item is None:
-            raise QueryEvaluationError("the context item is undefined here")
-        return self.item
-
-    def variable(self, name: str) -> list:
-        if name not in self.variables:
-            raise QueryEvaluationError(f"undefined variable ${name}")
-        return self.variables[name]
-
-
 def execute_plan(fn: Runner, goddag, variables=None, options=None,
                  functions=None, keep_temporaries: bool = False,
                  stats: QueryStats | None = None) -> list:
-    """Run a compiled plan with the same lifecycle as ``evaluate_query``:
-    root focus, temporary-hierarchy teardown, snapshot of temp items."""
+    """Run a compiled plan: root focus, then — unless
+    ``keep_temporaries`` — result items living in ``analyze-string``
+    temporaries are copied out and every temporary hierarchy is dropped
+    (Definition 4(5))."""
     from repro.core.runtime.functions import default_registry
 
     registry = dict(default_registry())
@@ -130,13 +99,9 @@ def execute_plan(fn: Runner, goddag, variables=None, options=None,
     try:
         result = fn(frame)
         if not keep_temporaries:
-            result = [_snapshot(item, goddag) for item in result]
+            result = [snapshot(item, goddag) for item in result]
         return result
     finally:
-        # Keep the deprecated module-global alias mirroring the most
-        # recent call regardless of which execution path served it.
-        LAST_QUERY_STATS.clear()
-        LAST_QUERY_STATS.update(frame.stats.as_dict())
         if not keep_temporaries:
             manager.drop_all()
 
@@ -184,8 +149,8 @@ def _compile_range(op: L.RangeOp) -> Runner:
     upper_fn = compile_plan(op.upper)
 
     def run(frame: Frame) -> list:
-        lower = _singleton_number(lower_fn(frame))
-        upper = _singleton_number(upper_fn(frame))
+        lower = singleton_number(lower_fn(frame))
+        upper = singleton_number(upper_fn(frame))
         if lower is None or upper is None:
             return []
         return list(range(int(lower), int(upper) + 1))
@@ -295,30 +260,11 @@ def _compile_arith(op: L.ArithOp) -> Runner:
     operator = op.op
 
     def run(frame: Frame) -> list:
-        left = _singleton_number(left_fn(frame))
-        right = _singleton_number(right_fn(frame))
+        left = singleton_number(left_fn(frame))
+        right = singleton_number(right_fn(frame))
         if left is None or right is None:
             return []
-        try:
-            if operator == "+":
-                return [left + right]
-            if operator == "-":
-                return [left - right]
-            if operator == "*":
-                return [left * right]
-            if operator == "div":
-                return [left / right]
-            if operator == "idiv":
-                return [int(left / right)]
-            if operator == "mod":
-                result = math.fmod(left, right)
-                if isinstance(left, int) and isinstance(right, int):
-                    return [int(result)]
-                return [result]
-        except ZeroDivisionError:
-            raise QueryEvaluationError("division by zero") from None
-        raise QueryEvaluationError(
-            f"unknown arithmetic operator {operator!r}")
+        return [arithmetic(operator, left, right)]
 
     return run
 
@@ -328,20 +274,12 @@ def _compile_neg(op: L.NegOp) -> Runner:
     negate = op.op == "-"
 
     def run(frame: Frame) -> list:
-        value = _singleton_number(operand_fn(frame))
+        value = singleton_number(operand_fn(frame))
         if value is None:
             return []
         return [-value if negate else value]
 
     return run
-
-
-def _require_gnodes(sequence: list, op: str) -> list:
-    for item in sequence:
-        if not isinstance(item, GNode):
-            raise QueryEvaluationError(
-                f"'{op}' operates on KyGODDAG node sequences")
-    return sequence
 
 
 def _compile_union(op: L.UnionOp) -> Runner:
@@ -350,7 +288,7 @@ def _compile_union(op: L.UnionOp) -> Runner:
     def run(frame: Frame) -> list:
         nodes: list = []
         for operand in operands:
-            nodes.extend(_require_gnodes(operand(frame), "union"))
+            nodes.extend(require_gnodes(operand(frame), "union"))
         return frame.goddag.sort_nodes(nodes)
 
     return run
@@ -363,9 +301,9 @@ def _compile_intersect(op: L.IntersectOp) -> Runner:
     operator = op.op
 
     def run(frame: Frame) -> list:
-        left = _require_gnodes(left_fn(frame), operator)
+        left = require_gnodes(left_fn(frame), operator)
         right_ids = {id(node)
-                     for node in _require_gnodes(right_fn(frame), operator)}
+                     for node in require_gnodes(right_fn(frame), operator)}
         if keep_common:
             kept = [node for node in left if id(node) in right_ids]
         else:
@@ -435,8 +373,9 @@ def _compile_func(op: L.FuncOp) -> Runner:
         pattern = _const_string(op.args[1])
         if pattern is not None:
             # ``matches(string(.), 'pattern')`` — compile the regex once
-            # (lazily, keeping the legacy call's error timing) and probe
-            # the context string value directly.
+            # (lazily: a bad pattern must raise when the call is first
+            # reached, not when the plan is compiled) and probe the
+            # context string value directly.
             cell: list = [None]
             builtin_matches = _builtin("matches")
             builtin_string = _builtin("string")
@@ -500,7 +439,7 @@ def _compile_construct(op: L.ConstructOp) -> Runner:
             if isinstance(piece, str):
                 element.append(dom.Text(piece))
             else:
-                _append_content(element, piece(frame))
+                append_content(element, piece(frame))
         return [element]
 
     return run
@@ -513,7 +452,6 @@ def _compile_update(op: L.UpdatePrimOp) -> Runner:
     Snapshot semantics fall out of the architecture: nothing mutates
     during evaluation, so every child plan sees the untouched document.
     """
-    from repro.core.runtime.evaluator import copy_dom, copy_gnode
     from repro.core.update import pul
 
     arg_fns = {name: compile_plan(plan) for name, plan in op.args}
@@ -690,7 +628,7 @@ def _compile_predicate(op: L.PredicateOp):
                 frame.item = item
                 frame.position = position
                 frame.size = size
-                if _predicate_holds(plan_fn(frame), position):
+                if predicate_holds(plan_fn(frame), position):
                     kept.append(item)
         finally:
             frame.item = old_item
@@ -933,7 +871,7 @@ def _compile_join(op: L.IntervalJoinOp):
             return []
         for item in inputs:
             if not isinstance(item, GNode):
-                _require_navigable(item)
+                require_navigable(item)
         goddag = frame.goddag
         stats = frame.stats
         stats.axis_steps += 1
@@ -1017,22 +955,13 @@ def _make_test_factory(test: ast.NodeTest, axis: str):
     raise QueryEvaluationError(f"unknown node test kind {kind!r}")
 
 
-def _require_navigable(item) -> None:
-    if not isinstance(item, GNode):
-        raise QueryEvaluationError(
-            "path steps navigate KyGODDAG nodes; got "
-            f"{type(item).__name__} (constructed nodes are not "
-            f"navigable)")
-
-
 def _compile_step(op: L.StepOp):
     """``fn(frame, inputs) -> outputs`` for one set-at-a-time axis step.
 
-    Output is always document-ordered and duplicate-free (matching the
-    legacy evaluator) unless ``emit == "any"``, where no consumer can
-    observe the order and sorts are skipped.  Predicates see candidates
-    in the legacy per-input order: document order, reversed on reverse
-    axes.
+    Output is always document-ordered and duplicate-free unless
+    ``emit == "any"``, where no consumer can observe the order and
+    sorts are skipped.  Predicates see each input node's candidates in
+    document order, reversed on reverse axes.
     """
     axis = op.axis
     reverse = axis in REVERSE_AXES
@@ -1066,7 +995,7 @@ def _compile_step(op: L.StepOp):
             return []
         for item in inputs:
             if not isinstance(item, GNode):
-                _require_navigable(item)
+                require_navigable(item)
         goddag = frame.goddag
         stats = frame.stats
         stats.axis_steps += 1
@@ -1123,8 +1052,8 @@ def _compile_step(op: L.StepOp):
             for set_filter in set_filters:
                 found = set_filter(frame, found)
             return found
-        # Predicated: candidates per input in legacy predicate order
-        # (reverse axes count positions away from the context node),
+        # Predicated: candidates per input in predicate order (reverse
+        # axes count positions away from the context node),
         # then one merge across inputs.
         if len(inputs) == 1:
             node = inputs[0]
@@ -1225,7 +1154,7 @@ def _compile_step_exists(op: L.StepOp):
         def exists_ancestor(frame: Frame) -> bool:
             node = frame.context_item()
             if not isinstance(node, GNode):
-                _require_navigable(node)
+                require_navigable(node)
             frame.stats.axis_steps += 1
             frame.stats.ordered_steps += 1
             goddag = frame.goddag
@@ -1250,7 +1179,7 @@ def _compile_step_exists(op: L.StepOp):
         def exists_masked(frame: Frame) -> bool:
             node = frame.context_item()
             if not isinstance(node, GNode):
-                _require_navigable(node)
+                require_navigable(node)
             frame.stats.axis_steps += 1
             frame.stats.ordered_steps += 1
             return bool(axis_exists_named(frame.goddag, axis, node, name))
@@ -1265,7 +1194,7 @@ def _compile_step_exists(op: L.StepOp):
     def exists_generic(frame: Frame) -> bool:
         node = frame.context_item()
         if not isinstance(node, GNode):
-            _require_navigable(node)
+            require_navigable(node)
         frame.stats.axis_steps += 1
         frame.stats.ordered_steps += 1
         goddag = frame.goddag
@@ -1300,7 +1229,7 @@ def _compile_step_exists_predicated(op: L.StepOp):
     def exists_predicated(frame: Frame) -> bool:
         node = frame.context_item()
         if not isinstance(node, GNode):
-            _require_navigable(node)
+            require_navigable(node)
         frame.stats.axis_steps += 1
         frame.stats.ordered_steps += 1
         goddag = frame.goddag
@@ -1432,7 +1361,7 @@ def _compile_flwor_streaming(op: L.FLWOROp) -> Runner:
     Invariant ``let``/``where`` clauses evaluate on the first tuple of
     each FLWOR execution and reuse the value — lazy loop-invariant
     hoisting that keeps error timing and the empty-stream case exactly
-    as the legacy per-tuple evaluation.
+    as evaluating the clause once per tuple would.
     """
     return_fn = compile_plan(op.return_plan)
     cells: list[list] = []
@@ -1553,8 +1482,9 @@ def _make_streaming_clause(clause: L.Plan, nxt, cells: list):
 
 
 def _compile_flwor_materialized(op: L.FLWOROp) -> Runner:
-    """Tuple-list FLWOR (order-by present), mirroring the legacy
-    evaluator's materialized tuple stream via variable snapshots."""
+    """Tuple-list FLWOR (order-by present): the tuple stream is
+    materialized as one variable snapshot per tuple, so ``order by``
+    can sort it (stable, last key first)."""
     compiled: list[tuple] = []
     for clause in op.clauses:
         if isinstance(clause, L.ForOp):

@@ -13,7 +13,7 @@ families that annotate the *plan* rather than the AST:
 * **loop-invariant hoisting** — a pure ``let``/``where`` whose free
   variables are untouched by the enclosing ``for`` clauses is marked
   invariant; the physical FLWOR evaluates it on the first tuple only
-  and reuses the value, which preserves the legacy evaluator's error
+  and reuses the value, which preserves per-tuple evaluation's error
   timing and empty-stream behavior exactly (lazy hoisting).
 """
 
@@ -28,6 +28,7 @@ from repro.core.plan.rewrite import (
     is_statically_boolean,
     uses_position,
 )
+from repro.core.runtime.semantics import REVERSE_AXES
 
 #: Builtins whose value is insensitive to the order of an argument
 #: sequence (the multiset is preserved by construction).  ``sum``/
@@ -226,7 +227,7 @@ def _plan_path(expr: ast.PathExpr, ordered: bool,
     steps: list[L.Plan] = []
     anchor = expr.anchor
     if anchor == "descendant":
-        # Unrewritten ``//x``: make the legacy implicit step explicit.
+        # Unrewritten ``//x``: make the implicit step explicit.
         steps.append(L.StepOp(axis="descendant-or-self",
                               test=ast.KindTest("node")))
         anchor = "root"
@@ -268,7 +269,7 @@ def _plan_path(expr: ast.PathExpr, ordered: bool,
                         and isinstance(steps[index + 1], L.StepOp))
         if next_is_axis or (is_last and not ordered):
             step.emit = "any"
-            if step.axis in _REVERSE_AXES:
+            if step.axis in REVERSE_AXES:
                 notes.append(
                     f"reverse-axis-normalization: {step.axis}:: step "
                     "treated as forward (order unobservable)")
@@ -276,12 +277,6 @@ def _plan_path(expr: ast.PathExpr, ordered: bool,
         return L.PathOp("primary", _plan(expr.primary, True, notes),
                         steps, ordered_result=ordered)
     return L.PathOp(anchor, None, steps, ordered_result=ordered)
-
-
-_REVERSE_AXES = frozenset({
-    "ancestor", "ancestor-or-self", "preceding", "preceding-sibling",
-    "parent", "xancestor", "xpreceding",
-})
 
 
 # ---------------------------------------------------------------------------

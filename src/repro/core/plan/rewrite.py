@@ -3,9 +3,10 @@
 ``rewrite(expr)`` returns ``(expr', notes)`` where ``expr'`` is an
 equivalent AST and ``notes`` names every rule application (surfaced by
 ``CompiledQuery.explain()``).  Rules are deliberately conservative:
-each one must preserve the *legacy evaluator's* observable behavior —
-item-for-item results, including its documented ordering quirks — which
-the differential tests enforce.
+each one must preserve the observable behavior of evaluating the
+source AST node by node — item-for-item results, emission order and
+error timing (DESIGN.md §8) — which the differential tests against
+the reference tree-walker enforce.
 
 Rule catalog (DESIGN.md §8):
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.errors import QueryEvaluationError
 from repro.core.lang import ast
 from repro.core.runtime import values
 
@@ -167,13 +169,12 @@ def _fold_one(expr: ast.Expr, notes: list[str]) -> ast.Expr:
         if left is None or right is None:
             return expr
         try:
-            from repro.core.runtime.evaluator import _eval_arithmetic
-            folded = _eval_arithmetic(expr, None)
-        except Exception:
+            folded = values.arithmetic(expr.op, left, right)
+        except QueryEvaluationError:
             return expr  # keep runtime errors at runtime
         notes.append(f"constant-folding: {left} {expr.op} {right}"
-                     f" -> {folded[0]}")
-        return ast.Literal(folded[0], expr.offset)
+                     f" -> {folded}")
+        return ast.Literal(folded, expr.offset)
     if isinstance(expr, ast.UnaryExpr):
         value = _literal_number(expr.operand)
         if value is None:

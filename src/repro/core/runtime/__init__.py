@@ -1,17 +1,45 @@
-"""The query runtime: evaluator, function library, serialization."""
+"""The query runtime: contexts, values, function library, serialization."""
 
-from repro.core.runtime.context import EvalContext, QueryOptions, QueryStats
-from repro.core.runtime.evaluator import evaluate, evaluate_query
+from __future__ import annotations
+
+from typing import Any
+
+from repro.core.goddag.goddag import KyGoddag
+from repro.core.lang import ast
+from repro.core.runtime.context import Frame, QueryOptions, QueryStats
 from repro.core.runtime.functions import default_registry
 from repro.core.runtime.serializer import serialize_item, serialize_items
 
 __all__ = [
-    "EvalContext",
+    "Frame",
     "QueryOptions",
     "QueryStats",
-    "evaluate",
     "evaluate_query",
     "default_registry",
     "serialize_item",
     "serialize_items",
 ]
+
+
+def evaluate_query(goddag: KyGoddag, query: str | ast.Expr,
+                   variables: dict[str, list] | None = None,
+                   options: QueryOptions | None = None,
+                   functions: dict[str, Any] | None = None,
+                   keep_temporaries: bool = False,
+                   stats: QueryStats | None = None) -> list:
+    """Compile ``query`` (text or a parsed AST) and run it once against
+    ``goddag``; returns the item list.
+
+    The one-shot form of ``compile_query(query).execute(goddag, …)``:
+    the root is the initial context item, every ``analyze-string``
+    temporary hierarchy is dropped when evaluation finishes (Definition
+    4(5)) and result items living in one are copied out first, unless
+    ``keep_temporaries``.  ``stats`` is a caller-owned
+    :class:`QueryStats` the call fills in.
+    """
+    # the plan package imports this one (values, context) at load time
+    from repro.core.plan import compile_query
+
+    return compile_query(query).execute(
+        goddag, variables=variables, options=options, functions=functions,
+        keep_temporaries=keep_temporaries, stats=stats)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from repro.errors import FunctionError
 from repro.cmh.spans import Span, SpanSet
 from repro.core.goddag.nodes import GNode
-from repro.core.runtime.context import EvalContext
+from repro.core.runtime.context import Frame
 
 _TAG = re.compile(r"</?([A-Za-z_][\w.\-]*)>")
 
@@ -133,7 +133,7 @@ def _strip_anchoring_dotstars(source: str) -> str:
     return stripped if stripped else source
 
 
-def analyze_string(ctx: EvalContext, node: GNode, pattern: str,
+def analyze_string(ctx: Frame, node: GNode, pattern: str,
                    flags: str = "") -> list:
     """Execute Definition 4; returns the temporary ``<res>`` element.
 

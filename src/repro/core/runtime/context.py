@@ -1,11 +1,10 @@
 """Static and dynamic evaluation context.
 
 :class:`QueryOptions` collects the documented compatibility knobs;
-:class:`EvalContext` carries the focus (context item, position, size),
-variable bindings, and the per-query temporary-hierarchy manager that
-implements Definition 4(5) (temporary hierarchies die with the query).
-Contexts are immutable-ish: focus/variable changes produce shallow
-copies so sibling iterations cannot interfere.
+:class:`QueryStats` the per-call counters; :class:`Frame` carries the
+focus (context item, position, size), variable bindings, and the
+per-query temporary-hierarchy manager that implements Definition 4(5)
+(temporary hierarchies die with the query).
 """
 
 from __future__ import annotations
@@ -22,31 +21,33 @@ from repro.core.goddag.temp import TemporaryHierarchyManager
 class QueryStats:
     """Per-call evaluation counters (DESIGN.md §5, §8).
 
-    One instance lives for exactly one query evaluation; the engine
-    attaches it to the :class:`~repro.api.QueryResult`.  The mutable
-    module global ``evaluator.LAST_QUERY_STATS`` survives only as a
-    deprecated alias mirroring the most recent call.
+    One instance lives for exactly one query evaluation and is owned by
+    its caller: the engine creates one per call and attaches it to the
+    :class:`~repro.api.QueryResult`; ``evaluate_query`` and
+    ``CompiledQuery.execute`` fill in the one passed as ``stats=``.
+    Nothing is kept between queries or shared between threads.
 
     Attributes
     ----------
     axis_steps:
-        Axis location steps evaluated (one per context item in the
-        tree-walking evaluator, one per *batch* in the pipeline).
+        Axis location steps evaluated: one per *batch* for a
+        set-at-a-time step, one per probed candidate for an existence
+        probe.
     ordered_steps:
         Of those, steps served straight from an already-document-ordered
         axis slice — no sort needed.
     batched_steps:
-        Pipeline only: steps evaluated set-at-a-time over a whole
-        context sequence in one batched axis call.
+        Steps evaluated set-at-a-time over a whole context sequence in
+        one batched axis call.
     join_steps:
-        Pipeline only: vectorized interval-join executions — one per
-        extended-axis step run through the join engine plus one per
-        batched existence probe: a semi-join predicate, or one
+        Vectorized interval-join executions — one per extended-axis
+        step run through the join engine plus one per batched
+        existence probe: a semi-join predicate, or one
         ``axis::name`` term of a decorrelated mask predicate, which
         also counts as one batched axis step (DESIGN.md §11, §16).
     batched_extended_steps:
-        Pipeline only: extended-axis steps actually served by the
-        set-at-a-time join kernels instead of per-node span arithmetic
+        Extended-axis steps actually served by the set-at-a-time join
+        kernels instead of per-node span arithmetic
         (a subset of ``join_steps``; single-context steps delegated to
         the per-node walk count in ``join_steps`` only).  A predicated
         step whose predicates are neither semi-joins nor mask plans —
@@ -54,8 +55,8 @@ class QueryStats:
         grammar — runs the per-node machinery and counts in neither;
         there every probed candidate is one ``axis_steps``.
     plan_cache_hit:
-        Pipeline only: the compiled plan came from the engine's LRU
-        cache instead of a fresh parse/rewrite/plan run.
+        The compiled plan came from the engine's LRU cache instead of
+        a fresh parse/rewrite/plan run.
     op_actuals:
         Costed plans only (DESIGN.md §16): actual output cardinality
         per annotated operator, keyed by ``StepOp.op_id`` (summed when
@@ -81,23 +82,6 @@ class QueryStats:
     cost_fallbacks: int = 0
     est_rows: float | None = None
     act_rows: int | None = None
-
-    # -- dict-style compatibility (the legacy stats were a plain dict) --
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "axis_steps": self.axis_steps,
-            "ordered_steps": self.ordered_steps,
-            "batched_steps": self.batched_steps,
-            "join_steps": self.join_steps,
-            "batched_extended_steps": self.batched_extended_steps,
-        }
-
-    def __getitem__(self, key: str) -> int:
-        return self.as_dict()[key]
-
-    def keys(self):
-        return self.as_dict().keys()
 
 
 @dataclass(frozen=True)
@@ -129,70 +113,45 @@ class QueryOptions:
     cost_fallback_factor: float = 8.0
 
 
-class EvalContext:
-    """The dynamic context of one evaluation focus."""
+class Frame:
+    """The mutable dynamic context of one query evaluation.
 
-    __slots__ = ("goddag", "item", "position", "size", "variables",
-                 "functions", "options", "temp_manager", "stats")
+    Focus and variable bindings are changed in place with save/restore
+    around each iteration instead of cloning a context per item.  The
+    builtin function library reads ``goddag``, ``position``, ``size``,
+    ``options``, ``temp_manager`` and ``context_item()`` from it.
+    """
+
+    __slots__ = ("goddag", "functions", "options", "temp_manager",
+                 "variables", "item", "position", "size", "stats",
+                 "mask_memo")
 
     def __init__(self, goddag: KyGoddag, functions: dict[str, Any],
                  options: QueryOptions,
                  temp_manager: TemporaryHierarchyManager,
-                 variables: dict[str, list] | None = None,
-                 stats: QueryStats | None = None) -> None:
+                 variables: dict[str, list], stats: QueryStats) -> None:
         self.goddag = goddag
-        self.item = None
-        self.position = 0
-        self.size = 0
-        self.variables: dict[str, list] = dict(variables or {})
         self.functions = functions
         self.options = options
         self.temp_manager = temp_manager
-        # Shared across all focus clones of one query: the evaluator's
-        # sort-avoidance instrumentation (DESIGN.md §5).
-        self.stats: QueryStats = stats if stats is not None else QueryStats()
-
-    def _clone(self) -> "EvalContext":
-        clone = EvalContext.__new__(EvalContext)
-        clone.goddag = self.goddag
-        clone.item = self.item
-        clone.position = self.position
-        clone.size = self.size
-        clone.variables = self.variables
-        clone.functions = self.functions
-        clone.options = self.options
-        clone.temp_manager = self.temp_manager
-        clone.stats = self.stats
-        return clone
-
-    def with_focus(self, item: Any, position: int, size: int
-                   ) -> "EvalContext":
-        """A context focused on one item of an iteration."""
-        clone = self._clone()
-        clone.item = item
-        clone.position = position
-        clone.size = size
-        return clone
-
-    def with_variable(self, name: str, value: list) -> "EvalContext":
-        """A context with one additional variable binding."""
-        clone = self._clone()
-        clone.variables = dict(self.variables)
-        clone.variables[name] = value
-        return clone
-
-    def with_variables(self, bindings: dict[str, list]) -> "EvalContext":
-        clone = self._clone()
-        clone.variables = dict(self.variables)
-        clone.variables.update(bindings)
-        return clone
-
-    def variable(self, name: str) -> list:
-        if name not in self.variables:
-            raise QueryEvaluationError(f"undefined variable ${name}")
-        return self.variables[name]
+        self.variables = variables
+        self.item = None
+        self.position = 0
+        self.size = 0
+        self.stats = stats
+        #: ``(epoch, {(name, term): column})`` — the mask columns of
+        #: this evaluation (``physical._mask_column``).  They live here
+        #: and die with the frame: a compiled plan outlives the
+        #: documents it runs against and must never hold one of their
+        #: arrays.
+        self.mask_memo = None
 
     def context_item(self) -> Any:
         if self.item is None:
             raise QueryEvaluationError("the context item is undefined here")
         return self.item
+
+    def variable(self, name: str) -> list:
+        if name not in self.variables:
+            raise QueryEvaluationError(f"undefined variable ${name}")
+        return self.variables[name]

@@ -27,9 +27,9 @@ from repro.errors import FunctionError
 from repro.core.goddag.nodes import GAttr, GElement, GNode, GPi, GRoot
 from repro.core.runtime import values
 from repro.core.runtime.analyze import analyze_string
-from repro.core.runtime.context import EvalContext
+from repro.core.runtime.context import Frame
 
-Registry = dict[str, Callable[[EvalContext, list], list]]
+Registry = dict[str, Callable[[Frame, list], list]]
 
 
 def default_registry() -> Registry:
@@ -44,7 +44,7 @@ def _register(name: str, min_args: int, max_args: int | None):
     """Register a builtin with arity checking under ``name``."""
 
     def decorator(fn: Callable[..., list]):
-        def wrapper(ctx: EvalContext, args: list) -> list:
+        def wrapper(ctx: Frame, args: list) -> list:
             if len(args) < min_args or (max_args is not None
                                         and len(args) > max_args):
                 expected = (str(min_args) if min_args == max_args
@@ -60,7 +60,7 @@ def _register(name: str, min_args: int, max_args: int | None):
     return decorator
 
 
-def _context_or_arg(ctx: EvalContext, args: list, index: int = 0) -> list:
+def _context_or_arg(ctx: Frame, args: list, index: int = 0) -> list:
     """The ``index``-th argument, defaulting to the context item."""
     if len(args) > index:
         return args[index]
@@ -109,22 +109,22 @@ def _compile(pattern: str, flags: str) -> re.Pattern:
 
 
 @_register("position", 0, 0)
-def _fn_position(ctx: EvalContext, args: list) -> list:
+def _fn_position(ctx: Frame, args: list) -> list:
     return [ctx.position]
 
 
 @_register("last", 0, 0)
-def _fn_last(ctx: EvalContext, args: list) -> list:
+def _fn_last(ctx: Frame, args: list) -> list:
     return [ctx.size]
 
 
 @_register("count", 1, 1)
-def _fn_count(ctx: EvalContext, args: list) -> list:
+def _fn_count(ctx: Frame, args: list) -> list:
     return [len(args[0])]
 
 
 @_register("name", 0, 1)
-def _fn_name(ctx: EvalContext, args: list) -> list:
+def _fn_name(ctx: Frame, args: list) -> list:
     sequence = _context_or_arg(ctx, args)
     if not sequence:
         return [""]
@@ -135,19 +135,19 @@ def _fn_name(ctx: EvalContext, args: list) -> list:
 
 
 @_register("local-name", 0, 1)
-def _fn_local_name(ctx: EvalContext, args: list) -> list:
+def _fn_local_name(ctx: Frame, args: list) -> list:
     name = _fn_name(ctx, args)[0]
     _prefix, _sep, local = name.rpartition(":")
     return [local]
 
 
 @_register("root", 0, 1)
-def _fn_root(ctx: EvalContext, args: list) -> list:
+def _fn_root(ctx: Frame, args: list) -> list:
     return [ctx.goddag.root]
 
 
 @_register("hierarchy", 0, 1)
-def _fn_hierarchy(ctx: EvalContext, args: list) -> list:
+def _fn_hierarchy(ctx: Frame, args: list) -> list:
     """Extension: the hierarchy owning a node ('' for root/leaves)."""
     sequence = _context_or_arg(ctx, args)
     if not sequence:
@@ -159,13 +159,13 @@ def _fn_hierarchy(ctx: EvalContext, args: list) -> list:
 
 
 @_register("hierarchies", 0, 0)
-def _fn_hierarchies(ctx: EvalContext, args: list) -> list:
+def _fn_hierarchies(ctx: Frame, args: list) -> list:
     """Extension: all hierarchy names, in registration order."""
     return list(ctx.goddag.hierarchy_names)
 
 
 @_register("leaves", 0, 1)
-def _fn_leaves(ctx: EvalContext, args: list) -> list:
+def _fn_leaves(ctx: Frame, args: list) -> list:
     """Extension: ``leaves(n)`` — the node's leaf sequence."""
     sequence = _context_or_arg(ctx, args)
     if not sequence:
@@ -177,7 +177,7 @@ def _fn_leaves(ctx: EvalContext, args: list) -> list:
 
 
 @_register("span", 0, 1)
-def _fn_span(ctx: EvalContext, args: list) -> list:
+def _fn_span(ctx: Frame, args: list) -> list:
     """Extension: the (start, end) character span of a node."""
     sequence = _context_or_arg(ctx, args)
     if not sequence:
@@ -189,7 +189,7 @@ def _fn_span(ctx: EvalContext, args: list) -> list:
 
 
 @_register("analyze-string", 2, 3)
-def _fn_analyze_string(ctx: EvalContext, args: list) -> list:
+def _fn_analyze_string(ctx: Frame, args: list) -> list:
     node_sequence = args[0]
     if len(node_sequence) != 1 or not isinstance(node_sequence[0], GNode):
         raise FunctionError(
@@ -205,39 +205,39 @@ def _fn_analyze_string(ctx: EvalContext, args: list) -> list:
 
 
 @_register("string", 0, 1)
-def _fn_string(ctx: EvalContext, args: list) -> list:
+def _fn_string(ctx: Frame, args: list) -> list:
     return [_one_string(_context_or_arg(ctx, args))]
 
 
 @_register("concat", 2, None)
-def _fn_concat(ctx: EvalContext, args: list) -> list:
+def _fn_concat(ctx: Frame, args: list) -> list:
     return ["".join(_one_string(arg) for arg in args)]
 
 
 @_register("string-join", 1, 2)
-def _fn_string_join(ctx: EvalContext, args: list) -> list:
+def _fn_string_join(ctx: Frame, args: list) -> list:
     separator = _one_string(args[1]) if len(args) > 1 else ""
     return [separator.join(
         values.string_value(values.atomize(item)) for item in args[0])]
 
 
 @_register("contains", 2, 2)
-def _fn_contains(ctx: EvalContext, args: list) -> list:
+def _fn_contains(ctx: Frame, args: list) -> list:
     return [_one_string(args[1]) in _one_string(args[0])]
 
 
 @_register("starts-with", 2, 2)
-def _fn_starts_with(ctx: EvalContext, args: list) -> list:
+def _fn_starts_with(ctx: Frame, args: list) -> list:
     return [_one_string(args[0]).startswith(_one_string(args[1]))]
 
 
 @_register("ends-with", 2, 2)
-def _fn_ends_with(ctx: EvalContext, args: list) -> list:
+def _fn_ends_with(ctx: Frame, args: list) -> list:
     return [_one_string(args[0]).endswith(_one_string(args[1]))]
 
 
 @_register("substring", 2, 3)
-def _fn_substring(ctx: EvalContext, args: list) -> list:
+def _fn_substring(ctx: Frame, args: list) -> list:
     text = _one_string(args[0])
     start = _one_number(args[1])
     if math.isnan(start):
@@ -256,31 +256,31 @@ def _fn_substring(ctx: EvalContext, args: list) -> list:
 
 
 @_register("substring-before", 2, 2)
-def _fn_substring_before(ctx: EvalContext, args: list) -> list:
+def _fn_substring_before(ctx: Frame, args: list) -> list:
     text, needle = _one_string(args[0]), _one_string(args[1])
     index = text.find(needle)
     return [text[:index] if index != -1 else ""]
 
 
 @_register("substring-after", 2, 2)
-def _fn_substring_after(ctx: EvalContext, args: list) -> list:
+def _fn_substring_after(ctx: Frame, args: list) -> list:
     text, needle = _one_string(args[0]), _one_string(args[1])
     index = text.find(needle)
     return [text[index + len(needle):] if index != -1 else ""]
 
 
 @_register("string-length", 0, 1)
-def _fn_string_length(ctx: EvalContext, args: list) -> list:
+def _fn_string_length(ctx: Frame, args: list) -> list:
     return [len(_one_string(_context_or_arg(ctx, args)))]
 
 
 @_register("normalize-space", 0, 1)
-def _fn_normalize_space(ctx: EvalContext, args: list) -> list:
+def _fn_normalize_space(ctx: Frame, args: list) -> list:
     return [" ".join(_one_string(_context_or_arg(ctx, args)).split())]
 
 
 @_register("translate", 3, 3)
-def _fn_translate(ctx: EvalContext, args: list) -> list:
+def _fn_translate(ctx: Frame, args: list) -> list:
     text = _one_string(args[0])
     source = _one_string(args[1])
     target = _one_string(args[2])
@@ -294,24 +294,24 @@ def _fn_translate(ctx: EvalContext, args: list) -> list:
 
 
 @_register("upper-case", 1, 1)
-def _fn_upper_case(ctx: EvalContext, args: list) -> list:
+def _fn_upper_case(ctx: Frame, args: list) -> list:
     return [_one_string(args[0]).upper()]
 
 
 @_register("lower-case", 1, 1)
-def _fn_lower_case(ctx: EvalContext, args: list) -> list:
+def _fn_lower_case(ctx: Frame, args: list) -> list:
     return [_one_string(args[0]).lower()]
 
 
 @_register("matches", 2, 3)
-def _fn_matches(ctx: EvalContext, args: list) -> list:
+def _fn_matches(ctx: Frame, args: list) -> list:
     flags = _one_string(args[2]) if len(args) > 2 else ""
     regex = _compile(_one_string(args[1]), flags)
     return [regex.search(_one_string(args[0])) is not None]
 
 
 @_register("replace", 3, 4)
-def _fn_replace(ctx: EvalContext, args: list) -> list:
+def _fn_replace(ctx: Frame, args: list) -> list:
     flags = _one_string(args[3]) if len(args) > 3 else ""
     regex = _compile(_one_string(args[1]), flags)
     replacement = _one_string(args[2]).replace("$0", r"\g<0>")
@@ -320,7 +320,7 @@ def _fn_replace(ctx: EvalContext, args: list) -> list:
 
 
 @_register("tokenize", 2, 3)
-def _fn_tokenize(ctx: EvalContext, args: list) -> list:
+def _fn_tokenize(ctx: Frame, args: list) -> list:
     flags = _one_string(args[2]) if len(args) > 2 else ""
     regex = _compile(_one_string(args[1]), flags)
     text = _one_string(args[0])
@@ -335,19 +335,19 @@ def _fn_tokenize(ctx: EvalContext, args: list) -> list:
 
 
 @_register("number", 0, 1)
-def _fn_number(ctx: EvalContext, args: list) -> list:
+def _fn_number(ctx: Frame, args: list) -> list:
     return [_one_number(_context_or_arg(ctx, args))]
 
 
 @_register("sum", 1, 2)
-def _fn_sum(ctx: EvalContext, args: list) -> list:
+def _fn_sum(ctx: Frame, args: list) -> list:
     if not args[0]:
         return [args[1][0]] if len(args) > 1 and args[1] else [0]
     return [sum(values.to_number(item) for item in args[0])]
 
 
 @_register("avg", 1, 1)
-def _fn_avg(ctx: EvalContext, args: list) -> list:
+def _fn_avg(ctx: Frame, args: list) -> list:
     if not args[0]:
         return []
     return [sum(values.to_number(item) for item in args[0]) / len(args[0])]
@@ -367,29 +367,29 @@ def _extremum(args: list, pick) -> list:
 
 
 @_register("min", 1, 1)
-def _fn_min(ctx: EvalContext, args: list) -> list:
+def _fn_min(ctx: Frame, args: list) -> list:
     return _extremum(args, min)
 
 
 @_register("max", 1, 1)
-def _fn_max(ctx: EvalContext, args: list) -> list:
+def _fn_max(ctx: Frame, args: list) -> list:
     return _extremum(args, max)
 
 
 @_register("floor", 1, 1)
-def _fn_floor(ctx: EvalContext, args: list) -> list:
+def _fn_floor(ctx: Frame, args: list) -> list:
     number = _one_number(args[0])
     return [number if math.isnan(number) else math.floor(number)]
 
 
 @_register("ceiling", 1, 1)
-def _fn_ceiling(ctx: EvalContext, args: list) -> list:
+def _fn_ceiling(ctx: Frame, args: list) -> list:
     number = _one_number(args[0])
     return [number if math.isnan(number) else math.ceil(number)]
 
 
 @_register("round", 1, 1)
-def _fn_round(ctx: EvalContext, args: list) -> list:
+def _fn_round(ctx: Frame, args: list) -> list:
     number = _one_number(args[0])
     if math.isnan(number):
         return [number]
@@ -397,7 +397,7 @@ def _fn_round(ctx: EvalContext, args: list) -> list:
 
 
 @_register("abs", 1, 1)
-def _fn_abs(ctx: EvalContext, args: list) -> list:
+def _fn_abs(ctx: Frame, args: list) -> list:
     return [abs(_one_number(args[0]))]
 
 
@@ -407,22 +407,22 @@ def _fn_abs(ctx: EvalContext, args: list) -> list:
 
 
 @_register("boolean", 1, 1)
-def _fn_boolean(ctx: EvalContext, args: list) -> list:
+def _fn_boolean(ctx: Frame, args: list) -> list:
     return [values.effective_boolean_value(args[0])]
 
 
 @_register("not", 1, 1)
-def _fn_not(ctx: EvalContext, args: list) -> list:
+def _fn_not(ctx: Frame, args: list) -> list:
     return [not values.effective_boolean_value(args[0])]
 
 
 @_register("true", 0, 0)
-def _fn_true(ctx: EvalContext, args: list) -> list:
+def _fn_true(ctx: Frame, args: list) -> list:
     return [True]
 
 
 @_register("false", 0, 0)
-def _fn_false(ctx: EvalContext, args: list) -> list:
+def _fn_false(ctx: Frame, args: list) -> list:
     return [False]
 
 
@@ -432,22 +432,22 @@ def _fn_false(ctx: EvalContext, args: list) -> list:
 
 
 @_register("exists", 1, 1)
-def _fn_exists(ctx: EvalContext, args: list) -> list:
+def _fn_exists(ctx: Frame, args: list) -> list:
     return [bool(args[0])]
 
 
 @_register("empty", 1, 1)
-def _fn_empty(ctx: EvalContext, args: list) -> list:
+def _fn_empty(ctx: Frame, args: list) -> list:
     return [not args[0]]
 
 
 @_register("data", 1, 1)
-def _fn_data(ctx: EvalContext, args: list) -> list:
+def _fn_data(ctx: Frame, args: list) -> list:
     return values.atomize_sequence(args[0])
 
 
 @_register("distinct-values", 1, 1)
-def _fn_distinct_values(ctx: EvalContext, args: list) -> list:
+def _fn_distinct_values(ctx: Frame, args: list) -> list:
     seen: list = []
     for item in values.atomize_sequence(args[0]):
         if not any(type(item) is type(other) and item == other
@@ -457,12 +457,12 @@ def _fn_distinct_values(ctx: EvalContext, args: list) -> list:
 
 
 @_register("reverse", 1, 1)
-def _fn_reverse(ctx: EvalContext, args: list) -> list:
+def _fn_reverse(ctx: Frame, args: list) -> list:
     return list(reversed(args[0]))
 
 
 @_register("subsequence", 2, 3)
-def _fn_subsequence(ctx: EvalContext, args: list) -> list:
+def _fn_subsequence(ctx: Frame, args: list) -> list:
     sequence = args[0]
     start = round(_one_number(args[1]))
     if len(args) > 2:
@@ -475,7 +475,7 @@ def _fn_subsequence(ctx: EvalContext, args: list) -> list:
 
 
 @_register("index-of", 2, 2)
-def _fn_index_of(ctx: EvalContext, args: list) -> list:
+def _fn_index_of(ctx: Frame, args: list) -> list:
     needle = values.atomize(args[1][0]) if args[1] else None
     out: list = []
     for position, item in enumerate(values.atomize_sequence(args[0]),
@@ -486,7 +486,7 @@ def _fn_index_of(ctx: EvalContext, args: list) -> list:
 
 
 @_register("insert-before", 3, 3)
-def _fn_insert_before(ctx: EvalContext, args: list) -> list:
+def _fn_insert_before(ctx: Frame, args: list) -> list:
     sequence, position_seq, inserts = args
     position = max(1, round(_one_number(position_seq)))
     index = min(position - 1, len(sequence))
@@ -494,38 +494,38 @@ def _fn_insert_before(ctx: EvalContext, args: list) -> list:
 
 
 @_register("remove", 2, 2)
-def _fn_remove(ctx: EvalContext, args: list) -> list:
+def _fn_remove(ctx: Frame, args: list) -> list:
     position = round(_one_number(args[1]))
     return [item for index, item in enumerate(args[0], start=1)
             if index != position]
 
 
 @_register("head", 1, 1)
-def _fn_head(ctx: EvalContext, args: list) -> list:
+def _fn_head(ctx: Frame, args: list) -> list:
     return args[0][:1]
 
 
 @_register("tail", 1, 1)
-def _fn_tail(ctx: EvalContext, args: list) -> list:
+def _fn_tail(ctx: Frame, args: list) -> list:
     return args[0][1:]
 
 
 @_register("zero-or-one", 1, 1)
-def _fn_zero_or_one(ctx: EvalContext, args: list) -> list:
+def _fn_zero_or_one(ctx: Frame, args: list) -> list:
     if len(args[0]) > 1:
         raise FunctionError("zero-or-one() got more than one item")
     return args[0]
 
 
 @_register("one-or-more", 1, 1)
-def _fn_one_or_more(ctx: EvalContext, args: list) -> list:
+def _fn_one_or_more(ctx: Frame, args: list) -> list:
     if not args[0]:
         raise FunctionError("one-or-more() got an empty sequence")
     return args[0]
 
 
 @_register("exactly-one", 1, 1)
-def _fn_exactly_one(ctx: EvalContext, args: list) -> list:
+def _fn_exactly_one(ctx: Frame, args: list) -> list:
     if len(args[0]) != 1:
         raise FunctionError(
             f"exactly-one() got {len(args[0])} items")

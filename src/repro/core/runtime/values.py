@@ -16,6 +16,7 @@ untyped document-centric XML).
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any
 
 from repro.errors import QueryEvaluationError
@@ -106,6 +107,65 @@ def format_number(value: int | float) -> str:
 
 
 # ---------------------------------------------------------------------------
+# arithmetic
+# ---------------------------------------------------------------------------
+
+
+def singleton_number(sequence: Sequence) -> float | int | None:
+    """The numeric value of an arithmetic operand (``None`` if empty)."""
+    if not sequence:
+        return None
+    if len(sequence) > 1:
+        raise QueryEvaluationError(
+            "arithmetic requires singleton operands")
+    value = atomize(sequence[0])
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (int, float)):
+        return value
+    return to_number(value)
+
+
+def _mod(left: int | float, right: int | float) -> int | float:
+    result = math.fmod(left, right)
+    if isinstance(left, int) and isinstance(right, int):
+        return int(result)
+    return result
+
+
+_ARITHMETIC = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "div": operator.truediv,
+    "idiv": lambda left, right: int(left / right),
+    "mod": _mod,
+}
+
+
+def arithmetic(op: str, left: int | float, right: int | float
+               ) -> int | float:
+    """``left op right`` over two numbers — the one arithmetic table.
+
+    The compiled plans call it at run time and the rewriter at compile
+    time (constant folding), so the two can never disagree.  Every
+    arithmetic failure is a :class:`QueryEvaluationError`: division by
+    zero, and the domain/overflow errors ``mod`` and ``idiv`` hit on
+    zero, infinite or NaN operands.
+    """
+    function = _ARITHMETIC.get(op)
+    if function is None:
+        raise QueryEvaluationError(f"unknown arithmetic operator {op!r}")
+    try:
+        return function(left, right)
+    except ZeroDivisionError:
+        raise QueryEvaluationError("division by zero") from None
+    except (ValueError, OverflowError) as error:
+        raise QueryEvaluationError(
+            f"{left} {op} {right}: {error}") from None
+
+
+# ---------------------------------------------------------------------------
 # comparisons
 # ---------------------------------------------------------------------------
 
@@ -183,3 +243,35 @@ def singleton_node(sequence: Sequence, what: str) -> Item:
     if len(sequence) != 1 or not is_node(sequence[0]):
         raise QueryEvaluationError(f"{what} requires a single node operand")
     return sequence[0]
+
+
+# ---------------------------------------------------------------------------
+# predicates and ordering
+# ---------------------------------------------------------------------------
+
+
+def predicate_holds(result: Sequence, position: int) -> bool:
+    """A predicate's verdict for the candidate at ``position``: a
+    numeric singleton selects by position, anything else by its
+    effective boolean value."""
+    if (len(result) == 1 and isinstance(result[0], (int, float))
+            and not isinstance(result[0], bool)):
+        return float(result[0]) == float(position)
+    return effective_boolean_value(result)
+
+
+def order_key_value(sequence: Sequence, empty_least: bool) -> tuple:
+    """A totally ordered ``order by`` key: (empty-rank, type-rank, value).
+
+    ``empty least`` makes the empty sequence the smallest key — first
+    ascending, last descending; ``empty greatest`` the largest.  The
+    direction flip itself is handled by the reverse sort.
+    """
+    if not sequence:
+        return (0 if empty_least else 2, 0, 0)
+    value = atomize(sequence[0])
+    if isinstance(value, bool):
+        return (1, 0, int(value))
+    if isinstance(value, (int, float)):
+        return (1, 0, float(value))
+    return (1, 1, str(value))

@@ -555,8 +555,7 @@ class StreamingBuilder:
     # ------------------------------------------------------------------
     # persistence
 
-    def save(self, path: str | Path, *, durability: str = "off",
-             format_version: int = 2) -> int:
+    def save(self, path: str | Path, *, durability: str = "off") -> int:
         """Write the tables as a ``.mhxb`` container; returns its size.
 
         Same writer as ``save_engine``, fed the same column form: the
@@ -586,8 +585,7 @@ class StreamingBuilder:
         return write_container(
             path, root=self._root_name, version=len(self._tables),
             text=self.text, components=components, partition=partition,
-            dtds=None, durability=durability,
-            format_version=format_version)
+            dtds=None, durability=durability)
 
     # ------------------------------------------------------------------
     # sharding
@@ -756,7 +754,7 @@ def _as_span(span) -> Span:
 
 def stream_save(text: str, sources: dict[str, str], path: str | Path, *,
                 layers: dict[str, Iterable] | None = None,
-                durability: str = "off", format_version: int = 2) -> int:
+                durability: str = "off") -> int:
     """One-shot streaming ingest: encodings (+ optional standoff span
     layers) over a shared base text, straight to ``path``.  Returns the
     container size in bytes; the file is byte-identical to the DOM
@@ -766,5 +764,4 @@ def stream_save(text: str, sources: dict[str, str], path: str | Path, *,
         builder.add_hierarchy(name, source)
     for name, spans in (layers or {}).items():
         builder.add_layer(name, spans)
-    return builder.save(path, durability=durability,
-                        format_version=format_version)
+    return builder.save(path, durability=durability)

@@ -304,14 +304,12 @@ class QueryService:
         if not stream:
             payload["items"] = page
         stats = result.stats
-        hit = bool(stats.plan_cache_hit) if stats else None
         return Outcome(payload, items=page if stream else None,
-                       plan_hit=hit,
+                       plan_hit=stats.plan_cache_hit,
                        snapshot_version=snapshot.version,
-                       est_rows=stats.est_rows if stats else None,
-                       act_rows=stats.act_rows if stats else None,
-                       cost_fallbacks=(stats.cost_fallbacks
-                                       if stats else 0))
+                       est_rows=stats.est_rows,
+                       act_rows=stats.act_rows,
+                       cost_fallbacks=stats.cost_fallbacks)
 
     def _cquery(self, text: str, workers: int, prune: bool,
                 offset: int, limit: int | None,

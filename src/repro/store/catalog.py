@@ -84,14 +84,13 @@ def fork_engine(engine: Engine) -> Engine:
     multiset and span-index columns — no DOM is built or copied, and
     nothing is re-numbered or re-sorted.  The fork's DOM side derives
     from those arrays one hierarchy at a time, when an update or a
-    serialization asks.  Options, evaluator flags and DTD sources carry
+    serialization asks.  Options, ``use_cost`` and DTD sources carry
     over; the version counter does too, so updates continue the
     original's sequence.
     """
     return Engine.from_parts(
         engine.goddag.fork(), dtds=engine.dtd_sources(),
-        options=engine.options, use_pipeline=engine.use_pipeline,
-        use_cost=engine.use_cost)
+        options=engine.options, use_cost=engine.use_cost)
 
 
 def retire_engine(engine: Engine | None) -> None:

@@ -21,7 +21,7 @@ File layout (format v2)::
     b"MHXB2\\0" | u64 header length | u32 header CRC32 | header JSON
                | pad | array blocks
 
-and v1 (still readable)::
+and v1 (read-only: nothing writes it any more)::
 
     b"MHXB1\\0" | u64 header length | header JSON | pad | array blocks
 
@@ -99,8 +99,7 @@ def looks_like_mhxb(path: str | Path) -> bool:
 
 
 def save_engine(engine, path: str | Path, *,
-                durability: str = "off",
-                format_version: int = 2) -> int:
+                durability: str = "off") -> int:
     """Serialize an engine's full state to ``path``; return the size.
 
     The write is atomic (temp file + rename) and deterministic: saving
@@ -113,8 +112,7 @@ def save_engine(engine, path: str | Path, *,
     fsyncs the temp file before the rename and the directory after it,
     so the commit survives a power cut; ``"off"`` (the default for
     direct library use — the store applies its own policy) leaves
-    flushing to the OS.  ``format_version=1`` writes the legacy
-    checksum-free layout for compatibility tests.
+    flushing to the OS.
     """
     goddag = engine.goddag
     if not goddag.hierarchy_names:
@@ -129,8 +127,7 @@ def save_engine(engine, path: str | Path, *,
         components=[goddag._components[name]
                     for name in goddag.hierarchy_names],
         partition=goddag.partition.export_arrays(),
-        dtds=engine.dtd_sources(), durability=durability,
-        format_version=format_version)
+        dtds=engine.dtd_sources(), durability=durability)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +138,7 @@ def save_engine(engine, path: str | Path, *,
 def write_container(path: str | Path, *, root: str, version: int,
                     text: str, components: list[_HierarchyComponent],
                     partition: tuple[np.ndarray, np.ndarray],
-                    dtds: dict | None, durability: str = "off",
-                    format_version: int = 2) -> int:
+                    dtds: dict | None, durability: str = "off") -> int:
     """Write hierarchy components (column form) as one ``.mhxb`` file.
 
     Shared by :func:`save_engine` and the streaming builder, which is
@@ -155,9 +151,6 @@ def write_container(path: str | Path, *, root: str, version: int,
         raise ReproError(
             "base text exceeds 2^31 characters; the packed span-index "
             "keys cannot represent it")
-    if format_version not in (1, 2):
-        raise ReproError(
-            f"unknown .mhxb format version {format_version!r}")
     names: list[str] = []
     interned: dict[str, int] = {}
     arrays: dict[str, np.ndarray] = {}
@@ -201,7 +194,7 @@ def write_container(path: str | Path, *, root: str, version: int,
     arrays["partition/offsets"], arrays["partition/counts"] = partition
     arrays["text"] = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     header = {
-        "format": MHXB_FORMAT if format_version == 2 else MHXB_FORMAT_V1,
+        "format": MHXB_FORMAT,
         "root": root,
         "version": version,
         "text_chars": len(text),
@@ -209,8 +202,7 @@ def write_container(path: str | Path, *, root: str, version: int,
         "hierarchies": hierarchy_meta,
         "dtds": dtds,
     }
-    return _pack(path, header, arrays, durability=durability,
-                 format_version=format_version)
+    return _pack(path, header, arrays, durability=durability)
 
 
 def _file_name_ids(component: _HierarchyComponent, names: list[str],
@@ -261,7 +253,7 @@ def _save_span_index(arrays, sub_starts, sub_ends, sub_ranks,
 
 
 def _pack(path: str | Path, header: dict, arrays: dict[str, np.ndarray],
-          *, durability: str = "off", format_version: int = 2) -> int:
+          *, durability: str = "off") -> int:
     if durability not in ("full", "off"):
         raise ReproError(
             f"unknown .mhxb durability {durability!r} "
@@ -285,29 +277,23 @@ def _pack(path: str | Path, header: dict, arrays: dict[str, np.ndarray],
             "dtype": array.dtype.str,
             "shape": list(array.shape),
             "offset": offset,
+            "nbytes": len(payload),
+            "crc32": zlib.crc32(payload),
         }
-        if format_version == 2:
-            directory[key]["nbytes"] = len(payload)
-            directory[key]["crc32"] = zlib.crc32(payload)
         blocks.append((offset, payload))
         offset += array.nbytes
     header["arrays"] = directory
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    if format_version == 2:
-        magic, preamble = MAGIC_V2, len(MAGIC_V2) + 8 + 4
-    else:
-        magic, preamble = MAGIC, len(MAGIC) + 8
+    preamble = len(MAGIC_V2) + 8 + 4
     data_start = _align(preamble + len(header_bytes))
     path = Path(path)
     temp = path.with_name(path.name + ".tmp")
     layer = faultfs.current()
     handle = layer.open_for_write(temp)
     try:
-        layer.write(handle, magic)
+        layer.write(handle, MAGIC_V2)
         layer.write(handle, len(header_bytes).to_bytes(8, "little"))
-        if format_version == 2:
-            layer.write(handle, zlib.crc32(header_bytes)
-                        .to_bytes(4, "little"))
+        layer.write(handle, zlib.crc32(header_bytes).to_bytes(4, "little"))
         layer.write(handle, header_bytes)
         layer.write(handle, b"\x00" * (data_start - preamble
                                        - len(header_bytes)))
@@ -459,8 +445,7 @@ def _map_arrays(path: Path, header: dict,
 # ---------------------------------------------------------------------------
 
 
-def load_engine(path: str | Path, options=None, use_pipeline: bool = True,
-                verify: bool = False):
+def load_engine(path: str | Path, options=None, verify: bool = False):
     """Cold-load an :class:`~repro.api.Engine` from a ``.mhxb`` file.
 
     Reconstructs the KyGODDAG — components, partition, span index,
@@ -504,4 +489,4 @@ def load_engine(path: str | Path, options=None, use_pipeline: bool = True,
         from repro.core.goddag.stats import PlanStats
         goddag._plan_stats = PlanStats.from_payload(header["plan_stats"])
     return Engine.from_parts(goddag, dtds=header.get("dtds"),
-                             options=options, use_pipeline=use_pipeline)
+                             options=options)

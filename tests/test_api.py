@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +157,31 @@ class TestMhxContainer:
         engine.save_mhx(path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert "dtds" not in payload
+
+
+class TestOneEvaluatorOneWriter:
+    """The package ships one evaluator and one ``.mhxb`` writer: the
+    switches that selected another are gone, and the reference
+    tree-walker (``tests/treewalk.py``) is never on its import path."""
+
+    def test_no_evaluator_or_format_switch(self):
+        from repro.markup.streaming import stream_save
+        from repro.store.mhxb import load_engine, save_engine
+
+        for function in (Engine.__init__, Engine.from_parts, load_engine,
+                         save_engine, stream_save):
+            parameters = inspect.signature(function).parameters
+            assert "use_pipeline" not in parameters, function
+            assert "format_version" not in parameters, function
+
+    def test_runtime_imports_no_second_evaluator(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        probe = ("import sys, repro, repro.store, repro.server, repro.cli\n"
+                 "print([m for m in sys.modules"
+                 " if 'evaluator' in m or 'treewalk' in m])")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

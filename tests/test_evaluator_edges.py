@@ -7,7 +7,7 @@ import pytest
 from repro.errors import QueryEvaluationError
 from repro.markup import dom
 from repro.core.runtime import evaluate_query, serialize_items
-from repro.core.runtime.evaluator import copy_dom, copy_gnode
+from repro.core.runtime.semantics import copy_dom, copy_gnode
 
 
 def run(goddag, query, **kwargs):

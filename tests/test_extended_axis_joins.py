@@ -8,7 +8,7 @@ corpora, including lazily merged *temporary* hierarchies (the
 ``analyze-string`` membership shape).  The batched EBV existence probes
 are likewise pinned to :func:`~repro.core.goddag.axes.axis_exists_named`
 per context node, and whole queries run through the join-lowered plan
-pipeline are pinned to the legacy tree-walking evaluator.
+pipeline are pinned to the reference tree-walking evaluator.
 
 Also hosts the PR-5 emission-order audit regression for
 ``axis_overlapping`` (see its docstring in ``axes.py``).
@@ -34,9 +34,9 @@ from repro.core.goddag import (
 )
 from repro.core.goddag.axes import EXTENDED_AXES, axis_exists_named
 from repro.core.goddag.nodes import GElement
-from repro.core.runtime import evaluate_query
 
 from tests.strategies import join_scenarios
+from tests.treewalk import TreeWalkEngine, evaluate_query
 
 # Scales with the active hypothesis profile so the nightly CI job
 # (--hypothesis-profile=nightly, tests/conftest.py) actually fuzzes
@@ -261,7 +261,6 @@ class TestColumnarFlow:
         probed = engine.query("/descendant::line[overlapping::w]")
         assert probed.stats.join_steps == 1
         assert probed.stats.batched_extended_steps == 0
-        assert "join_steps" in result.stats.as_dict()
         # the costed plan must agree item-for-item with the oracle
         costed = Engine(boethius_doc).query(
             "/descendant::w/overlapping::line")
@@ -269,7 +268,7 @@ class TestColumnarFlow:
 
     def test_predicated_join_falls_back_to_pernode(self, boethius_doc):
         engine = Engine(boethius_doc)
-        legacy = Engine(boethius_doc, use_pipeline=False)
+        legacy = TreeWalkEngine(engine.goddag)
         query = '/descendant::line/xdescendant::w[position() = 1]'
         got = engine.query(query)
         assert got.stats.batched_extended_steps == 0

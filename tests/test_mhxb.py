@@ -10,6 +10,7 @@ compatibility.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,10 @@ from repro.store.mhxb import (
     save_engine,
     verify_blocks,
 )
+
+#: ``save_engine(Engine(boethius_document(validate=False)), path,
+#: format_version=1)`` at the last commit that had a v1 writer (PR 14).
+V1_FIXTURE = Path(__file__).parent / "data" / "boethius-v1.mhxb"
 
 PROBE_QUERIES = [
     "count(/descendant::*)",
@@ -323,36 +328,38 @@ class TestChecksums:
 
 
 class TestV1Compatibility:
-    """Old ``mhxb-1`` containers (no checksums) remain readable, and a
-    re-save upgrades them to v2."""
+    """Old ``mhxb-1`` containers (no checksums) remain readable — the
+    checked-in fixture is one; nothing writes the format any more — and
+    a re-save upgrades them to v2."""
 
-    def test_v1_round_trip_and_upgrade(self, engine, tmp_path):
-        old = tmp_path / "old.mhxb"
-        save_engine(engine, old, format_version=1)
-        assert old.read_bytes()[:len(MAGIC)] == MAGIC
-        header, _start = read_header(old)
+    def test_fixture_is_a_v1_container(self):
+        assert V1_FIXTURE.read_bytes()[:len(MAGIC)] == MAGIC
+        assert looks_like_mhxb(V1_FIXTURE)
+        header, _start = read_header(V1_FIXTURE)
         assert header["format"] == MHXB_FORMAT_V1
         assert "crc32" not in next(iter(header["arrays"].values()))
-        restored = Engine.from_mhxb(old)
-        _assert_same_results(engine, restored)
-        # v1 has no checksums: verify is a no-op, not a failure
-        assert verify_blocks(old) == 0
-        # a re-save writes the current (v2) format
-        upgraded = tmp_path / "new.mhxb"
-        restored.save_mhxb(upgraded)
-        assert upgraded.read_bytes()[:len(MAGIC_V2)] == MAGIC_V2
-        assert verify_blocks(upgraded) > 0
-        _assert_same_results(engine, Engine.from_mhxb(upgraded))
 
-    def test_v1_eager_verify_does_not_fail(self, engine, tmp_path):
-        old = tmp_path / "old.mhxb"
-        save_engine(engine, old, format_version=1)
-        restored = Engine.from_mhxb(old, verify=True)
+    def test_v1_load_equals_fresh_build(self, engine):
+        _assert_same_results(engine, Engine.from_mhxb(V1_FIXTURE))
+        _assert_same_results(engine, Engine.from_mhx(V1_FIXTURE))
+
+    def test_v1_verify_is_a_no_op(self):
+        # v1 has no checksums: verify is a no-op, not a failure
+        assert verify_blocks(V1_FIXTURE) == 0
+        restored = Engine.from_mhxb(V1_FIXTURE, verify=True)
         assert restored.query("count(//w)").serialize() == "6"
 
-    def test_unknown_format_version_rejected(self, engine, tmp_path):
-        with pytest.raises(ReproError, match="format version"):
-            save_engine(engine, tmp_path / "x.mhxb", format_version=3)
+    def test_resave_upgrades_to_v2(self, engine, tmp_path):
+        upgraded = tmp_path / "new.mhxb"
+        Engine.from_mhxb(V1_FIXTURE).save_mhxb(upgraded)
+        assert upgraded.read_bytes()[:len(MAGIC_V2)] == MAGIC_V2
+        assert read_header(upgraded)[0]["format"] == MHXB_FORMAT
+        assert verify_blocks(upgraded) > 0
+        _assert_same_results(engine, Engine.from_mhxb(upgraded))
+        # ... to the very file a fresh build saves
+        fresh = tmp_path / "fresh.mhxb"
+        engine.save_mhxb(fresh)
+        assert upgraded.read_bytes() == fresh.read_bytes()
 
 
 class TestFrozenEngine:

@@ -32,12 +32,13 @@ from repro.cmh import Hierarchy, MultihierarchicalDocument
 from repro.cmh.spans import Span, SpanSet
 from repro.core.goddag import KyGoddag
 from repro.core.goddag.stats import (
+    GoddagStats,
+    HierarchyStats,
     PlanStats,
-    _collect_walk,
     collect,
     collect_plan_stats,
 )
-from repro.core.goddag.nodes import GNode
+from repro.core.goddag.nodes import GComment, GElement, GNode, GPi, GText
 from repro.core.plan import compile_query, cost
 from repro.core.runtime import QueryOptions
 from repro.errors import QueryEvaluationError
@@ -50,6 +51,7 @@ from tests.strategies import (
     multihierarchical_documents,
     predicate_trees,
 )
+from tests.treewalk import TreeWalkEngine
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -102,6 +104,32 @@ def adversarial_document() -> MultihierarchicalDocument:
 # ---------------------------------------------------------------------------
 # statistics: vectorized collectors vs the per-node oracle
 # ---------------------------------------------------------------------------
+
+
+def _collect_walk(goddag: KyGoddag) -> GoddagStats:
+    """The per-node walk: the differential oracle for the vectorized
+    :func:`collect`."""
+    stats = GoddagStats(text_length=len(goddag.text),
+                        leaf_count=len(goddag.partition))
+    for name in goddag.hierarchy_names:
+        hierarchy = HierarchyStats(name=name,
+                                   temporary=goddag.is_temporary(name))
+        hierarchy.tree_edges += len(goddag.root.children_in(name))
+        for node in goddag.nodes_of(name):
+            if isinstance(node, GElement):
+                count = hierarchy.elements_by_name.get(node.name, 0)
+                hierarchy.elements_by_name[node.name] = count + 1
+                hierarchy.tree_edges += len(node.children)
+            elif isinstance(node, GText):
+                hierarchy.text_nodes += 1
+                hierarchy.text_leaf_edges += len(
+                    goddag.partition.leaves_in(node.start, node.end))
+            elif isinstance(node, GComment):
+                hierarchy.comments += 1
+            elif isinstance(node, GPi):
+                hierarchy.processing_instructions += 1
+        stats.hierarchies.append(hierarchy)
+    return stats
 
 
 class TestVectorizedInventory:
@@ -415,13 +443,13 @@ FALLBACK_QUERIES = (
 )
 
 
-def engines_over(document) -> tuple[Engine, Engine, Engine]:
+def engines_over(document) -> tuple[Engine, Engine, TreeWalkEngine]:
     """``(costed, mechanical, tree-walking)`` engines over one shared
     KyGODDAG, so results compare by node identity."""
     goddag = KyGoddag.build(document)
-    return tuple(Engine.from_parts(goddag, document=document, **flags)
-                 for flags in ({}, {"use_cost": False},
-                               {"use_pipeline": False}))
+    return (Engine.from_parts(goddag, document=document),
+            Engine.from_parts(goddag, document=document, use_cost=False),
+            TreeWalkEngine(goddag))
 
 
 def assert_item_for_item(engines, query, variables=None) -> None:
@@ -671,9 +699,8 @@ class TestMaskObservability:
 
 
 class TestPerNodeHoleClosed:
-    """ROADMAP item 4a: the deterministic stand-in for the wall-clock
-    floor of ``benchmarks/test_pipeline_speedup.py`` — operator counts
-    at n=800, which repeat exactly."""
+    """ROADMAP item 4a: the deterministic stand-in for a wall-clock
+    floor — operator counts at n=800, which repeat exactly."""
 
     @pytest.fixture(scope="class")
     def engine(self):

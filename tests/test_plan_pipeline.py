@@ -1,6 +1,6 @@
-"""Differential tests: the compiled pipeline vs. the legacy evaluator.
+"""Differential tests: the compiled pipeline vs. the reference evaluator.
 
-The tree-walking evaluator is the oracle (ISSUE 2): for every query the
+The tree-walking evaluator (``tests/treewalk.py``) is the oracle: for every query the
 pipeline must produce an *item-for-item identical* sequence — same
 length, same node identities for persistent KyGODDAG nodes, same spans
 for (re-canonicalized) leaves, same serialization for snapshotted and
@@ -19,13 +19,14 @@ from hypothesis import strategies as st
 from repro.api import Engine
 from repro.core.goddag import GLeaf, GNode, KyGoddag
 from repro.core.plan import compile_query
-from repro.core.runtime import QueryStats, evaluate_query
+from repro.core.runtime import QueryStats
 from repro.core.runtime.serializer import serialize_item
 from repro.corpus.boethius import boethius_document
 from repro.corpus.generator import GeneratorConfig, generate_document
 from repro.experiments.paperdata import PAPER_QUERIES
 
 from tests.strategies import multihierarchical_documents
+from tests.treewalk import evaluate_query
 
 #: Queries exercising every pipeline code path against the oracle.
 WORKLOAD_QUERIES = [
@@ -360,7 +361,7 @@ class TestExplainGoldens:
 
 
 # ---------------------------------------------------------------------------
-# engine integration: plan cache, stats, legacy escape hatch
+# engine integration: plan cache, stats
 # ---------------------------------------------------------------------------
 
 
@@ -387,26 +388,10 @@ class TestEnginePipeline:
         assert result.stats.axis_steps > 0
         assert result.stats.batched_steps > 0
 
-    def test_legacy_escape_hatch(self):
-        engine = Engine(boethius_document(validate=False),
-                        use_pipeline=False)
-        result = engine.query("count(/descendant::w)")
-        assert result.items == [6]
-        assert result.stats.batched_steps == 0
-
-    def test_deprecated_stats_alias_still_updates(self, engine):
-        from repro.core.runtime.evaluator import LAST_QUERY_STATS
-
-        evaluate_query(engine.goddag, "/descendant::w/self::w")
-        assert LAST_QUERY_STATS["axis_steps"] > 0
-        assert LAST_QUERY_STATS["ordered_steps"] <= \
-            LAST_QUERY_STATS["axis_steps"]
-
     def test_per_call_stats_object(self, engine):
         stats = QueryStats()
         evaluate_query(engine.goddag, "/descendant::w", stats=stats)
         assert stats.axis_steps == 1
-        assert stats["axis_steps"] == 1  # dict-style compatibility
 
     def test_xpath_rejects_flwor_through_pipeline(self, engine):
         from repro.errors import QuerySyntaxError

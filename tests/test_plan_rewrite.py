@@ -26,8 +26,9 @@ class TestConstantFolding:
         assert expr == ast.Literal(7, expr.offset)
         assert any("constant-folding" in note for note in notes)
 
-    def test_division_by_zero_left_for_runtime(self):
-        expr, _notes = rewrite_text("1 div 0")
+    @pytest.mark.parametrize("text", ["1 div 0", "1 idiv 0", "5 mod 0"])
+    def test_division_by_zero_left_for_runtime(self, text):
+        expr, _notes = rewrite_text(text)
         assert isinstance(expr, ast.ArithmeticExpr)
 
     def test_unary_folds(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import QueryEvaluationError
-from repro.core.runtime import evaluate_query, serialize_items
+from repro.core.runtime import QueryStats, evaluate_query, serialize_items
 from repro.markup import dom
 
 
@@ -94,13 +94,11 @@ class TestOrderedStepFastPath:
     """Single forward-axis steps over ordered contexts skip sorting."""
 
     def test_descendant_steps_skip_sort(self, goddag):
-        from repro.core.runtime.evaluator import LAST_QUERY_STATS
-
-        result = run(goddag, "/descendant::w")
+        stats = QueryStats()
+        result = evaluate_query(goddag, "/descendant::w", stats=stats)
         assert len(result) == 6
-        assert LAST_QUERY_STATS["ordered_steps"] > 0
-        assert LAST_QUERY_STATS["ordered_steps"] <= \
-            LAST_QUERY_STATS["axis_steps"]
+        assert stats.ordered_steps > 0
+        assert stats.ordered_steps <= stats.axis_steps
 
     def test_reverse_axis_still_counts_positions_backwards(self, goddag):
         # preceding:: positions count away from the context node; the
@@ -127,6 +125,13 @@ class TestOperators:
     def test_division_by_zero(self, goddag):
         with pytest.raises(QueryEvaluationError, match="zero"):
             run(goddag, "1 div 0")
+
+    @pytest.mark.parametrize("query", ["5 mod 0", "1e308 * 10 idiv 1"])
+    def test_arithmetic_domain_errors_are_typed(self, goddag, query):
+        """``math.fmod``/``int()`` failures used to leak as bare
+        ``ValueError``/``OverflowError``."""
+        with pytest.raises(QueryEvaluationError):
+            run(goddag, query)
 
     def test_empty_operand_propagates(self, goddag):
         assert run(goddag, "() + 1") == []

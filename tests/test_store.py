@@ -240,20 +240,17 @@ class TestPersistence:
         store.compact()
         assert path.read_bytes() == first
 
-    def test_fork_engine_carries_options_and_both_flags(self, store):
+    def test_fork_engine_carries_options_and_use_cost(self, store):
         """``use_cost`` used to be dropped: ``add(engine=...)`` of an
         uncosted engine silently published a costed one."""
         options = QueryOptions(cost_fallback_factor=3.0)
         engine = Engine(boethius_document(validate=False),
-                        options=options, use_pipeline=False,
-                        use_cost=False)
+                        options=options, use_cost=False)
         fork = fork_engine(engine)
-        assert (fork.options, fork.use_pipeline, fork.use_cost) == \
-            (options, False, False)
+        assert (fork.options, fork.use_cost) == (options, False)
         store.add("uncosted", engine=engine)
         published = store.snapshot("uncosted").engine
-        assert (published.use_pipeline, published.use_cost) == \
-            (False, False)
+        assert (published.options, published.use_cost) == (options, False)
 
     def test_fork_engine_preserves_version_and_results(self):
         engine = Engine(boethius_document(validate=False))

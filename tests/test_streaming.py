@@ -389,12 +389,6 @@ class TestMalformedTaxonomy:
                            match="cannot save an empty document"):
             builder.save(tmp_path / "x.mhxb")
 
-    def test_unknown_format_version(self, tmp_path):
-        builder = StreamingBuilder("ab")
-        builder.add_hierarchy("h", "<d>ab</d>")
-        with pytest.raises(ReproError, match="unknown .mhxb format"):
-            builder.save(tmp_path / "x.mhxb", format_version=3)
-
 
 class TestStreamingShards:
     @pytest.mark.parametrize("n_shards", [1, 2, 4])

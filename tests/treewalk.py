@@ -1,21 +1,31 @@
-"""The tree-walking evaluator for the extended XQuery language.
+"""The reference evaluator: a node-at-a-time tree-walk over the AST.
 
-``evaluate_query`` is the public entry point: it parses (or accepts a
-pre-parsed AST), installs the default function library, runs the query
-against a KyGODDAG with the shared root as the initial context item,
-and — per Definition 4(5) — tears down every temporary hierarchy
-created by ``analyze-string`` when evaluation finishes.  Result items
-that live in temporary hierarchies are snapshotted to constructed DOM
-nodes first, so callers never hold dangling KyGODDAG references (this
-is why the paper notes such queries return "a string or a sequence of
-strings").
+The navigational evaluation of the extended XQuery language, one
+context item at a time, one cloned :class:`EvalContext` per focus — the
+direct transcription of the semantics (Definition 1 axes, Definition 3
+order, Definition 4 ``analyze-string``).  It is the oracle the compiled
+pipeline (``repro.core.plan``) is differentially tested against, item
+for item, and it is not part of the package: it evaluates from the
+parsed AST with its own step, predicate and FLWOR logic and imports
+nothing from ``repro.core.plan``.  What it shares with the pipeline are
+the language's value- and node-level rules
+(``repro.core.runtime.values`` / ``semantics``), the axis kernels and
+the function library.
+
+``evaluate_query`` parses (or accepts a pre-parsed AST), installs the
+default function library, runs the query with the shared root as the
+initial context item, and — per Definition 4(5) — tears down every
+temporary hierarchy created by ``analyze-string`` when evaluation
+finishes, snapshotting result items that live in one first.
+:class:`TreeWalkEngine` gives it the ``query()`` surface of
+:class:`repro.api.Engine` for tests that compare engines.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
+from repro.api import QueryResult
 from repro.errors import QueryEvaluationError
 from repro.markup import dom
 from repro.core.goddag.axes import emits_document_order, evaluate_axis
@@ -34,20 +44,88 @@ from repro.core.goddag.temp import TemporaryHierarchyManager
 from repro.core.lang import ast
 from repro.core.lang.parser import parse_query
 from repro.core.runtime import values
-from repro.core.runtime.context import EvalContext, QueryOptions, QueryStats
+from repro.core.runtime.context import QueryOptions, QueryStats
+from repro.core.runtime.functions import default_registry
+from repro.core.runtime.semantics import (
+    REVERSE_AXES,
+    append_content,
+    node_in_hierarchies,
+    require_gnodes,
+    require_navigable,
+    snapshot,
+)
+from repro.core.runtime.values import (
+    arithmetic,
+    order_key_value,
+    predicate_holds,
+    singleton_number,
+)
 
-#: Axes whose predicate positions count *away* from the context node.
-REVERSE_AXES = frozenset({
-    "ancestor", "ancestor-or-self", "preceding", "preceding-sibling",
-    "parent", "xancestor", "xpreceding",
-})
 
-#: Deprecated alias: sort-avoidance counters of the most recent
-#: ``evaluate_query`` call, mirrored from its per-call
-#: :class:`~repro.core.runtime.context.QueryStats` object.  New code
-#: should read ``QueryResult.stats`` (or pass ``stats=`` explicitly).
-LAST_QUERY_STATS: dict[str, int] = {"axis_steps": 0, "ordered_steps": 0,
-                                    "batched_steps": 0}
+class EvalContext:
+    """The dynamic context of one evaluation focus.
+
+    Immutable-ish: focus and variable changes produce shallow copies,
+    so sibling iterations cannot interfere.
+    """
+
+    __slots__ = ("goddag", "item", "position", "size", "variables",
+                 "functions", "options", "temp_manager", "stats")
+
+    def __init__(self, goddag: KyGoddag, functions: dict[str, Any],
+                 options: QueryOptions,
+                 temp_manager: TemporaryHierarchyManager,
+                 variables: dict[str, list] | None = None,
+                 stats: QueryStats | None = None) -> None:
+        self.goddag = goddag
+        self.item = None
+        self.position = 0
+        self.size = 0
+        self.variables: dict[str, list] = dict(variables or {})
+        self.functions = functions
+        self.options = options
+        self.temp_manager = temp_manager
+        # shared across all focus clones of one query
+        self.stats: QueryStats = stats if stats is not None else QueryStats()
+
+    def _clone(self) -> "EvalContext":
+        clone = EvalContext.__new__(EvalContext)
+        clone.goddag = self.goddag
+        clone.item = self.item
+        clone.position = self.position
+        clone.size = self.size
+        clone.variables = self.variables
+        clone.functions = self.functions
+        clone.options = self.options
+        clone.temp_manager = self.temp_manager
+        clone.stats = self.stats
+        return clone
+
+    def with_focus(self, item: Any, position: int, size: int
+                   ) -> "EvalContext":
+        """A context focused on one item of an iteration."""
+        clone = self._clone()
+        clone.item = item
+        clone.position = position
+        clone.size = size
+        return clone
+
+    def with_variable(self, name: str, value: list) -> "EvalContext":
+        """A context with one additional variable binding."""
+        clone = self._clone()
+        clone.variables = dict(self.variables)
+        clone.variables[name] = value
+        return clone
+
+    def variable(self, name: str) -> list:
+        if name not in self.variables:
+            raise QueryEvaluationError(f"undefined variable ${name}")
+        return self.variables[name]
+
+    def context_item(self) -> Any:
+        if self.item is None:
+            raise QueryEvaluationError("the context item is undefined here")
+        return self.item
 
 
 def evaluate_query(goddag: KyGoddag, query: str | ast.Expr,
@@ -59,11 +137,8 @@ def evaluate_query(goddag: KyGoddag, query: str | ast.Expr,
     """Evaluate ``query`` against ``goddag`` and return the item list.
 
     ``stats`` may be a caller-owned :class:`QueryStats` that the call
-    fills in; otherwise a fresh one is created (and mirrored into the
-    deprecated ``LAST_QUERY_STATS`` either way).
+    fills in.
     """
-    from repro.core.runtime.functions import default_registry
-
     expr = parse_query(query) if isinstance(query, str) else query
     options = options or QueryOptions()
     registry = dict(default_registry())
@@ -78,21 +153,26 @@ def evaluate_query(goddag: KyGoddag, query: str | ast.Expr,
     try:
         result = evaluate(expr, context)
         if not keep_temporaries:
-            result = [_snapshot(item, goddag) for item in result]
+            result = [snapshot(item, goddag) for item in result]
         return result
     finally:
-        LAST_QUERY_STATS.clear()
-        LAST_QUERY_STATS.update(context.stats.as_dict())
         if not keep_temporaries:
             manager.drop_all()
 
 
-def _snapshot(item: Any, goddag: KyGoddag) -> Any:
-    """Copy items living in temporary hierarchies out of the KyGODDAG."""
-    if (isinstance(item, GNode) and item.hierarchy is not None
-            and goddag.is_temporary(item.hierarchy)):
-        return copy_gnode(item)
-    return item
+class TreeWalkEngine:
+    """The tree-walker behind :meth:`repro.api.Engine.query`'s
+    signature, for tests that run one query through several engines."""
+
+    def __init__(self, goddag: KyGoddag) -> None:
+        self.goddag = goddag
+
+    def query(self, text: str,
+              variables: dict[str, list] | None = None) -> QueryResult:
+        stats = QueryStats()
+        items = evaluate_query(self.goddag, text, variables=variables,
+                               stats=stats)
+        return QueryResult(items, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +209,8 @@ def _eval_sequence(expr: ast.SequenceExpr, ctx: EvalContext) -> list:
 
 
 def _eval_range(expr: ast.RangeExpr, ctx: EvalContext) -> list:
-    lower = _singleton_number(evaluate(expr.lower, ctx))
-    upper = _singleton_number(evaluate(expr.upper, ctx))
+    lower = singleton_number(evaluate(expr.lower, ctx))
+    upper = singleton_number(evaluate(expr.upper, ctx))
     if lower is None or upper is None:
         return []
     return list(range(int(lower), int(upper) + 1))
@@ -174,34 +254,15 @@ def _eval_comparison(expr: ast.ComparisonExpr, ctx: EvalContext) -> list:
 
 
 def _eval_arithmetic(expr: ast.ArithmeticExpr, ctx: EvalContext) -> list:
-    left = _singleton_number(evaluate(expr.left, ctx))
-    right = _singleton_number(evaluate(expr.right, ctx))
+    left = singleton_number(evaluate(expr.left, ctx))
+    right = singleton_number(evaluate(expr.right, ctx))
     if left is None or right is None:
         return []
-    op = expr.op
-    try:
-        if op == "+":
-            return [left + right]
-        if op == "-":
-            return [left - right]
-        if op == "*":
-            return [left * right]
-        if op == "div":
-            return [left / right]
-        if op == "idiv":
-            return [int(left / right)]
-        if op == "mod":
-            result = math.fmod(left, right)
-            if isinstance(left, int) and isinstance(right, int):
-                return [int(result)]
-            return [result]
-    except ZeroDivisionError:
-        raise QueryEvaluationError("division by zero") from None
-    raise QueryEvaluationError(f"unknown arithmetic operator {op!r}")
+    return [arithmetic(expr.op, left, right)]
 
 
 def _eval_unary(expr: ast.UnaryExpr, ctx: EvalContext) -> list:
-    value = _singleton_number(evaluate(expr.operand, ctx))
+    value = singleton_number(evaluate(expr.operand, ctx))
     if value is None:
         return []
     return [-value if expr.op == "-" else value]
@@ -210,14 +271,14 @@ def _eval_unary(expr: ast.UnaryExpr, ctx: EvalContext) -> list:
 def _eval_union(expr: ast.UnionExpr, ctx: EvalContext) -> list:
     nodes: list = []
     for operand in expr.operands:
-        nodes.extend(_require_gnodes(evaluate(operand, ctx), "union"))
+        nodes.extend(require_gnodes(evaluate(operand, ctx), "union"))
     return ctx.goddag.sort_nodes(nodes)
 
 
 def _eval_intersect_except(expr: ast.IntersectExceptExpr,
                            ctx: EvalContext) -> list:
-    left = _require_gnodes(evaluate(expr.left, ctx), expr.op)
-    right = _require_gnodes(evaluate(expr.right, ctx), expr.op)
+    left = require_gnodes(evaluate(expr.left, ctx), expr.op)
+    right = require_gnodes(evaluate(expr.right, ctx), expr.op)
     right_ids = {id(node) for node in right}
     if expr.op == "intersect":
         kept = [node for node in left if id(node) in right_ids]
@@ -308,25 +369,6 @@ def _order_key(sequence: list, spec: ast.OrderSpec) -> tuple:
     return order_key_value(sequence, spec.empty_least)
 
 
-def order_key_value(sequence: list, empty_least: bool) -> tuple:
-    """A totally ordered key: (empty-rank, type-rank, value).
-
-    ``empty least`` makes the empty sequence the smallest key — first
-    ascending, last descending; ``empty greatest`` the largest.  The
-    direction flip itself is handled by the reverse sort.  Shared by
-    the tree-walking evaluator and the pipeline's materialized FLWOR
-    so the two order-by semantics can never drift apart.
-    """
-    if not sequence:
-        return (0 if empty_least else 2, 0, 0)
-    value = values.atomize(sequence[0])
-    if isinstance(value, bool):
-        return (1, 0, int(value))
-    if isinstance(value, (int, float)):
-        return (1, 0, float(value))
-    return (1, 1, str(value))
-
-
 # ---------------------------------------------------------------------------
 # paths
 # ---------------------------------------------------------------------------
@@ -358,7 +400,7 @@ def _apply_step(step, inputs: list, ctx: EvalContext) -> list:
         # merge, and for forward axes ``_step_from`` already returns it
         # in document order (reverse axes return the exact reversal).
         item = inputs[0]
-        _require_navigable(item)
+        require_navigable(item)
         nodes, direction = _step_from(step, item,
                                       ctx.with_focus(item, 1, 1))
         if direction == "reverse":
@@ -367,21 +409,13 @@ def _apply_step(step, inputs: list, ctx: EvalContext) -> list:
     out: list = []
     seen: set[int] = set()
     for position, item in enumerate(inputs, start=1):
-        _require_navigable(item)
+        require_navigable(item)
         focus = ctx.with_focus(item, position, size)
         for node in _step_from(step, item, focus)[0]:
             if id(node) not in seen:
                 seen.add(id(node))
                 out.append(node)
     return ctx.goddag.sort_nodes(out)
-
-
-def _require_navigable(item) -> None:
-    if not isinstance(item, GNode):
-        raise QueryEvaluationError(
-            "path steps navigate KyGODDAG nodes; got "
-            f"{type(item).__name__} (constructed nodes are not "
-            f"navigable)")
 
 
 def _apply_expr_step(step: ast.ExprStep, inputs: list,
@@ -447,16 +481,9 @@ def _filter_predicate(candidates: list, predicate: ast.Expr,
     for position, node in enumerate(candidates, start=1):
         focus = ctx.with_focus(node, position, size)
         result = evaluate(predicate, focus)
-        if _predicate_holds(result, position):
+        if predicate_holds(result, position):
             kept.append(node)
     return kept
-
-
-def _predicate_holds(result: list, position: int) -> bool:
-    if (len(result) == 1 and isinstance(result[0], (int, float))
-            and not isinstance(result[0], bool)):
-        return float(result[0]) == float(position)
-    return values.effective_boolean_value(result)
 
 
 def _matches_test(test: ast.NodeTest, axis: str, node: GNode,
@@ -497,23 +524,6 @@ def _in_hierarchies(node: GNode, hierarchies: tuple[str, ...],
     return node_in_hierarchies(node, hierarchies, ctx.goddag)
 
 
-def node_in_hierarchies(node: GNode, hierarchies: tuple[str, ...],
-                        goddag: KyGoddag) -> bool:
-    """Definition 2 hierarchy restriction.
-
-    The shared root and the shared leaves belong to *every* hierarchy;
-    unknown hierarchy names are reported (typo safety).  Shared by the
-    tree-walking evaluator and the pipeline's node-test closures.
-    """
-    for name in hierarchies:
-        if not goddag.has_hierarchy(name):
-            raise QueryEvaluationError(
-                f"unknown hierarchy '{name}' in node test")
-    if node.hierarchy is None:  # root or leaf: present in all hierarchies
-        return True
-    return node.hierarchy in hierarchies
-
-
 # ---------------------------------------------------------------------------
 # filters and functions
 # ---------------------------------------------------------------------------
@@ -527,7 +537,7 @@ def _eval_filter(expr: ast.FilterExpr, ctx: EvalContext) -> list:
         for position, item in enumerate(current, start=1):
             focus = ctx.with_focus(item, position, size)
             result = evaluate(predicate, focus)
-            if _predicate_holds(result, position):
+            if predicate_holds(result, position):
                 kept.append(item)
         current = kept
     return current
@@ -555,7 +565,7 @@ def _eval_constructor(expr: ast.ElementConstructor,
         if isinstance(piece, str):
             element.append(dom.Text(piece))
         else:
-            _append_content(element, evaluate(piece, ctx))
+            append_content(element, evaluate(piece, ctx))
     return [element]
 
 
@@ -569,97 +579,6 @@ def _attribute_value(template: ast.AttributeValue, ctx: EvalContext) -> str:
             parts.append(" ".join(values.string_value(values.atomize(item))
                                   for item in items))
     return "".join(parts)
-
-
-def _append_content(element: dom.Element, items: list) -> None:
-    """XQuery content rules: nodes are copied; adjacent atomics are
-    joined with single spaces into one text node."""
-    pending_atoms: list[str] = []
-
-    def flush() -> None:
-        if pending_atoms:
-            element.append(dom.Text(" ".join(pending_atoms)))
-            pending_atoms.clear()
-
-    for item in items:
-        if isinstance(item, GAttr):
-            element.set(item.name, item.value)
-        elif isinstance(item, dom.Attr):
-            element.set(item.name, item.value)
-        elif isinstance(item, GNode):
-            flush()
-            element.append(copy_gnode(item))
-        elif isinstance(item, dom.Node):
-            flush()
-            element.append(copy_dom(item))
-        else:
-            pending_atoms.append(values.string_value(item))
-    flush()
-
-
-def copy_gnode(node: GNode) -> dom.Node:
-    """Deep-copy a KyGODDAG node into constructed DOM content."""
-    if isinstance(node, GElement):
-        element = dom.Element(node.name, dict(node.attributes))
-        for child in node.children:
-            element.append(copy_gnode(child))
-        return element
-    if isinstance(node, (GText, GLeaf)):
-        return dom.Text(node.string_value())
-    if isinstance(node, GComment):
-        return dom.Comment(node.data)
-    if isinstance(node, GPi):
-        return dom.ProcessingInstruction(node.target, node.data)
-    raise QueryEvaluationError(
-        f"cannot copy a {node.kind} node into constructed content")
-
-
-def copy_dom(node: dom.Node) -> dom.Node:
-    """Deep-copy constructed DOM content."""
-    if isinstance(node, dom.Element):
-        element = dom.Element(node.name, dict(node.attributes))
-        for child in node.children:
-            element.append(copy_dom(child))
-        return element
-    if isinstance(node, dom.Text):
-        return dom.Text(node.data)
-    if isinstance(node, dom.Comment):
-        return dom.Comment(node.data)
-    if isinstance(node, dom.ProcessingInstruction):
-        return dom.ProcessingInstruction(node.target, node.data)
-    if isinstance(node, dom.Document):
-        raise QueryEvaluationError(
-            "cannot copy a whole document into constructed content")
-    raise QueryEvaluationError(
-        f"cannot copy node {type(node).__name__} into constructed content")
-
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-
-def _singleton_number(sequence: list) -> float | int | None:
-    if not sequence:
-        return None
-    if len(sequence) > 1:
-        raise QueryEvaluationError(
-            "arithmetic requires singleton operands")
-    value = values.atomize(sequence[0])
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (int, float)):
-        return value
-    number = values.to_number(value)
-    return number
-
-
-def _require_gnodes(sequence: list, op: str) -> list:
-    for item in sequence:
-        if not isinstance(item, GNode):
-            raise QueryEvaluationError(
-                f"'{op}' operates on KyGODDAG node sequences")
-    return sequence
 
 
 _HANDLERS = {
