@@ -327,21 +327,21 @@ class Engine:
         return apply_pending(self.document, self.goddag, pending,
                              check=check)
 
-    def _evaluate_guarded(self, text: str | None, run):
-        """Run one evaluation under the frozen-snapshot read latch.
+    def _evaluate_guarded(self, compiled: CompiledQuery, run):
+        """Run one evaluation of ``compiled`` under the frozen-snapshot
+        read latch.
 
         Unfrozen engines (the single-owner case) evaluate directly.  A
         frozen engine may be shared by concurrent snapshot readers, so
         plain queries take the latch's shared side and queries that
-        mutate membership (``analyze-string`` temporaries, or any query
-        whose text is unknown) take the exclusive side (DESIGN.md §10).
+        mutate membership — ``CompiledQuery.exclusive``: the plan calls
+        ``analyze-string``, which adds and removes a temporary
+        hierarchy — take the exclusive side (DESIGN.md §10).
         """
         latch = self.goddag.read_latch
         if latch is None:
             return run()
-        from repro.util.concurrency import needs_exclusive_evaluation
-
-        exclusive = needs_exclusive_evaluation(text)
+        exclusive = compiled.exclusive
         latch.acquire(exclusive)
         try:
             return run()
@@ -369,7 +369,7 @@ class Engine:
             cached = any(plan is compiled for plan in self._plans.values())
         stats = QueryStats(plan_cache_hit=cached)
         items = self._evaluate_guarded(
-            compiled.text,
+            compiled,
             lambda: compiled.execute(self.goddag, variables=variables,
                                      options=self.options, stats=stats))
         self._finalize_stats(compiled, stats)
@@ -382,7 +382,7 @@ class Engine:
         stats = QueryStats(plan_cache_hit=key in self._plans)
         compiled = self.compile(text, xpath=xpath)
         items = self._evaluate_guarded(
-            text,
+            compiled,
             lambda: compiled.execute(self.goddag, variables=variables,
                                      options=self.options, stats=stats))
         self._finalize_stats(compiled, stats)

@@ -44,7 +44,14 @@ import numpy as np
 
 from repro.errors import GoddagError
 from repro.core.goddag.goddag import KyGoddag
-from repro.core.goddag.nodes import GLeaf, GNode, _HierarchyNode
+from repro.core.goddag.nodes import (
+    GAttr,
+    GElement,
+    GLeaf,
+    GNode,
+    GRoot,
+    _HierarchyNode,
+)
 
 #: Kernel family per extended axis (rendered by ``explain()``).
 JOIN_KERNELS: dict[str, str] = {
@@ -56,6 +63,10 @@ JOIN_KERNELS: dict[str, str] = {
     "preceding-overlapping": "stab",
     "following-overlapping": "stab",
 }
+
+#: Standard axes :func:`exists_axis_batch` also answers, as joins on
+#: the per-hierarchy preorder columns (DESIGN.md §16).
+TREE_EXISTS_AXES = frozenset({"ancestor", "descendant", "self"})
 
 #: Extended axes whose per-node results include shared leaves (for an
 #: unnamed, leaf-admitting node test).
@@ -581,8 +592,12 @@ def exists_axis_batch(goddag: KyGoddag, axis: str, nodes: list,
     exclusions only need checking when *every* witness is span-equal —
     resolved per context against the actual (subset) rows.
     """
+    if axis in TREE_EXISTS_AXES:
+        if among is not None:
+            raise GoddagError(f"'{axis}' probes take no witness subset")
+        return _exists_in_tree(goddag, axis, nodes, name)
     if axis not in JOIN_KERNELS:
-        raise GoddagError(f"'{axis}' is not an extended axis")
+        raise GoddagError(f"'{axis}' has no batched existence probe")
     index = goddag.span_index()
     count = len(nodes)
     out = np.zeros(count, dtype=bool)
@@ -692,3 +707,125 @@ def exists_axis_batch(goddag: KyGoddag, axis: str, nodes: list,
             out[position] = any(valid(n_nodes[row], nodes[position], goddag)
                                 for row in rows)
     return out
+
+
+def _exists_in_tree(goddag: KyGoddag, axis: str, nodes: list,
+                    name: str) -> np.ndarray:
+    """``ancestor::name`` / ``descendant::name`` / ``self::name`` per
+    context: the standard axes as joins on the resident columns.
+
+    Within one hierarchy a subtree is the preorder interval
+    ``(preorder, subtree_end]``, so against the hierarchy's preorder-
+    sorted :meth:`name_entry` columns a descendant exists iff two
+    bisects differ, and an ancestor iff the running maximum of
+    ``subtree_end`` over the rows before the context reaches it.  A
+    leaf's ancestors are exactly its span containers in every
+    hierarchy, which is one stab against the name's interval columns;
+    the root tops every parent chain and is a row of no column, so it
+    is answered first.
+    """
+    count = len(nodes)
+    out = np.zeros(count, dtype=bool)
+    if not count:
+        return out
+    if axis == "self":
+        if {GElement, GRoot} & set(map(type, nodes)):
+            out = np.fromiter((isinstance(node, (GElement, GRoot))
+                               and node.name == name for node in nodes),
+                              dtype=bool, count=count)
+        return out
+    if not goddag.hierarchy_names:
+        return out  # a bare root over leaves: no parent chain at all
+    root = goddag.root
+    if axis == "ancestor" and root.name == name:
+        return np.fromiter((node is not root for node in nodes),
+                           dtype=bool, count=count)
+    if axis == "ancestor" and set(map(type, nodes)) == {GLeaf}:
+        return _has_containing_named(goddag, nodes, name)
+    #: hierarchy -> (positions, preorders, subtree ends) of its contexts
+    grouped: dict[str, tuple[list, list, list]] = {}
+    leaves: list[int] = []
+    for position, node in enumerate(nodes):
+        if isinstance(node, GAttr):
+            if axis == "descendant":
+                continue
+            node = node.owner  # the first link of an attribute's chain
+            if node.name == name:
+                out[position] = True
+                continue
+        if isinstance(node, _HierarchyNode):
+            positions, preorders, subtree_ends = grouped.setdefault(
+                node.hierarchy, ([], [], []))
+            positions.append(position)
+            preorders.append(node.preorder)
+            subtree_ends.append(node.subtree_end)
+        elif isinstance(node, GLeaf):
+            if axis == "ancestor":
+                leaves.append(position)
+        elif node is root and axis == "descendant":
+            # every element of every hierarchy; as an ancestor context
+            # the root (and an attribute it owns) tops the chain: False
+            out[position] = any(
+                goddag._components[hierarchy].name_entry(name) is not None
+                for hierarchy in goddag.hierarchy_names)
+    if leaves:
+        out[leaves] = _has_containing_named(
+            goddag, [nodes[position] for position in leaves], name)
+    for hierarchy, (positions, preorders, subtree_ends) in grouped.items():
+        component = goddag._components.get(hierarchy)
+        entry = component.name_entry(name) if component else None
+        if entry is None:
+            continue
+        preorders = np.asarray(preorders, dtype=np.int64)
+        if axis == "descendant":
+            found = (np.searchsorted(entry.preorders, subtree_ends,
+                                     side="right")
+                     > np.searchsorted(entry.preorders, preorders,
+                                       side="right"))
+        else:
+            before = np.searchsorted(entry.preorders, preorders,
+                                     side="left")
+            reach = np.maximum.accumulate(entry.subtree_ends)
+            found = (before > 0) & (reach[np.maximum(before - 1, 0)]
+                                    >= preorders)
+        out[np.asarray(positions)[found]] = True
+    return out
+
+
+def _has_containing_named(goddag: KyGoddag, leaves: list,
+                          name: str) -> np.ndarray:
+    """:meth:`SpanIndex.has_containing_named` for many leaves: no
+    element lies on a leaf's own chain below it, so a span-equal
+    container is a witness like any other — one bisect and one
+    prefix-max lookup per leaf, nothing to resolve per node."""
+    interval = goddag.span_index().name_interval(name)
+    starts, ends = span_columns_of(leaves)
+    if not len(interval):
+        return np.zeros(len(starts), dtype=bool)
+    before = np.searchsorted(interval.starts, starts, side="right")
+    return (before > 0) & (
+        interval.prefix_max_ends[np.maximum(before - 1, 0)] >= ends)
+
+
+def descendant_leaves_batch(goddag: KyGoddag, nodes: list
+                            ) -> tuple[list[list], ColumnarNodeSet]:
+    """``descendant::leaf()`` of every context in one pass: the
+    per-context leaf lists (text order) and their deduplicated union
+    with span columns.
+
+    Valid for hierarchy nodes and the root, whose leaves are the
+    partition cells inside their span: two ``searchsorted`` calls on
+    the boundary offsets bound every context's slice of the one leaf
+    list.
+    """
+    partition = goddag.partition
+    starts, ends = span_columns_of(nodes)
+    leaves, firsts, lasts = partition.leaf_ranges(starts, ends)
+    rows = [leaves[first:last]
+            for first, last in zip(firsts.tolist(), lasts.tolist())]
+    _reps, cells = _multi_slice(firsts, lasts)
+    cells = np.unique(cells)
+    bounds = partition.boundary_array
+    union = ColumnarNodeSet([leaves[cell] for cell in cells.tolist()],
+                            bounds[cells], bounds[cells + 1])
+    return rows, union

@@ -249,6 +249,19 @@ class Partition:
             return []
         return self._all_leaves()[first:last]
 
+    def leaf_ranges(self, starts: np.ndarray, ends: np.ndarray
+                    ) -> tuple[list[GLeaf], np.ndarray, np.ndarray]:
+        """:meth:`leaves_in` for many spans at once.
+
+        ``(leaves, firsts, lasts)``: row ``i``'s leaves are
+        ``leaves[firsts[i]:lasts[i]]`` of the cached leaf list (do not
+        mutate) — two bisects for the whole batch.
+        """
+        bounds = self.boundary_array
+        firsts = np.searchsorted(bounds, starts, side="left")
+        lasts = np.searchsorted(bounds, ends, side="right") - 1
+        return self._all_leaves(), firsts, np.maximum(lasts, firsts)
+
     def leaves_from(self, offset: int) -> list[GLeaf]:
         """Leaves whose span starts at or after ``offset``."""
         first = int(np.searchsorted(self.boundary_array, offset,

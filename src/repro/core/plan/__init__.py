@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.core.lang import ast
 from repro.core.lang.parser import parse_query, parse_xpath
-from repro.core.plan.logical import Plan, render_plan
+from repro.core.plan.logical import FuncOp, Plan, render_plan, walk
 from repro.core.plan.physical import compile_plan, execute_plan
 from repro.core.plan.planner import build_plan
 from repro.core.plan.rewrite import rewrite
@@ -53,15 +53,16 @@ __all__ = [
 #: predicate reordering — costed plans additionally key on the
 #: statistics fingerprint, see ``SharedPlanCache``); bumped by PR 13
 #: (costed plans decorrelate nested existence predicates into mask
-#: plans).
-PLAN_VERSION = 5
+#: plans); bumped by PR 16 (costed plans lift correlated inner ``for``
+#: clauses, and standard-axis probes are mask terms).
+PLAN_VERSION = 6
 
 
 class CompiledQuery:
     """One query compiled through the full pipeline, ready to run."""
 
     __slots__ = ("text", "source_ast", "rewritten_ast", "plan",
-                 "rewrites", "costed", "_runner")
+                 "rewrites", "costed", "exclusive", "_runner")
 
     def __init__(self, text: str, source_ast: ast.Expr,
                  rewritten_ast: ast.Expr, plan: Plan,
@@ -75,6 +76,14 @@ class CompiledQuery:
         self.rewrites = rewrites
         #: True when the statistics-driven cost pass ran (DESIGN.md §16)
         self.costed = costed
+        #: True when the plan calls ``analyze-string``: an evaluation
+        #: adds and removes a temporary hierarchy, so on a frozen
+        #: engine it takes the exclusive side of the read latch.  Read
+        #: off the plan, so a query compiled from a pre-parsed AST
+        #: (no text to scan) decides the same way.
+        self.exclusive = any(
+            isinstance(node, FuncOp) and node.name == "analyze-string"
+            for node in walk(plan))
         self._runner = runner
 
     def execute(self, goddag, variables=None, options=None,
@@ -112,10 +121,10 @@ def compile_query(query: str | ast.Expr, *, xpath: bool = False,
 
     With ``stats`` (a :class:`~repro.core.goddag.stats.PlanStats`) the
     cost pass runs between planning and closure compilation: join-pair
-    reversal, predicate reordering, predicate decorrelation, and
-    per-step cardinality estimates
-    (DESIGN.md §16).  Without it the lowering is purely mechanical —
-    the differential oracle the costed path is tested against.
+    reversal, predicate reordering, predicate decorrelation, inner-FLWOR
+    lifting, and per-step cardinality estimates (DESIGN.md §16).
+    Without it the lowering is purely mechanical — the differential
+    oracle the costed path is tested against.
     """
     if isinstance(query, str):
         text = query

@@ -18,7 +18,9 @@ Operator glossary (DESIGN.md §8):
 ``expr-step``    a non-axis path step, evaluated once per input node
 ``filter``       predicates over an arbitrary item sequence
 ``collection``   the roots of a sharded corpus, resolved at run time
-``flwor``        the FLWOR pipeline (streaming unless it orders)
+``flwor``        the FLWOR pipeline (streaming unless it orders); a
+                 ``for … [lifted over $x]`` clause runs once over all
+                 bindings of ``$x`` (costed plans, §16)
 ``quantified``   some/every
 ``union``/``intersect``/``except``  node-set algebra by order key
 ``construct``    a direct element constructor
@@ -338,15 +340,36 @@ class CollectionOp(Plan):
 
 
 @dataclass
+class Lift:
+    """The cost pass's verdict on a correlated inner ``for $y in
+    $x/axis::test`` (DESIGN.md §16): run it set-at-a-time over every
+    binding of ``$x`` at once."""
+
+    #: operator id: the key of the evaluation's lifted state and of the
+    #: clause's ``act=`` (tuples served from the batch)
+    op_id: int
+    #: the outer ``for`` variable the sequence starts from
+    over: str
+    #: mask term per lifted condition, by :attr:`LiftedCondOp.slot`
+    terms: list[tuple] = field(default_factory=list)
+
+
+@dataclass
 class ForOp(Plan):
     variable: str
     position_variable: str | None
     sequence: Plan
+    #: set on a lifted inner ``for`` (costed plans only)
+    lift: Lift | None = None
+    #: ``Lift.op_id`` of every inner ``for`` lifted over this clause's
+    #: variable: its sequence is what they batch over
+    feeds: list[int] = field(default_factory=list)
 
     def _label(self) -> str:
         at = f" at ${self.position_variable}" if self.position_variable \
             else ""
-        return f"for ${self.variable}{at}"
+        lifted = f" [lifted over ${self.lift.over}]" if self.lift else ""
+        return f"for ${self.variable}{at}{lifted}"
 
 
 @dataclass
@@ -371,6 +394,26 @@ class WhereOp(Plan):
     def _label(self) -> str:
         suffix = " [hoisted-invariant]" if self.invariant else ""
         return f"where{suffix}"
+
+
+@dataclass
+class LiftedCondOp(Plan):
+    """An ``if`` / ``where`` condition over the variable of a lifted
+    ``for``: ``$y[P]`` or ``$y/axis::name``, decided for every item of
+    every binding's sequence by one mask (DESIGN.md §16).  ``plan`` is
+    the condition as written — what runs whenever the evaluation holds
+    no verdict for the item ``$y`` is bound to."""
+
+    plan: Plan
+    lift_id: int
+    variable: str
+    #: index into :attr:`Lift.terms`
+    slot: int
+    term: tuple
+
+    def _label(self) -> str:
+        return (f"condition [lifted ${self.variable}: "
+                f"mask {render_mask(self.term)}]")
 
 
 @dataclass
@@ -512,6 +555,8 @@ def _children(plan: Plan) -> list[Plan]:
         return [plan.sequence]
     if isinstance(plan, (LetOp, WhereOp)):
         return [plan.plan]
+    if isinstance(plan, LiftedCondOp):
+        return []  # like a mask predicate: the label says it all
     if isinstance(plan, OrderOp):
         return [key for key, _d, _e in plan.specs]
     if isinstance(plan, FLWOROp):
@@ -527,6 +572,19 @@ def _children(plan: Plan) -> list[Plan]:
     return []
 
 
+def walk(plan: Plan):
+    """``plan`` and every plan under it, pre-order — the inner plans
+    the explain tree elides (batched predicates, lifted conditions)
+    included."""
+    yield plan
+    if isinstance(plan, (PredicateOp, LiftedCondOp)):
+        children = [plan.plan]
+    else:
+        children = _children(plan)
+    for child in children:
+        yield from walk(child)
+
+
 def render_plan(plan: Plan, indent: int = 0,
                 actuals: dict[int, int] | None = None,
                 miss_factor: float = 8.0) -> str:
@@ -536,12 +594,17 @@ def render_plan(plan: Plan, indent: int = 0,
     (the executor's per-operator cardinality record, keyed by
     ``op_id``) the line becomes ``[est=… act=…]``, with ``!`` flagging
     estimates that missed by more than ``miss_factor``.  A mask
-    predicate shows its survivor count as ``[act=…]``.
+    predicate shows its survivor count as ``[act=…]``, a lifted
+    ``for`` the tuples it served from its batch.
     """
     label = plan._label()
-    if (isinstance(plan, PredicateOp) and actuals is not None
-            and plan.op_id in actuals):
-        label += f" [act={actuals[plan.op_id]}]"
+    op_id = -1
+    if isinstance(plan, PredicateOp):
+        op_id = plan.op_id
+    elif isinstance(plan, ForOp) and plan.lift is not None:
+        op_id = plan.lift.op_id
+    if actuals is not None and op_id in actuals:
+        label += f" [act={actuals[op_id]}]"
     if isinstance(plan, StepOp) and plan.est_rows is not None:
         annotation = f"est={plan.est_rows:.0f}"
         if actuals is not None and plan.op_id in actuals:

@@ -37,6 +37,7 @@ from repro.core.goddag.axes import (
 )
 from repro.core.goddag.joins import (
     ColumnarNodeSet,
+    descendant_leaves_batch,
     exists_axis_batch,
     join_axis_batch,
 )
@@ -49,6 +50,7 @@ from repro.core.goddag.nodes import (
     GPi,
     GRoot,
     GText,
+    _HierarchyNode,
 )
 from repro.core.lang import ast
 from repro.core.plan import logical as L
@@ -651,22 +653,12 @@ def _compile_mask(op: L.PredicateOp, per_node):
     """
     term = op.mask
     op_id = op.op_id
-    builtin_not = (_builtin("not")
-                   if any(part[0] == "not" for part in L.mask_terms(term))
-                   else None)
-    #: names probed as ``xancestor::name[P]``: the root is a witness
-    #: of that axis but a row of no name column
-    subset_ancestors = {part[2] for part in L.mask_terms(term)
-                        if part[0] == "axis" and part[1] == "xancestor"
-                        and part[3] is not None}
+    masks_hold = _mask_guard(term)
 
     def run_mask(frame: Frame, candidates: list) -> list:
         if not candidates:
             return candidates
-        if (builtin_not is not None
-                and frame.functions.get("not") is not builtin_not):
-            return per_node(frame, candidates)
-        if frame.goddag.root.name in subset_ancestors:
+        if not masks_hold(frame):
             return per_node(frame, candidates)
         for item in candidates:
             if not isinstance(item, GNode):
@@ -680,6 +672,28 @@ def _compile_mask(op: L.PredicateOp, per_node):
         return kept
 
     return run_mask
+
+
+def _mask_guard(term: tuple):
+    """``fn(frame) -> bool``: are the masks of ``term`` the function
+    its per-node evaluation computes, in this evaluation?  Not under
+    an overridden ``not``, and not where ``xancestor::name[P]`` probes
+    the root's name: the root is a witness of that axis but a row of
+    no name column."""
+    builtin_not = (_builtin("not")
+                   if any(part[0] == "not" for part in L.mask_terms(term))
+                   else None)
+    subset_ancestors = {part[2] for part in L.mask_terms(term)
+                        if part[0] == "axis" and part[1] == "xancestor"
+                        and part[3] is not None}
+
+    def masks_hold(frame: Frame) -> bool:
+        if (builtin_not is not None
+                and frame.functions.get("not") is not builtin_not):
+            return False
+        return frame.goddag.root.name not in subset_ancestors
+
+    return masks_hold
 
 
 def _mask_over(frame: Frame, term: tuple, nodes: list) -> np.ndarray:
@@ -710,6 +724,16 @@ def _mask_over(frame: Frame, term: tuple, nodes: list) -> np.ndarray:
     return exists_axis_batch(goddag, axis, nodes, name, among=among)
 
 
+def _epoch(frame: Frame) -> tuple:
+    """What a verdict computed now stays true under: the span index
+    and its membership — every ``analyze-string`` temporary coming or
+    going moves it."""
+    goddag = frame.goddag
+    index = goddag.span_index()
+    return (index, goddag.version, index.incremental_adds,
+            index.incremental_removes)
+
+
 def _mask_column(frame: Frame, name: str, term: tuple) -> np.ndarray:
     """The verdicts of ``term`` over the rows of ``name``'s interval
     columns, built once per evaluation.
@@ -719,17 +743,14 @@ def _mask_column(frame: Frame, name: str, term: tuple) -> np.ndarray:
     column) under an epoch that any membership change — an
     ``analyze-string`` temporary coming or going — moves.
     """
-    goddag = frame.goddag
-    index = goddag.span_index()
-    epoch = (index, goddag.version, index.incremental_adds,
-             index.incremental_removes)
+    epoch = _epoch(frame)
     memo = frame.mask_memo
     if memo is None or memo[0] != epoch:
         memo = frame.mask_memo = (epoch, {})
     key = (name, term)
     column = memo[1].get(key)
     if column is None:
-        interval = index.name_interval(name)
+        interval = epoch[0].name_interval(name)
         rows = ColumnarNodeSet(interval.nodes.tolist(), interval.starts,
                                interval.ends)
         column = memo[1][key] = _mask_over(frame, term, rows)
@@ -1112,6 +1133,8 @@ def _compile_step(op: L.StepOp):
 
 
 def _compile_ebv(plan: L.Plan):
+    if isinstance(plan, L.LiftedCondOp):
+        return _compile_lifted_condition(plan)
     if isinstance(plan, L.BoolOp):
         operands = [_compile_ebv(o) for o in plan.operands]
         if plan.kind == "or":
@@ -1315,15 +1338,18 @@ def _record_actuals(step_fn, op_id: int):
     return run
 
 
+def _compile_any_step(step: L.Plan):
+    if isinstance(step, L.IntervalJoinOp):
+        return _compile_join(step)
+    if isinstance(step, L.StepOp):
+        return _compile_step(step)
+    return _compile_expr_step(step)
+
+
 def _compile_path(op: L.PathOp) -> Runner:
     step_fns = []
     for step in op.steps:
-        if isinstance(step, L.IntervalJoinOp):
-            step_fn = _compile_join(step)
-        elif isinstance(step, L.StepOp):
-            step_fn = _compile_step(step)
-        else:
-            step_fn = _compile_expr_step(step)
+        step_fn = _compile_any_step(step)
         if isinstance(step, L.StepOp) and step.op_id >= 0:
             step_fn = _record_actuals(step_fn, step.op_id)
         step_fns.append(step_fn)
@@ -1386,6 +1412,11 @@ def _compile_flwor_streaming(op: L.FLWOROp) -> Runner:
 def _make_streaming_clause(clause: L.Plan, nxt, cells: list):
     if isinstance(clause, L.ForOp):
         sequence_fn = compile_plan(clause.sequence)
+        if clause.lift is not None:
+            sequence_fn = _compile_lifted_sequence(clause, sequence_fn)
+        feeds = tuple(clause.feeds)
+        if feeds:
+            sequence_fn = _publish_bindings(sequence_fn, feeds)
         variable = clause.variable
         position_variable = clause.position_variable
 
@@ -1417,6 +1448,8 @@ def _make_streaming_clause(clause: L.Plan, nxt, cells: list):
                         variables.pop(position_variable, None)
                     else:
                         variables[position_variable] = old_position
+                for lift_id in feeds:
+                    frame.lifted.pop(lift_id, None)
 
         return run_for
     if isinstance(clause, L.LetOp):
@@ -1479,6 +1512,136 @@ def _make_streaming_clause(clause: L.Plan, nxt, cells: list):
         return run_where
     raise TypeError(  # pragma: no cover - planner guarantees clause types
         f"unknown streaming clause {type(clause).__name__}")
+
+
+# -- lifted inner ``for`` clauses (DESIGN.md §16) ----------------------------
+
+
+class _Lifted:
+    """What one evaluation holds for one lifted ``for $y in
+    $x/axis::test``: per binding of ``$x`` its sequence, per lifted
+    condition the verdict of every node in any of them.
+
+    Both are keyed by ``id()`` of nodes the state itself keeps alive,
+    and both are pure functions of the node under ``epoch`` — whatever
+    ``$x`` or ``$y`` happens to be bound to when they are looked up, a
+    hit is the value the clause as written would compute.
+    """
+
+    __slots__ = ("epoch", "rows", "verdicts", "__weakref__")
+
+    def __init__(self, epoch: tuple, rows: dict[int, list],
+                 verdicts: list[dict[int, bool]]) -> None:
+        self.epoch = epoch
+        self.rows = rows
+        self.verdicts = verdicts
+
+
+def _publish_bindings(sequence_fn: Runner, feeds: tuple[int, ...]) -> Runner:
+    """The outer side of a lift: hand the clause's whole sequence to
+    the inner clauses lifted over its variable.  Nothing is computed
+    here — the first inner clause the loop reaches does that — so a
+    body that never gets there costs nothing and no error moves."""
+    def run(frame: Frame) -> list:
+        sequence = sequence_fn(frame)
+        lifted = frame.lifted
+        if lifted is None:
+            lifted = frame.lifted = {}
+        for lift_id in feeds:
+            lifted[lift_id] = sequence
+        return sequence
+
+    return run
+
+
+def _compile_lifted_sequence(clause: L.ForOp, per_binding: Runner) -> Runner:
+    """The sequence of a lifted ``for``: the current binding's row of
+    the batch, or — no batch, a binding outside it, the document moved
+    since — ``per_binding``, the clause's ordinary path."""
+    lift = clause.lift
+    lift_id, over = lift.op_id, lift.over
+    step = clause.sequence.steps[0]
+    step_id = step.op_id
+    step_fn = _compile_any_step(step)
+    leaf_slices = step.leaves_only and step.axis in ("descendant",
+                                                     "descendant-or-self")
+    guards = [_mask_guard(term) for term in lift.terms]
+
+    def batch(frame: Frame, bindings: list) -> _Lifted | None:
+        for item in bindings:
+            if not isinstance(item, GNode):
+                return None  # the ordinary path raises when it gets there
+        if not all(masks_hold(frame) for masks_hold in guards):
+            return None
+        epoch = _epoch(frame)
+        if leaf_slices and all(isinstance(item, (_HierarchyNode, GRoot))
+                               for item in bindings):
+            stats = frame.stats
+            stats.axis_steps += 1
+            stats.batched_steps += 1
+            sequences, union = descendant_leaves_batch(frame.goddag,
+                                                       bindings)
+            rows = {id(item): sequence
+                    for item, sequence in zip(bindings, sequences)}
+        else:
+            rows = {}
+            members: dict[int, GNode] = {}
+            for item in bindings:
+                if id(item) not in rows:
+                    rows[id(item)] = sequence = step_fn(frame, [item])
+                    for node in sequence:
+                        members[id(node)] = node
+            union = ColumnarNodeSet(members.values())
+        keys = [id(node) for node in union]
+        return _Lifted(epoch, rows, [
+            dict(zip(keys, _mask_over(frame, term, union).tolist()))
+            for term in lift.terms])
+
+    def run(frame: Frame) -> list:
+        lifted = frame.lifted
+        state = lifted.get(lift_id) if lifted is not None else None
+        if state is not None:
+            if state.__class__ is not _Lifted:
+                # the outer clause's sequence, published and not yet used
+                state = lifted[lift_id] = batch(frame, state)
+            elif state.epoch != _epoch(frame):
+                state = lifted[lift_id] = None
+        if state is not None:
+            bound = frame.variables.get(over)
+            if bound is not None and len(bound) == 1:
+                row = state.rows.get(id(bound[0]))
+                if row is not None:
+                    actuals = frame.stats.op_actuals
+                    actuals[lift_id] = actuals.get(lift_id, 0) + len(row)
+                    actuals[step_id] = actuals.get(step_id, 0) + len(row)
+                    return row
+        return per_binding(frame)
+
+    return run
+
+
+def _compile_lifted_condition(op: L.LiftedCondOp):
+    """``fn(frame) -> bool``: the batch's verdict for the node ``$y``
+    is bound to, else the condition as written — also once the epoch
+    has moved under the inner loop (an impure override of a whitelisted
+    builtin in an earlier tuple's branch), as :func:`_mask_column`
+    re-checks on every use."""
+    as_written = _compile_ebv(op.plan)
+    lift_id, variable, slot = op.lift_id, op.variable, op.slot
+
+    def run(frame: Frame) -> bool:
+        lifted = frame.lifted
+        if lifted is not None:
+            state = lifted.get(lift_id)
+            if state.__class__ is _Lifted and state.epoch == _epoch(frame):
+                bound = frame.variables.get(variable)
+                if bound is not None and len(bound) == 1:
+                    verdict = state.verdicts[slot].get(id(bound[0]))
+                    if verdict is not None:
+                        return verdict
+        return as_written(frame)
+
+    return run
 
 
 def _compile_flwor_materialized(op: L.FLWOROp) -> Runner:

@@ -43,8 +43,9 @@ class QueryStats:
         Vectorized interval-join executions — one per extended-axis
         step run through the join engine plus one per batched
         existence probe: a semi-join predicate, or one
-        ``axis::name`` term of a decorrelated mask predicate, which
-        also counts as one batched axis step (DESIGN.md §11, §16).
+        ``axis::name`` term of a decorrelated mask predicate or of a
+        lifted FLWOR condition, which also counts as one batched axis
+        step (DESIGN.md §11, §16).
     batched_extended_steps:
         Extended-axis steps actually served by the set-at-a-time join
         kernels instead of per-node span arithmetic
@@ -60,7 +61,9 @@ class QueryStats:
     op_actuals:
         Costed plans only (DESIGN.md §16): actual output cardinality
         per annotated operator, keyed by ``StepOp.op_id`` (summed when
-        a nested plan runs the step more than once).  Feed it to
+        a nested plan runs the step more than once); a lifted ``for``
+        records the tuples it served from its batch under
+        ``Lift.op_id``.  Feed it to
         ``CompiledQuery.explain(actuals=…)`` for ``est=…/act=…`` lines.
     cost_fallbacks:
         Times the adaptive executor abandoned a cost-chosen probe
@@ -124,7 +127,7 @@ class Frame:
 
     __slots__ = ("goddag", "functions", "options", "temp_manager",
                  "variables", "item", "position", "size", "stats",
-                 "mask_memo")
+                 "mask_memo", "lifted")
 
     def __init__(self, goddag: KyGoddag, functions: dict[str, Any],
                  options: QueryOptions,
@@ -145,6 +148,11 @@ class Frame:
         #: documents it runs against and must never hold one of their
         #: arrays.
         self.mask_memo = None
+        #: ``{Lift.op_id: state}`` — what the lifted inner ``for``
+        #: clauses of this evaluation batch over and have batched
+        #: (``physical._compile_lifted_sequence``); on the frame for
+        #: the reason ``mask_memo`` is.
+        self.lifted = None
 
     def context_item(self) -> Any:
         if self.item is None:

@@ -80,6 +80,11 @@ ROUTES: dict[str, tuple[str, ...]] = {
 #: lookup-miss prefixes that map to 404 instead of 400
 _NOT_FOUND_PREFIXES = ("no document named", "no corpus named")
 
+#: How long a drain waits for the tasks of the connections it hung up
+#: on to end (an idle one ends at once; one still flushing to a peer
+#: that has stopped reading is left behind).
+HANGUP_GRACE_S = 5.0
+
 
 def _default_workers() -> int:
     try:
@@ -414,7 +419,7 @@ class QueryServer:
         self._server: asyncio.AbstractServer | None = None
         self._slots: asyncio.Semaphore | None = None
         self._idle: asyncio.Event | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._draining = False
 
     @property
@@ -449,15 +454,32 @@ class QueryServer:
             self._idle.set()
         await self._idle.wait()
         if first:
-            for writer in list(self._connections):
-                writer.close()
+            await self._hang_up()
             self.executor.shutdown(wait=False)
+
+    async def _hang_up(self) -> None:
+        """Close every connection and see its task end.
+
+        An idle keep-alive connection sits in ``read_request``; the
+        close is its end of stream and the task returns.  Waiting for
+        that here means no connection task is left for whoever runs the
+        loop to cancel — ``asyncio.run`` cancelling an idle read is
+        what printed a ``CancelledError`` traceback at SIGTERM.  The
+        wait is bounded: a peer that has stopped reading keeps its
+        transport flushing, and must not hold the drain.
+        """
+        connections = dict(self._connections)
+        for writer in connections:
+            writer.close()
+        ending = set(connections.values()) - {asyncio.current_task()}
+        if ending:
+            await asyncio.wait(ending, timeout=HANGUP_GRACE_S)
 
     # -- connection loop ----------------------------------------------------
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        self._connections.add(writer)
+        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -481,7 +503,7 @@ class QueryServer:
         except (ConnectionResetError, BrokenPipeError):
             self.stats.disconnects += 1
         finally:
-            self._connections.discard(writer)
+            self._connections.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()

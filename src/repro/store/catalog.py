@@ -757,7 +757,7 @@ class DocumentStore:
             return [frame.goddag.root]
 
         items = engine._evaluate_guarded(
-            compiled.text,
+            compiled,
             lambda: compiled.execute(
                 engine.goddag, options=engine.options,
                 functions={"collection": resolver}))

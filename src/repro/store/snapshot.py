@@ -69,7 +69,7 @@ class Snapshot:
                                         stats=self._plan_stats())
         stats = QueryStats(plan_cache_hit=hit)
         items = engine._evaluate_guarded(
-            text,
+            compiled,
             lambda: compiled.execute(engine.goddag, variables=variables,
                                      options=engine.options,
                                      stats=stats))
@@ -91,7 +91,7 @@ class Snapshot:
             return compiled.explain()
         stats = QueryStats()
         engine._evaluate_guarded(
-            text,
+            compiled,
             lambda: compiled.execute(engine.goddag, variables=None,
                                      options=engine.options,
                                      stats=stats))

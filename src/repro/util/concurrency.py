@@ -11,18 +11,6 @@ from __future__ import annotations
 import threading
 
 
-def needs_exclusive_evaluation(text: str | None) -> bool:
-    """True when a query must take the exclusive latch side.
-
-    ``analyze-string`` registers (and removes) a real temporary
-    hierarchy — a membership change of the shared structure.  The scan
-    is conservative: any mention of the token, or an unavailable query
-    text (pre-parsed ASTs), goes exclusive — a false positive costs
-    concurrency, never correctness.
-    """
-    return text is None or "analyze-string" in text
-
-
 class ReadWriteLatch:
     """A minimal many-reader / one-writer latch."""
 

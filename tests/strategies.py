@@ -96,15 +96,19 @@ EXTENDED_AXES = ("xancestor", "xdescendant", "xfollowing", "xpreceding",
                  "overlapping", "preceding-overlapping",
                  "following-overlapping")
 
+#: standard axes a mask term may probe (no nested predicate)
+STANDARD_PROBE_AXES = ("ancestor", "descendant", "self")
+
 
 @st.composite
 def predicate_trees(draw, depth: int = 2) -> str:
     """The text of one predicate body in the grammar the cost pass
     decorrelates: ``and`` / ``or`` / ``not()`` over
-    ``extended-axis::name`` and — ``depth`` levels deep —
-    ``extended-axis::name[tree]``.
+    ``extended-axis::name``, — ``depth`` levels deep —
+    ``extended-axis::name[tree]``, and the plain standard-axis probes
+    ``ancestor::name`` / ``descendant::name`` / ``self::name``.
 
-    One atom in eight is ``string(.) = "literal"``, which is outside
+    One atom in ten is ``string(.) = "literal"``, which is outside
     the grammar: a tree holding one stays on the per-node path, so the
     suite keeps comparing that path too.  Literals are drawn from
     :data:`TEXT_ALPHABET`, so on generated documents a string test now
@@ -112,10 +116,14 @@ def predicate_trees(draw, depth: int = 2) -> str:
     """
     def atom() -> str:
         kinds = ("axis",) * 3 + ("nested",) * 4 if depth else ("axis",) * 7
-        kind = draw(st.sampled_from(kinds + ("string",)))
+        kind = draw(st.sampled_from(kinds + ("standard",) * 2
+                                    + ("string",)))
         if kind == "string":
             literal = draw(st.text(alphabet=TEXT_ALPHABET, max_size=3))
             return f'string(.) = "{literal}"'
+        if kind == "standard":
+            return (f"{draw(st.sampled_from(STANDARD_PROBE_AXES))}::"
+                    f"{draw(st.sampled_from(ELEMENT_NAMES))}")
         step = (f"{draw(st.sampled_from(EXTENDED_AXES))}::"
                 f"{draw(st.sampled_from(ELEMENT_NAMES))}")
         if kind == "nested":
@@ -135,6 +143,86 @@ def predicate_trees(draw, depth: int = 2) -> str:
         return operand()
     count = draw(st.integers(min_value=2, max_value=3))
     return f" {connective} ".join(operand() for _ in range(count))
+
+
+# ---------------------------------------------------------------------------
+# nested-FLWOR conditionals (the lifted inner ``for``, DESIGN.md §16)
+# ---------------------------------------------------------------------------
+
+#: inner steps ``for $i in $o/step`` is drawn from: liftable downward
+#: steps of every batch shape (the leaf slice, named and unnamed
+#: per-binding steps, an interval join), and two the pass leaves alone
+INNER_STEPS = ("descendant::leaf()", "descendant-or-self::leaf()",
+               "descendant::w", "descendant::node()",
+               "descendant-or-self::node()", "child::*",
+               "child::text()", "xdescendant::w", "xdescendant::dmg",
+               "following::leaf()", "descendant::w[1]")
+
+#: what ``$o`` ranges over: elements by name, every element, or the
+#: root alone — under ``descendant-or-self::node()`` the root is then a
+#: ``$i`` too, the one context that tops every ancestor chain
+OUTER_PATHS = tuple(f"/descendant::{name}"
+                    for name in ELEMENT_NAMES + ("*",)) + ("/self::node()",)
+
+#: one in six queries takes one of these shapes, each a documented
+#: fallback of the lifting pass — or, for ``empty``, a lifted clause
+#: whose every sequence is empty
+FALLBACK_SHAPES = ("position-variable", "outer-variable", "comparison",
+                   "order-by", "empty", "raising-branch")
+
+
+@st.composite
+def nested_flwor_conditionals(draw) -> str:
+    """``for $o in … return for $i in $o/step …`` whose body branches
+    on a drawn :func:`predicate_trees` condition over ``$i``.
+
+    Five in six take a shape the cost pass lifts (given a liftable
+    step): ``if ($i[P])``, ``where $i[P]``, the EBV path form
+    ``$i/axis::name``, both clauses in one FLWOR, or an ``else if``
+    chain.  The sixth is one of :data:`FALLBACK_SHAPES`.
+    """
+    outer = draw(st.sampled_from(OUTER_PATHS))
+    step = draw(st.sampled_from(INNER_STEPS))
+    tree = draw(predicate_trees(depth=1))
+    probe = (f"{draw(st.sampled_from(EXTENDED_AXES + STANDARD_PROBE_AXES))}"
+             f"::{draw(st.sampled_from(ELEMENT_NAMES))}")
+    head = f"for $o in {outer} return "
+    branch = "then <y>{$i}</y> else $i"
+    if draw(st.integers(min_value=0, max_value=5)):
+        shape = draw(st.sampled_from(
+            ("if", "where", "path", "one-flwor", "chain")))
+    else:
+        shape = draw(st.sampled_from(FALLBACK_SHAPES))
+    if shape == "if":
+        return f"{head}for $i in $o/{step} return if ($i[{tree}]) {branch}"
+    if shape == "where":
+        return f"{head}for $i in $o/{step} where $i[{tree}] return $i"
+    if shape == "path":
+        return (f"{head}for $i in $o/{step} "
+                f"return if ($i/{probe}) then 1 else 0")
+    if shape == "one-flwor":
+        return (f"for $o in {outer}, $i in $o/{step} "
+                f"where $i[{tree}] return $i")
+    if shape == "chain":
+        return (f"{head}for $i in $o/{step} return if ($i[{tree}]) "
+                f"then 2 else if ($i/{probe}) then 1 else 0")
+    if shape == "position-variable":
+        return (f"{head}for $i at $p in $o/{step} "
+                f"return if ($i[{tree}]) then $p else 0")
+    if shape == "outer-variable":
+        return (f"{head}for $i in $o/{step} "
+                f"return if ($i[({tree}) or $o/self::w]) {branch}")
+    if shape == "comparison":
+        return (f"{head}for $i in $o/{step} "
+                f'return if ($i[string(.) = "a"]) {branch}')
+    if shape == "order-by":
+        return (f"{head}for $i in $o/{step} order by string($i) "
+                f"return if ($i[{tree}]) {branch}")
+    if shape == "empty":
+        return (f"{head}for $i in $o/child::nosuch "
+                f"return if ($i[{tree}]) {branch}")
+    return (f"{head}for $i in $o/{step} "
+            f"return if ($i[{tree}]) then 1 idiv 0 else $i")
 
 
 # ---------------------------------------------------------------------------

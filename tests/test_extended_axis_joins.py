@@ -33,7 +33,8 @@ from repro.core.goddag import (
     join_axis_batch,
 )
 from repro.core.goddag.axes import EXTENDED_AXES, axis_exists_named
-from repro.core.goddag.nodes import GElement
+from repro.core.goddag.joins import TREE_EXISTS_AXES
+from repro.core.goddag.nodes import GAttr, GElement
 
 from tests.strategies import join_scenarios
 from tests.treewalk import TreeWalkEngine, evaluate_query
@@ -124,6 +125,35 @@ class TestDifferentialJoins:
                     for position, node in enumerate(contexts):
                         want = axis_exists_named(goddag, axis, node, name)
                         assert bool(got[position]) == bool(want), \
+                            (axis, name, node)
+        finally:
+            manager.drop_all()
+
+    @SETTINGS
+    @given(scenario=join_scenarios())
+    def test_tree_exists_matches_pernode_axes(self, scenario):
+        """The standard-axis probes (``ancestor::`` / ``descendant::``
+        / ``self::name``) against the per-node axes, with the root and
+        an attribute the root owns always among the contexts: both top
+        every chain, so neither has a named ancestor."""
+        document, picks, temporary = scenario
+        goddag = KyGoddag.build(document)
+        manager = TemporaryHierarchyManager(goddag)
+        if temporary is not None and temporary.spans:
+            manager.create(temporary)
+        try:
+            root = goddag.root
+            contexts = [root, GAttr(goddag, root, "a", "1")]
+            contexts += pick_contexts(goddag, picks)
+            for axis in sorted(TREE_EXISTS_AXES):
+                for name in ("w", "dmg", "nosuch", "r"):
+                    got = exists_axis_batch(goddag, axis, contexts, name)
+                    for position, node in enumerate(contexts):
+                        want = any(
+                            isinstance(found, (GElement, type(root)))
+                            and found.name == name
+                            for found in evaluate_axis(goddag, axis, node))
+                        assert bool(got[position]) == want, \
                             (axis, name, node)
         finally:
             manager.drop_all()

@@ -10,8 +10,11 @@ compatibility.
 from __future__ import annotations
 
 import json
+import mmap
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.api import Engine, load_mhx, save_mhx
@@ -121,6 +124,57 @@ class TestRoundTrip:
             for node in restored.goddag.nodes_of(name):
                 assert node._okey is not None
         restored.goddag.check_invariants()
+
+    def test_cold_load_maps_once_and_builds_nothing(self, engine,
+                                                   tmp_path):
+        """What a cold load costs, counted (the deterministic stand-in
+        for the old 5x wall-clock floor against an XML rebuild): no
+        XML parse, no component build, no sort, one mapping of the
+        file, and every column read-only."""
+        import repro.core.goddag.goddag as goddag_module
+        import repro.markup.parser as parser
+        from repro.core.goddag.index import SpanIndex
+
+        path = tmp_path / "doc.mhxb"
+        engine.save_mhxb(path)
+        calls = {"parse": 0, "builder": 0, "argsort": 0, "mmap": 0}
+
+        def counting(key, function):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        with mock.patch.object(parser, "parse",
+                               counting("parse", parser.parse)), \
+                mock.patch.object(
+                    goddag_module, "_ComponentBuilder",
+                    counting("builder",
+                             goddag_module._ComponentBuilder)), \
+                mock.patch.object(np, "argsort",
+                                  counting("argsort", np.argsort)), \
+                mock.patch.object(mmap, "mmap",
+                                  counting("mmap", mmap.mmap)):
+            restored = Engine.from_mhxb(path)
+            counted = restored.query("count(/descendant::w)").strings()
+        assert counted == engine.query("count(/descendant::w)").strings()
+        assert calls == {"parse": 0, "builder": 0, "argsort": 0,
+                         "mmap": 1}
+        goddag = restored.goddag
+        assert goddag.index_full_builds == 0
+        columns = {}
+        for name in goddag.hierarchy_names:
+            component = goddag._components[name]
+            for key in goddag_module.COLUMNS:
+                columns[f"{name}/{key}"] = getattr(component, key)
+            columns[f"{name}/s_perm"], columns[f"{name}/e_perm"] = \
+                component.perms()
+        for key, attribute in SpanIndex.COLUMNS.items():
+            columns[f"index/{key}"] = getattr(goddag._index, attribute)
+        columns["partition"] = goddag.partition.boundary_array
+        for key, column in columns.items():
+            assert isinstance(column, np.ndarray), key
+            assert not column.flags.writeable, key
 
     def test_dom_materializes_lazily_and_serializes_identically(
             self, engine, tmp_path):
@@ -384,3 +438,38 @@ class TestFrozenEngine:
         assert engine.query(
             'analyze-string(/, "si")').serialize() == expected
         engine.goddag.check_invariants()
+
+    def test_latch_side_follows_the_plan_not_the_text(self, engine):
+        """``analyze-string`` adds and removes a temporary hierarchy,
+        so its evaluation takes the exclusive side — whether the query
+        arrived as text or as a pre-parsed AST, whose compiled text is
+        a placeholder no scan can read."""
+        from repro.core.lang.parser import parse_query
+        from repro.core.plan import compile_query
+        from repro.util.concurrency import ReadWriteLatch
+
+        sides = []
+
+        class RecordingLatch(ReadWriteLatch):
+            def acquire(self, exclusive: bool) -> None:
+                sides.append(exclusive)
+                super().acquire(exclusive)
+
+        engine.goddag.freeze()
+        engine.goddag.read_latch = RecordingLatch()
+        mutating = 'count(analyze-string(/, "si")/descendant::m)'
+        plain = "count(/descendant::w)"
+        for query, exclusive in ((mutating, True), (plain, False)):
+            want = engine.query(query).serialize()
+            parsed = compile_query(parse_query(query))
+            assert "analyze-string" not in parsed.text
+            assert parsed.exclusive is exclusive
+            assert engine.execute(parsed).serialize() == want
+            assert engine.execute(
+                engine.compile(query)).serialize() == want
+            assert sides == [exclusive] * 3
+            sides.clear()
+        # the flag is the plan's: a mention in a string is not a call
+        assert not compile_query(
+            'count(/descendant::w[string(.) = "analyze-string"])'
+        ).exclusive

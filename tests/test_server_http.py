@@ -9,9 +9,15 @@ concurrency and chaos packs.
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -644,3 +650,47 @@ class TestCorpusEndpoint:
         status, _payload = handle.get_json(
             '/cquery?q=count(collection("nope")//w)')
         assert status == 404
+
+
+class TestDrainHangsUp:
+    def test_sigterm_with_an_idle_keepalive_connection_is_silent(
+            self, tmp_path):
+        """An idle kept-alive connection sits in ``read_request`` when
+        the drain comes.  Hanging up on it is a normal close: the
+        process exits 0 having printed nothing to stderr (it used to
+        print a ``CancelledError`` traceback from the connection task
+        ``asyncio.run`` had to cancel)."""
+        root = tmp_path / "catalog"
+        DocumentStore.init(root).close()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+            str(Path(__file__).resolve().parents[1] / "src"),
+            env.get("PYTHONPATH"))))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--root", str(root), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=env)
+        connection = None
+        try:
+            banner = process.stdout.readline()
+            assert banner.startswith("serving on http://"), banner
+            address = banner.split()[2].removeprefix("http://")
+            host, _, port = address.partition(":")
+            connection = http.client.HTTPConnection(host, int(port),
+                                                    timeout=60)
+            connection.request("GET", "/healthz")
+            reply = connection.getresponse()
+            assert reply.status == 200 and reply.read()
+            # the connection stays open and idle across the signal
+            process.send_signal(signal.SIGTERM)
+            out, err = process.communicate(timeout=60)
+        finally:
+            if connection is not None:
+                connection.close()
+            if process.poll() is None:  # pragma: no cover
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0
+        assert "drained; served 1 responses" in out
+        assert err == ""
