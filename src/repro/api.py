@@ -314,9 +314,11 @@ class Engine:
         Targets evaluate against the pre-state snapshot into a pending
         update list (conflicts raise before anything mutates); the list
         applies atomically through the incremental KyGODDAG paths.
-        With ``check`` (the default) the full structural invariant set
-        is verified after the apply — pass ``check=False`` on trusted
-        hot paths.
+        With ``check`` (the default) the structural invariants are
+        verified after the apply, node by node over the hierarchies the
+        statement rebuilt and by column over everything they share
+        with the rest — pass ``check=False`` on trusted hot paths;
+        ``engine.goddag.check_invariants()`` is the whole net.
         """
         if isinstance(statement, CompiledUpdate):
             compiled = statement

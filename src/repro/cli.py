@@ -26,9 +26,10 @@ built-in Boethius document):
 * ``store`` — the concurrent document store (DESIGN.md §10):
   ``store init/add/get/query/update/compact`` manage a named catalog
   of ``.mhxb``-persisted documents with MVCC snapshot reads;
-  ``store verify`` deep-scans every block checksum and ``store
-  recover`` reports what open-time crash recovery swept, adopted, or
-  quarantined (DESIGN.md §12); ``store shard`` partitions a large
+  ``store verify`` deep-scans every block checksum and runs the whole
+  invariant net over each document, and ``store recover`` reports
+  what open-time crash recovery swept, adopted, or quarantined
+  (DESIGN.md §12); ``store shard`` partitions a large
   document into a corpus of per-shard ``.mhxb`` files and ``store
   cquery`` runs ``collection("name")`` queries over it with
   scatter-gather parallelism (``--workers``) and manifest-statistics
@@ -267,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_durability_option(p_s_compact)
 
     p_s_verify = store_sub.add_parser(
-        "verify", help="deep checksum scan of every stored document")
+        "verify", help="deep checksum scan and whole invariant net over "
+                       "every stored document")
     p_s_verify.add_argument("store_dir")
     p_s_verify.add_argument("name", nargs="?", default=None,
                             help="document name (omit for all)")

@@ -81,7 +81,7 @@ def axis_parent(goddag: KyGoddag, node: GNode) -> list[GNode]:
         return list(goddag.text_parents_of_leaf(node))
     if isinstance(node, GAttr):
         return [node.owner]
-    parent = node.parent
+    parent = goddag.parent_of(node)
     return [parent] if parent is not None else []
 
 
@@ -138,6 +138,7 @@ def axis_ancestor(goddag: KyGoddag, node: GNode) -> list[GNode]:
     while current is not None:
         out.append(current)
         current = current.parent
+    out.append(goddag.root)  # the chain's stored links stop below it
     return out
 
 
@@ -168,7 +169,7 @@ def _sibling_groups(goddag: KyGoddag,
                         - partition.leaf_index(parent.start))
             groups.append((siblings, position))
         return groups
-    parent = node.parent
+    parent = goddag.parent_of(node)
     if parent is None or isinstance(node, GAttr):
         return []
     try:

@@ -10,9 +10,11 @@ evaluation finishes.
 
 Each component keeps its hierarchy as the column arrays ``.mhxb``
 stores (:class:`_HierarchyComponent`); node objects are created from
-them, so a structure can be assembled around existing arrays — a
-mapped file's, or another version's (:meth:`KyGoddag.from_arrays`,
-:meth:`KyGoddag.fork`) — without parsing, numbering or sorting.
+them, so a structure can be assembled around a mapped file's arrays
+(:meth:`KyGoddag.from_arrays`) without parsing, numbering or sorting.
+Neither a component nor its nodes name the structure holding them, so
+the next version of a document (:meth:`KyGoddag.fork`) holds the same
+component objects for every hierarchy it does not change.
 
 Node order follows the paper's Definition 3: root first, nodes of one
 hierarchy in its DOM document order, hierarchies ordered by (stable)
@@ -25,7 +27,7 @@ comparisons.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from repro.markup import dom
 from repro.cmh.document import MultihierarchicalDocument
 from repro.cmh.spans import SpanSet
 from repro.core.goddag.nodes import (
+    NO_ATTRIBUTES,
     GAttr,
     GComment,
     GElement,
@@ -80,9 +83,12 @@ class _HierarchyComponent:
     update touches is forked, saved and turned into a DOM without a
     Python pass over a node graph.
 
-    Columns and tables are never written in place once another
-    component shares them (:meth:`detached`); :meth:`rename` copies
-    first when it finds a column read-only.
+    Versions that did not change a hierarchy hold the *same* component
+    object (:meth:`KyGoddag.fork`) — columns, node objects and every
+    lazy cache a reader already paid for — so nothing here is written
+    once a component is registered.  The one in-place writer,
+    :meth:`rename`, runs on a component its KyGODDAG built itself
+    (:meth:`private_copy`) and copies first what it finds read-only.
     """
 
     def __init__(self, name: str, rank: int, temporary: bool, *,
@@ -121,11 +127,14 @@ class _HierarchyComponent:
         # All nodes of the component in preorder (excluding the root),
         # created by :meth:`attach`.  ``nodes[i].preorder == i``, so
         # every standard axis over this hierarchy is a contiguous slice
-        # of this list (DESIGN.md §5).
+        # of this list (DESIGN.md §5).  ``top_nodes`` are the ones
+        # directly under the root: what each version's root lists as
+        # its children in this hierarchy.
         self.nodes: list[_HierarchyNode] = []
+        self.top_nodes: list[_HierarchyNode] = []
         # Lazy caches over ``nodes`` (idempotent fills).
         self._nodes_arr: np.ndarray | None = None
-        self._name_index: dict[str, "_NameEntry"] | None = None
+        self._name_index: dict[str, "_NameEntry | None"] = {}
         self._text_index: tuple[list[int], list[GText]] | None = None
 
     @property
@@ -140,12 +149,13 @@ class _HierarchyComponent:
 
     # -- derived: node objects ------------------------------------------------
 
-    def attach(self, goddag: "KyGoddag") -> None:
-        """Create the node objects from the columns, under ``goddag``.
+    def attach(self, text: str) -> None:
+        """Create the node objects from the columns, over ``text``.
 
         One linear pass, constructors inlined: this loop builds every
-        node of a cold-loaded or forked document and is the largest
-        cost of both at scale.
+        node of a cold-loaded document, and of the one hierarchy an
+        update re-registers.  The nodes name no KyGODDAG (DESIGN.md
+        §1): every version holding this component shares them.
         """
         names = self.names
         rows, self._rows = self._rows, None
@@ -160,16 +170,15 @@ class _HierarchyComponent:
         comments = dict(self.comments)
         pis = dict(self.pis)
         hierarchy = self.name
-        root = goddag.root
         nodes: list = []
         top_nodes: list = []
         for position, kind in enumerate(kinds):
             if kind == KIND_ELEMENT:
                 node = GElement.__new__(GElement)
                 node._name = names[ids[position]]
-                # shared with ``self.attrs`` (and with every fork of
-                # it): nothing mutates a node's attribute mapping
-                node.attributes = attrs.get(position) or {}
+                # shared with ``self.attrs``: nothing mutates a node's
+                # attribute mapping
+                node.attributes = attrs.get(position) or NO_ATTRIBUTES
                 node.children = []
                 node._attr_nodes = None
                 node._child_positions = None
@@ -182,7 +191,7 @@ class _HierarchyComponent:
                 node = GPi.__new__(GPi)
                 node.target = names[ids[position]]
                 node.data = pis[position]
-            node.goddag = goddag
+            node._text = text
             node.start = starts[position]
             node.end = ends[position]
             node._hierarchy = hierarchy
@@ -191,7 +200,7 @@ class _HierarchyComponent:
             node._okey = okeys[position]
             parent_position = parents[position]
             if parent_position < 0:
-                node._parent = root
+                node._parent = None  # the holding version's root
                 top_nodes.append(node)
             else:
                 parent = nodes[parent_position]
@@ -199,32 +208,29 @@ class _HierarchyComponent:
                 parent.children.append(node)
             nodes.append(node)
         self.nodes = nodes
-        root.children_by_hierarchy[hierarchy] = top_nodes
-        root.attributes_by_hierarchy[hierarchy] = dict(self.root_attrs)
+        self.top_nodes = top_nodes
 
-    def detached(self) -> "_HierarchyComponent":
-        """A copy without node objects that shares every column.
+    def private_copy(self, text: str) -> "_HierarchyComponent":
+        """An attached copy a KyGODDAG may rename in place.
 
-        What :meth:`KyGoddag.fork` attaches to the next version.  The
-        shared columns turn read-only on both sides, so whichever side
-        renames next copies the one column it writes.
+        It shares every column but the one :meth:`rename` writes, and
+        has its own node objects: row ``i`` of the copy is the twin of
+        row ``i`` here.
         """
-        # base-class views: a version made in memory does not inherit
-        # the ``np.memmap`` type of blocks its ancestor was loaded with
-        columns = {key: np.asarray(getattr(self, key)) for key in COLUMNS}
-        for column in columns.values():
-            column.setflags(write=False)
-        return _HierarchyComponent(
+        columns = {key: getattr(self, key) for key in COLUMNS}
+        columns["name_ids"] = np.array(self.name_ids)
+        copy = _HierarchyComponent(
             self.name, self.rank, self.temporary, names=self.names,
             columns=columns, attrs=self.attrs, comments=self.comments,
             pis=self.pis, prolog=self.prolog, epilog=self.epilog,
             root_attrs=self.root_attrs, perms=self.perms())
+        copy.attach(text)
+        return copy
 
     def node_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(nodes, subtree_ends)`` as parallel arrays, preorder order.
 
-        The object array is a cache :meth:`release_arrays` may drop
-        under a reader; the fill is idempotent, so racing rebuilds are
+        The object array is an idempotent lazy fill: racing builds are
         wasted work, not wrong answers.
         """
         arr = self._nodes_arr
@@ -256,10 +262,10 @@ class _HierarchyComponent:
         return self._texts()[1]
 
     @property
-    def boundaries(self) -> list[int]:
+    def boundaries(self) -> np.ndarray:
         """Every markup boundary of this hierarchy — each node's start
         and each node's end, a multiset — as the partition counts them."""
-        return np.concatenate((self.starts, self.ends)).tolist()
+        return np.concatenate((self.starts, self.ends))
 
     def name_entry(self, name: str) -> "_NameEntry | None":
         """The per-name element index entry (DESIGN.md §8).
@@ -268,38 +274,22 @@ class _HierarchyComponent:
         subtree-end arrays: a named ``descendant``/``following``/
         ``preceding`` step over this hierarchy is then one bisect plus
         a slice of the name's own (usually tiny) list instead of a scan
-        of the whole component.  Built lazily (and captured locally,
-        against a concurrent :meth:`release_arrays`) — components are
-        immutable after registration.
+        of the whole component.  Read off the columns, one name at a
+        time and only for names the component can hold: ``None`` for a
+        name outside ``names`` costs a list scan, and a name a rename
+        left behind in ``names`` selects no row.
         """
+        if name not in self.names:
+            return None
         index = self._name_index
-        if index is None:
-            grouped: dict[str, list] = {}
-            for node in self.nodes:
-                if isinstance(node, GElement):
-                    grouped.setdefault(node.name, []).append(node)
-            index = {
-                name_: _NameEntry(members) for name_, members in
-                grouped.items()
-            }
-            self._name_index = index
-        return index.get(name)
-
-    def release_arrays(self) -> None:
-        """Drop the lazy numpy caches so this component can be freed.
-
-        NumPy object arrays take no part in cyclic garbage collection
-        (``ndarray`` has no traversal support), so a retired KyGODDAG
-        that still carries them is immortal: goddag -> component ->
-        object array -> node -> ``node.goddag`` closes a reference
-        cycle the collector cannot see through.  Dropping the arrays
-        leaves only ordinary Python containers in the cycle, which the
-        collector handles.  Both caches are idempotent lazy fills, so a
-        still-pinned reader that needs one again simply rebuilds it;
-        the numeric columns hold no objects and stay.
-        """
-        self._nodes_arr = None
-        self._name_index = None
+        if name not in index:
+            rows = np.flatnonzero(
+                (self.name_ids == self.names.index(name))
+                & (self.kinds == KIND_ELEMENT))
+            index[name] = _NameEntry(
+                self.node_arrays()[0][rows], rows,
+                self.subtree_ends[rows]) if len(rows) else None
+        return index[name]
 
     # -- derived: span-index permutations, DOM --------------------------------
 
@@ -388,7 +378,7 @@ class _HierarchyComponent:
         if not ids.flags.writeable:
             ids = self.name_ids = np.array(ids)
         ids[position] = ident
-        self._name_index = None
+        self._name_index = {}
 
 
 def _aux_node(entry: list) -> dom.Node:
@@ -402,19 +392,12 @@ class _NameEntry:
 
     __slots__ = ("nodes", "nodes_arr", "preorders", "subtree_ends")
 
-    def __init__(self, members: list) -> None:
-        count = len(members)
-        self.nodes = members
-        arr = np.empty(count, dtype=object)
-        for position, node in enumerate(members):
-            arr[position] = node
-        self.nodes_arr = arr
-        self.preorders = np.fromiter(
-            (node.preorder for node in members), dtype=np.int64,
-            count=count)
-        self.subtree_ends = np.fromiter(
-            (node.subtree_end for node in members), dtype=np.int64,
-            count=count)
+    def __init__(self, nodes_arr: np.ndarray, preorders: np.ndarray,
+                 subtree_ends: np.ndarray) -> None:
+        self.nodes = nodes_arr.tolist()
+        self.nodes_arr = nodes_arr
+        self.preorders = preorders
+        self.subtree_ends = subtree_ends
 
 
 class KyGoddag:
@@ -422,9 +405,14 @@ class KyGoddag:
 
     def __init__(self, text: str, root_name: str = "r") -> None:
         self.text = text
-        self.root = GRoot(self, root_name, len(text))
-        self.partition = Partition(self, len(text))
+        self.root = GRoot(text, root_name)
+        self.partition = Partition(text)
         self._components: dict[str, _HierarchyComponent] = {}
+        # The hierarchies whose component this structure built itself
+        # and no other version holds: the only ones it may write in
+        # place (:meth:`rename_element`).  A fork owns none, and takes
+        # its source's away (:meth:`fork`).
+        self._owned: set[str] = set()
         self._next_rank = 0
         self._index = None  # built lazily by repro.core.goddag.index
         # Full SpanIndex constructions (benchmarks assert that the
@@ -463,42 +451,47 @@ class KyGoddag:
                     version: int) -> "KyGoddag":
         """Assemble a KyGODDAG around ready-made column arrays.
 
-        The one pass behind both a ``.mhxb`` cold load and
-        :meth:`fork` (DESIGN.md §10): node objects are created from
-        each component's columns, the partition from its sorted
-        ``(offsets, refcounts)`` and the span index from its numeric
-        columns in both sorted orders — nothing is parsed, aligned,
-        numbered or sorted.  The arrays may be memory-mapped or shared
-        with another version; they are only ever replaced, never
-        written.  Without ``index_columns`` the span index is built on
-        first use.
+        The pass behind a ``.mhxb`` cold load (DESIGN.md §10): node
+        objects are created from each component's columns, the
+        partition from its sorted ``(offsets, refcounts)`` and the span
+        index from its numeric columns in both sorted orders — nothing
+        is parsed, aligned, numbered or sorted.  The arrays may be
+        memory-mapped; they are only ever replaced, never written.
+        Without ``index_columns`` the span index is built on first use.
         """
         from repro.core.goddag.index import SpanIndex
 
         goddag = cls(text, root_name)
-        goddag.partition = Partition.restore(goddag, len(text), *partition)
+        goddag.partition = Partition.restore(text, *partition)
         for component in components:
             if component.name in goddag._components:
                 raise GoddagError(
                     f"duplicate hierarchy name '{component.name}'")
-            goddag._components[component.name] = component
             goddag._next_rank = max(goddag._next_rank, component.rank + 1)
-            component.attach(goddag)
+            component.attach(text)
+            goddag._register(component)
         if index_columns is not None:
-            goddag._index = SpanIndex.restore(goddag, index_columns,
+            goddag._index = SpanIndex.restore(goddag.root, index_columns,
                                               components)
         goddag.version = version
         return goddag
 
     def fork(self) -> "KyGoddag":
-        """An unfrozen KyGODDAG at the same version with its own nodes.
+        """An unfrozen KyGODDAG at the same version: a new shell around
+        this one's components.
 
-        The new structure shares this one's column arrays, partition
-        multiset and span-index numeric columns and rebuilds only what
-        carries a ``node.goddag`` back-reference: the node objects and
-        the index's object columns.  Updates of the fork replace the
-        arrays of the hierarchies they touch and leave this structure
-        as it was (DESIGN.md §10).
+        A version shell is what differs between versions — the root
+        with its child tables, the component dict, the partition's
+        multiset, the span index's two node columns (they seat the
+        root) and its cache dicts.  Everything else is handed over as
+        the same object: every :class:`_HierarchyComponent` with its
+        columns, nodes and lazy caches, every leaf, every numeric index
+        column.  Nothing is attached, gathered or sorted, so a fork
+        costs the same whatever the document's size; updates of the
+        fork replace the components they touch and leave this
+        structure as it was (DESIGN.md §10).  Neither side owns a
+        component afterwards: an in-place rename on either takes a
+        private copy of that hierarchy first.
         """
         latch = self.read_latch
         if latch is not None:
@@ -511,17 +504,36 @@ class KyGoddag:
                 raise GoddagError(
                     "cannot fork a KyGODDAG holding temporary "
                     "(analyze-string) hierarchies")
-            components = [component.detached()
-                          for component in self._components.values()]
-            partition = self.partition.export_arrays()
-            index = self._index
-            columns = None if index is None else index.numeric_columns()
+            fork = KyGoddag(self.text, self.root.root_name)
+            fork.partition = self.partition.fork()
+            for component in self._components.values():
+                fork._seat(component)
+            fork._next_rank = self._next_rank
+            if self._index is not None:
+                fork._index = self._index.fork(fork.root)
+            fork.version = self.version
+            self._owned = set()
         finally:
             if latch is not None:
                 latch.release_read()
-        return KyGoddag.from_arrays(self.text, self.root.root_name,
-                                    components, partition, columns,
-                                    self.version)
+        return fork
+
+    def _seat(self, component: _HierarchyComponent) -> None:
+        """Hold ``component`` under its name: in the component dict and
+        in the root's tables (assigning to an existing key keeps its
+        position, so a replaced hierarchy keeps its place in the
+        Definition 3 iteration order)."""
+        name = component.name
+        self._components[name] = component
+        root = self.root
+        root.children_by_hierarchy[name] = component.top_nodes
+        root.attributes_by_hierarchy[name] = component.root_attrs
+        root.invalidate_child_positions(name)
+
+    def _register(self, component: _HierarchyComponent) -> None:
+        """Seat a component this structure attached itself."""
+        self._seat(component)
+        self._owned.add(component.name)
 
     def add_hierarchy_from_dom(self, name: str, document: dom.Document,
                                temporary: bool = False) -> None:
@@ -538,7 +550,7 @@ class KyGoddag:
             self.text, self.root.root_name, name, self._next_rank,
             temporary).build_from_dom(document)
         self._next_rank += 1
-        self._components[name] = component
+        self.partition.add_boundaries(component.boundaries.tolist())
         self._finish_component(component)
 
     def add_hierarchy_from_spans(self, name: str, spans: SpanSet,
@@ -551,8 +563,8 @@ class KyGoddag:
         self.add_hierarchy_from_dom(name, document, temporary=temporary)
 
     def _finish_component(self, component: _HierarchyComponent) -> None:
-        component.attach(self)
-        self.partition.add_boundaries(component.boundaries)
+        component.attach(self.text)
+        self._register(component)
         if self._index is not None:
             # Merge the new hierarchy into the live index instead of
             # discarding it (DESIGN.md §6) — the analyze-string hot path.
@@ -571,7 +583,8 @@ class KyGoddag:
         if self.frozen and not component.temporary:
             self._frozen_violation(f"remove hierarchy '{name}'")
         del self._components[name]
-        self.partition.remove_boundaries(component.boundaries)
+        self._owned.discard(name)
+        self.partition.remove_boundaries(component.boundaries.tolist())
         self.root.children_by_hierarchy.pop(name, None)
         self.root.attributes_by_hierarchy.pop(name, None)
         self.root.invalidate_child_positions(name)
@@ -648,16 +661,26 @@ class KyGoddag:
         Structure, spans, preorder numbers and order keys are all
         untouched, so only the name-derived caches need patching: the
         component's per-name element index and the span index's name
-        arrays.
+        arrays.  A component another version holds too is never
+        written: this structure first takes a private copy of that one
+        hierarchy (:meth:`_HierarchyComponent.private_copy`) and
+        renames the target's twin, the node at the same preorder.
         """
         if self.frozen:
             self._frozen_violation(f"rename element <{node.name}>")
-        component = self._components.get(node.hierarchy)
+        hierarchy = node.hierarchy
+        component = self._components.get(hierarchy)
         if component is None or node.preorder < 0 \
                 or node.preorder >= len(component.nodes) \
                 or component.nodes[node.preorder] is not node:
             raise GoddagError(
                 "rename target is not a registered node of this KyGODDAG")
+        if hierarchy not in self._owned:
+            component = component.private_copy(self.text)
+            self._register(component)
+            if self._index is not None:
+                self._index.reseat_component(component)
+            node = component.nodes[node.preorder]
         node._name = name
         component.rename(node.preorder, name)
         if self._index is not None:
@@ -684,13 +707,10 @@ class KyGoddag:
         fresh = _ComponentBuilder(
             self.text, self.root.root_name, name, component.rank,
             component.temporary).build_from_dom(document)
-        self.partition.remove_boundaries(component.boundaries)
+        self.partition.swap_boundaries(component.boundaries,
+                                       fresh.boundaries)
         if self._index is not None:
             self._index.remove_component(component)
-        self._detach_component_root(name)
-        # Assigning to the existing key keeps the dict position, so the
-        # Definition 3 iteration order (registration order) is stable.
-        self._components[name] = fresh
         self._finish_component(fresh)
 
     def rebuild_hierarchies(self, text: str,
@@ -719,33 +739,32 @@ class KyGoddag:
             for component in self._components.values():
                 index.remove_component(component)
         self.text = text
+        self.root._text = text
         self.root.end = len(text)
         if index is not None:
             index.reset_root()
-        self.partition = Partition(self, len(text))
+        self.partition = Partition(text)
         for component in fresh:
-            self._detach_component_root(component.name)
-            self._components[component.name] = component
+            self.partition.add_boundaries(component.boundaries.tolist())
             self._finish_component(component)
         self.version += 1
 
-    def _detach_component_root(self, name: str) -> None:
-        self.root.children_by_hierarchy.pop(name, None)
-        self.root.attributes_by_hierarchy.pop(name, None)
-        self.root.invalidate_child_positions(name)
-
-    def check_invariants(self) -> None:
-        """Verify the full structural contract (DESIGN.md §9).
+    def check_invariants(self, components: Iterable[str] | None = None
+                         ) -> None:
+        """Verify the structural contract (DESIGN.md §9).
 
         Order-key monotonicity over Definition 3, per-hierarchy span
         containment and preorder consistency, text tiling, partition
         boundary bookkeeping, and span-index array coherence.  Raises
         :class:`~repro.errors.GoddagError` on the first violation — the
-        post-apply safety net of the update engine.
+        post-apply safety net of the update engine.  ``components``
+        names the hierarchies whose nodes are walked (the ones an
+        update rebuilt); every check that spans hierarchies runs over
+        all of them either way, and without it this is the whole net.
         """
         from repro.core.goddag.invariants import check_invariants
 
-        check_invariants(self)
+        check_invariants(self, components)
 
     # ------------------------------------------------------------------
     # access
@@ -772,9 +791,37 @@ class KyGoddag:
     def hierarchy_rank(self, name: str) -> int:
         return self._components[name].rank
 
+    def components(self) -> dict[str, _HierarchyComponent]:
+        """The hierarchy components held, by name (a copy): with
+        :meth:`changed_components`, what an update looked like before
+        and after."""
+        return dict(self._components)
+
+    def changed_components(self, held: dict[str, _HierarchyComponent]
+                           ) -> list[str]:
+        """The hierarchies whose component is not the object ``held``
+        — an earlier :meth:`components`, this structure's or the one it
+        was forked from — has under that name.  Everything an update
+        built, whatever it says it did: an in-place rename of a shared
+        component takes a private copy first.  It is what the
+        commit-time net walks node by node; for the rest, identity
+        with a verified version is the proof (DESIGN.md §9)."""
+        return [name for name, component in self._components.items()
+                if held.get(name) is not component]
+
     def nodes_of(self, hierarchy: str) -> list[_HierarchyNode]:
         """All nodes of one component in document (pre)order."""
         return self._components[hierarchy].nodes
+
+    def parent_of(self, node: GNode) -> GNode | None:
+        """The single within-hierarchy parent of ``node``, if it has
+        one: a top-level hierarchy node stores none, because the node
+        is shared between versions and its parent is this version's
+        root."""
+        parent = node.parent
+        if parent is None and isinstance(node, _HierarchyNode):
+            return self.root
+        return parent
 
     def hierarchy_dom(self, hierarchy: str) -> dom.Document:
         """One hierarchy as a freshly built, aligned DOM document."""
@@ -922,22 +969,6 @@ class KyGoddag:
             self._index = index
             self.index_full_builds += 1
         return index
-
-    def release_caches(self) -> None:
-        """Shed the caches that would make a retired version immortal.
-
-        The span index and the per-component node arrays hold KyGODDAG
-        nodes inside numpy object arrays, which the cyclic garbage
-        collector cannot traverse; through ``node.goddag`` they pin
-        this whole structure forever once it leaves the catalog (the
-        MVCC single-writer path retires one version per update).  The
-        store calls this on every version it unpublishes.  Readers
-        still pinned to this version stay correct: every released
-        cache is a lazily rebuilt idempotent fill.
-        """
-        self._index = None
-        for component in self._components.values():
-            component.release_arrays()
 
 
 def document_level_nodes(hier_doc: dom.Document) -> tuple[list, list]:

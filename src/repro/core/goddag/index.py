@@ -27,12 +27,13 @@ the S-ANALYZE hot path measured by
 
 from __future__ import annotations
 
+from copy import copy
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import GoddagError
-from repro.core.goddag.nodes import GNode, _HierarchyNode
+from repro.core.goddag.nodes import GNode, GRoot, _HierarchyNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.goddag.goddag import KyGoddag, _HierarchyComponent
@@ -206,10 +207,17 @@ class _MergedSub:
 
 
 class SpanIndex:
-    """Sorted parallel arrays over all span-bearing nodes."""
+    """Sorted parallel arrays over all span-bearing nodes.
+
+    An index belongs to one version of a document but holds no
+    reference to its KyGODDAG — only to that version's root, the one
+    node it cannot share: :meth:`fork` hands the next version the same
+    arrays, and a version nobody holds any more is freed with its last
+    reference, not by the cycle collector.
+    """
 
     def __init__(self, goddag: "KyGoddag") -> None:
-        self.goddag = goddag
+        self.root = goddag.root
         self._subs: dict[str, _MergedSub] = {}
         self._name_masks: dict[str, np.ndarray] = {}
         self._e_name_masks: dict[str, np.ndarray] = {}
@@ -266,31 +274,47 @@ class SpanIndex:
                "e_starts": "e_starts", "e_ends": "ends_sorted",
                "e_ranks": "e_ranks"}
 
-    def numeric_columns(self) -> dict[str, np.ndarray]:
-        """Every numeric column (:attr:`COLUMNS` plus ``e_preorders``):
-        what :meth:`restore` rebuilds an index around.  The arrays are
-        handed over, not copied — they are only ever replaced."""
+    def fork(self, root: GRoot) -> "SpanIndex":
+        """The next version's index: this one's arrays around ``root``.
+
+        All fifteen columns, both ``nonempty`` masks and every cached
+        mask, interval and order-key column are handed over as they are
+        — membership changes replace arrays, never write them.  The two
+        node columns are copied once, to seat the new version's root;
+        the two name columns turn read-only on both sides, so whichever
+        side renames next copies them first (:meth:`rename_node`).
+        """
         self._flush_pending()
-        columns = {key: np.asarray(getattr(self, attribute))
-                   for key, attribute in self.COLUMNS.items()}
-        columns["e_preorders"] = self.e_preorders
-        return columns
+        fork = copy(self)
+        fork.root = root
+        fork._subs = self._subs.copy()
+        fork._name_masks = self._name_masks.copy()
+        fork._e_name_masks = self._e_name_masks.copy()
+        fork._intervals = self._intervals.copy()
+        fork._pending = []
+        fork.incremental_adds = fork.incremental_removes = 0
+        fork.nodes = self.nodes.copy()
+        fork.nodes[self.ranks == -1] = root
+        fork.e_nodes = self.e_nodes.copy()
+        fork.e_nodes[self.e_ranks == -1] = root
+        self._names.setflags(write=False)
+        self._e_names.setflags(write=False)
+        return fork
 
     @classmethod
-    def restore(cls, goddag: "KyGoddag", columns: dict[str, np.ndarray],
+    def restore(cls, root: GRoot, columns: dict[str, np.ndarray],
                 components: list["_HierarchyComponent"]) -> "SpanIndex":
         """Rebuild a span index around existing numeric columns.
 
-        ``columns`` holds both sorted orders as :meth:`numeric_columns`
-        or a ``.mhxb`` file has them — they may stay memory-mapped or
-        shared with another version, and nothing is re-sorted or
+        ``columns`` holds both sorted orders as a ``.mhxb`` file has
+        them — they may stay memory-mapped, and nothing is re-sorted or
         re-merged.  The object columns (nodes, names) come from one
         rank-gather per hierarchy through its two permutations; the
         end-sorted preorder column, which the file does not carry, is
         gathered the same way.
         """
         index = cls.__new__(cls)
-        index.goddag = goddag
+        index.root = root
         index._name_masks = {}
         index._e_name_masks = {}
         index._intervals = {}
@@ -307,11 +331,7 @@ class SpanIndex:
         names = np.empty(total, dtype=object)
         e_nodes = np.empty(total, dtype=object)
         e_names = np.empty(total, dtype=object)
-        e_preorders = columns.get("e_preorders")
-        gather_preorders = e_preorders is None
-        if gather_preorders:
-            e_preorders = np.full(total, -1, dtype=np.int64)
-        root = goddag.root
+        e_preorders = np.full(total, -1, dtype=np.int64)
         nodes[ranks == -1] = root
         names[ranks == -1] = root.name
         e_nodes[e_ranks == -1] = root
@@ -326,8 +346,7 @@ class SpanIndex:
             e_mask = e_ranks == component.rank
             e_nodes[e_mask] = objects[e_perm]
             e_names[e_mask] = labels[e_perm]
-            if gather_preorders:
-                e_preorders[e_mask] = rows[e_perm]
+            e_preorders[e_mask] = rows[e_perm]
             index._subs[component.name] = _MergedSub(component.rank,
                                                        len(rows))
         index.nodes = nodes
@@ -442,15 +461,36 @@ class SpanIndex:
         self._clear_derived(names=names)
         self.incremental_removes += 1
 
+    def reseat_component(self, component: "_HierarchyComponent") -> None:
+        """Point one hierarchy's entries at ``component``'s nodes.
+
+        For a component that replaces its twin row for row
+        (:meth:`_HierarchyComponent.private_copy`): spans, ranks and
+        preorders stand, so only this version's two node columns change
+        — each entry's preorder is its row — and the per-name interval
+        caches, which gathered the twin's nodes, reset.
+        """
+        self._flush_pending()
+        nodes = component.node_arrays()[0]
+        at = self.ranks == component.rank
+        self.nodes[at] = nodes[self.preorders[at]]
+        at = self.e_ranks == component.rank
+        self.e_nodes[at] = nodes[self.e_preorders[at]]
+        self._intervals.clear()
+
     def rename_node(self, node: GNode) -> None:
         """Patch the name arrays after an in-place element rename.
 
         The node's spans (and therefore its packed merge keys and array
         positions) are unchanged, so the patch is two bisects into the
         sorted key arrays plus an identity scan of the (tiny) equal-key
-        runs.
+        runs.  Name columns another version shares (:meth:`fork`) are
+        copied before the first write.
         """
         self._flush_pending()
+        if not self._names.flags.writeable:
+            self._names = self._names.copy()
+            self._e_names = self._e_names.copy()
         start, end = int(node.start), int(node.end)
         s_key = (start << _OFFSET_BITS) | (_OFFSET_MASK - end)
         left = int(np.searchsorted(self._s_keys, s_key, side="left"))
@@ -484,7 +524,7 @@ class SpanIndex:
             raise GoddagError(
                 "reset_root requires all hierarchy components to be "
                 "removed first")
-        root = _SubIndex.of_root(self.goddag.root)
+        root = _SubIndex.of_root(self.root)
         self.nodes = root.s_nodes
         self.starts = root.s_starts
         self.ends = root.s_ends
@@ -646,13 +686,12 @@ class SpanIndex:
         ranks = self.ranks[left:right]
         preorders = self.preorders[left:right]
         subtree_ends = self.subtree_ends[left:right]
-        if node is self.goddag.root or not isinstance(node,
-                                                      _HierarchyNode):
+        if node is self.root or not isinstance(node, _HierarchyNode):
             # The root has no proper ancestors; a leaf's only indexed
             # ancestor beyond its text chains is the root — and leaf
             # contexts never reach here (xdescendant(leaf) is empty).
             return ranks == -1
-        rank = self.goddag.hierarchy_rank(node.hierarchy)
+        rank = self._subs[node.hierarchy].rank
         mask = (ranks == rank) & (preorders <= node.preorder) & \
             (subtree_ends >= node.preorder)
         mask |= ranks == -1  # the root
@@ -663,7 +702,7 @@ class SpanIndex:
         descendant (including, for the root, every hierarchy node)."""
         if other is node:
             return True
-        if node is self.goddag.root:
+        if node is self.root:
             return isinstance(other, _HierarchyNode)
         if not isinstance(node, _HierarchyNode):
             return False

@@ -1,12 +1,11 @@
 """Structural invariant checking for the KyGODDAG (DESIGN.md §9).
 
-``check_invariants`` walks the whole structure and raises
-:class:`~repro.errors.GoddagError` on the first violation.  It is the
-post-apply safety net of the transactional update engine: every code
-path that mutates a KyGODDAG in place (hierarchy replacement, in-place
-renames, base-text rebuilds) must leave a structure indistinguishable
-from a from-scratch build, and this module is the executable statement
-of what that means:
+``check_invariants`` raises :class:`~repro.errors.GoddagError` on the
+first violation.  It is the post-apply safety net of the transactional
+update engine: every code path that mutates a KyGODDAG in place
+(hierarchy replacement, in-place renames, base-text rebuilds) must
+leave a structure indistinguishable from a from-scratch build, and this
+module is the executable statement of what that means:
 
 * hierarchy ranks are unique and registration order follows rank, so
   the Definition 3 node order is well defined;
@@ -26,15 +25,20 @@ of what that means:
   key order, each entry the node object its rank and preorder name and
   carrying that node's span, subtree end and name.
 
+The second bullet is the only one that walks node objects, and it is
+the only one ``components=`` narrows: a commit passes the hierarchies
+whose component it built and gets every other bullet — each of them a
+statement about columns of *all* hierarchies — in full (DESIGN.md §9).
 Whatever a column holds is compared as a column (NumPy, or one list
-comparison), never by a Python branch per node and attribute: the check
-runs after every store update, over the hierarchies the statement left
-alone as well.
+comparison), never by a Python branch per node and attribute, and the
+net creates nothing it checks: a lazy cache nobody has filled yet (leaf
+list, text index, boundary list) is derived from what the net did
+check, so there is nothing to compare it with.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Iterable
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
@@ -58,10 +62,22 @@ def _fail(message: str) -> None:
     raise GoddagError(f"invariant violation: {message}")
 
 
-def check_invariants(goddag: "KyGoddag") -> None:
-    """Verify the full structural contract; raise on the first breach."""
+def check_invariants(goddag: "KyGoddag",
+                     components: Iterable[str] | None = None) -> None:
+    """Verify the structural contract; raise on the first breach.
+
+    Without ``components`` this is the whole net.  With it, the
+    per-node passes run over the named hierarchies only — the caller
+    vouches that every other component is the object a verified
+    version holds — and everything else runs unchanged.
+    """
+    names = goddag.hierarchy_names
+    if components is not None:
+        wanted = set(components)
+        names = [name for name in names if name in wanted]
     _check_ranks(goddag)
-    for name in goddag.hierarchy_names:
+    _check_root_tables(goddag)
+    for name in names:
         _check_component(goddag, name)
     _check_order_keys(goddag)
     _check_partition(goddag)
@@ -80,6 +96,25 @@ def _check_ranks(goddag: "KyGoddag") -> None:
     if ranks != sorted(ranks):
         _fail(f"hierarchy registration order {goddag.hierarchy_names} "
               f"does not follow rank order {ranks}")
+
+
+def _check_root_tables(goddag: "KyGoddag") -> None:
+    """The root lists every component's own top-level nodes and root
+    attributes, in registration order."""
+    root = goddag.root
+    names = goddag.hierarchy_names
+    if list(root.children_by_hierarchy) != names \
+            or list(root.attributes_by_hierarchy) != names:
+        _fail(f"root tables {list(root.children_by_hierarchy)} do not "
+              f"follow the registration order {names}")
+    for name in names:
+        component = goddag._components[name]
+        if root.children_by_hierarchy[name] != component.top_nodes:
+            _fail(f"hierarchy '{name}' root children diverge from the "
+                  f"component's top-level nodes")
+        if root.attributes_by_hierarchy[name] != component.root_attrs:
+            _fail(f"hierarchy '{name}' root attributes diverge from the "
+                  f"component's")
 
 
 #: node class per kind code of the ``kinds`` column
@@ -118,8 +153,9 @@ def _check_component(goddag: "KyGoddag", name: str) -> None:
     if bad.any():
         _fail(f"hierarchy '{name}' non-element node "
               f"{int(np.argmax(bad))} has a subtree")
-    _check_children(name, goddag.root, goddag.root.children_in(name), 0,
-                    count - 1, 0, length)
+    # a top-level node stores no parent: it is shared between versions
+    _check_children(name, None, component.top_nodes, 0, count - 1, 0,
+                    length)
     for node in component.nodes:
         if isinstance(node, GElement):
             _check_children(name, node, node.children, node.preorder + 1,
@@ -162,12 +198,11 @@ def _check_rows(goddag: "KyGoddag",
     okeys = component.okeys.tolist()
     compare("order key", [okey if node._okey is None else node._okey
                           for node, okey in zip(nodes, okeys)], okeys)
-    root = goddag.root
     if (component.parents >= np.arange(count)).any():
         _fail(f"hierarchy '{name}' parents column names a row at or "
               f"after the child's own")
     compare("parent", list(map(attrgetter("_parent"), nodes)),
-            [nodes[parent] if parent >= 0 else root
+            [nodes[parent] if parent >= 0 else None
              for parent in component.parents.tolist()])
     names = component.names
     compare("name", [node.name for node in nodes],
@@ -185,9 +220,6 @@ def _check_rows(goddag: "KyGoddag",
         elif kind >= 2 and node.data != data.get(position):
             _fail(f"hierarchy '{name}' data of row {position} diverges "
                   f"from its node {node!r}")
-    if root.attributes_by_hierarchy.get(name) != component.root_attrs:
-        _fail(f"hierarchy '{name}' root attributes diverge from the "
-              f"component's")
 
 
 def _check_children(name: str, parent, children, first_preorder: int,
@@ -222,20 +254,25 @@ def _check_children(name: str, parent, children, first_preorder: int,
 
 
 def _check_text_tiling(goddag: "KyGoddag", component) -> None:
-    cursor = 0
-    texts = [node for node in component.nodes if isinstance(node, GText)]
-    if texts != component.text_nodes:
-        _fail(f"hierarchy '{component.name}' text_nodes list diverges "
-              f"from the component nodes")
-    if component.text_starts != [node.start for node in texts]:
-        _fail(f"hierarchy '{component.name}' text_starts is stale")
-    for node in texts:
-        if node.start != cursor:
-            _fail(f"hierarchy '{component.name}' text nodes do not tile "
-                  f"the base text at offset {cursor}")
-        cursor = node.end
-    if cursor != len(goddag.text):
-        _fail(f"hierarchy '{component.name}' text nodes cover {cursor} "
+    """The text rows tile the base text (the row check made rows and
+    nodes one value); a text index somebody built agrees with them."""
+    rows = np.flatnonzero(component.kinds == 1)  # the text rows
+    starts, ends = component.starts[rows], component.ends[rows]
+    index = component._text_index
+    if index is not None:
+        nodes = component.nodes
+        if index[1] != [nodes[row] for row in rows.tolist()]:
+            _fail(f"hierarchy '{component.name}' text_nodes list diverges "
+                  f"from the component nodes")
+        if index[0] != starts.tolist():
+            _fail(f"hierarchy '{component.name}' text_starts is stale")
+    edges = np.concatenate(([0], ends))
+    torn = starts != edges[:-1]
+    if torn.any():
+        _fail(f"hierarchy '{component.name}' text nodes do not tile "
+              f"the base text at offset {edges[int(np.argmax(torn))]}")
+    if edges[-1] != len(goddag.text):
+        _fail(f"hierarchy '{component.name}' text nodes cover {edges[-1]} "
               f"of {len(goddag.text)} characters")
 
 
@@ -251,8 +288,10 @@ def _check_order_keys(goddag: "KyGoddag") -> None:
     rank and row (the row check ties every node's cached key to it);
     such keys increase with the row and — ranks following registration
     order — from one component to the next, above the root's 0 and
-    below every leaf's tier.  Leaves and the root are recomputed one by
-    one.
+    below every leaf's tier.  A leaf's key is its tier over its start
+    offset, so leaf keys increase exactly when the leaf list follows
+    the strictly increasing boundaries (the partition check); what is
+    left is that no listed leaf caches another key.
     """
     from repro.core.goddag.goddag import pack_okeys
 
@@ -265,16 +304,13 @@ def _check_order_keys(goddag: "KyGoddag") -> None:
                   f"{component.nodes[position]!r}: cached "
                   f"{component.okeys[position]}, recomputed "
                   f"{expected[position]}")
-    previous = -1
-    for node in (goddag.root, *goddag.partition.leaves()):
-        fresh = goddag._compute_order_key(node)
-        if node._okey is not None and node._okey != fresh:
+    for node in (goddag.root, *(goddag.partition._leaves_list or ())):
+        cached = node._okey
+        if cached is not None \
+                and cached != goddag._compute_order_key(node):
             _fail(f"stale cached order key on {node!r}: cached "
-                  f"{node._okey}, recomputed {fresh}")
-        if fresh <= previous:
-            _fail(f"document order regressed at {node!r} "
-                  f"(key {fresh} after {previous})")
-        previous = fresh
+                  f"{cached}, recomputed "
+                  f"{goddag._compute_order_key(node)}")
 
 
 # ---------------------------------------------------------------------------
@@ -288,30 +324,34 @@ def _check_partition(goddag: "KyGoddag") -> None:
     if partition.length != length:
         _fail(f"partition length {partition.length} diverges from the "
               f"text length {length}")
-    expected = Counter({0: 1, length: 1})
-    contributed = [column for name in goddag.hierarchy_names
-                   for column in (goddag._components[name].starts,
-                                  goddag._components[name].ends)]
-    if contributed:
-        offsets, counts = np.unique(np.concatenate(contributed),
-                                    return_counts=True)
-        expected.update(dict(zip(offsets.tolist(), counts.tolist())))
-    if +partition._refcounts != expected:
+    # the permanent text ends (one boundary when the text is empty),
+    # then every boundary column
+    contributed = [np.unique([0, length])]
+    for name in goddag.hierarchy_names:
+        component = goddag._components[name]
+        contributed += (component.starts, component.ends)
+    offsets, counts = np.unique(np.concatenate(contributed),
+                                return_counts=True)
+    bounds = offsets.tolist()
+    if partition._refcounts != dict(zip(bounds, counts.tolist())):
         _fail("partition boundary refcounts diverge from the registered "
               "hierarchy boundaries")
-    bounds = sorted(expected)
-    if partition.boundaries != bounds:
+    # The lazy read structures, where somebody has built them (each is
+    # otherwise derived, on first use, from the multiset just checked).
+    if partition._sorted is not None and partition._sorted != bounds:
         _fail("partition boundary list is not the sorted distinct "
               "offset set")
-    if partition.boundary_array.tolist() != bounds:
+    if partition._bounds_array is not None \
+            and not np.array_equal(partition._bounds_array, offsets):
         _fail("partition boundary array diverges from the boundary list")
-    leaves = partition.leaves()
-    spans = partition.leaf_spans()
-    if [(leaf.start, leaf.end) for leaf in leaves] != spans:
+    leaves = partition._leaves_list
+    if leaves is not None and (
+            list(map(attrgetter("start"), leaves)) != bounds[:-1]
+            or list(map(attrgetter("end"), leaves)) != bounds[1:]):
+        # ``bounds`` is the sorted distinct offsets from 0 to
+        # ``length``: a leaf list that pairs them up tiles the text
         _fail("partition leaf list diverges from the boundary spans")
-    # ``bounds`` is the sorted distinct offsets from 0 to ``length``,
-    # and ``spans`` its consecutive pairs: they tile by construction.
-    if spans and (spans[0][0] != 0 or spans[-1][1] != length):
+    if offsets[0] != 0 or offsets[-1] != length:
         _fail("partition leaves do not tile the text")
 
 

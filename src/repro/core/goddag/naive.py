@@ -211,7 +211,7 @@ def naive_parent(goddag: KyGoddag, node: GNode) -> list[GNode]:
         return list(goddag.text_parents_of_leaf(node))
     if isinstance(node, GAttr):
         return [node.owner]
-    parent = node.parent
+    parent = goddag.parent_of(node)
     return [parent] if parent is not None else []
 
 
@@ -250,7 +250,7 @@ def _naive_sibling_lists(goddag: KyGoddag,
     if isinstance(node, GLeaf):
         return [naive_child(goddag, parent)
                 for parent in goddag.text_parents_of_leaf(node)]
-    parent = node.parent
+    parent = goddag.parent_of(node)
     if parent is None or isinstance(node, GAttr):
         return []
     if isinstance(parent, GRoot):

@@ -19,16 +19,22 @@ kind           meaning
 Every node with content carries a half-open character span
 ``[start, end)`` into the base text; the axes layer operates purely on
 these spans (see DESIGN.md).
+
+Nodes are *version-free* (DESIGN.md §1, §10): a node holds the base
+text it slices and its place in its own hierarchy, never the KyGODDAG
+it is registered in, so every version of a document that did not change
+a hierarchy shares that hierarchy's node objects.  The one per-version
+node is the root, which holds each version's own child tables; a
+top-level node therefore stores no parent — whoever asks has the
+KyGODDAG in hand (:meth:`KyGoddag.parent_of`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from types import MappingProxyType
+from typing import Optional
 
 from repro.util.intervals import Span
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.goddag.goddag import KyGoddag
 
 ROOT = "root"
 ELEMENT = "element"
@@ -39,15 +45,21 @@ COMMENT = "comment"
 PI = "processing-instruction"
 
 
+#: the attribute mapping of every element that has none: one read-only
+#: object instead of a fresh ``{}`` per node (nothing writes a node's
+#: attributes after construction)
+NO_ATTRIBUTES: MappingProxyType = MappingProxyType({})
+
+
 class GNode:
     """Base class of all KyGODDAG nodes."""
 
-    __slots__ = ("goddag", "start", "end", "_okey")
+    __slots__ = ("_text", "start", "end", "_okey")
 
     kind: str = "abstract"
 
-    def __init__(self, goddag: "KyGoddag", start: int, end: int) -> None:
-        self.goddag = goddag
+    def __init__(self, text: str, start: int, end: int) -> None:
+        self._text = text
         self.start = start
         self.end = end
         # Cached packed document-order key (a node's hierarchy rank and
@@ -81,12 +93,14 @@ class GNode:
 
     @property
     def parent(self) -> Optional["GNode"]:
-        """The single within-hierarchy parent, if there is exactly one."""
+        """The single within-hierarchy parent this node stores, if any
+        (a top-level node's is the root of whichever version holds it:
+        :meth:`KyGoddag.parent_of`)."""
         return None
 
     def string_value(self) -> str:
         """The XPath string value (covered base text, by default)."""
-        return self.goddag.text[self.start:self.end]
+        return self._text[self.start:self.end]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or self.kind
@@ -98,7 +112,9 @@ class GRoot(GNode):
 
     The per-hierarchy child lists are kept separately so that axes can
     serve both "all components" traversal (root context, paper §3) and
-    per-hierarchy serialization.
+    per-hierarchy serialization.  Both tables are this version's own,
+    keyed in hierarchy registration order; the lists and mappings in
+    them belong to the components and are shared, never written.
     """
 
     __slots__ = ("root_name", "children_by_hierarchy",
@@ -106,9 +122,8 @@ class GRoot(GNode):
 
     kind = ROOT
 
-    def __init__(self, goddag: "KyGoddag", root_name: str,
-                 length: int) -> None:
-        super().__init__(goddag, 0, length)
+    def __init__(self, text: str, root_name: str) -> None:
+        super().__init__(text, 0, len(text))
         self.root_name = root_name
         self.children_by_hierarchy: dict[str, list[GNode]] = {}
         self.attributes_by_hierarchy: dict[str, dict[str, str]] = {}
@@ -154,8 +169,8 @@ class GRoot(GNode):
     def all_children(self) -> list[GNode]:
         """Children across all components, in hierarchy order."""
         out: list[GNode] = []
-        for name in self.goddag.hierarchy_names:
-            out.extend(self.children_by_hierarchy.get(name, []))
+        for children in self.children_by_hierarchy.values():
+            out.extend(children)
         return out
 
 
@@ -164,10 +179,11 @@ class _HierarchyNode(GNode):
 
     __slots__ = ("_hierarchy", "_parent", "preorder", "subtree_end")
 
-    def __init__(self, goddag: "KyGoddag", hierarchy: str,
+    def __init__(self, text: str, hierarchy: str,
                  start: int, end: int) -> None:
-        super().__init__(goddag, start, end)
+        super().__init__(text, start, end)
         self._hierarchy = hierarchy
+        # the parent *element*; ``None`` directly under the root
         self._parent: GNode | None = None
         # Preorder position within the hierarchy component and the
         # largest preorder in this node's subtree; together they answer
@@ -199,12 +215,12 @@ class GElement(_HierarchyNode):
 
     kind = ELEMENT
 
-    def __init__(self, goddag: "KyGoddag", hierarchy: str, name: str,
+    def __init__(self, text: str, hierarchy: str, name: str,
                  start: int, end: int,
                  attributes: dict[str, str] | None = None) -> None:
-        super().__init__(goddag, hierarchy, start, end)
+        super().__init__(text, hierarchy, start, end)
         self._name = name
-        self.attributes: dict[str, str] = dict(attributes or {})
+        self.attributes = dict(attributes) if attributes else NO_ATTRIBUTES
         self.children: list[GNode] = []
         self._attr_nodes: list[GAttr] | None = None
         self._child_positions: dict[int, int] | None = None
@@ -232,7 +248,7 @@ class GElement(_HierarchyNode):
         """Attribute nodes, materialized once per element."""
         if self._attr_nodes is None:
             self._attr_nodes = [
-                GAttr(self.goddag, self, name, value)
+                GAttr(self, name, value)
                 for name, value in self.attributes.items()
             ]
         return self._attr_nodes
@@ -248,7 +264,7 @@ class GText(_HierarchyNode):
     @property
     def content(self) -> str:
         """The character data (a slice of the base text)."""
-        return self.goddag.text[self.start:self.end]
+        return self._text[self.start:self.end]
 
 
 class GComment(_HierarchyNode):
@@ -258,9 +274,9 @@ class GComment(_HierarchyNode):
 
     kind = COMMENT
 
-    def __init__(self, goddag: "KyGoddag", hierarchy: str, position: int,
+    def __init__(self, text: str, hierarchy: str, position: int,
                  data: str) -> None:
-        super().__init__(goddag, hierarchy, position, position)
+        super().__init__(text, hierarchy, position, position)
         self.data = data
 
     def string_value(self) -> str:
@@ -274,9 +290,9 @@ class GPi(_HierarchyNode):
 
     kind = PI
 
-    def __init__(self, goddag: "KyGoddag", hierarchy: str, position: int,
+    def __init__(self, text: str, hierarchy: str, position: int,
                  target: str, data: str) -> None:
-        super().__init__(goddag, hierarchy, position, position)
+        super().__init__(text, hierarchy, position, position)
         self.target = target
         self.data = data
 
@@ -303,13 +319,7 @@ class GLeaf(GNode):
     @property
     def text(self) -> str:
         """The leaf's character data."""
-        return self.goddag.text[self.start:self.end]
-
-    @property
-    def parents(self) -> list[GText]:
-        """One containing text node per hierarchy (paper: the leaf layer
-        is connected to the text nodes that contain it)."""
-        return self.goddag.text_parents_of_leaf(self)
+        return self._text[self.start:self.end]
 
 
 class GAttr(GNode):
@@ -319,9 +329,9 @@ class GAttr(GNode):
 
     kind = ATTRIBUTE
 
-    def __init__(self, goddag: "KyGoddag", owner: GElement, name: str,
+    def __init__(self, owner: GElement | GRoot, name: str,
                  value: str) -> None:
-        super().__init__(goddag, owner.start, owner.start)
+        super().__init__(owner._text, owner.start, owner.start)
         self.owner = owner
         self._name = name
         self.value = value

@@ -28,23 +28,19 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import GoddagError
 from repro.core.goddag.nodes import GLeaf
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.goddag.goddag import KyGoddag
-
 
 class Partition:
     """Reference-counted boundary set and the leaves it induces."""
 
-    def __init__(self, goddag: "KyGoddag", length: int) -> None:
-        self._goddag = goddag
-        self.length = length
+    def __init__(self, text: str) -> None:
+        self._text = text
+        length = self.length = len(text)
         # The document ends are permanent boundaries.
         self._refcounts: Counter[int] = Counter({0: 1, length: 1})
         self._sorted: list[int] | None = None
@@ -86,6 +82,20 @@ class Partition:
         if gone:
             self._apply_delta(sorted(gone), added=False)
 
+    def swap_boundaries(self, old: np.ndarray, new: np.ndarray) -> None:
+        """Exchange one hierarchy's boundary multiset for its next
+        form, touching only the offsets whose count differs: an update
+        that wraps one span re-registers a whole hierarchy and moves
+        two boundaries."""
+        offsets, inverse = np.unique(np.concatenate((old, new)),
+                                     return_inverse=True)
+        delta = (np.bincount(inverse[len(old):], minlength=len(offsets))
+                 - np.bincount(inverse[:len(old)], minlength=len(offsets)))
+        self.remove_boundaries(
+            np.repeat(offsets, np.maximum(-delta, 0)).tolist())
+        self.add_boundaries(
+            np.repeat(offsets, np.maximum(delta, 0)).tolist())
+
     def _apply_delta(self, offsets: list[int], added: bool) -> None:
         """Splice changed cells into the cached boundary/leaf structures.
 
@@ -108,7 +118,7 @@ class Partition:
         leaves = self._leaves_list
         cache = self._leaf_cache
         array = self._bounds_array
-        goddag = self._goddag
+        text = self._text
         if added:
             for offset in offsets:
                 position = bisect_left(bounds, offset)
@@ -116,8 +126,8 @@ class Partition:
                 if array is not None:
                     array = np.insert(array, position, offset)
                 old = leaves[position - 1]
-                left = GLeaf(goddag, old.start, offset)
-                right = GLeaf(goddag, offset, old.end)
+                left = GLeaf(text, old.start, offset)
+                right = GLeaf(text, offset, old.end)
                 leaves[position - 1:position] = [left, right]
                 cache[old.start] = left
                 cache[offset] = right
@@ -129,7 +139,7 @@ class Partition:
                     array = np.delete(array, position)
                 left = leaves[position - 1]
                 right = leaves[position]
-                merged = GLeaf(goddag, left.start, right.end)
+                merged = GLeaf(text, left.start, right.end)
                 leaves[position - 1:position + 1] = [merged]
                 cache.pop(offset, None)
                 cache[left.start] = merged
@@ -146,21 +156,38 @@ class Partition:
                 np.array(counts, dtype=np.int64))
 
     @classmethod
-    def restore(cls, goddag: "KyGoddag", length: int,
-                offsets: np.ndarray, counts: np.ndarray) -> "Partition":
+    def restore(cls, text: str, offsets: np.ndarray,
+                counts: np.ndarray) -> "Partition":
         """Rebuild a partition from :meth:`export_arrays` output.
 
         The offsets arrive sorted, so no re-sorting happens; the
         boundary array may stay memory-mapped (it is only ever replaced
         wholesale, never written in place).
         """
-        partition = cls(goddag, length)
+        partition = cls(text)
         offset_list = np.asarray(offsets).tolist()
         partition._refcounts = Counter(dict(zip(
             offset_list, np.asarray(counts).tolist())))
         partition._sorted = offset_list
         partition._bounds_array = np.asarray(offsets, dtype=np.int64)
         return partition
+
+    def fork(self) -> "Partition":
+        """The next version's partition: its own multiset and lists
+        around this one's boundary array and leaf objects.
+
+        Leaves hold no version (DESIGN.md §1), so the cells a later
+        update neither splits nor merges stay one object in every
+        version; the containers :meth:`_apply_delta` splices in place
+        are copied, the boundary array — only ever replaced — is not.
+        """
+        fork = Partition(self._text)
+        fork._refcounts = self._refcounts.copy()
+        fork._sorted = None if self._sorted is None else self._sorted.copy()
+        fork._bounds_array = self._bounds_array
+        if self._leaves_list is not None:
+            fork._leaves_list = self._leaves_list.copy()
+        return fork
 
     def freeze(self) -> None:
         """Materialize the lazy caches for lock-free snapshot readers."""
@@ -197,7 +224,7 @@ class Partition:
     def _leaf(self, start: int, end: int) -> GLeaf:
         leaf = self._leaf_cache.get(start)
         if leaf is None:
-            leaf = GLeaf(self._goddag, start, end)
+            leaf = GLeaf(self._text, start, end)
             self._leaf_cache[start] = leaf
         return leaf
 

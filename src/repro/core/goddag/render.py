@@ -66,8 +66,10 @@ def _write(node: GNode, hierarchy: str | None, out: list[str]) -> None:
 
 
 def _start_tag(name: str, attributes: dict[str, str], empty: bool) -> str:
+    # most elements have none, and share one read-only empty mapping
     attrs = "".join(f' {key}="{escape_attribute(value)}"'
-                    for key, value in attributes.items())
+                    for key, value in attributes.items()
+                    ) if attributes else ""
     return f"<{name}{attrs}/>" if empty else f"<{name}{attrs}>"
 
 

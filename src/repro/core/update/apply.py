@@ -31,8 +31,9 @@ KyGODDAG.  The algorithm (DESIGN.md §9):
    the ones a markup primitive restructures: a hierarchy whose DOM was
    never materialized (``.mhxb`` cold load, store fork) stays that way,
    and a rename reaches it through the KyGODDAG alone.
-5. **Goddag patch**: renames apply in place; structurally-changed
-   hierarchies re-register through
+5. **Goddag patch**: renames apply in place (on a private copy of the
+   hierarchy, when another version holds the component too);
+   structurally-changed hierarchies re-register through
    :meth:`~repro.core.goddag.goddag.KyGoddag.replace_hierarchy`
    (partition boundary splicing + span-index component surgery); a text
    change re-registers every hierarchy via ``rebuild_hierarchies``.
@@ -98,16 +99,23 @@ def apply_pending(document: "MultihierarchicalDocument",
 
     Conflict and applicability errors raise before anything mutates;
     once mutation starts, only internal invariant failures can raise
-    (and those indicate a bug, not a bad statement).
+    (and those indicate a bug, not a bad statement).  ``check`` runs
+    the invariant net over what this list changed: the hierarchies
+    whose component is another object afterwards, plus the ones a
+    rename wrote in place (DESIGN.md §9).
     """
     if goddag.frozen:
         # Refuse up front: the per-method guards in the goddag layer
         # would only fire in the patch phase, after the DOM mutated.
         goddag._frozen_violation("apply an update")
+    held = goddag.components()
     applier = _Applier(document, goddag, pending)
     stats = applier.run()
     if check:
-        goddag.check_invariants()
+        goddag.check_invariants(
+            {*goddag.changed_components(held),
+             *(node.hierarchy for node, _element, _name
+               in applier.renames)})
     return stats
 
 
@@ -144,19 +152,19 @@ class _Applier:
             raise UpdateError(
                 f"target hierarchy '{node.hierarchy}' is not part of "
                 f"this document")
-        if not hierarchy.materialized and node.hierarchy not in self.dirty:
-            registered = self.goddag.nodes_of(node.hierarchy)
-            if not (0 <= node.preorder < len(registered)
-                    and registered[node.preorder] is node):
-                raise UpdateError(
-                    "target node does not belong to this document's "
-                    "KyGODDAG (stale reference?)")
-            return None
-        nodes = self._dom_map(node.hierarchy)
-        if not (0 <= node.preorder < len(nodes)):
+        registered = self.goddag.nodes_of(node.hierarchy)
+        if not (0 <= node.preorder < len(registered)
+                and registered[node.preorder] is node):
             raise UpdateError(
                 "target node does not belong to this document's "
                 "KyGODDAG (stale reference?)")
+        if not hierarchy.materialized and node.hierarchy not in self.dirty:
+            return None
+        nodes = self._dom_map(node.hierarchy)
+        if node.preorder >= len(nodes):
+            raise UpdateError(
+                "target node does not line up with the document DOM "
+                "(stale reference?)")
         resolved = nodes[node.preorder]
         if not isinstance(resolved, dom.Element) \
                 or resolved.name != node.name:
@@ -455,7 +463,11 @@ class _Applier:
         for node, _element, name in self.renames:
             if node.hierarchy in replaced:
                 continue  # the rebuilt component read the renamed DOM
-            goddag.rename_element(node, name)
+            # Targets resolved against the pre-state; an earlier rename
+            # may since have taken the hierarchy private, and its nodes
+            # are then the targets' twins, row for row.
+            goddag.rename_element(
+                goddag.nodes_of(node.hierarchy)[node.preorder], name)
             stats.renamed_in_place += 1
         return stats
 

@@ -7,13 +7,14 @@ readers**, per store:
   frozen engine at a version.  ``snapshot(name)`` is a single dict
   read (atomic under the GIL) and never takes the writer lock;
 * ``update(name, statements)`` serializes writers on one re-entrant
-  lock, **forks** the current snapshot (new node objects over the
-  published version's arrays — the engine's incremental update paths
-  then replace the arrays of the hierarchies they touch on the private
-  fork), applies the whole statement batch transactionally, persists
-  the new ``.mhxb``, and publishes the fork as the next snapshot.  A failing
-  statement aborts the entire batch: the fork is discarded and both
-  the published snapshot and the on-disk file stay at the old version;
+  lock, **forks** the current snapshot (a new version shell around the
+  published version's hierarchy components — the engine's incremental
+  update paths then replace the components they touch on the private
+  fork), applies the whole statement batch transactionally, verifies
+  what the batch rebuilt, persists the new ``.mhxb``, and publishes the
+  fork as the next snapshot.  A failing statement aborts the entire
+  batch: the fork is discarded and both the published snapshot and the
+  on-disk file stay at the old version;
 * compiled plans live in one :class:`SharedPlanCache` keyed by query
   text + grammar, shared by every catalog entry — a query compiled for
   one document is a cache hit for all of them.
@@ -77,35 +78,34 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 
 def fork_engine(engine: Engine) -> Engine:
-    """An unfrozen engine at the same version that shares no node.
+    """An unfrozen engine at the same version: the writer's private
+    shell (DESIGN.md §10).
 
-    The writer's private copy (DESIGN.md §10): :meth:`KyGoddag.fork`
-    attaches new node objects to the source's column arrays, partition
-    multiset and span-index columns — no DOM is built or copied, and
-    nothing is re-numbered or re-sorted.  The fork's DOM side derives
-    from those arrays one hierarchy at a time, when an update or a
-    serialization asks.  Options, ``use_cost`` and DTD sources carry
-    over; the version counter does too, so updates continue the
-    original's sequence.
+    :meth:`KyGoddag.fork` hands the new version the source's hierarchy
+    components, leaves and span-index columns as they are — nothing is
+    attached, copied per node, re-numbered or re-sorted, and no DOM is
+    built.  The fork's DOM side derives from the components one
+    hierarchy at a time, when an update or a serialization asks.
+    Options, ``use_cost`` and DTD sources carry over; the version
+    counter does too, so updates continue the original's sequence.
     """
     return Engine.from_parts(
         engine.goddag.fork(), dtds=engine.dtd_sources(),
         options=engine.options, use_cost=engine.use_cost)
 
 
-def retire_engine(engine: Engine | None) -> None:
-    """Make an engine that is leaving the catalog collectable.
-
-    A KyGODDAG's numpy object-array caches hide its reference cycles
-    from the garbage collector (``ndarray`` supports no traversal —
-    see :meth:`KyGoddag.release_caches`), so every version the store
-    unpublishes would otherwise stay resident forever and a steady
-    update load would grow without bound.  Readers still pinned to the
-    retired version are unaffected: every released cache is a lazily
-    rebuilt idempotent fill.
-    """
-    if engine is not None:
-        engine.goddag.release_caches()
+def _whole_net(engine: Engine) -> None:
+    """Run the whole invariant net; on a published (frozen) engine as a
+    plain reader, so no ``analyze-string`` temporary is half
+    registered while it looks."""
+    latch = engine.goddag.read_latch
+    if latch is not None:
+        latch.acquire_read()
+    try:
+        engine.goddag.check_invariants()
+    finally:
+        if latch is not None:
+            latch.release_read()
 
 
 class DocumentStore:
@@ -283,13 +283,19 @@ class DocumentStore:
         return report
 
     def verify(self, name: str | None = None) -> dict[str, str]:
-        """Deep checksum scan; per-document status strings.
+        """Deep checksum scan, then the whole invariant net;
+        per-document status strings.
 
         ``"ok (N blocks)"`` for every verified v2 container, a note for
         v1 containers (no block checksums to check), ``"corrupt: ..."``
-        naming the failing block, and the quarantine reason for
-        already-quarantined documents.  Read-only: quarantining happens
-        at recovery or on a failed cold load, not here.
+        naming the failing block or the violated invariant, and the
+        quarantine reason for already-quarantined documents.  The net
+        (DESIGN.md §9) runs on the live snapshot's engine when there is
+        one, else on a load of the file: it is where a structure the
+        checksums vouch for but that is wrong in itself shows, and
+        where every hierarchy is walked — a commit walks only what it
+        rebuilt.  Read-only: quarantining happens at recovery or on a
+        failed cold load, not here.
         """
         out: dict[str, str] = {}
         with self._lock:
@@ -306,6 +312,10 @@ class DocumentStore:
                 try:
                     header, data_start = read_header(path)
                     checked = verify_blocks(path, header, data_start)
+                    live = self._live.get(target)
+                    engine = (live.engine if live is not None else
+                              Engine.from_mhxb(path, options=self.options))
+                    _whole_net(engine)
                 except ReproError as error:
                     out[target] = f"corrupt: {error}"
                 else:
@@ -329,9 +339,7 @@ class DocumentStore:
         """Move a catalog entry into the quarantine section (in memory;
         callers persist the manifest)."""
         self._manifest["documents"].pop(name, None)
-        dropped = self._live.pop(name, None)
-        if dropped is not None:
-            retire_engine(dropped.engine)
+        self._live.pop(name, None)
         self._manifest["quarantined"][name] = {
             "file": entry["file"],
             "version": entry.get("version"),
@@ -472,9 +480,7 @@ class DocumentStore:
                 entry = self._manifest["quarantined"].pop(name, None)
             if entry is None:
                 raise ReproError(f"no document named {name!r}")
-            dropped = self._live.pop(name, None)
-            if dropped is not None:
-                retire_engine(dropped.engine)
+            self._live.pop(name, None)
             self._save_manifest()
             for file_name in entry.get("files", []) or [entry["file"]]:
                 faultfs.current().unlink(self.root / file_name)
@@ -630,8 +636,8 @@ class DocumentStore:
             if entry is None:
                 raise ReproError(f"no corpus named {name!r}")
             for file_name in entry["files"]:
-                retire_engine(self._shard_engines.pop(file_name, None))
-            retire_engine(self._fused.pop(name, None))
+                self._shard_engines.pop(file_name, None)
+            self._fused.pop(name, None)
             self._save_manifest()
             for file_name in entry["files"]:
                 faultfs.current().unlink(self.root / file_name)
@@ -767,21 +773,10 @@ class DocumentStore:
             shards_executed=shards_total, workers=1)
 
     def close(self) -> None:
-        """Shut down worker pools and shed engine caches (idempotent).
-
-        Retiring every cached engine's object arrays lets a closed
-        store's whole graph be garbage collected — long-running hosts
-        (test suites, the query service) open many stores per process.
-        The store stays usable afterwards; shed caches rebuild lazily.
-        """
+        """Shut down worker pools (idempotent).  The store stays usable
+        afterwards; its engines go with their last reference."""
         with self._lock:
             pools, self._pools = list(self._pools.values()), {}
-            for snapshot in self._live.values():
-                retire_engine(snapshot.engine)
-            for engine in self._shard_engines.values():
-                retire_engine(engine)
-            for engine in self._fused.values():
-                retire_engine(engine)
         for pool in pools:
             pool.close()
 
@@ -846,9 +841,12 @@ class DocumentStore:
         The whole batch is one transaction over one fork: readers on
         the old snapshot keep their version, readers arriving after
         publication see every statement applied, and nobody ever sees
-        a prefix.  Any failure — a bad statement *or* a failed persist
-        — discards the fork: the in-memory catalog rolls back and the
-        old snapshot stays published.
+        a prefix.  With ``check`` the invariant net runs once, before
+        anything is persisted, over the hierarchies the batch rebuilt
+        (DESIGN.md §9).  Any failure — a bad statement, a violated
+        invariant *or* a failed persist — discards the fork: the
+        in-memory catalog rolls back and the old snapshot stays
+        published.
         """
         if isinstance(statements, str):
             statements = [statements]
@@ -857,17 +855,16 @@ class DocumentStore:
         with self._lock:
             current = self.snapshot(name)
             working = fork_engine(current.engine)
-            try:
-                results = [working.update(statement, check=check)
-                           for statement in statements]
-                snapshot = Snapshot(name, working, self.plans)
-                if persist:
-                    self._persist(name, working)
-            except BaseException:
-                retire_engine(working)  # the discarded fork
-                raise
+            results = [working.update(statement, check=False)
+                       for statement in statements]
+            if check:
+                working.goddag.check_invariants(
+                    working.goddag.changed_components(
+                        current.engine.goddag.components()))
+            snapshot = Snapshot(name, working, self.plans)
+            if persist:
+                self._persist(name, working)
             self._live[name] = snapshot
-            retire_engine(current.engine)  # the unpublished version
         return results
 
     def compact(self, name: str | None = None) -> dict[str, int | str]:
@@ -949,9 +946,7 @@ class DocumentStore:
                 self._manifest["documents"].pop(name, None)
             else:
                 self._manifest["documents"][name] = previous
-            dropped = self._live.pop(name, None)
-            if dropped is not None:
-                retire_engine(dropped.engine)
+            self._live.pop(name, None)
             raise
 
     def _save_manifest(self) -> None:

@@ -48,8 +48,8 @@ per-hierarchy blocks are the form a
 :func:`save_engine` hands the components, the partition multiset and
 the DTD sources to the writer, :func:`load_engine` wraps the mapped
 blocks in components and lets :meth:`KyGoddag.from_arrays` attach node
-objects — the same pass the store's fork runs over a live version's
-arrays.  *Arrays ⇄ file* (:func:`write_container`, :func:`read_header`,
+objects — the only place a whole document's nodes are made; a store
+fork shares them.  *Arrays ⇄ file* (:func:`write_container`, :func:`read_header`,
 :func:`verify_blocks`) knows the layout, the name table, the span
 index's normal form and the checksums, and nothing about engines; the
 streaming builder writes through it too.
@@ -113,6 +113,11 @@ def save_engine(engine, path: str | Path, *,
     so the commit survives a power cut; ``"off"`` (the default for
     direct library use — the store applies its own policy) leaves
     flushing to the OS.
+
+    The plan statistics stamped into the header (DESIGN.md §16) are
+    handed to the engine when it holds none for this version — what
+    :func:`load_engine` does for whoever opens the file — so the first
+    costed query after a commit does not collect them a second time.
     """
     goddag = engine.goddag
     if not goddag.hierarchy_names:
@@ -121,13 +126,19 @@ def save_engine(engine, path: str | Path, *,
         raise ReproError(
             "cannot save a KyGODDAG holding temporary (analyze-string) "
             "hierarchies")
-    return write_container(
-        path, root=goddag.root.root_name, version=goddag.version,
+    header, arrays = _container(
+        root=goddag.root.root_name, version=goddag.version,
         text=goddag.text,
         components=[goddag._components[name]
                     for name in goddag.hierarchy_names],
         partition=goddag.partition.export_arrays(),
-        dtds=engine.dtd_sources(), durability=durability)
+        dtds=engine.dtd_sources())
+    size = _pack(path, header, arrays, durability=durability)
+    held = getattr(goddag, "_plan_stats", None)
+    if held is None or held.version != goddag.version:
+        from repro.core.goddag.stats import PlanStats
+        goddag._plan_stats = PlanStats.from_payload(header["plan_stats"])
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +158,18 @@ def write_container(path: str | Path, *, root: str, version: int,
     depend on which tables the components happen to carry; a component
     whose ids already agree is written as it is.
     """
+    header, arrays = _container(root=root, version=version, text=text,
+                                components=components,
+                                partition=partition, dtds=dtds)
+    return _pack(path, header, arrays, durability=durability)
+
+
+def _container(*, root: str, version: int, text: str,
+               components: list[_HierarchyComponent],
+               partition: tuple[np.ndarray, np.ndarray],
+               dtds: dict | None) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the array blocks of a container, for
+    :func:`_pack` (which adds the statistics and the directory)."""
     if len(text) >= (1 << 31):
         raise ReproError(
             "base text exceeds 2^31 characters; the packed span-index "
@@ -202,7 +225,7 @@ def write_container(path: str | Path, *, root: str, version: int,
         "hierarchies": hierarchy_meta,
         "dtds": dtds,
     }
-    return _pack(path, header, arrays, durability=durability)
+    return header, arrays
 
 
 def _file_name_ids(component: _HierarchyComponent, names: list[str],
@@ -450,8 +473,8 @@ def load_engine(path: str | Path, options=None, verify: bool = False):
 
     Reconstructs the KyGODDAG — components, partition, span index,
     order keys — straight from the memory-mapped arrays
-    (:meth:`KyGoddag.from_arrays`, the pass a store fork runs over a
-    live version's arrays); no XML parse, no alignment pass, no sort.
+    (:meth:`KyGoddag.from_arrays`); no XML parse, no alignment pass, no
+    sort.
     Each hierarchy's DOM materializes on first access (updates that
     touch it, serialization).
 

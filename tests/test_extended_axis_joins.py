@@ -143,7 +143,7 @@ class TestDifferentialJoins:
             manager.create(temporary)
         try:
             root = goddag.root
-            contexts = [root, GAttr(goddag, root, "a", "1")]
+            contexts = [root, GAttr(root, "a", "1")]
             contexts += pick_contexts(goddag, picks)
             for axis in sorted(TREE_EXISTS_AXES):
                 for name in ("w", "dmg", "nosuch", "r"):

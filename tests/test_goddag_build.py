@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Engine
 from repro.errors import GoddagError
 from repro.cmh.spans import Span, SpanSet
 from repro.core.goddag import KyGoddag
 from repro.core.goddag.nodes import GElement, GLeaf, GText
+from repro.corpus.boethius import boethius_document
 
 #: The 16 leaves of the paper's Figure 2 (hand-derived from Figure 1).
 FIGURE_2_LEAVES = [
@@ -44,7 +46,7 @@ class TestBuild:
     def test_text_nodes_have_parents(self, goddag):
         for name in goddag.hierarchy_names:
             for node in goddag.nodes_of(name):
-                assert node.parent is not None
+                assert goddag.parent_of(node) is not None
 
     def test_preorder_subtree_invariant(self, goddag):
         for name in goddag.hierarchy_names:
@@ -175,6 +177,82 @@ class TestTemporaryHierarchies:
         goddag.add_hierarchy_from_spans("tmp", spans, temporary=True)
         assert "tmp" not in goddag.persistent_hierarchy_names
         assert "tmp" in goddag.hierarchy_names
+
+
+def name_index_by_node_loop(component) -> dict[str, list]:
+    """The per-name element index as one ``isinstance`` loop over every
+    node builds it: the reference for the column-built entries."""
+    grouped: dict[str, list] = {}
+    for node in component.nodes:
+        if isinstance(node, GElement):
+            grouped.setdefault(node.name, []).append(node)
+    return grouped
+
+
+def skewed_engine() -> Engine:
+    from tests.test_plan_cost import skewed_document
+
+    return Engine(skewed_document())
+
+
+class TestNameEntryFromColumns:
+    """``name_entry`` reads the columns; the node loop is the oracle."""
+
+    @staticmethod
+    def assert_entries_match(goddag) -> None:
+        for component in goddag._components.values():
+            grouped = name_index_by_node_loop(component)
+            for name in {*grouped, *component.names, "no-such-name"}:
+                entry = component.name_entry(name)
+                members = grouped.get(name)
+                if members is None:
+                    assert entry is None, (component.name, name)
+                    continue
+                assert len(entry.nodes) == len(members)
+                assert all(found is member for found, member
+                           in zip(entry.nodes, members))
+                assert all(found is member for found, member
+                           in zip(entry.nodes_arr, members))
+                assert entry.preorders.tolist() == [
+                    node.preorder for node in members]
+                assert entry.subtree_ends.tolist() == [
+                    node.subtree_end for node in members]
+
+    @pytest.mark.parametrize("build", [
+        lambda: Engine(boethius_document(validate=False)), skewed_engine],
+        ids=["boethius", "skewed"])
+    def test_entries_are_the_loops_members_in_order(self, build):
+        engine = build()
+        self.assert_entries_match(engine.goddag)
+        assert engine.goddag._components["structural"].name_entry("w")
+
+    def test_absent_name_builds_nothing(self, goddag):
+        component = goddag._components["structural"]
+        assert component.name_entry("line") is None  # another hierarchy's
+        assert component._name_index == {}
+        assert component._nodes_arr is None
+
+    @pytest.mark.parametrize("build", [
+        lambda: Engine(boethius_document(validate=False)), skewed_engine],
+        ids=["boethius", "skewed"])
+    def test_after_in_place_renames(self, build, tmp_path):
+        """Renaming every ``w`` leaves ``w`` behind in ``names`` with no
+        row: the entry must be ``None``, not an empty one."""
+        engine = build()
+        words = engine.goddag._components["structural"].name_entry("w")
+        engine.update('for $w in /descendant::w return '
+                      'rename node $w as "word"')
+        engine.update('rename node (/descendant::line)[1] as "row"')
+        component = engine.goddag._components["structural"]
+        assert "w" in component.names
+        assert component.name_entry("w") is None
+        assert len(component.name_entry("word").nodes) == len(words.nodes)
+        self.assert_entries_match(engine.goddag)
+        # cold-loaded components share the file's one name table:
+        # most of its names select no row in any given hierarchy
+        engine.save_mhxb(tmp_path / "renamed.mhxb")
+        self.assert_entries_match(
+            Engine.from_mhxb(tmp_path / "renamed.mhxb").goddag)
 
 
 class TestIteration:

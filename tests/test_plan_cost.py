@@ -748,7 +748,6 @@ class TestMaskLifetime:
         assert "predicate [mask " in compiled.explain()
         assert compiled.execute(engine.goddag)
         released = weakref.ref(engine.goddag)
-        engine.goddag.release_caches()
         del engine, document
         gc.collect()
         assert released() is None
@@ -1250,7 +1249,6 @@ class TestLiftLifetime:
         assert "[lifted over $l]" in compiled.explain()
         assert compiled.execute(engine.goddag)
         released = weakref.ref(engine.goddag)
-        engine.goddag.release_caches()
         del engine, document
         gc.collect()
         assert released() is None

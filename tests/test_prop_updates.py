@@ -14,8 +14,11 @@ After every applied statement the two must agree byte-for-byte on the
 serialization of every hierarchy and the base text, item-for-item on a
 probe query set (run against the long-lived incremental goddag vs. a
 freshly rebuilt one), and ``check_invariants()`` must pass on the
-incremental structure.  Statements that fail (conflicts, proper
-overlap, empty targets) must leave both sides untouched — atomicity.
+incremental structure — the whole net, after the scoped net the update
+itself ran over what it rebuilt (``check=True``): wherever the whole
+net passes, the scoped one must have.  Statements that fail (conflicts,
+proper overlap, empty targets) must leave both sides untouched —
+atomicity.
 
 A second fuzzer runs the same sequences the way the document store
 does (DESIGN.md §10): every statement is applied to a
@@ -126,6 +129,7 @@ def test_update_sequences_match_rebuild_oracle(data):
             _assert_states_match(engine, oracle, f"(rejected) {context}")
             continue
         applied += 1
+        engine.goddag.check_invariants()
         oracle.apply(statement)
         _assert_states_match(engine, oracle, context)
         _assert_probes_match(engine, oracle, context)
@@ -183,6 +187,11 @@ def test_forked_sequences_leave_every_source_untouched(data):
                 fork = None  # the store discards a failed fork
             else:
                 applied += 1
+                fork.goddag.check_invariants()
+                # what a store commit would run, against its source
+                fork.goddag.check_invariants(
+                    fork.goddag.changed_components(
+                        source.goddag.components()))
                 oracle.apply(statement)
                 _assert_probes_match(fork, oracle, context)
                 # sometimes look at the DOM side too, sometimes leave

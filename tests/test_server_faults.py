@@ -487,9 +487,9 @@ class TestStoreStaysClean:
 
     def test_retired_versions_are_collectable(self, fresh):
         """The soak's RSS bound, stated exactly: each update retires
-        one MVCC version, and retired versions must be garbage — the
-        store releases their numpy object-array caches (which the
-        cycle collector cannot see through) at publish time."""
+        one MVCC version, and retired versions must be garbage —
+        nothing below a version shell refers back to it (DESIGN.md
+        §14), so nobody has to shed anything."""
         import gc
         import weakref
 

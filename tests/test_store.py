@@ -8,6 +8,9 @@ store`` CLI verbs.
 
 from __future__ import annotations
 
+import gc
+import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -16,10 +19,11 @@ import pytest
 from repro.api import Engine
 from repro.bench.workloads import corpus_at_size
 from repro.cli import main
-from repro.errors import GoddagError, ReproError
+from repro.errors import GoddagError, ReproError, UpdateError
 from repro.cmh import MultihierarchicalDocument
+from repro.core.goddag import invariants
 from repro.core.goddag.goddag import _ComponentBuilder, _HierarchyComponent
-from repro.core.goddag.nodes import GElement
+from repro.core.goddag.nodes import GElement, GLeaf
 from repro.core.runtime import QueryOptions
 from repro.corpus.boethius import boethius_document
 from repro.markup import dom
@@ -263,11 +267,26 @@ class TestPersistence:
         assert engine.query("count(//word)").serialize() == "1"
 
 
+def wrapping(target, attribute, seen, key):
+    """Patch ``target.attribute`` to record ``key(self)`` per call."""
+    original = getattr(target, attribute)
+
+    def wrapper(self, *args, **kwargs):
+        seen.append(key(self))
+        return original(self, *args, **kwargs)
+
+    return mock.patch.object(target, attribute, wrapper)
+
+
+UNTOUCHED = ("structural", "physical", "restoration")
+
+
 class TestUntouchedHierarchiesUntouched:
     """The deterministic stand-in for ``store-write/heavy_ms``: what one
     ``DocumentStore.update`` builds at n=800, counted by wrapping.  An
     ``add markup`` changes one hierarchy, so one hierarchy's DOM and one
-    component are built and nothing is cloned or re-sorted; a text
+    component are built, one hierarchy's nodes are created and walked by
+    the net, and nothing is cloned, re-sorted or copied per node; a text
     change shifts every span and is the control."""
 
     @pytest.fixture()
@@ -280,30 +299,36 @@ class TestUntouchedHierarchiesUntouched:
         store.close()
 
     @staticmethod
-    def free_word(goddag) -> int:
-        """1-based index of a word no ``<dmg>`` touches."""
+    def free_words(goddag) -> list[int]:
+        """1-based indices of the words no ``<dmg>`` touches."""
         damage = [(node.start, node.end)
                   for node in goddag.elements("dmg")]
-        return next(
+        return [
             index for index, word in enumerate(goddag.elements("w"), 1)
             if all(end <= word.start or word.end <= start
-                   for start, end in damage))
+                   for start, end in damage)]
+
+    @classmethod
+    def free_word(cls, goddag) -> int:
+        return cls.free_words(goddag)[0]
+
+    @classmethod
+    def churn(cls, goddag, steps: int) -> list[str]:
+        """Alternating commits that hand components from version to
+        version: a mark on a free word from the front, a rename of the
+        last ``w`` (so no earlier index moves)."""
+        free = cls.free_words(goddag)
+        return ['rename node (/descendant::w)[last()] as "word"'
+                if step % 2 else
+                f'add markup mark to "damage" covering '
+                f'(/descendant::w)[{free[step]}]'
+                for step in range(steps)]
 
     @staticmethod
     def counted(store, statement):
         """``(DOMs built, elements created, components built, clones)``
         of one update."""
         elements, doms, components, clones = [], [], [], []
-
-        def wrapping(target, attribute, seen, key):
-            original = getattr(target, attribute)
-
-            def wrapper(self, *args, **kwargs):
-                seen.append(key(self))
-                return original(self, *args, **kwargs)
-
-            return mock.patch.object(target, attribute, wrapper)
-
         with wrapping(dom.Element, "__init__", elements, id), \
                 wrapping(_HierarchyComponent, "build_dom", doms,
                          lambda component: component.name), \
@@ -334,13 +359,232 @@ class TestUntouchedHierarchiesUntouched:
                 if hierarchy.materialized] == ["damage"]
         assert after.query("count(//mark)").serialize() == "1"
         # untouched hierarchies still share the published arrays
-        for name in ("structural", "physical", "restoration"):
+        for name in UNTOUCHED:
             assert np.shares_memory(
                 after.goddag._components[name].starts,
                 before.goddag._components[name].starts)
         assert not np.shares_memory(
             after.goddag._components["damage"].starts,
             before.goddag._components["damage"].starts)
+
+    def test_add_markup_attaches_and_walks_one_hierarchy(self, stored):
+        """One ``attach`` (the cold load happened before), no leaf made
+        by the net, one hierarchy walked by it; the rest of the new
+        version *is* the old one, object for object."""
+        before = stored.snapshot("doc").engine
+        before.query("/descendant::line/following::w")  # fills caches
+        word = self.free_word(before.goddag)
+        attached, walked, nets, leaves_in_net = [], [], [], []
+        check = invariants.check_invariants
+        leaf_init = GLeaf.__init__
+
+        def net(goddag, components=None):
+            nets.append(components)
+            with mock.patch.object(
+                    GLeaf, "__init__",
+                    lambda self, *args: (leaves_in_net.append(1),
+                                         leaf_init(self, *args))[1]):
+                check(goddag, components)
+
+        with wrapping(_HierarchyComponent, "attach", attached,
+                      lambda component: component.name), \
+                mock.patch.object(invariants, "check_invariants", net), \
+                mock.patch.object(
+                    invariants, "_check_rows",
+                    lambda goddag, component, rows=invariants._check_rows:
+                    (walked.append(component.name),
+                     rows(goddag, component))[1]):
+            stored.update("doc", f'add markup mark to "damage" covering '
+                                 f'(/descendant::w)[{word}]')
+        assert attached == ["damage"]
+        assert nets == [["damage"]] and walked == ["damage"]
+        assert not leaves_in_net
+        after = stored.snapshot("doc").engine
+        for name in UNTOUCHED:
+            old = before.goddag._components[name]
+            new = after.goddag._components[name]
+            assert new is old
+            assert all(a is b for a, b in zip(
+                after.goddag.nodes_of(name), before.goddag.nodes_of(name)))
+            assert new._nodes_arr is old._nodes_arr is not None
+            assert new._name_index is old._name_index
+        assert "line" in before.goddag._components["physical"]._name_index
+        assert after.goddag._components["damage"] \
+            is not before.goddag._components["damage"]
+        after.goddag.check_invariants()
+        before.goddag.check_invariants()
+
+    def test_commit_keeps_the_statistics_it_stamped(self, stored):
+        """The first costed query after a commit collects nothing: the
+        engine holds the block its save put in the header, and that is
+        what a collection off the live index would have said."""
+        from repro.core.goddag import stats
+
+        word = self.free_word(stored.snapshot("doc").engine.goddag)
+        stored.update("doc", f'add markup mark to "damage" covering '
+                             f'(/descendant::w)[{word}]')
+        engine = stored.snapshot("doc").engine
+        with mock.patch.object(stats, "collect_plan_stats",
+                               side_effect=AssertionError("collected")):
+            assert stored.query("doc", "count(//mark)").serialize() == "1"
+            held = engine.plan_stats()
+        assert held.version == engine.version
+        assert held.payload() == stats.collect_plan_stats(
+            engine.goddag).payload()
+
+    def test_fork_attaches_nothing(self, stored):
+        engine = stored.snapshot("doc").engine
+        attached, leaves = [], []
+        with wrapping(_HierarchyComponent, "attach", attached, id), \
+                wrapping(GLeaf, "__init__", leaves, id):
+            fork = fork_engine(engine)
+        assert not attached and not leaves
+        assert fork.goddag.root is not engine.goddag.root
+        assert fork.goddag.leaves()[0] is engine.goddag.leaves()[0]
+        fork.goddag.check_invariants()
+
+    def test_rename_takes_one_private_hierarchy(self, stored):
+        """A rename writes nothing another version holds: it attaches a
+        private copy of its one hierarchy, and the published version's
+        node and name columns stay as they were."""
+        published = stored.snapshot("doc")
+        before = published.engine.goddag
+        target = before.nodes_of("structural")[
+            before.elements("w").__next__().preorder]
+        component = before._components["structural"]
+        index = before.span_index()
+        name_ids = component.name_ids.copy()
+        names, e_names = index._names.copy(), index._e_names.copy()
+        attached = []
+        with wrapping(_HierarchyComponent, "attach", attached,
+                      lambda component: component.name):
+            stored.update("doc", 'rename node (/descendant::w)[1] as "word"')
+        assert attached == ["structural"]
+        after = stored.snapshot("doc").engine.goddag
+        assert target.name == "w"
+        assert before._components["structural"] is component
+        assert np.array_equal(component.name_ids, name_ids)
+        assert index._names.tolist() == names.tolist()
+        assert index._e_names.tolist() == e_names.tolist()
+        twin = after.nodes_of("structural")[target.preorder]
+        assert twin is not target and twin.name == "word"
+        for name in ("physical", "damage", "restoration"):
+            assert after._components[name] is before._components[name]
+        assert published.query("count(//word)").serialize() == "0"
+        assert stored.query("doc", "count(//word)").serialize() == "1"
+        assert stored.query(
+            "doc", "count(/descendant::word/xancestor::line)"
+        ).serialize() == published.query(
+            "count((/descendant::w)[1]/xancestor::line)").serialize()
+        before.check_invariants()
+        after.check_invariants()
+
+    def test_top_level_nodes_reach_their_own_versions_root(self, stored):
+        """Top-level nodes are shared between versions and store no
+        parent: every upward or sideways step from one lands on the
+        root of the version that was asked."""
+        old = stored.snapshot("doc")
+        word = self.free_word(old.engine.goddag)
+        stored.update("doc", f'add markup mark to "damage" covering '
+                             f'(/descendant::w)[{word}]')
+        new = stored.snapshot("doc")
+        shared = old.engine.goddag.root.children_in("physical")
+        assert new.engine.goddag.root.children_in("physical") is shared
+        assert old.engine.goddag.root is not new.engine.goddag.root
+        for snapshot in (old, new):
+            goddag = snapshot.engine.goddag
+            for query in ("/child::*[1]/parent::node()",
+                          "(/child::*[1]/ancestor::node())[1]",
+                          "/child::line[2]/ancestor-or-self::node()[last()]",
+                          "/child::line[2]/preceding-sibling::*[1]/.."):
+                assert snapshot.query(query).items == [goddag.root], query
+            assert all(goddag.parent_of(node) is goddag.root
+                       for node in shared)
+            siblings = snapshot.query(
+                "/child::line[2]/following-sibling::line").items
+            assert siblings == shared[2:]
+
+    def test_pinned_reader_outlives_fifty_collected_versions(self, stored):
+        """No retire call anywhere: a version shell nobody holds goes
+        with its last reference — the cycle collector is off here — and
+        a reader that holds version 0 keeps the whole of version 0."""
+        pinned = stored.snapshot("doc")
+        words = pinned.query("count(/descendant::w)").serialize()
+        lines = pinned.query("/descendant::line/string(.)").serialize()
+        shells = []
+        gc.disable()
+        try:
+            for statement in self.churn(pinned.engine.goddag, 50):
+                stored.update("doc", statement, persist=False)
+                shells.append(
+                    weakref.ref(stored.snapshot("doc").engine.goddag))
+            freed = [shell() is None for shell in shells]
+        finally:
+            gc.enable()
+        assert freed == [True] * 49 + [False]
+        assert stored.query("doc", "count(//mark)").serialize() == "25"
+        assert stored.query("doc", "count(//word)").serialize() == "25"
+        assert pinned.version == 4
+        assert pinned.query("count(//mark | //word)").serialize() == "0"
+        assert pinned.query("count(/descendant::w)").serialize() == words
+        assert pinned.query(
+            "/descendant::line/string(.)").serialize() == lines
+        pinned.engine.goddag.check_invariants()
+        stored.snapshot("doc").engine.goddag.check_invariants()
+
+    def test_readers_answer_from_the_version_they_pinned(self, stored):
+        """Four readers during 20 commits that hand components from
+        version to version: whatever a reader pinned answers as the
+        single-threaded replay of that version did."""
+        probes = ["count(//mark)", "count(//word)",
+                  "count(/descendant::w/xancestor::line)",
+                  "string((/descendant::line)[3]/preceding-sibling::*[1])"]
+        statements = self.churn(stored.snapshot("doc").engine.goddag, 20)
+
+        def answers(snapshot):
+            return [snapshot.query(probe).serialize() for probe in probes]
+
+        stored.add("replay", corpus_at_size(800))
+        expected = {stored.snapshot("replay").version:
+                    answers(stored.snapshot("replay"))}
+        for statement in statements:
+            stored.update("replay", statement, persist=False)
+            expected[stored.snapshot("replay").version] = answers(
+                stored.snapshot("replay"))
+        assert len(expected) == 21
+
+        done = threading.Event()
+        errors, seen = [], set()
+
+        def reader() -> None:
+            try:
+                while True:
+                    finished = done.is_set()
+                    snapshot = stored.snapshot("doc")
+                    first = answers(snapshot)
+                    if first != expected[snapshot.version] \
+                            or answers(snapshot) != first:
+                        errors.append(f"torn read at v{snapshot.version}")
+                        return
+                    seen.add(snapshot.version)
+                    if finished:
+                        return
+            except Exception as error:  # pragma: no cover - fail loud
+                errors.append(repr(error))
+
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in readers:
+            thread.start()
+        try:
+            for statement in statements:
+                stored.update("doc", statement, persist=False)
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=120)
+        assert not errors, errors
+        assert not any(thread.is_alive() for thread in readers)
+        assert max(seen) == max(expected)
 
     def test_rename_builds_nothing(self, stored):
         doms, elements, components, clones = self.counted(
@@ -353,12 +597,8 @@ class TestUntouchedHierarchiesUntouched:
             "<word>") == 1
 
     def test_failed_statement_discards_a_collectable_fork(self, stored):
-        """The fork of a rejected batch is retired like an unpublished
-        version: nothing (no object-array cache) keeps it alive."""
-        import gc
-        import weakref
-
-        from repro.errors import UpdateError
+        """The fork of a rejected batch goes like an unpublished
+        version: nothing keeps it alive."""
         from repro.store import catalog
 
         forks = []
@@ -391,6 +631,119 @@ class TestUntouchedHierarchiesUntouched:
         assert after.goddag.index_full_builds == 0
         assert after.query("string((/descendant::w)[3])").serialize() \
             == "eac"
+
+
+class TestCommitTimeNet:
+    """One net per transaction, over what the transaction rebuilt —
+    and still a net: whatever is wrong anywhere in the structure, the
+    scoped net raises where the whole net does (DESIGN.md §9)."""
+
+    @pytest.fixture()
+    def stored(self, tmp_path):
+        store = DocumentStore.init(tmp_path / "catalog")
+        store.add("doc", corpus_at_size(800))
+        yield store
+        store.close()
+
+    BATCH = ['rename node (/descendant::w)[2] as "word"',
+             'add markup mark to "restoration" covering '
+             '(/descendant::line)[1]',
+             'rename node (/descendant::line)[3] as "row"']
+
+    def test_three_statements_one_net_over_their_union(self, stored):
+        nets = []
+        check = invariants.check_invariants
+
+        def net(goddag, components=None):
+            nets.append(components)
+            check(goddag, components)
+
+        with mock.patch.object(invariants, "check_invariants", net):
+            stored.update("doc", self.BATCH)
+        assert len(nets) == 1
+        assert sorted(nets[0]) == ["physical", "restoration", "structural"]
+        with mock.patch.object(invariants, "check_invariants", net):
+            stored.update("doc", self.BATCH[1], check=False)
+        assert len(nets) == 1
+
+    def test_violation_discards_the_fork_before_anything_lands(
+            self, stored):
+        """A builder fault: the net raises once, before persist; the
+        published version and the file stay as they were."""
+        published = stored.snapshot("doc")
+        path = stored.root / "doc.mhxb"
+        image = path.read_bytes()
+        build = _ComponentBuilder.build_from_dom
+
+        def faulty(builder, document):
+            component = build(builder, document)
+            component.subtree_ends[1] += 1  # one row lies
+            return component
+
+        forks = []
+
+        def recording(engine):
+            working = fork_engine(engine)
+            forks.append(weakref.ref(working.goddag))
+            return working
+
+        from repro.store import catalog
+        with mock.patch.object(_ComponentBuilder, "build_from_dom",
+                               faulty), \
+                mock.patch.object(catalog, "fork_engine", recording), \
+                pytest.raises(GoddagError, match="invariant violation"):
+            stored.update("doc", self.BATCH)
+        assert stored.snapshot("doc") is published
+        assert path.read_bytes() == image
+        gc.collect()  # the traceback held the update's frame
+        assert len(forks) == 1 and forks[0]() is None
+        published.engine.goddag.check_invariants()
+        assert published.query("count(//mark | //word)").serialize() == "0"
+        stored.update("doc", self.BATCH)  # the same batch, no fault
+        assert stored.query("doc", "count(//mark)").serialize() == "1"
+
+    @staticmethod
+    def both_nets_raise(goddag, scope, match: str) -> None:
+        with pytest.raises(GoddagError, match=match):
+            goddag.check_invariants()
+        with pytest.raises(GoddagError, match=match):
+            goddag.check_invariants(scope)
+
+    def test_both_nets_catch_what_only_one_walks(self, stored):
+        """Corrupt, in turn, a row of the replaced component, a
+        partition refcount, and a span-index entry of a hierarchy the
+        update never touched; then restore it."""
+        source = stored.snapshot("doc").engine
+        fork = fork_engine(source)
+        fork.update(self.BATCH[1], check=False)
+        goddag = fork.goddag
+        scope = goddag.changed_components(source.goddag.components())
+        assert scope == ["restoration"]
+        goddag.check_invariants()
+        goddag.check_invariants(scope)
+
+        node = goddag.nodes_of("restoration")[3]
+        node.end += 1
+        self.both_nets_raise(goddag, scope, "row 3")
+        node.end -= 1
+
+        offset = int(goddag._components["physical"].starts[5])
+        goddag.partition._refcounts[offset] += 1
+        self.both_nets_raise(goddag, scope, "refcounts")
+        goddag.partition._refcounts[offset] -= 1
+
+        index = goddag.span_index()
+        rank = goddag.hierarchy_rank("physical")
+        entry = int(np.flatnonzero(index.ranks == rank)[7])
+        assert goddag._components["physical"] \
+            is source.goddag._components["physical"]
+        kept = index.nodes[entry]
+        index.nodes[entry] = goddag.nodes_of("physical")[0]
+        self.both_nets_raise(goddag, scope, "span index start-side")
+        index.nodes[entry] = kept
+        goddag.check_invariants()
+        goddag.check_invariants(scope)
+        source.goddag.check_invariants()
 
 
 class TestStoreCli:

@@ -21,6 +21,7 @@ import os
 import random
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.api import Engine
@@ -61,6 +62,21 @@ def flip_block_byte(path, which: int = -1) -> str:
     payload[data_start + entry["offset"]] ^= 0x01
     path.write_bytes(payload)
     return name
+
+
+def rewrite_block(path, block: str, edit) -> None:
+    """Rewrite one array block *with valid checksums*: the file a
+    writer with a bug would leave, not the one a bad disk would — every
+    CRC passes and the structure is wrong in itself."""
+    from repro.store.mhxb import _map_arrays, _pack
+
+    header, data_start = read_header(path)
+    arrays = {key: np.array(value) for key, value
+              in _map_arrays(path, header, data_start).items()}
+    edit(arrays[block])
+    del header["arrays"]
+    _pack(path, header, arrays)
+    assert verify_blocks(path)
 
 
 def fresh_store(root) -> DocumentStore:
@@ -372,6 +388,35 @@ class TestCorruption:
         with pytest.raises(ReproError, match="no document"):
             store.verify("nope")
 
+    def test_verify_runs_the_whole_net_behind_the_checksums(
+            self, tmp_path):
+        """Checksums vouch for bytes, the net for the structure: a
+        ``subtree_ends`` block rewritten with a valid CRC loads and
+        passes every checksum, and ``verify`` still calls it corrupt —
+        off a load of the file, and off the live snapshot."""
+        root = tmp_path / "cat"
+        store = fresh_store(root)
+        store.add("bad", boethius_document(validate=False))
+        store.close()
+
+        def widen_a_subtree(subtree_ends) -> None:
+            subtree_ends[1] = len(subtree_ends) + 3
+
+        rewrite_block(root / "bad.mhxb", "h1/subtree_ends",
+                      widen_a_subtree)
+        store = DocumentStore(root)  # cold loads verify every checksum
+        for live in (False, True):
+            if live:
+                assert store.query(
+                    "bad", "count(/descendant::w)").serialize() == "6"
+            statuses = store.verify()
+            assert statuses["boe"].startswith("ok (")
+            assert statuses["bad"].startswith(
+                "corrupt: invariant violation: hierarchy 'structural' "
+                "node 1 has subtree_end"), statuses["bad"]
+        assert store.verify("boe") == {"boe": statuses["boe"]}
+        assert "bad" not in store.quarantined  # verify is read-only
+
     def test_unverified_loads_allowed_when_opted_out(self, tmp_path):
         root = tmp_path / "cat"
         store = fresh_store(root)
@@ -570,6 +615,19 @@ class TestRecoveryCli:
         flip_block_byte(tmp_path / "cat" / "boe.mhxb")
         code, out, _ = run_cli(capsys, "store", "verify", root)
         assert code == 1 and "corrupt:" in out
+
+    def test_verify_verb_reports_an_invariant_violation(self, capsys,
+                                                        tmp_path):
+        root = tmp_path / "cat"
+        fresh_store(root).close()
+
+        def shorten_a_span(ends) -> None:
+            ends[0] -= 1
+
+        rewrite_block(root / "boe.mhxb", "h0/ends", shorten_a_span)
+        code, out, _ = run_cli(capsys, "store", "verify", str(root))
+        assert code == 1 and "1 with problems" in out
+        assert "corrupt: invariant violation" in out
 
     def test_compact_reports_skips(self, capsys, tmp_path):
         root = tmp_path / "cat"
