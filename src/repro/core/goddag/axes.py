@@ -482,8 +482,10 @@ def evaluate_axis(goddag: KyGoddag, axis: str, node: GNode,
 
     ``name`` is an optional *pushdown hint*: when given, extended axes
     intersect a precomputed per-name mask instead of materializing all
-    candidates (callers still apply the node test — the hint is purely
-    an optimization and must never change results).
+    candidates.  Here the hint only narrows — callers still apply the
+    node test, and leaving it out changes no result; the slices of the
+    per-name element index that :func:`axis_candidates` reports as
+    exact are the one place a name is contractual.
     """
     function = AXES.get(axis)
     if function is None:
@@ -507,8 +509,18 @@ def evaluate_axis(goddag: KyGoddag, axis: str, node: GNode,
 #   axes the result is a single partition slice and the (much larger)
 #   hierarchy-node slices are never touched.
 #
-# Both are pure optimizations: the caller's node test is still applied
-# (via ``test``), so a wrong hint could only cost time, never results.
+# Both only narrow what is materialized, and the caller's node test
+# (``test``) decides — with one contractual exception: a ``name`` makes
+# ``descendant`` / ``following`` / ``preceding`` from the root or a
+# hierarchy node a slice of the per-name element index
+# (``_HierarchyComponent.name_entry``: the rows whose kind is element
+# and whose name id is the name's), which holds exactly the elements of
+# that name on the axis.  ``axis_candidates`` reports such a slice as
+# *exact* and the test is not run over it again, so there ``name`` must
+# be the name ``test`` selects (the planner derives both from one name
+# test).  Everything else — extended axes, ``descendant-or-self`` (its
+# ``[node]`` prefix), leaf and attribute contexts, an absent name —
+# stays a superset that ``test`` filters.
 
 #: Axes whose leaf contribution is one contiguous partition range keyed
 #: by the context node's span.
@@ -519,21 +531,27 @@ _LEAF_RANGE_AXES = frozenset({
 
 def axis_candidates(goddag: KyGoddag, axis: str, node: GNode,
                     name: str | None = None,
-                    skip_leaves: bool = False) -> list[GNode]:
-    """Candidates of one axis step from one node, honoring pushdowns.
+                    skip_leaves: bool = False
+                    ) -> tuple[list[GNode], bool]:
+    """``(candidates, exact)`` of one axis step from one node, honoring
+    pushdowns.
 
     With ``skip_leaves`` the slice axes return only their hierarchy-node
-    slices (no partition range is materialized), and a ``name`` hint
-    turns the span-covering axes into bisected slices of the per-name
-    element index; other axes fall back to :func:`evaluate_axis` plus a
-    leaf filter.
+    slices (no partition range is materialized), and a ``name`` turns
+    the span-covering axes into bisected slices of the per-name element
+    index; other axes fall back to :func:`evaluate_axis` plus a leaf
+    filter.  ``exact`` says the candidates are such an index slice —
+    exactly the elements named ``name`` on the axis, nothing for a name
+    test to drop; otherwise they are a superset the caller's node test
+    filters (the contract is spelled out above).
     """
     if not skip_leaves:
-        return evaluate_axis(goddag, axis, node, name)
+        return evaluate_axis(goddag, axis, node, name), False
     if axis in ("descendant", "descendant-or-self"):
         prefix: list[GNode] = []
         if axis == "descendant-or-self" and not isinstance(node, GLeaf):
             prefix = [node]
+        exact = name is not None and axis == "descendant"
         if isinstance(node, GRoot):
             out = prefix
             for hierarchy in goddag.hierarchy_names:
@@ -543,65 +561,84 @@ def axis_candidates(goddag: KyGoddag, axis: str, node: GNode,
                         out.extend(entry.nodes)
                 else:
                     out.extend(goddag.nodes_of(hierarchy))
-            return out
+            return out, exact
         if not isinstance(node, _HierarchyNode):
-            return prefix
+            return prefix, False
         if name is not None:
             entry = goddag._components[node.hierarchy].name_entry(name)
             if entry is None:
-                return prefix
+                return prefix, exact
             left = int(np.searchsorted(entry.preorders, node.preorder,
                                        side="right"))
             right = int(np.searchsorted(entry.preorders,
                                         node.subtree_end, side="right"))
-            return prefix + entry.nodes[left:right]
+            return prefix + entry.nodes[left:right], exact
         return prefix + goddag.nodes_of(node.hierarchy)[
-            node.preorder + 1:node.subtree_end + 1]
+            node.preorder + 1:node.subtree_end + 1], False
     if axis == "following":
         if isinstance(node, GRoot):
-            return []
+            return [], False
         if isinstance(node, GLeaf):
-            return axis_xfollowing(goddag, node, name, include_leaves=False)
+            return axis_xfollowing(goddag, node, name,
+                                   include_leaves=False), False
         if isinstance(node, GAttr):
-            return axis_candidates(goddag, axis, node.owner, name, True)
+            return axis_candidates(goddag, axis, node.owner, name,
+                                   True)[0], False
         if name is not None:
             entry = goddag._components[node.hierarchy].name_entry(name)
             if entry is None:
-                return []
+                return [], True
             left = int(np.searchsorted(entry.preorders, node.subtree_end,
                                        side="right"))
-            return entry.nodes[left:]
-        return goddag.nodes_of(node.hierarchy)[node.subtree_end + 1:]
+            return entry.nodes[left:], True
+        return goddag.nodes_of(node.hierarchy)[node.subtree_end + 1:], False
     if axis == "preceding":
         if isinstance(node, GRoot):
-            return []
+            return [], False
         if isinstance(node, GLeaf):
-            return axis_xpreceding(goddag, node, name, include_leaves=False)
+            return axis_xpreceding(goddag, node, name,
+                                   include_leaves=False), False
         if isinstance(node, GAttr):
-            return axis_candidates(goddag, axis, node.owner, name, True)
+            return axis_candidates(goddag, axis, node.owner, name,
+                                   True)[0], False
         if name is not None:
             entry = goddag._components[node.hierarchy].name_entry(name)
             if entry is None:
-                return []
+                return [], True
             position = int(np.searchsorted(entry.preorders, node.preorder,
                                            side="left"))
             prefix_arr = entry.nodes_arr[:position]
             return prefix_arr[
-                entry.subtree_ends[:position] < node.preorder].tolist()
+                entry.subtree_ends[:position] < node.preorder].tolist(), True
         component = goddag._components[node.hierarchy]
         nodes_arr, subtree_ends = component.node_arrays()
         prefix_arr = nodes_arr[:node.preorder]
         return prefix_arr[
-            subtree_ends[:node.preorder] < node.preorder].tolist()
+            subtree_ends[:node.preorder] < node.preorder].tolist(), False
     if axis == "child" and isinstance(node, GText):
-        return []  # a text node's children are exactly its leaves
+        return [], False  # a text node's children are exactly its leaves
     if axis in ("xdescendant", "xfollowing", "xpreceding"):
         function = AXES[axis]
-        return function(goddag, node, name, include_leaves=False)
+        return function(goddag, node, name, include_leaves=False), False
     out = evaluate_axis(goddag, axis, node, name)
     if any(isinstance(candidate, GLeaf) for candidate in out):
-        return [c for c in out if not isinstance(c, GLeaf)]
-    return out
+        return [c for c in out if not isinstance(c, GLeaf)], False
+    return out, False
+
+
+def tested_candidates(goddag: KyGoddag, axis: str, node: GNode,
+                      name: str | None, skip_leaves: bool,
+                      leaves_only: bool, test) -> list[GNode]:
+    """The candidates of one axis step from one node that pass ``test``
+    (``None`` = match all): the leaf range, the pushed-down candidates
+    filtered, or an exact name slice as it is."""
+    exact = False
+    found = leaf_candidates(goddag, axis, node) if leaves_only else None
+    if found is None:
+        found, exact = axis_candidates(goddag, axis, node, name, skip_leaves)
+    if test is None or exact:
+        return found
+    return [candidate for candidate in found if test(candidate)]
 
 
 def leaf_candidates(goddag: KyGoddag, axis: str,
@@ -732,30 +769,20 @@ def evaluate_axis_batch(goddag: KyGoddag, axis: str, nodes: list[GNode],
     given), deduplicated and merged into global document order by the
     packed int64 order keys — one ``sort_nodes`` per *step* instead of
     one per context item.  A single already-ordered emission skips even
-    that (:func:`emits_document_order`).
+    that (:func:`emits_document_order`).  ``name``, when given with a
+    ``test``, must be the element name that test selects: exact name
+    slices (:func:`axis_candidates`) are not tested again.
     """
     if not nodes:
         return []
-
-    def candidates(node: GNode) -> list[GNode]:
-        if leaves_only:
-            leaf_range = leaf_candidates(goddag, axis, node)
-            if leaf_range is not None:
-                return leaf_range
-        return axis_candidates(goddag, axis, node, name, skip_leaves)
-
     if len(nodes) == 1:
-        out = candidates(nodes[0])
-        if test is not None:
-            out = [c for c in out if test(c)]
+        out = tested_candidates(goddag, axis, nodes[0], name, skip_leaves,
+                                leaves_only, test)
         if not emits_document_order(axis, nodes[0]):
             out = goddag.sort_nodes(out)
         return out
     out = []
     for node in nodes:
-        found = candidates(node)
-        if test is not None:
-            out.extend(c for c in found if test(c))
-        else:
-            out.extend(found)
+        out.extend(tested_candidates(goddag, axis, node, name, skip_leaves,
+                                     leaves_only, test))
     return goddag.sort_nodes(out)

@@ -499,8 +499,7 @@ class KyGoddag:
             # temporaries sit in the partition and the span index
             latch.acquire_read()
         try:
-            if any(component.temporary
-                   for component in self._components.values()):
+            if self.has_temporaries():
                 raise GoddagError(
                     "cannot fork a KyGODDAG holding temporary "
                     "(analyze-string) hierarchies")
@@ -784,6 +783,11 @@ class KyGoddag:
     def is_temporary(self, name: str) -> bool:
         """True when ``name`` is a temporary (query-scoped) hierarchy."""
         return self._components[name].temporary
+
+    def has_temporaries(self) -> bool:
+        """Is any registered hierarchy temporary?"""
+        return any(component.temporary
+                   for component in self._components.values())
 
     def has_hierarchy(self, name: str) -> bool:
         return name in self._components

@@ -104,6 +104,15 @@ class ColumnarNodeSet(list):
                                        dtype=np.int64, count=count)
         return self._starts, self._ends
 
+    def selected(self, keep: np.ndarray) -> "ColumnarNodeSet":
+        """The members a boolean column keeps, with the matching rows
+        of the columns extracted so far (a filter that read no span
+        leaves the extraction to whoever does)."""
+        kept = [node for node, flag in zip(self, keep) if flag]
+        if self._starts is None:
+            return ColumnarNodeSet(kept)
+        return ColumnarNodeSet(kept, self._starts[keep], self._ends[keep])
+
 
 def span_columns_of(nodes: list) -> tuple[np.ndarray, np.ndarray]:
     """``(starts, ends)`` for any node list, reusing carried columns."""

@@ -54,8 +54,10 @@ __all__ = [
 #: statistics fingerprint, see ``SharedPlanCache``); bumped by PR 13
 #: (costed plans decorrelate nested existence predicates into mask
 #: plans); bumped by PR 16 (costed plans lift correlated inner ``for``
-#: clauses, and standard-axis probes are mask terms).
-PLAN_VERSION = 6
+#: clauses, and standard-axis probes are mask terms); bumped by PR 18
+#: (string tests of the context node's value are mask terms: a cached
+#: plan of ``w[matches(string(.), "…")]`` would keep its per-node loop).
+PLAN_VERSION = 7
 
 
 class CompiledQuery:

@@ -22,7 +22,8 @@ given :class:`~repro.core.goddag.stats.PlanStats` it
   (``line[xdescendant::w[xancestor::dmg or …]]``) into mask plans:
   the inner pattern becomes one boolean column over the name's rows
   and the outer test one subset semi-join, instead of one probe per
-  candidate per inner node, and
+  candidate per inner node — constant string tests of the node's value
+  (``w[matches(string(.), "…")]``) are columns of the same kind — and
 * lifts a correlated inner ``for $y in $x/axis::test`` whose body
   branches on such a pattern over ``$y``: its sequences are computed
   for all bindings of ``$x`` in one batched step and the condition is
@@ -44,6 +45,8 @@ from repro.core.lang import ast
 from repro.core.plan import logical as L
 from repro.core.plan.planner import test_pushdowns
 from repro.core.plan.rewrite import PURE_FUNCTIONS
+from repro.core.runtime.functions import STRING_TESTS, string_test
+from repro.errors import FunctionError
 
 #: Definition 1 axis duality: ``b ∈ axis(a) ⟺ a ∈ REVERSE_AXIS[axis](b)``
 #: for nonempty spans (empty spans are excluded by every kernel on both
@@ -328,10 +331,11 @@ def _mask_term(plan: L.Plan) -> tuple | None:
 
     The recognised grammar (DESIGN.md §16): ``and`` / ``or`` /
     ``not()`` over ``extended-axis::name`` and, recursively,
-    ``extended-axis::name[P]…``, plus the plain standard-axis probes
-    ``ancestor::name``, ``descendant::name`` and ``self::name``.
-    Every such body is a pure function of the context node — no
-    position, no variable, no error — so its verdicts form a column.
+    ``extended-axis::name[P]…``, the plain standard-axis probes
+    ``ancestor::name``, ``descendant::name`` and ``self::name``, and
+    the string tests of :func:`_value_term`.  Every such body is a pure
+    function of the context node — no position, no variable, no error
+    — so its verdicts form a column.
     """
     if isinstance(plan, L.BoolOp):
         terms = tuple(_mask_term(operand) for operand in plan.operands)
@@ -339,6 +343,8 @@ def _mask_term(plan: L.Plan) -> tuple | None:
             return None
         return (plan.kind, terms)
     if isinstance(plan, L.FuncOp):
+        if plan.name in STRING_TESTS:
+            return _value_term(plan)
         if plan.name != "not" or len(plan.args) != 1:
             return None
         inner = _mask_term(plan.args[0])
@@ -347,6 +353,31 @@ def _mask_term(plan: L.Plan) -> tuple | None:
             and plan.anchor == "relative" and len(plan.steps) == 1):
         return None
     return _step_term(plan.steps[0])
+
+
+def _value_term(call: L.FuncOp) -> tuple | None:
+    """``("value", function, constants)`` for ``matches(S, "p"[, "f"])``,
+    ``contains`` / ``starts-with`` / ``ends-with(S, "c")`` with ``S`` the
+    context node's string value — ``string(.)``, ``string()`` or ``.``.
+
+    A pattern or flag string that does not compile is no term: its
+    error belongs to the first candidate that reaches the call, and a
+    column would raise it for a candidate list an earlier ``or``
+    operand had already accepted.
+    """
+    if len(call.args) != 2 and not (call.name == "matches"
+                                    and len(call.args) == 3):
+        return None
+    subject, *constants = call.args
+    constants = tuple(L.const_string(arg) for arg in constants)
+    if None in constants or not (isinstance(subject, L.ContextOp)
+                                 or L.is_context_string(subject)):
+        return None
+    try:
+        string_test(call.name, *constants)
+    except FunctionError:
+        return None
+    return ("value", call.name, constants)
 
 
 def _step_term(step: L.Plan) -> tuple | None:
@@ -396,6 +427,8 @@ def _mask_work(stats: PlanStats, term: tuple, rows: float,
                 sum(spanned for _probes, spanned in parts))
     if kind == "not":
         return _mask_work(stats, term[1], rows, ctx_name)
+    if kind == "value":
+        return rows, 0.0  # one pass over the candidates, no name column
     _kind, axis, name, inner = term
     if inner is None:
         return rows, 0.0

@@ -17,6 +17,10 @@ Operator glossary (DESIGN.md §8):
                  sorted-array join over the span-index columns (§11)
 ``expr-step``    a non-axis path step, evaluated once per input node
 ``filter``       predicates over an arbitrary item sequence
+``predicate``    one step/filter predicate; on costed plans ``[mask …]``
+                 is its decorrelated form (§16) as ``render_mask``
+                 writes it: axis probes, and string tests of
+                 ``string(.)``, in query syntax
 ``collection``   the roots of a sharded corpus, resolved at run time
 ``flwor``        the FLWOR pipeline (streaming unless it orders); a
                  ``for … [lifted over $x]`` clause runs once over all
@@ -185,8 +189,10 @@ class PredicateOp(Plan):
     #: fall back to source order mid-plan
     source_order: int = -1
     #: the decorrelated form chosen by the cost pass (DESIGN.md §16): a
-    #: mask term — ``("and" | "or", terms)``, ``("not", term)`` or
-    #: ``("axis", axis, name, term | None)`` for ``axis::name[term]`` —
+    #: mask term — ``("and" | "or", terms)``, ``("not", term)``,
+    #: ``("axis", axis, name, term | None)`` for ``axis::name[term]`` or
+    #: ``("value", function, constants)`` for a string test of the
+    #: context node's string value against constant arguments —
     #: evaluated set-at-a-time as boolean columns instead of one EBV
     #: evaluation of ``plan`` per candidate.  Terms are plain hashable
     #: tuples: the executor memoises columns by term value.
@@ -229,7 +235,9 @@ class StepOp(Plan):
     skip_leaves: bool = False
     #: the node test is ``leaf()``: the step is a partition slice
     leaves_only: bool = False
-    #: name pushed into the extended axes' per-name index masks
+    #: the name of a name test, pushed into the extended axes' per-name
+    #: index masks and the standard axes' per-name element slices —
+    #: those are exact and skip the test (DESIGN.md §8)
     name_hint: str | None = None
     #: stable operator id assigned by the cost pass; the physical layer
     #: records actual cardinalities under it (DESIGN.md §16)
@@ -489,6 +497,21 @@ def render_test(test: ast.NodeTest) -> str:
     return f"{test.kind}({inner})"
 
 
+def is_context_string(plan: Plan) -> bool:
+    """``string(.)`` / ``string()`` — the context item's string value."""
+    return (isinstance(plan, FuncOp) and plan.name == "string"
+            and (not plan.args
+                 or (len(plan.args) == 1
+                     and isinstance(plan.args[0], ContextOp))))
+
+
+def const_string(plan: Plan) -> str | None:
+    if (isinstance(plan, ConstOp) and len(plan.values) == 1
+            and isinstance(plan.values[0], str)):
+        return plan.values[0]
+    return None
+
+
 def render_mask(term: tuple, nested: bool = False) -> str:
     """A mask term in query syntax (the ``[mask …]`` explain label)."""
     kind = term[0]
@@ -498,6 +521,10 @@ def render_mask(term: tuple, nested: bool = False) -> str:
         return f"({rendered})" if nested else rendered
     if kind == "not":
         return f"not({render_mask(term[1])})"
+    if kind == "value":
+        constants = ", ".join('"{}"'.format(constant.replace('"', '""'))
+                              for constant in term[2])
+        return f"{term[1]}(string(.), {constants})"
     _kind, axis, name, inner = term
     if inner is None:
         return f"{axis}::{name}"

@@ -34,6 +34,7 @@ from repro.core.goddag.axes import (
     emits_document_order,
     evaluate_axis_batch,
     leaf_candidates,
+    tested_candidates,
 )
 from repro.core.goddag.joins import (
     ColumnarNodeSet,
@@ -56,6 +57,7 @@ from repro.core.lang import ast
 from repro.core.plan import logical as L
 from repro.core.runtime import values
 from repro.core.runtime.context import Frame, QueryOptions, QueryStats
+from repro.core.runtime.functions import string_test
 from repro.core.runtime.semantics import (
     REVERSE_AXES,
     append_content,
@@ -85,7 +87,9 @@ def execute_plan(fn: Runner, goddag, variables=None, options=None,
     """Run a compiled plan: root focus, then — unless
     ``keep_temporaries`` — result items living in ``analyze-string``
     temporaries are copied out and every temporary hierarchy is dropped
-    (Definition 4(5))."""
+    (Definition 4(5)).  A KyGODDAG holding no temporary at hand-over —
+    none of this evaluation, none kept by an earlier one — has no item
+    to copy, and the result is handed over as it is."""
     from repro.core.runtime.functions import default_registry
 
     registry = dict(default_registry())
@@ -100,7 +104,7 @@ def execute_plan(fn: Runner, goddag, variables=None, options=None,
     frame.size = 1
     try:
         result = fn(frame)
-        if not keep_temporaries:
+        if not keep_temporaries and goddag.has_temporaries():
             result = [snapshot(item, goddag) for item in result]
         return result
     finally:
@@ -177,21 +181,6 @@ def _compile_bool(op: L.BoolOp) -> Runner:
     return run
 
 
-def _is_string_of_context(plan: L.Plan) -> bool:
-    """``string(.)`` / ``string()`` — the context item's string value."""
-    return (isinstance(plan, L.FuncOp) and plan.name == "string"
-            and (not plan.args
-                 or (len(plan.args) == 1
-                     and isinstance(plan.args[0], L.ContextOp))))
-
-
-def _const_string(plan: L.Plan) -> str | None:
-    if (isinstance(plan, L.ConstOp) and len(plan.values) == 1
-            and isinstance(plan.values[0], str)):
-        return plan.values[0]
-    return None
-
-
 def _builtin(name: str):
     from repro.core.runtime.functions import default_registry
     return default_registry()[name]
@@ -206,8 +195,8 @@ def _compile_compare(op: L.CompareOp) -> Runner:
         # (string/string comparison coerces neither side).
         sides = (op.left, op.right)
         for this, other in (sides, sides[::-1]):
-            constant = _const_string(other)
-            if constant is not None and _is_string_of_context(this):
+            constant = L.const_string(other)
+            if constant is not None and L.is_context_string(this):
                 specialized = (constant, op.op == "=", _builtin("string"))
                 break
     left_fn = compile_plan(op.left)
@@ -370,33 +359,6 @@ def _compile_func(op: L.FuncOp) -> Runner:
             raise QueryEvaluationError(f"unknown function {name}()")
         return function(frame, [fn(frame) for fn in arg_fns])
 
-    if (name == "matches" and len(op.args) == 2
-            and _is_string_of_context(op.args[0])):
-        pattern = _const_string(op.args[1])
-        if pattern is not None:
-            # ``matches(string(.), 'pattern')`` — compile the regex once
-            # (lazily: a bad pattern must raise when the call is first
-            # reached, not when the plan is compiled) and probe the
-            # context string value directly.
-            cell: list = [None]
-            builtin_matches = _builtin("matches")
-            builtin_string = _builtin("string")
-            string_value = values.string_value
-            atomize = values.atomize
-
-            def run_matches(frame: Frame) -> list:
-                functions = frame.functions
-                if (functions.get("matches") is not builtin_matches
-                        or functions.get("string") is not builtin_string):
-                    return run(frame)
-                regex = cell[0]
-                if regex is None:
-                    from repro.core.runtime.functions import _compile
-                    regex = cell[0] = _compile(pattern, "")
-                value = string_value(atomize(frame.context_item()))
-                return [regex.search(value) is not None]
-
-            return run_matches
     return run
 
 
@@ -647,13 +609,14 @@ def _compile_mask(op: L.PredicateOp, per_node):
     candidate list, no focus loop.  ``per_node`` — the predicate's
     ordinary boolean runner — answers whenever the masks would not be
     the same function: a candidate that is not a KyGODDAG node (it
-    raises what it always raised), an overridden ``not``,
+    raises what it always raised), an overridden builtin,
     ``xancestor::<root name>[P]`` on a document whose root carries the
     probed name.
     """
     term = op.mask
     op_id = op.op_id
     masks_hold = _mask_guard(term)
+    probes = any(part[0] == "axis" for part in L.mask_terms(term))
 
     def run_mask(frame: Frame, candidates: list) -> list:
         if not candidates:
@@ -663,8 +626,8 @@ def _compile_mask(op: L.PredicateOp, per_node):
         for item in candidates:
             if not isinstance(item, GNode):
                 return per_node(frame, candidates)
-        if not isinstance(candidates, ColumnarNodeSet):
-            # every term probes the same spans: extract them once
+        if probes and not isinstance(candidates, ColumnarNodeSet):
+            # every axis term probes the same spans: extract them once
             candidates = ColumnarNodeSet(candidates)
         kept = _select(candidates, _mask_over(frame, term, candidates))
         actuals = frame.stats.op_actuals
@@ -677,20 +640,26 @@ def _compile_mask(op: L.PredicateOp, per_node):
 def _mask_guard(term: tuple):
     """``fn(frame) -> bool``: are the masks of ``term`` the function
     its per-node evaluation computes, in this evaluation?  Not under
-    an overridden ``not``, and not where ``xancestor::name[P]`` probes
-    the root's name: the root is a witness of that axis but a row of
-    no name column."""
-    builtin_not = (_builtin("not")
-                   if any(part[0] == "not" for part in L.mask_terms(term))
-                   else None)
+    an overridden builtin the body calls — ``not``, a string test, the
+    ``string`` its subject may be written with — and not where
+    ``xancestor::name[P]`` probes the root's name: the root is a
+    witness of that axis but a row of no name column."""
+    called = set()
+    for part in L.mask_terms(term):
+        if part[0] == "not":
+            called.add("not")
+        elif part[0] == "value":
+            called.update((part[1], "string"))
+    builtins = [(name, _builtin(name)) for name in called]
     subset_ancestors = {part[2] for part in L.mask_terms(term)
                         if part[0] == "axis" and part[1] == "xancestor"
                         and part[3] is not None}
 
     def masks_hold(frame: Frame) -> bool:
-        if (builtin_not is not None
-                and frame.functions.get("not") is not builtin_not):
-            return False
+        functions = frame.functions
+        for name, builtin in builtins:
+            if functions.get(name) is not builtin:
+                return False
         return frame.goddag.root.name not in subset_ancestors
 
     return masks_hold
@@ -700,7 +669,7 @@ def _mask_over(frame: Frame, term: tuple, nodes: list) -> np.ndarray:
     """One boolean per node: the verdict of mask term ``term``.
 
     Every batched probe counts as one axis step, run set-at-a-time by
-    the join engine.
+    the join engine; a value term is no step and counts nothing.
     """
     kind = term[0]
     if kind in ("and", "or"):
@@ -712,6 +681,11 @@ def _mask_over(frame: Frame, term: tuple, nodes: list) -> np.ndarray:
         return out
     if kind == "not":
         return ~_mask_over(frame, term[1], nodes)
+    if kind == "value":
+        verdict = string_test(term[1], *term[2])
+        return np.fromiter(
+            map(verdict, [node.string_value() for node in nodes]),
+            dtype=bool, count=len(nodes))
     _kind, axis, name, inner = term
     goddag = frame.goddag
     among = None
@@ -785,14 +759,13 @@ def _semi_join_probes(predicates: list[L.PredicateOp]
 
 
 def _select(candidates: list, keep: np.ndarray) -> list:
-    """The candidates a boolean column keeps, span columns carried."""
+    """The candidates a boolean column keeps, with the span columns
+    they carry."""
     if keep.all():
         return candidates
-    kept = [node for node, flag in zip(candidates, keep) if flag]
     if isinstance(candidates, ColumnarNodeSet):
-        starts, ends = candidates.span_columns()
-        return ColumnarNodeSet(kept, starts[keep], ends[keep])
-    return kept
+        return candidates.selected(keep)
+    return [node for node, flag in zip(candidates, keep) if flag]
 
 
 def _apply_semi_joins(frame: "Frame",
@@ -999,18 +972,6 @@ def _compile_step(op: L.StepOp):
     hint = op.name_hint
     emit_any = op.emit == "any"
 
-    # built per execution — caching across runs would pin retired
-    # MVCC goddag versions inside the shared plan cache
-    def get_test(goddag):
-        return test_factory(goddag)
-
-    def candidates(goddag, node):
-        if leaves_only:
-            found = leaf_candidates(goddag, axis, node)
-            if found is not None:
-                return found
-        return axis_candidates(goddag, axis, node, hint, skip_leaves)
-
     def run(frame: Frame, inputs: list) -> list:
         if not inputs:
             return []
@@ -1021,15 +982,16 @@ def _compile_step(op: L.StepOp):
         stats = frame.stats
         stats.axis_steps += 1
         stats.batched_steps += 1
-        test = get_test(goddag)
+        # built per execution — caching across runs would pin retired
+        # MVCC goddag versions inside the shared plan cache
+        test = test_factory(goddag)
         if not predicate_fns:
             if emit_any:
                 if len(inputs) == 1:
                     node = inputs[0]
-                    found = candidates(goddag, node)
+                    found = tested_candidates(goddag, axis, node, hint,
+                                              skip_leaves, leaves_only, test)
                     stats.ordered_steps += 1
-                    if test is not None:
-                        found = [c for c in found if test(c)]
                     if emits_document_order(axis, node):
                         return found  # ordered emissions are dup-free
                     # e.g. a leaf's sibling groups repeat the same
@@ -1046,9 +1008,9 @@ def _compile_step(op: L.StepOp):
                 seen: set[int] = set()
                 out: list = []
                 for node in inputs:
-                    for candidate in candidates(goddag, node):
-                        if test is not None and not test(candidate):
-                            continue
+                    for candidate in tested_candidates(
+                            goddag, axis, node, hint, skip_leaves,
+                            leaves_only, test):
                         key = id(candidate)
                         if key not in seen:
                             seen.add(key)
@@ -1078,9 +1040,8 @@ def _compile_step(op: L.StepOp):
         # then one merge across inputs.
         if len(inputs) == 1:
             node = inputs[0]
-            found = candidates(goddag, node)
-            if test is not None:
-                found = [c for c in found if test(c)]
+            found = tested_candidates(goddag, axis, node, hint,
+                                      skip_leaves, leaves_only, test)
             if emits_document_order(axis, node):
                 stats.ordered_steps += 1
                 for predicate in predicate_fns:
@@ -1097,9 +1058,8 @@ def _compile_step(op: L.StepOp):
         out = []
         seen = set()
         for node in inputs:
-            found = candidates(goddag, node)
-            if test is not None:
-                found = [c for c in found if test(c)]
+            found = tested_candidates(goddag, axis, node, hint,
+                                      skip_leaves, leaves_only, test)
             if emits_document_order(axis, node):
                 stats.ordered_steps += 1
             else:
@@ -1189,7 +1149,7 @@ def _compile_step_exists(op: L.StepOp):
                     return True
                 root = goddag.root
                 return bool(root.name == name and goddag.hierarchy_names)
-            found = axis_candidates(goddag, axis, node, name, True)
+            found, _exact = axis_candidates(goddag, axis, node, name, True)
             return any(isinstance(c, (GElement, GRoot)) and c.name == name
                        for c in found)
         return exists_ancestor
@@ -1221,13 +1181,10 @@ def _compile_step_exists(op: L.StepOp):
         frame.stats.axis_steps += 1
         frame.stats.ordered_steps += 1
         goddag = frame.goddag
-        if leaves_only:
-            found = leaf_candidates(goddag, axis, node)
-            if found is None:
-                found = axis_candidates(goddag, axis, node, hint,
-                                        skip_leaves)
-        else:
-            found = axis_candidates(goddag, axis, node, hint, skip_leaves)
+        found = leaf_candidates(goddag, axis, node) if leaves_only else None
+        if found is None:
+            found, _exact = axis_candidates(goddag, axis, node, hint,
+                                            skip_leaves)
         # no cross-call test cache: it would pin retired MVCC versions
         test = test_factory(goddag)
         if test is None:
@@ -1256,13 +1213,10 @@ def _compile_step_exists_predicated(op: L.StepOp):
         frame.stats.axis_steps += 1
         frame.stats.ordered_steps += 1
         goddag = frame.goddag
-        if leaves_only:
-            found = leaf_candidates(goddag, axis, node)
-            if found is None:
-                found = axis_candidates(goddag, axis, node, hint,
-                                        skip_leaves)
-        else:
-            found = axis_candidates(goddag, axis, node, hint, skip_leaves)
+        found = leaf_candidates(goddag, axis, node) if leaves_only else None
+        if found is None:
+            found, _exact = axis_candidates(goddag, axis, node, hint,
+                                            skip_leaves)
         # no cross-call test cache: it would pin retired MVCC versions
         test = test_factory(goddag)
         old_item = frame.item

@@ -45,7 +45,8 @@ class QueryStats:
         existence probe: a semi-join predicate, or one
         ``axis::name`` term of a decorrelated mask predicate or of a
         lifted FLWOR condition, which also counts as one batched axis
-        step (DESIGN.md §11, §16).
+        step (DESIGN.md §11, §16).  A value term of a mask (a string
+        test over the candidates' values) is no step and counts nowhere.
     batched_extended_steps:
         Extended-axis steps actually served by the set-at-a-time join
         kernels instead of per-node span arithmetic

@@ -20,6 +20,7 @@ evaluated sequences; they return a sequence.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Any, Callable
 
@@ -98,9 +99,29 @@ def _translate_flags(flags: str) -> int:
 def _compile(pattern: str, flags: str) -> re.Pattern:
     try:
         return re.compile(pattern, _translate_flags(flags))
-    except re.error as error:
+    # a repetition count past 2**32 overflows and a deep nesting
+    # exhausts the stack inside ``sre`` before either is an ``re.error``
+    except (re.error, OverflowError, RecursionError) as error:
         raise FunctionError(
             f"invalid regular expression {pattern!r}: {error}") from error
+
+
+#: The builtins that test one string value against constants, with the
+#: ``str`` method behind each (``matches`` compiles its pattern).
+STRING_TESTS = {"matches": None, "contains": "__contains__",
+                "starts-with": "startswith", "ends-with": "endswith"}
+
+
+def string_test(name: str, constant: str, flags: str = ""):
+    """``fn(str) -> truthy``: what the :data:`STRING_TESTS` builtin
+    ``name`` decides about one string value against constant arguments
+    — the form a mask plan maps over a whole column of them
+    (DESIGN.md §16).  Raises the builtin's :class:`FunctionError` for
+    a pattern or flag that does not compile; the function returned
+    raises on no ``str``."""
+    if name == "matches":
+        return _compile(constant, flags).search
+    return operator.methodcaller(STRING_TESTS[name], constant)
 
 
 # ---------------------------------------------------------------------------

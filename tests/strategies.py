@@ -99,28 +99,43 @@ EXTENDED_AXES = ("xancestor", "xdescendant", "xfollowing", "xpreceding",
 #: standard axes a mask term may probe (no nested predicate)
 STANDARD_PROBE_AXES = ("ancestor", "descendant", "self")
 
+#: the string tests a mask term may hold, over ``(subject, literal)``,
+#: and the three spellings of the context node's string value
+VALUE_CALLS = ('matches({}, "{}")', 'matches({}, "^{}", "i")',
+               'contains({}, "{}")', 'starts-with({}, "{}")',
+               'ends-with({}, "{}")')
+VALUE_SUBJECTS = ("string(.)", "string()", ".")
+
 
 @st.composite
 def predicate_trees(draw, depth: int = 2) -> str:
     """The text of one predicate body in the grammar the cost pass
     decorrelates: ``and`` / ``or`` / ``not()`` over
     ``extended-axis::name``, — ``depth`` levels deep —
-    ``extended-axis::name[tree]``, and the plain standard-axis probes
-    ``ancestor::name`` / ``descendant::name`` / ``self::name``.
+    ``extended-axis::name[tree]``, the plain standard-axis probes
+    ``ancestor::name`` / ``descendant::name`` / ``self::name``, and the
+    string tests ``matches`` / ``contains`` / ``starts-with`` /
+    ``ends-with`` of the context node's value against a literal.
 
-    One atom in ten is ``string(.) = "literal"``, which is outside
+    One atom in twelve is ``string(.) = "literal"``, which is outside
     the grammar: a tree holding one stays on the per-node path, so the
     suite keeps comparing that path too.  Literals are drawn from
-    :data:`TEXT_ALPHABET`, so on generated documents a string test now
-    and then names an element's text.
+    :data:`TEXT_ALPHABET` (no regex metacharacter among them), so on
+    generated documents a string test now and then names an element's
+    text.
     """
     def atom() -> str:
         kinds = ("axis",) * 3 + ("nested",) * 4 if depth else ("axis",) * 7
         kind = draw(st.sampled_from(kinds + ("standard",) * 2
-                                    + ("string",)))
+                                    + ("value",) * 2 + ("string",)))
         if kind == "string":
             literal = draw(st.text(alphabet=TEXT_ALPHABET, max_size=3))
             return f'string(.) = "{literal}"'
+        if kind == "value":
+            literal = draw(st.text(alphabet=TEXT_ALPHABET, max_size=2))
+            call = draw(st.sampled_from(VALUE_CALLS))
+            return call.format(draw(st.sampled_from(VALUE_SUBJECTS)),
+                               literal)
         if kind == "standard":
             return (f"{draw(st.sampled_from(STANDARD_PROBE_AXES))}::"
                     f"{draw(st.sampled_from(ELEMENT_NAMES))}")

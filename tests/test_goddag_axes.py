@@ -306,3 +306,72 @@ class TestDefinitionOneAlgebra:
                 member = [id(b) in following, id(b) in preceding,
                           id(b) in crossing, contained]
                 assert sum(member) == 1, (a, b, member)
+
+
+class TestExactNameSlices:
+    """The named ``descendant`` / ``following`` / ``preceding`` slices
+    the steps no longer re-test (DESIGN.md §8), against the seed's
+    walkers: on the paper's document, from attribute / comment / PI /
+    empty-element contexts, on a generated corpus, and after every
+    ``w`` was renamed — in place, on a fork, and on the cold load of
+    that."""
+
+    RENAME = 'for $w in /descendant::w return rename node $w as "token"'
+
+    @staticmethod
+    def check(goddag, stride=1):
+        from tests.test_prop_axes import (
+            all_context_nodes,
+            assert_exact_name_slices,
+        )
+
+        contexts = all_context_nodes(goddag)
+        contexts += [attribute for node in contexts
+                     if isinstance(node, GElement)
+                     for attribute in node.attribute_nodes]
+        assert_exact_name_slices(
+            goddag, contexts[::stride],
+            None if stride == 1 else {"w", "token", "line", "dmg"})
+
+    def test_boethius(self, goddag):
+        self.check(goddag)
+
+    def test_every_context_kind(self):
+        from repro.cmh import MultihierarchicalDocument
+        from repro.core.goddag import KyGoddag
+        from tests.test_plan_cost import KINDS_DOCUMENT
+
+        self.check(KyGoddag.build(
+            MultihierarchicalDocument.from_xml(*KINDS_DOCUMENT)))
+
+    def test_renamed_in_place_forked_and_cold_loaded(self, boethius_doc,
+                                                     tmp_path):
+        from repro.api import Engine
+        from repro.store.catalog import fork_engine
+        from repro.store.mhxb import load_engine, save_engine
+
+        engine = Engine(boethius_doc)
+        assert engine.query("/descendant::w").items  # the w entry is warm
+        fork = fork_engine(engine)
+        fork.update(self.RENAME)
+        self.check(fork.goddag)
+        self.check(engine.goddag)  # the forked-from version keeps its w
+        assert len(engine.query("/descendant::w").items) == 6
+        assert not fork.query("/descendant::w").items
+        assert len(fork.query("/descendant::token").items) == 6
+        save_engine(fork, tmp_path / "renamed.mhxb")
+        cold = load_engine(tmp_path / "renamed.mhxb")
+        self.check(cold.goddag)
+        assert len(cold.query("count(/descendant::token)").items) == 1
+        engine.update(self.RENAME)
+        self.check(engine.goddag)
+        assert not engine.query("/descendant::w").items
+
+    def test_skewed_corpus(self):
+        from repro.api import Engine
+        from tests.test_plan_cost import skewed_document
+
+        engine = Engine(skewed_document(200))
+        self.check(engine.goddag, stride=7)
+        engine.update(self.RENAME)
+        self.check(engine.goddag, stride=7)

@@ -10,10 +10,11 @@ Three contracts, in suite order:
 * the adaptive executor notices misestimates mid-plan (cost_fallbacks)
   and still returns the oracle answer, and stale statistics never
   serve a cached plan;
-* decorrelated predicates (mask plans) agree item for item with the
-  mechanical lowering and the tree-walking evaluator, every fallback
-  shape stays on the per-node path, and the per-node hole of ROADMAP
-  item 3 stays closed by count, not by clock;
+* decorrelated predicates (mask plans: axis probes and string tests
+  of the context node's value) agree item for item — and error for
+  error — with the mechanical lowering and the tree-walking evaluator,
+  every fallback shape stays on the per-node path, and the per-node
+  holes of ROADMAP item 1 stay closed by count, not by clock;
 * lifted inner ``for`` clauses agree with both oracles in results,
   order and errors, every fallback shape stays per binding, and the
   batch lives on the evaluation's frame, under one epoch.
@@ -25,6 +26,7 @@ import gc
 import weakref
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,8 +45,8 @@ from repro.core.goddag.stats import (
 )
 from repro.core.goddag.index import SpanIndex
 from repro.core.goddag.nodes import GComment, GElement, GNode, GPi, GText
-from repro.core.plan import compile_query, cost, physical
-from repro.core.runtime import QueryOptions
+from repro.core.plan import compile_query, cost, logical, physical
+from repro.core.runtime import QueryOptions, functions
 from repro.core.runtime.functions import default_registry
 from repro.core.runtime.serializer import serialize_item
 from repro.errors import QueryEvaluationError, ReproError
@@ -55,6 +57,7 @@ from repro.store.plancache import SharedPlanCache
 
 from tests.strategies import (
     ELEMENT_NAMES,
+    VALUE_SUBJECTS,
     multihierarchical_documents,
     nested_flwor_conditionals,
     predicate_trees,
@@ -443,8 +446,8 @@ FALLBACK_QUERIES = (
     ("/descendant::line[xdescendant::w[xancestor::dmg] or $x]",
      {"x": []}),
     ('/descendant::line[xdescendant::w[string(.) != "singallice"]]', None),
-    # string-value tests are not mask terms (yet): Q-I.1's predicate,
-    # and one string test spoiling an otherwise recognised body
+    # comparisons are not mask terms (yet): Q-I.1's predicate, and one
+    # string comparison spoiling an otherwise recognised body
     (f"/descendant::line[{Q_I1_PREDICATE}]", None),
     ("/descendant::line[xdescendant::w[xancestor::dmg and "
      'string(.) = "singallice"]]', None),
@@ -497,6 +500,29 @@ def assert_same_outcome(engines, query, variables=None) -> None:
         assert len(set(errors)) == 1, (query, errors)
     else:
         assert_item_for_item(engines, query, variables)
+
+
+def reachable_from_closure(runner):
+    """Everything a compiled runner holds on to: closure cells and
+    defaults of the functions, members of containers, attributes of
+    plan operators — not the modules the functions were defined in."""
+    seen, queue = set(), [runner]
+    while queue:
+        held = queue.pop()
+        if id(held) in seen:
+            continue
+        seen.add(id(held))
+        yield held
+        if callable(held) and hasattr(held, "__closure__"):
+            queue.extend(cell.cell_contents
+                         for cell in held.__closure__ or ())
+            queue.extend(held.__defaults__ or ())
+        elif isinstance(held, dict):
+            queue.extend(held.values())
+        elif isinstance(held, (list, tuple, set, frozenset)):
+            queue.extend(held)
+        elif isinstance(held, logical.Plan):
+            queue.extend(vars(held).values())
 
 
 def always_decorrelate():
@@ -653,6 +679,260 @@ class TestStandardAxisProbes:
         assert len(engines[0].query(query).items) == kept
 
 
+#: the four string tests as ``(call with a {} for the subject, kept of
+#: the six w of KINDS_DOCUMENT)``: ab, Cd, ef in h0, bC and two empty
+#: ones in h1
+VALUE_CALLS = (
+    ('matches({}, "^[a-c]+$")', 1),
+    ('matches({}, "^B", "i")', 1),
+    ('matches({}, "b  c", "xi")', 1),
+    ('contains({}, "d")', 1),
+    ('contains({}, "")', 6),
+    ('starts-with({}, "b")', 1),
+    ('ends-with({}, "f")', 1),
+)
+
+#: one document with a candidate of every kind: elements (one empty,
+#: one with an attribute), text nodes, leaves, attributes, a comment, a
+#: PI and the root
+KINDS_DOCUMENT = ("abCdefgh", {
+    "h0": '<r a="1"><line n="1"><w k="x">ab</w><!--c1-->'
+          '<w>Cd</w><pb/></line><?pi data?><w id="q">ef</w>gh</r>',
+    "h1": '<r>a<dmg t="y"><w>bC</w><w/></dmg>de<line><dmg>fg</dmg>'
+          '<w/></line>h</r>',
+})
+
+#: value terms among the other terms, as whole queries over
+#: KINDS_DOCUMENT: ``(query, items kept)``
+VALUE_QUERIES = (
+    # under not(), and beside axis terms under both connectives
+    ('/descendant::w[not(contains(., "b"))]', 4),
+    ('/descendant::w[contains(., "b") and ancestor::line]', 1),
+    ('/descendant::w[xancestor::dmg or ends-with(string(), "f")]', 2),
+    ('/descendant::w[not(matches(., "^$") or overlapping::dmg)]', 1),
+    # as the body of a subset column, alone and beside an axis term
+    ('/descendant::line[xdescendant::w[matches(., "C")]]', 1),
+    ('/descendant::dmg[overlapping::w[starts-with(string(.), "a")]]', 1),
+    ('/descendant::*[xdescendant::w[contains(., "b")'
+     ' and not(ancestor::dmg)]]', 1),
+    ('/descendant::w[xancestor::line[contains(., "Cd")] '
+     'or xfollowing::w[matches(string(), "^e")]]', 3),
+    # every kind of candidate: attribute values, comment and PI data,
+    # empty spans, the leaves, the root
+    ('/descendant::*/attribute::*[matches(., "^[xy]$")]', 2),
+    ('/descendant::*/attribute::*[starts-with(., "1")]', 1),
+    ('/descendant::comment()[ends-with(., "1")]', 1),
+    ('/descendant::processing-instruction()[contains(., "at")]', 1),
+    ('/descendant::*[matches(., "^$")]', 3),
+    ('/descendant::text()[contains(string(), "g")]', 2),
+    ('/descendant::leaf()[matches(., "^[a-e]$")]', 4),
+    ('/descendant-or-self::node()[starts-with(., "abCdefgh")]', 1),
+    ('/descendant-or-self::node()[contains(., "bC")]', 5),
+    ('/self::node()[ends-with(., "h") and descendant::w]', 1),
+)
+
+#: value-test shapes that are no mask term: ``(query, variables)``
+UNMASKED_VALUE_QUERIES = (
+    # the pattern, the needle or the flags are not constants
+    ("/descendant::w[matches(., string(.))]", None),
+    ("/descendant::w[contains(., $x)]", {"x": ["b"]}),
+    ('/descendant::w[matches(., "b", $x)]', {"x": ["i"]}),
+    ("/descendant::w[starts-with(., name(.))]", None),
+    ('/descendant::w[matches(., ("a", "b"))]', None),
+    ("/descendant::w[contains(., 1)]", None),
+    # the subject is not the candidate's own string value
+    ('/descendant::line[matches(string(child::w), "a")]', None),
+    ('/descendant::line[contains(child::w, "a")]', None),
+    ('/descendant::w[ends-with($x, "b")]', {"x": ["ab"]}),
+    ('/descendant::w[contains(string(., .), "a")]', None),
+    # wrong arity, the builtin's error to raise
+    ('/descendant::w[contains(., "a", "i")]', None),
+    ('/descendant::w[matches(.)]', None),
+    ('/descendant::w[matches(., "a", "i", "x")]', None),
+    ("/descendant::w[starts-with()]", None),
+    # a pattern or a flag that does not compile: the error of the
+    # first candidate that reaches the call — and of no other
+    ('/descendant::w[matches(., "(")]', None),
+    ('/descendant::w[matches(string(.), "a", "q")]', None),
+    ('/descendant::nosuch[matches(., "(")]', None),
+    ('/descendant::w[ancestor::r or matches(., "(")]', None),
+    ('/descendant::w[xancestor::nosuch and matches(., "a", "q")]', None),
+    ('/descendant::line[xdescendant::w[matches(., "*")]]', None),
+    # ... which `sre` refuses with something other than `re.error`
+    ('/descendant::w[matches(., "a{4294967296}")]', None),
+    ('/descendant::nosuch[matches(., "a{4294967296}")]', None),
+    # every comparison, a string one spoiling a recognised body
+    ('/descendant::w[string(.) = "ab"]', None),
+    ('/descendant::w[contains(., "a") and string(.) != "ab"]', None),
+    ('/descendant::w[string-length(.) = 2]', None),
+    # another function of the value
+    ('/descendant::w[contains(upper-case(.), "A")]', None),
+    ('/descendant::w[boolean(string(.))]', None),
+    # re-entered per item with no column to memoise
+    ('for $w in /descendant::w return $w[contains(., "a")]', None),
+    ('("ab", "cd")[contains(., "a")]', None),
+    ('(<a>ab</a>, <b>cd</b>)[starts-with(., "a")]', None),
+)
+
+
+class TestValueTerms:
+    """String tests of the candidate's own value as mask terms: one
+    pass over the candidates' string values per term, the same
+    function — verdict for verdict, error for error — as the call
+    evaluated per node."""
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        return engines_over(
+            MultihierarchicalDocument.from_xml(*KINDS_DOCUMENT))
+
+    @pytest.mark.parametrize("subject", VALUE_SUBJECTS)
+    @pytest.mark.parametrize("call,kept", VALUE_CALLS)
+    def test_each_function_and_subject(self, engines, call, kept, subject):
+        query = f"/descendant::w[{call.format(subject)}]"
+        report = engines[0].explain(query)
+        assert f"predicate [mask {call.format('string(.)')}]" in report
+        assert_item_for_item(engines, query)
+        assert len(engines[0].query(query).items) == kept
+
+    @pytest.mark.parametrize("query,kept", VALUE_QUERIES)
+    def test_among_other_terms(self, engines, query, kept):
+        assert "predicate [mask " in engines[0].explain(query)
+        assert_item_for_item(engines, query)
+        assert len(engines[0].query(query).items) == kept
+
+    @pytest.mark.parametrize("query,kept", VALUE_QUERIES)
+    def test_on_the_corpus(self, skewed_engines, query, kept):
+        with always_decorrelate():
+            assert "predicate [mask " in skewed_engines[0].explain(query)
+            assert_item_for_item(skewed_engines, query)
+
+    def test_temporary_candidates(self, skewed_engines):
+        # m elements of analyze-string temporaries, moving with every
+        # call: as the rows of a subset column, and as the candidates
+        # of a root-anchored scan (where the tree-walker, which binds
+        # every tuple before it returns the first, sees all five
+        # temporaries at once and is no oracle)
+        head = ('for $w in (/descendant::w)[position() < 6] '
+                'let $res := analyze-string($w, "[aeiou]+") return ')
+        column = (head + "count($res/descendant::leaf()[xancestor::m"
+                  '[contains(string(.), "e") and '
+                  'xancestor::w[ends-with(., "e")]]])')
+        scan = head + 'count(/descendant::m[matches(., "^[ae]")])'
+        with always_decorrelate():
+            for query, engines in ((column, skewed_engines),
+                                   (scan, skewed_engines[:2])):
+                assert "predicate [mask " in engines[0].explain(query)
+                assert_item_for_item(engines, query)
+                assert sum(engines[0].query(query).items) > 0
+
+    def test_a_value_term_is_no_step(self, engines):
+        scan = engines[0].query("/descendant::w").stats
+        for query in ('/descendant::w[contains(., "b")]',
+                      '/descendant::w[matches(., "b") or ends-with(., "f")]'):
+            stats = engines[0].query(query).stats
+            assert (stats.axis_steps, stats.batched_steps, stats.join_steps,
+                    stats.ordered_steps) == (
+                scan.axis_steps, scan.batched_steps, scan.join_steps,
+                scan.ordered_steps)
+        # inside a column the one subset probe counts, the test does not
+        stats = engines[0].query(
+            '/descendant::line[xdescendant::w[contains(., "b")]]').stats
+        assert (stats.axis_steps, stats.join_steps) == (2, 1)
+
+    def test_equal_terms_share_a_column(self, engines):
+        # the three spellings of the subject are one term
+        stats = engines[0].query(
+            '/descendant::line[xdescendant::w[contains(., "b")] or '
+            'overlapping::w[contains(string(), "b")]]').stats
+        assert stats.join_steps == 2
+
+    def test_a_value_only_mask_extracts_no_span_column(self, engines):
+        from repro.core.goddag.joins import ColumnarNodeSet
+
+        extracted = []
+        original = ColumnarNodeSet.span_columns
+
+        def counting(self):
+            extracted.append(len(self))
+            return original(self)
+
+        # a plain candidate list, and a join's output that carries no
+        # columns yet (one context: the per-node axis served it)
+        queries = ('/descendant::w[contains(., "b") or matches(., "f")]',
+                   '/xdescendant::w[ends-with(., "d")]')
+        with mock.patch.object(ColumnarNodeSet, "span_columns", counting):
+            for query in queries:
+                assert "predicate [mask " in engines[0].explain(query)
+                assert engines[0].query(query).items
+            assert not extracted
+            # the wrapper does see an axis term's extraction
+            assert engines[0].query(
+                '/descendant::w[contains(., "b") or xancestor::dmg]').items
+        assert extracted
+
+    @pytest.mark.parametrize("query,variables", UNMASKED_VALUE_QUERIES)
+    def test_declined_shapes_stay_per_node(self, engines, query, variables):
+        with always_decorrelate():
+            report = compile_query(
+                query, stats=engines[0].plan_stats()).explain()
+        assert "[mask " not in report, report
+        assert_same_outcome(engines, query, variables)
+
+    def test_uncompilable_patterns_raise_only_when_reached(self, engines):
+        costed = engines[0]
+        for query in ('/descendant::w[matches(., "(")]',
+                      '/descendant::w[matches(., "a{4294967296}")]',
+                      '/descendant::w[matches(., "a", "q")]'):
+            with pytest.raises(QueryEvaluationError, match="regular|flag"):
+                costed.query(query)
+        for pattern in ("(", "a{4294967296}"):
+            assert costed.query(
+                f'/descendant::nosuch[matches(., "{pattern}")]').items == []
+        assert len(costed.query(
+            '/descendant::w[ancestor::r or matches(., "(")]').items) == 6
+
+    @pytest.mark.parametrize("name", (
+        "matches", "contains", "starts-with", "ends-with", "string"))
+    def test_overridden_builtins(self, engines, name):
+        costed, mechanical, _walker = engines
+        queries = [f'/descendant::w[{call.format("string(.)")}]'
+                   for call, _kept in VALUE_CALLS]
+        queries.append('/descendant::line[xdescendant::w'
+                       '[contains(string(), "b") or matches(., "f")]]')
+        override = ((lambda frame, args: ["bcf"]) if name == "string"
+                    else (lambda frame, args: [args[0] == ["ab"]]))
+        moved = 0
+        for query in queries:
+            compiled = costed.compile(query)
+            assert "predicate [mask " in compiled.explain()
+            got = compiled.execute(costed.goddag,
+                                   functions={name: override})
+            want = mechanical.compile(query).execute(
+                mechanical.goddag, functions={name: override})
+            assert [id(n) for n in got] == [id(n) for n in want], query
+            moved += [id(n) for n in got] != [
+                id(n) for n in costed.query(query).items]
+        assert moved  # the override is seen, not masked away
+
+    def test_non_node_candidates_fall_back(self, engines):
+        # only a predicate with a column reaches items that are no
+        # nodes; the per-node runner answers as it always did
+        for query in (
+                '("ab", "cd")[contains(., "a") and '
+                'not(xdescendant::w[contains(., "b")])]',
+                '(<a>ab</a>, <b>cd</b>)[starts-with(., "c") or '
+                'xdescendant::w[contains(., "b")]]'):
+            with always_decorrelate():
+                assert "predicate [mask " in engines[0].explain(query)
+                assert_same_outcome(engines, query)
+        with always_decorrelate():
+            query = ('("ab", "cd")[contains(., "a") or '
+                     'contains(., "d") or xancestor::w[matches(., "b")]]')
+            assert "predicate [mask " in engines[0].explain(query)
+            assert engines[0].query(query).items == ["ab", "cd"]
+
+
 class TestMaskFallbacksAtRunTime:
     """Cases the compiled mask plan hands back to the per-node runner
     while the query runs."""
@@ -740,13 +1020,24 @@ class TestMaskLifetime:
             assert_item_for_item(skewed_engines, query)
         assert sum(skewed_engines[0].query(query).items) > 0
 
-    def test_compiled_plan_pins_no_goddag(self):
+    @pytest.mark.parametrize("query", (
+        f"/descendant::line[{Q_I2_PREDICATE}]",
+        '/descendant::w[matches(string(.), ".*a.*")]',
+        '/descendant::line[xdescendant::w[contains(., "a")]]',
+    ))
+    def test_compiled_plan_pins_no_goddag(self, query):
         document = skewed_document()
         engine = Engine(document)
-        query = f"/descendant::line[{Q_I2_PREDICATE}]"
         compiled = compile_query(query, stats=engine.plan_stats())
         assert "predicate [mask " in compiled.explain()
         assert compiled.execute(engine.goddag)
+        # what an evaluation gathered died with its frame: no column, no
+        # node and no list of string values hangs off the closure (a
+        # compiled re.Pattern may — it holds no document)
+        for held in reachable_from_closure(compiled._runner):
+            assert not isinstance(held, (np.ndarray, GNode)), held
+            assert not (isinstance(held, list) and len(held) > 8
+                        and all(isinstance(v, str) for v in held)), held
         released = weakref.ref(engine.goddag)
         del engine, document
         gc.collect()
@@ -847,6 +1138,61 @@ class TestPerNodeHoleClosed:
         assert_item_for_item(
             (engine, oracle, TreeWalkEngine(engine.goddag)), query)
         assert engine.query(query).stats.axis_steps == 8  # and repeats
+
+    def test_q_ii1_scan(self, engine):
+        """ROADMAP item 1: the ``/descendant::w[matches(string(.), …)]``
+        scan Q-II.1 and Q-III.1 open with is one pass over the ``w``
+        column — the focus loop is never entered, ``matches`` is called
+        for no word."""
+        query = PAPER_QUERIES[2].query.replace("unawe", "un")
+        scan = '/descendant::w[matches(string(.), ".*un.*")]'
+        words = len(engine.query("/descendant::w").items)
+        calls = []
+        builtin_matches = functions._REGISTRY["matches"]
+        compile_mask = physical._compile_mask
+
+        def counting_matches(frame, args):
+            calls.append("matches")
+            return builtin_matches(frame, args)
+
+        def counting_mask(op, per_node):
+            def counted(frame, candidates):
+                calls.append("per-node runner")
+                return per_node(frame, candidates)
+
+            return compile_mask(op, counted)
+
+        # patched in the registry itself: passed as an override it
+        # would trip the mask's guard and prove nothing
+        with mock.patch.dict(functions._REGISTRY,
+                             {"matches": counting_matches}), \
+                mock.patch.object(physical, "_compile_mask", counting_mask):
+            compile_query(query, stats=engine.plan_stats()).execute(
+                engine.goddag)
+            masked = list(calls)
+            compile_query(query).execute(engine.goddag)
+        assert masked == []
+        assert calls == ["matches"] * words  # one per w, before
+        kept = len(engine.query(scan).items)
+        assert 0 < kept < words
+        (line,) = [line for line in
+                   engine.explain(query, analyze=True).splitlines()
+                   if "predicate [mask " in line]
+        assert 'predicate [mask matches(string(.), ".*un.*")]' in line
+        assert line.endswith(f"[act={kept}]")
+        engines = (engine, Engine.from_parts(engine.goddag,
+                                             document=engine.document,
+                                             use_cost=False),
+                   TreeWalkEngine(engine.goddag))
+        assert_item_for_item(engines, scan)
+        assert_item_for_item(engines, query)
+        # a value term is no axis step: the counts are the loop's
+        for text in (scan, query):
+            costed, mechanical = (e.query(text).stats for e in engines[:2])
+            assert (costed.axis_steps, costed.batched_steps,
+                    costed.join_steps, costed.ordered_steps) == (
+                mechanical.axis_steps, mechanical.batched_steps,
+                mechanical.join_steps, mechanical.ordered_steps)
 
 
 # ---------------------------------------------------------------------------

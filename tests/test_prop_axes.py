@@ -17,9 +17,18 @@ from __future__ import annotations
 from hypothesis import given, settings
 
 from repro.core.goddag import KyGoddag, evaluate_axis
-from repro.core.goddag.axes import ORDERED_AXES, emits_document_order
+from repro.core.goddag.axes import (
+    ORDERED_AXES,
+    axis_candidates,
+    emits_document_order,
+)
 from repro.core.goddag.naive import NAIVE_STANDARD_AXES
-from repro.core.goddag.nodes import GElement, GText, _HierarchyNode
+from repro.core.goddag.nodes import (
+    GElement,
+    GRoot,
+    GText,
+    _HierarchyNode,
+)
 
 from tests.strategies import multihierarchical_documents
 
@@ -265,3 +274,50 @@ def test_ordered_axes_emit_document_order(document):
                     for n in evaluate_axis(goddag, axis, node)]
             assert keys == sorted(keys), (axis, node)
             assert len(set(keys)) == len(keys), (axis, node)
+
+
+# ---------------------------------------------------------------------------
+# exact name slices (DESIGN.md §8): what the steps no longer re-test
+# ---------------------------------------------------------------------------
+
+
+def assert_exact_name_slices(goddag, contexts=None, names=None):
+    """``axis_candidates(…, name, skip_leaves=True)`` against the seed's
+    walkers filtered by the name test: a slice reported exact *is* the
+    walker's named elements, untested; anything else is a superset of
+    them — and the slices the steps rely on are reported exact."""
+    if names is None:
+        names = {node.name for hierarchy in goddag.hierarchy_names
+                 for node in goddag.nodes_of(hierarchy)
+                 if isinstance(node, GElement)}
+        names |= {goddag.root.name, "nosuch"}
+
+    def named(node, name):
+        return isinstance(node, (GElement, GRoot)) and node.name == name
+
+    for node in contexts or all_context_nodes(goddag):
+        for axis in ("descendant", "following", "preceding",
+                     "descendant-or-self"):
+            walked = NAIVE_STANDARD_AXES[axis.removesuffix("-or-self")](
+                goddag, node)
+            if axis == "descendant-or-self":
+                walked = [node] + walked
+            for name in sorted(names):
+                found, exact = axis_candidates(goddag, axis, node, name,
+                                               True)
+                if not exact:
+                    found = [c for c in found if named(c, name)]
+                assert sorted(map(id, found)) == sorted(
+                    id(m) for m in walked if named(m, name)), \
+                    (axis, node, name, exact)
+                sliced = (isinstance(node, _HierarchyNode)
+                          or (axis == "descendant"
+                              and isinstance(node, GRoot)))
+                assert exact == (sliced and axis != "descendant-or-self"), \
+                    (axis, node, name)
+
+
+@SETTINGS
+@given(document=multihierarchical_documents())
+def test_exact_name_slices_match_seed_walkers(document):
+    assert_exact_name_slices(KyGoddag.build(document))

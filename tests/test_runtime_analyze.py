@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.errors import FunctionError
+from repro.core.goddag.nodes import GNode
+from repro.core.plan import physical
 from repro.core.runtime import QueryOptions, evaluate_query, serialize_items
 from repro.core.runtime.analyze import compile_pattern
+from repro.experiments.paperdata import PAPER_QUERIES
+from repro.markup import dom
 
 
 def run_str(goddag, query, **kwargs):
@@ -163,3 +169,54 @@ class TestAnalyzeString:
         query = 'analyze-string(/descendant::line[1], "um una")'
         assert run_str(goddag, query) == \
             "<res>gesceaft<m>um una</m>wendendne sin</res>"
+
+
+class TestHandOver:
+    """``execute_plan`` copies result items out of temporaries — and
+    walks the result only when the KyGODDAG holds a temporary at
+    hand-over (DESIGN.md §8)."""
+
+    @pytest.fixture()
+    def snapshots(self):
+        calls = []
+        original = physical.snapshot
+
+        def counting(item, goddag):
+            calls.append(item)
+            return original(item, goddag)
+
+        with mock.patch.object(physical, "snapshot", counting):
+            yield calls
+
+    @pytest.mark.parametrize("query", (
+        "/descendant::w", PAPER_QUERIES[0].query, PAPER_QUERIES[1].query))
+    def test_no_temporary_no_pass(self, goddag, snapshots, query):
+        assert evaluate_query(goddag, query)
+        assert not snapshots
+
+    @pytest.mark.parametrize("query", (
+        PAPER_QUERIES[2].query, PAPER_QUERIES[3].query,
+        'analyze-string(/descendant::w[2], "unawe")/descendant::node()'))
+    def test_temporaries_are_copied_out(self, goddag, snapshots, query):
+        result = evaluate_query(goddag, query)
+        assert len(snapshots) == len(result) > 0
+        assert not goddag.has_temporaries()
+        for item in result:
+            if isinstance(item, GNode):
+                assert item.hierarchy is None \
+                    or goddag.has_hierarchy(item.hierarchy)
+
+    def test_a_kept_temporary_is_seen(self, goddag, snapshots):
+        (kept,) = evaluate_query(
+            goddag, 'analyze-string(/descendant::w[2], "unawe")',
+            keep_temporaries=True)
+        assert goddag.is_temporary(kept.hierarchy) and not snapshots
+        # this evaluation creates no temporary, yet returns a node of one
+        result = evaluate_query(goddag, "($v, /descendant::w[1])",
+                                variables={"v": [kept]})
+        assert len(snapshots) == 2
+        assert isinstance(result[0], dom.Element) and result[0] is not kept
+        assert serialize_items(result[:1]) == \
+            "<res><m>unawe</m>ndendne</res>"
+        assert isinstance(result[1], GNode)
+        goddag.remove_hierarchy(kept.hierarchy)
