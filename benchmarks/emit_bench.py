@@ -19,13 +19,11 @@ joins vs per-node span arithmetic, DESIGN.md §11) into
 shard pruning, DESIGN.md §13) into ``BENCH_shard.json``, and the
 query-service HTTP workload (S-SERVE: per-request latency percentiles
 and fixed-concurrency throughput, DESIGN.md §14) into
-``BENCH_serve.json``, and the streaming bulk-ingest workload
-(S-INGEST: DOM-free ``stream_save`` vs parse + ``save_engine``,
-DESIGN.md §15) into ``BENCH_ingest.json``, and the cost-based-planning
+``BENCH_serve.json``, and the cost-based-planning
 workload (S-PLAN: costed plans vs the mechanical lowering on a skewed
 corpus, DESIGN.md §16) into ``BENCH_plan.json``.  The CI
 bench-regression wall (``benchmarks/check_regression.py``) diffs fresh
-runs against all nine checked-in files.
+runs against all eight checked-in files.
 
 Usage::
 
@@ -36,9 +34,8 @@ Usage::
         [--joins-out BENCH_joins.json] \
         [--shard-out BENCH_shard.json] \
         [--serve-out BENCH_serve.json] \
-        [--ingest-out BENCH_ingest.json] \
         [--plan-out BENCH_plan.json] [--size 6400] \
-        [--shard-size 64000] [--workers 4] [--ingest-size N] \
+        [--shard-size 64000] [--workers 4] \
         [--plan-size 2000]
 
 ``--quick`` cuts the repeat counts for CI smoke runs; the checked-in
@@ -560,78 +557,6 @@ def bench_serve(size: int, requests: int, concurrency: int) -> dict:
     return out
 
 
-#: The S-INGEST sizes are identical in quick and full runs (only the
-#: repeat counts differ) so the regression wall never diffs against a
-#: missing metric; the nightly ≥100k-word sweep overrides via
-#: ``--ingest-only --ingest-size``.
-INGEST_SIZES = (400, 1600, 6400)
-
-
-def bench_ingest(sizes: tuple[int, ...], repeats: int) -> dict:
-    """S-INGEST: streaming ``stream_save`` vs the DOM pipeline.
-
-    Both sides start from identical XML encoding strings and finish
-    with a complete ``.mhxb`` container — parse, node tables, okeys,
-    SpanIndex permutations, partition multisets, pack.  The outputs
-    are byte-identical (``tests/test_streaming.py``), so the timing
-    delta is pure pipeline overhead: DOM node churn + ``KyGoddag``
-    construction vs the one-pass table builder (DESIGN.md §15).
-    ``benchmarks/test_ingest_throughput.py`` gates the n=6400 speedup.
-    The higher-is-better words/sec rates land under ``config`` where
-    the regression wall skips them; the wall rides the ns leaves and
-    the ``speedup`` ratio.
-    """
-    import shutil
-    import tempfile
-
-    from repro.api import Engine
-    from repro.cmh import MultihierarchicalDocument
-    from repro.markup.streaming import stream_save
-    from repro.store.mhxb import save_engine
-
-    root = Path(tempfile.mkdtemp(prefix="mhxq-bench-ingest-"))
-    out: dict = {}
-    rates: dict[str, dict[str, int]] = {}
-    try:
-        for size in sizes:
-            corpus = corpus_at_size(size)
-            text = corpus.text
-            sources = {name: hierarchy.to_xml() for name, hierarchy
-                       in corpus.hierarchies.items()}
-            words = len(text.split())
-            stream_path = root / f"stream-{size}.mhxb"
-            dom_path = root / f"dom-{size}.mhxb"
-
-            def streaming() -> None:
-                stream_save(text, sources, stream_path)
-
-            def dom_pipeline() -> None:
-                document = MultihierarchicalDocument.from_xml(
-                    text, sources)
-                save_engine(Engine(document), dom_path)
-
-            streaming()  # warm both paths (interning, plan caches)
-            dom_pipeline()
-            assert stream_path.read_bytes() == dom_path.read_bytes()
-            stream_ns = median_ns(streaming, repeats,
-                                  collect_between=True)
-            dom_ns = median_ns(dom_pipeline, max(repeats // 2, 3),
-                               collect_between=True)
-            out[f"n{size}"] = {
-                "streaming": stream_ns,
-                "dom-pipeline": dom_ns,
-                "speedup": round(dom_ns / stream_ns, 2),
-            }
-            rates[f"n{size}"] = {
-                "words": words,
-                "streaming": int(words / (stream_ns / 1e9)),
-                "dom-pipeline": int(words / (dom_ns / 1e9)),
-            }
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-    return {"per_size": out, "words_per_sec": rates}
-
-
 #: The S-PLAN workload (DESIGN.md §16): chains where the cost pass
 #: changes the physical plan — two reversible join pairs whose context
 #: side is ~50× the target side (reversal scans the small side and
@@ -712,8 +637,6 @@ def main(argv: list[str] | None = None) -> int:
         Path(__file__).resolve().parent.parent / "BENCH_shard.json"))
     parser.add_argument("--serve-out", default=str(
         Path(__file__).resolve().parent.parent / "BENCH_serve.json"))
-    parser.add_argument("--ingest-out", default=str(
-        Path(__file__).resolve().parent.parent / "BENCH_ingest.json"))
     parser.add_argument("--plan-out", default=str(
         Path(__file__).resolve().parent.parent / "BENCH_plan.json"))
     parser.add_argument("--size", type=int, default=SCALING_SIZES[-1])
@@ -728,19 +651,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--serve-only", action="store_true",
                         help="emit only the S-SERVE series (the "
                              "query-service latency/throughput run)")
-    parser.add_argument("--ingest-only", action="store_true",
-                        help="emit only the S-INGEST series (the "
-                             "nightly bulk-ingest scale sweep)")
     parser.add_argument("--plan-only", action="store_true",
                         help="emit only the S-PLAN series (cost-based "
                              "planning vs mechanical lowering)")
     parser.add_argument("--plan-size", type=int, default=PLAN_WORDS,
                         help="corpus words for the S-PLAN series "
                              "(the nightly plan-scale sweep overrides)")
-    parser.add_argument("--ingest-size", type=int, default=None,
-                        help="replace the standard S-INGEST sizes "
-                             "with one large corpus (nightly runs "
-                             "use >= 100000 words)")
     parser.add_argument("--quick", action="store_true",
                         help="fewer repeats (CI smoke run)")
     args = parser.parse_args(argv)
@@ -754,9 +670,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.serve_only:
         emit_serve(args)
-        return 0
-    if args.ingest_only:
-        emit_ingest(args, query_repeats)
         return 0
     if args.plan_only:
         emit_plan(args, query_repeats)
@@ -825,7 +738,6 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps(joins_payload, indent=2, sort_keys=True))
     emit_shard(args, shard_size, shard_repeats)
     emit_serve(args)
-    emit_ingest(args, query_repeats)
     emit_plan(args, query_repeats)
     return 0
 
@@ -842,24 +754,6 @@ def emit_plan(args, repeats: int) -> None:
     Path(args.plan_out).write_text(
         json.dumps(plan_payload, indent=2, sort_keys=True) + "\n")
     print(json.dumps(plan_payload, indent=2, sort_keys=True))
-
-
-def emit_ingest(args, repeats: int) -> None:
-    sizes = ((args.ingest_size,) if args.ingest_size
-             else INGEST_SIZES)
-    series = bench_ingest(sizes, repeats)
-    ingest_payload = {
-        "schema": "repro-bench/1",
-        "series": "streaming-ingest",
-        "config": {"sizes": list(sizes), "seed": BENCH_SEED,
-                   "repeats": repeats,
-                   "python": sys.version.split()[0],
-                   "words_per_sec": series["words_per_sec"]},
-        "median_ns_per_ingest": series["per_size"],
-    }
-    Path(args.ingest_out).write_text(
-        json.dumps(ingest_payload, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(ingest_payload, indent=2, sort_keys=True))
 
 
 def emit_serve(args) -> None:

@@ -1,4 +1,4 @@
-"""Streaming bulk ingest with NLP standoff layers (DESIGN.md §15).
+"""Ingest with NLP standoff layers (DESIGN.md §15).
 
 A typical document-centric NLP pipeline holds prose plus several
 annotation layers produced by different tools — tokenization, sentence
@@ -9,12 +9,13 @@ boundary), which is exactly the multihierarchical setting the paper
 targets.
 
 This demo ingests such a bundle through ``StreamingBuilder``: the base
-XML encoding is parsed event-by-event straight into ``.mhxb`` node
-tables (no DOM is ever materialized), and each standoff layer is
-attached with ``add_layer`` — no XML serialization round-trip.  The
-result is byte-identical to the DOM pipeline's ``save_engine`` output,
-so everything downstream (queries, updates, the store, the server)
-works unchanged.
+XML encoding is tokenized straight into the rows a KyGODDAG holds —
+the way ``Engine.from_xml`` takes XML in too — and each standoff layer
+is attached with ``add_layer``, as sorted spans pushed into the same
+row writer: no XML serialization round-trip.  ``save`` writes the rows
+out as an ``.mhxb`` container, the file an engine over the same
+hierarchies would save, so everything downstream (queries, updates,
+the store, the server) works on it as on any other.
 
 Run:  python examples/streaming_ingest_demo.py
 """
@@ -79,11 +80,10 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "annotated.mhxb"
         size = builder.save(path)
-        print(f"streamed {size} bytes into {path.name} "
-              "(no DOM was built)")
+        print(f"streamed {size} bytes into {path.name}")
 
-        # The container is indistinguishable from a DOM-built one:
-        # query across the layers like any concurrent hierarchies.
+        # The container is a saved engine: query across the layers
+        # like any concurrent hierarchies.
         engine = Engine.from_mhxb(path)
         tokens = engine.query("count(/descendant::tok)").items[0]
         sentences = engine.query("count(/descendant::s)").items[0]

@@ -119,7 +119,8 @@ class Engine:
             document = MultihierarchicalDocument(goddag.text)
             for name in goddag.persistent_hierarchy_names:
                 document.hierarchies[name] = Hierarchy(
-                    name, loader=partial(goddag.hierarchy_dom, name))
+                    name, loader=partial(goddag.hierarchy_dom, name),
+                    root_name=goddag.root.root_name)
             if self._dtds:
                 document.cmh = ConcurrentMarkupHierarchy.from_sources(
                     goddag.root.root_name, self._dtds)
@@ -369,20 +370,20 @@ class Engine:
         """Run a :class:`CompiledQuery`."""
         with self._plans_lock:
             cached = any(plan is compiled for plan in self._plans.values())
-        stats = QueryStats(plan_cache_hit=cached)
-        items = self._evaluate_guarded(
-            compiled,
-            lambda: compiled.execute(self.goddag, variables=variables,
-                                     options=self.options, stats=stats))
-        self._finalize_stats(compiled, stats)
-        return QueryResult(items, stats)
+        return self._execute(compiled, variables, cached)
 
     def _run(self, text: str, variables: dict[str, list] | None,
              xpath: bool) -> QueryResult:
         self._sync_plan_cache()
         key = ("xpath" if xpath else "query", text, self.options)
-        stats = QueryStats(plan_cache_hit=key in self._plans)
-        compiled = self.compile(text, xpath=xpath)
+        cached = key in self._plans  # asked before compile() caches it
+        return self._execute(self.compile(text, xpath=xpath), variables,
+                             cached)
+
+    def _execute(self, compiled: CompiledQuery,
+                 variables: dict[str, list] | None,
+                 cached: bool) -> QueryResult:
+        stats = QueryStats(plan_cache_hit=cached)
         items = self._evaluate_guarded(
             compiled,
             lambda: compiled.execute(self.goddag, variables=variables,

@@ -19,10 +19,10 @@ built-in Boethius document):
 * ``experiments`` — run the paper-vs-measured reproduction report;
 * ``pack`` — bundle a base text + XML encodings into a ``.mhx`` (or,
   by extension, a binary ``.mhxb``) container;
-* ``ingest`` — stream a base text + XML encodings (and optional
-  standoff ``--layer`` span files) straight into a binary ``.mhxb``
-  with no DOM in between (DESIGN.md §15) — byte-identical to ``pack``
-  output at bulk-ingest speed;
+* ``ingest`` — a base text + XML encodings (and optional standoff
+  ``--layer`` span files) straight into a binary ``.mhxb``: columns to
+  file, no node object in between (DESIGN.md §15) — how ``pack``
+  writes a ``.mhxb`` too;
 * ``store`` — the concurrent document store (DESIGN.md §10):
   ``store init/add/get/query/update/compact`` manage a named catalog
   of ``.mhxb``-persisted documents with MVCC snapshot reads;
@@ -64,6 +64,7 @@ from pathlib import Path
 from repro.api import Engine, load_mhx, save_mhx
 from repro.errors import ReproError
 from repro.markup import serialize
+from repro.markup.streaming import stream_save
 from repro.cmh import MultihierarchicalDocument
 from repro.baselines import fragment_document, milestone_document
 from repro.corpus.boethius import boethius_document
@@ -150,11 +151,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("experiments",
                    help="run the paper-vs-measured reproduction report")
 
+    def add_encoding_options(p: argparse.ArgumentParser,
+                             required: bool = False) -> None:
+        p.add_argument("--text", required=required, metavar="FILE",
+                       help="base text file of NAME=FILE encodings")
+        p.add_argument("encodings", nargs="+" if required else "*",
+                       metavar="NAME=FILE",
+                       help="hierarchy encodings as name=xmlfile, over "
+                            "--text (place them directly after the "
+                            "positional before them)")
+        p.add_argument("--layer", action="append", default=[],
+                       metavar="NAME=FILE",
+                       help="standoff span layer over --text: a JSON "
+                            "file of [start, end, name[, {attrs}]] "
+                            "rows (repeatable)")
+
     p_pack = sub.add_parser(
         "pack", help="bundle encodings into a .mhx (or binary .mhxb)",
-        epilog="Parses every encoding through the DOM pipeline; for "
-               "bulk binary ingest prefer 'mhxq ingest' (DESIGN.md "
-               "§15). Container formats: DESIGN.md §10 and §12.")
+        epilog="A .mhxb is written as 'mhxq ingest' writes it, which "
+               "also takes standoff layers (DESIGN.md §15). Container "
+               "formats: DESIGN.md §10 and §12.")
     p_pack.add_argument("output",
                         help="output path (.mhx = JSON, .mhxb = binary)")
     p_pack.add_argument("--text", required=True, metavar="FILE",
@@ -163,27 +179,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="hierarchy encodings as name=xmlfile")
 
     p_ingest = sub.add_parser(
-        "ingest", help="stream encodings straight into a binary .mhxb "
-                       "(no DOM)",
-        epilog="The streaming builder tokenizes each encoding in one "
-               "pass into the .mhxb node tables — byte-identical to "
-               "the pack/DOM path but without materializing a DOM, so "
-               "bulk ingest runs at words/sec the parser allows "
-               "(BENCH_ingest.json). Standoff --layer files carry "
-               "JSON [start, end, name] or [start, end, name, "
-               "{attrs}] rows of character spans, the shape NLP "
-               "pipelines emit for token/sentence/entity layers. "
-               "See DESIGN.md §15.")
+        "ingest", help="encodings straight into a binary .mhxb "
+                       "(columns to file)",
+        epilog="Each encoding is tokenized in one pass into the "
+               ".mhxb node tables and written out — no DOM, no node "
+               "objects. Standoff --layer files carry JSON [start, "
+               "end, name] or [start, end, name, {attrs}] rows of "
+               "character spans, the shape NLP pipelines emit for "
+               "token/sentence/entity layers. See DESIGN.md §15.")
     p_ingest.add_argument("output", help="output .mhxb path")
-    p_ingest.add_argument("--text", required=True, metavar="FILE",
-                          help="file containing the base text")
-    p_ingest.add_argument("encodings", nargs="+", metavar="NAME=FILE",
-                          help="hierarchy encodings as name=xmlfile")
-    p_ingest.add_argument("--layer", action="append", default=[],
-                          metavar="NAME=FILE",
-                          help="standoff span layer: a JSON file of "
-                               "[start, end, name[, {attrs}]] rows "
-                               "(repeatable)")
+    add_encoding_options(p_ingest, required=True)
     p_ingest.add_argument("--durability", choices=("full", "off"),
                           default="off",
                           help="fsync the container on write "
@@ -193,8 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         "store", help="the concurrent document store (DESIGN.md §10)",
         epilog="Persistence and MVCC snapshots: DESIGN.md §10; "
                "durability and crash recovery: §12; sharded corpora "
-               "and cquery scatter-gather: §13; streaming ingest "
-               "(--streaming): §15.")
+               "and cquery scatter-gather: §13; the ingest: §15.")
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
 
     def add_durability_option(p: argparse.ArgumentParser) -> None:
@@ -206,31 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_s_init = store_sub.add_parser("init", help="create an empty store")
     p_s_init.add_argument("store_dir", help="store directory")
 
-    def add_streaming_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--streaming", action="store_true",
-                       help="ingest DOM-free via the streaming builder "
-                            "(with --text + NAME=FILE encodings; "
-                            "DESIGN.md §15)")
-        p.add_argument("--text", metavar="FILE",
-                       help="base text file (with --streaming)")
-        p.add_argument("encodings", nargs="*", metavar="NAME=FILE",
-                       help="hierarchy encodings as name=xmlfile "
-                            "(with --streaming; place them directly "
-                            "after the catalog name)")
-        p.add_argument("--layer", action="append", default=[],
-                       metavar="NAME=FILE",
-                       help="standoff span layer: a JSON file of "
-                            "[start, end, name[, {attrs}]] rows "
-                            "(with --streaming; repeatable)")
-
     p_s_add = store_sub.add_parser(
         "add", help="register a document",
-        epilog="Registration is transactional (DESIGN.md §10); "
-               "--streaming ingests without a DOM (§15).")
+        epilog="Registration is transactional (DESIGN.md §10). "
+               "The document is --text FILE with NAME=FILE encodings "
+               "(tokenized straight into the store's file, §15), a "
+               "container (--mhx), or --sample.")
     p_s_add.add_argument("store_dir")
     p_s_add.add_argument("name", help="catalog name for the document")
     add_document_options(p_s_add)
-    add_streaming_options(p_s_add)
+    add_encoding_options(p_s_add)
     add_durability_option(p_s_add)
 
     p_s_get = store_sub.add_parser(
@@ -281,12 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_s_shard = store_sub.add_parser(
         "shard", help="partition a document into a sharded corpus",
         epilog="Cuts land at fragment boundaries valid in every "
-               "hierarchy (DESIGN.md §13); --streaming cuts the node "
-               "tables directly, skipping the DOM (§15).")
+               "hierarchy (DESIGN.md §13); the node tables are cut, "
+               "whatever the document came in as (§15).")
     p_s_shard.add_argument("store_dir")
     p_s_shard.add_argument("name", help="catalog name for the corpus")
     add_document_options(p_s_shard)
-    add_streaming_options(p_s_shard)
+    add_encoding_options(p_s_shard)
     p_s_shard.add_argument("--generate", type=int, metavar="N_WORDS",
                            help="shard a seeded synthetic manuscript "
                                 "of N_WORDS words instead of a file")
@@ -402,14 +391,24 @@ def _read_layers(items: list[str]) -> dict[str, list]:
     return layers
 
 
-def _streaming_inputs(args: argparse.Namespace) -> tuple[str, dict, dict]:
-    """``(text, sources, layers)`` for a ``--streaming`` invocation."""
-    if not getattr(args, "text", None):
-        raise ReproError("--streaming needs --text FILE")
+def _encoded_inputs(args: argparse.Namespace
+                    ) -> tuple[str, dict, dict] | None:
+    """``(text, sources, layers)`` of an invocation that gives its
+    document as ``--text`` + ``NAME=FILE`` encodings; ``None`` for one
+    that gives it another way (``--mhx``/``--sample``)."""
+    if not (args.text or args.encodings or args.layer):
+        return None
+    if not args.text:
+        raise ReproError("NAME=FILE encodings and --layer need --text FILE")
+    for flag in ("mhx", "sample", "generate"):
+        if getattr(args, flag, None) not in (None, False):
+            raise ReproError(
+                f"--text with NAME=FILE encodings is one document and "
+                f"--{flag} another; give one")
     sources = _read_spec_pairs(args.encodings, "encoding")
     if not sources:
         raise ReproError(
-            "--streaming needs at least one NAME=FILE encoding "
+            "--text needs at least one NAME=FILE encoding "
             "(standoff --layer layers attach on top of it)")
     text = Path(args.text).read_text(encoding="utf-8")
     return text, sources, _read_layers(args.layer)
@@ -432,22 +431,18 @@ def _dispatch(args: argparse.Namespace) -> int:
     if command == "pack":
         text = Path(args.text).read_text(encoding="utf-8")
         sources = _read_spec_pairs(args.encodings, "encoding")
-        document = MultihierarchicalDocument.from_xml(text, sources)
         if Path(args.output).suffix == ".mhxb":
-            Engine(document).save_mhxb(args.output)
+            stream_save(text, sources, args.output)
             kind = "binary .mhxb"
         else:
-            save_mhx(document, args.output)
+            save_mhx(MultihierarchicalDocument.from_xml(text, sources),
+                     args.output)
             kind = ".mhx"
         print(f"wrote {kind} {args.output} "
-              f"({len(document)} hierarchies, {len(text)} characters)")
+              f"({len(sources)} hierarchies, {len(text)} characters)")
         return 0
     if command == "ingest":
-        from repro.markup.streaming import stream_save
-
-        text = Path(args.text).read_text(encoding="utf-8")
-        sources = _read_spec_pairs(args.encodings, "encoding")
-        layers = _read_layers(args.layer)
+        text, sources, layers = _encoded_inputs(args)
         size = stream_save(text, sources, args.output, layers=layers,
                            durability=args.durability)
         print(f"streamed {len(sources)} encodings + {len(layers)} "
@@ -560,8 +555,9 @@ def _dispatch_store(args: argparse.Namespace) -> int:
     store = DocumentStore(args.store_dir,
                           durability=getattr(args, "durability", "full"))
     if command == "add":
-        if getattr(args, "streaming", False):
-            text, sources, layers = _streaming_inputs(args)
+        encoded = _encoded_inputs(args)
+        if encoded:
+            text, sources, layers = encoded
             snapshot = store.add_streaming(args.name, text, sources,
                                            layers=layers)
         elif getattr(args, "sample", False):
@@ -571,7 +567,8 @@ def _dispatch_store(args: argparse.Namespace) -> int:
             snapshot = store.add(args.name, path=args.mhx)
         else:
             raise ReproError(
-                "provide --mhx FILE, --sample, or --streaming")
+                "provide --mhx FILE, --sample, or --text FILE with "
+                "NAME=FILE encodings")
         print(f"added {args.name!r} at version {snapshot.version} "
               f"({len(snapshot.engine.goddag.hierarchy_names)} "
               f"hierarchies)")
@@ -629,30 +626,22 @@ def _dispatch_store(args: argparse.Namespace) -> int:
               f"problems")
         return 1 if corrupt else 0
     if command == "shard":
-        document = None
-        if args.generate is not None:
-            from repro.corpus.generator import (
-                GeneratorConfig,
-                generate_document,
-            )
-
-            document = generate_document(
-                GeneratorConfig(n_words=args.generate, seed=0))
-        if getattr(args, "streaming", False):
-            if document is not None:
-                # stream the generated manuscript via its serialized
-                # encodings — the differential exercise of DESIGN.md §15
-                text = document.text
-                sources = {name: document[name].to_xml()
-                           for name in document.hierarchy_names}
-                layers: dict = {}
-            else:
-                text, sources, layers = _streaming_inputs(args)
+        encoded = _encoded_inputs(args)
+        if encoded:
+            text, sources, layers = encoded
             stats = store.add_corpus_streaming(args.name, text, sources,
                                                shards=args.shards,
                                                layers=layers)
         else:
-            if document is None:
+            if args.generate is not None:
+                from repro.corpus.generator import (
+                    GeneratorConfig,
+                    generate_document,
+                )
+
+                document = generate_document(
+                    GeneratorConfig(n_words=args.generate, seed=0))
+            else:
                 document = _load_document(args)
             stats = store.add_corpus(args.name, document,
                                      shards=args.shards)

@@ -79,49 +79,17 @@ class SpanSet:
         """Build the hierarchy DOM: root element + nested spans + text.
 
         Every character of the text lands in exactly one text node, so
-        the result is automatically aligned with the base text.
+        the result is automatically aligned with the base text.  The
+        nesting walk is the one that registers spans in a KyGODDAG
+        (:func:`repro.core.goddag.goddag.span_component`); the DOM is
+        read off the rows it writes.
         """
-        document = dom.Document()
-        root = dom.Element(root_name)
-        document.append(root)
-        # Stack of (element, its end offset); root pseudo-entry last.
-        stack: list[tuple[dom.Element, int]] = [(root, len(self.text))]
-        cursor = 0
-        for span in self.sorted_spans():
-            cursor = self._emit_text(stack, cursor, span.start)
-            while stack[-1][1] <= span.start and len(stack) > 1:
-                stack.pop()
-            parent, parent_end = stack[-1]
-            if span.end > parent_end:
-                raise CMHError(
-                    f"span <{span.name}> [{span.start}, {span.end}) "
-                    f"escapes its enclosing element ending at {parent_end}")
-            element = dom.Element(span.name, span.attributes_dict)
-            parent.append(element)
-            stack.append((element, span.end))
-        self._emit_text(stack, cursor, len(self.text))
-        return document
+        from repro.core.goddag.goddag import _ComponentWriter, span_component
 
-    def _emit_text(self, stack: list[tuple[dom.Element, int]],
-                   cursor: int, target: int) -> int:
-        """Emit text from ``cursor`` to ``target``, popping closed spans."""
-        while cursor < target:
-            while stack[-1][1] <= cursor and len(stack) > 1:
-                stack.pop()
-            element, end = stack[-1]
-            stop = min(target, end)
-            if stop > cursor:
-                text = dom.Text(self.text[cursor:stop])
-                text.start, text.end = cursor, stop
-                element.append(text)
-                cursor = stop
-            elif len(stack) > 1:
-                stack.pop()
-            else:  # pragma: no cover - root end == len(text)
-                break
-        while stack[-1][1] <= cursor and len(stack) > 1:
-            stack.pop()
-        return cursor
+        rows = span_component(
+            _ComponentWriter(self.text, root_name, "spans", 0),
+            self.sorted_spans())
+        return rows.build_dom(self.text, root_name)
 
 
 def _properly_overlap(a: Span, b: Span) -> bool:

@@ -12,6 +12,9 @@ Each component keeps its hierarchy as the column arrays ``.mhxb``
 stores (:class:`_HierarchyComponent`); node objects are created from
 them, so a structure can be assembled around a mapped file's arrays
 (:meth:`KyGoddag.from_arrays`) without parsing, numbering or sorting.
+Every component that is not read from a file is written by one row
+writer (:class:`_ComponentWriter`), whatever pushes into it: the XML
+tokenizer, a walk of a DOM, or a sorted span list (DESIGN.md §15).
 Neither a component nor its nodes name the structure holding them, so
 the next version of a document (:meth:`KyGoddag.fork`) holds the same
 component objects for every hierarchy it does not change.
@@ -31,10 +34,14 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from repro.errors import GoddagError
+from repro.errors import CMHError, GoddagError
 from repro.markup import dom
-from repro.cmh.document import MultihierarchicalDocument
-from repro.cmh.spans import SpanSet
+from repro.cmh.document import (
+    MultihierarchicalDocument,
+    diverges,
+    falls_short,
+)
+from repro.cmh.spans import Span, SpanSet
 from repro.core.goddag.nodes import (
     NO_ATTRIBUTES,
     GAttr,
@@ -210,22 +217,22 @@ class _HierarchyComponent:
         self.nodes = nodes
         self.top_nodes = top_nodes
 
-    def private_copy(self, text: str) -> "_HierarchyComponent":
-        """An attached copy a KyGODDAG may rename in place.
+    def private_copy(self) -> "_HierarchyComponent":
+        """An unattached copy a KyGODDAG may attach and rename in place.
 
         It shares every column but the one :meth:`rename` writes, and
-        has its own node objects: row ``i`` of the copy is the twin of
-        row ``i`` here.
+        gets its own node objects: row ``i`` of the copy is the twin of
+        row ``i`` here.  The writer's lists, if this component was
+        never attached, go with it.
         """
         columns = {key: getattr(self, key) for key in COLUMNS}
         columns["name_ids"] = np.array(self.name_ids)
-        copy = _HierarchyComponent(
+        rows, self._rows = self._rows, None
+        return _HierarchyComponent(
             self.name, self.rank, self.temporary, names=self.names,
             columns=columns, attrs=self.attrs, comments=self.comments,
             pis=self.pis, prolog=self.prolog, epilog=self.epilog,
-            root_attrs=self.root_attrs, perms=self.perms())
-        copy.attach(text)
-        return copy
+            root_attrs=self.root_attrs, perms=self.perms(), rows=rows)
 
     def node_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(nodes, subtree_ends)`` as parallel arrays, preorder order.
@@ -437,11 +444,19 @@ class KyGoddag:
 
     @classmethod
     def build(cls, document: MultihierarchicalDocument) -> "KyGoddag":
-        """Build a KyGODDAG from an aligned multihierarchical document."""
-        goddag = cls(document.text, document.root_name)
-        for name, hierarchy in document.hierarchies.items():
-            goddag.add_hierarchy_from_dom(name, hierarchy.document)
-        return goddag
+        """Build a KyGODDAG from an aligned multihierarchical document.
+
+        A hierarchy that is a DOM is walked.  Of one that still is its
+        columns the structure takes a :meth:`private copy
+        <_HierarchyComponent.private_copy>`: the columns stay the
+        document's, shared and never written (so the next structure
+        built from it finds them as they were); the nodes are this
+        structure's own and go with it."""
+        text = document.text
+        components = list(hierarchy_components(document, own=True))
+        return cls.from_arrays(
+            text, document.root_name, components,
+            partition_arrays(text, components), None, len(components))
 
     @classmethod
     def from_arrays(cls, text: str, root_name: str,
@@ -534,6 +549,28 @@ class KyGoddag:
         self._seat(component)
         self._owned.add(component.name)
 
+    def _admit(self, name: str, temporary: bool) -> None:
+        if self.frozen and not temporary:
+            self._frozen_violation(f"add hierarchy '{name}'")
+        if name in self._components:
+            raise GoddagError(f"duplicate hierarchy name '{name}'")
+
+    def _from_dom(self, text: str, name: str, rank: int, temporary: bool,
+                  document: dom.Document) -> _HierarchyComponent:
+        """:func:`dom_component` behind this structure's doors, which
+        report a DOM that does not fit as a :class:`GoddagError`."""
+        root_name = self.root.root_name
+        if document.root.name != root_name:
+            raise GoddagError(
+                f"hierarchy '{name}' has root element "
+                f"'{document.root.name}', expected '{root_name}'")
+        try:
+            return dom_component(
+                _ComponentWriter(text, root_name, name, rank, temporary),
+                document)
+        except CMHError as error:
+            raise GoddagError(str(error)) from error
+
     def add_hierarchy_from_dom(self, name: str, document: dom.Document,
                                temporary: bool = False) -> None:
         """Register a hierarchy from an aligned DOM document.
@@ -541,16 +578,9 @@ class KyGoddag:
         The document's text nodes must cover the base text contiguously
         (spans are derived by walking).
         """
-        if self.frozen and not temporary:
-            self._frozen_violation(f"add hierarchy '{name}'")
-        if name in self._components:
-            raise GoddagError(f"duplicate hierarchy name '{name}'")
-        component = _ComponentBuilder(
-            self.text, self.root.root_name, name, self._next_rank,
-            temporary).build_from_dom(document)
-        self._next_rank += 1
-        self.partition.add_boundaries(component.boundaries.tolist())
-        self._finish_component(component)
+        self._admit(name, temporary)
+        self._add_component(self._from_dom(
+            self.text, name, self._next_rank, temporary, document))
 
     def add_hierarchy_from_spans(self, name: str, spans: SpanSet,
                                  temporary: bool = False) -> None:
@@ -558,8 +588,17 @@ class KyGoddag:
         if spans.text != self.text:
             raise GoddagError(
                 "span set text differs from the KyGODDAG base text")
-        document = spans.to_document(self.root.root_name)
-        self.add_hierarchy_from_dom(name, document, temporary=temporary)
+        self._admit(name, temporary)
+        self._add_component(span_component(
+            _ComponentWriter(self.text, self.root.root_name, name,
+                             self._next_rank, temporary),
+            spans.sorted_spans()))
+
+    def _add_component(self, component: _HierarchyComponent) -> None:
+        """Register one more hierarchy, at the next rank."""
+        self._next_rank = component.rank + 1
+        self.partition.add_boundaries(component.boundaries.tolist())
+        self._finish_component(component)
 
     def _finish_component(self, component: _HierarchyComponent) -> None:
         component.attach(self.text)
@@ -675,7 +714,8 @@ class KyGoddag:
             raise GoddagError(
                 "rename target is not a registered node of this KyGODDAG")
         if hierarchy not in self._owned:
-            component = component.private_copy(self.text)
+            component = component.private_copy()
+            component.attach(self.text)
             self._register(component)
             if self._index is not None:
                 self._index.reseat_component(component)
@@ -701,11 +741,10 @@ class KyGoddag:
         component = self._components.get(name)
         if component is None:
             raise GoddagError(f"no hierarchy named '{name}'")
-        # Built before anything is taken apart: a DOM the builder
+        # Built before anything is taken apart: a DOM the writer
         # rejects leaves the structure as it was.
-        fresh = _ComponentBuilder(
-            self.text, self.root.root_name, name, component.rank,
-            component.temporary).build_from_dom(document)
+        fresh = self._from_dom(self.text, name, component.rank,
+                               component.temporary, document)
         self.partition.swap_boundaries(component.boundaries,
                                        fresh.boundaries)
         if self._index is not None:
@@ -728,10 +767,8 @@ class KyGoddag:
             raise GoddagError(
                 "rebuild_hierarchies needs exactly the registered "
                 "hierarchies")
-        root_name = self.root.root_name
-        fresh = [_ComponentBuilder(text, root_name, name, old.rank,
-                                   old.temporary
-                                   ).build_from_dom(documents[name])
+        fresh = [self._from_dom(text, name, old.rank, old.temporary,
+                                documents[name])
                  for name, old in self._components.items()]
         index = self._index
         if index is not None:
@@ -742,9 +779,9 @@ class KyGoddag:
         self.root.end = len(text)
         if index is not None:
             index.reset_root()
-        self.partition = Partition(text)
+        self.partition = Partition.restore(
+            text, *partition_arrays(text, fresh))
         for component in fresh:
-            self.partition.add_boundaries(component.boundaries.tolist())
             self._finish_component(component)
         self.version += 1
 
@@ -975,41 +1012,36 @@ class KyGoddag:
         return index
 
 
-def document_level_nodes(hier_doc: dom.Document) -> tuple[list, list]:
-    """Comments/PIs outside the root element: they exist only in the
-    DOM, not in the KyGODDAG, and ride along as component metadata."""
-    prolog: list[list] = []
-    epilog: list[list] = []
-    target = prolog
-    for child in hier_doc.children:
-        if isinstance(child, dom.Element):
-            target = epilog
-        elif isinstance(child, dom.Comment):
-            target.append(["comment", child.data])
-        elif isinstance(child, dom.ProcessingInstruction):
-            target.append(["pi", child.target, child.data])
-    return prolog, epilog
+class _ComponentWriter:
+    """Writes one hierarchy's rows: the only producer of a
+    :class:`_HierarchyComponent` that is not read from a file.
 
-
-class _ComponentBuilder:
-    """Translates one aligned DOM tree into a hierarchy component.
-
-    One preorder walk fills the columns — a row's number is its
-    preorder, an element's subtree ends at the last row written when
-    the walk leaves it — and verifies on the way that the text nodes
-    spell out the base text.
+    A source pushes the hierarchy at it in document order —
+    :meth:`root` for the document element, :meth:`add` for every node
+    below it, :meth:`close` where an element ends, :meth:`aside` for a
+    comment or PI outside the document element — and takes the
+    component from :meth:`finish`.  A row's number is its preorder, an
+    element's span and subtree end where the walk leaves it, and the
+    text must spell out the base text as it arrives.  The sources call
+    in; they do not hand over event tuples (DESIGN.md §15 has the
+    numbers).  Names are interned per component, so a hierarchy that
+    fails half way is dropped with its writer and nothing is left
+    behind.  Errors are the document's
+    (:class:`~repro.errors.CMHError`,
+    :class:`~repro.errors.AlignmentError`); a door with another
+    taxonomy translates.
     """
 
-    def __init__(self, text: str, root_name: str, name: str, rank: int,
-                 temporary: bool) -> None:
+    def __init__(self, text: str, root_name: str | None, name: str,
+                 rank: int, temporary: bool = False) -> None:
         self.text = text
+        #: ``None``: the first hierarchy of a document names the root
         self.root_name = root_name
         self.name = name
         self.rank = rank
         self.temporary = temporary
         self.cursor = 0
         self.names: list[str] = []
-        self.interned: dict[str, int] = {}
         self.kinds: list[int] = []
         self.name_ids: list[int] = []
         self.starts: list[int] = []
@@ -1019,20 +1051,80 @@ class _ComponentBuilder:
         self.attrs: list[list] = []
         self.comments: list[list] = []
         self.pis: list[list] = []
+        self.prolog: list[list] = []
+        self.epilog: list[list] = []
+        self.root_attrs: dict[str, str] | None = None  # until root()
+        self._interned: dict[str, int] = {}
+        self._open: list[int] = []  # rows of the elements not yet closed
+        self._parent = -1
 
-    def build_from_dom(self, document: dom.Document
-                       ) -> _HierarchyComponent:
-        root_element = document.root
-        if root_element.name != self.root_name:
-            raise GoddagError(
-                f"hierarchy '{self.name}' has root element "
-                f"'{root_element.name}', expected '{self.root_name}'")
-        self._convert(root_element.children, -1)
+    def root(self, name: str, attrs=None) -> None:
+        """The document element opens (it is no row: every hierarchy
+        shares the root node)."""
+        if self.root_name is None:
+            self.root_name = name
+        elif name != self.root_name:
+            raise CMHError(
+                f"hierarchy '{self.name}' has root '{name}' but the "
+                f"document root is '{self.root_name}'")
+        self.root_attrs = dict(attrs) if attrs else {}
+
+    def aside(self, entry: list) -> None:
+        """A comment (``["comment", data]``) or PI (``["pi", target,
+        data]``) before or after the document element."""
+        (self.prolog if self.root_attrs is None
+         else self.epilog).append(entry)
+
+    def add(self, kind: int, label: str | None = None, data=None) -> None:
+        """Append the row of one node: text (``data`` its characters),
+        an element that stays open until :meth:`close` (``label`` its
+        name, ``data`` its attributes), a comment, or a PI (``label``
+        its target).  Every hierarchy row is written here, and here
+        alone is an encoding's text held against the base text."""
+        kinds = self.kinds
+        row = last = len(kinds)
+        start = end = self.cursor
+        parent = self._parent
+        name_id = -1
+        if kind == KIND_TEXT:
+            end = start + len(data)
+            if self.text[start:end] != data:
+                raise diverges(self.name, self.text, start, data)
+            self.cursor = end
+        elif kind == KIND_COMMENT:
+            self.comments.append([row, data])
+        else:
+            name_id = self._interned.get(label)
+            if name_id is None:
+                name_id = self._interned[label] = len(self.names)
+                self.names.append(label)
+            if kind == KIND_PI:
+                self.pis.append([row, data])
+            else:
+                if data:
+                    self.attrs.append([row, dict(data)])
+                end = last = -1  # until close()
+                self._open.append(row)
+                self._parent = row
+        kinds.append(kind)
+        self.name_ids.append(name_id)
+        self.starts.append(start)
+        self.ends.append(end)
+        self.parents.append(parent)
+        self.subtree_ends.append(last)
+
+    def close(self) -> None:
+        """The innermost open element ends here."""
+        open_rows = self._open
+        row = open_rows.pop()
+        self.ends[row] = self.cursor
+        self.subtree_ends[row] = len(self.kinds) - 1
+        self._parent = open_rows[-1] if open_rows else -1
+
+    def finish(self) -> _HierarchyComponent:
+        """The component, once the text is covered to its end."""
         if self.cursor != len(self.text):
-            raise GoddagError(
-                f"hierarchy '{self.name}' text covers {self.cursor} "
-                f"of {len(self.text)} characters")
-        prolog, epilog = document_level_nodes(document)
+            raise falls_short(self.name, self.text, self.cursor)
         rows = {key: getattr(self, key) for key in COLUMNS[:-1]}
         columns = {key: np.asarray(values, dtype=np.int64)
                    for key, values in rows.items()}
@@ -1040,50 +1132,112 @@ class _ComponentBuilder:
         return _HierarchyComponent(
             self.name, self.rank, self.temporary, names=self.names,
             columns=columns, attrs=self.attrs, comments=self.comments,
-            pis=self.pis, prolog=prolog, epilog=epilog,
-            root_attrs=dict(root_element.attributes), rows=rows)
+            pis=self.pis, prolog=self.prolog, epilog=self.epilog,
+            root_attrs=self.root_attrs or {}, rows=rows)
 
-    def _intern(self, name: str) -> int:
-        ident = self.interned.get(name)
-        if ident is None:
-            ident = self.interned[name] = len(self.names)
-            self.names.append(name)
-        return ident
 
-    def _row(self, kind: int, name_id: int, end: int, parent: int) -> int:
-        position = len(self.kinds)
-        self.kinds.append(kind)
-        self.name_ids.append(name_id)
-        self.starts.append(self.cursor)
-        self.ends.append(end)
-        self.parents.append(parent)
-        self.subtree_ends.append(position)
-        return position
+def dom_component(writer: _ComponentWriter,
+                  document: dom.Document) -> _HierarchyComponent:
+    """The columns of one hierarchy given as a DOM: one preorder walk
+    pushing into ``writer``.  What every update re-registers goes
+    through here, and every document that was built as a DOM (the
+    corpus generator's, a hand-made one, what the parser made of a
+    source the tokenizer does not take on)."""
+    for child in document.children:
+        if isinstance(child, dom.Element):
+            writer.root(child.name, child.attributes)
+            _push_children(child.children, writer.add, writer.close)
+        elif isinstance(child, dom.Comment):
+            writer.aside(["comment", child.data])
+        elif isinstance(child, dom.ProcessingInstruction):
+            writer.aside(["pi", child.target, child.data])
+    return writer.finish()
 
-    def _convert(self, children: list[dom.Node], parent: int) -> None:
-        for node in children:
-            if isinstance(node, dom.Text):
-                start = self.cursor
-                end = start + len(node.data)
-                if self.text[start:end] != node.data:
-                    raise GoddagError(
-                        f"hierarchy '{self.name}' text diverges from "
-                        f"the base text at offset {start}")
-                self._row(KIND_TEXT, -1, end, parent)
-                self.cursor = end
-            elif isinstance(node, dom.Element):
-                position = self._row(KIND_ELEMENT, self._intern(node.name),
-                                     -1, parent)
-                if node.attributes:
-                    self.attrs.append([position, dict(node.attributes)])
-                self._convert(node.children, position)
-                self.ends[position] = self.cursor
-                self.subtree_ends[position] = len(self.kinds) - 1
-            elif isinstance(node, dom.Comment):
-                position = self._row(KIND_COMMENT, -1, self.cursor, parent)
-                self.comments.append([position, node.data])
-            elif isinstance(node, dom.ProcessingInstruction):
-                position = self._row(KIND_PI, self._intern(node.target),
-                                     self.cursor, parent)
-                self.pis.append([position, node.data])
-            # doctype/etc. — nothing to represent
+
+def _push_children(children: list[dom.Node], add, close,
+                   Text=dom.Text, Element=dom.Element) -> None:
+    # a module-level function (a closure calling itself is a cycle that
+    # keeps the writer's lists until the collector runs); the classes
+    # are bound as locals because the loop is hot
+    for node in children:
+        if isinstance(node, Text):
+            add(KIND_TEXT, None, node.data)
+        elif isinstance(node, Element):
+            add(KIND_ELEMENT, node.name, node.attributes)
+            _push_children(node.children, add, close)
+            close()
+        elif isinstance(node, dom.Comment):
+            add(KIND_COMMENT, None, node.data)
+        elif isinstance(node, dom.ProcessingInstruction):
+            add(KIND_PI, node.target, node.data)
+        # doctype/etc. — nothing to represent
+
+
+def span_component(writer: _ComponentWriter,
+                   spans: list[Span]) -> _HierarchyComponent:
+    """The columns of one hierarchy given as properly nesting spans in
+    document order (:meth:`SpanSet.sorted_spans`), pushed into
+    ``writer``: the root it names, the spans as elements, and the text
+    between and inside them, each character in exactly one text node.
+    No DOM is built — this is what every ``analyze-string`` call and
+    every standoff layer registers."""
+    add, close = writer.add, writer.close
+    text = writer.text
+    writer.root(writer.root_name)
+    open_ends = [len(text)]  # ends of the open elements; the root's first
+
+    def text_until(target: int) -> None:
+        """Text up to ``target``, closing the elements that end on the
+        way (and those that end at ``target`` itself)."""
+        while True:
+            while len(open_ends) > 1 and open_ends[-1] <= writer.cursor:
+                open_ends.pop()
+                close()
+            stop = min(target, open_ends[-1])
+            if stop <= writer.cursor:
+                return
+            add(KIND_TEXT, None, text[writer.cursor:stop])
+
+    for span in spans:
+        text_until(span.start)
+        if span.end > open_ends[-1]:
+            raise CMHError(
+                f"span <{span.name}> [{span.start}, {span.end}) escapes "
+                f"its enclosing element ending at {open_ends[-1]}")
+        add(KIND_ELEMENT, span.name, span.attributes)
+        open_ends.append(span.end)
+    text_until(len(text))
+    return writer.finish()
+
+
+def hierarchy_components(document: MultihierarchicalDocument,
+                         own: bool = False
+                         ) -> Iterator[_HierarchyComponent]:
+    """Every hierarchy of ``document`` as columns, ranked in
+    registration order: the columns a hierarchy still is
+    (:meth:`~repro.cmh.document.Hierarchy.columns_at`), else one walk
+    of its DOM.  The former stay the document's; a caller that attaches
+    nodes asks for its ``own`` — a private copy of those."""
+    for rank, (name, hierarchy) in enumerate(document.hierarchies.items()):
+        component = hierarchy.columns_at(rank)
+        if component is None:
+            component = dom_component(
+                _ComponentWriter(document.text, document.root_name, name,
+                                 rank),
+                hierarchy.document)
+        elif own:
+            component = component.private_copy()
+        yield component
+
+
+def partition_arrays(text: str, components: list[_HierarchyComponent]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The leaf partition's boundary multiset as sorted ``(offsets,
+    refcounts)``, off the columns: what
+    :meth:`~repro.core.goddag.partition.Partition.export_arrays` gives
+    for a structure holding exactly ``components``."""
+    ends = np.array(sorted({0, len(text)}), dtype=np.int64)
+    return np.unique(
+        np.concatenate([ends, *(component.boundaries
+                                for component in components)]),
+        return_counts=True)

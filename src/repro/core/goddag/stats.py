@@ -405,9 +405,9 @@ def plan_stats_payload(header: dict,
                        arrays: dict[str, np.ndarray]) -> dict:
     """The :class:`PlanStats` payload computed from ``.mhxb`` arrays.
 
-    Called at pack time (``repro.store.mhxb._pack``) so both the DOM
-    and the streaming save paths stamp the identical statistics block
-    into the header: every aggregate here is order-independent, and
+    Called at pack time (``repro.store.mhxb._pack``) so an engine's
+    file and the ingest's carry the identical statistics block in
+    the header: every aggregate here is order-independent, and
     the per-hierarchy tables hold the same element multiset the live
     span index does.
     """

@@ -299,7 +299,7 @@ def _reverse_join_pair(path: L.PathOp, stats: PlanStats,
     skip_leaves, leaves_only, name_hint = test_pushdowns(first.test)
     inner = L.IntervalJoinOp(
         axis=reverse_axis, test=first.test, predicates=[],
-        emit="any", skip_leaves=skip_leaves, leaves_only=leaves_only,
+        ordered=False, skip_leaves=skip_leaves, leaves_only=leaves_only,
         name_hint=name_hint, kernel=JOIN_KERNELS[reverse_axis])
     probe = L.PredicateOp(
         L.PathOp("relative", None, [inner], ordered_result=False),
@@ -309,7 +309,7 @@ def _reverse_join_pair(path: L.PathOp, stats: PlanStats,
     scan = L.StepOp(
         axis="descendant", test=second.test,
         predicates=[probe] + list(second.predicates),
-        emit="legacy" if path.ordered_result else "any",
+        ordered=path.ordered_result,
         skip_leaves=skip_leaves, leaves_only=leaves_only,
         name_hint=name_hint)
     path.steps = [scan]

@@ -225,11 +225,11 @@ class StepOp(Plan):
     axis: str
     test: ast.NodeTest
     predicates: list[PredicateOp] = field(default_factory=list)
-    #: "legacy" (a historical name) is the emission order a consumer
-    #: can observe — document order, duplicate-free (DESIGN.md §8);
-    #: "any" means no later consumer can observe this step's order, so
-    #: sorts/reversals are skipped (reverse-axis normalization).
-    emit: str = "legacy"
+    #: a consumer can observe the step's output order, so it is
+    #: document order, duplicate-free (DESIGN.md §8); ``False`` when no
+    #: later consumer can observe it and sorts/reversals are skipped
+    #: (reverse-axis normalization)
+    ordered: bool = True
     #: the step's node test can never match a leaf: the batch axis call
     #: skips materializing partition ranges entirely
     skip_leaves: bool = False
@@ -252,7 +252,7 @@ class StepOp(Plan):
             flags.append("skip-leaves")
         if self.leaves_only:
             flags.append("leaves-only")
-        if self.emit == "any":
+        if not self.ordered:
             flags.append("unordered")
         rendered = f" [{', '.join(flags)}]" if flags else ""
         return f"step {self.axis}::{render_test(self.test)}{rendered}"
@@ -279,7 +279,7 @@ class IntervalJoinOp(StepOp):
             flags.append("skip-leaves")
         if self.leaves_only:
             flags.append("leaves-only")
-        if self.emit == "any":
+        if not self.ordered:
             flags.append("unordered")
         rendered = f" [{', '.join(flags)}]" if flags else ""
         return (f"interval-join {self.axis}::{render_test(self.test)}"

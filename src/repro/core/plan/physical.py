@@ -953,7 +953,7 @@ def _compile_step(op: L.StepOp):
     """``fn(frame, inputs) -> outputs`` for one set-at-a-time axis step.
 
     Output is always document-ordered and duplicate-free unless
-    ``emit == "any"``, where no consumer can observe the order and
+    ``op.ordered`` is off, where no consumer can observe the order and
     sorts are skipped.  Predicates see each input node's candidates in
     document order, reversed on reverse axes.
     """
@@ -970,7 +970,7 @@ def _compile_step(op: L.StepOp):
     skip_leaves = op.skip_leaves
     leaves_only = op.leaves_only
     hint = op.name_hint
-    emit_any = op.emit == "any"
+    emit_any = not op.ordered
 
     def run(frame: Frame, inputs: list) -> list:
         if not inputs:

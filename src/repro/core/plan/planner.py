@@ -4,8 +4,8 @@ Besides a structural translation, the planner applies the two rule
 families that annotate the *plan* rather than the AST:
 
 * **reverse-axis / order normalization** — a step whose emission order
-  no later consumer can observe is marked ``emit="any"``: the physical
-  layer then skips the per-step sort and the reverse-axis reversal
+  no later consumer can observe is marked ``ordered=False``: the
+  physical layer then skips the per-step sort and the reverse-axis reversal
   (document order allows it because every later axis step re-merges by
   order key anyway).  The same analysis marks whole paths consumed only
   through their effective boolean value (predicates, conditions,
@@ -260,7 +260,7 @@ def _plan_path(expr: ast.PathExpr, ordered: bool,
     # lists are independent and the cross-input merge re-sorts by order
     # key), or when it is the last step of a path no consumer reads in
     # order.  An expression step, by contrast, observes its input order
-    # through ``position()``, so the step before one stays "legacy".
+    # through ``position()``, so the step before one stays ordered.
     for index, step in enumerate(steps):
         if not isinstance(step, L.StepOp):
             continue
@@ -268,7 +268,7 @@ def _plan_path(expr: ast.PathExpr, ordered: bool,
         next_is_axis = (index + 1 < len(steps)
                         and isinstance(steps[index + 1], L.StepOp))
         if next_is_axis or (is_last and not ordered):
-            step.emit = "any"
+            step.ordered = False
             if step.axis in REVERSE_AXES:
                 notes.append(
                     f"reverse-axis-normalization: {step.axis}:: step "

@@ -194,8 +194,8 @@ def _fold_one(expr: ast.Expr, notes: list[str]) -> ast.Expr:
             else:
                 result = values.value_compare(
                     expr.op, [expr.left.value], [expr.right.value])[0]
-        except Exception:
-            return expr
+        except QueryEvaluationError:
+            return expr  # keep runtime errors at runtime
         notes.append(f"constant-folding: comparison -> {result}")
         return ast.Literal(result, expr.offset)
     if isinstance(expr, (ast.AndExpr, ast.OrExpr)):

@@ -146,7 +146,9 @@ class _Applier:
     def _resolve(self, node: GElement) -> dom.Element | None:
         """The DOM element behind ``node`` — ``None`` when its
         hierarchy has no DOM yet and the statement does not need one
-        (a rename: the KyGODDAG side is then the whole change)."""
+        (a rename: the KyGODDAG side is then the whole change, where
+        the DOM will be derived from the KyGODDAG — a hierarchy that
+        is its own columns has to be told)."""
         hierarchy = self.document.hierarchies.get(node.hierarchy)
         if hierarchy is None:
             raise UpdateError(
@@ -158,7 +160,7 @@ class _Applier:
             raise UpdateError(
                 "target node does not belong to this document's "
                 "KyGODDAG (stale reference?)")
-        if not hierarchy.materialized and node.hierarchy not in self.dirty:
+        if hierarchy.follows_goddag and node.hierarchy not in self.dirty:
             return None
         nodes = self._dom_map(node.hierarchy)
         if node.preorder >= len(nodes):

@@ -63,7 +63,7 @@ from repro.store.pool import (
     gather,
     run_shard,
 )
-from repro.store.sharding import CorpusStats, fuse_documents, shard_document
+from repro.store.sharding import CorpusStats, fuse_documents, save_shards
 from repro.store.snapshot import Snapshot
 
 STORE_FORMAT = "mhx-store-1"
@@ -75,6 +75,10 @@ MANIFEST_PREV_NAME = "store.json.prev"
 DURABILITY_MODES = ("full", "batch", "off")
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+
+#: the manifest sections that share the catalog's namespace, and what
+#: an entry of each is called
+_KINDS = {"documents": "document", "corpora": "corpus"}
 
 
 def fork_engine(engine: Engine) -> Engine:
@@ -367,6 +371,59 @@ class DocumentStore:
     def __len__(self) -> int:
         return len(self._manifest["documents"])
 
+    def _register(self, name: str, section: str, write):
+        """The one transactional registration: admit ``name``, let
+        ``write(files)`` produce the files (listing each in ``files``
+        before it exists) and return ``(manifest entry, result)``,
+        commit the manifest; whatever fails, the files are removed and
+        the catalog is as before.
+
+        Documents and corpora share one namespace — quarantine entries
+        are keyed by bare name — so a name taken in either section is
+        refused for both.
+        """
+        if not _NAME_RE.match(name):
+            raise ReproError(
+                f"invalid {_KINDS[section]} name {name!r} (want "
+                f"[A-Za-z0-9][A-Za-z0-9._-]*, at most 64 characters)")
+        with self._lock:
+            for taken, kind in _KINDS.items():
+                if name in self._manifest[taken]:
+                    raise ReproError(
+                        f"{name!r} already exists in this store ({kind})")
+            if name in self._manifest["quarantined"]:
+                raise StoreError(
+                    f"{name!r} is quarantined "
+                    f"({self._manifest['quarantined'][name]['reason']});"
+                    f" remove() it before re-adding")
+            files: list[str] = []
+            try:
+                entry, result = write(files)
+                if self.durability == "batch":
+                    self._dirty.update(self.root / file_name
+                                       for file_name in files)
+                self._commit_entry(section, name, entry)
+            except Exception:
+                for file_name in files:
+                    (self.root / file_name).unlink(missing_ok=True)
+                raise
+            return result
+
+    def _register_document(self, name: str, produce) -> Snapshot:
+        """Register what ``produce(path)`` leaves at the document's
+        path — it returns the engine over that file's state."""
+        def write(files: list[str]):
+            file_name = f"{name}.mhxb"
+            files.append(file_name)
+            engine = produce(self.root / file_name)
+            return ({"file": file_name, "version": engine.version},
+                    Snapshot(name, engine, self.plans))
+
+        with self._lock:
+            snapshot = self._register(name, "documents", write)
+            self._live[name] = snapshot
+        return snapshot
+
     def add(self, name: str,
             document: MultihierarchicalDocument | None = None, *,
             engine: Engine | None = None,
@@ -379,25 +436,13 @@ class DocumentStore:
         if the manifest write fails, the data file is removed and the
         in-memory catalog rolled back.
         """
-        if not _NAME_RE.match(name):
-            raise ReproError(
-                f"invalid document name {name!r} (want "
-                f"[A-Za-z0-9][A-Za-z0-9._-]*, at most 64 characters)")
         provided = [source for source in (document, engine, path)
                     if source is not None]
         if len(provided) != 1:
             raise ReproError(
                 "add() needs exactly one of document / engine / path")
-        with self._lock:
-            if name in self._manifest["documents"]:
-                raise ReproError(
-                    f"document {name!r} already exists in this store")
-            if name in self._manifest["quarantined"]:
-                raise StoreError(
-                    f"document {name!r} is quarantined "
-                    f"({self._manifest['quarantined'][name]['reason']});"
-                    f" remove() it before re-adding")
-            target = self.root / f"{name}.mhxb"
+
+        def produce(target: Path) -> Engine:
             if path is not None and looks_like_mhxb(path):
                 # Register by byte copy: saves are deterministic, so
                 # re-serializing would reproduce the source bytes at
@@ -406,71 +451,39 @@ class DocumentStore:
                 temp = target.with_name(target.name + ".tmp")
                 shutil.copyfile(path, temp)
                 faultfs.current().replace(temp, target)
-                try:
-                    fresh = Engine.from_mhxb(target,
-                                             options=self.options)
-                    snapshot = Snapshot(name, fresh, self.plans)
-                    self._commit_entry(name, target.name, fresh.version)
-                except Exception:
-                    target.unlink(missing_ok=True)
-                    raise
+                return Engine.from_mhxb(target, options=self.options)
+            if path is not None:
+                fresh = Engine(load_mhx(path), options=self.options)
+            elif engine is not None:
+                fresh = fork_engine(engine)
             else:
-                if path is not None:
-                    fresh = Engine(load_mhx(path), options=self.options)
-                elif engine is not None:
-                    fresh = fork_engine(engine)
-                else:
-                    fresh = Engine(document.clone(),
-                                   options=self.options)
-                snapshot = Snapshot(name, fresh, self.plans)
-                try:
-                    self._persist(name, fresh)
-                except Exception:
-                    target.unlink(missing_ok=True)
-                    raise
-            self._live[name] = snapshot
-            return snapshot
+                fresh = Engine(document.clone(), options=self.options)
+            save_engine(fresh, target, durability=self._file_durability)
+            return fresh
+
+        return self._register_document(name, produce)
 
     def add_streaming(self, name: str, text: str,
                       sources: dict[str, str], *,
                       layers: dict | None = None) -> Snapshot:
-        """Register a document by streaming ingest (DESIGN.md §15).
+        """Register a document from its XML encodings (DESIGN.md §15).
 
-        XML encodings (and optional standoff span ``layers``) over the
+        The encodings (and optional standoff span ``layers``) over the
         shared base ``text`` are tokenized straight into this store's
-        ``.mhxb`` file by :class:`repro.markup.streaming.
-        StreamingBuilder` — no DOM is ever materialized, and the file
-        is byte-identical to what :meth:`add` would have written for
-        the equivalent document.  Transactional like :meth:`add`.
+        ``.mhxb`` file (:func:`repro.markup.streaming.stream_save`) and
+        the published engine is a cold load of it: no node object and
+        no DOM is made on the way, and the file is byte-identical to
+        what :meth:`add` writes for the equivalent document.
+        Transactional like :meth:`add`.
         """
         from repro.markup.streaming import stream_save
-        if not _NAME_RE.match(name):
-            raise ReproError(
-                f"invalid document name {name!r} (want "
-                f"[A-Za-z0-9][A-Za-z0-9._-]*, at most 64 characters)")
-        with self._lock:
-            if name in self._manifest["documents"]:
-                raise ReproError(
-                    f"document {name!r} already exists in this store")
-            if name in self._manifest["quarantined"]:
-                raise StoreError(
-                    f"document {name!r} is quarantined "
-                    f"({self._manifest['quarantined'][name]['reason']});"
-                    f" remove() it before re-adding")
-            target = self.root / f"{name}.mhxb"
-            try:
-                stream_save(text, sources, target, layers=layers,
-                            durability=self._file_durability)
-                if self.durability == "batch":
-                    self._dirty.add(target)
-                fresh = Engine.from_mhxb(target, options=self.options)
-                snapshot = Snapshot(name, fresh, self.plans)
-                self._commit_entry(name, target.name, fresh.version)
-            except Exception:
-                target.unlink(missing_ok=True)
-                raise
-            self._live[name] = snapshot
-            return snapshot
+
+        def produce(target: Path) -> Engine:
+            stream_save(text, sources, target, layers=layers,
+                        durability=self._file_durability)
+            return Engine.from_mhxb(target, options=self.options)
+
+        return self._register_document(name, produce)
 
     def remove(self, name: str) -> None:
         """Drop a document (or quarantined entry) and delete its file."""
@@ -515,119 +528,39 @@ class DocumentStore:
                    shards: int) -> CorpusStats:
         """Partition ``document`` into a sharded corpus (DESIGN.md §13).
 
-        The document is cut at size-balanced fragment boundaries valid
-        in **every** hierarchy (:func:`repro.store.sharding.
-        shard_document`), each shard persisted as its own checksummed
-        ``.mhxb`` file, and the manifest entry records the per-shard
-        statistics (word counts, span bounds, per-name cardinalities)
-        that :meth:`cquery` uses for shard pruning.  Registration is
-        transactional like :meth:`add`: a failed manifest write removes
-        the shard files and rolls the entry back.  The markup may offer
-        fewer valid cuts than requested — the persisted stats say how
-        many shards the corpus actually got.
+        The document's columns are cut at size-balanced fragment
+        boundaries valid in **every** hierarchy
+        (:func:`repro.store.sharding.save_shards`), each shard persisted
+        as its own checksummed ``.mhxb`` file, and the manifest entry
+        records the per-shard statistics (word counts, span bounds,
+        per-name cardinalities) that :meth:`cquery` uses for shard
+        pruning.  Registration is transactional like :meth:`add`: a
+        failed manifest write removes the shard files and rolls the
+        entry back.  The markup may offer fewer valid cuts than
+        requested — the persisted stats say how many shards the corpus
+        actually got.
         """
-        if not _NAME_RE.match(name):
-            raise ReproError(
-                f"invalid corpus name {name!r} (want "
-                f"[A-Za-z0-9][A-Za-z0-9._-]*, at most 64 characters)")
-        with self._lock:
-            for section in ("documents", "corpora"):
-                if name in self._manifest[section]:
-                    raise ReproError(
-                        f"{name!r} already exists in this store "
-                        f"({section[:-1]})")
-            if name in self._manifest["quarantined"]:
-                raise StoreError(
-                    f"{name!r} is quarantined "
-                    f"({self._manifest['quarantined'][name]['reason']});"
-                    f" remove() it before re-adding")
-            parts, stats = shard_document(document, shards)
-            files: list[str] = []
-            try:
-                for index, part in enumerate(parts):
-                    file_name = f"{name}.shard{index:04d}.mhxb"
-                    engine = Engine(part, options=self.options)
-                    save_engine(engine, self.root / file_name,
+        def write(files: list[str]):
+            def shard_path(index: int) -> Path:
+                files.append(f"{name}.shard{index:04d}.mhxb")
+                return self.root / files[-1]
+
+            stats = save_shards(document, shards, shard_path,
                                 durability=self._file_durability)
-                    if self.durability == "batch":
-                        self._dirty.add(self.root / file_name)
-                    files.append(file_name)
-                self._manifest["corpora"][name] = {
-                    "files": files,
-                    "stats": stats.to_json(),
-                }
-                try:
-                    self._save_manifest()
-                except Exception:
-                    self._manifest["corpora"].pop(name, None)
-                    raise
-            except Exception:
-                for file_name in files:
-                    (self.root / file_name).unlink(missing_ok=True)
-                raise
-            return stats
+            return {"files": list(files), "stats": stats.to_json()}, stats
+
+        return self._register(name, "corpora", write)
 
     def add_corpus_streaming(self, name: str, text: str,
                              sources: dict[str, str], *, shards: int,
                              layers: dict | None = None) -> CorpusStats:
-        """Stream a sharded corpus straight into per-shard ``.mhxb``
-        files (DESIGN.md §15).
+        """:meth:`add_corpus` of the XML encodings (and optional
+        standoff span ``layers``) over ``text``, tokenized straight
+        into columns (DESIGN.md §15)."""
+        from repro.markup.streaming import _ingest
 
-        Encodings (and optional standoff span ``layers``) are ingested
-        DOM-free, the node tables are cut at the same fragment
-        boundaries :meth:`add_corpus` would choose, and each shard file
-        plus the manifest statistics are byte-for-byte what the DOM
-        pipeline writes.  Transactional like :meth:`add_corpus`.
-        """
-        from repro.markup.streaming import StreamingBuilder
-        if not _NAME_RE.match(name):
-            raise ReproError(
-                f"invalid corpus name {name!r} (want "
-                f"[A-Za-z0-9][A-Za-z0-9._-]*, at most 64 characters)")
-        with self._lock:
-            for section in ("documents", "corpora"):
-                if name in self._manifest[section]:
-                    raise ReproError(
-                        f"{name!r} already exists in this store "
-                        f"({section[:-1]})")
-            if name in self._manifest["quarantined"]:
-                raise StoreError(
-                    f"{name!r} is quarantined "
-                    f"({self._manifest['quarantined'][name]['reason']});"
-                    f" remove() it before re-adding")
-            builder = StreamingBuilder(text)
-            for hierarchy_name, source in sources.items():
-                builder.add_hierarchy(hierarchy_name, source)
-            for layer_name, spans in (layers or {}).items():
-                builder.add_layer(layer_name, spans)
-            files: list[str] = []
-
-            def shard_path(index: int) -> Path:
-                file_name = f"{name}.shard{index:04d}.mhxb"
-                files.append(file_name)
-                return self.root / file_name
-
-            try:
-                stats = builder.save_shards(
-                    shards, shard_path,
-                    durability=self._file_durability)
-                if self.durability == "batch":
-                    for file_name in files:
-                        self._dirty.add(self.root / file_name)
-                self._manifest["corpora"][name] = {
-                    "files": files,
-                    "stats": stats.to_json(),
-                }
-                try:
-                    self._save_manifest()
-                except Exception:
-                    self._manifest["corpora"].pop(name, None)
-                    raise
-            except Exception:
-                for file_name in files:
-                    (self.root / file_name).unlink(missing_ok=True)
-                raise
-            return stats
+        return self.add_corpus(
+            name, _ingest(text, sources, layers).document, shards=shards)
 
     def remove_corpus(self, name: str) -> None:
         """Drop a corpus and delete its shard files."""
@@ -929,23 +862,20 @@ class DocumentStore:
                            durability=self._file_durability)
         if self.durability == "batch":
             self._dirty.add(path)
-        self._commit_entry(name, file_name, engine.version)
+        self._commit_entry("documents", name,
+                           {"file": file_name, "version": engine.version})
         return size
 
-    def _commit_entry(self, name: str, file_name: str,
-                      version: int) -> None:
-        previous = self._manifest["documents"].get(name)
-        self._manifest["documents"][name] = {
-            "file": file_name,
-            "version": version,
-        }
+    def _commit_entry(self, section: str, name: str, entry: dict) -> None:
+        previous = self._manifest[section].get(name)
+        self._manifest[section][name] = entry
         try:
             self._save_manifest()
         except Exception:
             if previous is None:
-                self._manifest["documents"].pop(name, None)
+                self._manifest[section].pop(name, None)
             else:
-                self._manifest["documents"][name] = previous
+                self._manifest[section][name] = previous
             self._live.pop(name, None)
             raise
 

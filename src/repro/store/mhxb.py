@@ -52,7 +52,7 @@ objects — the only place a whole document's nodes are made; a store
 fork shares them.  *Arrays ⇄ file* (:func:`write_container`, :func:`read_header`,
 :func:`verify_blocks`) knows the layout, the name table, the span
 index's normal form and the checksums, and nothing about engines; the
-streaming builder writes through it too.
+ingest writes components it has built no engine around through it too.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ from repro.core.goddag.goddag import (
     COLUMNS,
     KyGoddag,
     _HierarchyComponent,
+    partition_arrays,
 )
 from repro.core.goddag.index import SpanIndex, _end_keys, _start_keys
 
@@ -120,8 +121,6 @@ def save_engine(engine, path: str | Path, *,
     costed query after a commit does not collect them a second time.
     """
     goddag = engine.goddag
-    if not goddag.hierarchy_names:
-        raise ReproError("cannot save an empty document to .mhxb")
     if any(goddag.is_temporary(name) for name in goddag.hierarchy_names):
         raise ReproError(
             "cannot save a KyGODDAG holding temporary (analyze-string) "
@@ -146,21 +145,21 @@ def save_engine(engine, path: str | Path, *,
 # ---------------------------------------------------------------------------
 
 
-def write_container(path: str | Path, *, root: str, version: int,
-                    text: str, components: list[_HierarchyComponent],
-                    partition: tuple[np.ndarray, np.ndarray],
-                    dtds: dict | None, durability: str = "off") -> int:
-    """Write hierarchy components (column form) as one ``.mhxb`` file.
-
-    Shared by :func:`save_engine` and the streaming builder, which is
-    why the two are byte-identical.  The file's name table is interned
-    here, hierarchy by hierarchy in order of first use, so it does not
-    depend on which tables the components happen to carry; a component
-    whose ids already agree is written as it is.
+def write_container(path: str | Path, *, root: str, text: str,
+                    components: list[_HierarchyComponent],
+                    durability: str = "off") -> int:
+    """Write hierarchy components nobody has built a KyGODDAG around
+    (the ingest, DESIGN.md §15) as one ``.mhxb`` file: byte for byte
+    what :func:`save_engine` writes for the engine built from them —
+    both go through :func:`_container`.  The file's name table is
+    interned there, hierarchy by hierarchy in order of first use, so it
+    does not depend on which tables the components happen to carry; a
+    component whose ids already agree is written as it is.
     """
-    header, arrays = _container(root=root, version=version, text=text,
-                                components=components,
-                                partition=partition, dtds=dtds)
+    header, arrays = _container(
+        root=root, version=len(components), text=text,
+        components=components,
+        partition=partition_arrays(text, components), dtds=None)
     return _pack(path, header, arrays, durability=durability)
 
 
@@ -170,6 +169,8 @@ def _container(*, root: str, version: int, text: str,
                dtds: dict | None) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and the array blocks of a container, for
     :func:`_pack` (which adds the statistics and the directory)."""
+    if not components:
+        raise ReproError("cannot save an empty document to .mhxb")
     if len(text) >= (1 << 31):
         raise ReproError(
             "base text exceeds 2^31 characters; the packed span-index "
@@ -284,8 +285,8 @@ def _pack(path: str | Path, header: dict, arrays: dict[str, np.ndarray],
     if "hierarchies" in header and "plan_stats" not in header:
         # Plan statistics travel in the header (DESIGN.md §16) so a
         # cold-loaded engine costs plans without re-scanning.  Computed
-        # here — the single serializer — from the packed arrays, so the
-        # DOM and streaming save paths stay byte-identical; readers
+        # here — the single serializer — from the packed arrays, so an
+        # engine's file and the ingest's stay byte-identical; readers
         # treat an absent block as "recollect on first use".
         from repro.core.goddag.stats import plan_stats_payload
         header["plan_stats"] = plan_stats_payload(header, arrays)

@@ -27,6 +27,7 @@ the next query gets a fresh pool.
 
 from __future__ import annotations
 
+import gc
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -173,6 +174,10 @@ class ShardWorkerPool:
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            # A fork puts the parent's whole resident set on every
+            # worker's account: collect what dropped engines left
+            # behind (node and DOM cycles) before it is multiplied.
+            gc.collect()
             self._executor = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 mp_context=get_context("fork"))

@@ -19,17 +19,30 @@ Every shard carries :class:`ShardStats` — word/char counts, the text
 span, and per-element-name cardinalities — which the corpus manifest
 persists for shard pruning: a query whose path spine requires name
 ``w`` never dispatches to a shard whose ``cards["w"]`` is zero.
+
+The store cuts *columns* (:func:`save_shards`: the hierarchy components
+of a document, wherever they came from, sliced by row arithmetic and
+written one ``.mhxb`` file per shard — no DOM, no engine).
+:func:`shard_document`, the slicer over DOMs, states the same cut on
+the other representation: it is what the column slicer is tested
+against, file for file.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from repro.cmh.document import Hierarchy, MultihierarchicalDocument
+from repro.core.goddag.goddag import (KIND_ELEMENT, KIND_TEXT,
+                                      _HierarchyComponent,
+                                      hierarchy_components)
 from repro.errors import StoreError
 from repro.markup import dom
+from repro.store.mhxb import write_container
 
 
 @dataclass
@@ -166,10 +179,9 @@ def valid_cut_positions(starts: np.ndarray, ends: np.ndarray,
     """Interior positions no span in the sorted columns strictly
     contains.
 
-    The column-level core of :func:`valid_cuts`, shared with the
-    streaming builder (``repro.markup.streaming``), which derives the
-    same sorted element start/end columns from its node tables without
-    ever holding a DOM.
+    The column-level core of :func:`valid_cuts`, shared with
+    :func:`shard_bounds`, which reads the same sorted element start/end
+    columns off hierarchy components.
     """
     candidates = np.unique(np.concatenate((starts, ends)))
     candidates = candidates[(candidates > 0) & (candidates < total)]
@@ -196,7 +208,7 @@ def balanced_cuts(cuts: np.ndarray, total: int,
                   n_shards: int) -> list[int]:
     """The size-balanced subset of valid ``cuts`` nearest the
     ``i·total/n`` targets — deduplicated, ascending, possibly shorter
-    than ``n_shards - 1``.  Shared with the streaming builder."""
+    than ``n_shards - 1``.  Shared with :func:`shard_bounds`."""
     if not len(cuts):
         return []
     targets = np.arange(1, n_shards) * (total / n_shards)
@@ -321,6 +333,132 @@ def _cardinalities(document: MultihierarchicalDocument) -> dict[str, int]:
         for node in hierarchy.root.iter_elements():
             cards[node.name] = cards.get(node.name, 0) + 1
     return cards
+
+
+# ---------------------------------------------------------------------------
+# the corpus writer: columns cut into shard files
+# ---------------------------------------------------------------------------
+
+
+def shard_bounds(text: str, components: list[_HierarchyComponent],
+                 n_shards: int) -> list[tuple[int, int]]:
+    """The ``[lo, hi)`` text ranges of an ``n_shards``-way cut: what
+    :func:`choose_cuts` picks, read off the columns."""
+    if not components:
+        raise StoreError("cannot shard a document with no hierarchies")
+    if n_shards < 1:
+        raise StoreError(f"shard count must be >= 1, got {n_shards}")
+    total = len(text)
+    cuts: list[int] = []
+    if n_shards > 1:
+        # non-empty elements only: see :func:`_element_spans`
+        starts, ends = np.sort(np.concatenate(
+            [np.stack((component.starts, component.ends))[
+                :, (component.kinds == KIND_ELEMENT)
+                & (component.ends > component.starts)]
+             for component in components], axis=1))
+        cuts = balanced_cuts(valid_cut_positions(starts, ends, total),
+                             total, n_shards)
+    bounds = [0, *cuts, total]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _slice_component(component: _HierarchyComponent, lo: int, hi: int,
+                     total: int) -> _HierarchyComponent:
+    """``component`` restricted to the text span ``[lo, hi)``: row for
+    row what :func:`_slice_hierarchy` leaves of the DOM.
+
+    A shard keeps the top-level subtrees inside its span — a top-level
+    text node clipped to it, a zero-length node where the half-open
+    span holds its offset (the last shard also owns the text's end) —
+    and renumbers their rows; the name table is carried whole (the
+    file writer interns what a shard uses).
+    """
+    kinds, starts, ends = component.kinds, component.starts, component.ends
+    tops = np.flatnonzero(component.parents < 0)
+    start, end = starts[tops], ends[tops]
+    texts = kinds[tops] == KIND_TEXT
+    points = ~texts & (start == end)
+    spans = ~texts & ~points & (end > lo) & (start < hi)
+    across = spans & ((start < lo) | (end > hi))
+    if across.any():
+        row = tops[across][0]
+        raise StoreError(
+            f"element <{component.names[component.name_ids[row]]}> spans "
+            f"[{starts[row]}, {ends[row]}) across the shard cut at "
+            f"[{lo}, {hi}) — cut selection must only produce "
+            "element-boundary positions")
+    taken = tops[np.where(
+        texts, np.maximum(start, lo) < np.minimum(end, hi),
+        spans | (points & (((lo <= start) & (start < hi))
+                           | ((start == total) & (hi == total)))))]
+    edges = np.zeros(len(kinds) + 1, dtype=np.int64)
+    edges[taken] = 1
+    edges[component.subtree_ends[taken] + 1] -= 1
+    keep = np.cumsum(edges[:-1]) > 0
+    rows = np.flatnonzero(keep)
+    renumber = np.cumsum(keep) - 1
+    parents = component.parents[rows]
+
+    def carried(pairs: list) -> list:
+        return [[int(renumber[row]), value] for row, value in pairs
+                if keep[row]]
+
+    return _HierarchyComponent(
+        component.name, component.rank, False, names=component.names,
+        columns={
+            "kinds": kinds[rows],
+            "name_ids": component.name_ids[rows],
+            "starts": np.clip(starts[rows], lo, hi) - lo,
+            "ends": np.clip(ends[rows], lo, hi) - lo,
+            "parents": np.where(parents < 0, -1, renumber[parents]),
+            "subtree_ends": renumber[component.subtree_ends[rows]]},
+        attrs=carried(component.attrs),
+        comments=carried(component.comments), pis=carried(component.pis),
+        prolog=[], epilog=[], root_attrs=component.root_attrs)
+
+
+def save_shards(document: MultihierarchicalDocument, n_shards: int,
+                path_for: Callable[[int], str | Path], *,
+                durability: str = "off") -> CorpusStats:
+    """Cut ``document``'s columns (those a hierarchy still is, else one
+    walk of its DOM) into up to ``n_shards`` ``.mhxb`` files — the
+    corpus writer behind every way a corpus gets into a store.
+
+    The files and the returned :class:`CorpusStats` are, byte for byte,
+    those of :func:`shard_document` followed by one ``save_engine`` per
+    part.
+    """
+    text = document.text
+    total = len(text)
+    components = list(hierarchy_components(document))
+    bounds = shard_bounds(text, components, n_shards)
+    root_name = document.root_name
+    shards: list[ShardStats] = []
+    name_hierarchies: dict[str, set[str]] = {}
+    for index, (lo, hi) in enumerate(bounds):
+        parts = [_slice_component(component, lo, hi, total)
+                 for component in components]
+        write_container(path_for(index), root=root_name, text=text[lo:hi],
+                        components=parts, durability=durability)
+        cards: dict[str, int] = {}
+        for part in parts:
+            counts = np.bincount(
+                part.name_ids[part.kinds == KIND_ELEMENT],
+                minlength=len(part.names))
+            for ident in np.flatnonzero(counts).tolist():
+                name = part.names[ident]
+                cards[name] = cards.get(name, 0) + int(counts[ident])
+                name_hierarchies.setdefault(name, set()).add(part.name)
+        shards.append(ShardStats(lo=lo, hi=hi,
+                                 words=len(text[lo:hi].split()),
+                                 cards=cards))
+    return CorpusStats(
+        root_name=root_name,
+        hierarchy_names=document.hierarchy_names,
+        name_hierarchies={name: sorted(names) for name, names
+                          in name_hierarchies.items()},
+        shards=shards)
 
 
 # ---------------------------------------------------------------------------

@@ -148,9 +148,9 @@ class TestRoundTrip:
         with mock.patch.object(parser, "parse",
                                counting("parse", parser.parse)), \
                 mock.patch.object(
-                    goddag_module, "_ComponentBuilder",
+                    goddag_module, "_ComponentWriter",
                     counting("builder",
-                             goddag_module._ComponentBuilder)), \
+                             goddag_module._ComponentWriter)), \
                 mock.patch.object(np, "argsort",
                                   counting("argsort", np.argsort)), \
                 mock.patch.object(mmap, "mmap",

@@ -80,8 +80,9 @@ WORKLOAD_QUERIES = [
     "//node('structural')",
     "count(//leaf())",
     # unpredicated leaf sibling steps under order-insensitive consumers:
-    # a leaf's sibling groups repeat per hierarchy, so the emit="any"
-    # fast path must still deduplicate (regression, ISSUE 2 review)
+    # a leaf's sibling groups repeat per hierarchy, so the unordered
+    # (``ordered=False``) fast path must still deduplicate (regression,
+    # ISSUE 2 review)
     "count((/descendant::leaf())[2]/preceding-sibling::node())",
     "count((/descendant::leaf())[2]/following-sibling::node())",
     "sum((1e16, 1, -1e16))",

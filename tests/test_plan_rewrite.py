@@ -41,6 +41,27 @@ class TestConstantFolding:
         assert isinstance(expr, ast.Literal)
         assert expr.value is True
 
+    def test_comparison_fold_defers_only_query_errors(self, monkeypatch):
+        """A dynamic error stays a run-time error (the comparison is
+        left unfolded); anything else is a defect in the comparison
+        code and surfaces at compile time."""
+        from repro.core.runtime import values
+        from repro.errors import QueryEvaluationError
+
+        def failing(error):
+            def compare(*_args):
+                raise error
+            return compare
+
+        monkeypatch.setattr(values, "general_compare",
+                            failing(QueryEvaluationError("dynamic")))
+        expr, _notes = rewrite_text("2 < 3")
+        assert isinstance(expr, ast.ComparisonExpr)
+        monkeypatch.setattr(values, "value_compare",
+                            failing(TypeError("a defect")))
+        with pytest.raises(TypeError, match="a defect"):
+            rewrite_text("2 lt 3")
+
     def test_if_with_literal_condition_picks_branch(self):
         expr, _notes = rewrite_text("if (0) then 'a' else 'b'")
         assert expr == ast.Literal("b", expr.offset)

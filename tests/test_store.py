@@ -22,7 +22,7 @@ from repro.cli import main
 from repro.errors import GoddagError, ReproError, UpdateError
 from repro.cmh import MultihierarchicalDocument
 from repro.core.goddag import invariants
-from repro.core.goddag.goddag import _ComponentBuilder, _HierarchyComponent
+from repro.core.goddag.goddag import _ComponentWriter, _HierarchyComponent
 from repro.core.goddag.nodes import GElement, GLeaf
 from repro.core.runtime import QueryOptions
 from repro.corpus.boethius import boethius_document
@@ -332,8 +332,8 @@ class TestUntouchedHierarchiesUntouched:
         with wrapping(dom.Element, "__init__", elements, id), \
                 wrapping(_HierarchyComponent, "build_dom", doms,
                          lambda component: component.name), \
-                wrapping(_ComponentBuilder, "build_from_dom", components,
-                         lambda builder: builder.name), \
+                wrapping(_ComponentWriter, "finish", components,
+                         lambda writer: writer.name), \
                 wrapping(dom.Document, "clone", clones, id), \
                 wrapping(MultihierarchicalDocument, "clone", clones, id):
             store.update("doc", statement)
@@ -673,10 +673,10 @@ class TestCommitTimeNet:
         published = stored.snapshot("doc")
         path = stored.root / "doc.mhxb"
         image = path.read_bytes()
-        build = _ComponentBuilder.build_from_dom
+        finish = _ComponentWriter.finish
 
-        def faulty(builder, document):
-            component = build(builder, document)
+        def faulty(writer):
+            component = finish(writer)
             component.subtree_ends[1] += 1  # one row lies
             return component
 
@@ -688,8 +688,7 @@ class TestCommitTimeNet:
             return working
 
         from repro.store import catalog
-        with mock.patch.object(_ComponentBuilder, "build_from_dom",
-                               faulty), \
+        with mock.patch.object(_ComponentWriter, "finish", faulty), \
                 mock.patch.object(catalog, "fork_engine", recording), \
                 pytest.raises(GoddagError, match="invariant violation"):
             stored.update("doc", self.BATCH)
@@ -785,7 +784,7 @@ class TestStoreCli:
         code, _, err = run_cli(capsys, "store", "query", root, "x", "1")
         assert code == 1 and "no document" in err
         code, _, err = run_cli(capsys, "store", "add", root, "x")
-        assert code == 1 and "--mhx FILE, --sample, or --streaming" in err
+        assert code == 1 and "--mhx FILE, --sample, or --text FILE" in err
 
     def test_pack_mhxb_and_query_it(self, capsys, tmp_path,
                                     base_text, encodings):

@@ -76,6 +76,40 @@ class TestCorpusLifecycle:
         with pytest.raises(ReproError, match="already exists"):
             corpus.add_corpus("doc", document, shards=2)
 
+    def test_documents_and_corpora_share_one_namespace(
+            self, corpus, document, tmp_path):
+        """Every way in refuses a name either section holds (quarantine
+        entries are keyed by bare name): the four entry points — and
+        ``add``'s three sources — against a corpus and against a
+        document, with one message."""
+        corpus.add("doc", document)
+        sources = {name: document[name].to_xml()
+                   for name in document.hierarchy_names}
+        exported = tmp_path / "doc.mhxb"
+        engine = corpus.snapshot("doc").engine
+        engine.save_mhxb(exported)
+        manifest = (tmp_path / "catalog" / "store.json").read_bytes()
+        files = sorted(path.name for path
+                       in (tmp_path / "catalog").iterdir())
+        for taken, kind in (("c", "corpus"), ("doc", "document")):
+            for enter in (
+                    lambda: corpus.add(taken, document),
+                    lambda: corpus.add(taken, path=exported),
+                    lambda: corpus.add(taken, engine=engine),
+                    lambda: corpus.add_streaming(taken, document.text,
+                                                 sources),
+                    lambda: corpus.add_corpus(taken, document, shards=2),
+                    lambda: corpus.add_corpus_streaming(
+                        taken, document.text, sources, shards=2)):
+                with pytest.raises(ReproError) as caught:
+                    enter()
+                assert str(caught.value) == \
+                    f"{taken!r} already exists in this store ({kind})"
+        assert (tmp_path / "catalog" / "store.json").read_bytes() == manifest
+        assert sorted(path.name for path
+                      in (tmp_path / "catalog").iterdir()) == files
+        assert corpus.names == ["doc"] and corpus.corpora == ["c"]
+
     def test_invalid_name_rejected(self, store, document):
         with pytest.raises(ReproError, match="invalid corpus name"):
             store.add_corpus("no/slash", document, shards=2)

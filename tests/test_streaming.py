@@ -1,11 +1,15 @@
-"""Differential tests for the streaming (DOM-free) ingest path.
+"""Differential tests for the ingest (DESIGN.md §15).
 
-The contract of ``repro.markup.streaming`` (DESIGN.md §15) is strict:
-on any input, the streamed ``.mhxb`` is **byte-identical** to the DOM
-pipeline's ``save_engine`` output, and on any *bad* input the raised
-exception is the DOM path's exact type and message, with the builder
-left untouched.  Every test here therefore runs both paths and
-compares — bytes on success, ``(type, str)`` on failure.
+XML reaches an engine, a ``.mhxb`` file or a corpus through one row
+writer fed by the tokenizer (``repro.markup.streaming``).  The contract
+is strict: on any input its columns — and, through the shared file
+writer, its bytes — are those of the **reference ingest**
+(``tests/dombuild.py``: ``markup.parser.parse`` → alignment → the seed's
+DOM walker, which shares no row-writing code with the package), and on
+any *bad* input the raised exception is the reference's exact type and
+message, with the builder left untouched.  Every test here therefore
+runs both sides and compares — columns and bytes on success,
+``(type, str)`` on failure.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import json
 import pathlib
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,37 +27,69 @@ from repro.api import Engine
 from repro.cmh import Hierarchy, MultihierarchicalDocument
 from repro.cmh.spans import Span, SpanSet
 from repro.corpus.boethius import BASE_TEXT, ENCODINGS
+from repro.core.goddag.goddag import hierarchy_components
 from repro.corpus.generator import GeneratorConfig, generate_document
 from repro.errors import (AlignmentError, CMHError, MarkupError, ReproError,
                           StoreError)
+from repro.markup import dom
 from repro.markup.parser import parse
-from repro.markup.streaming import (StreamingBuilder, _fast_events,
-                                    _FastPathMiss, stream_save)
+from repro.markup.serializer import serialize
+from repro.markup.streaming import (StreamingBuilder, _FastPathMiss, _scan,
+                                    stream_save)
 from repro.store import DocumentStore
-from repro.store.mhxb import save_engine
-from repro.store.sharding import shard_document
+from repro.store.sharding import save_shards, shard_bounds, shard_document
 
+from tests.dombuild import (assert_same_columns, dom_document,
+                            reference_save, span_document)
 from tests.strategies import multihierarchical_documents
 
 
-def dom_bytes(tmp_path, text: str, sources: dict[str, str]) -> bytes:
-    """The DOM pipeline's ``.mhxb`` bytes for the same input."""
-    path = tmp_path / "dom.mhxb"
-    document = MultihierarchicalDocument.from_xml(text, sources)
-    save_engine(Engine(document), path)
-    return path.read_bytes()
+class _Sink:
+    """Takes what the tokenizer pushes and drops it."""
+
+    def add(self, *pushed) -> None:
+        pass
+
+    close = root = aside = add
 
 
-def stream_bytes(tmp_path, text: str, sources: dict[str, str],
-                 layers: dict | None = None) -> bytes:
-    path = tmp_path / "stream.mhxb"
-    stream_save(text, sources, path, layers=layers)
-    return path.read_bytes()
+def fast_scan(source: str) -> None:
+    """Run the optimistic tokenizer alone (it raises on a miss)."""
+    _scan(source, _Sink())
+
+
+def columns_of(holder) -> list:
+    """The hierarchies of a document (or of a builder's), as columns."""
+    return list(hierarchy_components(getattr(holder, "document", holder)))
+
+
+def columns_held(document, name: str):
+    """The columns ``document``'s hierarchy ``name`` still is, if any."""
+    return document[name].columns_at(document.hierarchy_names.index(name))
 
 
 def assert_identical(tmp_path, text: str, sources: dict[str, str]) -> None:
-    assert stream_bytes(tmp_path, text, sources) == \
-        dom_bytes(tmp_path, text, sources)
+    """Every door XML comes in by agrees with the reference ingest."""
+    reference = tmp_path / "reference.mhxb"
+    expected = reference_save(dom_document(text, sources), reference)
+    # the tokenizer → file door
+    builder = StreamingBuilder(text)
+    for name, source in sources.items():
+        builder.add_hierarchy(name, source)
+    assert_same_columns(columns_of(builder), expected)
+    builder.save(tmp_path / "stream.mhxb")
+    assert (tmp_path / "stream.mhxb").read_bytes() == reference.read_bytes()
+    # the tokenizer → document → engine door
+    engine = Engine.from_xml(text, sources)
+    assert_same_columns(list(engine.goddag.components().values()), expected)
+    engine.save_mhxb(tmp_path / "engine.mhxb")
+    assert (tmp_path / "engine.mhxb").read_bytes() == reference.read_bytes()
+    # and, with no writer on either side: the DOM read off the columns
+    # is the parser's
+    root_name = builder.document.root_name
+    for component, source in zip(columns_of(builder), sources.values()):
+        assert serialize(component.build_dom(text, root_name)) \
+            == serialize(parse(source))
 
 
 class TestByteIdentity:
@@ -71,8 +108,7 @@ class TestByteIdentity:
         path = tmp_path / "s.mhxb"
         stream_save(BASE_TEXT, dict(ENCODINGS), path)
         engine = Engine.from_mhxb(path)
-        reference = Engine(MultihierarchicalDocument.from_xml(
-            BASE_TEXT, dict(ENCODINGS)))
+        reference = Engine(dom_document(BASE_TEXT, dict(ENCODINGS)))
         assert engine.query("count(/descendant::w)").items == \
             reference.query("count(/descendant::w)").items
         assert engine.goddag.hierarchy_names == \
@@ -104,7 +140,7 @@ class TestByteIdentity:
     def test_entities_fast_path(self, tmp_path):
         text = "a<b>&'\"éA"
         source = "<d>a&lt;b&gt;&amp;&apos;&quot;&#xe9;&#65;</d>"
-        list(_fast_events(source))  # stays on the fast path
+        fast_scan(source)  # stays on the fast path
         assert_identical(tmp_path, text, {"h": source})
 
     def test_doctype_falls_back(self, tmp_path):
@@ -112,28 +148,28 @@ class TestByteIdentity:
         source = ('<!DOCTYPE d [<!ENTITY e "yy">]>'
                   "<d>xx-&e;</d>")
         with pytest.raises(_FastPathMiss):
-            list(_fast_events(source))
+            fast_scan(source)
         assert_identical(tmp_path, text, {"h": source})
 
     def test_cdata_falls_back(self, tmp_path):
         text = "a<b>c"
         source = "<d>a<![CDATA[<b>]]>c<![CDATA[]]></d>"
         with pytest.raises(_FastPathMiss):
-            list(_fast_events(source))
+            fast_scan(source)
         assert_identical(tmp_path, text, {"h": source})
 
     def test_carriage_returns_fall_back(self, tmp_path):
         text = "a\nb\nc"
         source = "<d>a\r\nb\rc</d>"
         with pytest.raises(_FastPathMiss):
-            list(_fast_events(source))
+            fast_scan(source)
         assert_identical(tmp_path, text, {"h": source})
 
     def test_non_ascii_names_fall_back(self, tmp_path):
         text = "ab"
         source = "<d><émph>ab</émph></d>"
         with pytest.raises(_FastPathMiss):
-            list(_fast_events(source))
+            fast_scan(source)
         assert_identical(tmp_path, text, {"h": source})
 
     def test_multihierarchy_interning_order(self, tmp_path):
@@ -161,11 +197,7 @@ class TestByteIdentity:
         sources = {name: document[name].to_xml()
                    for name in document.hierarchy_names}
         with tempfile.TemporaryDirectory() as tmp:
-            dom_path = pathlib.Path(tmp) / "hd.mhxb"
-            st_path = pathlib.Path(tmp) / "hs.mhxb"
-            save_engine(Engine(document.clone()), dom_path)
-            stream_save(document.text, sources, st_path)
-            assert dom_path.read_bytes() == st_path.read_bytes()
+            assert_identical(pathlib.Path(tmp), document.text, sources)
 
 
 class TestStandoffLayers:
@@ -187,8 +219,7 @@ class TestStandoffLayers:
         return f"<doc><p>{self.PROSE}</p></doc>"
 
     def dom_with_layers(self, layers: dict) -> MultihierarchicalDocument:
-        document = MultihierarchicalDocument.from_xml(
-            self.PROSE, {"base": self.base_source()})
+        document = dom_document(self.PROSE, {"base": self.base_source()})
         for name, spans in layers.items():
             span_set = SpanSet(self.PROSE, [
                 Span(s, e, n, tuple(a.items()) if len(row) > 3 else ())
@@ -196,27 +227,43 @@ class TestStandoffLayers:
                 for (s, e, n, *rest) in [row]
                 for a in [rest[0] if rest else {}]])
             document.add_hierarchy(Hierarchy(
-                name, span_set.to_document(document.root_name)))
+                name, span_document(span_set, document.root_name)))
         return document
 
+    def assert_layers_identical(self, tmp_path, layers: dict) -> None:
+        reference = tmp_path / "reference.mhxb"
+        expected = reference_save(self.dom_with_layers(layers), reference)
+        builder = StreamingBuilder(self.PROSE)
+        builder.add_hierarchy("base", self.base_source())
+        for name, spans in layers.items():
+            builder.add_layer(name, spans)
+        assert_same_columns(columns_of(builder), expected)
+        builder.save(tmp_path / "stream.mhxb")
+        assert (tmp_path / "stream.mhxb").read_bytes() == \
+            reference.read_bytes()
+
     def test_token_sentence_layers_byte_identical(self, tmp_path):
-        layers = {"tokens": self.tokens(), "sentences": self.sentences()}
-        dom_path = tmp_path / "ld.mhxb"
-        st_path = tmp_path / "ls.mhxb"
-        save_engine(Engine(self.dom_with_layers(layers)), dom_path)
-        stream_save(self.PROSE, {"base": self.base_source()}, st_path,
-                    layers=layers)
-        assert dom_path.read_bytes() == st_path.read_bytes()
+        self.assert_layers_identical(
+            tmp_path, {"tokens": self.tokens(),
+                       "sentences": self.sentences()})
 
     def test_nested_and_zero_length_spans(self, tmp_path):
-        layers = {"mix": [(0, 20, "outer"), (2, 9, "inner"),
-                          (5, 5, "pt"), (20, 20, "pt")]}
-        dom_path = tmp_path / "zd.mhxb"
-        st_path = tmp_path / "zs.mhxb"
-        save_engine(Engine(self.dom_with_layers(layers)), dom_path)
-        stream_save(self.PROSE, {"base": self.base_source()}, st_path,
-                    layers=layers)
-        assert dom_path.read_bytes() == st_path.read_bytes()
+        self.assert_layers_identical(
+            tmp_path, {"mix": [(0, 20, "outer"), (2, 9, "inner"),
+                               (5, 5, "pt"), (20, 20, "pt")]})
+
+    def test_spanset_document_is_the_reference_walk(self):
+        """``SpanSet.to_document`` reads its DOM off the writer's rows:
+        it has to be the DOM the seed built node by node."""
+        for spans in (self.tokens(), self.sentences(),
+                      [(0, 20, "outer"), (2, 9, "inner"), (5, 5, "pt"),
+                       (20, 20, "pt"), (0, 0, "pt")]):
+            span_set = SpanSet(self.PROSE, [
+                Span(row[0], row[1], row[2],
+                     tuple(row[3].items()) if len(row) > 3 else ())
+                for row in spans])
+            assert serialize(span_set.to_document("doc")) == \
+                serialize(span_document(span_set, "doc"))
 
     def test_layer_queries(self, tmp_path):
         path = tmp_path / "q.mhxb"
@@ -318,7 +365,7 @@ class TestMalformedTaxonomy:
         text = "abcdef"
         source = "<d>abcXef</d>"
         with pytest.raises(AlignmentError) as oracle:
-            MultihierarchicalDocument.from_xml(text, {"h": source})
+            dom_document(text, {"h": source})
         builder = StreamingBuilder(text)
         with pytest.raises(AlignmentError) as caught:
             builder.add_hierarchy("h", source)
@@ -331,7 +378,7 @@ class TestMalformedTaxonomy:
         text = "abcdef"
         source = "<d>abc</d>"
         with pytest.raises(AlignmentError) as oracle:
-            MultihierarchicalDocument.from_xml(text, {"h": source})
+            dom_document(text, {"h": source})
         builder = StreamingBuilder(text)
         with pytest.raises(AlignmentError) as caught:
             builder.add_hierarchy("h", source)
@@ -341,7 +388,7 @@ class TestMalformedTaxonomy:
         text = "ab"
         sources = {"one": "<d>ab</d>", "two": "<other>ab</other>"}
         with pytest.raises(CMHError) as oracle:
-            MultihierarchicalDocument.from_xml(text, sources)
+            dom_document(text, sources)
         builder = StreamingBuilder(text)
         builder.add_hierarchy("one", sources["one"])
         with pytest.raises(CMHError) as caught:
@@ -362,7 +409,7 @@ class TestMalformedTaxonomy:
         text = "abcdef"
         source = "<d>XXX<!--bad--comment--></d>"
         with pytest.raises(MarkupError) as oracle:
-            MultihierarchicalDocument.from_xml(text, {"h": source})
+            dom_document(text, {"h": source})
         builder = StreamingBuilder(text)
         with pytest.raises(MarkupError) as caught:
             builder.add_hierarchy("h", source)
@@ -396,27 +443,65 @@ class TestStreamingShards:
         document = generate_document(GeneratorConfig(n_words=1600, seed=0))
         sources = {name: document[name].to_xml()
                    for name in document.hierarchy_names}
-        parts, dom_stats = shard_document(document, n_shards)
+        stats = self.assert_slices_agree(tmp_path, document.text, sources,
+                                         n_shards)
+        assert len(stats.shards) == n_shards
+
+    @staticmethod
+    def assert_slices_agree(tmp: pathlib.Path, text: str,
+                            sources: dict[str, str], n_shards: int):
+        """Column slicer == DOM slicer + reference walker: statistics
+        and every shard file."""
+        parts, dom_stats = shard_document(dom_document(text, sources),
+                                          n_shards)
         for index, part in enumerate(parts):
-            save_engine(Engine(part), tmp_path / f"dom{index:04d}.mhxb")
-        builder = StreamingBuilder(document.text)
+            reference_save(part, tmp / f"dom{index:04d}.mhxb")
+        builder = StreamingBuilder(text)
         for name, source in sources.items():
             builder.add_hierarchy(name, source)
-        stream_stats = builder.save_shards(
-            n_shards, lambda index: tmp_path / f"st{index:04d}.mhxb")
-        assert dom_stats.to_json() == stream_stats.to_json()
+        stats = save_shards(
+            builder.document, n_shards,
+            lambda index: tmp / f"st{index:04d}.mhxb")
+        assert dom_stats.to_json() == stats.to_json()
         for index in range(len(parts)):
-            assert (tmp_path / f"dom{index:04d}.mhxb").read_bytes() == \
-                (tmp_path / f"st{index:04d}.mhxb").read_bytes()
+            assert (tmp / f"dom{index:04d}.mhxb").read_bytes() == \
+                (tmp / f"st{index:04d}.mhxb").read_bytes()
+        return stats
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_hypothesis_documents_slice_alike(self, data):
+        """Zero-length elements on a cut, at offset 0 and at the text's
+        end, nested equal extents, hierarchies that offer no cut."""
+        document = data.draw(multihierarchical_documents(min_text=2))
+        n_shards = data.draw(st.integers(min_value=1, max_value=5))
+        sources = {name: document[name].to_xml()
+                   for name in document.hierarchy_names}
+        with tempfile.TemporaryDirectory() as tmp:
+            self.assert_slices_agree(pathlib.Path(tmp), document.text,
+                                     sources, n_shards)
+
+    def test_top_level_points_go_with_the_shard_holding_them(
+            self, tmp_path):
+        """Comments, PIs and empty elements directly under the root:
+        at the text's start, on the cut, at the text's end."""
+        text = "aabbcc"
+        sources = {
+            "one": "<r><!--s--><a>aa</a><?p on-cut?><e/><a>bb</a>"
+                   "<!--mid-b--><a>cc</a><e/><!--end--></r>",
+            "two": "<r><e k='v'/>aa<b>bb</b>c<!--in-text-->c</r>"}
+        stats = self.assert_slices_agree(tmp_path, text, sources, 3)
+        assert [(shard.lo, shard.hi) for shard in stats.shards] == \
+            [(0, 2), (2, 4), (4, 6)]
 
     def test_shard_count_validation(self):
         builder = StreamingBuilder("ab")
         builder.add_hierarchy("h", "<d>ab</d>")
         with pytest.raises(StoreError, match="shard count must be >= 1"):
-            builder.shard_bounds(0)
+            shard_bounds("ab", columns_of(builder), 0)
         empty = StreamingBuilder("ab")
         with pytest.raises(StoreError, match="no hierarchies"):
-            empty.shard_bounds(2)
+            shard_bounds("ab", columns_of(empty), 2)
 
 
 class TestStoreIntegration:
@@ -565,22 +650,50 @@ class TestCLI:
         assert self.run_cli(capsys, "store", "init", store_dir)[0] == 0
         code, out, _err = self.run_cli(
             capsys, "store", "add", store_dir, "doc", *specs,
-            "--streaming", "--text", str(tmp_path / "base.txt"),
+            "--text", str(tmp_path / "base.txt"),
             "--durability", "off")
         assert code == 0 and "added 'doc'" in out
         code, out, _err = self.run_cli(
             capsys, "store", "query", store_dir, "doc", "count(//w)")
         assert code == 0 and out.strip() == "200"
 
-    def test_store_add_streaming_requires_text(self, tmp_path, capsys,
-                                               inputs):
+    def test_store_add_encodings_require_text(self, tmp_path, capsys,
+                                              inputs):
         _document, specs = inputs
         store_dir = str(tmp_path / "cat")
         self.run_cli(capsys, "store", "init", store_dir)
         code, _out, err = self.run_cli(
-            capsys, "store", "add", store_dir, "doc", *specs,
-            "--streaming")
-        assert code == 1 and "--streaming needs --text" in err
+            capsys, "store", "add", store_dir, "doc", *specs)
+        assert code == 1 and "need --text FILE" in err
+        code, _out, err = self.run_cli(
+            capsys, "store", "add", store_dir, "doc",
+            "--text", str(tmp_path / "base.txt"))
+        assert code == 1 and "at least one NAME=FILE" in err
+        code, _out, err = self.run_cli(
+            capsys, "store", "add", store_dir, "doc")
+        assert code == 1 and "provide --mhx FILE, --sample, or --text" in err
+
+    def test_two_documents_in_one_invocation_are_refused(
+            self, tmp_path, capsys, inputs):
+        """``--text`` + encodings say which source it is — so a second
+        one beside them is an error, not silently dropped."""
+        _document, specs = inputs
+        store_dir = str(tmp_path / "cat")
+        self.run_cli(capsys, "store", "init", store_dir)
+        encoded = [*specs, "--text", str(tmp_path / "base.txt")]
+        for command, name, other in [
+                ("add", "doc", ["--sample"]),
+                ("add", "doc", ["--mhx", str(tmp_path / "none.mhx")]),
+                ("shard", "corp", ["--sample"]),
+                ("shard", "corp", ["--mhx", str(tmp_path / "none.mhx")]),
+                ("shard", "corp", ["--generate", "400"])]:
+            code, _out, err = self.run_cli(
+                capsys, "store", command, store_dir, name, *encoded,
+                *other)
+            assert code == 1, (command, other)
+            assert f"{other[0]} another; give one" in err
+        code, out, _err = self.run_cli(capsys, "store", "get", store_dir)
+        assert code == 0 and out == ""  # nothing was registered
 
     def test_store_shard_streaming(self, tmp_path, capsys, inputs):
         _document, specs = inputs
@@ -588,7 +701,7 @@ class TestCLI:
         self.run_cli(capsys, "store", "init", store_dir)
         code, out, _err = self.run_cli(
             capsys, "store", "shard", store_dir, "corp", *specs,
-            "--streaming", "--text", str(tmp_path / "base.txt"),
+            "--text", str(tmp_path / "base.txt"),
             "--shards", "2", "--durability", "off")
         assert code == 0 and "sharded 'corp'" in out
         code, out, _err = self.run_cli(
@@ -596,11 +709,312 @@ class TestCLI:
             'count(collection("corp")//w)')
         assert code == 0 and out.strip() == "200"
 
-    def test_store_shard_streaming_generate(self, tmp_path, capsys):
+    def test_store_shard_generate(self, tmp_path, capsys):
         store_dir = str(tmp_path / "cat")
         self.run_cli(capsys, "store", "init", store_dir)
         code, out, _err = self.run_cli(
             capsys, "store", "shard", store_dir, "corp",
-            "--streaming", "--generate", "400", "--shards", "2",
+            "--generate", "400", "--shards", "2",
             "--durability", "off")
         assert code == 0 and "sharded 'corp'" in out
+        code, out, _err = self.run_cli(
+            capsys, "store", "cquery", store_dir,
+            'count(collection("corp")//w)')
+        assert code == 0 and out.strip() == "400"
+
+
+def counting(calls: list, function):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+    return wrapper
+
+
+class TestNoDomOnTheWayIn:
+    """The deterministic stand-in for the old streaming-vs-DOM ratio
+    gate: what the ingest builds, counted (the ``TestPerNodeHoleClosed``
+    pattern).  XML reaches an engine, a file and a corpus as columns."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        document = generate_document(GeneratorConfig(n_words=400, seed=1))
+        return document.text, {name: document[name].to_xml()
+                               for name in document.hierarchy_names}
+
+    def test_from_xml_query_save_parse_nothing(self, corpus, tmp_path):
+        import repro.markup.parser as parser
+        import repro.markup.streaming as streaming
+
+        text, sources = corpus
+        parses: list = []
+        parse_ = counting(parses, parser.parse)
+        with mock.patch.object(parser, "parse", parse_), \
+                mock.patch.object(streaming, "parse", parse_):
+            engine = Engine.from_xml(text, sources)
+            assert engine.query("count(/descendant::w)").items == [400]
+            engine.save_mhxb(tmp_path / "doc.mhxb")
+            parse_("<control/>")  # the wrapper does see a call
+        assert len(parses) == 1
+        assert [hierarchy.materialized for hierarchy
+                in engine.document.hierarchies.values()] == [False] * 4
+        # the control: input the tokenizer does not take on is parsed
+        with mock.patch.object(streaming, "parse", parse_):
+            MultihierarchicalDocument.from_xml("a\nb", {"h": "<d>a\rb</d>"})
+        assert len(parses) == 2
+
+    def test_analyze_string_builds_no_dom(self, corpus):
+        text, sources = corpus
+        engine = Engine.from_xml(text, sources)
+        built: list = []
+        elements: list = []
+        with mock.patch.object(
+                SpanSet, "to_document",
+                counting(built, SpanSet.to_document)), \
+                mock.patch.object(
+                    dom.Element, "__init__",
+                    counting(elements, dom.Element.__init__)):
+            result = engine.query(
+                'count(analyze-string(/, "a")/descendant::m)')
+            SpanSet("ab").to_document("r")  # the control
+        assert result.items[0] > 100
+        assert len(built) == 1 and len(elements) == 1
+
+    def test_add_corpus_builds_no_engine(self, corpus, tmp_path):
+        text, sources = corpus
+        document = MultihierarchicalDocument.from_xml(text, sources)
+        store = DocumentStore.init(tmp_path / "s")
+        engines: list = []
+        with mock.patch.object(Engine, "__init__",
+                               counting(engines, Engine.__init__)), \
+                mock.patch.object(
+                    Engine, "from_parts",
+                    counting(engines, Engine.from_parts)):
+            stats = store.add_corpus("c", document, shards=3)
+            assert not engines
+            Engine(document)  # the control
+        assert len(engines) == 1
+        assert len(stats.shards) == 3
+        assert not any(hierarchy.materialized
+                       for hierarchy in document.hierarchies.values())
+        assert store.cquery('count(collection("c")//w)').items == ["400"]
+        store.close()
+
+
+class TestStateRules:
+    """What a hierarchy *is* between XML and KyGODDAG (DESIGN.md §15)."""
+
+    @staticmethod
+    def image(engine, path) -> bytes:
+        engine.save_mhxb(path)
+        return path.read_bytes()
+
+    def test_columns_until_the_dom_is_handed_out(self, tmp_path):
+        """(a) An update through ``engine.document`` — a rename, which
+        an engine-derived hierarchy takes without a DOM, a wrap, a text
+        edit, a hand edit of the DOM — reaches the next engine built
+        from the same document."""
+        document = MultihierarchicalDocument.from_xml(BASE_TEXT,
+                                                      dict(ENCODINGS))
+        engine = Engine(document)
+        assert engine.document is document
+        assert all(columns_held(document, name) is not None and
+                   not document[name].materialized
+                   for name in document.hierarchy_names)
+        engine.update('rename node (/descendant::w)[1] as "word"')
+        structural = document["structural"]
+        assert structural.materialized
+        assert [name for name in document.hierarchy_names
+                if columns_held(document, name) is None] == ["structural"]
+        assert Engine(document).query("count(//word)").items == [1]
+        engine.update('add markup mark to "damage" covering '
+                      '(/descendant::w)[2]')
+        next(document["structural"].root.iter_elements("word")).name = "w"
+        rebuilt = Engine(document)
+        assert rebuilt.query("count(//word)").items == [0]
+        assert rebuilt.query("count(//mark)").items == [1]
+        engine.update("insert node <w>eac</w> after (/descendant::w)[2]")
+        assert all(columns_held(document, name) is None
+                   for name in document.hierarchy_names)
+        assert Engine(document).query("count(//w)").items == [7]
+        # the oracle of it all: the DOM ingest of what the document says
+        assert self.image(Engine(document), tmp_path / "a.mhxb") == \
+            self.image(Engine(dom_document(
+                document.text, {name: document[name].to_xml()
+                                for name in document.hierarchy_names})),
+                tmp_path / "b.mhxb")
+
+    def test_a_documents_columns_are_shared_and_never_written(
+            self, tmp_path):
+        """(b) Two engines from one ``from_xml`` document read the same
+        column arrays and own their nodes; a rename on one — in place,
+        on its own ``name_ids`` — leaves the other, the file it saves
+        and the document's columns as they were."""
+        import numpy as np
+
+        document = MultihierarchicalDocument.from_xml(BASE_TEXT,
+                                                      dict(ENCODINGS))
+        one, two = Engine(document), Engine(document)
+        for name in document.hierarchy_names:
+            columns = columns_held(document, name)
+            assert not columns.nodes  # nodes belong to the engines
+            for engine in (one, two):
+                held = engine.goddag.components()[name]
+                assert held is not columns
+                assert np.shares_memory(held.starts, columns.starts)
+                assert not np.shares_memory(held.name_ids,
+                                            columns.name_ids)
+        before = self.image(two, tmp_path / "before.mhxb")
+        held = one.goddag.components()
+        columns = columns_held(document, "structural")
+        ids, names = columns.name_ids.copy(), list(columns.names)
+        one.update('rename node (/descendant::w)[1] as "word"')
+        assert one.goddag.components() == held  # renamed in place
+        assert one.query("count(//word)").items == [1]
+        assert two.query("count(//word)").items == [0]
+        assert (columns.name_ids == ids).all() and columns.names == names
+        assert self.image(two, tmp_path / "after.mhxb") == before
+        two.goddag.check_invariants()
+        one.goddag.check_invariants()
+        # a clone is one more holder of the same columns
+        clone = document.clone()
+        assert columns_held(clone, "physical") is \
+            columns_held(document, "physical")
+        assert columns_held(clone, "structural") is None  # the renamed DOM
+
+    def test_fast_path_miss_keeps_the_parsed_dom(self):
+        """(c) ``doctype_name``/``dtd`` live only in the parser's DOM:
+        it stays the hierarchy's, next to column-backed neighbours."""
+        source = ('<!DOCTYPE d [<!ELEMENT d (#PCDATA|x)*>'
+                  '<!ELEMENT x (#PCDATA)><!ENTITY e "yy">]>'
+                  "<d>xx-&e;</d>")
+        document = MultihierarchicalDocument.from_xml(
+            "xx-yy", {"plain": "<d><x>xx</x>-yy</d>", "typed": source})
+        plain, typed = document["plain"], document["typed"]
+        assert columns_held(document, "plain") is not None
+        assert not plain.materialized
+        assert columns_held(document, "typed") is None and typed.materialized
+        assert typed.document.doctype_name == "d"
+        assert typed.document.dtd is not None
+        assert not plain.materialized  # told the root without a DOM
+        engine = Engine(document)
+        assert engine.query("count(//x)").items == [1]
+        assert engine.query("string(/)").items == ["xx-yy"]
+        from repro.cmh import ConcurrentMarkupHierarchy
+        from repro.errors import ValidationError
+
+        dtds = {"plain": "<!ELEMENT d (#PCDATA|x)*><!ELEMENT x (#PCDATA)>",
+                "typed": "<!ELEMENT d (#PCDATA)>"}
+        document.attach_cmh(
+            ConcurrentMarkupHierarchy.from_sources("d", dtds))
+        # validated, and nothing written: still its columns
+        assert columns_held(document, "plain") is not None
+        dtds["plain"] = "<!ELEMENT d (#PCDATA)>"
+        with pytest.raises(ValidationError, match="hierarchy 'plain'"):
+            document.attach_cmh(
+                ConcurrentMarkupHierarchy.from_sources("d", dtds))
+
+    def test_validation_defaults_reach_the_engine(self, tmp_path):
+        """(c) ``attach_cmh`` writes the attribute defaults a DTD
+        declares into the DOM: that hierarchy stops being its columns,
+        so the engine, the file and ``to_xml`` all have them — as the
+        reference ingest does, which validates the DOMs it walks."""
+        from repro.api import load_mhx
+        from repro.cmh import ConcurrentMarkupHierarchy
+        from tests.dombuild import reference_components
+
+        text = "xx-yy"
+        sources = {"marked": "<d><x>xx</x>-<x k='set'>yy</x></d>",
+                   "plain": "<d>xx-<y>yy</y></d>"}
+        dtds = {"marked": '<!ELEMENT d (#PCDATA|x)*><!ELEMENT x (#PCDATA)>'
+                          '<!ATTLIST x k CDATA "dflt" f CDATA #FIXED "1">',
+                "plain": '<!ELEMENT d (#PCDATA|y)*><!ELEMENT y (#PCDATA)>'
+                         '<!ATTLIST y k CDATA #IMPLIED>'}
+        (tmp_path / "d.mhx").write_text(json.dumps(
+            {"format": "mhx-1", "text": text, "hierarchies": sources,
+             "dtds": dtds}), encoding="utf-8")
+        document = load_mhx(tmp_path / "d.mhx")
+        assert columns_held(document, "marked") is None  # written: a DOM
+        assert columns_held(document, "plain") is not None  # only read
+        engine = Engine(document)
+        assert engine.query("/descendant::x/string(@k)").items == \
+            ["dflt", "set"]
+        assert engine.query("count(//x[@f = '1'])").items == [2]
+        assert 'k="dflt"' in document["marked"].to_xml()
+        reference = dom_document(text, sources)
+        reference.attach_cmh(
+            ConcurrentMarkupHierarchy.from_sources("d", dtds))
+        assert_same_columns(list(engine.goddag.components().values()),
+                            reference_components(reference))
+        assert self.image(engine, tmp_path / "a.mhxb") == \
+            self.image(Engine(reference), tmp_path / "b.mhxb")
+        # the store's path door and a clone see the same document
+        store = DocumentStore.init(tmp_path / "s")
+        store.add("d", path=tmp_path / "d.mhx")
+        assert store.query("d", "/descendant::x/string(@k)").items == \
+            ["dflt", "set"]
+        assert Engine(document.clone()).query(
+            "count(//x[@k = 'dflt'])").items == [1]
+        store.close()
+
+    def test_reordered_hierarchies_are_walked_at_their_new_rank(
+            self, tmp_path):
+        document = MultihierarchicalDocument.from_xml(BASE_TEXT,
+                                                      dict(ENCODINGS))
+        document.remove_hierarchy(document.hierarchy_names[0])
+        sources = {name: document[name].to_xml()
+                   for name in document.hierarchy_names}
+        assert self.image(Engine(document), tmp_path / "a.mhxb") == \
+            self.image(Engine(dom_document(BASE_TEXT, sources)),
+                       tmp_path / "b.mhxb")
+
+    DOORS = {
+        "from_xml": lambda text, sources:
+            MultihierarchicalDocument.from_xml(text, sources),
+        "engine": lambda text, sources: Engine.from_xml(text, sources),
+        "builder": lambda text, sources: [
+            builder.add_hierarchy(name, source)
+            for builder in [StreamingBuilder(text)]
+            for name, source in sources.items()],
+    }
+
+    @pytest.mark.parametrize("door", sorted(DOORS))
+    def test_document_doors_keep_their_errors(self, door):
+        """(d) the document's taxonomy, wherever XML comes in."""
+        enter = self.DOORS[door]
+        with pytest.raises(AlignmentError) as caught:
+            enter("abcdef", {"h": "<d>abcXef</d>"})
+        assert type(caught.value) is AlignmentError
+        assert (caught.value.hierarchy, caught.value.offset) == ("h", 3)
+        assert "diverges from the base text at offset 3" in \
+            str(caught.value)
+        with pytest.raises(AlignmentError, match="covers only the first 3"):
+            enter("abcdef", {"h": "<d>abc</d>"})
+        with pytest.raises(CMHError, match="has root 'e' but the "
+                                           "document root is 'd'") as caught:
+            enter("ab", {"one": "<d>ab</d>", "two": "<e>ab</e>"})
+        assert type(caught.value) is CMHError
+        with pytest.raises(MarkupError) as caught:
+            enter("ab", {"h": "<d>a\n<e>b</d>"})
+        assert (caught.value.line, caught.value.column) == (2, 7)
+
+    def test_goddag_doors_keep_their_errors(self, goddag):
+        """(d) a DOM that does not fit is a ``GoddagError``, and the
+        structure it was offered to is as before."""
+        from repro.errors import GoddagError
+
+        held = goddag.components()
+        version = goddag.version
+        short = parse(f"<r>{goddag.text[:-1]}</r>")
+        wrong = parse(f"<r>{goddag.text[:-1]}X</r>")
+        other = parse(f"<other>{goddag.text}</other>")
+        for offered in (short, wrong, other):
+            with pytest.raises(GoddagError) as caught:
+                goddag.add_hierarchy_from_dom("extra", offered)
+            assert type(caught.value) is GoddagError
+            with pytest.raises(GoddagError):
+                goddag.replace_hierarchy("physical", offered)
+        with pytest.raises(GoddagError, match="has root element 'other', "
+                                              "expected 'r'"):
+            goddag.add_hierarchy_from_dom("extra", other)
+        assert goddag.components() == held and goddag.version == version
+        goddag.check_invariants()
