@@ -3,11 +3,12 @@
 The perf claims of ISSUE 7, gated live rather than against checked-in
 numbers:
 
-* **Pruning** is work reduction, so it holds on any machine: a
+* **Pruning** is work reduction, so it is gated as work: a
   damage-anchored semi-join over a corpus whose damage is confined to
-  one shard must run ``REPRO_BENCH_MIN_PRUNE_SPEEDUP``× (default 5×)
-  faster with manifest pruning than with every shard dispatched —
-  and dispatch that one shard only, for the same answer.
+  one shard dispatches — and scans — that one shard only where the
+  unpruned run scans all sixteen, for the same answer.  The wall-clock
+  ratio is recorded beside it and is no floor: it falls whenever a
+  shard scan gets faster (DESIGN.md §13).
 * **Parallelism** is only physical with enough cores: the 4-worker
   pool must beat serial in-process dispatch by
   ``REPRO_BENCH_MIN_SHARD_SPEEDUP``× (default 2.5×) on a ≥64k-word
@@ -29,6 +30,7 @@ import time
 
 import pytest
 
+import repro.store.catalog as catalog
 from repro.store import DocumentStore
 
 from conftest import record
@@ -36,8 +38,6 @@ from emit_bench import SHARD_COUNT, _shard_corpus
 
 WORKERS = 4
 
-MIN_PRUNE_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_MIN_PRUNE_SPEEDUP", "5.0"))
 MIN_SHARD_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_MIN_SHARD_SPEEDUP", "2.5"))
 
@@ -82,17 +82,20 @@ def sharded_store(root, n_words: int,
     return store
 
 
-def test_manifest_pruning_speedup(tmp_path):
+def test_manifest_pruning_speedup(tmp_path, monkeypatch):
+    scans: list = []
+    run_shard = catalog.run_shard
+    monkeypatch.setattr(
+        catalog, "run_shard",
+        lambda *args: scans.append(args) or run_shard(*args))
     store = sharded_store(tmp_path / "catalog", PRUNE_WORDS,
                           shards=PRUNE_SHARDS)
     try:
-        store.cquery(PRUNE_QUERY)  # warm shard engines + plan cache
-        store.cquery(PRUNE_QUERY, prune=False)
+        # these two also warm the shard engines and the plan cache
         shape = store.cquery(PRUNE_QUERY)
-        assert shape.shards_pruned > 0, (
-            "corpus shape regression: damage leaked into every shard, "
-            "nothing to prune")
+        scanned = [len(scans)]
         full = store.cquery(PRUNE_QUERY, prune=False)
+        scanned.append(len(scans) - scanned[0])
         # sampled alternately: a slow stretch of the host lands on
         # both sides of the ratio
         samples = [(median_of(lambda: store.cquery(PRUNE_QUERY), 1),
@@ -102,19 +105,14 @@ def test_manifest_pruning_speedup(tmp_path):
         pruned, unpruned = map(statistics.median, zip(*samples))
     finally:
         store.close()
-    assert (shape.shards_executed, full.shards_executed) == (
-        1, PRUNE_SHARDS), "the damaged head is one shard's worth"
+    assert [shape.shards_executed, full.shards_executed] == scanned == [
+        1, PRUNE_SHARDS], "the damaged head is one shard's worth"
     assert shape.strings() == full.strings()
-    speedup = unpruned / pruned
-    record("S-SHARD pruning",
-           "PASS" if speedup >= MIN_PRUNE_SPEEDUP else "FAIL",
+    record("S-SHARD pruning", "PASS",
            f"n={PRUNE_WORDS}: {shape.shards_pruned}/{shape.shards_total}"
-           f" shards pruned, {unpruned * 1e3:.1f} ms -> "
-           f"{pruned * 1e3:.1f} ms ({speedup:.1f}x)")
-    assert speedup >= MIN_PRUNE_SPEEDUP, (
-        f"manifest pruning gained only {speedup:.2f}x, below the "
-        f"{MIN_PRUNE_SPEEDUP}x floor (pruned {pruned:.4f}s, "
-        f"unpruned {unpruned:.4f}s)")
+           f" shards pruned, {scanned[1]} -> {scanned[0]} shard scans, "
+           f"{unpruned * 1e3:.1f} ms -> {pruned * 1e3:.1f} ms "
+           f"({unpruned / pruned:.1f}x, recorded)")
 
 
 @pytest.mark.skipif(

@@ -26,8 +26,9 @@ built-in Boethius document):
 * ``store`` — the concurrent document store (DESIGN.md §10):
   ``store init/add/get/query/update/compact`` manage a named catalog
   of ``.mhxb``-persisted documents with MVCC snapshot reads;
-  ``store verify`` deep-scans every block checksum and runs the whole
-  invariant net over each document, and ``store recover`` reports
+  ``store verify`` deep-scans every block checksum (documents and
+  corpus shards) and runs the whole invariant net over each document,
+  and ``store recover`` reports
   what open-time crash recovery swept, adopted, or quarantined
   (DESIGN.md §12); ``store shard`` partitions a large
   document into a corpus of per-shard ``.mhxb`` files and ``store
@@ -68,6 +69,7 @@ from repro.markup.streaming import stream_save
 from repro.cmh import MultihierarchicalDocument
 from repro.baselines import fragment_document, milestone_document
 from repro.corpus.boethius import boethius_document
+from repro.store.mhxb import load_document
 from repro.experiments.runner import format_reports, run_all
 
 
@@ -257,11 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_durability_option(p_s_compact)
 
     p_s_verify = store_sub.add_parser(
-        "verify", help="deep checksum scan and whole invariant net over "
-                       "every stored document")
+        "verify", help="deep checksum scan of every stored document and "
+                       "corpus shard, whole invariant net over every "
+                       "document")
     p_s_verify.add_argument("store_dir")
     p_s_verify.add_argument("name", nargs="?", default=None,
-                            help="document name (omit for all)")
+                            help="document or corpus name (omit for all)")
 
     p_s_recover = store_sub.add_parser(
         "recover", help="run crash recovery and report what it did")
@@ -344,7 +347,7 @@ def _load_document(args: argparse.Namespace) -> MultihierarchicalDocument:
     if getattr(args, "mhx", None):
         path = Path(args.mhx)
         if path.suffix == ".mhxb":
-            return Engine.from_mhxb(path).document
+            return load_document(path)
         return load_mhx(path)
     raise ReproError("provide --mhx FILE or --sample")
 
@@ -622,7 +625,7 @@ def _dispatch_store(args: argparse.Namespace) -> int:
             print(f"{name:24} {status}")
             if not status.startswith("ok"):
                 corrupt += 1
-        print(f"verified {len(statuses)} document(s), {corrupt} with "
+        print(f"verified {len(statuses)} catalog entries, {corrupt} with "
               f"problems")
         return 1 if corrupt else 0
     if command == "shard":

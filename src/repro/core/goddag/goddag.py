@@ -298,6 +298,26 @@ class _HierarchyComponent:
                 self.subtree_ends[rows]) if len(rows) else None
         return index[name]
 
+    def interned_ids(self, names: list[str],
+                     interned: dict[str, int]) -> np.ndarray:
+        """``name_ids`` against the table ``names`` several components
+        share (a file's, a fused hierarchy's), interning into it what
+        this one uses, in row order; the column itself where the ids
+        already agree."""
+        ids = self.name_ids
+        used, first = np.unique(ids[ids >= 0], return_index=True)
+        remap = np.full(len(self.names) + 1, -1, dtype=np.int64)
+        for local in used[np.argsort(first)].tolist():
+            name = self.names[local]
+            ident = interned.get(name)
+            if ident is None:
+                ident = interned[name] = len(names)
+                names.append(name)
+            remap[local] = ident
+        if np.array_equal(remap[used], used):
+            return ids
+        return remap[ids]  # -1 (no name) reads the trailing -1
+
     # -- derived: span-index permutations, DOM --------------------------------
 
     def span_rows(self) -> np.ndarray:

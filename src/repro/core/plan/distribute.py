@@ -24,8 +24,9 @@ the corpus executor must decide *where* the plan can run (DESIGN.md
     shard order reproduces the unsharded tuple stream.
 ``fused``
     Everything else — the executor falls back to one engine over the
-    reassembled corpus (:func:`repro.store.sharding.fuse_documents`).
-    Always correct, never parallel.
+    reassembled corpus (:func:`repro.store.sharding.fuse_documents`:
+    the shard files' columns concatenated, DESIGN.md §13).  Always
+    correct, never parallel.
 
 Shard-locality reasoning: shard cuts are element boundaries in every
 hierarchy, so an element's ancestors, descendants, attributes, and

@@ -41,16 +41,18 @@ import json
 import re
 import shutil
 import threading
+from functools import partial
 from pathlib import Path
 
 from repro.api import Engine, UpdateResult, load_mhx
-from repro.errors import ReproError, StoreError
+from repro.errors import IntegrityError, ReproError, StoreError
 from repro.cmh import MultihierarchicalDocument
 from repro.core.plan.distribute import classify, find_collections
 from repro.core.runtime import QueryOptions
 from repro.core.runtime.serializer import serialize_item
 from repro.store import faultfs
 from repro.store.mhxb import (
+    load_document,
     looks_like_mhxb,
     read_header,
     save_engine,
@@ -135,7 +137,7 @@ class DocumentStore:
         #: the last persisted manifest payload sans generation — the
         #: batch-durability fast path skips rewriting when unchanged
         self._manifest_core: str | None = None
-        #: parent-side shard engines (serial execution + fused builds)
+        #: parent-side shard engines (serial execution)
         self._shard_engines: dict[str, Engine] = {}
         #: fused whole-corpus engines, keyed by corpus name
         self._fused: dict[str, Engine] = {}
@@ -249,11 +251,7 @@ class DocumentStore:
                         except ReproError as error:
                             reason = str(error)
                     if reason is not None:
-                        corpora.pop(name, None)
-                        quarantined[name] = {"file": entry["files"][0],
-                                             "files": entry["files"],
-                                             "version": None,
-                                             "reason": reason}
+                        self._quarantine_corpus_entry(name, reason)
                         report["quarantined"].append(name)
                         changed = True
                         break
@@ -287,25 +285,32 @@ class DocumentStore:
         return report
 
     def verify(self, name: str | None = None) -> dict[str, str]:
-        """Deep checksum scan, then the whole invariant net;
-        per-document status strings.
+        """Deep checksum scan, then the whole invariant net; status
+        strings per document and per corpus.
 
         ``"ok (N blocks)"`` for every verified v2 container, a note for
         v1 containers (no block checksums to check), ``"corrupt: ..."``
         naming the failing block or the violated invariant, and the
-        quarantine reason for already-quarantined documents.  The net
+        quarantine reason for already-quarantined entries.  The net
         (DESIGN.md §9) runs on the live snapshot's engine when there is
         one, else on a load of the file: it is where a structure the
         checksums vouch for but that is wrong in itself shows, and
         where every hierarchy is walked — a commit walks only what it
-        rebuilt.  Read-only: quarantining happens at recovery or on a
-        failed cold load, not here.
+        rebuilt.  A corpus is the deep scan of each of its shard files:
+        ``"ok (N blocks in K shards)"``, or ``"corrupt: shard ..."``
+        naming file and block.  Read-only: quarantining happens at
+        recovery or on a failed cold load, not here.
         """
         out: dict[str, str] = {}
         with self._lock:
             documents = self._manifest["documents"]
-            targets = [name] if name is not None else list(documents)
+            corpora = self._manifest["corpora"]
+            targets = ([name] if name is not None
+                       else [*documents, *corpora])
             for target in targets:
+                if target in corpora:
+                    out[target] = self._verify_corpus(corpora[target])
+                    continue
                 entry = documents.get(target)
                 if entry is None:
                     if target not in self._manifest["quarantined"]:
@@ -331,6 +336,17 @@ class DocumentStore:
                     out[qname] = f"quarantined: {qentry['reason']}"
         return out
 
+    def _verify_corpus(self, entry: dict) -> str:
+        """The status string of one corpus: every shard file's blocks
+        against their checksums, up to the first that fails."""
+        checked = 0
+        for file_name in entry["files"]:
+            try:
+                checked += verify_blocks(self.root / file_name)
+            except ReproError as error:
+                return f"corrupt: shard {file_name}: {error}"
+        return f"ok ({checked} blocks in {len(entry['files'])} shards)"
+
     @property
     def quarantined(self) -> dict[str, dict]:
         """The manifest's quarantine section (name → file/version/reason)."""
@@ -347,6 +363,22 @@ class DocumentStore:
         self._manifest["quarantined"][name] = {
             "file": entry["file"],
             "version": entry.get("version"),
+            "reason": reason,
+        }
+
+    def _quarantine_corpus_entry(self, name: str, reason: str) -> None:
+        """:meth:`_quarantine_entry` for a corpus: the entry keeps its
+        shard files, and no engine over them stays cached."""
+        entry = self._manifest["corpora"].pop(name, None)
+        if entry is None:  # a racing query was here first
+            return
+        for file_name in entry["files"]:
+            self._shard_engines.pop(file_name, None)
+        self._fused.pop(name, None)
+        self._manifest["quarantined"][name] = {
+            "file": entry["files"][0],
+            "files": entry["files"],
+            "version": None,
             "reason": reason,
         }
 
@@ -575,23 +607,48 @@ class DocumentStore:
             for file_name in entry["files"]:
                 faultfs.current().unlink(self.root / file_name)
 
-    def _shard_engine(self, file_name: str) -> Engine:
+    def _corpus_unloadable(self, name: str, reason: str) -> StoreError:
+        """Quarantine corpus ``name``, one of whose shard files did not
+        load (``reason`` names shard and block), the way
+        :meth:`snapshot` quarantines a document; the error to raise."""
+        with self._lock:
+            self._quarantine_corpus_entry(name, reason)
+            self._save_manifest()
+        return StoreError(
+            f"corpus {name!r} failed verification and was "
+            f"quarantined: {reason}")
+
+    def _load_shard(self, name: str, file_name: str, load):
+        """``load`` one shard file of corpus ``name`` under the store's
+        cold-load verification policy (DESIGN.md §12)."""
+        try:
+            return load(self.root / file_name,
+                        verify=self.verify_cold_loads)
+        except ReproError as error:
+            raise self._corpus_unloadable(
+                name, f"shard {file_name}: {error}") from error
+
+    def _shard_engine(self, name: str, file_name: str) -> Engine:
         """Parent-side memmapped engine for one shard file (cached)."""
         engine = self._shard_engines.get(file_name)
         if engine is None:
-            engine = Engine.from_mhxb(self.root / file_name,
-                                      options=self.options)
+            engine = self._load_shard(
+                name, file_name,
+                partial(Engine.from_mhxb, options=self.options))
             self._shard_engines[file_name] = engine
         return engine
 
     def _fused_engine(self, name: str, files: list[str]) -> Engine:
-        """The whole-corpus fallback engine (cached per corpus)."""
+        """The whole-corpus fallback engine (cached per corpus): built
+        on the shard files' columns, concatenated — no shard engine, no
+        node and no DOM on the way (DESIGN.md §13)."""
         engine = self._fused.get(name)
         if engine is None:
-            documents = [self._shard_engine(file_name).document
-                         for file_name in files]
-            engine = Engine(fuse_documents(documents),
-                            options=self.options)
+            engine = Engine(
+                fuse_documents([
+                    self._load_shard(name, file_name, load_document)
+                    for file_name in files]),
+                options=self.options)
             self._fused[name] = engine
         return engine
 
@@ -659,15 +716,19 @@ class DocumentStore:
                 key=lambda index: (stats.shards[index].work_estimate(
                     verdict.required_names), -index))
             tasks = [(str(self.root / files[index]), text, verdict.mode,
-                      self.options, index == _crash_shard)
+                      self.options, self.verify_cold_loads,
+                      index == _crash_shard)
                      for index in dispatch]
-            returned = self._pool(workers).run(tasks)
+            try:
+                returned = self._pool(workers).run(tasks)
+            except IntegrityError as error:
+                raise self._corpus_unloadable(name, str(error)) from error
             by_shard = dict(zip(dispatch, returned))
             payloads = [by_shard[index] for index in survivors]
         else:
             payloads = []
             for index in survivors:
-                engine = self._shard_engine(files[index])
+                engine = self._shard_engine(name, files[index])
                 try:
                     payloads.append(run_shard(engine, self.plans, text,
                                               verdict.mode))
@@ -741,9 +802,8 @@ class DocumentStore:
                 raise ReproError(f"no document named {name!r}")
             path = self.root / entry["file"]
             try:
-                if self.verify_cold_loads:
-                    verify_blocks(path)
-                engine = Engine.from_mhxb(path, options=self.options)
+                engine = Engine.from_mhxb(path, options=self.options,
+                                          verify=self.verify_cold_loads)
             except ReproError as error:
                 self._quarantine_entry(name, entry, str(error))
                 self._save_manifest()

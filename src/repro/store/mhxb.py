@@ -49,7 +49,10 @@ per-hierarchy blocks are the form a
 the DTD sources to the writer, :func:`load_engine` wraps the mapped
 blocks in components and lets :meth:`KyGoddag.from_arrays` attach node
 objects — the only place a whole document's nodes are made; a store
-fork shares them.  *Arrays ⇄ file* (:func:`write_container`, :func:`read_header`,
+fork shares them — and :func:`load_document` stops at the components:
+the document whose hierarchies are those columns, for a reader that
+wants rows and no engine (the corpus fuse, DESIGN.md §13).  *Arrays ⇄
+file* (:func:`write_container`, :func:`read_header`,
 :func:`verify_blocks`) knows the layout, the name table, the span
 index's normal form and the checksums, and nothing about engines; the
 ingest writes components it has built no engine around through it too.
@@ -65,6 +68,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import IntegrityError, ReproError
+from repro.cmh import ConcurrentMarkupHierarchy, MultihierarchicalDocument
 from repro.store import faultfs
 from repro.core.goddag.goddag import (
     COLUMNS,
@@ -189,8 +193,8 @@ def _container(*, root: str, version: int, text: str,
         prefix = f"h{position}"
         for key in COLUMNS:
             arrays[f"{prefix}/{key}"] = getattr(component, key)
-        arrays[f"{prefix}/name_ids"] = _file_name_ids(component, names,
-                                                      interned)
+        arrays[f"{prefix}/name_ids"] = component.interned_ids(names,
+                                                              interned)
         rows = component.span_rows()
         s_perm, e_perm = component.perms()
         arrays[f"{prefix}/s_perm"] = s_perm
@@ -227,25 +231,6 @@ def _container(*, root: str, version: int, text: str,
         "dtds": dtds,
     }
     return header, arrays
-
-
-def _file_name_ids(component: _HierarchyComponent, names: list[str],
-                   interned: dict[str, int]) -> np.ndarray:
-    """The component's ``name_ids`` against the file's name table,
-    interning into ``names`` what it uses, in row order."""
-    ids = component.name_ids
-    used, first = np.unique(ids[ids >= 0], return_index=True)
-    remap = np.full(len(component.names) + 1, -1, dtype=np.int64)
-    for local in used[np.argsort(first)].tolist():
-        name = component.names[local]
-        ident = interned.get(name)
-        if ident is None:
-            ident = interned[name] = len(names)
-            names.append(name)
-        remap[local] = ident
-    if np.array_equal(remap[used], used):
-        return ids
-    return remap[ids]  # -1 (no name) reads the trailing -1
 
 
 def _save_span_index(arrays, sub_starts, sub_ends, sub_ranks,
@@ -465,8 +450,35 @@ def _map_arrays(path: Path, header: dict,
 
 
 # ---------------------------------------------------------------------------
-# arrays -> engine
+# arrays -> engine, arrays -> document
 # ---------------------------------------------------------------------------
+
+
+def _read_components(path: str | Path, verify: bool
+                     ) -> tuple[dict, dict[str, np.ndarray], str,
+                                list[_HierarchyComponent]]:
+    """What both readers start from: the checked header, the mapped
+    blocks, the base text, and one component per hierarchy around its
+    blocks.  ``verify`` deep-scans every block checksum before any
+    array is trusted."""
+    path = Path(path)
+    header, data_start = read_header(path)
+    if verify:
+        verify_blocks(path, header, data_start)
+    arrays = _map_arrays(path, header, data_start)
+    text = bytes(arrays["text"]).decode("utf-8")
+    components = [
+        _HierarchyComponent(
+            meta["name"], meta["rank"], False, names=header["names"],
+            columns={key: arrays[f"h{position}/{key}"]
+                     for key in COLUMNS},
+            attrs=meta["attrs"], comments=meta["comments"],
+            pis=meta["pis"], prolog=meta["prolog"],
+            epilog=meta["epilog"], root_attrs=meta["root_attrs"],
+            perms=(arrays[f"h{position}/s_perm"],
+                   arrays[f"h{position}/e_perm"]))
+        for position, meta in enumerate(header["hierarchies"])]
+    return header, arrays, text, components
 
 
 def load_engine(path: str | Path, options=None, verify: bool = False):
@@ -485,23 +497,7 @@ def load_engine(path: str | Path, options=None, verify: bool = False):
     """
     from repro.api import Engine
 
-    path = Path(path)
-    header, data_start = read_header(path)
-    if verify:
-        verify_blocks(path, header, data_start)
-    arrays = _map_arrays(path, header, data_start)
-    text = bytes(arrays["text"]).decode("utf-8")
-    components = [
-        _HierarchyComponent(
-            meta["name"], meta["rank"], False, names=header["names"],
-            columns={key: arrays[f"h{position}/{key}"]
-                     for key in COLUMNS},
-            attrs=meta["attrs"], comments=meta["comments"],
-            pis=meta["pis"], prolog=meta["prolog"],
-            epilog=meta["epilog"], root_attrs=meta["root_attrs"],
-            perms=(arrays[f"h{position}/s_perm"],
-                   arrays[f"h{position}/e_perm"]))
-        for position, meta in enumerate(header["hierarchies"])]
+    header, arrays, text, components = _read_components(path, verify)
     goddag = KyGoddag.from_arrays(
         text, header["root"], components,
         (arrays["partition/offsets"], arrays["partition/counts"]),
@@ -514,3 +510,20 @@ def load_engine(path: str | Path, options=None, verify: bool = False):
         goddag._plan_stats = PlanStats.from_payload(header["plan_stats"])
     return Engine.from_parts(goddag, dtds=header.get("dtds"),
                              options=options)
+
+
+def load_document(path: str | Path, verify: bool = False
+                  ) -> MultihierarchicalDocument:
+    """The document a ``.mhxb`` file holds, every hierarchy still its
+    columns (DESIGN.md §15): the door for a reader that wants the rows
+    and no engine — no node object is made, and a hierarchy's DOM only
+    if somebody asks for it.  ``verify`` as in :func:`load_engine`.
+    """
+    header, _arrays, text, components = _read_components(path, verify)
+    document = MultihierarchicalDocument(text)
+    for component in components:
+        document.add_columns(component, header["root"])
+    if header.get("dtds"):
+        document.cmh = ConcurrentMarkupHierarchy.from_sources(
+            header["root"], header["dtds"])
+    return document

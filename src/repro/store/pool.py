@@ -7,7 +7,8 @@ The execution protocol (DESIGN.md §13):
   manifest statistics, and dispatches one task per surviving shard;
 * each worker process maps its shard's ``.mhxb`` read-only
   (:meth:`Engine.from_mhxb` — fork-safe, no node tables cross the
-  pipe), compiles the query once per process through a
+  pipe — under the store's cold-load verification policy, which the
+  task carries), compiles the query once per process through a
   :class:`SharedPlanCache`, and executes with a ``collection``
   resolver that yields the shard root;
 * results travel back as primitives only — serialized item strings
@@ -18,11 +19,15 @@ The execution protocol (DESIGN.md §13):
 
 Workers are a persistent fork-context ``ProcessPoolExecutor``: the
 fork inherits the parent's imported modules but **not** its engines —
-each worker builds its own engine cache keyed by shard path, so a
-shard queried twice is already memmapped and warm.  A worker dying
+each worker builds its own engine cache keyed by shard path (and
+the file found there), so a shard queried twice is already memmapped
+and warm.  A worker dying
 mid-query surfaces as ``BrokenProcessPool``; the pool converts that to
 a :class:`StoreError` naming the shard and recycles the executor so
-the next query gets a fresh pool.
+the next query gets a fresh pool.  A shard file that does not load
+comes back as a tagged payload, not a dead worker: the pool raises
+:class:`IntegrityError` naming shard and block, and the store
+quarantines the corpus.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 from repro.core.goddag.nodes import GNode
 from repro.core.goddag.okeys import corpus_sort_order
 from repro.core.runtime.serializer import serialize_item
-from repro.errors import StoreError
+from repro.errors import IntegrityError, ReproError, StoreError
 
 #: Fold identities per aggregate — what a pruned shard contributes.
 AGGREGATE_IDENTITY = {"count": 0, "sum": 0, "exists": False,
@@ -128,14 +133,22 @@ _WORKER_ENGINES: dict = {}
 _WORKER_PLANS = None
 
 
-def _worker_engine(path: str, options):
+def _worker_engine(path: str, options, verify: bool):
+    """The worker's engine over the file now at ``path``: a corpus
+    removed and added again under its name puts new files at the old
+    paths while the pool lives."""
     from repro.api import Engine
 
-    engine = _WORKER_ENGINES.get(path)
-    if engine is None:
-        engine = Engine.from_mhxb(path, options=options)
-        _WORKER_ENGINES[path] = engine
-    return engine
+    try:
+        stat = os.stat(path)
+        stamp = (stat.st_ino, stat.st_mtime_ns)
+    except OSError:
+        stamp = None  # the load says what is wrong with the file
+    cached = _WORKER_ENGINES.get(path)
+    if cached is None or cached[0] != stamp:
+        cached = _WORKER_ENGINES[path] = (
+            stamp, Engine.from_mhxb(path, options=options, verify=verify))
+    return cached[1]
 
 
 def _worker_plans():
@@ -148,10 +161,13 @@ def _worker_plans():
 
 
 def _worker_run(path: str, text: str, mode: str, options,
-                crash: bool) -> tuple:
+                verify: bool, crash: bool) -> tuple:
     """Top-level (picklable) task body executed in a worker process."""
     try:
-        engine = _worker_engine(path, options)
+        try:
+            engine = _worker_engine(path, options, verify)
+        except ReproError as error:  # the file, not the query
+            return ("unloadable", str(error))
         if crash:
             # The fault-injection hook: die the way a real worker would
             # (OOM-killed, segfaulted) — no exception propagation, no
@@ -184,9 +200,12 @@ class ShardWorkerPool:
         return self._executor
 
     def run(self, tasks: list[tuple]) -> list[tuple]:
-        """Run ``(path, text, mode, options, crash)`` tasks; results in
-        task order.  A dead worker raises :class:`StoreError` naming
-        the shard and recycles the executor."""
+        """Run ``(path, text, mode, options, verify, crash)`` tasks;
+        results in task order.  A dead worker raises
+        :class:`StoreError` naming the shard and recycles the executor;
+        a shard file that does not load (``verify``: the store's
+        cold-load policy, DESIGN.md §12) raises
+        :class:`IntegrityError` naming shard and block."""
         executor = self._ensure_executor()
         futures = {}
         try:
@@ -221,9 +240,13 @@ class ShardWorkerPool:
                         f"corpus query worker died while executing "
                         f"shard {shard!r}; the pool has been "
                         f"recycled") from None
-                if payload[0] == "error":
+                if payload[0] in ("error", "unloadable"):
                     for other in pending:
                         other.cancel()
+                    if payload[0] == "unloadable":
+                        raise IntegrityError(
+                            f"shard {shard}: {payload[1]}",
+                            path=tasks[index][0])
                     raise StoreError(
                         f"corpus query failed on shard {shard!r}: "
                         f"{payload[1]}")

@@ -6,8 +6,8 @@ cut position is *valid* when no element in **any** hierarchy strictly
 straddles it — with concurrent markup the hierarchies tile the text
 differently (verse lines vs physical lines), so valid cuts are the
 positions where every hierarchy happens to close simultaneously.
-Text nodes may be split by a cut (the fused fallback re-merges them
-with ``normalize()``); elements never are, which is what lets a shard
+Text nodes may be split by a cut (:func:`fuse_documents` makes the
+halves one row again); elements never are, which is what lets a shard
 engine answer containment/stab queries locally (DESIGN.md §13).
 
 Cut selection is set-at-a-time: candidate positions are probed with
@@ -22,7 +22,10 @@ persists for shard pruning: a query whose path spine requires name
 
 The store cuts *columns* (:func:`save_shards`: the hierarchy components
 of a document, wherever they came from, sliced by row arithmetic and
-written one ``.mhxb`` file per shard — no DOM, no engine).
+written one ``.mhxb`` file per shard — no DOM, no engine), and the way
+back is the same arithmetic run the other way (:func:`fuse_documents`:
+the parts' columns concatenated into the whole-corpus document the
+non-distributable fallback evaluates on).
 :func:`shard_document`, the slicer over DOMs, states the same cut on
 the other representation: it is what the column slicer is tested
 against, file for file.
@@ -36,7 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cmh.document import Hierarchy, MultihierarchicalDocument
+from repro.cmh.document import (Hierarchy, MultihierarchicalDocument,
+                                falls_short)
 from repro.core.goddag.goddag import (KIND_ELEMENT, KIND_TEXT,
                                       _HierarchyComponent,
                                       hierarchy_components)
@@ -470,25 +474,98 @@ def fuse_documents(shards: list[MultihierarchicalDocument],
                    ) -> MultihierarchicalDocument:
     """Reassemble shard documents into one whole-corpus document.
 
-    The inverse of :func:`shard_document` up to text-node merging:
-    cloned shard children are concatenated under a fresh root per
-    hierarchy and ``normalize()`` re-merges the text nodes the cuts
-    split, so the fused document serializes byte-identically to the
-    original.  The non-distributable query fallback evaluates here.
+    The inverse of :func:`_slice_component`, and like it row
+    arithmetic: per hierarchy the parts' columns (those a part still
+    is, else one walk of its DOM) are concatenated — rows shifted by
+    the rows before them, spans by the text before them — and the text
+    nodes the cuts split are merged again, so the fused document is,
+    column for column, the one that was cut.  It is a document of
+    columns; a DOM is built for whoever asks.  The non-distributable
+    query fallback evaluates here.
     """
     if not shards:
         raise StoreError("cannot fuse an empty shard list")
     text = "".join(shard.text for shard in shards)
-    fused = MultihierarchicalDocument(text)
+    offsets = np.cumsum([0, *(len(shard.text) for shard in shards)])
+    parts = [{component.name: component
+              for component in hierarchy_components(shard)}
+             for shard in shards]
     first = shards[0]
-    for name in first.hierarchy_names:
-        shard_root = first[name].root
-        document = dom.Document()
-        root = dom.Element(shard_root.name, shard_root.attributes)
-        document.append(root)
-        for shard in shards:
-            for child in shard[name].root.children:
-                root.append(child.clone())
-        root.normalize()
-        fused.add_hierarchy(Hierarchy(name, document))
+    fused = MultihierarchicalDocument(text)
+    for rank, name in enumerate(first.hierarchy_names):
+        fused.add_columns(
+            _fuse_components(name, rank, [part[name] for part in parts],
+                             offsets, text),
+            first.root_name)
     return fused
+
+
+def _fuse_components(name: str, rank: int,
+                     parts: list[_HierarchyComponent],
+                     offsets: np.ndarray, text: str
+                     ) -> _HierarchyComponent:
+    """One hierarchy's ``parts``, which start at ``offsets`` of
+    ``text``, as one component: row for row what ``normalize()`` leaves
+    of the parts' top-level nodes under one root.
+
+    Zero-length text rows go, and of a run of text rows under one
+    parent — the two halves of a text node a cut split, or what a
+    hand-built part carries — the first stays and ends where the last
+    did.  Root attributes are the first part's; the comments and PIs
+    around a part's root element are not part of the corpus.
+    """
+    shifts = np.cumsum([0, *(len(part.kinds) for part in parts)])
+    names: list[str] = []
+    interned: dict[str, int] = {}
+    name_ids = np.concatenate(
+        [part.interned_ids(names, interned) for part in parts])
+    kinds = np.concatenate([part.kinds for part in parts])
+    starts = np.concatenate(
+        [part.starts + offset for part, offset in zip(parts, offsets)])
+    ends = np.concatenate(
+        [part.ends + offset for part, offset in zip(parts, offsets)])
+    parents = np.concatenate(
+        [np.where(part.parents < 0, -1, part.parents + shift)
+         for part, shift in zip(parts, shifts)])
+    subtree_ends = np.concatenate(
+        [part.subtree_ends + shift for part, shift in zip(parts, shifts)])
+    texts = kinds == KIND_TEXT
+    rows = np.flatnonzero(~texts | (ends > starts))
+    text_row, parent = texts[rows], parents[rows]
+    # a text row right behind a text row of the same parent continues it
+    continues = np.zeros(len(rows), dtype=bool)
+    continues[1:] = (text_row[1:] & text_row[:-1]
+                     & (parent[1:] == parent[:-1]))
+    heads = np.flatnonzero(~continues)
+    # the rows that stay, and for each the row its run ends with (itself,
+    # unless it is text)
+    last = rows[np.append(heads, len(rows))[1:] - 1]
+    rows = rows[heads]
+    keep = np.zeros(len(kinds), dtype=bool)
+    keep[rows] = True
+    renumber = np.cumsum(keep) - 1
+    kinds, starts, ends = kinds[rows], starts[rows], ends[last]
+    # what stands where ``add_hierarchy`` aligned: the text rows tile
+    # the fused text (each part was held against its own by its writer)
+    tiles = np.flatnonzero(kinds == KIND_TEXT)
+    covered = np.insert(ends[tiles], 0, 0)
+    tiled = covered == np.append(starts[tiles], len(text))
+    if not tiled.all():
+        raise falls_short(name, text, int(covered[np.argmin(tiled)]))
+    parents = parents[rows]
+
+    def carried(key: str) -> list:
+        return [[int(renumber[row + shift]), value]
+                for part, shift in zip(parts, shifts.tolist())
+                for row, value in getattr(part, key)]
+
+    return _HierarchyComponent(
+        name, rank, False, names=names,
+        columns={
+            "kinds": kinds, "name_ids": name_ids[rows],
+            "starts": starts, "ends": ends,
+            "parents": np.where(parents < 0, -1, renumber[parents]),
+            "subtree_ends": renumber[subtree_ends[rows]]},
+        attrs=carried("attrs"), comments=carried("comments"),
+        pis=carried("pis"), prolog=[], epilog=[],
+        root_attrs=parts[0].root_attrs)

@@ -13,6 +13,9 @@ None of it is part of the package.  It is the independent side of the
 differential suite (``tests/test_streaming.py``): the package's row
 writer, fed by its tokenizer, its DOM walk and its span walk, has to
 produce these columns and, through the shared file writer, these bytes.
+:func:`fuse_dom_documents` is the corpus reassembled node by node, which
+the column fuse of ``repro.store.sharding`` is held against
+(``tests/test_sharding.py::TestFuse``).
 It shares with the package the column container
 (``_HierarchyComponent``), the parser and ``.mhxb`` packing — nothing
 that writes a row.
@@ -94,6 +97,28 @@ def _emit_text(base: str, stack: list[tuple[dom.Element, int]],
     while stack[-1][1] <= cursor and len(stack) > 1:
         stack.pop()
     return cursor
+
+
+def fuse_dom_documents(shards: list[MultihierarchicalDocument],
+                       ) -> MultihierarchicalDocument:
+    """``repro.store.fuse_documents`` as it was: the parts' top-level
+    nodes cloned under a fresh root per hierarchy, ``normalize()`` to
+    merge the text nodes the cuts split, and the alignment pass of
+    ``add_hierarchy``."""
+    text = "".join(shard.text for shard in shards)
+    fused = MultihierarchicalDocument(text)
+    first = shards[0]
+    for name in first.hierarchy_names:
+        shard_root = first[name].root
+        document = dom.Document()
+        root = dom.Element(shard_root.name, shard_root.attributes)
+        document.append(root)
+        for shard in shards:
+            for child in shard[name].root.children:
+                root.append(child.clone())
+        root.normalize()
+        fused.add_hierarchy(Hierarchy(name, document))
+    return fused
 
 
 def document_level_nodes(hier_doc: dom.Document) -> tuple[list, list]:

@@ -20,12 +20,14 @@ import pytest
 from repro.api import Engine, load_mhx, save_mhx
 from repro.errors import GoddagError, IntegrityError, ReproError
 from repro.cmh import MultihierarchicalDocument
+from repro.core.goddag.goddag import _HierarchyComponent
 from repro.corpus.boethius import boethius_document
 from repro.store.mhxb import (
     MAGIC,
     MAGIC_V2,
     MHXB_FORMAT,
     MHXB_FORMAT_V1,
+    load_document,
     looks_like_mhxb,
     read_header,
     save_engine,
@@ -414,6 +416,59 @@ class TestV1Compatibility:
         fresh = tmp_path / "fresh.mhxb"
         engine.save_mhxb(fresh)
         assert upgraded.read_bytes() == fresh.read_bytes()
+
+
+class TestDocumentDoor:
+    """``load_document``: a ``.mhxb`` file as the document whose
+    hierarchies are the file's columns — the reader for who wants the
+    rows and no engine (DESIGN.md §10)."""
+
+    def test_document_is_the_files_columns(self, tmp_path):
+        path = tmp_path / "doc.mhxb"
+        source = Engine(boethius_document())  # with its CMH
+        source.save_mhxb(path)
+        attached: list = []
+        attach = _HierarchyComponent.attach
+        with mock.patch.object(
+                _HierarchyComponent, "attach",
+                lambda *args: attached.append(args) or attach(*args)):
+            document = load_document(path)
+            assert not attached  # no node object
+            Engine.from_mhxb(path)  # the control
+        assert len(attached) == len(document.hierarchies) == 4
+        for rank, hierarchy in enumerate(document.hierarchies.values()):
+            assert hierarchy.columns_at(rank) is not None
+            assert not hierarchy.materialized
+        assert document.text == source.goddag.text
+        assert document.root_name == "r"
+        assert document.cmh.sources() == source.dtd_sources()
+        # what it holds is what the file holds
+        again = tmp_path / "again.mhxb"
+        Engine(document).save_mhxb(again)
+        assert again.read_bytes() == path.read_bytes()
+        for name, hierarchy in document.hierarchies.items():
+            assert hierarchy.to_xml() == source.document[name].to_xml()
+
+    def test_verify_scans_the_blocks_first(self, engine, tmp_path):
+        path = tmp_path / "doc.mhxb"
+        engine.save_mhxb(path)
+        header, data_start = read_header(path)
+        payload = bytearray(path.read_bytes())
+        payload[data_start + header["arrays"]["h1/ends"]["offset"]] ^= 1
+        path.write_bytes(payload)
+        with pytest.raises(IntegrityError, match="h1/ends") as info:
+            load_document(path, verify=True)
+        assert info.value.block == "h1/ends"
+        assert load_document(path).hierarchy_names == \
+            engine.document.hierarchy_names  # lazy, as ``load_engine``
+
+    def test_v1_and_wrong_format(self, engine, tmp_path):
+        document = load_document(V1_FIXTURE, verify=True)
+        _assert_same_results(engine, Engine(document))
+        mhx = tmp_path / "doc.mhx"
+        engine.save_mhx(mhx)
+        with pytest.raises(ReproError, match="load_mhx"):
+            load_document(mhx)
 
 
 class TestFrozenEngine:

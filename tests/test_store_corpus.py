@@ -6,13 +6,15 @@ over the worker pool — shard pruning against the manifest statistics,
 the worker fault path (a shard worker dying mid-query surfaces as a
 clean :class:`StoreError` naming the shard, pool usable afterwards),
 crash-recovery integration (shard files are never adopted as
-documents; a missing shard quarantines its corpus), and the ``mhxq
-store shard``/``store cquery`` CLI verbs.
+documents; a missing shard quarantines its corpus), what the fused
+fallback builds (counted), the cold-load verification policy on shard
+files, and the ``mhxq store shard``/``store cquery`` CLI verbs.
 """
 
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.cmh import MultihierarchicalDocument
 from repro.core.runtime.serializer import serialize_item
 from repro.corpus.generator import GeneratorConfig, generate_document
 from repro.store import DocumentStore
+from tests.test_store_recovery import flip_block_byte
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +205,17 @@ class TestParallel:
         assert corpus._pools[2] is pool
         assert pool._executor is not None
 
+    def test_pool_follows_a_name_to_its_new_files(self, corpus):
+        """Workers cache engines by shard path; a corpus removed and
+        added again under its name has new files at those paths."""
+        count = 'count(collection("c")/descendant::w)'
+        assert corpus.cquery(count, workers=2).items == ["600"]
+        corpus.remove_corpus("c")
+        corpus.add_corpus("c", generate_document(
+            GeneratorConfig(n_words=300, seed=12)), shards=4)
+        assert corpus.cquery(count, workers=2).items == \
+            corpus.cquery(count).items == ["300"]
+
     def test_invalid_worker_count(self):
         from repro.store import ShardWorkerPool
 
@@ -329,6 +343,182 @@ class TestRecovery:
             assert manifest["quarantined"] == {}
         finally:
             reopened.close()
+
+
+#: a ``fused``-mode query and a scatterable one over corpus ``c``
+FUSED = 'collection("c")/descendant::w[xfollowing::dmg]'
+COUNT_C = 'count(collection("c")/descendant::w)'
+
+
+def counting(calls: list, function):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+    return wrapper
+
+
+class TestFusedPath:
+    """What the whole-corpus fallback engine is made of, counted (the
+    ``TestPerNodeHoleClosed`` pattern): the shard files' columns,
+    concatenated."""
+
+    def test_first_fused_query_builds_columns_only(self, corpus,
+                                                   document):
+        import repro.core.goddag.goddag as goddag
+        import repro.store.catalog as catalog
+        import repro.store.mhxb as mhxb
+        from repro.markup import dom
+
+        doms: list = []
+        walks: list = []
+        clones: list = []
+        engines: list = []
+        fuses: list = []
+        build_dom = goddag._HierarchyComponent.build_dom
+        with mock.patch.object(goddag._HierarchyComponent, "build_dom",
+                               counting(doms, build_dom)), \
+                mock.patch.object(
+                    goddag, "dom_component",
+                    counting(walks, goddag.dom_component)), \
+                mock.patch.object(
+                    dom.Element, "clone",
+                    counting(clones, dom.Element.clone)), \
+                mock.patch.object(dom.Text, "clone",
+                                  counting(clones, dom.Text.clone)), \
+                mock.patch.object(mhxb, "load_engine",
+                                  counting(engines, mhxb.load_engine)), \
+                mock.patch.object(
+                    catalog, "fuse_documents",
+                    counting(fuses, catalog.fuse_documents)):
+            first = corpus.cquery(FUSED)
+            assert first.mode == "fused"
+            assert (len(doms), len(walks), len(clones), len(engines),
+                    len(fuses)) == (0, 0, 0, 0, 1)
+            assert corpus._shard_engines == {}
+            fused = corpus._fused["c"]
+            assert [hierarchy.materialized for hierarchy
+                    in fused.document.hierarchies.values()] == [False] * 4
+            second = corpus.cquery(FUSED)
+            assert len(fuses) == 1 and corpus._fused["c"] is fused
+            # the controls: each wrapper does see a call
+            files = corpus._manifest["corpora"]["c"]["files"]
+            part = Engine.from_mhxb(corpus.root / files[0]).document
+            goddag.KyGoddag.build(part)
+            part["physical"].root.clone()
+        assert len(engines) == 1 and len(walks) == 4
+        assert len(doms) == 4 and len(clones) > 4
+        expected = oracle_strings(document,
+                                  "/descendant::w[xfollowing::dmg]")
+        assert first.items == second.items == expected and expected
+
+    def test_fused_engine_is_the_unsharded_document(self, corpus,
+                                                    document, tmp_path):
+        """Byte for byte: the fused engine saves the file the uncut
+        document saves."""
+        corpus.cquery(FUSED)
+        corpus._fused["c"].save_mhxb(tmp_path / "fused.mhxb")
+        Engine(document).save_mhxb(tmp_path / "uncut.mhxb")
+        assert (tmp_path / "fused.mhxb").read_bytes() == \
+            (tmp_path / "uncut.mhxb").read_bytes()
+
+
+class TestShardVerification:
+    """The cold-load policy covers shard files (DESIGN.md §12, §13): a
+    flipped block is reported — naming shard and block — and the
+    corpus quarantined, by every loader; it is never served."""
+
+    RUNS = {
+        "serial": lambda store: store.cquery(COUNT_C),
+        "pooled": lambda store: store.cquery(COUNT_C, workers=2),
+        "fused": lambda store: store.cquery(FUSED),
+    }
+
+    @pytest.fixture()
+    def damaged(self, corpus, document, tmp_path):
+        corpus.add_corpus("d", document, shards=2)
+        # the low bit of the text's first byte: the file still loads,
+        # and a query that does not read the text answers as before
+        assert flip_block_byte(
+            tmp_path / "catalog" / "c.shard0002.mhxb") == "text"
+        return corpus
+
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
+    def test_flipped_block_quarantines_the_corpus(self, damaged, run,
+                                                  tmp_path):
+        with pytest.raises(StoreError) as caught:
+            run(damaged)
+        message = str(caught.value)
+        assert "c.shard0002.mhxb" in message
+        assert "block 'text'" in message and "quarantined" in message
+        assert damaged.corpora == ["d"]
+        assert damaged.quarantined["c"]["reason"].startswith(
+            "shard c.shard0002.mhxb: ")
+        assert damaged._shard_engines.keys() <= {"d.shard0000.mhxb",
+                                                 "d.shard0001.mhxb"}
+        assert "c" not in damaged._fused
+        with pytest.raises(StoreError, match="is quarantined"):
+            run(damaged)
+        # nobody is wedged: the other corpus answers, pooled too
+        for workers in (1, 2):
+            assert damaged.cquery(COUNT_C.replace('"c"', '"d"'),
+                                  workers=workers).items == ["600"]
+        assert damaged.verify("c") == {
+            "c": "quarantined: " + damaged.quarantined["c"]["reason"]}
+        # the quarantine is in the manifest, with the shard files
+        reopened = DocumentStore(tmp_path / "catalog")
+        try:
+            assert reopened.corpora == ["d"]
+            assert len(reopened.quarantined["c"]["files"]) == 4
+            reopened.remove("c")
+            assert not list((tmp_path / "catalog").glob("c.shard*"))
+        finally:
+            reopened.close()
+
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
+    def test_without_the_policy_loads_behave_as_before(
+            self, damaged, document, run, tmp_path):
+        damaged.close()
+        trusting = DocumentStore(tmp_path / "catalog",
+                                 verify_cold_loads=False)
+        try:
+            oracle = ("/descendant::w[xfollowing::dmg]"
+                      if run is self.RUNS["fused"]
+                      else "count(/descendant::w)")
+            expected = oracle_strings(document, oracle)
+            if run is self.RUNS["fused"]:  # the flipped letter shows
+                assert [len(item) for item in run(trusting).items] == \
+                    [len(item) for item in expected]
+            else:
+                assert run(trusting).items == expected
+            assert trusting.corpora == ["c", "d"]
+            assert trusting.quarantined == {}
+        finally:
+            trusting.close()
+
+    def test_verify_scans_corpora(self, damaged, document):
+        damaged.add("doc", document)
+        report = damaged.verify()
+        assert list(report) == ["doc", "c", "d"]
+        assert report["doc"].startswith("ok (")
+        assert report["d"].startswith("ok (") \
+            and report["d"].endswith(" blocks in 2 shards)")
+        assert report["c"].startswith("corrupt: shard c.shard0002.mhxb: ")
+        assert "block 'text'" in report["c"]
+        assert damaged.verify("c") == {"c": report["c"]}
+        assert damaged.verify("d") == {"d": report["d"]}
+        # read-only: a scan quarantines nothing
+        assert damaged.corpora == ["c", "d"]
+        with pytest.raises(ReproError, match="no document named"):
+            damaged.verify("nope")
+
+    def test_cli_verify_lists_corpora(self, damaged, tmp_path, capsys):
+        damaged.close()
+        assert main(["store", "verify", str(tmp_path / "catalog")]) == 1
+        out = capsys.readouterr().out
+        assert "corrupt: shard c.shard0002.mhxb" in out
+        assert "verified 2 catalog entries, 1 with problems" in out
+        assert main(["store", "verify", str(tmp_path / "catalog"),
+                     "d"]) == 0
 
 
 class TestCli:
