@@ -9,9 +9,11 @@ whose match markup lives in a hierarchy that disappears when query
 evaluation finishes.
 
 Each component keeps its hierarchy as the column arrays ``.mhxb``
-stores (:class:`_HierarchyComponent`); node objects are created from
-them, so a structure can be assembled around a mapped file's arrays
-(:meth:`KyGoddag.from_arrays`) without parsing, numbering or sorting.
+stores (:class:`_HierarchyComponent`); node objects are a view created
+from them — at registration when the row writer's lists are in hand,
+else the first time somebody asks — so a structure is assembled around
+a mapped file's arrays (:meth:`KyGoddag.from_arrays`) without parsing,
+numbering, sorting or making a node.
 Every component that is not read from a file is written by one row
 writer (:class:`_ComponentWriter`), whatever pushes into it: the XML
 tokenizer, a walk of a DOM, or a sorted span list (DESIGN.md §15).
@@ -30,6 +32,7 @@ comparisons.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -90,12 +93,21 @@ class _HierarchyComponent:
     update touches is forked, saved and turned into a DOM without a
     Python pass over a node graph.
 
+    Node objects are a fill-once cache over the columns.  A component
+    the row writer just made attaches them at registration, from the
+    writer's own lists (:meth:`bind`); one mapped from a file attaches
+    them, once and under the component's lock, the first time
+    :attr:`nodes`, :attr:`top_nodes`, :meth:`node_arrays` or
+    :meth:`span_columns` asks — a query that reads one hierarchy makes
+    that hierarchy's nodes and no other's (DESIGN.md §10).
+
     Versions that did not change a hierarchy hold the *same* component
     object (:meth:`KyGoddag.fork`) — columns, node objects and every
-    lazy cache a reader already paid for — so nothing here is written
-    once a component is registered.  The one in-place writer,
-    :meth:`rename`, runs on a component its KyGODDAG built itself
-    (:meth:`private_copy`) and copies first what it finds read-only.
+    lazy cache a reader already paid for, or will — so nothing here is
+    written once a component is registered but those fill-once caches.
+    The one in-place writer, :meth:`rename`, runs on a component its
+    KyGODDAG built itself (:meth:`private_copy`) and copies first what
+    it finds read-only.
     """
 
     def __init__(self, name: str, rank: int, temporary: bool, *,
@@ -131,18 +143,73 @@ class _HierarchyComponent:
         # nodes made from these share their int objects (a text node
         # starts where its neighbour ends), ``tolist`` would not.
         self._rows = rows
-        # All nodes of the component in preorder (excluding the root),
-        # created by :meth:`attach`.  ``nodes[i].preorder == i``, so
-        # every standard axis over this hierarchy is a contiguous slice
-        # of this list (DESIGN.md §5).  ``top_nodes`` are the ones
-        # directly under the root: what each version's root lists as
-        # its children in this hierarchy.
-        self.nodes: list[_HierarchyNode] = []
-        self.top_nodes: list[_HierarchyNode] = []
-        # Lazy caches over ``nodes`` (idempotent fills).
+        # The base text the nodes slice, once a KyGODDAG binds it, and
+        # the node objects (:attr:`nodes`, :attr:`top_nodes`) once
+        # :meth:`attach` has published them.  The lock makes the
+        # first-use fills happen once: two racing attaches would hand
+        # out two objects for one node.
+        self._text: str | None = None
+        self._nodes: list[_HierarchyNode] | None = None
+        self._top_nodes: list[_HierarchyNode] | None = None
+        self._lock = threading.Lock()
+        # Lazy caches over ``nodes``: the object array is filled once
+        # under the lock, the per-name and text indexes are idempotent
+        # fills (racing ones gather the same node objects).
         self._nodes_arr: np.ndarray | None = None
         self._name_index: dict[str, "_NameEntry | None"] = {}
         self._text_index: tuple[list[int], list[GText]] | None = None
+
+    # The lazy attributes are plain properties.  A class-level
+    # ``__getattr__`` (the other way to fill on first use) routes every
+    # attribute load of the type through CPython's generic
+    # ``tp_getattro`` hook, off the specialised attribute path: measured
+    # 5–10 % slower on warm per-node queries of a cold-loaded snapshot,
+    # where these properties measure within noise.
+
+    @property
+    def nodes(self) -> list[_HierarchyNode]:
+        """All nodes of the component in preorder (excluding the root).
+
+        ``nodes[i].preorder == i``, so every standard axis over this
+        hierarchy is a contiguous slice of this list (DESIGN.md §5).
+        Attached on first use when the component was not built here.
+        """
+        nodes = self._nodes
+        if nodes is None:
+            nodes = self._attach_once()
+        return nodes
+
+    @property
+    def top_nodes(self) -> list[_HierarchyNode]:
+        """The nodes directly under the root: what each version's root
+        lists as its children in this hierarchy."""
+        if self._nodes is None:
+            self._attach_once()
+        return self._top_nodes
+
+    @property
+    def attached(self) -> bool:
+        """Do the node objects exist yet?"""
+        return self._nodes is not None
+
+    def _attach_once(self) -> list[_HierarchyNode]:
+        with self._lock:
+            if self._nodes is None:
+                if self._text is None:
+                    raise GoddagError(
+                        f"hierarchy '{self.name}' is registered in no "
+                        f"KyGODDAG: its nodes have no text to slice")
+                self.attach(self._text)
+        return self._nodes
+
+    def bind(self, text: str) -> None:
+        """Be registered over ``text``: attach the nodes now when the
+        writer's own lists are in hand — the component was built in
+        this process and they are the cheapest source (DESIGN.md §15) —
+        else on first use."""
+        self._text = text
+        if self._rows is not None:
+            self.attach(text)
 
     @property
     def okeys(self) -> np.ndarray:
@@ -159,10 +226,12 @@ class _HierarchyComponent:
     def attach(self, text: str) -> None:
         """Create the node objects from the columns, over ``text``.
 
-        One linear pass, constructors inlined: this loop builds every
-        node of a cold-loaded document, and of the one hierarchy an
-        update re-registers.  The nodes name no KyGODDAG (DESIGN.md
-        §1): every version holding this component shares them.
+        One linear pass, constructors inlined: this loop builds the
+        nodes of every hierarchy a cold-loaded document is asked about,
+        and of the one hierarchy an update re-registers.  The nodes
+        name no KyGODDAG (DESIGN.md §1): every version holding this
+        component shares them.  They are published by one assignment,
+        :attr:`nodes` last, so a reader that finds it finds the rest.
         """
         names = self.names
         rows, self._rows = self._rows, None
@@ -214,8 +283,8 @@ class _HierarchyComponent:
                 node._parent = parent
                 parent.children.append(node)
             nodes.append(node)
-        self.nodes = nodes
-        self.top_nodes = top_nodes
+        self._top_nodes = top_nodes
+        self._nodes = nodes
 
     def private_copy(self) -> "_HierarchyComponent":
         """An unattached copy a KyGODDAG may attach and rename in place.
@@ -237,14 +306,17 @@ class _HierarchyComponent:
     def node_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(nodes, subtree_ends)`` as parallel arrays, preorder order.
 
-        The object array is an idempotent lazy fill: racing builds are
-        wasted work, not wrong answers.
+        The object array is filled once, under the component's lock.
         """
         arr = self._nodes_arr
         if arr is None:
-            arr = np.empty(len(self.nodes), dtype=object)
-            arr[:] = self.nodes
-            self._nodes_arr = arr
+            nodes = self.nodes  # attaches first, under the same lock
+            with self._lock:
+                arr = self._nodes_arr
+                if arr is None:
+                    arr = np.empty(len(nodes), dtype=object)
+                    arr[:] = nodes
+                    self._nodes_arr = arr
         return arr, self.subtree_ends
 
     def _texts(self) -> tuple[list[int], list[GText]]:
@@ -325,15 +397,20 @@ class _HierarchyComponent:
         the component's Definition 1 domain, in preorder."""
         return np.flatnonzero(self.kinds <= KIND_TEXT)
 
+    def row_names(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The name of every row, or of ``rows``, as an object column (a
+        PI's is its target; ``None`` for text and comments) — read off
+        the columns, no node needed."""
+        table = np.empty(len(self.names) + 1, dtype=object)
+        table[:-1] = self.names  # name id -1 lands on the None
+        return table[self.name_ids if rows is None else self.name_ids[rows]]
+
     def span_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, nodes, names)`` of the span-bearing nodes — the
         object columns the span index keeps per hierarchy; a text
         node's name is ``None``."""
         rows = self.span_rows()
-        table = np.empty(len(self.names) + 1, dtype=object)
-        table[:-1] = self.names  # name id -1 (text) lands on the None
-        return (rows, self.node_arrays()[0][rows],
-                table[self.name_ids[rows]])
+        return rows, self.node_arrays()[0][rows], self.row_names(rows)
 
     def perms(self) -> tuple[np.ndarray, np.ndarray]:
         """``(s_perm, e_perm)``: the stable argsorts of the span rows by
@@ -434,7 +511,10 @@ class KyGoddag:
         self.text = text
         self.root = GRoot(text, root_name)
         self.partition = Partition(text)
-        self._components: dict[str, _HierarchyComponent] = {}
+        # the root's own table: the root's children in a hierarchy are
+        # whatever component this structure holds under its name
+        self._components: dict[str, _HierarchyComponent] = \
+            self.root.components
         # The hierarchies whose component this structure built itself
         # and no other version holds: the only ones it may write in
         # place (:meth:`rename_element`).  A fork owns none, and takes
@@ -486,11 +566,13 @@ class KyGoddag:
                     version: int) -> "KyGoddag":
         """Assemble a KyGODDAG around ready-made column arrays.
 
-        The pass behind a ``.mhxb`` cold load (DESIGN.md §10): node
-        objects are created from each component's columns, the
-        partition from its sorted ``(offsets, refcounts)`` and the span
-        index from its numeric columns in both sorted orders — nothing
-        is parsed, aligned, numbered or sorted.  The arrays may be
+        The pass behind a ``.mhxb`` cold load (DESIGN.md §10): the
+        partition comes from its sorted ``(offsets, refcounts)`` and the
+        span index from its numeric columns in both sorted orders —
+        nothing is parsed, aligned, numbered or sorted.  Each component
+        is bound to the text (:meth:`_HierarchyComponent.bind`): one
+        the row writer just made attaches its nodes now, one mapped
+        from a file when first asked.  The arrays may be
         memory-mapped; they are only ever replaced, never written.
         Without ``index_columns`` the span index is built on first use.
         """
@@ -503,7 +585,7 @@ class KyGoddag:
                 raise GoddagError(
                     f"duplicate hierarchy name '{component.name}'")
             goddag._next_rank = max(goddag._next_rank, component.rank + 1)
-            component.attach(text)
+            component.bind(text)
             goddag._register(component)
         if index_columns is not None:
             goddag._index = SpanIndex.restore(goddag.root, index_columns,
@@ -516,17 +598,19 @@ class KyGoddag:
         this one's components.
 
         A version shell is what differs between versions — the root
-        with its child tables, the component dict, the partition's
-        multiset, the span index's two node columns (they seat the
+        with its component table, the partition's multiset, the span
+        index's two node columns if they are gathered (they seat the
         root) and its cache dicts.  Everything else is handed over as
-        the same object: every :class:`_HierarchyComponent` with its
-        columns, nodes and lazy caches, every leaf, every numeric index
-        column.  Nothing is attached, gathered or sorted, so a fork
-        costs the same whatever the document's size; updates of the
-        fork replace the components they touch and leave this
-        structure as it was (DESIGN.md §10).  Neither side owns a
-        component afterwards: an in-place rename on either takes a
-        private copy of that hierarchy first.
+        the same object, attached or not: every
+        :class:`_HierarchyComponent` with its columns and whatever
+        nodes and lazy caches it holds (a hierarchy first asked for
+        after the fork attaches once, for both versions), every leaf
+        made so far, every numeric index column.  Nothing is attached,
+        gathered or sorted, so a fork costs the same whatever the
+        document's size; updates of the fork replace the components
+        they touch and leave this structure as it was (DESIGN.md §10).
+        Neither side owns a component afterwards: an in-place rename on
+        either takes a private copy of that hierarchy first.
         """
         latch = self.read_latch
         if latch is not None:
@@ -553,19 +637,16 @@ class KyGoddag:
         return fork
 
     def _seat(self, component: _HierarchyComponent) -> None:
-        """Hold ``component`` under its name: in the component dict and
-        in the root's tables (assigning to an existing key keeps its
-        position, so a replaced hierarchy keeps its place in the
-        Definition 3 iteration order)."""
+        """Hold ``component`` under its name, in the root's component
+        table (assigning to an existing key keeps its position, so a
+        replaced hierarchy keeps its place in the Definition 3
+        iteration order)."""
         name = component.name
         self._components[name] = component
-        root = self.root
-        root.children_by_hierarchy[name] = component.top_nodes
-        root.attributes_by_hierarchy[name] = component.root_attrs
-        root.invalidate_child_positions(name)
+        self.root.invalidate_child_positions(name)
 
     def _register(self, component: _HierarchyComponent) -> None:
-        """Seat a component this structure attached itself."""
+        """Seat a component this structure bound itself."""
         self._seat(component)
         self._owned.add(component.name)
 
@@ -621,7 +702,7 @@ class KyGoddag:
         self._finish_component(component)
 
     def _finish_component(self, component: _HierarchyComponent) -> None:
-        component.attach(self.text)
+        component.bind(self.text)
         self._register(component)
         if self._index is not None:
             # Merge the new hierarchy into the live index instead of
@@ -643,8 +724,6 @@ class KyGoddag:
         del self._components[name]
         self._owned.discard(name)
         self.partition.remove_boundaries(component.boundaries.tolist())
-        self.root.children_by_hierarchy.pop(name, None)
-        self.root.attributes_by_hierarchy.pop(name, None)
         self.root.invalidate_child_positions(name)
         if self._index is not None:
             self._index.remove_component(component)
@@ -672,14 +751,19 @@ class KyGoddag:
             f"the fork")
 
     def freeze(self) -> None:
-        """Pin the structure so concurrent readers can share it lock-free.
+        """Pin the structure so concurrent readers can share it.
 
-        Materializes every lazily built read structure (span index,
-        partition boundary array and leaf list, per-component parallel
-        arrays), marks the numeric arrays read-only, and flips
-        ``frozen``: persistent mutations raise from then on.  Remaining
-        lazy caches (name masks, per-name element indexes, order keys)
-        are idempotent fills — safe to race under the GIL.
+        Seals what is numeric — the span index (its pending merges
+        flushed, its order-key columns packed, every numeric column
+        marked read-only) and the partition's boundary array — gathers
+        the object arrays of the components that are already attached,
+        and flips ``frozen``: persistent mutations raise from then on.
+        It creates no node and no leaf.  What nobody has asked for yet
+        — a mapped hierarchy's nodes, the span index's node columns,
+        the leaf list — fills on first use, once, under its owner's
+        lock (DESIGN.md §10); the remaining lazy caches (name masks,
+        per-name element indexes, order keys) are idempotent fills,
+        safe to race under the GIL.
 
         ``read_latch`` serializes the one mutating query construct
         (``analyze-string`` temporaries) against plain readers: every
@@ -692,7 +776,8 @@ class KyGoddag:
         index.freeze()
         self.partition.freeze()
         for component in self._components.values():
-            component.node_arrays()
+            if component.attached:
+                component.node_arrays()
         if self.read_latch is None:
             self.read_latch = ReadWriteLatch()
         self.frozen = True

@@ -27,6 +27,7 @@ the S-ANALYZE hot path measured by
 
 from __future__ import annotations
 
+import threading
 from copy import copy
 from typing import TYPE_CHECKING
 
@@ -124,15 +125,16 @@ class _NameInterval:
 
 
 class _SubIndex:
-    """One hierarchy's span nodes as sorted parallel sub-arrays."""
+    """One hierarchy's span nodes as sorted parallel sub-arrays (the
+    node columns only when ``objects`` are given)."""
 
     __slots__ = ("rank", "s_keys", "s_nodes", "s_starts", "s_ends",
                  "s_preorders", "s_subtree_ends", "s_names",
                  "e_keys", "e_nodes", "e_starts", "e_ends", "e_names",
                  "e_preorders")
 
-    def __init__(self, rank: int, objects: np.ndarray, names: np.ndarray,
-                 starts: np.ndarray, ends: np.ndarray,
+    def __init__(self, rank: int, objects: np.ndarray | None,
+                 names: np.ndarray, starts: np.ndarray, ends: np.ndarray,
                  preorders: np.ndarray, subtree_ends: np.ndarray,
                  perms: tuple[np.ndarray, np.ndarray] | None = None
                  ) -> None:
@@ -148,14 +150,16 @@ class _SubIndex:
                      np.argsort(e_keys, kind="stable"))
         s_order, e_order = perms
         self.s_keys = s_keys[s_order]
-        self.s_nodes = objects[s_order]
         self.s_starts = starts[s_order]
         self.s_ends = ends[s_order]
         self.s_preorders = preorders[s_order]
         self.s_subtree_ends = subtree_ends[s_order]
         self.s_names = names[s_order]
         self.e_keys = e_keys[e_order]
-        self.e_nodes = objects[e_order]
+        self.s_nodes = self.e_nodes = None
+        if objects is not None:
+            self.s_nodes = objects[s_order]
+            self.e_nodes = objects[e_order]
         self.e_starts = starts[e_order]
         self.e_ends = ends[e_order]
         self.e_names = names[e_order]
@@ -176,31 +180,36 @@ class _SubIndex:
                    minus_one)
 
     @classmethod
-    def of_component(cls, component: "_HierarchyComponent"
-                     ) -> "_SubIndex":
+    def of_component(cls, component: "_HierarchyComponent",
+                     with_nodes: bool) -> "_SubIndex":
         """A hierarchy's Definition 1 domain — its element and text
-        nodes — read off the component's columns."""
-        rows, objects, names = component.span_columns()
-        return cls(component.rank, objects, names, component.starts[rows],
-                   component.ends[rows], rows,
+        nodes — read off the component's columns; its node objects
+        only ``with_nodes``."""
+        rows = component.span_rows()
+        objects = component.node_arrays()[0][rows] if with_nodes else None
+        return cls(component.rank, objects, component.row_names(rows),
+                   component.starts[rows], component.ends[rows], rows,
                    component.subtree_ends[rows], component.perms())
 
     def __len__(self) -> int:
-        return len(self.s_nodes)
+        return len(self.s_keys)
 
 
 class _MergedSub:
     """What the index remembers of a hierarchy it holds: the rank (the
-    compression mask of :meth:`SpanIndex.remove_component`) and the
-    size (its empty-component early-out).  The per-hierarchy sorted
+    compression mask of :meth:`SpanIndex.remove_component`), the size
+    (its empty-component early-out) and the component, whose nodes the
+    index's node columns gather on first use.  The per-hierarchy sorted
     arrays of a :class:`_SubIndex` exist only during the merge — and
     never for a restored index, which does not replay one."""
 
-    __slots__ = ("rank", "count")
+    __slots__ = ("rank", "count", "component")
 
-    def __init__(self, rank: int, count: int) -> None:
+    def __init__(self, rank: int, count: int,
+                 component: "_HierarchyComponent") -> None:
         self.rank = rank
         self.count = count
+        self.component = component
 
     def __len__(self) -> int:
         return self.count
@@ -214,10 +223,19 @@ class SpanIndex:
     node it cannot share: :meth:`fork` hands the next version the same
     arrays, and a version nobody holds any more is freed with its last
     reference, not by the cycle collector.
+
+    The two node columns are a fill-once cache over the numeric ones:
+    entry ``i`` is node ``preorders[i]`` of the hierarchy ranked
+    ``ranks[i]``.  A restored index, or one that merged a hierarchy
+    nobody has attached, gathers them — attaching every hierarchy it
+    holds — the first time :attr:`nodes` or :attr:`e_nodes` is read,
+    under the index's lock; until then membership changes, forks and
+    renames edit the numeric and name columns only (DESIGN.md §10).
     """
 
     def __init__(self, goddag: "KyGoddag") -> None:
         self.root = goddag.root
+        self._lock = threading.Lock()
         self._subs: dict[str, _MergedSub] = {}
         self._name_masks: dict[str, np.ndarray] = {}
         self._e_name_masks: dict[str, np.ndarray] = {}
@@ -234,8 +252,17 @@ class SpanIndex:
         self.incremental_removes = 0
         # Seed the global arrays with the shared root (rank -1, never
         # removed), then merge every registered hierarchy in.
-        root = _SubIndex.of_root(goddag.root)
-        self.nodes = root.s_nodes
+        self._seed_root()
+        for name in goddag.hierarchy_names:
+            self.add_component(goddag._components[name])
+        self._flush_pending()
+        self.incremental_adds = 0
+
+    def _seed_root(self) -> None:
+        """Global arrays holding the shared root alone (rank -1, never
+        removed)."""
+        root = _SubIndex.of_root(self.root)
+        self._nodes = root.s_nodes
         self.starts = root.s_starts
         self.ends = root.s_ends
         self.ranks = np.full(1, -1, dtype=np.int64)
@@ -243,7 +270,7 @@ class SpanIndex:
         self.subtree_ends = root.s_subtree_ends
         self._names = root.s_names
         self._s_keys = root.s_keys
-        self.e_nodes = root.e_nodes
+        self._e_nodes = root.e_nodes
         self.e_starts = root.e_starts
         self.ends_sorted = root.e_ends
         self.e_ranks = np.full(1, -1, dtype=np.int64)
@@ -251,18 +278,63 @@ class SpanIndex:
         self._e_names = root.e_names
         self._e_keys = root.e_keys
         self._refresh_nonempty()
-        for name in goddag.hierarchy_names:
-            self.add_component(goddag._components[name])
-        self._flush_pending()
-        self.incremental_adds = 0
 
     def __len__(self) -> int:
         self._flush_pending()
-        return len(self.nodes)
+        return len(self.ranks)
 
     def _refresh_nonempty(self) -> None:
         self.nonempty = self.starts < self.ends
         self.e_nonempty = self.e_starts < self.ends_sorted
+
+    # -- the node columns: gathered on first use ----------------------------
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The node of each start-sorted entry (gathered on first use)."""
+        nodes = self._nodes
+        if nodes is None:
+            nodes = self._fill_nodes()[0]
+        return nodes
+
+    @property
+    def e_nodes(self) -> np.ndarray:
+        """The node of each end-sorted entry (gathered on first use)."""
+        nodes = self._e_nodes
+        if nodes is None:
+            nodes = self._fill_nodes()[1]
+        return nodes
+
+    def _fill_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        with self._lock:
+            if self._nodes is None:
+                nodes, e_nodes = self._gather(
+                    self.root, lambda component: component.node_arrays()[0])
+                self._e_nodes = e_nodes
+                self._nodes = nodes  # the guard, assigned last
+            return self._nodes, self._e_nodes
+
+    def _gather(self, root_value, column) -> tuple[np.ndarray, np.ndarray]:
+        """One object column in both sorted orders: entry ``i`` is
+        ``column(component)[preorders[i]]`` of the hierarchy ranked
+        ``ranks[i]``, and ``root_value`` for the root.  One table of
+        every held component's rows and two gathers through it, however
+        many hierarchies there are."""
+        subs = list(self._subs.values())
+        base = np.zeros(max((sub.rank for sub in subs), default=-1) + 2,
+                        dtype=np.int64)
+        base[0] = 1  # rank -1, preorder -1: the root, table row 0
+        pieces = [np.empty(1, dtype=object)]
+        pieces[0][0] = root_value
+        offset = 1
+        for sub in subs:
+            rows = column(sub.component)
+            base[sub.rank + 1] = offset
+            pieces.append(rows)
+            offset += len(rows)
+        table = np.concatenate(pieces)
+        return (table[base[self.ranks + 1] + self.preorders],
+                table[base[self.e_ranks + 1] + self.e_preorders])
 
     # -- persistence (the .mhxb cold-load path, DESIGN.md §10) ---------------
 
@@ -277,26 +349,33 @@ class SpanIndex:
     def fork(self, root: GRoot) -> "SpanIndex":
         """The next version's index: this one's arrays around ``root``.
 
-        All fifteen columns, both ``nonempty`` masks and every cached
-        mask, interval and order-key column are handed over as they are
-        — membership changes replace arrays, never write them.  The two
-        node columns are copied once, to seat the new version's root;
-        the two name columns turn read-only on both sides, so whichever
-        side renames next copies them first (:meth:`rename_node`).
+        All thirteen numeric and name columns, both ``nonempty`` masks
+        and every cached mask, interval and order-key column are handed
+        over as they are — membership changes replace arrays, never
+        write them.  The two node columns, if they are gathered, are
+        copied once, to seat the new version's root; if not, the fork
+        gathers its own on first use.  The two name columns turn
+        read-only on both sides, so whichever side renames next copies
+        them first (:meth:`rename_node`).
         """
         self._flush_pending()
+        with self._lock:  # a reader may be gathering the node columns
+            nodes, e_nodes = self._nodes, self._e_nodes
         fork = copy(self)
         fork.root = root
+        fork._lock = threading.Lock()
         fork._subs = self._subs.copy()
         fork._name_masks = self._name_masks.copy()
         fork._e_name_masks = self._e_name_masks.copy()
         fork._intervals = self._intervals.copy()
         fork._pending = []
         fork.incremental_adds = fork.incremental_removes = 0
-        fork.nodes = self.nodes.copy()
-        fork.nodes[self.ranks == -1] = root
-        fork.e_nodes = self.e_nodes.copy()
-        fork.e_nodes[self.e_ranks == -1] = root
+        fork._nodes = fork._e_nodes = None
+        if nodes is not None:
+            fork._nodes = nodes.copy()
+            fork._nodes[self.ranks == -1] = root
+            fork._e_nodes = e_nodes.copy()
+            fork._e_nodes[self.e_ranks == -1] = root
         self._names.setflags(write=False)
         self._e_names.setflags(write=False)
         return fork
@@ -308,13 +387,15 @@ class SpanIndex:
 
         ``columns`` holds both sorted orders as a ``.mhxb`` file has
         them — they may stay memory-mapped, and nothing is re-sorted or
-        re-merged.  The object columns (nodes, names) come from one
-        rank-gather per hierarchy through its two permutations; the
-        end-sorted preorder column, which the file does not carry, is
-        gathered the same way.
+        re-merged.  The end-sorted preorder column, which the file does
+        not carry, comes from each hierarchy's end permutation; the two
+        name columns from the components' name columns, through it.
+        The node columns are left to their first reader, so restoring
+        makes no node.
         """
         index = cls.__new__(cls)
         index.root = root
+        index._lock = threading.Lock()
         index._name_masks = {}
         index._e_name_masks = {}
         index._intervals = {}
@@ -325,35 +406,19 @@ class SpanIndex:
         index.incremental_removes = 0
         for key, attribute in cls.COLUMNS.items():
             setattr(index, attribute, columns[key])
-        ranks, e_ranks = index.ranks, index.e_ranks
-        total = len(ranks)
-        nodes = np.empty(total, dtype=object)
-        names = np.empty(total, dtype=object)
-        e_nodes = np.empty(total, dtype=object)
-        e_names = np.empty(total, dtype=object)
-        e_preorders = np.full(total, -1, dtype=np.int64)
-        nodes[ranks == -1] = root
-        names[ranks == -1] = root.name
-        e_nodes[e_ranks == -1] = root
-        e_names[e_ranks == -1] = root.name
+        e_ranks = index.e_ranks
+        e_preorders = np.full(len(e_ranks), -1, dtype=np.int64)
         index._subs = {}
         for component in components:
-            rows, objects, labels = component.span_columns()
-            s_perm, e_perm = component.perms()
-            mask = ranks == component.rank
-            nodes[mask] = objects[s_perm]
-            names[mask] = labels[s_perm]
-            e_mask = e_ranks == component.rank
-            e_nodes[e_mask] = objects[e_perm]
-            e_names[e_mask] = labels[e_perm]
-            e_preorders[e_mask] = rows[e_perm]
-            index._subs[component.name] = _MergedSub(component.rank,
-                                                       len(rows))
-        index.nodes = nodes
-        index._names = names
-        index.e_nodes = e_nodes
-        index._e_names = e_names
+            rows = component.span_rows()
+            e_preorders[e_ranks == component.rank] = \
+                rows[component.perms()[1]]
+            index._subs[component.name] = _MergedSub(
+                component.rank, len(rows), component)
         index.e_preorders = e_preorders
+        index._names, index._e_names = index._gather(
+            root.name, lambda component: component.row_names())
+        index._nodes = index._e_nodes = None
         index._refresh_nonempty()
         return index
 
@@ -391,14 +456,19 @@ class SpanIndex:
             self._merge_component(component)
 
     def _merge_component(self, component: "_HierarchyComponent") -> None:
-        sub = _SubIndex.of_component(component)
-        # once merged, only the rank and the size are ever read again
-        self._subs[component.name] = _MergedSub(component.rank, len(sub))
+        # The node columns follow along while they are gathered and the
+        # component's nodes exist; otherwise they are dropped, to be
+        # gathered again by their next reader.
+        filled = self._nodes is not None and component.attached
+        sub = _SubIndex.of_component(component, with_nodes=filled)
+        # once merged, only the rank, the size and the component (for
+        # the node gather) are ever read again
+        self._subs[component.name] = _MergedSub(component.rank, len(sub),
+                                                component)
         if len(sub):
             positions = np.searchsorted(self._s_keys, sub.s_keys,
                                         side="right")
             self._s_keys = np.insert(self._s_keys, positions, sub.s_keys)
-            self.nodes = np.insert(self.nodes, positions, sub.s_nodes)
             self.starts = np.insert(self.starts, positions, sub.s_starts)
             self.ends = np.insert(self.ends, positions, sub.s_ends)
             self.ranks = np.insert(self.ranks, positions,
@@ -411,7 +481,6 @@ class SpanIndex:
             e_positions = np.searchsorted(self._e_keys, sub.e_keys,
                                           side="right")
             self._e_keys = np.insert(self._e_keys, e_positions, sub.e_keys)
-            self.e_nodes = np.insert(self.e_nodes, e_positions, sub.e_nodes)
             self.e_starts = np.insert(self.e_starts, e_positions,
                                       sub.e_starts)
             self.ends_sorted = np.insert(self.ends_sorted, e_positions,
@@ -422,6 +491,12 @@ class SpanIndex:
                                       sub.e_names)
             self.e_preorders = np.insert(self.e_preorders, e_positions,
                                          sub.e_preorders)
+            if filled:
+                self._nodes = np.insert(self._nodes, positions, sub.s_nodes)
+                self._e_nodes = np.insert(self._e_nodes, e_positions,
+                                          sub.e_nodes)
+            else:
+                self._nodes = self._e_nodes = None
             self._refresh_nonempty()
         self._clear_derived(names={name for name in sub.s_names
                                    if name is not None})
@@ -442,7 +517,6 @@ class SpanIndex:
         # in-place renames patch only the former
         names = {name for name in self._names[~keep] if name is not None}
         self._s_keys = self._s_keys[keep]
-        self.nodes = self.nodes[keep]
         self.starts = self.starts[keep]
         self.ends = self.ends[keep]
         self.ranks = self.ranks[keep]
@@ -451,12 +525,14 @@ class SpanIndex:
         self._names = self._names[keep]
         e_keep = self.e_ranks != sub.rank
         self._e_keys = self._e_keys[e_keep]
-        self.e_nodes = self.e_nodes[e_keep]
         self.e_starts = self.e_starts[e_keep]
         self.ends_sorted = self.ends_sorted[e_keep]
         self.e_preorders = self.e_preorders[e_keep]
         self.e_ranks = self.e_ranks[e_keep]
         self._e_names = self._e_names[e_keep]
+        if self._nodes is not None:
+            self._nodes = self._nodes[keep]
+            self._e_nodes = self._e_nodes[e_keep]
         self._refresh_nonempty()
         self._clear_derived(names=names)
         self.incremental_removes += 1
@@ -467,15 +543,21 @@ class SpanIndex:
         For a component that replaces its twin row for row
         (:meth:`_HierarchyComponent.private_copy`): spans, ranks and
         preorders stand, so only this version's two node columns change
-        — each entry's preorder is its row — and the per-name interval
-        caches, which gathered the twin's nodes, reset.
+        — each entry's preorder is its row — if they are gathered (if
+        not, the gather will read ``component``, and no other hierarchy
+        is attached for it), and the per-name interval caches, which
+        gathered the twin's nodes, reset.
         """
         self._flush_pending()
-        nodes = component.node_arrays()[0]
-        at = self.ranks == component.rank
-        self.nodes[at] = nodes[self.preorders[at]]
-        at = self.e_ranks == component.rank
-        self.e_nodes[at] = nodes[self.e_preorders[at]]
+        held = self._subs[component.name]
+        self._subs[component.name] = _MergedSub(held.rank, held.count,
+                                                component)
+        if self._nodes is not None:
+            nodes = component.node_arrays()[0]
+            at = self.ranks == component.rank
+            self._nodes[at] = nodes[self.preorders[at]]
+            at = self.e_ranks == component.rank
+            self._e_nodes[at] = nodes[self.e_preorders[at]]
         self._intervals.clear()
 
     def rename_node(self, node: GNode) -> None:
@@ -483,29 +565,27 @@ class SpanIndex:
 
         The node's spans (and therefore its packed merge keys and array
         positions) are unchanged, so the patch is two bisects into the
-        sorted key arrays plus an identity scan of the (tiny) equal-key
-        runs.  Name columns another version shares (:meth:`fork`) are
-        copied before the first write.
+        sorted key arrays plus a rank and preorder match over the
+        (tiny) equal-key runs — no node column is read.  Name columns
+        another version shares (:meth:`fork`) are copied before the
+        first write.
         """
         self._flush_pending()
         if not self._names.flags.writeable:
             self._names = self._names.copy()
             self._e_names = self._e_names.copy()
+        rank = self._subs[node.hierarchy].rank
         start, end = int(node.start), int(node.end)
-        s_key = (start << _OFFSET_BITS) | (_OFFSET_MASK - end)
-        left = int(np.searchsorted(self._s_keys, s_key, side="left"))
-        right = int(np.searchsorted(self._s_keys, s_key, side="right"))
-        for position in range(left, right):
-            if self.nodes[position] is node:
-                self._names[position] = node.name
-                break
-        e_key = (end << _OFFSET_BITS) | start
-        left = int(np.searchsorted(self._e_keys, e_key, side="left"))
-        right = int(np.searchsorted(self._e_keys, e_key, side="right"))
-        for position in range(left, right):
-            if self.e_nodes[position] is node:
-                self._e_names[position] = node.name
-                break
+        for keys, ranks, preorders, names, key in (
+                (self._s_keys, self.ranks, self.preorders, self._names,
+                 (start << _OFFSET_BITS) | (_OFFSET_MASK - end)),
+                (self._e_keys, self.e_ranks, self.e_preorders,
+                 self._e_names, (end << _OFFSET_BITS) | start)):
+            left = int(np.searchsorted(keys, key, side="left"))
+            right = int(np.searchsorted(keys, key, side="right"))
+            names[left:right][(ranks[left:right] == rank)
+                              & (preorders[left:right] == node.preorder)] \
+                = node.name
         # Spans, ranks and preorders are untouched: the order-key
         # columns stay valid; only the name-derived caches reset.
         self._name_masks.clear()
@@ -524,23 +604,7 @@ class SpanIndex:
             raise GoddagError(
                 "reset_root requires all hierarchy components to be "
                 "removed first")
-        root = _SubIndex.of_root(self.root)
-        self.nodes = root.s_nodes
-        self.starts = root.s_starts
-        self.ends = root.s_ends
-        self.ranks = np.full(1, -1, dtype=np.int64)
-        self.preorders = root.s_preorders
-        self.subtree_ends = root.s_subtree_ends
-        self._names = root.s_names
-        self._s_keys = root.s_keys
-        self.e_nodes = root.e_nodes
-        self.e_starts = root.e_starts
-        self.ends_sorted = root.e_ends
-        self.e_ranks = np.full(1, -1, dtype=np.int64)
-        self.e_preorders = root.e_preorders
-        self._e_names = root.e_names
-        self._e_keys = root.e_keys
-        self._refresh_nonempty()
+        self._seed_root()
         self._clear_derived()
 
     def _clear_derived(self, names=None) -> None:

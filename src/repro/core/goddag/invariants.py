@@ -22,8 +22,9 @@ module is the executable statement of what that means:
   registered component (plus the permanent text ends), and its leaf
   list tiles the text;
 * the span index (when built) holds exactly the span-bearing nodes, in
-  key order, each entry the node object its rank and preorder name and
-  carrying that node's span, subtree end and name.
+  key order, each entry carrying the span, subtree end and name of the
+  row its rank and preorder name — and, once the node columns are
+  gathered, that row's node object.
 
 The second bullet is the only one that walks node objects, and it is
 the only one ``components=`` narrows: a commit passes the hierarchies
@@ -31,9 +32,11 @@ whose component it built and gets every other bullet — each of them a
 statement about columns of *all* hierarchies — in full (DESIGN.md §9).
 Whatever a column holds is compared as a column (NumPy, or one list
 comparison), never by a Python branch per node and attribute, and the
-net creates nothing it checks: a lazy cache nobody has filled yet (leaf
-list, text index, boundary list) is derived from what the net did
-check, so there is nothing to compare it with.
+net creates nothing it checks: a lazy cache nobody has filled yet (a
+mapped hierarchy's nodes, the span index's node columns, leaf list,
+text index, boundary list) is derived from what the net did check, so
+there is nothing to compare it with — and a commit's net attaches no
+hierarchy it did not rebuild.
 """
 
 from __future__ import annotations
@@ -99,22 +102,11 @@ def _check_ranks(goddag: "KyGoddag") -> None:
 
 
 def _check_root_tables(goddag: "KyGoddag") -> None:
-    """The root lists every component's own top-level nodes and root
-    attributes, in registration order."""
-    root = goddag.root
-    names = goddag.hierarchy_names
-    if list(root.children_by_hierarchy) != names \
-            or list(root.attributes_by_hierarchy) != names:
-        _fail(f"root tables {list(root.children_by_hierarchy)} do not "
-              f"follow the registration order {names}")
-    for name in names:
-        component = goddag._components[name]
-        if root.children_by_hierarchy[name] != component.top_nodes:
-            _fail(f"hierarchy '{name}' root children diverge from the "
-                  f"component's top-level nodes")
-        if root.attributes_by_hierarchy[name] != component.root_attrs:
-            _fail(f"hierarchy '{name}' root attributes diverge from the "
-                  f"component's")
+    """The root resolves its children and attributes in each hierarchy
+    through the components this structure holds: its table is theirs."""
+    if goddag.root.components is not goddag._components:
+        _fail(f"the root's component table {list(goddag.root.components)} "
+              f"is not the structure's {goddag.hierarchy_names}")
 
 
 #: node class per kind code of the ``kinds`` column
@@ -372,10 +364,13 @@ def _check_span_index(goddag: "KyGoddag") -> None:
         _fail(f"span index holds {len(index)} entries, expected "
               f"{expected_count}")
     root = goddag.root
+    # gathered node columns, or none: an index that gathered them holds
+    # only attached hierarchies, and one that did not attaches nothing
+    gathered = index._nodes is not None
     sides = (
-        ("start", index._s_keys, _start_keys, index.nodes, index.starts,
+        ("start", index._s_keys, _start_keys, index._nodes, index.starts,
          index.ends, index.ranks, index.preorders, index._names),
-        ("end", index._e_keys, _end_keys, index.e_nodes, index.e_starts,
+        ("end", index._e_keys, _end_keys, index._e_nodes, index.e_starts,
          index.ends_sorted, index.e_ranks, index.e_preorders,
          index._e_names))
     for (side, keys, pack, nodes, starts, ends, ranks, preorders,
@@ -387,7 +382,8 @@ def _check_span_index(goddag: "KyGoddag") -> None:
             _fail(f"span index {side}-sorted keys diverge from the "
                   f"span columns")
         at_root = np.flatnonzero(ranks == -1)
-        if (len(at_root) != 1 or nodes[at_root[0]] is not root
+        if (len(at_root) != 1
+                or (gathered and nodes[at_root[0]] is not root)
                 or (starts[at_root[0]], ends[at_root[0]],
                     preorders[at_root[0]], names[at_root[0]])
                 != (root.start, root.end, -1, root.name)):
@@ -395,26 +391,24 @@ def _check_span_index(goddag: "KyGoddag") -> None:
         seen = 1
         for component in components:
             at = ranks == component.rank
-            rows, objects, labels = component.span_columns()
             found = preorders[at]
             seen += len(found)
-            if not np.array_equal(np.sort(found), rows):
+            if not np.array_equal(np.sort(found), component.span_rows()):
                 _fail(f"span index {side}-side entries of hierarchy "
                       f"'{component.name}' are not its span nodes")
-            # preorder -> position among the span rows, where the
-            # gathered object columns hold that node
-            slot = np.searchsorted(rows, found)
-            stale = ((nodes[at] != objects[slot])
-                     | (names[at] != labels[slot])
+            stale = ((names[at] != component.row_names(found))
                      | (starts[at] != component.starts[found])
                      | (ends[at] != component.ends[found]))
+            if gathered:
+                stale |= nodes[at] != component.node_arrays()[0][found]
             if side == "start":
                 stale |= (index.subtree_ends[at]
                           != component.subtree_ends[found])
             if stale.any():
                 position = int(np.flatnonzero(at)[np.argmax(stale)])
-                _fail(f"span index {side}-side entry {position} is "
-                      f"stale for {nodes[position]!r}")
+                _fail(f"span index {side}-side entry {position} (row "
+                      f"{preorders[position]} of '{component.name}') is "
+                      f"stale")
         if seen != len(ranks):
             _fail(f"span index {side}-side holds entries of an "
                   f"unregistered hierarchy")

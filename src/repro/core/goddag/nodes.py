@@ -110,23 +110,26 @@ class GNode:
 class GRoot(GNode):
     """The shared root: one node present in every hierarchy.
 
-    The per-hierarchy child lists are kept separately so that axes can
+    The per-hierarchy children are kept separately so that axes can
     serve both "all components" traversal (root context, paper §3) and
-    per-hierarchy serialization.  Both tables are this version's own,
-    keyed in hierarchy registration order; the lists and mappings in
-    them belong to the components and are shared, never written.
+    per-hierarchy serialization.  They resolve through this version's
+    own component table — the very dict its KyGODDAG registers
+    hierarchies in, in registration order — so the root lists a
+    hierarchy's top-level nodes (and root attributes) without making
+    them: a component attaches its nodes when somebody first asks
+    (DESIGN.md §10).  The lists and mappings handed out belong to the
+    components and are shared, never written.
     """
 
-    __slots__ = ("root_name", "children_by_hierarchy",
-                 "attributes_by_hierarchy", "_child_positions")
+    __slots__ = ("root_name", "components", "_child_positions")
 
     kind = ROOT
 
     def __init__(self, text: str, root_name: str) -> None:
         super().__init__(text, 0, len(text))
         self.root_name = root_name
-        self.children_by_hierarchy: dict[str, list[GNode]] = {}
-        self.attributes_by_hierarchy: dict[str, dict[str, str]] = {}
+        #: hierarchy name -> this version's component
+        self.components: dict = {}
         self._child_positions: dict[str, dict[int, int]] = {}
 
     @property
@@ -137,14 +140,20 @@ class GRoot(GNode):
     def attributes(self) -> dict[str, str]:
         """Merged root attributes across hierarchies (first wins)."""
         merged: dict[str, str] = {}
-        for attrs in self.attributes_by_hierarchy.values():
-            for key, value in attrs.items():
+        for component in self.components.values():
+            for key, value in component.root_attrs.items():
                 merged.setdefault(key, value)
         return merged
 
+    def attributes_in(self, hierarchy: str) -> dict[str, str]:
+        """The root element's attributes within one hierarchy."""
+        component = self.components.get(hierarchy)
+        return {} if component is None else component.root_attrs
+
     def children_in(self, hierarchy: str) -> list[GNode]:
         """The root's children within one hierarchy component."""
-        return self.children_by_hierarchy.get(hierarchy, [])
+        component = self.components.get(hierarchy)
+        return [] if component is None else component.top_nodes
 
     def child_position(self, hierarchy: str, child: GNode) -> int:
         """The position of ``child`` among one hierarchy's top nodes.
@@ -169,8 +178,8 @@ class GRoot(GNode):
     def all_children(self) -> list[GNode]:
         """Children across all components, in hierarchy order."""
         out: list[GNode] = []
-        for children in self.children_by_hierarchy.values():
-            out.extend(children)
+        for component in self.components.values():
+            out.extend(component.top_nodes)
         return out
 
 

@@ -20,11 +20,14 @@ split/coalesced cells (one bisect + one ``np.insert``/``np.delete``
 per changed offset), so the ``analyze-string`` temporary-hierarchy
 lifecycle never rebuilds the whole leaf list.  Leaf objects are
 canonical per cell lifetime — untouched cells keep their objects across
-versions.
+versions.  The leaf list is made on first use, once, under the
+partition's lock: a restored partition is its boundary multiset and
+nothing else until somebody asks for a leaf (DESIGN.md §10).
 """
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
@@ -47,6 +50,7 @@ class Partition:
         self._bounds_array: np.ndarray | None = None
         self._leaf_cache: dict[int, GLeaf] = {}
         self._leaves_list: list[GLeaf] | None = None
+        self._lock = threading.Lock()
         self.version = 0
 
     # -- mutation -----------------------------------------------------------
@@ -178,21 +182,24 @@ class Partition:
 
         Leaves hold no version (DESIGN.md §1), so the cells a later
         update neither splits nor merges stay one object in every
-        version; the containers :meth:`_apply_delta` splices in place
-        are copied, the boundary array — only ever replaced — is not.
+        version — every leaf made before the fork; one neither side
+        had made yet is made by each side for itself.  The containers
+        :meth:`_apply_delta` splices in place are copied, the boundary
+        array — only ever replaced — is not.
         """
         fork = Partition(self._text)
         fork._refcounts = self._refcounts.copy()
         fork._sorted = None if self._sorted is None else self._sorted.copy()
         fork._bounds_array = self._bounds_array
-        if self._leaves_list is not None:
-            fork._leaves_list = self._leaves_list.copy()
+        leaves = self._leaves_list
+        if leaves is not None:
+            fork._leaves_list = leaves.copy()
         return fork
 
     def freeze(self) -> None:
-        """Materialize the lazy caches for lock-free snapshot readers."""
+        """Seal the boundary array for snapshot readers; the leaf list
+        stays a first-use fill (:meth:`_all_leaves`)."""
         self.boundary_array.setflags(write=False)
-        self._all_leaves()
 
     # -- access ---------------------------------------------------------------
 
@@ -229,11 +236,18 @@ class Partition:
         return leaf
 
     def _all_leaves(self) -> list[GLeaf]:
-        """The incrementally maintained leaf list (do not mutate)."""
-        if self._leaves_list is None:
-            self._leaves_list = [self._leaf(start, end)
-                                 for start, end in self.leaf_spans()]
-        return self._leaves_list
+        """The incrementally maintained leaf list (do not mutate): made
+        once, under the lock — two racing fills would hand out two
+        objects for one cell."""
+        leaves = self._leaves_list
+        if leaves is None:
+            with self._lock:
+                leaves = self._leaves_list
+                if leaves is None:
+                    leaves = [self._leaf(start, end)
+                              for start, end in self.leaf_spans()]
+                    self._leaves_list = leaves
+        return leaves
 
     def leaves(self) -> list[GLeaf]:
         """All leaves in text order (canonical objects)."""

@@ -40,8 +40,7 @@ def _write(node: GNode, hierarchy: str | None, out: list[str]) -> None:
         if hierarchy is None:
             raise ValueError(
                 "serializing the shared root requires a hierarchy name")
-        attrs = node.attributes_by_hierarchy.get(hierarchy, {})
-        out.append(_start_tag(node.root_name, attrs,
+        out.append(_start_tag(node.root_name, node.attributes_in(hierarchy),
                               empty=not node.children_in(hierarchy)))
         for child in node.children_in(hierarchy):
             _write(child, hierarchy, out)

@@ -33,7 +33,7 @@ def serialize_item(item: Any) -> str:
         return escape_text(item.string_value())
     if isinstance(item, GRoot):
         parts = [serialize_node(item, hierarchy)
-                 for hierarchy in item.children_by_hierarchy]
+                 for hierarchy in item.components]
         return "".join(parts)
     if isinstance(item, GNode):
         return serialize_node(item)

@@ -42,7 +42,7 @@ from repro.core.goddag.goddag import (KIND_COMMENT, KIND_ELEMENT, KIND_PI,
 from repro.errors import CMHError, MarkupError
 from repro.markup.entities import PREDEFINED, decode_char_reference
 from repro.markup.parser import parse
-from repro.store.mhxb import write_container
+from repro.store.mhxb import write_container, write_engine
 
 __all__ = ["StreamingBuilder", "stream_save"]
 
@@ -322,6 +322,21 @@ class StreamingBuilder:
             path, root=document.root_name if document.hierarchies else None,
             text=self.text, components=list(hierarchy_components(document)),
             durability=durability)
+
+    def publish(self, path: str | Path, *, durability: str = "off",
+                options=None):
+        """:meth:`save`, and the engine over the columns just written —
+        the same file bytes, the engine a cold load would make of them,
+        but built from what is in hand (DESIGN.md §15): the file is not
+        read back, and every hierarchy's nodes come from the row
+        writer's own lists.  The engine takes private copies of the
+        columns, so the builder can go on."""
+        document = self.document
+        return write_engine(
+            path, root=document.root_name if document.hierarchies else None,
+            text=self.text,
+            components=list(hierarchy_components(document, own=True)),
+            durability=durability, options=options)
 
 
 def _as_span(span) -> Span:

@@ -54,6 +54,7 @@ from repro.store import faultfs
 from repro.store.mhxb import (
     load_document,
     looks_like_mhxb,
+    map_engine,
     read_header,
     save_engine,
     verify_blocks,
@@ -319,11 +320,13 @@ class DocumentStore:
                     continue
                 path = self.root / entry["file"]
                 try:
+                    # one parsed header serves the scan and the load
                     header, data_start = read_header(path)
                     checked = verify_blocks(path, header, data_start)
                     live = self._live.get(target)
                     engine = (live.engine if live is not None else
-                              Engine.from_mhxb(path, options=self.options))
+                              map_engine(path, header, data_start,
+                                         options=self.options))
                     _whole_net(engine)
                 except ReproError as error:
                     out[target] = f"corrupt: {error}"
@@ -501,19 +504,20 @@ class DocumentStore:
         """Register a document from its XML encodings (DESIGN.md §15).
 
         The encodings (and optional standoff span ``layers``) over the
-        shared base ``text`` are tokenized straight into this store's
-        ``.mhxb`` file (:func:`repro.markup.streaming.stream_save`) and
-        the published engine is a cold load of it: no node object and
-        no DOM is made on the way, and the file is byte-identical to
-        what :meth:`add` writes for the equivalent document.
-        Transactional like :meth:`add`.
+        shared base ``text`` are tokenized straight into columns and
+        this store's ``.mhxb`` file, byte-identical to what :meth:`add`
+        writes for the equivalent document, and the published engine is
+        built over the columns, partition and span index just written
+        (:meth:`~repro.markup.streaming.StreamingBuilder.publish`): no
+        DOM is made, the file is not read back, and the nodes come from
+        the row writer's lists.  Transactional like :meth:`add`.
         """
-        from repro.markup.streaming import stream_save
+        from repro.markup.streaming import _ingest
 
         def produce(target: Path) -> Engine:
-            stream_save(text, sources, target, layers=layers,
-                        durability=self._file_durability)
-            return Engine.from_mhxb(target, options=self.options)
+            return _ingest(text, sources, layers).publish(
+                target, durability=self._file_durability,
+                options=self.options)
 
         return self._register_document(name, produce)
 

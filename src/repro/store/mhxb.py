@@ -37,25 +37,29 @@ directory after it.
 
 Every array block is 64-byte aligned and loaded as a read-only
 ``np.memmap`` over one ``mmap`` of the file, so a cold load touches only
-the pages a query actually reads; the loader reconstructs node objects from the
-arrays and never re-parses XML or re-sorts anything.  The DOM side of
-the document (needed only for updates and serialization) materializes
-lazily, hierarchy by hierarchy, from the same arrays on first access.
+the pages a query actually reads; the loader never re-parses XML or
+re-sorts anything, and makes no node object: each hierarchy attaches
+its nodes from its blocks when a query first asks for them.  The DOM
+side of the document (needed only for updates and serialization)
+materializes lazily, hierarchy by hierarchy, from the same arrays on
+first access.
 
 The module has two halves.  *Engine ⇄ arrays* is thin, because the
 per-hierarchy blocks are the form a
 :class:`~repro.core.goddag.goddag._HierarchyComponent` holds in memory:
 :func:`save_engine` hands the components, the partition multiset and
 the DTD sources to the writer, :func:`load_engine` wraps the mapped
-blocks in components and lets :meth:`KyGoddag.from_arrays` attach node
-objects — the only place a whole document's nodes are made; a store
-fork shares them — and :func:`load_document` stops at the components:
-the document whose hierarchies are those columns, for a reader that
-wants rows and no engine (the corpus fuse, DESIGN.md §13).  *Arrays ⇄
-file* (:func:`write_container`, :func:`read_header`,
-:func:`verify_blocks`) knows the layout, the name table, the span
-index's normal form and the checksums, and nothing about engines; the
-ingest writes components it has built no engine around through it too.
+blocks in components and lets :meth:`KyGoddag.from_arrays` assemble the
+engine around them — nodes, leaves and the span index's node columns
+follow on first use; a store fork shares whatever is made — and
+:func:`load_document` stops at the components: the document whose
+hierarchies are those columns, for a reader that wants rows and no
+engine (the corpus fuse, DESIGN.md §13).  *Arrays ⇄ file*
+(:func:`write_container`, :func:`read_header`, :func:`verify_blocks`)
+knows the layout, the name table, the span index's normal form and the
+checksums, and nothing about engines; the ingest writes components it
+has built no engine around through it too, and :func:`write_engine`
+hands back the engine over what it wrote without reading it.
 """
 
 from __future__ import annotations
@@ -160,11 +164,19 @@ def write_container(path: str | Path, *, root: str, text: str,
     does not depend on which tables the components happen to carry; a
     component whose ids already agree is written as it is.
     """
-    header, arrays = _container(
+    header, arrays = _components_container(root, text, components)
+    return _pack(path, header, arrays, durability=durability)
+
+
+def _components_container(root: str, text: str,
+                          components: list[_HierarchyComponent]
+                          ) -> tuple[dict, dict[str, np.ndarray]]:
+    """:func:`_container` of components no KyGODDAG holds: the
+    partition is read off their columns, the version is their count."""
+    return _container(
         root=root, version=len(components), text=text,
         components=components,
         partition=partition_arrays(text, components), dtds=None)
-    return _pack(path, header, arrays, durability=durability)
 
 
 def _container(*, root: str, version: int, text: str,
@@ -454,17 +466,21 @@ def _map_arrays(path: Path, header: dict,
 # ---------------------------------------------------------------------------
 
 
-def _read_components(path: str | Path, verify: bool
-                     ) -> tuple[dict, dict[str, np.ndarray], str,
-                                list[_HierarchyComponent]]:
-    """What both readers start from: the checked header, the mapped
-    blocks, the base text, and one component per hierarchy around its
-    blocks.  ``verify`` deep-scans every block checksum before any
-    array is trusted."""
-    path = Path(path)
+def _checked_header(path: Path, verify: bool) -> tuple[dict, int]:
+    """The header, read once; with ``verify`` every block checksum is
+    scanned against it before any array is trusted."""
     header, data_start = read_header(path)
     if verify:
         verify_blocks(path, header, data_start)
+    return header, data_start
+
+
+def _read_components(path: Path, header: dict, data_start: int
+                     ) -> tuple[dict[str, np.ndarray], str,
+                                list[_HierarchyComponent]]:
+    """What both readers start from once the header is checked: the
+    mapped blocks, the base text, and one component per hierarchy
+    around its blocks."""
     arrays = _map_arrays(path, header, data_start)
     text = bytes(arrays["text"]).decode("utf-8")
     components = [
@@ -478,7 +494,7 @@ def _read_components(path: str | Path, verify: bool
             perms=(arrays[f"h{position}/s_perm"],
                    arrays[f"h{position}/e_perm"]))
         for position, meta in enumerate(header["hierarchies"])]
-    return header, arrays, text, components
+    return arrays, text, components
 
 
 def load_engine(path: str | Path, options=None, verify: bool = False):
@@ -487,17 +503,52 @@ def load_engine(path: str | Path, options=None, verify: bool = False):
     Reconstructs the KyGODDAG — components, partition, span index,
     order keys — straight from the memory-mapped arrays
     (:meth:`KyGoddag.from_arrays`); no XML parse, no alignment pass, no
-    sort.
-    Each hierarchy's DOM materializes on first access (updates that
-    touch it, serialization).
+    sort, and no node object: a hierarchy attaches its nodes the first
+    time a query asks for them, so a load that answers a question
+    about one hierarchy makes that one's nodes and no other's
+    (DESIGN.md §10).  Each hierarchy's DOM materializes on first
+    access too (updates that touch it, serialization).
 
     ``verify=True`` deep-scans every block checksum before any array is
     trusted (the store's cold-load policy); the default keeps the load
     lazy/zero-copy, with the header CRC still checked.
     """
+    path = Path(path)
+    return map_engine(path, *_checked_header(path, verify),
+                      options=options)
+
+
+def map_engine(path: str | Path, header: dict, data_start: int,
+               options=None):
+    """:func:`load_engine` of a file whose header the caller has read
+    with :func:`read_header` (and whose blocks it has verified, if it
+    wanted to): the header is not read again."""
+    arrays, text, components = _read_components(Path(path), header,
+                                                data_start)
+    return _engine(header, arrays, text, components, options)
+
+
+def write_engine(path: str | Path, *, root: str, text: str,
+                 components: list[_HierarchyComponent],
+                 durability: str = "off", options=None):
+    """:func:`write_container`, and the engine over what it wrote —
+    built from ``components`` and from the partition, span-index and
+    statistics arrays computed for the file, which is not read back
+    (the ingest, DESIGN.md §15).  ``components`` were made by the row
+    writer in this process, so the engine attaches their nodes from
+    the writer's lists as it registers them; the engine owns them from
+    then on."""
+    header, arrays = _components_container(root, text, components)
+    _pack(path, header, arrays, durability=durability)
+    return _engine(header, arrays, text, components, options)
+
+
+def _engine(header: dict, arrays: dict[str, np.ndarray], text: str,
+            components: list[_HierarchyComponent], options):
+    """The engine over a container's header and blocks, mapped or just
+    packed."""
     from repro.api import Engine
 
-    header, arrays, text, components = _read_components(path, verify)
     goddag = KyGoddag.from_arrays(
         text, header["root"], components,
         (arrays["partition/offsets"], arrays["partition/counts"]),
@@ -519,7 +570,9 @@ def load_document(path: str | Path, verify: bool = False
     and no engine — no node object is made, and a hierarchy's DOM only
     if somebody asks for it.  ``verify`` as in :func:`load_engine`.
     """
-    header, _arrays, text, components = _read_components(path, verify)
+    path = Path(path)
+    header, data_start = _checked_header(path, verify)
+    _arrays, text, components = _read_components(path, header, data_start)
     document = MultihierarchicalDocument(text)
     for component in components:
         document.add_columns(component, header["root"])

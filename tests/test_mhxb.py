@@ -434,8 +434,14 @@ class TestDocumentDoor:
                 lambda *args: attached.append(args) or attach(*args)):
             document = load_document(path)
             assert not attached  # no node object
-            Engine.from_mhxb(path)  # the control
-        assert len(attached) == len(document.hierarchies) == 4
+            control = Engine.from_mhxb(path)
+            assert not attached  # nor an engine's, until first use
+            for _twice in range(2):
+                for name in control.goddag.hierarchy_names:
+                    control.goddag.nodes_of(name)
+        assert [component.name for component, _text in attached] \
+            == list(document.hierarchies)
+        assert len(attached) == 4  # once per hierarchy
         for rank, hierarchy in enumerate(document.hierarchies.values()):
             assert hierarchy.columns_at(rank) is not None
             assert not hierarchy.materialized

@@ -605,8 +605,13 @@ class TestDecorrelatedPredicates:
             report = compile_query(query).explain()
             assert "mask" not in report and "act=" not in report
 
+    # No nested predicate on the corpora: a per-node oracle pays the
+    # nested step per candidate per context on the 2000-word corpus
+    # (with one level of nesting a run took 1–80 s, with two more);
+    # nesting stays drawn on the small documents below and spelled out
+    # on the corpora above.  Unnested, twelve random seeds ran ≤ 1.6 s.
     @SETTINGS
-    @given(tree=predicate_trees(),
+    @given(tree=predicate_trees(depth=0),
            name=st.sampled_from(("line", "w", "dmg", "*")))
     def test_drawn_predicates_on_corpora(self, boethius_engines,
                                          skewed_engines, tree, name):

@@ -433,14 +433,19 @@ class TestUntouchedHierarchiesUntouched:
             engine.goddag).payload()
 
     def test_fork_attaches_nothing(self, stored):
+        """A fork makes no node and no leaf, and hands over every leaf
+        made before it (leaves are made on first use: the cold load
+        made none)."""
         engine = stored.snapshot("doc").engine
+        made = engine.goddag.leaves()
         attached, leaves = [], []
         with wrapping(_HierarchyComponent, "attach", attached, id), \
                 wrapping(GLeaf, "__init__", leaves, id):
             fork = fork_engine(engine)
         assert not attached and not leaves
         assert fork.goddag.root is not engine.goddag.root
-        assert fork.goddag.leaves()[0] is engine.goddag.leaves()[0]
+        assert all(a is b for a, b in zip(fork.goddag.leaves(), made))
+        assert len(fork.goddag.leaves()) == len(made)
         fork.goddag.check_invariants()
 
     def test_rename_takes_one_private_hierarchy(self, stored):

@@ -417,6 +417,35 @@ class TestCorruption:
         assert store.verify("boe") == {"boe": statuses["boe"]}
         assert "bad" not in store.quarantined  # verify is read-only
 
+    def test_verify_reads_each_header_once(self, tmp_path):
+        """One parsed header serves the block scan and the load of the
+        file: one ``read_header`` per document per ``verify()``, with a
+        live snapshot or without one."""
+        from unittest import mock
+
+        from repro.store import catalog, mhxb
+
+        root = tmp_path / "cat"
+        store = fresh_store(root)
+        store.add("other", boethius_document(validate=False))
+        store.close()
+        store = DocumentStore(root)
+        store.query("boe", "count(/descendant::w)")  # "boe" is live
+        paths = []
+        original = mhxb.read_header
+
+        def counting(path):
+            paths.append(os.path.basename(path))
+            return original(path)
+
+        with mock.patch.object(mhxb, "read_header", counting), \
+                mock.patch.object(catalog, "read_header", counting):
+            for _pass in range(2):
+                statuses = store.verify()
+        assert all(status.startswith("ok (") for status
+                   in statuses.values())
+        assert sorted(paths) == sorted(["boe.mhxb", "other.mhxb"] * 2)
+
     def test_unverified_loads_allowed_when_opted_out(self, tmp_path):
         root = tmp_path / "cat"
         store = fresh_store(root)

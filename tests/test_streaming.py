@@ -856,7 +856,7 @@ class TestStateRules:
         one, two = Engine(document), Engine(document)
         for name in document.hierarchy_names:
             columns = columns_held(document, name)
-            assert not columns.nodes  # nodes belong to the engines
+            assert not columns.attached  # nodes belong to the engines
             for engine in (one, two):
                 held = engine.goddag.components()[name]
                 assert held is not columns
