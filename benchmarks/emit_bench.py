@@ -51,7 +51,9 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))  # tests.updateoracle
 
 from repro.bench import SCALING_SIZES, corpus_at_size, goddag_at_size  # noqa: E402
 from repro.bench.workloads import BENCH_SEED  # noqa: E402
@@ -142,7 +144,7 @@ def bench_updates(size: int, repeats: int) -> dict:
     """
     from repro.api import Engine
     from repro.cmh import MultihierarchicalDocument
-    from repro.core.update import RebuildOracle
+    from tests.updateoracle import RebuildOracle
     from test_update_throughput import MARKUP_STATEMENTS, TEXT_STATEMENTS
 
     def private_corpus() -> MultihierarchicalDocument:

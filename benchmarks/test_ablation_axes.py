@@ -1,7 +1,7 @@
 """ABLATE-INDEX — what the sorted span index buys (DESIGN.md §3).
 
 The production extended axes answer Definition 1 by binary search over
-the sorted span index; :mod:`repro.core.goddag.naive` transcribes the
+the sorted span index; :mod:`tests.naive` transcribes the
 definition literally (full scan, explicit leaf sets).  Both are proved
 equal by the test suite; this bench measures the gap for the two axes
 the paper's queries lean on.
@@ -13,7 +13,7 @@ import pytest
 
 from repro.bench import goddag_at_size
 from repro.core.goddag.axes import axis_overlapping, axis_xdescendant
-from repro.core.goddag.naive import naive_overlapping, naive_xdescendant
+from tests.naive import naive_overlapping, naive_xdescendant
 
 from conftest import record
 

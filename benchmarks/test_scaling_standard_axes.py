@@ -4,7 +4,7 @@ The tentpole claim of the array-backed navigation engine (DESIGN.md §5):
 ``descendant``/``following``/``preceding`` are preorder slices plus a
 bisect into the partition's boundary array, replacing the seed's
 stack walks and full-corpus scans (preserved as the oracle in
-:mod:`repro.core.goddag.naive`).  Each ``*_speedup`` test times both on
+:mod:`tests.naive`).  Each ``*_speedup`` test times both on
 the largest generated corpus and asserts the ≥5× win; the S-ANALYZE
 test asserts the temporary-hierarchy lifecycle never rebuilds the
 SpanIndex and beats the rebuild-per-change baseline ≥2×.
@@ -22,7 +22,7 @@ from repro.bench import SCALING_SIZES, goddag_at_size
 from repro.cmh.spans import Span, SpanSet
 from repro.core.goddag import evaluate_axis
 from repro.core.goddag.index import SpanIndex
-from repro.core.goddag.naive import (
+from tests.naive import (
     naive_descendant,
     naive_following,
     naive_preceding,

@@ -5,16 +5,16 @@ partition boundary splicing, span-index component surgery — never a
 from-scratch rebuild) must produce serializations byte-identical to the
 naive baseline — re-parse every hierarchy's XML, rebuild the KyGODDAG
 and its span index for every statement, as
-:class:`~repro.core.update.RebuildOracle` does — on the largest bench
-corpus.
+:class:`tests.updateoracle.RebuildOracle` does with its own DOM
+applier — on the largest bench corpus.
 
 What a markup-level update builds is gated by counts, not by a clock
 against a path nobody runs:
-``tests/test_store.py::TestUntouchedHierarchiesUntouched`` (one DOM, one
-component, one ``attach``, no leaf, one walked hierarchy per ``add
-markup``).  Text-changing statements (insert/delete) re-register every
-hierarchy; their time against the rebuild is reported and must not fall
-below it.
+``tests/test_store.py::TestUntouchedHierarchiesUntouched`` (no DOM, no
+component from the row writer, one ``attach``, no leaf, one walked
+hierarchy per ``add markup``).  Text-changing statements
+(insert/delete) re-register every hierarchy; their time against the
+rebuild is reported and must not fall below it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pytest
 
 from repro.api import Engine
 from repro.bench import SCALING_SIZES, corpus_at_size
-from repro.core.update import RebuildOracle
+from tests.updateoracle import RebuildOracle
 
 from conftest import record
 

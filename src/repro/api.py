@@ -94,6 +94,7 @@ class Engine:
         self._dtds = None
         self.options = options or QueryOptions()
         self.goddag = KyGoddag.build(document)
+        self._seen = _holdings(document)
         self.use_cost = use_cost
         self._plans: OrderedDict[tuple, CompiledQuery] = OrderedDict()
         self._plans_lock = threading.Lock()
@@ -107,8 +108,9 @@ class Engine:
         store fork) has none until it is asked for: queries and saves
         need only the KyGODDAG.  What it then gets is a shell whose
         hierarchies each build their DOM from the component's arrays on
-        first access, so an update materializes only the hierarchies it
-        changes (DESIGN.md §9) and serialization the ones it prints.
+        first access, so serialization materializes only the ones it
+        prints; an update re-seats the hierarchies it changes as the
+        columns it registered (:meth:`update`) and builds no DOM.
 
         Safe to race on a shared frozen engine: a duplicate
         materialization just wastes work (both results are equivalent).
@@ -124,6 +126,7 @@ class Engine:
             if self._dtds:
                 document.cmh = ConcurrentMarkupHierarchy.from_sources(
                     goddag.root.root_name, self._dtds)
+            self._seen = _holdings(document)
             self._document = document
         return document
 
@@ -153,6 +156,7 @@ class Engine:
         """
         self = cls.__new__(cls)
         self._document = document
+        self._seen = None if document is None else _holdings(document)
         self._dtds = dtds
         self.options = options or QueryOptions()
         self.goddag = goddag
@@ -320,15 +324,40 @@ class Engine:
         statement rebuilt and by column over everything they share
         with the rest — pass ``check=False`` on trusted hot paths;
         ``engine.goddag.check_invariants()`` is the whole net.
+
+        The engine's document, if it has one, then holds what the
+        update changed.  An engine whose document moved since it last
+        looked — another engine's update, a hierarchy whose DOM was
+        handed out since — first rebuilds its KyGODDAG from the
+        document, so the update starts from what the document says.
         """
         if isinstance(statement, CompiledUpdate):
             compiled = statement
         else:
             compiled = self.compile_update(statement)
-        pending = compiled.pending(self.goddag, variables=variables,
+        document = self._document
+        if document is not None and not self.goddag.frozen \
+                and not _same(_holdings(document), self._seen):
+            self.goddag = KyGoddag.build(document)  # DESIGN.md §10
+            self._seen = _holdings(document)
+            self._plans_version = None
+        goddag = self.goddag
+        pending = compiled.pending(goddag, variables=variables,
                                    options=self.options)
-        return apply_pending(self.document, self.goddag, pending,
-                             check=check)
+        result = apply_pending(goddag, pending, check=check)
+        if document is not None:
+            # The engine's own document holds what the update changed
+            # as the columns now registered — the fork rule of §10 with
+            # the document as the other holder, so a later in-place
+            # rename copies first.
+            components = goddag.components()
+            document.text = goddag.text
+            for name in result.changed_hierarchies:
+                document.hierarchies[name] = Hierarchy.from_columns(
+                    components[name], goddag.text, goddag.root.root_name)
+                goddag.disown(name)
+            self._seen = _holdings(document)
+        return result
 
     def _evaluate_guarded(self, compiled: CompiledQuery, run):
         """Run one evaluation of ``compiled`` under the frozen-snapshot
@@ -419,6 +448,20 @@ class Engine:
         from repro.store.mhxb import save_engine
 
         return save_engine(self, path, durability=durability)
+
+
+def _holdings(document: MultihierarchicalDocument) -> list:
+    """What ``document`` holds, to be compared by identity: its text,
+    and each hierarchy with the columns it still is — a hierarchy whose
+    DOM is handed out holds none (DESIGN.md §15)."""
+    return [document.text, *(
+        part for rank, hierarchy in enumerate(document.hierarchies.values())
+        for part in (hierarchy, hierarchy.columns_at(rank)))]
+
+
+def _same(now: list, seen: list) -> bool:
+    return len(now) == len(seen) and all(
+        one is other for one, other in zip(now, seen))
 
 
 # ---------------------------------------------------------------------------

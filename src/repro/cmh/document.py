@@ -9,12 +9,12 @@ root r."*
 registration order (this order is what makes the paper's Definition 3
 node order stable) and verifies the alignment invariant: the
 concatenated text content of every hierarchy equals ``S``.  During
-alignment every text node is annotated with its character span, which
-is what the update engine works on.
+alignment every text node is annotated with its character span.
 
-A hierarchy that came in as XML source is first of all *columns* — the
-rows the KyGODDAG holds (DESIGN.md §15) — and becomes a DOM when
-somebody asks for one.
+A hierarchy that came in as XML source, or that an update wrote, is
+first of all *columns* — the rows the KyGODDAG holds (DESIGN.md §15) —
+and becomes a DOM when somebody asks for one; the update engine edits
+the rows, never a DOM (§9).
 """
 
 from __future__ import annotations
@@ -35,15 +35,18 @@ class Hierarchy:
 
     The DOM is either given or built on first access by ``loader`` —
     how an engine assembled around a KyGODDAG (``.mhxb`` cold load,
-    store fork) defers each hierarchy's DOM until an update or a
-    serialization needs that one (DESIGN.md §10).
+    store fork) defers each hierarchy's DOM until a serialization
+    needs that one (DESIGN.md §10).
 
-    A hierarchy that came in as XML source is *columns*
-    (:meth:`from_columns`) until its DOM is handed out
+    A hierarchy that came in as XML source, or that an update wrote,
+    is *columns* (:meth:`from_columns`) until its DOM is handed out
     (:attr:`document`, :attr:`root`); from then on it is the DOM,
-    because the DOM is mutable and updates write it (DESIGN.md §15).
-    Which of the two it is stays in here: a reader asks
-    :meth:`columns_at`, :attr:`follows_goddag`, :meth:`validate`.
+    because whoever holds a DOM may write it — user code, or
+    :meth:`validate` setting DTD defaults (DESIGN.md §15).  Updates
+    write no DOM: an engine re-seats the hierarchies it changed as
+    columns, and a DOM handed out before is a rendering of the old
+    version.  Which of the two a hierarchy is stays in here: a reader
+    asks :meth:`columns_at` or :meth:`validate`.
     """
 
     def __init__(self, name: str, document: dom.Document | None = None,
@@ -113,14 +116,6 @@ class Hierarchy:
         if columns is not None and columns.rank == rank:
             return columns
         return None
-
-    @property
-    def follows_goddag(self) -> bool:
-        """True while the DOM is still to be derived from the KyGODDAG
-        that holds this hierarchy (DESIGN.md §10): what changes there
-        needs no writing here.  A hierarchy that is its own columns
-        has to be told."""
-        return self._document is None and self._columns is None
 
     def validate(self, dtd: DTD) -> None:
         """Validate the encoding against ``dtd``.
@@ -273,12 +268,11 @@ class MultihierarchicalDocument:
         if cursor != len(text):
             raise falls_short(hierarchy.name, text, cursor)
 
-    def verify_alignment(self, names: Iterable[str] | None = None
-                         ) -> None:
-        """Re-check alignment after mutation: of every hierarchy, or of
-        the ``names`` a mutation touched when the text is unchanged."""
-        for name in self.hierarchies if names is None else names:
-            self._align(self.hierarchies[name])
+    def verify_alignment(self) -> None:
+        """Re-check every hierarchy's alignment (after a DOM was
+        written)."""
+        for hierarchy in self.hierarchies.values():
+            self._align(hierarchy)
 
     # -- forking -----------------------------------------------------------
 

@@ -20,8 +20,8 @@ the standard axes are slices (DESIGN.md §5):
 * ``ancestor``    — the parent chain (each hierarchy node has exactly
   one within-hierarchy parent).
 
-The seed's stack walkers survive in :mod:`repro.core.goddag.naive` as
-the property-test oracle.
+The seed's stack walkers survive in ``tests/naive.py`` as the
+property-test oracle.
 
 Extended axes implement Definition 1 via span arithmetic on the
 :class:`~repro.core.goddag.index.SpanIndex` (see DESIGN.md §3 for the

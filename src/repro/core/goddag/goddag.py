@@ -14,7 +14,9 @@ from them — at registration when the row writer's lists are in hand,
 else the first time somebody asks — so a structure is assembled around
 a mapped file's arrays (:meth:`KyGoddag.from_arrays`) without parsing,
 numbering, sorting or making a node.
-Every component that is not read from a file is written by one row
+Every component that is not read from a file or made by row
+arithmetic over other components (an update's row edits, a corpus
+fuse — both finished by :func:`normal_rows`) is written by one row
 writer (:class:`_ComponentWriter`), whatever pushes into it: the XML
 tokenizer, a walk of a DOM, or a sorted span list (DESIGN.md §15).
 Neither a component nor its nodes name the structure holding them, so
@@ -95,8 +97,9 @@ class _HierarchyComponent:
 
     Node objects are a fill-once cache over the columns.  A component
     the row writer just made attaches them at registration, from the
-    writer's own lists (:meth:`bind`); one mapped from a file attaches
-    them, once and under the component's lock, the first time
+    writer's own lists (:meth:`bind`); one mapped from a file or made by
+    an update's row edits attaches them, once and under the component's
+    lock, the first time
     :attr:`nodes`, :attr:`top_nodes`, :meth:`node_arrays` or
     :meth:`span_columns` asks — a query that reads one hierarchy makes
     that hierarchy's nodes and no other's (DESIGN.md §10).
@@ -228,7 +231,7 @@ class _HierarchyComponent:
 
         One linear pass, constructors inlined: this loop builds the
         nodes of every hierarchy a cold-loaded document is asked about,
-        and of the one hierarchy an update re-registers.  The nodes
+        and of the hierarchies an update re-registers.  The nodes
         name no KyGODDAG (DESIGN.md §1): every version holding this
         component shares them.  They are published by one assignment,
         :attr:`nodes` last, so a reader that finds it finds the rest.
@@ -656,32 +659,29 @@ class KyGoddag:
         if name in self._components:
             raise GoddagError(f"duplicate hierarchy name '{name}'")
 
-    def _from_dom(self, text: str, name: str, rank: int, temporary: bool,
-                  document: dom.Document) -> _HierarchyComponent:
-        """:func:`dom_component` behind this structure's doors, which
-        report a DOM that does not fit as a :class:`GoddagError`."""
+    def add_hierarchy_from_dom(self, name: str, document: dom.Document,
+                               temporary: bool = False) -> None:
+        """Register a hierarchy from an aligned DOM document: the one
+        door of this structure that takes a DOM.
+
+        The document's text nodes must cover the base text contiguously
+        (spans are derived by walking); a DOM that does not fit is a
+        :class:`GoddagError`.
+        """
+        self._admit(name, temporary)
         root_name = self.root.root_name
         if document.root.name != root_name:
             raise GoddagError(
                 f"hierarchy '{name}' has root element "
                 f"'{document.root.name}', expected '{root_name}'")
         try:
-            return dom_component(
-                _ComponentWriter(text, root_name, name, rank, temporary),
+            component = dom_component(
+                _ComponentWriter(self.text, root_name, name,
+                                 self._next_rank, temporary),
                 document)
         except CMHError as error:
             raise GoddagError(str(error)) from error
-
-    def add_hierarchy_from_dom(self, name: str, document: dom.Document,
-                               temporary: bool = False) -> None:
-        """Register a hierarchy from an aligned DOM document.
-
-        The document's text nodes must cover the base text contiguously
-        (spans are derived by walking).
-        """
-        self._admit(name, temporary)
-        self._add_component(self._from_dom(
-            self.text, name, self._next_rank, temporary, document))
+        self._add_component(component)
 
     def add_hierarchy_from_spans(self, name: str, spans: SpanSet,
                                  temporary: bool = False) -> None:
@@ -831,50 +831,57 @@ class KyGoddag:
             self._index.rename_node(node)
         self.version += 1
 
-    def replace_hierarchy(self, name: str, document: dom.Document) -> None:
-        """Re-register one hierarchy from a mutated DOM, keeping its rank.
+    def disown(self, name: str) -> None:
+        """Another holder (a document, §10) now shares the component
+        under ``name``: the next in-place rename copies it first."""
+        self._owned.discard(name)
+
+    def replace_hierarchy(self, component: _HierarchyComponent) -> None:
+        """Register ``component`` in place of the hierarchy of its name.
 
         The incremental mutation path: the old component's boundaries
-        are spliced out of the partition and its sub-arrays compressed
-        out of the span index, then the fresh component merges back in —
-        every *other* hierarchy's arrays, nodes, leaves, caches and
-        order keys survive untouched.  The base text must be unchanged;
-        use :meth:`rebuild_hierarchies` when it is not.
+        are swapped for the new one's in the partition and its sub-arrays
+        compressed out of the span index, then the new component merges
+        in at the old one's place — every *other* hierarchy's arrays,
+        nodes, leaves, caches and order keys survive untouched.  The
+        component must be written over the unchanged base text at the
+        old one's rank; use :meth:`rebuild_hierarchies` when the text
+        changes.
         """
+        name = component.name
         if self.frozen:
             self._frozen_violation(f"replace hierarchy '{name}'")
-        component = self._components.get(name)
-        if component is None:
+        old = self._components.get(name)
+        if old is None:
             raise GoddagError(f"no hierarchy named '{name}'")
-        # Built before anything is taken apart: a DOM the writer
-        # rejects leaves the structure as it was.
-        fresh = self._from_dom(self.text, name, component.rank,
-                               component.temporary, document)
-        self.partition.swap_boundaries(component.boundaries,
-                                       fresh.boundaries)
+        _check_fits(component, old, len(self.text))
+        self.partition.swap_boundaries(old.boundaries, component.boundaries)
         if self._index is not None:
-            self._index.remove_component(component)
-        self._finish_component(fresh)
+            self._index.remove_component(old)
+        self._finish_component(component)
 
     def rebuild_hierarchies(self, text: str,
-                            documents: dict[str, dom.Document]) -> None:
-        """Swap the base text and re-register every hierarchy, in order.
+                            components: list[_HierarchyComponent]) -> None:
+        """Swap the base text and register ``components`` — one per
+        registered hierarchy, in rank order, written over ``text`` at
+        that rank — in their places.
 
         Used when an update changes the text itself (insert/delete/
         replace value): all spans shift, so every component and the leaf
-        partition are rebuilt — but ranks are kept, the span index is
+        partition are replaced — but ranks are kept, the span index is
         patched by per-component surgery plus a root re-seed, and no XML
         is ever re-parsed.
         """
         if self.frozen:
             self._frozen_violation("rebuild hierarchies over new text")
-        if set(documents) != set(self._components):
+        if [component.name for component in components] \
+                != list(self._components):
             raise GoddagError(
                 "rebuild_hierarchies needs exactly the registered "
-                "hierarchies")
-        fresh = [self._from_dom(text, name, old.rank, old.temporary,
-                                documents[name])
-                 for name, old in self._components.items()]
+                "hierarchies, in rank order")
+        for component in components:
+            _check_fits(component, self._components[component.name],
+                        len(text))
         index = self._index
         if index is not None:
             for component in self._components.values():
@@ -885,8 +892,8 @@ class KyGoddag:
         if index is not None:
             index.reset_root()
         self.partition = Partition.restore(
-            text, *partition_arrays(text, fresh))
-        for component in fresh:
+            text, *partition_arrays(text, components))
+        for component in components:
             self._finish_component(component)
         self.version += 1
 
@@ -1244,10 +1251,10 @@ class _ComponentWriter:
 def dom_component(writer: _ComponentWriter,
                   document: dom.Document) -> _HierarchyComponent:
     """The columns of one hierarchy given as a DOM: one preorder walk
-    pushing into ``writer``.  What every update re-registers goes
-    through here, and every document that was built as a DOM (the
-    corpus generator's, a hand-made one, what the parser made of a
-    source the tokenizer does not take on)."""
+    pushing into ``writer`` — every document that was built as a DOM
+    (the corpus generator's, a hand-made one, what the parser made of a
+    source the tokenizer does not take on) and
+    :meth:`KyGoddag.add_hierarchy_from_dom`."""
     for child in document.children:
         if isinstance(child, dom.Element):
             writer.root(child.name, child.attributes)
@@ -1315,6 +1322,24 @@ def span_component(writer: _ComponentWriter,
     return writer.finish()
 
 
+def _check_fits(component: _HierarchyComponent, old: _HierarchyComponent,
+                length: int) -> None:
+    """``component`` may stand where ``old`` stands over a base text of
+    ``length`` characters: same rank and temporariness, and text rows
+    that tile ``[0, length)``.  Raises :class:`GoddagError` before
+    anything is taken apart."""
+    texts = component.kinds == KIND_TEXT
+    tiles = np.array_equal(
+        np.concatenate((component.starts[texts], [length])),
+        np.concatenate(([0], component.ends[texts])))
+    if component.rank != old.rank or component.temporary != old.temporary \
+            or not tiles:
+        raise GoddagError(
+            f"component '{component.name}' does not fit: it must keep "
+            f"rank {old.rank} and temporary={old.temporary}, and its text "
+            f"rows must tile the {length}-character base text")
+
+
 def hierarchy_components(document: MultihierarchicalDocument,
                          own: bool = False
                          ) -> Iterator[_HierarchyComponent]:
@@ -1333,6 +1358,44 @@ def hierarchy_components(document: MultihierarchicalDocument,
         elif own:
             component = component.private_copy()
         yield component
+
+
+def normal_rows(columns: dict[str, np.ndarray]
+                ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """``columns`` (all but ``okeys``) as a serialize/parse round trip
+    leaves them: the one normalisation of edited rows — an update's
+    (DESIGN.md §9) and a fused corpus's (§13).
+
+    Zero-length text rows go, and of each run of text rows under one
+    parent the first stays and ends where the last did.  ``parents``
+    and ``subtree_ends`` are renumbered by the keep-mask: a dropped
+    row's number reads the last kept row at or before it, which is
+    where a subtree that ended on it now ends.  Returns the columns and
+    that renumbering, for what else is keyed by row.
+    """
+    kinds, starts, ends = columns["kinds"], columns["starts"], columns["ends"]
+    parents = columns["parents"]
+    texts = kinds == KIND_TEXT
+    rows = np.flatnonzero(~texts | (ends > starts))
+    text_row, parent = texts[rows], parents[rows]
+    # a text row right behind a text row of the same parent continues it
+    continues = np.zeros(len(rows), dtype=bool)
+    continues[1:] = (text_row[1:] & text_row[:-1]
+                     & (parent[1:] == parent[:-1]))
+    heads = np.flatnonzero(~continues)
+    # the rows that stay, and for each the row its run ends with (itself,
+    # unless it is text)
+    last = rows[np.append(heads, len(rows))[1:] - 1]
+    rows = rows[heads]
+    keep = np.zeros(len(kinds), dtype=bool)
+    keep[rows] = True
+    renumber = np.cumsum(keep) - 1
+    parents = parents[rows]
+    return {"kinds": kinds[rows], "name_ids": columns["name_ids"][rows],
+            "starts": starts[rows], "ends": ends[last],
+            "parents": np.where(parents < 0, -1, renumber[parents]),
+            "subtree_ends": renumber[columns["subtree_ends"][rows]]
+            }, renumber
 
 
 def partition_arrays(text: str, components: list[_HierarchyComponent]

@@ -10,20 +10,19 @@ The update engine in three stages:
    primitives;
 2. :mod:`~repro.core.update.pul` — the pending update list: snapshot
    semantics, deterministic application order, conflict detection;
-3. :mod:`~repro.core.update.apply` — atomic application: in-place DOM
-   surgery, disjoint base-text splices propagated through every
-   aligned hierarchy, and incremental KyGODDAG patching (partition
-   boundary splicing, span-index component surgery, in-place renames)
-   — never a from-scratch rebuild.
+3. :mod:`~repro.core.update.apply` — atomic application: row edits on
+   working copies of the touched hierarchies' columns, disjoint
+   base-text splices absorbed by every other hierarchy's text rows,
+   and incremental KyGODDAG registration (partition boundary swaps,
+   span-index component surgery, in-place renames) — never a DOM and
+   never a from-scratch rebuild.
 
-:mod:`~repro.core.update.oracle` hosts the naive re-parse/rebuild
-reference used by the differential fuzzer and the throughput
-benchmarks.
+The naive re-parse/rebuild reference the differential fuzzer and the
+throughput benchmarks compare against lives in ``tests/updateoracle.py``.
 """
 
 from repro.core.update.apply import UpdateApplyStats, apply_pending
 from repro.core.update.compile import CompiledUpdate, compile_update
-from repro.core.update.oracle import RebuildOracle
 from repro.core.update.pul import (
     AddMarkupPrim,
     DeletePrim,
@@ -41,7 +40,6 @@ __all__ = [
     "DeletePrim",
     "InsertPrim",
     "PendingUpdateList",
-    "RebuildOracle",
     "RemoveMarkupPrim",
     "RenamePrim",
     "ReplaceValuePrim",

@@ -20,7 +20,9 @@ conflict rules before anything is applied:
 
 Application order is fixed and documented: renames, then markup
 removal, then markup addition, then value replacement, then deletes,
-then inserts — all against pre-state coordinates.
+then inserts — all against pre-state coordinates, and each a row edit
+of the hierarchies it touches (:mod:`repro.core.update.apply`).  A
+primitive names its target by node; the node's preorder is its row.
 """
 
 from __future__ import annotations
@@ -85,9 +87,10 @@ class InsertPrim(UpdatePrimitive):
     """Insert constructed content relative to one target element.
 
     ``fragment`` holds detached DOM nodes (already deep-copied, so one
-    constructed element can feed several inserts); ``text`` is the
-    fragment's concatenated character data, spliced into the base text
-    at the location implied by ``location``.
+    constructed element can feed several inserts) — constructed content
+    is a DOM only until the applier pushes it into the row writer;
+    ``text`` is the fragment's concatenated character data, spliced
+    into the base text at the location implied by ``location``.
     """
 
     target: GElement

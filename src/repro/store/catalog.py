@@ -143,6 +143,8 @@ class DocumentStore:
         #: fused whole-corpus engines, keyed by corpus name
         self._fused: dict[str, Engine] = {}
         self._pools: dict[int, ShardWorkerPool] = {}
+        #: headers recovery parsed, for each document's first cold load
+        self._headers: dict[str, tuple] = {}
         self._manifest = self._load_manifest()
         self._manifest.setdefault("generation", 0)
         self._manifest.setdefault("quarantined", {})
@@ -228,12 +230,13 @@ class DocumentStore:
                     changed = True
                     continue
                 try:
-                    header, _start = read_header(path)
+                    header, start = read_header(path)
                 except ReproError as error:
                     self._quarantine_entry(name, entry, str(error))
                     report["quarantined"].append(name)
                     changed = True
                     continue
+                self._headers[name] = (_identity(path), header, start)
                 if header["version"] != entry["version"]:
                     entry["version"] = header["version"]
                     report["adopted"].append(
@@ -806,8 +809,7 @@ class DocumentStore:
                 raise ReproError(f"no document named {name!r}")
             path = self.root / entry["file"]
             try:
-                engine = Engine.from_mhxb(path, options=self.options,
-                                          verify=self.verify_cold_loads)
+                engine = self._cold_load(name, path)
             except ReproError as error:
                 self._quarantine_entry(name, entry, str(error))
                 self._save_manifest()
@@ -817,6 +819,19 @@ class DocumentStore:
             snapshot = Snapshot(name, engine, self.plans)
             self._live[name] = snapshot
             return snapshot
+
+    def _cold_load(self, name: str, path: Path) -> Engine:
+        """The engine mapped from ``path``, under the cold-load policy:
+        over the header recovery parsed, while the file is the one it
+        read, else over a fresh read (DESIGN.md §12)."""
+        held = self._headers.pop(name, None)
+        if held is None or held[0] != _identity(path):
+            return Engine.from_mhxb(path, options=self.options,
+                                    verify=self.verify_cold_loads)
+        _key, header, start = held
+        if self.verify_cold_loads:
+            verify_blocks(path, header, start)
+        return map_engine(path, header, start, options=self.options)
 
     def query(self, name: str, text: str,
               variables: dict[str, list] | None = None):
@@ -1003,3 +1018,14 @@ def _write_json(path: Path, payload: dict,
     layer.replace(temp, path)
     if durability == "full":
         layer.fsync_dir(path.parent)
+
+
+def _identity(path: Path) -> tuple[int, int, int] | None:
+    """What tells one file at ``path`` from its replacement: a commit
+    renames a new file over the old one.  None when there is no file
+    to tell (a fresh read reports why)."""
+    try:
+        status = path.stat()
+    except OSError:
+        return None
+    return status.st_ino, status.st_size, status.st_mtime_ns

@@ -43,7 +43,7 @@ from repro.cmh.document import (Hierarchy, MultihierarchicalDocument,
                                 falls_short)
 from repro.core.goddag.goddag import (KIND_ELEMENT, KIND_TEXT,
                                       _HierarchyComponent,
-                                      hierarchy_components)
+                                      hierarchy_components, normal_rows)
 from repro.errors import StoreError
 from repro.markup import dom
 from repro.store.mhxb import write_container
@@ -508,51 +508,38 @@ def _fuse_components(name: str, rank: int,
     ``text``, as one component: row for row what ``normalize()`` leaves
     of the parts' top-level nodes under one root.
 
-    Zero-length text rows go, and of a run of text rows under one
-    parent — the two halves of a text node a cut split, or what a
-    hand-built part carries — the first stays and ends where the last
-    did.  Root attributes are the first part's; the comments and PIs
-    around a part's root element are not part of the corpus.
+    The concatenated rows go through :func:`normal_rows`, the
+    normalisation an update's edited rows go through too: it merges the
+    two halves of a text node a cut split, and drops what a hand-built
+    part carries that a round trip would not.  Root attributes are the
+    first part's; the comments and PIs around a part's root element are
+    not part of the corpus.
     """
     shifts = np.cumsum([0, *(len(part.kinds) for part in parts)])
     names: list[str] = []
     interned: dict[str, int] = {}
-    name_ids = np.concatenate(
-        [part.interned_ids(names, interned) for part in parts])
-    kinds = np.concatenate([part.kinds for part in parts])
-    starts = np.concatenate(
-        [part.starts + offset for part, offset in zip(parts, offsets)])
-    ends = np.concatenate(
-        [part.ends + offset for part, offset in zip(parts, offsets)])
-    parents = np.concatenate(
-        [np.where(part.parents < 0, -1, part.parents + shift)
-         for part, shift in zip(parts, shifts)])
-    subtree_ends = np.concatenate(
-        [part.subtree_ends + shift for part, shift in zip(parts, shifts)])
-    texts = kinds == KIND_TEXT
-    rows = np.flatnonzero(~texts | (ends > starts))
-    text_row, parent = texts[rows], parents[rows]
-    # a text row right behind a text row of the same parent continues it
-    continues = np.zeros(len(rows), dtype=bool)
-    continues[1:] = (text_row[1:] & text_row[:-1]
-                     & (parent[1:] == parent[:-1]))
-    heads = np.flatnonzero(~continues)
-    # the rows that stay, and for each the row its run ends with (itself,
-    # unless it is text)
-    last = rows[np.append(heads, len(rows))[1:] - 1]
-    rows = rows[heads]
-    keep = np.zeros(len(kinds), dtype=bool)
-    keep[rows] = True
-    renumber = np.cumsum(keep) - 1
-    kinds, starts, ends = kinds[rows], starts[rows], ends[last]
+    columns, renumber = normal_rows({
+        "kinds": np.concatenate([part.kinds for part in parts]),
+        "name_ids": np.concatenate(
+            [part.interned_ids(names, interned) for part in parts]),
+        "starts": np.concatenate(
+            [part.starts + offset for part, offset in zip(parts, offsets)]),
+        "ends": np.concatenate(
+            [part.ends + offset for part, offset in zip(parts, offsets)]),
+        "parents": np.concatenate(
+            [np.where(part.parents < 0, -1, part.parents + shift)
+             for part, shift in zip(parts, shifts)]),
+        "subtree_ends": np.concatenate(
+            [part.subtree_ends + shift
+             for part, shift in zip(parts, shifts)])})
     # what stands where ``add_hierarchy`` aligned: the text rows tile
     # the fused text (each part was held against its own by its writer)
-    tiles = np.flatnonzero(kinds == KIND_TEXT)
+    starts, ends = columns["starts"], columns["ends"]
+    tiles = np.flatnonzero(columns["kinds"] == KIND_TEXT)
     covered = np.insert(ends[tiles], 0, 0)
     tiled = covered == np.append(starts[tiles], len(text))
     if not tiled.all():
         raise falls_short(name, text, int(covered[np.argmin(tiled)]))
-    parents = parents[rows]
 
     def carried(key: str) -> list:
         return [[int(renumber[row + shift]), value]
@@ -560,12 +547,7 @@ def _fuse_components(name: str, rank: int,
                 for row, value in getattr(part, key)]
 
     return _HierarchyComponent(
-        name, rank, False, names=names,
-        columns={
-            "kinds": kinds, "name_ids": name_ids[rows],
-            "starts": starts, "ends": ends,
-            "parents": np.where(parents < 0, -1, renumber[parents]),
-            "subtree_ends": renumber[subtree_ends[rows]]},
+        name, rank, False, names=names, columns=columns,
         attrs=carried("attrs"), comments=carried("comments"),
         pis=carried("pis"), prolog=[], epilog=[],
         root_attrs=parts[0].root_attrs)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.goddag import KyGoddag, evaluate_axis
-from repro.core.goddag.naive import NAIVE_AXES
+from tests.naive import NAIVE_AXES
 from repro.core.goddag.nodes import GElement, GText
 
 from tests.strategies import multihierarchical_documents

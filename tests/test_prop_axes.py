@@ -9,7 +9,7 @@ sets on randomly generated multihierarchical documents.
 
 The slice-based *standard* axes (DESIGN.md §5) are additionally checked
 element-for-element against the seed's walkers, preserved in
-:mod:`repro.core.goddag.naive`.
+:mod:`tests.naive`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.core.goddag.axes import (
     axis_candidates,
     emits_document_order,
 )
-from repro.core.goddag.naive import NAIVE_STANDARD_AXES
+from tests.naive import NAIVE_STANDARD_AXES
 from repro.core.goddag.nodes import (
     GElement,
     GRoot,

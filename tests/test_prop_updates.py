@@ -6,14 +6,15 @@ sequence of 1–30 random update statements, applied two ways:
 * **incremental engine** — one :class:`~repro.api.Engine` whose live
   KyGODDAG is patched in place across the whole sequence (partition
   splices, span-index component surgery, in-place renames);
-* **rebuild oracle** — a :class:`~repro.core.update.RebuildOracle`
-  that keeps only serialized state and re-parses + rebuilds from
-  scratch for every statement.
+* **rebuild oracle** — a :class:`tests.updateoracle.RebuildOracle`
+  that keeps only serialized state and, for every statement, re-parses,
+  applies it with its own DOM applier and re-serializes.
 
 After every applied statement the two must agree byte-for-byte on the
 serialization of every hierarchy and the base text, item-for-item on a
 probe query set (run against the long-lived incremental goddag vs. a
-freshly rebuilt one), and ``check_invariants()`` must pass on the
+freshly rebuilt one), column for column on every hierarchy the
+statement changed, and ``check_invariants()`` must pass on the
 incremental structure — the whole net, after the scoped net the update
 itself ran over what it rebuilt (``check=True``): wherever the whole
 net passes, the scoped one must have.  Statements that fail (conflicts,
@@ -39,15 +40,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Engine
+from repro.core.goddag import KyGoddag
 from repro.errors import QueryEvaluationError, UpdateError
-from repro.core.update import RebuildOracle
 from repro.store import DocumentStore, fork_engine, save_engine
 
+from tests.dombuild import assert_same_columns
 from tests.strategies import (
     build_update_statement,
     multihierarchical_documents,
     update_ops,
 )
+from tests.updateoracle import RebuildOracle
 
 #: Probe queries spanning counting, serialization, navigation, and the
 #: extended (overlap) axes — cheap enough to run after every statement.
@@ -78,6 +81,18 @@ def _assert_states_match(engine: Engine, oracle: RebuildOracle,
     text, sources = _serialized_state(engine)
     assert text == oracle.text, f"base text diverged {context}"
     assert sources == oracle.sources, f"serialization diverged {context}"
+
+
+def _assert_columns_match(engine: Engine, oracle: RebuildOracle,
+                          held: dict) -> None:
+    """Every hierarchy the step changed (its component is not the one
+    ``held`` had) holds, column for column and dtype for dtype, what a
+    from-scratch build of the oracle's document holds."""
+    changed = engine.goddag.changed_components(held)
+    mine = engine.goddag.components()
+    fresh = KyGoddag.build(oracle.document()).components()
+    assert_same_columns([mine[name] for name in changed],
+                        [fresh[name] for name in changed])
 
 
 def _assert_probes_match(engine: Engine, oracle: RebuildOracle,
@@ -120,6 +135,7 @@ def test_update_sequences_match_rebuild_oracle(data):
         if statement is None:
             continue
         context = f"after step {step}: {statement!r}"
+        held = engine.goddag.components()
         try:
             engine.update(statement, check=True)
         except (UpdateError, QueryEvaluationError):
@@ -133,6 +149,7 @@ def test_update_sequences_match_rebuild_oracle(data):
         oracle.apply(statement)
         _assert_states_match(engine, oracle, context)
         _assert_probes_match(engine, oracle, context)
+        _assert_columns_match(engine, oracle, held)
     _APPLIED_TOTAL[0] += applied
 
 
@@ -194,6 +211,8 @@ def test_forked_sequences_leave_every_source_untouched(data):
                         source.goddag.components()))
                 oracle.apply(statement)
                 _assert_probes_match(fork, oracle, context)
+                _assert_columns_match(fork, oracle,
+                                      source.goddag.components())
                 # sometimes look at the DOM side too, sometimes leave
                 # the next generation's source partly materialized
                 if data.draw(st.booleans(), label=f"peek-{step}"):
@@ -277,6 +296,7 @@ def test_multi_primitive_statements_are_atomic(document, ops):
     if not parts:
         return
     statement = ", ".join(parts)
+    held = engine.goddag.components()
     try:
         engine.update(statement, check=True)
     except (UpdateError, QueryEvaluationError):
@@ -285,3 +305,4 @@ def test_multi_primitive_statements_are_atomic(document, ops):
     oracle.apply(statement)
     _assert_states_match(engine, oracle, repr(statement))
     _assert_probes_match(engine, oracle, repr(statement))
+    _assert_columns_match(engine, oracle, held)

@@ -23,7 +23,7 @@ from repro.errors import GoddagError, ReproError, UpdateError
 from repro.cmh import MultihierarchicalDocument
 from repro.core.goddag import invariants
 from repro.core.goddag.goddag import _ComponentWriter, _HierarchyComponent
-from repro.core.goddag.nodes import GElement, GLeaf
+from repro.core.goddag.nodes import GLeaf
 from repro.core.runtime import QueryOptions
 from repro.corpus.boethius import boethius_document
 from repro.markup import dom
@@ -279,15 +279,17 @@ def wrapping(target, attribute, seen, key):
 
 
 UNTOUCHED = ("structural", "physical", "restoration")
+EVERY = ["structural", "physical", "damage", "restoration"]
 
 
 class TestUntouchedHierarchiesUntouched:
     """The deterministic stand-in for ``store-write/heavy_ms``: what one
     ``DocumentStore.update`` builds at n=800, counted by wrapping.  An
-    ``add markup`` changes one hierarchy, so one hierarchy's DOM and one
-    component are built, one hierarchy's nodes are created and walked by
-    the net, and nothing is cloned, re-sorted or copied per node; a text
-    change shifts every span and is the control."""
+    ``add markup`` changes one hierarchy, so one component is built —
+    by row edits, with no DOM and no row writer — one hierarchy's nodes
+    are created and walked by the net, and nothing is cloned, re-sorted
+    or copied per node; a text change shifts every span and is the
+    control."""
 
     @pytest.fixture()
     def stored(self, tmp_path):
@@ -342,21 +344,21 @@ class TestUntouchedHierarchiesUntouched:
     def test_add_markup_builds_one_hierarchy(self, stored):
         before = stored.snapshot("doc").engine
         word = self.free_word(before.goddag)
-        in_damage = sum(isinstance(node, GElement)
-                        for node in before.goddag.nodes_of("damage"))
         doms, elements, components, clones = self.counted(
             stored, f'add markup mark to "damage" covering '
                     f'(/descendant::w)[{word}]')
-        assert doms == ["damage"] and components == ["damage"]
-        # the hierarchy's elements, its root element, the new wrapper
-        assert elements == in_damage + 2
+        # one hierarchy is rebuilt, as rows: no DOM, no row writer
+        assert doms == [] and components == []
+        assert elements == 0
         assert not clones
         after = stored.snapshot("doc").engine
+        assert after.goddag.changed_components(
+            before.goddag.components()) == ["damage"]
         assert after.goddag.index_full_builds == 0
         assert before._document is None  # the source built no DOM
         assert [name for name, hierarchy
                 in after.document.hierarchies.items()
-                if hierarchy.materialized] == ["damage"]
+                if hierarchy.materialized] == []
         assert after.query("count(//mark)").serialize() == "1"
         # untouched hierarchies still share the published arrays
         for name in UNTOUCHED:
@@ -366,6 +368,55 @@ class TestUntouchedHierarchiesUntouched:
         assert not np.shares_memory(
             after.goddag._components["damage"].starts,
             before.goddag._components["damage"].starts)
+
+    #: one statement per primitive kind (``{free}``: a word no ``<dmg>``
+    #: touches), and the hierarchies each one rebuilds
+    PRIMITIVES = {
+        "rename": ('rename node (/descendant::w)[1] as "word"', []),
+        "add markup": ('add markup mark to "damage" covering '
+                       '(/descendant::w)[{free}]', ["damage"]),
+        "remove markup": ("remove markup (/descendant::dmg)[1]",
+                          ["damage"]),
+        "replace value of": ('replace value of node (/descendant::w)[3] '
+                             'with "eac"', EVERY),
+        "delete": ("delete node (/descendant::w)[2]", EVERY),
+        "insert": ("insert node <w>eac</w> after (/descendant::w)[4]",
+                   EVERY),
+    }
+
+    @pytest.mark.parametrize("kind", list(PRIMITIVES))
+    def test_no_dom_on_the_write_path(self, stored, kind):
+        """Every primitive kind, committed on a cold snapshot: no DOM
+        built or walked, no hierarchy materialized, no DOM element but
+        what the statement constructs, and the row writer only for an
+        ``insert``'s fragment."""
+        from repro.core.goddag import goddag as goddag_module
+        from repro.core.update import compile_update
+
+        template, rebuilt = self.PRIMITIVES[kind]
+        before = stored.snapshot("doc").engine
+        statement = template.format(free=self.free_word(before.goddag))
+        constructed = []  # what evaluating the statement alone makes
+        with wrapping(dom.Element, "__init__", constructed, id):
+            compile_update(statement).pending(fork_engine(before).goddag)
+        walks = []
+        with mock.patch.object(
+                goddag_module, "dom_component",
+                lambda *args, walk=goddag_module.dom_component:
+                (walks.append(1), walk(*args))[1]):
+            doms, elements, components, clones = self.counted(
+                stored, statement)
+        assert doms == [] and walks == [] and not clones
+        assert elements == len(constructed)
+        assert components == (["structural"] if kind == "insert" else [])
+        after = stored.snapshot("doc").engine
+        assert before._document is None and after._document is None
+        assert not any(hierarchy.materialized for hierarchy
+                       in after.document.hierarchies.values())
+        assert after.goddag.changed_components(
+            before.goddag.components()) == (
+                ["structural"] if kind == "rename" else rebuilt)
+        after.goddag.check_invariants()
 
     def test_add_markup_attaches_and_walks_one_hierarchy(self, stored):
         """One ``attach`` (the cold load happened before), no leaf made
@@ -626,13 +677,15 @@ class TestUntouchedHierarchiesUntouched:
         assert published.query("count(//word)").serialize() == "0"
 
     def test_text_change_rebuilds_every_hierarchy(self, stored):
-        names = stored.snapshot("doc").engine.goddag.hierarchy_names
+        before = stored.snapshot("doc").engine.goddag
         doms, _elements, components, clones = self.counted(
             stored, 'replace value of node (/descendant::w)[3] '
                     'with "eac"')
-        assert sorted(doms) == sorted(components) == sorted(names)
+        assert doms == components == []  # rows, not DOMs
         assert not clones
         after = stored.snapshot("doc").engine
+        assert after.goddag.changed_components(before.components()) \
+            == before.hierarchy_names
         assert after.goddag.index_full_builds == 0
         assert after.query("string((/descendant::w)[3])").serialize() \
             == "eac"
@@ -675,13 +728,15 @@ class TestCommitTimeNet:
             self, stored):
         """A builder fault: the net raises once, before persist; the
         published version and the file stay as they were."""
+        from repro.core.update import apply
+
         published = stored.snapshot("doc")
         path = stored.root / "doc.mhxb"
         image = path.read_bytes()
-        finish = _ComponentWriter.finish
+        finish = apply._Rows.finish
 
-        def faulty(writer):
-            component = finish(writer)
+        def faulty(rows, length):
+            component = finish(rows, length)
             component.subtree_ends[1] += 1  # one row lies
             return component
 
@@ -693,7 +748,7 @@ class TestCommitTimeNet:
             return working
 
         from repro.store import catalog
-        with mock.patch.object(_ComponentWriter, "finish", faulty), \
+        with mock.patch.object(apply._Rows, "finish", faulty), \
                 mock.patch.object(catalog, "fork_engine", recording), \
                 pytest.raises(GoddagError, match="invariant violation"):
             stored.update("doc", self.BATCH)

@@ -446,6 +446,41 @@ class TestCorruption:
                    in statuses.values())
         assert sorted(paths) == sorted(["boe.mhxb", "other.mhxb"] * 2)
 
+    def test_first_cold_load_takes_the_recovered_header(self, tmp_path):
+        """The header recovery parsed serves a document's first cold
+        load — no second ``read_header`` — unless the file was replaced
+        since, which is read afresh."""
+        from unittest import mock
+
+        from repro.store import catalog, mhxb
+
+        root = tmp_path / "cat"
+        store = fresh_store(root)
+        store.add("other", boethius_document(validate=False))
+        store.close()
+        store = DocumentStore(root)
+        copy = root / "copy.tmp"
+        shutil.copyfile(root / "other.mhxb", copy)
+        os.replace(copy, root / "other.mhxb")  # same bytes, new file
+        paths = []
+        original = mhxb.read_header
+
+        def counting(path):
+            paths.append(os.path.basename(path))
+            return original(path)
+
+        with mock.patch.object(mhxb, "read_header", counting), \
+                mock.patch.object(catalog, "read_header", counting):
+            for name in ("boe", "other"):
+                assert store.query(
+                    name, "count(/descendant::w)").serialize() == "6"
+        assert paths == ["other.mhxb"]
+        # a file gone since recovery quarantines on its first load
+        store = DocumentStore(root)
+        (root / "other.mhxb").unlink()
+        with pytest.raises(StoreError, match="quarantined"):
+            store.query("other", "count(/descendant::w)")
+
     def test_unverified_loads_allowed_when_opted_out(self, tmp_path):
         root = tmp_path / "cat"
         store = fresh_store(root)

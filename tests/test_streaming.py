@@ -809,10 +809,13 @@ class TestStateRules:
         return path.read_bytes()
 
     def test_columns_until_the_dom_is_handed_out(self, tmp_path):
-        """(a) An update through ``engine.document`` — a rename, which
-        an engine-derived hierarchy takes without a DOM, a wrap, a text
-        edit, a hand edit of the DOM — reaches the next engine built
-        from the same document."""
+        """(a) An update through ``engine.document`` — a rename, a
+        wrap, a text edit — reaches the next engine built from the same
+        document without a DOM: the engine re-seats what it changed as
+        the columns it registered.  A hand edit of a DOM handed out
+        reaches the next engine, and the next update of an engine built
+        before it, which takes the document in first; a DOM taken out
+        before an update is a rendering of the old version."""
         document = MultihierarchicalDocument.from_xml(BASE_TEXT,
                                                       dict(ENCODINGS))
         engine = Engine(document)
@@ -821,27 +824,46 @@ class TestStateRules:
                    not document[name].materialized
                    for name in document.hierarchy_names)
         engine.update('rename node (/descendant::w)[1] as "word"')
-        structural = document["structural"]
-        assert structural.materialized
-        assert [name for name in document.hierarchy_names
-                if columns_held(document, name) is None] == ["structural"]
+        assert not document["structural"].materialized
+        assert columns_held(document, "structural") is \
+            engine.goddag.components()["structural"]
         assert Engine(document).query("count(//word)").items == [1]
         engine.update('add markup mark to "damage" covering '
                       '(/descendant::w)[2]')
-        next(document["structural"].root.iter_elements("word")).name = "w"
+        assert not any(document[name].materialized
+                       for name in document.hierarchy_names)
+        handed = document["structural"].document
+        next(handed.root.iter_elements("word")).name = "w"
         rebuilt = Engine(document)
         assert rebuilt.query("count(//word)").items == [0]
         assert rebuilt.query("count(//mark)").items == [1]
         engine.update("insert node <w>eac</w> after (/descendant::w)[2]")
-        assert all(columns_held(document, name) is None
+        assert engine.query("count(//word)").items == [0]  # the hand edit
+        assert all(columns_held(document, name) is not None
                    for name in document.hierarchy_names)
         assert Engine(document).query("count(//w)").items == [7]
+        assert len(list(handed.root.iter_elements("w"))) == 6
         # the oracle of it all: the DOM ingest of what the document says
         assert self.image(Engine(document), tmp_path / "a.mhxb") == \
             self.image(Engine(dom_document(
                 document.text, {name: document[name].to_xml()
                                 for name in document.hierarchy_names})),
                 tmp_path / "b.mhxb")
+
+    def test_an_engine_takes_in_what_moved_under_it(self):
+        """(a) Of two engines over one document, the second's update
+        starts from what the first's put there: neither write is lost."""
+        document = MultihierarchicalDocument.from_xml(BASE_TEXT,
+                                                      dict(ENCODINGS))
+        one, two = Engine(document), Engine(document)
+        one.update('rename node (/descendant::w)[1] as "word"')
+        two.update("insert node <w>eac</w> after (/descendant::w)[2]")
+        assert two.query("count(//word)").items == [1]
+        after = Engine(document)
+        assert after.query("count(//word)").items == [1]
+        assert after.query("count(//w)").items == [6]
+        one.update('rename node (/descendant::word)[1] as "w"')
+        assert Engine(document).query("count(//w)").items == [7]
 
     def test_a_documents_columns_are_shared_and_never_written(
             self, tmp_path):
@@ -875,11 +897,20 @@ class TestStateRules:
         assert self.image(two, tmp_path / "after.mhxb") == before
         two.goddag.check_invariants()
         one.goddag.check_invariants()
+        # the document now holds what ``one`` renamed, so ``one`` copies
+        # it before its next rename
+        renamed = columns_held(document, "structural")
+        assert renamed is one.goddag.components()["structural"]
+        ids = renamed.name_ids.copy()
+        one.update('rename node (/descendant::word)[1] as "w"')
+        assert (renamed.name_ids == ids).all()
+        assert one.goddag.components()["structural"] is not renamed
         # a clone is one more holder of the same columns
         clone = document.clone()
         assert columns_held(clone, "physical") is \
             columns_held(document, "physical")
-        assert columns_held(clone, "structural") is None  # the renamed DOM
+        assert columns_held(clone, "structural") is \
+            one.goddag.components()["structural"]
 
     def test_fast_path_miss_keeps_the_parsed_dom(self):
         """(c) ``doctype_name``/``dtd`` live only in the parser's DOM:
@@ -1011,10 +1042,33 @@ class TestStateRules:
             with pytest.raises(GoddagError) as caught:
                 goddag.add_hierarchy_from_dom("extra", offered)
             assert type(caught.value) is GoddagError
-            with pytest.raises(GoddagError):
-                goddag.replace_hierarchy("physical", offered)
         with pytest.raises(GoddagError, match="has root element 'other', "
                                               "expected 'r'"):
             goddag.add_hierarchy_from_dom("extra", other)
+        assert goddag.components() == held and goddag.version == version
+        goddag.check_invariants()
+
+    def test_component_doors_refuse_a_misfit(self, goddag):
+        """(d) ``replace_hierarchy`` and ``rebuild_hierarchies`` take
+        only a component that may stand where the old one stands: its
+        rank and temporariness, text rows tiling the base text."""
+        from repro.errors import GoddagError
+
+        held = goddag.components()
+        version = goddag.version
+        name = goddag.hierarchy_names[0]
+        for key, value in (("rank", held[name].rank + 1),
+                           ("temporary", True)):
+            offered = held[name].private_copy()
+            setattr(offered, key, value)
+            with pytest.raises(GoddagError, match="does not fit"):
+                goddag.replace_hierarchy(offered)
+            with pytest.raises(GoddagError, match="does not fit"):
+                goddag.rebuild_hierarchies(goddag.text, [
+                    offered if other == name else held[other]
+                    for other in goddag.hierarchy_names])
+        with pytest.raises(GoddagError, match="does not fit"):
+            goddag.rebuild_hierarchies(goddag.text + "X",
+                                       list(held.values()))
         assert goddag.components() == held and goddag.version == version
         goddag.check_invariants()

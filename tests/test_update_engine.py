@@ -231,6 +231,43 @@ class TestApplyPaths:
             engine.update("insert node <x>1</x> into //nosuch")
         assert serialized(engine) == before
 
+    def test_rows_carry_what_is_not_text_like_the_dom_oracle(self):
+        """Comments, PIs, attributes, the root's attributes, the
+        comments and PIs around the root element and empty elements
+        ride the row edits — through splices, unwraps, wraps and copied
+        fragments — exactly as the DOM applier in ``tests/`` places
+        them (the fuzzers' documents hold none of these)."""
+        from repro.core.goddag import KyGoddag
+
+        from tests.dombuild import assert_same_columns
+        from tests.updateoracle import RebuildOracle
+
+        engine = Engine.from_xml("alpha beta gamma delta", {
+            "a": '<!--pro--><?p x?><r k="v"><s n="1">alpha <!--c1-->beta'
+                 '</s> <e/><s n="2">gam<?t d?>ma</s> delta</r><!--epi-->',
+            "b": '<r><x>alpha beta </x><y a="1">gamma<z/> delta</y></r>'})
+        oracle = RebuildOracle(engine.document)
+        for statement in (
+                "insert node (//s)[1] after (//x)[1]",
+                "insert node (//s)[last()] as first into (//y)[1]",
+                'add markup m to "a" covering (//x)[1]',
+                "remove markup (//s)[1]",
+                "replace value of node (//s)[last()] with 'GAMMA'",
+                "delete node (//y)[1]",
+                "insert node <q t='1'>QQ</q> after (//x)[1]",
+                'add markup g to "b" covering (//e)[1]',
+                "insert node 'tail' as last into (//x)[1]"):
+            held = engine.goddag.components()
+            engine.update(statement)
+            oracle.apply(statement)
+            assert (engine.document.text, serialized(engine)) == \
+                (oracle.text, oracle.sources), statement
+            changed = engine.goddag.changed_components(held)
+            fresh = KyGoddag.build(oracle.document()).components()
+            assert_same_columns(
+                [engine.goddag.components()[name] for name in changed],
+                [fresh[name] for name in changed])
+
 
 # ---------------------------------------------------------------------------
 # conflicts and atomicity
