@@ -14,6 +14,7 @@ nest properly within one hierarchy.  This is the representation used by
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.errors import CMHError
@@ -45,29 +46,100 @@ class Span:
         return dict(self.attributes)
 
 
+#: up to this many spans a new one is checked against each of them
+#: (``analyze-string`` sets hold two or three); past it, against the
+#: containment forest, built then (a generated hierarchy holds thousands)
+_SCANNED = 16
+
+
 class SpanSet:
-    """A properly-nesting set of spans over a text, forming one hierarchy."""
+    """A properly-nesting set of spans over a text, forming one hierarchy.
+
+    Besides the spans in insertion order it keeps the non-empty ones,
+    once there are more than a few, as a containment forest — each
+    level a list of pairwise disjoint spans sorted by start, an empty
+    span never crossing another — so that checking one more span looks
+    at the spans holding its two endpoints, not at every span added
+    before it.
+    """
 
     def __init__(self, text: str, spans: list[Span] | None = None) -> None:
         self.text = text
         self.spans: list[Span] = []
+        # a forest level: ``[starts, nodes]``; a node is ``[start, end,
+        # position in self.spans, its children's level]``
+        self._roots: list | None = None
         for span in spans or []:
             self.add(span)
 
     def add(self, span: Span) -> Span:
         """Add ``span`` after checking bounds and proper nesting."""
-        if span.end > len(self.text) or span.start < 0:
+        start, end = span.start, span.end
+        if end > len(self.text) or start < 0:
             raise CMHError(
-                f"span <{span.name}> [{span.start}, {span.end}) exceeds "
+                f"span <{span.name}> [{start}, {end}) exceeds "
                 f"the text (length {len(self.text)})")
-        for other in self.spans:
-            if _properly_overlap(span, other):
+        spans = self.spans
+        if start < end:
+            # what crosses [start, end) holds one endpoint strictly and
+            # not the other; the first added of those is reported
+            if self._roots is None:
+                other = None
+                for held in spans:
+                    if held.start < start < held.end < end \
+                            or start < held.start < end < held.end:
+                        other = held
+                        break
+            else:
+                other = self._first_crossing(start, end)
+            if other is not None:
                 raise CMHError(
-                    f"span <{span.name}> [{span.start}, {span.end}) "
+                    f"span <{span.name}> [{start}, {end}) "
                     f"overlaps <{other.name}> [{other.start}, {other.end}) "
                     f"within a single hierarchy")
-        self.spans.append(span)
+            if self._roots is not None:
+                self._insert([start, end, len(spans), [[], []]])
+        spans.append(span)
+        if self._roots is None and len(spans) > _SCANNED:
+            self._roots = [[], []]
+            for position, held in enumerate(spans):
+                if held.start < held.end:
+                    self._insert([held.start, held.end, position, [[], []]])
         return span
+
+    def _first_crossing(self, start: int, end: int) -> Span | None:
+        """The first added span that crosses ``[start, end)``, found
+        among the nodes holding either endpoint strictly: one path down
+        the forest each, since two of them nest."""
+        first = len(self.spans)
+        for point in (start, end):
+            starts, nodes = self._roots
+            while starts:
+                index = bisect_left(starts, point) - 1
+                if index < 0 or nodes[index][1] <= point:
+                    break
+                node = nodes[index]
+                if node[2] < first and (node[1] < end if point == start
+                                        else node[0] > start):
+                    first = node[2]
+                starts, nodes = node[3]
+        return self.spans[first] if first < len(self.spans) else None
+
+    def _insert(self, node: list) -> None:
+        """Put ``node`` under the innermost node holding it, above the
+        nodes it holds."""
+        start, end = node[0], node[1]
+        level = self._roots
+        while True:
+            starts, nodes = level
+            index = bisect_right(starts, start) - 1
+            if index < 0 or nodes[index][1] < end:
+                break
+            level = nodes[index][3]
+        low, high = bisect_left(starts, start), bisect_left(starts, end)
+        node[3] = [starts[low:high], nodes[low:high]]
+        starts[low:high] = [start]
+        nodes[low:high] = [node]
 
     def sorted_spans(self) -> list[Span]:
         """Spans in document order: by start, outermost first."""
@@ -90,15 +162,6 @@ class SpanSet:
             _ComponentWriter(self.text, root_name, "spans", 0),
             self.sorted_spans())
         return rows.build_dom(self.text, root_name)
-
-
-def _properly_overlap(a: Span, b: Span) -> bool:
-    """True when the spans overlap without either containing the other."""
-    if a.start >= b.end or b.start >= a.end:
-        return False
-    a_in_b = b.start <= a.start and a.end <= b.end
-    b_in_a = a.start <= b.start and b.end <= a.end
-    return not (a_in_b or b_in_a)
 
 
 @dataclass

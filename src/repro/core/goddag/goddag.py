@@ -10,10 +10,10 @@ evaluation finishes.
 
 Each component keeps its hierarchy as the column arrays ``.mhxb``
 stores (:class:`_HierarchyComponent`); node objects are a view created
-from them — at registration when the row writer's lists are in hand,
-else the first time somebody asks — so a structure is assembled around
-a mapped file's arrays (:meth:`KyGoddag.from_arrays`) without parsing,
-numbering, sorting or making a node.
+from them — at registration when the row writer made the component in
+this process, else the first time somebody asks — so a structure is
+assembled around a mapped file's arrays (:meth:`KyGoddag.from_arrays`)
+without parsing, numbering, sorting or making a node.
 Every component that is not read from a file or made by row
 arithmetic over other components (an update's row edits, a corpus
 fuse — both finished by :func:`normal_rows`) is written by one row
@@ -96,8 +96,8 @@ class _HierarchyComponent:
     Python pass over a node graph.
 
     Node objects are a fill-once cache over the columns.  A component
-    the row writer just made attaches them at registration, from the
-    writer's own lists (:meth:`bind`); one mapped from a file or made by
+    the row writer just made attaches them at registration
+    (:meth:`bind`); one mapped from a file or made by
     an update's row edits attaches them, once and under the component's
     lock, the first time
     :attr:`nodes`, :attr:`top_nodes`, :meth:`node_arrays` or
@@ -119,7 +119,7 @@ class _HierarchyComponent:
                  prolog: list, epilog: list,
                  root_attrs: dict[str, str],
                  perms: tuple[np.ndarray, np.ndarray] | None = None,
-                 rows: dict[str, list[int]] | None = None) -> None:
+                 fresh: bool = False) -> None:
         self.name = name
         self.rank = rank
         self.temporary = temporary
@@ -142,10 +142,9 @@ class _HierarchyComponent:
         self.epilog = epilog
         self.root_attrs = root_attrs
         self._perms = perms
-        # The builder's own lists, until :meth:`attach` has used them:
-        # nodes made from these share their int objects (a text node
-        # starts where its neighbour ends), ``tolist`` would not.
-        self._rows = rows
+        # Written by the row writer in this process and not attached
+        # yet: :meth:`bind` attaches it at once (DESIGN.md §15).
+        self._fresh = fresh
         # The base text the nodes slice, once a KyGODDAG binds it, and
         # the node objects (:attr:`nodes`, :attr:`top_nodes`) once
         # :meth:`attach` has published them.  The lock makes the
@@ -207,11 +206,10 @@ class _HierarchyComponent:
 
     def bind(self, text: str) -> None:
         """Be registered over ``text``: attach the nodes now when the
-        writer's own lists are in hand — the component was built in
-        this process and they are the cheapest source (DESIGN.md §15) —
+        row writer made the component in this process (DESIGN.md §15),
         else on first use."""
         self._text = text
-        if self._rows is not None:
+        if self._fresh:
             self.attach(text)
 
     @property
@@ -237,14 +235,13 @@ class _HierarchyComponent:
         :attr:`nodes` last, so a reader that finds it finds the rest.
         """
         names = self.names
-        rows, self._rows = self._rows, None
-        if rows is None:
-            rows = {key: getattr(self, key).tolist() for key in COLUMNS}
-        kinds, ids = rows["kinds"], rows["name_ids"]
-        starts, ends = rows["starts"], rows["ends"]
-        parents, subtree_ends = rows["parents"], rows["subtree_ends"]
+        fresh, self._fresh = self._fresh, False
+        kinds, ids = self.kinds.tolist(), self.name_ids.tolist()
+        starts, ends = self.starts.tolist(), self.ends.tolist()
+        parents = self.parents.tolist()
+        subtree_ends = self.subtree_ends.tolist()
         # a freshly built component leaves the keys to ``order_key``
-        okeys = rows.get("okeys") or [None] * len(kinds)
+        okeys = [None] * len(kinds) if fresh else self.okeys.tolist()
         attrs = dict(self.attrs)
         comments = dict(self.comments)
         pis = dict(self.pis)
@@ -294,17 +291,17 @@ class _HierarchyComponent:
 
         It shares every column but the one :meth:`rename` writes, and
         gets its own node objects: row ``i`` of the copy is the twin of
-        row ``i`` here.  The writer's lists, if this component was
-        never attached, go with it.
+        row ``i`` here.  A component fresh from the writer hands that
+        over: the copy attaches at :meth:`bind`, this one on first use.
         """
         columns = {key: getattr(self, key) for key in COLUMNS}
         columns["name_ids"] = np.array(self.name_ids)
-        rows, self._rows = self._rows, None
+        fresh, self._fresh = self._fresh, False
         return _HierarchyComponent(
             self.name, self.rank, self.temporary, names=self.names,
             columns=columns, attrs=self.attrs, comments=self.comments,
             pis=self.pis, prolog=self.prolog, epilog=self.epilog,
-            root_attrs=self.root_attrs, perms=self.perms(), rows=rows)
+            root_attrs=self.root_attrs, perms=self.perms(), fresh=fresh)
 
     def node_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(nodes, subtree_ends)`` as parallel arrays, preorder order.
@@ -1136,7 +1133,10 @@ class _ComponentWriter:
     element's span and subtree end where the walk leaves it, and the
     text must spell out the base text as it arrives.  The sources call
     in; they do not hand over event tuples (DESIGN.md §15 has the
-    numbers).  Names are interned per component, so a hierarchy that
+    numbers).  The XML tokenizer, which numbers a whole encoding's rows
+    by array arithmetic, hands them over in one call instead
+    (:meth:`encoding`), and the text is held against the base text
+    there.  Names are interned per component, so a hierarchy that
     fails half way is dropped with its writer and nothing is left
     behind.  Errors are the document's
     (:class:`~repro.errors.CMHError`,
@@ -1237,15 +1237,58 @@ class _ComponentWriter:
         """The component, once the text is covered to its end."""
         if self.cursor != len(self.text):
             raise falls_short(self.name, self.text, self.cursor)
-        rows = {key: getattr(self, key) for key in COLUMNS[:-1]}
-        columns = {key: np.asarray(values, dtype=np.int64)
-                   for key, values in rows.items()}
+        columns = {key: np.asarray(getattr(self, key), dtype=np.int64)
+                   for key in COLUMNS[:-1]}
         columns["kinds"] = columns["kinds"].astype(np.int8)
+        return self._component(columns)
+
+    def encoding(self, *, kinds: np.ndarray, name_ids: np.ndarray,
+                 parents: np.ndarray, subtree_ends: np.ndarray,
+                 lengths: np.ndarray, texts: list[str], names: list[str],
+                 attrs: list, comments: list, pis: list
+                 ) -> _HierarchyComponent:
+        """The component of a whole encoding's rows, handed over at
+        once after :meth:`root` (and :meth:`aside` around it): the
+        columns :meth:`add` and :meth:`close` would have written, but
+        the spans, which come from ``lengths`` (each row's text, 0 for
+        a row that is not text) here.  ``texts`` are the text rows'
+        characters; one compare holds them against the base text, and
+        only when it fails are they walked for the first row that
+        diverges, for :meth:`add`'s and :meth:`finish`'s errors."""
+        text = self.text
+        if "".join(texts) != text:
+            cursor = 0
+            for data in texts:
+                end = cursor + len(data)
+                if text[cursor:end] != data:
+                    raise diverges(self.name, text, cursor, data)
+                cursor = end
+            raise falls_short(self.name, text, cursor)
+        starts, ends = row_spans(lengths, subtree_ends)
+        self.names = names
+        self.attrs, self.comments, self.pis = attrs, comments, pis
+        return self._component({
+            "kinds": kinds, "name_ids": name_ids, "starts": starts,
+            "ends": ends, "parents": parents, "subtree_ends": subtree_ends})
+
+    def _component(self, columns: dict[str, np.ndarray]
+                   ) -> _HierarchyComponent:
         return _HierarchyComponent(
             self.name, self.rank, self.temporary, names=self.names,
             columns=columns, attrs=self.attrs, comments=self.comments,
             pis=self.pis, prolog=self.prolog, epilog=self.epilog,
-            root_attrs=self.root_attrs or {}, rows=rows)
+            root_attrs=self.root_attrs or {}, fresh=True)
+
+
+def row_spans(lengths: np.ndarray, subtree_ends: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's span, from the characters each row holds in preorder
+    (its text; 0 for a row that is not text) and its subtree's last
+    row: a row starts where the text before it ends and ends where its
+    subtree's text does.  How the tokenizer and an update's row edits
+    (:mod:`repro.core.update.apply`) number their spans."""
+    cursor = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    return cursor[:-1], cursor[subtree_ends + 1]
 
 
 def dom_component(writer: _ComponentWriter,
@@ -1269,7 +1312,7 @@ def dom_component(writer: _ComponentWriter,
 def _push_children(children: list[dom.Node], add, close,
                    Text=dom.Text, Element=dom.Element) -> None:
     # a module-level function (a closure calling itself is a cycle that
-    # keeps the writer's lists until the collector runs); the classes
+    # keeps the writer until the collector runs); the classes
     # are bound as locals because the loop is hot
     for node in children:
         if isinstance(node, Text):

@@ -325,7 +325,13 @@ def _check_partition(goddag: "KyGoddag") -> None:
     offsets, counts = np.unique(np.concatenate(contributed),
                                 return_counts=True)
     bounds = offsets.tolist()
-    if partition._refcounts != dict(zip(bounds, counts.tolist())):
+    if partition._refcounts is None:  # restored, not spliced since
+        held, held_counts = partition._restored
+        same = np.array_equal(held, offsets) \
+            and np.array_equal(held_counts, counts)
+    else:
+        same = partition._refcounts == dict(zip(bounds, counts.tolist()))
+    if not same:
         _fail("partition boundary refcounts diverge from the registered "
               "hierarchy boundaries")
     # The lazy read structures, where somebody has built them (each is

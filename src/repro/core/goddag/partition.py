@@ -44,8 +44,12 @@ class Partition:
     def __init__(self, text: str) -> None:
         self._text = text
         length = self.length = len(text)
-        # The document ends are permanent boundaries.
-        self._refcounts: Counter[int] = Counter({0: 1, length: 1})
+        # The document ends are permanent boundaries.  A restored
+        # partition holds its multiset as the two arrays it came as —
+        # a whole hierarchy's swap merges into them — until the first
+        # per-offset splice asks for the counter (:meth:`_counts`).
+        self._refcounts: Counter[int] | None = Counter({0: 1, length: 1})
+        self._restored: tuple[np.ndarray, np.ndarray] | None = None
         self._sorted: list[int] | None = None
         self._bounds_array: np.ndarray | None = None
         self._leaf_cache: dict[int, GLeaf] = {}
@@ -55,34 +59,51 @@ class Partition:
 
     # -- mutation -----------------------------------------------------------
 
+    def _counts(self) -> Counter[int]:
+        """The boundary multiset as a counter to splice: a restored
+        partition's is filled from its arrays here, with the sorted
+        boundary list the splices keep."""
+        refcounts = self._refcounts
+        if refcounts is None:
+            offsets, counts = self._restored
+            bounds = offsets.tolist()
+            refcounts = self._refcounts = Counter(dict(zip(
+                bounds, counts.tolist())))
+            if self._sorted is None:
+                self._sorted = bounds
+            self._restored = None
+        return refcounts
+
     def add_boundaries(self, offsets: Iterable[int]) -> None:
         """Reference the given boundary offsets (duplicates allowed)."""
+        refcounts = self._counts()
         fresh: set[int] = set()
         for offset in offsets:
             if offset < 0 or offset > self.length:
                 raise GoddagError(
                     f"boundary offset {offset} outside the text "
                     f"(length {self.length})")
-            if self._refcounts[offset] == 0:
+            if refcounts[offset] == 0:
                 fresh.add(offset)
-            self._refcounts[offset] += 1
+            refcounts[offset] += 1
         if fresh:
             self._apply_delta(sorted(fresh), added=True)
 
     def remove_boundaries(self, offsets: Iterable[int]) -> None:
         """Drop one reference per given offset; coalesce freed leaves."""
+        refcounts = self._counts()
         gone: set[int] = set()
         for offset in offsets:
-            count = self._refcounts[offset]
+            count = refcounts[offset]
             if count <= 0:
                 raise GoddagError(
                     f"boundary offset {offset} removed more times than "
                     f"it was added")
             if count == 1:
-                del self._refcounts[offset]
+                del refcounts[offset]
                 gone.add(offset)
             else:
-                self._refcounts[offset] = count - 1
+                refcounts[offset] = count - 1
         if gone:
             self._apply_delta(sorted(gone), added=False)
 
@@ -95,10 +116,48 @@ class Partition:
                                      return_inverse=True)
         delta = (np.bincount(inverse[len(old):], minlength=len(offsets))
                  - np.bincount(inverse[:len(old)], minlength=len(offsets)))
+        if self._refcounts is None and self._leaves_list is None:
+            # restored, and no leaf to split or merge: the delta goes
+            # into the two arrays, which stay the multiset
+            self._swap_restored(offsets, delta)
+            return
         self.remove_boundaries(
             np.repeat(offsets, np.maximum(-delta, 0)).tolist())
         self.add_boundaries(
             np.repeat(offsets, np.maximum(delta, 0)).tolist())
+
+    def _swap_restored(self, offsets: np.ndarray, delta: np.ndarray
+                       ) -> None:
+        """Add ``delta`` to the counts of ``offsets`` in new arrays (the
+        held ones may be a fork's or mapped), checked as the per-offset
+        splices check before anything is replaced."""
+        changed = delta != 0
+        offsets, delta = offsets[changed], delta[changed]
+        held, counts = self._restored
+        at = np.minimum(np.searchsorted(held, offsets), len(held) - 1)
+        fresh = offsets[held[at] != offsets]
+        where = np.searchsorted(held, fresh)
+        merged = np.insert(held, where, fresh)
+        total = np.insert(counts, where, 0)
+        total[np.searchsorted(merged, offsets)] += delta
+        added = offsets[delta > 0]
+        if len(added) and (added[0] < 0 or added[-1] > self.length):
+            offset = int(added[0] if added[0] < 0 else added[-1])
+            raise GoddagError(
+                f"boundary offset {offset} outside the text "
+                f"(length {self.length})")
+        if (total < 0).any():
+            raise GoddagError(
+                f"boundary offset {int(merged[np.argmax(total < 0)])} "
+                f"removed more times than it was added")
+        keep = total > 0
+        bounds = merged[keep]
+        if not np.array_equal(bounds, held):
+            self.version += 1
+            self._sorted = None
+            self._leaf_cache.clear()
+        self._restored = bounds, total[keep]
+        self._bounds_array = bounds
 
     def _apply_delta(self, offsets: list[int], added: bool) -> None:
         """Splice changed cells into the cached boundary/leaf structures.
@@ -153,7 +212,10 @@ class Partition:
 
     def export_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(offsets, refcounts)`` — the whole boundary multiset as two
-        parallel sorted int64 arrays, ready for binary persistence."""
+        parallel sorted int64 arrays, ready for binary persistence (do
+        not write them: a restored partition hands over its own)."""
+        if self._restored is not None:
+            return self._restored
         offsets = sorted(self._refcounts)
         counts = [self._refcounts[offset] for offset in offsets]
         return (np.array(offsets, dtype=np.int64),
@@ -164,16 +226,17 @@ class Partition:
                 counts: np.ndarray) -> "Partition":
         """Rebuild a partition from :meth:`export_arrays` output.
 
-        The offsets arrive sorted, so no re-sorting happens; the
-        boundary array may stay memory-mapped (it is only ever replaced
-        wholesale, never written in place).
+        Nothing is made per offset: the two arrays are the multiset
+        until the first splice (:meth:`_counts`), and the offsets, which
+        arrive sorted, are the boundary array — it may stay
+        memory-mapped (it is only ever replaced wholesale, never written
+        in place).
         """
         partition = cls(text)
-        offset_list = np.asarray(offsets).tolist()
-        partition._refcounts = Counter(dict(zip(
-            offset_list, np.asarray(counts).tolist())))
-        partition._sorted = offset_list
-        partition._bounds_array = np.asarray(offsets, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        partition._refcounts = None
+        partition._restored = offsets, np.asarray(counts, dtype=np.int64)
+        partition._bounds_array = offsets
         return partition
 
     def fork(self) -> "Partition":
@@ -188,7 +251,9 @@ class Partition:
         array — only ever replaced — is not.
         """
         fork = Partition(self._text)
-        fork._refcounts = self._refcounts.copy()
+        fork._refcounts = None if self._refcounts is None \
+            else self._refcounts.copy()
+        fork._restored = self._restored
         fork._sorted = None if self._sorted is None else self._sorted.copy()
         fork._bounds_array = self._bounds_array
         leaves = self._leaves_list
@@ -207,7 +272,8 @@ class Partition:
     def boundaries(self) -> list[int]:
         """Distinct boundary offsets in increasing order."""
         if self._sorted is None:
-            self._sorted = sorted(self._refcounts)
+            self._sorted = sorted(self._refcounts) \
+                if self._bounds_array is None else self._bounds_array.tolist()
         return self._sorted
 
     @property
@@ -319,4 +385,6 @@ class Partition:
 
     def is_boundary(self, offset: int) -> bool:
         """True when ``offset`` is a current partition boundary."""
-        return self._refcounts[offset] > 0
+        bounds = self.boundary_array
+        index = int(np.searchsorted(bounds, offset))
+        return index < len(bounds) and int(bounds[index]) == offset

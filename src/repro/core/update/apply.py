@@ -16,7 +16,8 @@ nothing to undo:
   absorbs in its text rows' lengths.
 
 Each copy is finished by re-deriving every span from one ``cumsum``
-over the text rows' lengths and by
+over the text rows' lengths (:func:`~repro.core.goddag.goddag.row_spans`,
+which the XML tokenizer numbers its rows with too) and by
 :func:`~repro.core.goddag.goddag.normal_rows`, the normalisation the
 corpus fuse shares; the new components then replace the old ones
 through ``replace_hierarchy``, or, when the text changed,
@@ -40,6 +41,7 @@ from repro.core.goddag.goddag import (
     _HierarchyComponent,
     _push_children,
     normal_rows,
+    row_spans,
 )
 from repro.core.update.pul import (
     AddMarkupPrim,
@@ -592,16 +594,17 @@ class _Rows:
     def finish(self, length: int) -> _HierarchyComponent:
         """The component these rows are over a base text of ``length``
         characters: spans from the lengths, then :func:`normal_rows`."""
-        cursor = np.concatenate(([0], np.cumsum(self.lengths)))
         component = self.component
-        if cursor[-1] != length:  # pragma: no cover - safety net
+        held = int(self.lengths.sum())
+        if held != length:  # pragma: no cover - safety net
             raise UpdateError(
                 f"internal: update applier broke alignment of hierarchy "
-                f"'{component.name}': its text rows hold {cursor[-1]} of "
+                f"'{component.name}': its text rows hold {held} of "
                 f"{length} characters")
+        starts, ends = row_spans(self.lengths, self.subtree_ends)
         columns, renumber = normal_rows({
             "kinds": self.kinds, "name_ids": self.name_ids,
-            "starts": cursor[:-1], "ends": cursor[self.subtree_ends + 1],
+            "starts": starts, "ends": ends,
             "parents": self.parents, "subtree_ends": self.subtree_ends})
         # normal_rows drops text rows only, which carry no data
         keyed: dict[str, list] = {key: [] for key in _KEYED.values()}

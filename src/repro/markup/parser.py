@@ -381,6 +381,9 @@ class XMLParser:
         if "--" in data:
             raise MarkupError("'--' is not allowed inside comments",
                               line, column)
+        if data.endswith("-"):
+            raise MarkupError("a comment may not end in '--->'",
+                              line, column)
         comment = dom.Comment(data)
         comment.line, comment.column = line, column
         return comment

@@ -3,9 +3,10 @@
 A hierarchy inside a KyGODDAG is a table of rows in document order, a
 pure function of the *order* of start tags, end tags and text in its
 encoding.  So XML does not pass through a DOM on its way in:
-``_scan`` goes over the source once and pushes what it finds
-into the row writer of :mod:`repro.core.goddag.goddag`, the one
-producer of hierarchy columns (DESIGN.md §15).
+``_tokenize`` splits the source by one regular expression, numbers the
+rows of the whole encoding by array arithmetic and hands them to the
+row writer of :mod:`repro.core.goddag.goddag`, the one producer of
+hierarchy columns (DESIGN.md §15).
 ``MultihierarchicalDocument.from_xml`` — and with it
 ``Engine.from_xml``, ``load_mhx``, the CLI — is built on it;
 :class:`StreamingBuilder` is such a document taken one encoding at a
@@ -15,7 +16,7 @@ hierarchy components, so the file is written by the function that
 writes an engine's (:func:`repro.store.mhxb.write_container`) and a
 streamed ``.mhxb`` is a saved engine.
 
-Tokenization is optimistic: a regex scanner handles the common shape
+Tokenization is optimistic: the tokenizer handles the common shape
 of document-centric XML (no DOCTYPE, CDATA, carriage returns, or
 non-predefined entities) and raises the internal ``_FastPathMiss`` on
 *anything* it is not bit-perfectly sure about; the caller then goes
@@ -31,8 +32,11 @@ sorted spans pushed into the same writer.
 from __future__ import annotations
 
 import re
+from itertools import compress
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from repro.cmh.document import Hierarchy, MultihierarchicalDocument
 from repro.cmh.spans import Span, SpanSet
@@ -54,28 +58,37 @@ class _FastPathMiss(Exception):
 
 # ASCII-only name/attribute shapes.  The canonical parser additionally
 # accepts non-ASCII name characters (and the middle dot) — those miss
-# the fast path and fall back, they are not rejected.
+# the fast path and fall back, they are not rejected.  A source with a
+# carriage return misses before the split, so whitespace is three
+# characters here.
 _XML_NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
-_NAME_RE = re.compile(_XML_NAME)
-_END_RE = re.compile(rf"</({_XML_NAME})[ \t\r\n]*>")
+_S = r"[ \t\n]"
+#: one token — a tag (1 end marker, 2 name, 3 raw attribute run,
+#: 4 self-close marker), a comment (5 its data: XML 1.0 production
+#: [15], no "--" inside and no "-" last) or a PI (6 target, not
+#: "xml"; 7 data) — and whatever it does not take leaves a "<" in
+#: the text around it
+_TOKEN_RE = re.compile(
+    rf"<(?:(/?)({_XML_NAME})"
+    rf"((?:{_S}+{_XML_NAME}{_S}*={_S}*"
+    r"""(?:"[^"<&\t\n]*"|'[^'<&\t\n]*'))*)"""
+    rf"{_S}*(/?)>"
+    r"|!--((?:[^-]|-[^-])*)-->"
+    rf"|\?(?![Xx][Mm][Ll][ \t\n?])({_XML_NAME})(?:{_S}+(.*?))?\?>)",
+    re.DOTALL)
+_STRIDE = _TOKEN_RE.groups + 1  # of the re.split list: text, then groups
 _ATTR_RE = re.compile(
-    rf"[ \t\r\n]+({_XML_NAME})[ \t\r\n]*=[ \t\r\n]*"
-    r"(\"[^\"<&\t\r\n]*\"|'[^'<&\t\r\n]*')")
-_TAG_CLOSE_RE = re.compile(r"[ \t\r\n]*(/?)>")
+    rf"{_S}+({_XML_NAME}){_S}*={_S}*(\"[^\"]*\"|'[^']*')")
 _WS = " \t\r\n"
 
 
 def _decode_text(chunk: str) -> str:
     """Resolve predefined/character references in a raw text chunk.
 
-    Misses on anything the canonical parser treats specially: carriage
-    returns (line-ending normalization), the ``]]>`` ban, unterminated
-    or non-predefined entity references.
+    Misses on a reference the canonical parser treats otherwise: an
+    unterminated, malformed or non-predefined one (carriage returns and
+    ``]]>`` miss the whole source before).
     """
-    if "\r" in chunk or "]]>" in chunk:
-        raise _FastPathMiss
-    if "&" not in chunk:
-        return chunk
     parts: list[str] = []
     position = 0
     while True:
@@ -101,44 +114,41 @@ def _decode_text(chunk: str) -> str:
         position = semi + 1
 
 
-def _fast_pi(source: str, lt: int) -> tuple[str, str, int] | None:
-    """Match a processing instruction at ``lt``; ``None`` to miss."""
-    match = _NAME_RE.match(source, lt + 2)
-    if match is None:
-        return None
-    target = match.group()
-    if target.lower() == "xml":
-        return None
-    position = match.end()
-    after_ws = position
-    n = len(source)
-    while after_ws < n and source[after_ws] in _WS:
-        after_ws += 1
-    if after_ws > position:
-        close = source.find("?>", after_ws)
-        if close < 0:
-            return None
-        return target, source[after_ws:close], close + 2
-    if source.startswith("?>", position):
-        return target, "", position + 2
-    return None
+def _attributes(runs: list[str]) -> list[dict[str, str]]:
+    """The attributes of each tag given its raw attribute run, by one
+    split of the runs joined with a NUL: a gap between two attributes
+    is empty, except where a run ends."""
+    pieces = _ATTR_RE.split("\0".join(runs))
+    maps: list[dict[str, str]] = []
+    for gap, name, quoted in zip(pieces[::3], pieces[1::3], pieces[2::3]):
+        if gap or not maps:
+            maps.append({})
+        attributes = maps[-1]
+        if name in attributes:
+            raise _FastPathMiss  # duplicate attribute
+        attributes[name] = quoted[1:-1]
+    return maps
 
 
-def _scan(source: str, writer: _ComponentWriter) -> None:
-    """Optimistic one-pass tokenizer over well-shaped XML, pushing
-    into ``writer``.
+def _tokenize(source: str) -> dict:
+    """One XML encoding, tokenized: the document element (``root``,
+    ``root_attrs``), the comments and PIs around it (``prolog``,
+    ``epilog``), and the keyword arguments of the row writer's
+    whole-encoding door (:meth:`_ComponentWriter.encoding`) for the
+    rows inside it.
 
-    Raises ``_FastPathMiss`` on any construct it cannot replicate
-    bit-perfectly (DOCTYPE, CDATA, carriage returns, general entities,
-    non-ASCII names, malformed markup) — what it has pushed by then is
-    always a prefix of what a walk of the canonical parser's DOM
-    pushes, so the caller can drop the writer and go through
+    One pass of :data:`_TOKEN_RE` splits the source into tags,
+    comments, PIs and the text between them; the rest is arithmetic
+    over whole arrays (DESIGN.md §15).  Raises ``_FastPathMiss`` on any
+    construct it cannot replicate bit-perfectly (DOCTYPE, CDATA,
+    carriage returns, general entities, non-ASCII names, malformed
+    markup); the caller then parses with
     :func:`repro.markup.parser.parse`.
     """
-    add, close = writer.add, writer.close
+    if "\r" in source:
+        raise _FastPathMiss
     if source.startswith("\ufeff"):
         source = source[1:]
-    position = 0
     # The canonical scanner treats an EOF peek ("") as whitespace —
     # which the empty-slice substring test here replicates — so a bare
     # "<?xml" prefix also takes (and fails) the declaration branch.
@@ -146,94 +156,114 @@ def _scan(source: str, writer: _ComponentWriter) -> None:
         declared = source.find("?>", 5)
         if declared < 0:
             raise _FastPathMiss
-        position = declared + 2
-    stack: list[str] = []  # names of the open elements, the root's first
-    root_done = False
-    while True:
-        lt = source.find("<", position)
-        if lt < 0:
-            if stack or not root_done:
-                raise _FastPathMiss
-            if source[position:].strip(_WS):
-                raise _FastPathMiss
-            return
-        if lt > position:
-            chunk = source[position:lt]
-            if stack:
-                add(KIND_TEXT, None, _decode_text(chunk))
-            elif chunk.strip(_WS):
-                raise _FastPathMiss
-        position = lt
-        following = source[lt + 1:lt + 2]
-        if following == "/":
-            if not stack:
-                raise _FastPathMiss
-            match = _END_RE.match(source, lt)
-            if match is None or match.group(1) != stack.pop():
-                raise _FastPathMiss
-            if stack:
-                close()
-            else:
-                root_done = True
-            position = match.end()
-        elif following == "!":
-            if not source.startswith("<!--", lt):
-                raise _FastPathMiss  # DOCTYPE, CDATA, other declarations
-            end = source.find("-->", lt + 4)
-            if end < 0:
-                raise _FastPathMiss
-            data = source[lt + 4:end]
-            if "--" in data:
-                raise _FastPathMiss
-            if stack:
-                add(KIND_COMMENT, None, data)
-            else:
-                writer.aside(["comment", data])
-            position = end + 3
-        elif following == "?":
-            matched = _fast_pi(source, lt)
-            if matched is None:
-                raise _FastPathMiss
-            target, data, position = matched
-            if stack:
-                add(KIND_PI, target, data)
-            else:
-                writer.aside(["pi", target, data])
-        else:
-            if not stack and root_done:
-                raise _FastPathMiss  # content after the document element
-            match = _NAME_RE.match(source, lt + 1)
-            if match is None:
-                raise _FastPathMiss
-            name = match.group()
-            cursor = match.end()
-            attrs: dict[str, str] | None = None
-            while True:
-                close_match = _TAG_CLOSE_RE.match(source, cursor)
-                if close_match is not None:
-                    self_closing = close_match.group(1) == "/"
-                    cursor = close_match.end()
-                    break
-                attr_match = _ATTR_RE.match(source, cursor)
-                if attr_match is None:
-                    raise _FastPathMiss
-                attr_name = attr_match.group(1)
-                if attrs is None:
-                    attrs = {}
-                elif attr_name in attrs:
-                    raise _FastPathMiss  # duplicate attribute
-                attrs[attr_name] = attr_match.group(2)[1:-1]
-                cursor = attr_match.end()
-            if stack:
-                add(KIND_ELEMENT, name, attrs)
-                if self_closing:
-                    close()
-            else:
-                writer.root(name, attrs)
-                root_done = self_closing
-            if not self_closing:
-                stack.append(name)
-            position = cursor
+        source = source[declared + 2:]
+    parts = _TOKEN_RE.split(source)
+    chunks = parts[::_STRIDE]  # the text before each token, and the tail
+    joined = "".join(chunks)
+    if "<" in joined or "]]>" in joined:
+        raise _FastPathMiss
+    markers, names, raws, closes, comments, targets, data = (
+        parts[group::_STRIDE] for group in range(1, _STRIDE))
+    del parts
+    count = len(markers)
+    # Per token: what it is, and the depth after it.
+    marker = np.array(markers, dtype=object)
+    start, end = marker == "", marker == "/"
+    empty = np.array(closes, dtype=object) == "/"
+    attributed = list(compress(range(count), raws))  # tags with any
+    if (end & empty).any() or end[attributed].any():
+        raise _FastPathMiss  # "</name/>", "</name a='1'>"
+    opens = start & ~empty
+    step = opens.astype(np.int64) - end
+    depth = np.cumsum(step)
+    before = depth - step
+    top = np.flatnonzero(start & (before == 0))
+    if len(top) != 1 or depth.min() < 0 or depth[-1]:
+        raise _FastPathMiss  # no root, a second one, or unbalanced tags
+    root = int(top[0])
+    close = root + int(np.argmax(depth[root:] == 0))  # the root's end tag
+    if "".join(chunks[:root + 1] + chunks[close + 1:]).strip(_WS):
+        raise _FastPathMiss  # text before or after the document element
+    # End tags pair with start tags: stably sorted on the depth inside
+    # them, one level's tags alternate start, end, start, end.
+    paired = np.flatnonzero(opens | end)
+    inside = np.where(end[paired], before[paired], depth[paired])
+    order = np.argsort(inside, kind="stable")
+    paired, inside = paired[order], inside[order]
+    starts_at, ends_at = paired[::2], paired[1::2]
+    label = np.array(names, dtype=object)
+    if not opens[starts_at].all() \
+            or (label[starts_at] != label[ends_at]).any():
+        raise _FastPathMiss
+    # Comments and PIs: around the root element kept aside, inside it
+    # rows.
+    others = np.flatnonzero(~(start | end)).tolist()
+    asides = {token: ["comment", comments[token]]
+              if comments[token] is not None
+              else ["pi", targets[token], data[token] or ""]
+              for token in others}
+    tokens = dict(
+        root=names[root],
+        root_attrs=_attributes([raws[root]])[0] if raws[root] else {},
+        prolog=[asides[token] for token in others if token < root],
+        epilog=[asides[token] for token in others if token > close])
+    # Inside the root, slot 2i holds text chunk i and slot 2i + 1 the
+    # token after it; the slots that are rows number the rows.
+    texts = chunks[root + 1:close + 1]
+    if "&" in joined:
+        texts = [_decode_text(chunk) if "&" in chunk else chunk
+                 for chunk in texts]
+    inner = slice(root + 1, close)
+    size = max(2 * len(texts) - 1, 0)
+    lengths = np.zeros(size, dtype=np.int64)
+    lengths[::2] = np.fromiter(map(len, texts), np.int64, len(texts))
+    kinds = np.full(size, -1, dtype=np.int8)
+    kinds[::2][lengths[::2] > 0] = KIND_TEXT
+    kinds[1::2][start[inner]] = KIND_ELEMENT
+    others = [token for token in others if root < token < close]
+    for token in others:
+        kinds[2 * (token - root) - 1] = \
+            KIND_COMMENT if asides[token][0] == "comment" else KIND_PI
+    levels = np.empty(size, dtype=np.int64)  # how many elements hold it
+    levels[::2] = depth[root:close]
+    levels[1::2] = before[inner]
+    slots = np.flatnonzero(kinds >= 0)
+    row_at = np.cumsum(kinds >= 0) - 1  # a slot's row, or the last before
+    token_row = np.full(count, -1, dtype=np.int64)  # the root's is -1
+    token_row[inner] = row_at[1::2]
+    # A row's parent is the last start tag before it one level up: the
+    # last (level, token) key of the start tags, in pairing order, below
+    # the row's.
+    keys = inside[::2] * (count + 1) + starts_at
+    at = slots // 2 + root + 1  # the token after a row, or its own
+    parents = token_row[starts_at[np.searchsorted(
+        keys, levels[slots] * (count + 1) + at) - 1]]
+    # an element's subtree ends with the last row before its end tag
+    subtree_ends = np.arange(len(slots), dtype=np.int64)
+    elements = token_row[starts_at[1:]]  # in pairing order; root first
+    subtree_ends[elements] = token_row[ends_at[1:]]
+    kinds = kinds[slots]
+    # names (element and PI target), interned in order of first use
+    named = np.flatnonzero((kinds == KIND_ELEMENT) | (kinds == KIND_PI))
+    labels = [names[token] or targets[token]
+              for token in at[named].tolist()]
+    table = {name: index
+             for index, name in enumerate(dict.fromkeys(labels))}
+    name_ids = np.full(len(slots), -1, dtype=np.int64)
+    name_ids[named] = list(map(table.__getitem__, labels))
+    keyed: dict[str, list] = {"comment": [], "pi": []}
+    for token in others:
+        entry = asides[token]
+        keyed[entry[0]].append([int(token_row[token]), entry[-1]])
+    attributed = [token for token in attributed if root < token < close]
+    return tokens | dict(
+        kinds=kinds, name_ids=name_ids, parents=parents,
+        subtree_ends=subtree_ends, lengths=lengths[slots],
+        texts=[text for text in texts if text], names=list(table),
+        attrs=[list(entry) for entry in zip(
+            token_row[attributed].tolist(),
+            _attributes([raws[token] for token in attributed]))],
+        comments=keyed["comment"], pis=keyed["pi"])
 
 
 def _add_xml(document: MultihierarchicalDocument, name: str,
@@ -242,8 +272,8 @@ def _add_xml(document: MultihierarchicalDocument, name: str,
     the rules); a failure leaves the document as it was.
 
     The parser reads a source to its end before anything is aligned,
-    so a well-formedness error further on outranks the alignment or
-    root error the scan stopped at.
+    so a well-formedness error anywhere outranks the alignment or root
+    error the writer raised.
     """
     hierarchies = document.hierarchies
     if name in hierarchies:
@@ -252,8 +282,13 @@ def _add_xml(document: MultihierarchicalDocument, name: str,
         document.text, document.root_name if hierarchies else None,
         name, len(hierarchies))
     try:
-        _scan(source, writer)
-        document.add_columns(writer.finish(), writer.root_name)
+        rows = _tokenize(source)
+        for entry in rows.pop("prolog"):
+            writer.aside(entry)
+        writer.root(rows.pop("root"), rows.pop("root_attrs"))
+        for entry in rows.pop("epilog"):
+            writer.aside(entry)
+        document.add_columns(writer.encoding(**rows), writer.root_name)
         return
     except _FastPathMiss:
         pass  # parsed below, outside the handler: its errors stand alone
@@ -287,7 +322,7 @@ class StreamingBuilder:
     def add_hierarchy(self, name: str, source: str) -> None:
         """Tokenize one XML encoding straight into columns.
 
-        The optimistic scanner handles common document-centric XML;
+        The optimistic tokenizer handles common document-centric XML;
         anything else goes through the canonical parser, so errors
         carry the parser's and the document's exact taxonomy and
         messages.  On failure the builder is left exactly as before
@@ -328,9 +363,9 @@ class StreamingBuilder:
         """:meth:`save`, and the engine over the columns just written —
         the same file bytes, the engine a cold load would make of them,
         but built from what is in hand (DESIGN.md §15): the file is not
-        read back, and every hierarchy's nodes come from the row
-        writer's own lists.  The engine takes private copies of the
-        columns, so the builder can go on."""
+        read back, and every hierarchy's nodes are made as the engine
+        registers it.  The engine takes private copies of the columns,
+        so the builder can go on."""
         document = self.document
         return write_engine(
             path, root=document.root_name if document.hierarchies else None,

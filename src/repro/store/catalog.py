@@ -512,8 +512,9 @@ class DocumentStore:
         writes for the equivalent document, and the published engine is
         built over the columns, partition and span index just written
         (:meth:`~repro.markup.streaming.StreamingBuilder.publish`): no
-        DOM is made, the file is not read back, and the nodes come from
-        the row writer's lists.  Transactional like :meth:`add`.
+        DOM is made, the file is not read back, and the nodes are made
+        as the engine registers each hierarchy.  Transactional like
+        :meth:`add`.
         """
         from repro.markup.streaming import _ingest
 

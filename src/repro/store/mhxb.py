@@ -535,9 +535,8 @@ def write_engine(path: str | Path, *, root: str, text: str,
     built from ``components`` and from the partition, span-index and
     statistics arrays computed for the file, which is not read back
     (the ingest, DESIGN.md §15).  ``components`` were made by the row
-    writer in this process, so the engine attaches their nodes from
-    the writer's lists as it registers them; the engine owns them from
-    then on."""
+    writer in this process, so the engine attaches their nodes as it
+    registers them; the engine owns them from then on."""
     header, arrays = _components_container(root, text, components)
     _pack(path, header, arrays, durability=durability)
     return _engine(header, arrays, text, components, options)

@@ -179,15 +179,14 @@ class ComponentBuilder:
                 f"hierarchy '{self.name}' text covers {self.cursor} "
                 f"of {len(self.text)} characters")
         prolog, epilog = document_level_nodes(document)
-        rows = {key: getattr(self, key) for key in COLUMNS[:-1]}
-        columns = {key: np.asarray(values, dtype=np.int64)
-                   for key, values in rows.items()}
+        columns = {key: np.asarray(getattr(self, key), dtype=np.int64)
+                   for key in COLUMNS[:-1]}
         columns["kinds"] = columns["kinds"].astype(np.int8)
         return _HierarchyComponent(
             self.name, self.rank, self.temporary, names=self.names,
             columns=columns, attrs=self.attrs, comments=self.comments,
             pis=self.pis, prolog=prolog, epilog=epilog,
-            root_attrs=dict(root_element.attributes), rows=rows)
+            root_attrs=dict(root_element.attributes), fresh=True)
 
     def _intern(self, name: str) -> int:
         ident = self.interned.get(name)

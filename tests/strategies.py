@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.errors import CMHError
 from repro.cmh import Hierarchy, MultihierarchicalDocument
 from repro.cmh.spans import Span, SpanSet
+
+def examples(count: int) -> int:
+    """A property test's example budget: ``count`` under the tier-1
+    profile, and the active profile's own when it asks for more than
+    tier-1 does (``HYPOTHESIS_PROFILE=nightly``)."""
+    active = settings.default.max_examples
+    if active > settings.get_profile("tier1").max_examples:
+        return max(count, active)
+    return count
+
 
 #: A small alphabet keeps texts readable in failure reports while still
 #: exercising multi-byte characters.

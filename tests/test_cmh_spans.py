@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import CMHError
@@ -24,6 +26,36 @@ class TestSpanValidation:
         spans.add(Span(0, 4, "a"))
         with pytest.raises(CMHError, match="overlaps"):
             spans.add(Span(2, 6, "b"))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_offender_in_insertion_order(self, seed):
+        """Small and large sets (the check walks a containment forest
+        past a few spans) name the span the full pairwise rule finds
+        first among those added before."""
+        def crosses(a: Span, b: Span) -> bool:
+            if a.start >= b.end or b.start >= a.end:
+                return False
+            return not ((b.start <= a.start and a.end <= b.end)
+                        or (a.start <= b.start and b.end <= a.end))
+
+        rng = random.Random(seed)
+        for _ in range(200):
+            length = rng.randint(1, 60)
+            spans, added = SpanSet("x" * length), []
+            for _ in range(rng.randint(1, 60)):
+                start = rng.randint(0, length)
+                span = Span(start, rng.randint(start, length), "s")
+                first = next((other for other in added
+                              if crosses(span, other)), None)
+                if first is None:
+                    spans.add(span)
+                    added.append(span)
+                    continue
+                with pytest.raises(CMHError) as caught:
+                    spans.add(span)
+                assert f"overlaps <s> [{first.start}, {first.end})" \
+                    in str(caught.value)
+            assert spans.spans == added
 
     def test_nesting_allowed(self):
         spans = SpanSet("abcdef")

@@ -162,6 +162,8 @@ class TestWellFormednessErrors:
         "<a>&amp</a>",
         "<1bad/>",
         "<a><!-- -- --></a>",
+        "<a><!--x---></a>",
+        "<a><!----->x</a>",
         '<a x="<"/>',
         "<a>x</a>trailing",
     ])
@@ -174,6 +176,13 @@ class TestWellFormednessErrors:
             parse("<a>\n  <b></c>\n</a>")
         assert info.value.line == 2
         assert "does not match" in str(info.value)
+
+    def test_comment_ending_in_a_dash_is_rejected_where_it_opens(self):
+        # XML 1.0 production [15]: "--->" does not close a comment
+        with pytest.raises(MarkupError) as info:
+            parse("<d>a\n b<!--x--->b</d>")
+        assert (info.value.line, info.value.column) == (2, 3)
+        assert "'--->'" in str(info.value)
 
     def test_mismatch_mentions_open_position(self):
         with pytest.raises(MarkupError, match="line 1"):

@@ -10,9 +10,9 @@ from repro.markup.dom import Comment, Document, Element, Text
 from repro.markup.serializer import escape_attribute, escape_text
 from repro.cmh.spans import SpanSet, spans_of
 
-from tests.strategies import base_texts, span_sets
+from tests.strategies import base_texts, examples, span_sets
 
-SETTINGS = settings(max_examples=60, deadline=None)
+SETTINGS = settings(max_examples=examples(60), deadline=None)
 
 _names = st.sampled_from(["a", "b", "w", "line", "ϸ"])
 _attr_values = st.text(alphabet="ab<>&\"'\n\tϸ ", max_size=8)

@@ -15,8 +15,11 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from repro.cmh.spans import spans_of
 from repro.core.goddag import KyGoddag
+from repro.core.goddag.partition import Partition
 
 from tests.strategies import multihierarchical_documents, span_sets
 
@@ -102,3 +105,40 @@ def test_leaf_at_consistent_with_leaves(document):
     for leaf in goddag.leaves():
         for offset in range(leaf.start, leaf.end):
             assert goddag.partition.leaf_at(offset) is leaf
+
+
+@SETTINGS
+@given(document=multihierarchical_documents(), data=st.data())
+def test_restored_partition_swaps_like_a_counted_one(document, data):
+    """A restored partition keeps its multiset as two arrays through a
+    whole hierarchy's swap; it must end where the counter form does,
+    and so must the leaves, its fork and the source it was forked
+    from."""
+    goddag = KyGoddag.build(document)
+    built = goddag.partition
+    offsets, counts = built.export_arrays()
+    restored = Partition.restore(document.text, offsets.copy(),
+                                 counts.copy())
+    fork = restored.fork()
+    component = goddag.components()[document.hierarchy_names[0]]
+    old = np.concatenate((component.starts, component.ends))
+    extra = data.draw(span_sets(document.text, max_spans=4))
+    new = np.concatenate((old, [s.start for s in extra.spans],
+                          [s.end for s in extra.spans]))
+    for partition in (built, fork):
+        partition.swap_boundaries(old, new)
+    assert fork._refcounts is None  # still the arrays
+    for got, want in zip(fork.export_arrays(), built.export_arrays()):
+        assert np.array_equal(got, want)
+    assert fork.boundaries == built.boundaries
+    assert [(l.start, l.end) for l in fork.leaves()] == \
+        [(l.start, l.end) for l in built.leaves()]
+    for offset in range(len(document.text) + 1):
+        assert fork.is_boundary(offset) == built.is_boundary(offset)
+    assert np.array_equal(restored.export_arrays()[0], offsets)
+    # a per-offset splice fills the counter from the arrays
+    fork.swap_boundaries(new, old)
+    fork.add_boundaries([0])
+    built.swap_boundaries(new, old)
+    built.add_boundaries([0])
+    assert fork._refcounts == built._refcounts

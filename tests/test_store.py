@@ -787,9 +787,19 @@ class TestCommitTimeNet:
         node.end -= 1
 
         offset = int(goddag._components["physical"].starts[5])
-        goddag.partition._refcounts[offset] += 1
+        # the update merged its swap into the published engine's two
+        # arrays; the first per-offset splice turns them into a counter
+        partition = goddag.partition
+        held = offsets, counts = partition._restored
+        bumped = counts.copy()
+        bumped[np.searchsorted(offsets, offset)] += 1
+        partition._restored = offsets, bumped
         self.both_nets_raise(goddag, scope, "refcounts")
-        goddag.partition._refcounts[offset] -= 1
+        partition._restored = held
+        refcounts = partition._counts()
+        refcounts[offset] += 1
+        self.both_nets_raise(goddag, scope, "refcounts")
+        refcounts[offset] -= 1
 
         index = goddag.span_index()
         rank = goddag.hierarchy_rank("physical")

@@ -27,35 +27,28 @@ from repro.api import Engine
 from repro.cmh import Hierarchy, MultihierarchicalDocument
 from repro.cmh.spans import Span, SpanSet
 from repro.corpus.boethius import BASE_TEXT, ENCODINGS
-from repro.core.goddag.goddag import hierarchy_components
+from repro.core.goddag import KyGoddag
+from repro.core.goddag.goddag import _ComponentWriter, hierarchy_components
 from repro.corpus.generator import GeneratorConfig, generate_document
 from repro.errors import (AlignmentError, CMHError, MarkupError, ReproError,
                           StoreError)
 from repro.markup import dom
 from repro.markup.parser import parse
 from repro.markup.serializer import serialize
-from repro.markup.streaming import (StreamingBuilder, _FastPathMiss, _scan,
-                                    stream_save)
+from repro.markup.streaming import (StreamingBuilder, _FastPathMiss,
+                                    _tokenize, stream_save)
 from repro.store import DocumentStore
 from repro.store.sharding import save_shards, shard_bounds, shard_document
 
 from tests.dombuild import (assert_same_columns, dom_document,
                             reference_save, span_document)
-from tests.strategies import multihierarchical_documents
-
-
-class _Sink:
-    """Takes what the tokenizer pushes and drops it."""
-
-    def add(self, *pushed) -> None:
-        pass
-
-    close = root = aside = add
+from tests.strategies import (examples, multihierarchical_documents,
+                              span_sets)
 
 
 def fast_scan(source: str) -> None:
     """Run the optimistic tokenizer alone (it raises on a miss)."""
-    _scan(source, _Sink())
+    _tokenize(source)
 
 
 def columns_of(holder) -> list:
@@ -165,6 +158,20 @@ class TestByteIdentity:
             fast_scan(source)
         assert_identical(tmp_path, text, {"h": source})
 
+    def test_malformed_end_tags_fall_back(self):
+        for source in ("<d><e>ab</e a='1'></d>", "<d>ab</d\na='1'>",
+                       "<d><e>ab</e/></d>"):
+            with pytest.raises(_FastPathMiss):
+                fast_scan(source)
+
+    def test_comment_ending_in_a_dash_falls_back(self):
+        # "--->" does not close a comment (XML 1.0 production [15])
+        for source in ("<d>a<!--x--->b</d>", "<!--x---><d>ab</d>"):
+            with pytest.raises(_FastPathMiss):
+                fast_scan(source)
+            with pytest.raises(MarkupError, match="'--->'"):
+                StreamingBuilder("ab").add_hierarchy("h", source)
+
     def test_non_ascii_names_fall_back(self, tmp_path):
         text = "ab"
         source = "<d><émph>ab</émph></d>"
@@ -190,7 +197,7 @@ class TestByteIdentity:
         source = '<d ><e\na="1"\t>ab</e\n></d >'
         assert_identical(tmp_path, text, {"h": source})
 
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=examples(40))
     @given(data=st.data())
     def test_hypothesis_documents(self, data):
         document = data.draw(multihierarchical_documents())
@@ -198,6 +205,95 @@ class TestByteIdentity:
                    for name in document.hierarchy_names}
         with tempfile.TemporaryDirectory() as tmp:
             assert_identical(pathlib.Path(tmp), document.text, sources)
+
+
+#: base-text characters the raw shapes below escape in every legal way
+RAW_TEXT_ALPHABET = "ab ϸ<&>\"'\t\n"
+_ESCAPES = {"<": ["&lt;"], "&": ["&amp;"], ">": [">", "&gt;"],
+            '"': ['"', "&quot;"], "'": ["'", "&apos;"]}
+
+
+@st.composite
+def raw_xml(draw, root: dom.Element) -> str:
+    """``root`` written in one of the many ways ``to_xml()`` never
+    writes it: whitespace inside tags, either quote around attribute
+    values, self-closing empty elements, comments and PIs inline and
+    around the root, a declaration, predefined entities and character
+    references."""
+
+    def space(least: int = 0) -> str:
+        return draw(st.text(alphabet=" \t\n", min_size=least, max_size=2))
+
+    def aside() -> str:
+        return draw(st.sampled_from([
+            "<!--c-->", "<!---->", "<!-- a-b -->", "<?t?>", "<?t d ?>",
+            "<?xml-model\nhref='x'?>"]))
+
+    def attributes() -> str:
+        written = []
+        for name in draw(st.lists(st.sampled_from(["k", "n", "x:y"]),
+                                  unique=True, max_size=2)):
+            quote = draw(st.sampled_from(['"', "'"]))
+            other = "'" if quote == '"' else '"'
+            value = draw(st.text(alphabet="ab >ϸ" + other, max_size=3))
+            written.append(f"{space(1)}{name}{space()}={space()}"
+                           f"{quote}{value}{quote}")
+        return "".join(written)
+
+    def character(char: str) -> str:
+        return draw(st.sampled_from(
+            _ESCAPES.get(char, [char]) + [f"&#{ord(char)};",
+                                          f"&#x{ord(char):X};"]))
+
+    def element(node: dom.Element) -> str:
+        tag = f"<{node.name}{attributes()}{space()}"
+        if not node.children and draw(st.booleans()):
+            return tag + "/>"
+        body = []
+        for child in node.children:
+            if draw(st.booleans()):
+                body.append(aside())
+            if isinstance(child, dom.Element):
+                body.append(element(child))
+            else:
+                body.append("".join(map(character, child.data)))
+        return f"{tag}>{''.join(body)}</{node.name}{space()}>"
+
+    declaration = draw(st.sampled_from(
+        ["", '<?xml version="1.0"?>', "<?xml version='1.0' "
+         "encoding='utf-8' ?>\n"]))
+    prolog = "".join(space() + aside() for _ in range(draw(
+        st.integers(min_value=0, max_value=2))))
+    epilog = "".join(aside() + space() for _ in range(draw(
+        st.integers(min_value=0, max_value=2))))
+    return f"{declaration}{prolog}{space()}{element(root)}{space()}{epilog}"
+
+
+class TestRawShapes:
+    """The tokenizer on XML as people write it, not as ``to_xml()``
+    does: every door agrees with the reference ingest."""
+
+    @settings(deadline=None, max_examples=examples(60))
+    @given(data=st.data())
+    def test_hypothesis_raw_shapes(self, data):
+        text = data.draw(st.text(alphabet=RAW_TEXT_ALPHABET, min_size=1,
+                                 max_size=30))
+        sources = {}
+        for index in range(data.draw(st.integers(min_value=1,
+                                                 max_value=2))):
+            spans = data.draw(span_sets(text))
+            sources[f"h{index}"] = data.draw(
+                raw_xml(spans.to_document("r").root))
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_identical(pathlib.Path(tmp), text, sources)
+
+    def test_every_raw_shape_stays_on_the_fast_path(self, tmp_path):
+        text = "a<b & 'c'>d\te"
+        source = ("<?xml version='1.0'?>\n<!--p--><?t d?> <r\tk='v\"' >"
+                  "<!--c--><w n = \"1'\">a&lt;b</w\n> &amp; &apos;c&#39;"
+                  "&gt;<e/><?x ?>d&#9;&#x65;<e\n/></r ><!----> <?t?>")
+        fast_scan(source)
+        assert_identical(tmp_path, text, {"h": source})
 
 
 class TestStandoffLayers:
@@ -336,6 +432,8 @@ MALFORMED = [
     '<d a="<">x</d>',
     "<d a ='1'b='2'>x</d>",
     "<d><!--a--b--></d>",
+    "<d>a<!--x--->b</d>",
+    "<!--x---><d>ab</d>",
     "<d><!--unterminated</d>",
     "<d><![CDATA[open</d>",
     "<d><?xml bad?></d>",
@@ -344,9 +442,98 @@ MALFORMED = [
     "<d/>more<d/>",
     "<?xml version='1.0'",
     "<d><e a='1'/ ></d>",
+    "<d><e>ab</e a='1'></d>",
+    "<d>ab</d a='1'>",
+    "<d><e>ab</e/></d>",
     "< d>x</d>",
     "</d>",
 ]
+
+
+_FOX = "the quick brown fox jumps over the lazy dog"
+
+#: what both XML doors raise, recorded before the tokenizer became
+#: array arithmetic: ``(sources over the base text, (class, message))``
+#: — misses fall back to the parser, whose errors outrank the
+#: document's, and the document's name the first diverging text row
+ERROR_PARITY = {
+    "mismatched end tag": ("ab", {"h": "<d><e>ab</f></d>"}, (
+        "MarkupError", "end tag '</f>' does not match start tag '<e>' "
+        "opened at line 1, column 4 (line 1, column 11)")),
+    "unclosed element": ("ab", {"h": "<d><e>ab</e>"}, (
+        "MarkupError", "unexpected end of input inside element 'd' "
+        "(line 1, column 13)")),
+    "stray end tag": ("ab", {"h": "<d>ab</d></e>"}, (
+        "MarkupError", "content after the document element is not "
+        "allowed (line 1, column 10)")),
+    "stray end tag inside": ("ab", {"h": "<d>a</e>b</d>"}, (
+        "MarkupError", "end tag '</e>' does not match start tag '<d>' "
+        "opened at line 1, column 1 (line 1, column 7)")),
+    "text after the root": ("ab", {"h": "<d>ab</d>tail"}, (
+        "MarkupError", "content after the document element is not "
+        "allowed (line 1, column 10)")),
+    "second element after the root": ("ab", {"h": "<d>ab</d><d/>"}, (
+        "MarkupError", "content after the document element is not "
+        "allowed (line 1, column 10)")),
+    "duplicate attribute": ("ab", {"h": '<d><e k="1" k="2">ab</e></d>'}, (
+        "MarkupError", "duplicate attribute 'k' on element 'e' "
+        "(line 1, column 14)")),
+    "root name differs": ("ab", {"one": "<d>ab</d>", "two": "<x>ab</x>"}, (
+        "CMHError", "hierarchy 'two' has root 'x' but the document root "
+        "is 'd'")),
+    "root name differs, later CDATA": (
+        "ab", {"one": "<d>ab</d>", "two": "<x>a<![CDATA[b]]></x>"}, (
+            "CMHError", "hierarchy 'two' has root 'x' but the document "
+            "root is 'd'")),
+    "text diverges early": (_FOX, {
+        "h": "<d><w>thX</w> quick brown fox jumps over the lazy dog</d>"}, (
+        "AlignmentError", "hierarchy 'h' diverges from the base text at "
+        "offset 2: expected 'e quick brown fox ju', encoding has 'X'")),
+    "text diverges late": (_FOX, {
+        "h": "<d><w>the</w> quick brown fox <w>jumps</w> over the lazy "
+             "dXg</d>"}, (
+        "AlignmentError", "hierarchy 'h' diverges from the base text at "
+        "offset 41: expected 'og', encoding has 'Xg'")),
+    "text falls short": (_FOX, {"h": "<d><w>the</w> quick brown</d>"}, (
+        "AlignmentError", "hierarchy 'h' covers only the first 15 of 43 "
+        "characters of the base text")),
+    "text runs long": ("ab", {"h": "<d>abc</d>"}, (
+        "AlignmentError", "hierarchy 'h' diverges from the base text at "
+        "offset 2: expected '', encoding has 'c'")),
+    "diverging source, later CDATA": (_FOX, {
+        "h": "<d><w>thX</w> quick brown fox <![CDATA[jumps]]> over the "
+             "lazy dog</d>"}, (
+        "AlignmentError", "hierarchy 'h' diverges from the base text at "
+        "offset 2: expected 'e quick brown fox ju', encoding has 'X'")),
+    "diverging source, later mismatched tag": (_FOX, {
+        "h": "<d><w>thX</w> quick brown fox jumps over the lazy dog</e>"}, (
+        "MarkupError", "end tag '</e>' does not match start tag '<d>' "
+        "opened at line 1, column 1 (line 1, column 56)")),
+    "diverging entity text": ("a<b", {"h": "<d>a&gt;b</d>"}, (
+        "AlignmentError", "hierarchy 'h' diverges from the base text at "
+        "offset 1: expected '<b', encoding has '>b'")),
+}
+
+
+class TestErrorParity:
+    @staticmethod
+    def raised(call) -> tuple[str, str]:
+        with pytest.raises(ReproError) as caught:
+            call()
+        return type(caught.value).__name__, str(caught.value)
+
+    @pytest.mark.parametrize("case", list(ERROR_PARITY))
+    def test_both_doors_raise_the_pinned_error(self, case):
+        text, sources, expected = ERROR_PARITY[case]
+        assert self.raised(lambda: MultihierarchicalDocument.from_xml(
+            text, sources)) == expected
+
+        def add_each():
+            builder = StreamingBuilder(text)
+            for name, source in sources.items():
+                builder.add_hierarchy(name, source)
+
+        assert self.raised(add_each) == expected
 
 
 class TestMalformedTaxonomy:
@@ -468,7 +655,7 @@ class TestStreamingShards:
                 (tmp / f"st{index:04d}.mhxb").read_bytes()
         return stats
 
-    @settings(deadline=None, max_examples=60)
+    @settings(deadline=None, max_examples=examples(60))
     @given(data=st.data())
     def test_hypothesis_documents_slice_alike(self, data):
         """Zero-length elements on a cut, at offset 0 and at the text's
@@ -761,6 +948,36 @@ class TestNoDomOnTheWayIn:
         with mock.patch.object(streaming, "parse", parse_):
             MultihierarchicalDocument.from_xml("a\nb", {"h": "<d>a\rb</d>"})
         assert len(parses) == 2
+
+    def test_tokenizer_writes_no_row_by_row(self, tmp_path):
+        """Both ingest doors hand each encoding to the writer whole:
+        0 per-row ``add`` calls, 0 parses, and every hierarchy of the
+        published engine attached as it was registered."""
+        import repro.markup.streaming as streaming
+
+        document = generate_document(GeneratorConfig(n_words=1600, seed=2))
+        text = document.text
+        sources = {name: document[name].to_xml()
+                   for name in document.hierarchy_names}
+        adds: list = []
+        parses: list = []
+        store = DocumentStore.init(tmp_path / "s")
+        with mock.patch.object(_ComponentWriter, "add",
+                               counting(adds, _ComponentWriter.add)), \
+                mock.patch.object(streaming, "parse",
+                                  counting(parses, streaming.parse)):
+            snapshot = store.add_streaming("doc", text, sources)
+            engine = Engine.from_xml(text, sources)
+            assert (adds, parses) == ([], [])
+            # the controls: a DOM walk adds rows, a miss parses
+            KyGoddag.build(dom_document("ab", {"h": "<d>ab</d>"}))
+            MultihierarchicalDocument.from_xml("a\nb",
+                                               {"h": "<d>a\rb</d>"})
+        assert len(adds) == 1 and len(parses) == 1
+        for goddag in (snapshot.engine.goddag, engine.goddag):
+            assert all(component.attached
+                       for component in goddag.components().values())
+        store.close()
 
     def test_analyze_string_builds_no_dom(self, corpus):
         text, sources = corpus
