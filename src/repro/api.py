@@ -359,27 +359,6 @@ class Engine:
             self._seen = _holdings(document)
         return result
 
-    def _evaluate_guarded(self, compiled: CompiledQuery, run):
-        """Run one evaluation of ``compiled`` under the frozen-snapshot
-        read latch.
-
-        Unfrozen engines (the single-owner case) evaluate directly.  A
-        frozen engine may be shared by concurrent snapshot readers, so
-        plain queries take the latch's shared side and queries that
-        mutate membership — ``CompiledQuery.exclusive``: the plan calls
-        ``analyze-string``, which adds and removes a temporary
-        hierarchy — take the exclusive side (DESIGN.md §10).
-        """
-        latch = self.goddag.read_latch
-        if latch is None:
-            return run()
-        exclusive = compiled.exclusive
-        latch.acquire(exclusive)
-        try:
-            return run()
-        finally:
-            latch.release(exclusive)
-
     @staticmethod
     def _finalize_stats(compiled: CompiledQuery,
                         stats: QueryStats) -> None:
@@ -413,10 +392,8 @@ class Engine:
                  variables: dict[str, list] | None,
                  cached: bool) -> QueryResult:
         stats = QueryStats(plan_cache_hit=cached)
-        items = self._evaluate_guarded(
-            compiled,
-            lambda: compiled.execute(self.goddag, variables=variables,
-                                     options=self.options, stats=stats))
+        items = compiled.execute(self.goddag, variables=variables,
+                                 options=self.options, stats=stats)
         self._finalize_stats(compiled, stats)
         return QueryResult(items, stats)
 

@@ -11,7 +11,8 @@ Public surface:
 * :mod:`~repro.core.goddag.render` — XML/DOT/outline rendering.
 * :mod:`~repro.core.goddag.stats` — node/edge inventory (Figure 2).
 * :class:`~repro.core.goddag.temp.TemporaryHierarchyManager` — the
-  ``analyze-string`` hierarchy lifecycle.
+  ``analyze-string`` hierarchies of one evaluation, made on its shell
+  (:meth:`KyGoddag.shell`).
 """
 
 from repro.core.goddag.goddag import KyGoddag

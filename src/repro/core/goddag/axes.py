@@ -67,7 +67,7 @@ def axis_child(goddag: KyGoddag, node: GNode) -> list[GNode]:
     """Children: component roots under the root, element children,
     and — per the KyGODDAG edge set — leaves under text nodes."""
     if isinstance(node, GRoot):
-        return list(node.all_children)
+        return goddag.root_children()
     if isinstance(node, GElement):
         return list(node.children)
     if isinstance(node, GText):
@@ -157,8 +157,10 @@ def _sibling_groups(goddag: KyGoddag,
     """``(siblings, position)`` per parent this node participates in.
 
     Positions come from cached child→position identity maps
-    (:meth:`GElement.child_position`, :meth:`GRoot.child_position`) or,
-    for leaves, from boundary-array arithmetic — never a linear scan.
+    (:meth:`GElement.child_position`, a component's
+    :meth:`~repro.core.goddag.goddag._HierarchyComponent.top_position`)
+    or, for leaves, from boundary-array arithmetic — never a linear
+    scan.
     """
     if isinstance(node, GLeaf):
         partition = goddag.partition
@@ -175,10 +177,8 @@ def _sibling_groups(goddag: KyGoddag,
     try:
         if isinstance(parent, GRoot):
             # Siblings stay within the node's own component (paper §3).
-            hierarchy = node.hierarchy
-            assert hierarchy is not None
-            return [(parent.children_in(hierarchy),
-                     parent.child_position(hierarchy, node))]
+            component = goddag._components[node.hierarchy]
+            return [(component.top_nodes, component.top_position(node))]
         assert isinstance(parent, GElement)
         return [(parent.children, parent.child_position(node))]
     except KeyError:

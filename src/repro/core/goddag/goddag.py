@@ -3,10 +3,10 @@
 A :class:`KyGoddag` holds the shared base text, the shared root node,
 one component of hierarchy nodes per markup hierarchy, and the leaf
 partition.  Hierarchies may be added from an aligned DOM document or
-from a :class:`~repro.cmh.spans.SpanSet`, and may be registered as
-*temporary* — the mechanism behind ``analyze-string`` (Definition 4),
-whose match markup lives in a hierarchy that disappears when query
-evaluation finishes.
+from a :class:`~repro.cmh.spans.SpanSet`.  An evaluation that calls
+``analyze-string`` (Definition 4) registers its match markup as
+*temporary* hierarchies of its own :meth:`KyGoddag.shell`, which
+disappears with the evaluation.
 
 Each component keeps its hierarchy as the column arrays ``.mhxb``
 stores (:class:`_HierarchyComponent`); node objects are a view created
@@ -158,6 +158,7 @@ class _HierarchyComponent:
         # under the lock, the per-name and text indexes are idempotent
         # fills (racing ones gather the same node objects).
         self._nodes_arr: np.ndarray | None = None
+        self._top_positions: dict[int, int] | None = None
         self._name_index: dict[str, "_NameEntry | None"] = {}
         self._text_index: tuple[list[int], list[GText]] | None = None
 
@@ -188,6 +189,15 @@ class _HierarchyComponent:
         if self._nodes is None:
             self._attach_once()
         return self._top_nodes
+
+    def top_position(self, node: _HierarchyNode) -> int:
+        """The position of ``node`` among :attr:`top_nodes`: O(1) via
+        an identity map filled on first use (the list never changes)."""
+        positions = self._top_positions
+        if positions is None:
+            positions = self._top_positions = {
+                id(top): index for index, top in enumerate(self.top_nodes)}
+        return positions[id(node)]
 
     @property
     def attached(self) -> bool:
@@ -525,18 +535,17 @@ class KyGoddag:
         # Full SpanIndex constructions (benchmarks assert that the
         # analyze-string lifecycle never triggers one after warm-up).
         self.index_full_builds = 0
-        # Bumped by every mutation (hierarchy add/remove/replace,
-        # rename, base-text change).  Compiled-plan caches key on it so
-        # a stale plan can never serve a mutated document (DESIGN.md §9).
+        # Bumped by every mutation (hierarchy add/replace, rename,
+        # base-text change).  Compiled-plan caches key on it so a stale
+        # plan can never serve a mutated document (DESIGN.md §9).
         self.version = 0
         # Frozen structures back published store snapshots: every
-        # persistent mutation raises, so concurrent readers can share
-        # them lock-free (DESIGN.md §10).  Temporary (analyze-string)
-        # hierarchies stay allowed — their add/remove cycle is part of
-        # one evaluation and is serialized by ``read_latch``, which
-        # every evaluation path of a frozen structure goes through.
+        # mutation raises, so concurrent readers can share them
+        # lock-free (DESIGN.md §10).
         self.frozen = False
-        self.read_latch = None
+        # The structure an evaluation's shell extends (:meth:`shell`);
+        # ``None`` for a version.  Only a shell takes temporaries.
+        self._source: KyGoddag | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -612,38 +621,52 @@ class KyGoddag:
         Neither side owns a component afterwards: an in-place rename on
         either takes a private copy of that hierarchy first.
         """
-        latch = self.read_latch
-        if latch is not None:
-            # a frozen source may be running analyze-string: its
-            # temporaries sit in the partition and the span index
-            latch.acquire_read()
-        try:
-            if self.has_temporaries():
-                raise GoddagError(
-                    "cannot fork a KyGODDAG holding temporary "
-                    "(analyze-string) hierarchies")
-            fork = KyGoddag(self.text, self.root.root_name)
-            fork.partition = self.partition.fork()
-            for component in self._components.values():
-                fork._seat(component)
-            fork._next_rank = self._next_rank
-            if self._index is not None:
-                fork._index = self._index.fork(fork.root)
-            fork.version = self.version
-            self._owned = set()
-        finally:
-            if latch is not None:
-                latch.release_read()
+        fork = KyGoddag(self.text, self.root.root_name)
+        fork.partition = self.partition.fork()
+        for component in self._components.values():
+            fork._seat(component)
+        fork._next_rank = self._next_rank
+        if self._index is not None:
+            fork._index = self._index.fork(fork.root)
+        fork.version = self.version
+        self._owned = set()
         return fork
 
+    def shell(self) -> "KyGoddag":
+        """A private structure for one evaluation that may create
+        ``analyze-string`` temporaries (Definition 4, DESIGN.md §8).
+
+        The shell is this structure plus whatever temporaries the
+        evaluation appends to it, and it is dropped when the evaluation
+        hands over — nothing is undone, and no temporary is ever seen by
+        another evaluation.  It shares the root (so a root in a result,
+        a binding or an update target is this structure's own), every
+        component, the partition's two arrays and the span index's
+        columns and caches; what a temporary adds goes into new arrays
+        and dicts of the shell's.  Making one copies the component
+        table and nothing the size of the document, and takes no
+        ownership away: a later in-place rename here does not copy.
+        """
+        shell = KyGoddag.__new__(KyGoddag)
+        shell.text = self.text
+        shell.root = self.root
+        shell.partition = self.partition.shell()
+        shell._components = dict(self._components)
+        shell._owned = set()
+        shell._next_rank = self._next_rank
+        shell._index = None if self._index is None else self._index.shell()
+        shell.index_full_builds = 0
+        shell.version = self.version
+        shell.frozen = False
+        shell._source = self
+        return shell
+
     def _seat(self, component: _HierarchyComponent) -> None:
-        """Hold ``component`` under its name, in the root's component
-        table (assigning to an existing key keeps its position, so a
+        """Hold ``component`` under its name, in the component table
+        (assigning to an existing key keeps its position, so a
         replaced hierarchy keeps its place in the Definition 3
         iteration order)."""
-        name = component.name
-        self._components[name] = component
-        self.root.invalidate_child_positions(name)
+        self._components[component.name] = component
 
     def _register(self, component: _HierarchyComponent) -> None:
         """Seat a component this structure bound itself."""
@@ -651,8 +674,13 @@ class KyGoddag:
         self._owned.add(component.name)
 
     def _admit(self, name: str, temporary: bool) -> None:
-        if self.frozen and not temporary:
+        if self.frozen:
             self._frozen_violation(f"add hierarchy '{name}'")
+        if temporary != (self._source is not None):
+            raise GoddagError(
+                f"cannot add {'temporary' if temporary else 'persistent'} "
+                f"hierarchy '{name}': temporaries live on an evaluation's "
+                f"shell (KyGoddag.shell), and only there")
         if name in self._components:
             raise GoddagError(f"duplicate hierarchy name '{name}'")
 
@@ -695,7 +723,7 @@ class KyGoddag:
     def _add_component(self, component: _HierarchyComponent) -> None:
         """Register one more hierarchy, at the next rank."""
         self._next_rank = component.rank + 1
-        self.partition.add_boundaries(component.boundaries.tolist())
+        self.partition.add_boundaries(component.boundaries)
         self._finish_component(component)
 
     def _finish_component(self, component: _HierarchyComponent) -> None:
@@ -706,35 +734,8 @@ class KyGoddag:
             # discarding it (DESIGN.md §6) — the analyze-string hot path.
             self._index.add_component(component)
         if not component.temporary:
-            # Temporary (query-scoped) hierarchies never invalidate
-            # compiled plans: their add/remove cycle is part of one
-            # evaluation, not a document mutation.
-            self.version += 1
-
-    def remove_hierarchy(self, name: str) -> None:
-        """Remove a hierarchy; leaves split only by it coalesce again."""
-        component = self._components.get(name)
-        if component is None:
-            raise GoddagError(f"no hierarchy named '{name}'")
-        if self.frozen and not component.temporary:
-            self._frozen_violation(f"remove hierarchy '{name}'")
-        del self._components[name]
-        self._owned.discard(name)
-        self.partition.remove_boundaries(component.boundaries.tolist())
-        self.root.invalidate_child_positions(name)
-        if self._index is not None:
-            self._index.remove_component(component)
-        # Recycle the topmost rank so LIFO add/remove cycles — the
-        # analyze-string temporary-hierarchy lifecycle — never exhaust
-        # the packed order key's 16-bit rank field.  Safe because no
-        # live hierarchy holds a rank >= the recycled one.
-        if component.rank == self._next_rank - 1:
-            self._next_rank = component.rank
-            while self._next_rank > 0 and not any(
-                    comp.rank == self._next_rank - 1
-                    for comp in self._components.values()):
-                self._next_rank -= 1
-        if not component.temporary:
+            # a shell's temporaries are no document mutation: the shell
+            # keeps the version of the structure it extends
             self.version += 1
 
     # ------------------------------------------------------------------
@@ -754,29 +755,22 @@ class KyGoddag:
         flushed, its order-key columns packed, every numeric column
         marked read-only) and the partition's boundary array — gathers
         the object arrays of the components that are already attached,
-        and flips ``frozen``: persistent mutations raise from then on.
+        and flips ``frozen``: every mutation raises from then on.
         It creates no node and no leaf.  What nobody has asked for yet
         — a mapped hierarchy's nodes, the span index's node columns,
         the leaf list — fills on first use, once, under its owner's
         lock (DESIGN.md §10); the remaining lazy caches (name masks,
         per-name element indexes, order keys) are idempotent fills,
-        safe to race under the GIL.
-
-        ``read_latch`` serializes the one mutating query construct
-        (``analyze-string`` temporaries) against plain readers: every
-        evaluation path over a frozen KyGODDAG — snapshot queries and
-        direct :class:`~repro.api.Engine` calls alike — acquires it.
+        safe to race under the GIL.  Readers write nothing else here:
+        an evaluation that makes ``analyze-string`` temporaries makes
+        them on its own :meth:`shell`.
         """
-        from repro.util.concurrency import ReadWriteLatch
-
         index = self.span_index()
         index.freeze()
         self.partition.freeze()
         for component in self._components.values():
             if component.attached:
                 component.node_arrays()
-        if self.read_latch is None:
-            self.read_latch = ReadWriteLatch()
         self.frozen = True
 
     def thaw(self) -> None:
@@ -789,7 +783,6 @@ class KyGoddag:
         paths, never written in place, so no unlocking is needed.
         """
         self.frozen = False
-        self.read_latch = None
 
     # ------------------------------------------------------------------
     # mutation (the transactional update engine, DESIGN.md §9)
@@ -930,11 +923,6 @@ class KyGoddag:
         """True when ``name`` is a temporary (query-scoped) hierarchy."""
         return self._components[name].temporary
 
-    def has_temporaries(self) -> bool:
-        """Is any registered hierarchy temporary?"""
-        return any(component.temporary
-                   for component in self._components.values())
-
     def has_hierarchy(self, name: str) -> bool:
         return name in self._components
 
@@ -962,6 +950,19 @@ class KyGoddag:
     def nodes_of(self, hierarchy: str) -> list[_HierarchyNode]:
         """All nodes of one component in document (pre)order."""
         return self._components[hierarchy].nodes
+
+    def root_children(self, hierarchy: str | None = None) -> list[GNode]:
+        """The root's children here, in one hierarchy or — without
+        ``hierarchy`` — in all of them, in hierarchy order.  A shell's
+        include its temporaries, which the root's own table (its
+        version's) does not hold."""
+        if hierarchy is not None:
+            component = self._components.get(hierarchy)
+            return [] if component is None else component.top_nodes
+        out: list[GNode] = []
+        for component in self._components.values():
+            out.extend(component.top_nodes)
+        return out
 
     def parent_of(self, node: GNode) -> GNode | None:
         """The single within-hierarchy parent of ``node``, if it has
@@ -1110,6 +1111,16 @@ class KyGoddag:
         """
         index = self._index
         if index is None:
+            source = self._source
+            if source is not None:
+                # a shell's reads through its source's, built there
+                # once for every evaluation to come
+                index = source.span_index().shell()
+                for component in self._components.values():
+                    if component.temporary:
+                        index.add_component(component)
+                self._index = index
+                return index
             # imported on the build branch only: the accessor sits on
             # every per-node probe's path and an import statement costs
             # ~1 µs per execution even when the module is loaded

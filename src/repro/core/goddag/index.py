@@ -17,11 +17,12 @@ axis evaluation O(log n + candidates) instead of O(n).
 Membership changes are incremental (DESIGN.md §6): every hierarchy
 contributes a *sub-index* of per-hierarchy sorted arrays.  Adding a
 hierarchy merges its sub-arrays into the global arrays at positions
-found by ``np.searchsorted``; removing one compresses the global arrays
-through a rank mask and drops the sub-index.  ``analyze-string``'s
-temporary hierarchies (Definition 4) therefore cost O(n) vectorized
-array surgery per add/remove instead of a full Python-level rebuild —
-the S-ANALYZE hot path measured by
+found by ``np.searchsorted``; removing one (an update replacing it)
+compresses the global arrays through a rank mask and drops the
+sub-index.  ``analyze-string``'s temporary hierarchies (Definition 4)
+merge into an evaluation's :meth:`SpanIndex.shell` the same way — O(n)
+vectorized array surgery into new arrays instead of a full Python-level
+rebuild, the S-ANALYZE hot path measured by
 ``benchmarks/test_scaling_standard_axes.py``.
 """
 
@@ -236,6 +237,8 @@ class SpanIndex:
     def __init__(self, goddag: "KyGoddag") -> None:
         self.root = goddag.root
         self._lock = threading.Lock()
+        self._base: SpanIndex | None = None
+        self._shadowed: set[str] = set()
         self._subs: dict[str, _MergedSub] = {}
         self._name_masks: dict[str, np.ndarray] = {}
         self._e_name_masks: dict[str, np.ndarray] = {}
@@ -244,9 +247,9 @@ class SpanIndex:
         self._e_okeys: np.ndarray | None = None
         # Hierarchies registered but not yet merged into the arrays.
         # Membership changes are applied *lazily* on the next read: an
-        # analyze-string temporary whose lifetime never touches an
-        # extended axis costs no array surgery at all (its removal just
-        # cancels the queued add).
+        # analyze-string temporary whose evaluation never touches an
+        # extended axis costs no array surgery at all (its shell is
+        # dropped with the add still queued).
         self._pending: list = []
         self.incremental_adds = 0
         self.incremental_removes = 0
@@ -308,8 +311,14 @@ class SpanIndex:
     def _fill_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         with self._lock:
             if self._nodes is None:
-                nodes, e_nodes = self._gather(
-                    self.root, lambda component: component.node_arrays()[0])
+                base = self._base
+                if base is not None:
+                    # a shell that has merged nothing: its base's arrays
+                    nodes, e_nodes = base.nodes, base.e_nodes
+                else:
+                    nodes, e_nodes = self._gather(
+                        self.root,
+                        lambda component: component.node_arrays()[0])
                 self._e_nodes = e_nodes
                 self._nodes = nodes  # the guard, assigned last
             return self._nodes, self._e_nodes
@@ -380,6 +389,36 @@ class SpanIndex:
         self._e_names.setflags(write=False)
         return fork
 
+    def shell(self) -> "SpanIndex":
+        """An evaluation's index over this one (DESIGN.md §8): the same
+        arrays around the same root, which the shell's temporaries
+        merge into as new arrays.
+
+        Until the first merge, the node columns, name masks and order
+        keys are this index's, read — and, where nobody has yet, filled
+        — here.  After it, the positional ones are the shell's own,
+        while the interval of a name no temporary holds is still this
+        index's (:meth:`name_interval`).  Nothing the shell fills on
+        behalf of its temporaries is written here.
+        """
+        self._flush_pending()
+        shell = copy(self)
+        shell._lock = threading.Lock()
+        shell._subs = self._subs.copy()
+        shell._name_masks = {}
+        shell._e_name_masks = {}
+        shell._intervals = {}
+        shell._pending = []
+        shell.incremental_adds = shell.incremental_removes = 0
+        shell._base = self
+        shell._shadowed = set()
+        return shell
+
+    def _shares_base(self) -> bool:
+        """Is this a shell whose arrays are still its base's?"""
+        base = self._base
+        return base is not None and self._s_keys is base._s_keys
+
     @classmethod
     def restore(cls, root: GRoot, columns: dict[str, np.ndarray],
                 components: list["_HierarchyComponent"]) -> "SpanIndex":
@@ -396,6 +435,8 @@ class SpanIndex:
         index = cls.__new__(cls)
         index.root = root
         index._lock = threading.Lock()
+        index._base = None
+        index._shadowed = set()
         index._name_masks = {}
         index._e_name_masks = {}
         index._intervals = {}
@@ -426,8 +467,8 @@ class SpanIndex:
         """Flush pending membership changes and mark the numeric arrays
         read-only — accidental in-place writes then raise instead of
         tearing a concurrent snapshot reader (DESIGN.md §10).  Array
-        *replacement* (the temporary-hierarchy merge/compress paths)
-        stays possible; those build fresh arrays."""
+        *replacement* stays possible — a fork's update and a shell's
+        temporaries merge into fresh arrays."""
         self._flush_pending()
         self.okey_columns()
         for array in (self._s_keys, self.starts, self.ends, self.ranks,
@@ -458,7 +499,11 @@ class SpanIndex:
     def _merge_component(self, component: "_HierarchyComponent") -> None:
         # The node columns follow along while they are gathered and the
         # component's nodes exist; otherwise they are dropped, to be
-        # gathered again by their next reader.
+        # gathered again by their next reader.  A shell takes its
+        # base's first: a temporary's nodes exist, and a gather after
+        # the merge would be the shell's alone, once per evaluation.
+        if self._base is not None and self._nodes is None:
+            self._fill_nodes()
         filled = self._nodes is not None and component.attached
         sub = _SubIndex.of_component(component, with_nodes=filled)
         # once merged, only the rank, the size and the component (for
@@ -498,8 +543,10 @@ class SpanIndex:
             else:
                 self._nodes = self._e_nodes = None
             self._refresh_nonempty()
-        self._clear_derived(names={name for name in sub.s_names
-                                   if name is not None})
+        names = {name for name in sub.s_names if name is not None}
+        if self._base is not None:
+            self._shadowed |= names
+        self._clear_derived(names=names)
 
     def remove_component(self, component: "_HierarchyComponent") -> None:
         """Drop one hierarchy: cancel its queued add, or compress the
@@ -618,7 +665,7 @@ class SpanIndex:
         order key never change once registered), so a change only
         stales the names the changed component actually contains —
         pass them as ``names`` to keep every other name's arrays warm
-        across ``analyze-string`` temporary churn.  ``names=None``
+        across an update or a shell's temporaries.  ``names=None``
         clears everything.
         """
         self._name_masks.clear()
@@ -638,6 +685,8 @@ class SpanIndex:
         self._flush_pending()
         mask = self._name_masks.get(name)
         if mask is None:
+            if self._shares_base():
+                return self._base.name_mask(name)
             mask = self._names == name
             self._name_masks[name] = mask
         return mask
@@ -647,6 +696,8 @@ class SpanIndex:
         self._flush_pending()
         mask = self._e_name_masks.get(name)
         if mask is None:
+            if self._shares_base():
+                return self._base.e_name_mask(name)
             mask = self._e_names == name
             self._e_name_masks[name] = mask
         return mask
@@ -689,6 +740,8 @@ class SpanIndex:
         """
         self._flush_pending()
         if self._okeys is None:
+            if self._shares_base():
+                return self._base.okey_columns()
             # Guard attribute assigned last: racing fills on a shared
             # frozen snapshot must never expose a half-built pair.
             self._e_okeys = _pack_okeys(self.e_ranks, self.e_preorders)
@@ -696,10 +749,14 @@ class SpanIndex:
         return self._okeys, self._e_okeys
 
     def name_interval(self, name: str) -> _NameInterval:
-        """The cached per-name interval-join columns (DESIGN.md §11)."""
+        """The cached per-name interval-join columns (DESIGN.md §11):
+        a shell's are its base's for every name its temporaries do not
+        hold."""
         self._flush_pending()
         interval = self._intervals.get(name)
         if interval is None:
+            if self._base is not None and name not in self._shadowed:
+                return self._base.name_interval(name)
             mask = self.name_mask(name) & self.nonempty & (self.ranks != -1)
             interval = _NameInterval(self.nodes[mask], self.starts[mask],
                                      self.ends[mask], self.ranks[mask],

@@ -325,13 +325,9 @@ def _check_partition(goddag: "KyGoddag") -> None:
     offsets, counts = np.unique(np.concatenate(contributed),
                                 return_counts=True)
     bounds = offsets.tolist()
-    if partition._refcounts is None:  # restored, not spliced since
-        held, held_counts = partition._restored
-        same = np.array_equal(held, offsets) \
-            and np.array_equal(held_counts, counts)
-    else:
-        same = partition._refcounts == dict(zip(bounds, counts.tolist()))
-    if not same:
+    held, held_counts = partition.export_arrays()
+    if not (np.array_equal(held, offsets)
+            and np.array_equal(held_counts, counts)):
         _fail("partition boundary refcounts diverge from the registered "
               "hierarchy boundaries")
     # The lazy read structures, where somebody has built them (each is
@@ -339,9 +335,6 @@ def _check_partition(goddag: "KyGoddag") -> None:
     if partition._sorted is not None and partition._sorted != bounds:
         _fail("partition boundary list is not the sorted distinct "
               "offset set")
-    if partition._bounds_array is not None \
-            and not np.array_equal(partition._bounds_array, offsets):
-        _fail("partition boundary array diverges from the boundary list")
     leaves = partition._leaves_list
     if leaves is not None and (
             list(map(attrgetter("start"), leaves)) != bounds[:-1]

@@ -612,19 +612,22 @@ def exists_axis_batch(goddag: KyGoddag, axis: str, nodes: list,
     out = np.zeros(count, dtype=bool)
     if not count:
         return out
-    starts, ends = span_columns_of(nodes)
-    live = starts < ends
-    if not live.any():
-        return out
     interval = index.name_interval(name)
     n_starts, n_ends = interval.starts, interval.ends
     if among is not None:
         n_starts, n_ends = n_starts[among], n_ends[among]
     n_named = len(n_starts)
+    # the root is no row: ``xancestor::<root name>`` finds it anyway
+    root_named = (axis == "xancestor" and among is None
+                  and goddag.root.name == name)
+    if not n_named and not root_named:
+        return out  # no witness, so no context's span is read
+    starts, ends = span_columns_of(nodes)
+    live = starts < ends
+    if not live.any():
+        return out
     if axis in ("overlapping", "preceding-overlapping",
                 "following-overlapping"):
-        if not n_named:
-            return out
         chosen = np.flatnonzero(live)
         ctx_starts = starts[chosen]
         ctx_ends = ends[chosen]
@@ -644,16 +647,10 @@ def exists_axis_batch(goddag: KyGoddag, axis: str, nodes: list,
             out[chosen[found]] = True
         return out
     if axis == "xfollowing":
-        if n_named:
-            out = live & (ends <= int(n_starts[-1]))
-        return out
+        return live & (ends <= int(n_starts[-1]))
     if axis == "xpreceding":
-        if n_named:
-            out = live & (starts >= int(n_ends.min()))
-        return out
+        return live & (starts >= int(n_ends.min()))
     if axis == "xdescendant":
-        if not n_named:
-            return out
         smin = (interval.suffix_min_ends if among is None
                 else np.minimum.accumulate(n_ends[::-1])[::-1])
         pos_left = np.searchsorted(n_starts, starts, side="left")
@@ -680,7 +677,7 @@ def exists_axis_batch(goddag: KyGoddag, axis: str, nodes: list,
         # xancestor: prefix-max reverse containment + the special root
         # case (the root is not a row, so never a witness under among).
         root = goddag.root
-        if among is None and root.name == name:
+        if root_named:
             out |= live
             for position, node in enumerate(nodes):
                 if node is root:

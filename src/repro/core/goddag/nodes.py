@@ -118,10 +118,13 @@ class GRoot(GNode):
     hierarchy's top-level nodes (and root attributes) without making
     them: a component attaches its nodes when somebody first asks
     (DESIGN.md §10).  The lists and mappings handed out belong to the
-    components and are shared, never written.
+    components and are shared, never written.  An evaluation's shell
+    shares its version's root, so the axes ask the KyGODDAG instead
+    (:meth:`KyGoddag.root_children`), whose table also holds the
+    shell's temporaries.
     """
 
-    __slots__ = ("root_name", "components", "_child_positions")
+    __slots__ = ("root_name", "components")
 
     kind = ROOT
 
@@ -130,7 +133,6 @@ class GRoot(GNode):
         self.root_name = root_name
         #: hierarchy name -> this version's component
         self.components: dict = {}
-        self._child_positions: dict[str, dict[int, int]] = {}
 
     @property
     def name(self) -> str:
@@ -154,33 +156,6 @@ class GRoot(GNode):
         """The root's children within one hierarchy component."""
         component = self.components.get(hierarchy)
         return [] if component is None else component.top_nodes
-
-    def child_position(self, hierarchy: str, child: GNode) -> int:
-        """The position of ``child`` among one hierarchy's top nodes.
-
-        O(1) via a per-hierarchy identity map (child lists never change
-        after the hierarchy is registered).
-        """
-        positions = self._child_positions.get(hierarchy)
-        if positions is None:
-            positions = {
-                id(node): index
-                for index, node in enumerate(self.children_in(hierarchy))
-            }
-            self._child_positions[hierarchy] = positions
-        return positions[id(child)]
-
-    def invalidate_child_positions(self, hierarchy: str) -> None:
-        """Drop the cached position map of one (removed) hierarchy."""
-        self._child_positions.pop(hierarchy, None)
-
-    @property
-    def all_children(self) -> list[GNode]:
-        """Children across all components, in hierarchy order."""
-        out: list[GNode] = []
-        for component in self.components.values():
-            out.extend(component.top_nodes)
-        return out
 
 
 class _HierarchyNode(GNode):

@@ -6,31 +6,27 @@ substring li (that is, markup appears only at the substring
 boundaries)."*
 
 The partition is therefore determined by the multiset of markup
-boundary offsets contributed by all hierarchies.  Boundaries are
-reference-counted so that removing a (temporary) hierarchy restores
-exactly the partition that existed before it was added — leaves that
-were split coalesce again.  Each mutation bumps ``version``.
+boundary offsets contributed by all hierarchies, held as two parallel
+sorted arrays — the distinct offsets, which are the boundary array, and
+their reference counts.  Swapping one hierarchy's boundaries for its
+next form merges the count delta into new arrays (one ``searchsorted``
+and one ``np.insert``), so a boundary that another hierarchy still
+references survives and one nobody references any more is gone.
 
-The partition caches a numpy boundary array and the full leaf list
-(DESIGN.md §5), so every range query — ``leaves_in``, ``leaves_from``,
-``leaves_until`` — is two ``searchsorted`` calls plus a contiguous
-slice of the cached list instead of a scan.  Both caches are maintained
-**incrementally**: adding or removing boundary offsets splices only the
-split/coalesced cells (one bisect + one ``np.insert``/``np.delete``
-per changed offset), so the ``analyze-string`` temporary-hierarchy
-lifecycle never rebuilds the whole leaf list.  Leaf objects are
-canonical per cell lifetime — untouched cells keep their objects across
-versions.  The leaf list is made on first use, once, under the
-partition's lock: a restored partition is its boundary multiset and
-nothing else until somebody asks for a leaf (DESIGN.md §10).
+The partition caches the full leaf list (DESIGN.md §5), so every range
+query — ``leaves_in``, ``leaves_from``, ``leaves_until`` — is two
+``searchsorted`` calls plus a contiguous slice of it instead of a scan.
+A change splices only the split or coalesced cells into the list, and
+the cells it does not touch keep their leaf objects.  The leaf list is
+made on first use, once, under the partition's lock: a restored
+partition is its boundary multiset and nothing else until somebody asks
+for a leaf (DESIGN.md §10).  An evaluation's :meth:`shell` shares the
+arrays and starts its leaf list from this one's.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
-from collections import Counter
-from collections.abc import Iterable
 
 import numpy as np
 
@@ -41,71 +37,54 @@ from repro.core.goddag.nodes import GLeaf
 class Partition:
     """Reference-counted boundary set and the leaves it induces."""
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str,
+                 multiset: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> None:
         self._text = text
-        length = self.length = len(text)
-        # The document ends are permanent boundaries.  A restored
-        # partition holds its multiset as the two arrays it came as —
-        # a whole hierarchy's swap merges into them — until the first
-        # per-offset splice asks for the counter (:meth:`_counts`).
-        self._refcounts: Counter[int] | None = Counter({0: 1, length: 1})
-        self._restored: tuple[np.ndarray, np.ndarray] | None = None
+        self.length = len(text)
+        # The two arrays are only ever replaced, never written in
+        # place: a fork or a shell shares them, and they may be
+        # memory-mapped.  The document ends are permanent boundaries.
+        self._multiset: tuple[np.ndarray, np.ndarray] = \
+            multiset if multiset is not None else np.unique(
+                np.array([0, self.length], dtype=np.int64),
+                return_counts=True)
+        # offsets added since the arrays were last merged: a read
+        # merges them all at once (:attr:`boundary_array`)
+        self._pending: list[np.ndarray] = []
         self._sorted: list[int] | None = None
-        self._bounds_array: np.ndarray | None = None
-        self._leaf_cache: dict[int, GLeaf] = {}
         self._leaves_list: list[GLeaf] | None = None
+        # the partition a shell extends (:meth:`shell`): its leaf list
+        # is where this one's starts
+        self._base: Partition | None = None
         self._lock = threading.Lock()
-        self.version = 0
 
     # -- mutation -----------------------------------------------------------
 
-    def _counts(self) -> Counter[int]:
-        """The boundary multiset as a counter to splice: a restored
-        partition's is filled from its arrays here, with the sorted
-        boundary list the splices keep."""
-        refcounts = self._refcounts
-        if refcounts is None:
-            offsets, counts = self._restored
-            bounds = offsets.tolist()
-            refcounts = self._refcounts = Counter(dict(zip(
-                bounds, counts.tolist())))
-            if self._sorted is None:
-                self._sorted = bounds
-            self._restored = None
-        return refcounts
+    def add_boundaries(self, offsets: np.ndarray | list[int]) -> None:
+        """Reference the given boundary offsets (duplicates allowed).
 
-    def add_boundaries(self, offsets: Iterable[int]) -> None:
-        """Reference the given boundary offsets (duplicates allowed)."""
-        refcounts = self._counts()
-        fresh: set[int] = set()
-        for offset in offsets:
-            if offset < 0 or offset > self.length:
-                raise GoddagError(
-                    f"boundary offset {offset} outside the text "
-                    f"(length {self.length})")
-            if refcounts[offset] == 0:
-                fresh.add(offset)
-            refcounts[offset] += 1
-        if fresh:
-            self._apply_delta(sorted(fresh), added=True)
+        While no leaf list is made they merge into the arrays on the
+        next read, all that came since at once: an evaluation whose
+        ``analyze-string`` temporaries nothing reads the leaves of never
+        merges them."""
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if not len(offsets):
+            return
+        low, high = int(offsets.min()), int(offsets.max())
+        if low < 0 or high > self.length:
+            raise GoddagError(
+                f"boundary offset {low if low < 0 else high} outside "
+                f"the text (length {self.length})")
+        self._pending.append(offsets)
+        self._sorted = None
+        if self._leaves_list is not None:
+            self._merge_pending()
 
-    def remove_boundaries(self, offsets: Iterable[int]) -> None:
-        """Drop one reference per given offset; coalesce freed leaves."""
-        refcounts = self._counts()
-        gone: set[int] = set()
-        for offset in offsets:
-            count = refcounts[offset]
-            if count <= 0:
-                raise GoddagError(
-                    f"boundary offset {offset} removed more times than "
-                    f"it was added")
-            if count == 1:
-                del refcounts[offset]
-                gone.add(offset)
-            else:
-                refcounts[offset] = count - 1
-        if gone:
-            self._apply_delta(sorted(gone), added=False)
+    def _merge_pending(self) -> None:
+        pending, self._pending = self._pending, []
+        self._change(*np.unique(np.concatenate(pending),
+                                return_counts=True))
 
     def swap_boundaries(self, old: np.ndarray, new: np.ndarray) -> None:
         """Exchange one hierarchy's boundary multiset for its next
@@ -116,150 +95,132 @@ class Partition:
                                      return_inverse=True)
         delta = (np.bincount(inverse[len(old):], minlength=len(offsets))
                  - np.bincount(inverse[:len(old)], minlength=len(offsets)))
-        if self._refcounts is None and self._leaves_list is None:
-            # restored, and no leaf to split or merge: the delta goes
-            # into the two arrays, which stay the multiset
-            self._swap_restored(offsets, delta)
-            return
-        self.remove_boundaries(
-            np.repeat(offsets, np.maximum(-delta, 0)).tolist())
-        self.add_boundaries(
-            np.repeat(offsets, np.maximum(delta, 0)).tolist())
+        if self._pending:
+            self._merge_pending()
+        self._change(offsets, delta)
 
-    def _swap_restored(self, offsets: np.ndarray, delta: np.ndarray
-                       ) -> None:
-        """Add ``delta`` to the counts of ``offsets`` in new arrays (the
-        held ones may be a fork's or mapped), checked as the per-offset
-        splices check before anything is replaced."""
+    def _change(self, offsets: np.ndarray, delta: np.ndarray) -> None:
+        """Add ``delta`` to the counts of the sorted distinct
+        ``offsets`` in new arrays, checked before anything is replaced,
+        then splice the leaf list for the boundaries that came or went.
+        Only the touched entries are read: the rest is two copies."""
         changed = delta != 0
         offsets, delta = offsets[changed], delta[changed]
-        held, counts = self._restored
+        if not len(offsets):
+            return
+        held, counts = self._multiset
         at = np.minimum(np.searchsorted(held, offsets), len(held) - 1)
         fresh = offsets[held[at] != offsets]
         where = np.searchsorted(held, fresh)
         merged = np.insert(held, where, fresh)
         total = np.insert(counts, where, 0)
-        total[np.searchsorted(merged, offsets)] += delta
+        at = np.searchsorted(merged, offsets)
+        before = total[at]
+        after = before + delta
         added = offsets[delta > 0]
         if len(added) and (added[0] < 0 or added[-1] > self.length):
             offset = int(added[0] if added[0] < 0 else added[-1])
             raise GoddagError(
                 f"boundary offset {offset} outside the text "
                 f"(length {self.length})")
-        if (total < 0).any():
+        if (after < 0).any():
             raise GoddagError(
-                f"boundary offset {int(merged[np.argmax(total < 0)])} "
+                f"boundary offset {int(offsets[np.argmax(after < 0)])} "
                 f"removed more times than it was added")
-        keep = total > 0
-        bounds = merged[keep]
-        if not np.array_equal(bounds, held):
-            self.version += 1
+        total[at] = after
+        came = offsets[before == 0]
+        went = offsets[after == 0]
+        if len(went):
+            keep = total > 0
+            merged, total = merged[keep], total[keep]
+        self._multiset = merged, total
+        if len(came) or len(went):
             self._sorted = None
-            self._leaf_cache.clear()
-        self._restored = bounds, total[keep]
-        self._bounds_array = bounds
+            self._splice(held, came, went)
 
-    def _apply_delta(self, offsets: list[int], added: bool) -> None:
-        """Splice changed cells into the cached boundary/leaf structures.
-
-        Interior offsets only (0 and the text length are permanent), so
-        every changed offset splits — or re-merges — exactly one cell.
-        With nothing materialized yet — or when the delta is a large
+    def _splice(self, held: np.ndarray, came: np.ndarray,
+                went: np.ndarray) -> None:
+        """Split the leaf list's cells at the boundaries that ``came``
+        and coalesce them across those that ``went`` (``held`` is the
+        boundary array before).  Interior offsets only — 0 and the text
+        length are permanent — so each one splits or re-merges exactly
+        one cell.  With no list yet, or a change that is a large
         fraction of the partition, where per-offset splices (each an
-        O(n) copy) would go quadratic — this is a plain invalidation
-        and the caches rebuild lazily in one O(n) pass.
-        """
-        self.version += 1
-        if (self._sorted is None or self._leaves_list is None
-                or len(offsets) > max(64, len(self._sorted) // 8)):
-            self._sorted = None
-            self._bounds_array = None
-            self._leaf_cache.clear()
+        O(n) copy) would go quadratic, the list is dropped and rebuilt
+        on first use in one O(n) pass."""
+        leaves = self._leaves_list
+        if leaves is None:
+            return
+        if len(came) + len(went) > max(64, len(held) // 8):
             self._leaves_list = None
             return
-        bounds = self._sorted
-        leaves = self._leaves_list
-        cache = self._leaf_cache
-        array = self._bounds_array
         text = self._text
-        if added:
-            for offset in offsets:
-                position = bisect_left(bounds, offset)
-                bounds.insert(position, offset)
-                if array is not None:
-                    array = np.insert(array, position, offset)
-                old = leaves[position - 1]
-                left = GLeaf(text, old.start, offset)
-                right = GLeaf(text, offset, old.end)
-                leaves[position - 1:position] = [left, right]
-                cache[old.start] = left
-                cache[offset] = right
-        else:
-            for offset in offsets:
-                position = bisect_left(bounds, offset)
-                del bounds[position]
-                if array is not None:
-                    array = np.delete(array, position)
-                left = leaves[position - 1]
-                right = leaves[position]
-                merged = GLeaf(text, left.start, right.end)
-                leaves[position - 1:position + 1] = [merged]
-                cache.pop(offset, None)
-                cache[left.start] = merged
-        self._bounds_array = array
+        # right to left over the old positions, so those still to come
+        # do not move
+        for position in np.searchsorted(held, went)[::-1].tolist():
+            left, right = leaves[position - 1], leaves[position]
+            leaves[position - 1:position + 1] = [
+                GLeaf(text, left.start, right.end)]
+        # left to right over the new ones: the cells left of each
+        # offset are final by the time it is split
+        bounds = self.boundary_array
+        for offset, position in zip(
+                came.tolist(), np.searchsorted(bounds, came).tolist()):
+            old = leaves[position - 1]
+            leaves[position - 1:position] = [GLeaf(text, old.start, offset),
+                                             GLeaf(text, offset, old.end)]
 
     # -- persistence (the .mhxb cold-load path, DESIGN.md §10) ---------------
 
     def export_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(offsets, refcounts)`` — the whole boundary multiset as two
         parallel sorted int64 arrays, ready for binary persistence (do
-        not write them: a restored partition hands over its own)."""
-        if self._restored is not None:
-            return self._restored
-        offsets = sorted(self._refcounts)
-        counts = [self._refcounts[offset] for offset in offsets]
-        return (np.array(offsets, dtype=np.int64),
-                np.array(counts, dtype=np.int64))
+        not write them: the partition hands over its own)."""
+        if self._pending:
+            self._merge_pending()
+        return self._multiset
 
     @classmethod
     def restore(cls, text: str, offsets: np.ndarray,
                 counts: np.ndarray) -> "Partition":
         """Rebuild a partition from :meth:`export_arrays` output.
 
-        Nothing is made per offset: the two arrays are the multiset
-        until the first splice (:meth:`_counts`), and the offsets, which
-        arrive sorted, are the boundary array — it may stay
-        memory-mapped (it is only ever replaced wholesale, never written
-        in place).
+        Nothing is made per offset: the two arrays, which arrive
+        sorted, are the multiset and the offsets the boundary array —
+        they may stay memory-mapped (they are only ever replaced
+        wholesale, never written in place).
         """
-        partition = cls(text)
-        offsets = np.asarray(offsets, dtype=np.int64)
-        partition._refcounts = None
-        partition._restored = offsets, np.asarray(counts, dtype=np.int64)
-        partition._bounds_array = offsets
-        return partition
+        return cls(text, (np.asarray(offsets, dtype=np.int64),
+                          np.asarray(counts, dtype=np.int64)))
 
     def fork(self) -> "Partition":
-        """The next version's partition: its own multiset and lists
-        around this one's boundary array and leaf objects.
+        """The next version's partition: this one's arrays and a copy of
+        its leaf list.
 
         Leaves hold no version (DESIGN.md §1), so the cells a later
         update neither splits nor merges stay one object in every
         version — every leaf made before the fork; one neither side
-        had made yet is made by each side for itself.  The containers
-        :meth:`_apply_delta` splices in place are copied, the boundary
-        array — only ever replaced — is not.
+        had made yet is made by each side for itself.  The leaf list,
+        which :meth:`_splice` edits in place, is copied; the arrays —
+        only ever replaced — are not.
         """
-        fork = Partition(self._text)
-        fork._refcounts = None if self._refcounts is None \
-            else self._refcounts.copy()
-        fork._restored = self._restored
-        fork._sorted = None if self._sorted is None else self._sorted.copy()
-        fork._bounds_array = self._bounds_array
+        fork = Partition(self._text, self.export_arrays())
+        fork._sorted = self._sorted
         leaves = self._leaves_list
         if leaves is not None:
             fork._leaves_list = leaves.copy()
         return fork
+
+    def shell(self) -> "Partition":
+        """An evaluation's partition over this one (DESIGN.md §8): the
+        same two arrays, which its temporaries' boundaries merge into
+        as new ones.  Its leaf list is made on first use from this
+        one's — the cells its temporaries do not split keep their leaf
+        objects — and nothing it makes is written back here."""
+        shell = Partition(self._text, self.export_arrays())
+        shell._sorted = self._sorted
+        shell._base = self
+        return shell
 
     def freeze(self) -> None:
         """Seal the boundary array for snapshot readers; the leaf list
@@ -272,47 +233,52 @@ class Partition:
     def boundaries(self) -> list[int]:
         """Distinct boundary offsets in increasing order."""
         if self._sorted is None:
-            self._sorted = sorted(self._refcounts) \
-                if self._bounds_array is None else self._bounds_array.tolist()
+            self._sorted = self.boundary_array.tolist()
         return self._sorted
 
     @property
     def boundary_array(self) -> np.ndarray:
-        """The boundary offsets as a sorted int64 array (cached)."""
-        if self._bounds_array is None:
-            bounds = self.boundaries
-            self._bounds_array = np.fromiter(bounds, dtype=np.int64,
-                                             count=len(bounds))
-        return self._bounds_array
+        """The boundary offsets as a sorted int64 array."""
+        if self._pending:
+            self._merge_pending()
+        return self._multiset[0]
 
     def __len__(self) -> int:
         """The number of leaves."""
-        return max(0, len(self.boundaries) - 1)
+        return max(0, len(self.boundary_array) - 1)
 
     def leaf_spans(self) -> list[tuple[int, int]]:
         """All leaf cells as ``(start, end)`` pairs, in text order."""
         bounds = self.boundaries
-        return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-
-    def _leaf(self, start: int, end: int) -> GLeaf:
-        leaf = self._leaf_cache.get(start)
-        if leaf is None:
-            leaf = GLeaf(self._text, start, end)
-            self._leaf_cache[start] = leaf
-        return leaf
+        return list(zip(bounds, bounds[1:]))
 
     def _all_leaves(self) -> list[GLeaf]:
         """The incrementally maintained leaf list (do not mutate): made
         once, under the lock — two racing fills would hand out two
-        objects for one cell."""
+        objects for one cell.  A shell's starts as a copy of its base's,
+        spliced to its own boundaries."""
         leaves = self._leaves_list
         if leaves is None:
             with self._lock:
                 leaves = self._leaves_list
                 if leaves is None:
-                    leaves = [self._leaf(start, end)
-                              for start, end in self.leaf_spans()]
-                    self._leaves_list = leaves
+                    base = self._base
+                    if base is not None:
+                        # merged before the list exists, so that the
+                        # splice below is the only one
+                        bounds = self.boundary_array
+                        held = base.boundary_array
+                        self._leaves_list = base._all_leaves().copy()
+                        at = np.minimum(np.searchsorted(held, bounds),
+                                        len(held) - 1)
+                        self._splice(held, bounds[held[at] != bounds],
+                                     bounds[:0])
+                    leaves = self._leaves_list
+                    if leaves is None:
+                        text = self._text
+                        leaves = self._leaves_list = [
+                            GLeaf(text, start, end)
+                            for start, end in self.leaf_spans()]
         return leaves
 
     def leaves(self) -> list[GLeaf]:

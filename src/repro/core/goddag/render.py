@@ -96,7 +96,7 @@ def to_dot(goddag: KyGoddag) -> str:
         lines.append(f'  n{id(leaf)} [label="{labels[id(leaf)]}" '
                      f"shape=box];")
     for name in goddag.hierarchy_names:
-        for top in goddag.root.children_in(name):
+        for top in goddag.root_children(name):
             lines.append(f"  n{id(goddag.root)} -> n{id(top)};")
         for node in goddag.nodes_of(name):
             if isinstance(node, GElement):

@@ -6,11 +6,12 @@ rest)"*; Definition 4(5): *"all temporary hierarchies generated by an
 execution of this function are deleted after the entire query is
 evaluated."*
 
-:class:`TemporaryHierarchyManager` implements that lifecycle: it
-allocates fresh hierarchy names (``rest``, ``rest2``, …), registers the
-span markup as a temporary hierarchy (splitting leaves as needed), and
-drops everything it created when the enclosing query finishes — used as
-a context manager by the evaluator.
+:class:`TemporaryHierarchyManager` creates them for one evaluation: it
+allocates fresh hierarchy names (``rest``, ``rest2``, …) and registers
+the span markup as a temporary hierarchy (splitting leaves as needed)
+of the evaluation's :meth:`~repro.core.goddag.goddag.KyGoddag.shell`.
+Deleting them is dropping the shell when the evaluation hands over:
+nothing is undone, and no other evaluation ever sees one.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from repro.util.ids import NameAllocator
 
 
 class TemporaryHierarchyManager:
-    """Creates and tears down the temporary hierarchies of one query."""
+    """Creates the temporary hierarchies of one evaluation."""
 
     def __init__(self, goddag: KyGoddag) -> None:
         self.goddag = goddag
         self._allocator = NameAllocator(goddag.hierarchy_names)
-        self._created: list[str] = []
 
     def create(self, spans: SpanSet, base_name: str = "rest") -> str:
         """Register ``spans`` as a fresh temporary hierarchy.
@@ -36,7 +36,6 @@ class TemporaryHierarchyManager:
         """
         name = self._allocator.allocate(base_name)
         self.goddag.add_hierarchy_from_spans(name, spans, temporary=True)
-        self._created.append(name)
         return name
 
     def top_element(self, hierarchy: str) -> GElement:
@@ -50,17 +49,3 @@ class TemporaryHierarchyManager:
             if isinstance(node, GElement):
                 return node
         raise ValueError(f"hierarchy '{hierarchy}' has no element nodes")
-
-    def drop_all(self) -> None:
-        """Remove every hierarchy created by this manager (idempotent)."""
-        while self._created:
-            name = self._created.pop()
-            if self.goddag.has_hierarchy(name):
-                self.goddag.remove_hierarchy(name)
-            self._allocator.release(name)
-
-    def __enter__(self) -> "TemporaryHierarchyManager":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.drop_all()

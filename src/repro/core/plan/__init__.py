@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.core.lang import ast
 from repro.core.lang.parser import parse_query, parse_xpath
-from repro.core.plan.logical import FuncOp, Plan, render_plan, walk
+from repro.core.plan.logical import Plan, needs_shell, render_plan
 from repro.core.plan.physical import compile_plan, execute_plan
 from repro.core.plan.planner import build_plan
 from repro.core.plan.rewrite import rewrite
@@ -36,6 +36,7 @@ __all__ = [
     "CompiledQuery",
     "PLAN_VERSION",
     "compile_query",
+    "needs_shell",
     "build_plan",
     "rewrite",
     "render_plan",
@@ -64,7 +65,7 @@ class CompiledQuery:
     """One query compiled through the full pipeline, ready to run."""
 
     __slots__ = ("text", "source_ast", "rewritten_ast", "plan",
-                 "rewrites", "costed", "exclusive", "_runner")
+                 "rewrites", "costed", "needs_shell", "_runner")
 
     def __init__(self, text: str, source_ast: ast.Expr,
                  rewritten_ast: ast.Expr, plan: Plan,
@@ -78,24 +79,17 @@ class CompiledQuery:
         self.rewrites = rewrites
         #: True when the statistics-driven cost pass ran (DESIGN.md §16)
         self.costed = costed
-        #: True when the plan calls ``analyze-string``: an evaluation
-        #: adds and removes a temporary hierarchy, so on a frozen
-        #: engine it takes the exclusive side of the read latch.  Read
-        #: off the plan, so a query compiled from a pre-parsed AST
-        #: (no text to scan) decides the same way.
-        self.exclusive = any(
-            isinstance(node, FuncOp) and node.name == "analyze-string"
-            for node in walk(plan))
+        #: True when the plan calls ``analyze-string``: each evaluation
+        #: runs on a private shell of the KyGODDAG (:func:`needs_shell`)
+        self.needs_shell = needs_shell(plan)
         self._runner = runner
 
     def execute(self, goddag, variables=None, options=None,
-                functions=None, keep_temporaries: bool = False,
-                stats: QueryStats | None = None) -> list:
+                functions=None, stats: QueryStats | None = None) -> list:
         """Run against a KyGODDAG (lifecycle: see ``execute_plan``)."""
         return execute_plan(self._runner, goddag, variables=variables,
                             options=options, functions=functions,
-                            keep_temporaries=keep_temporaries,
-                            stats=stats)
+                            shell=self.needs_shell, stats=stats)
 
     def explain(self, actuals: dict[int, int] | None = None,
                 miss_factor: float = 8.0) -> str:

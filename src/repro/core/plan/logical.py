@@ -612,6 +612,16 @@ def walk(plan: Plan):
         yield from walk(child)
 
 
+def needs_shell(plan: Plan) -> bool:
+    """Does ``plan`` call ``analyze-string``?  Then its evaluations
+    create temporary hierarchies, and each runs on a private shell of
+    the KyGODDAG (DESIGN.md §8).  Read off the plan, so a query
+    compiled from a pre-parsed AST (no text to scan) decides the same
+    way."""
+    return any(isinstance(node, FuncOp) and node.name == "analyze-string"
+               for node in walk(plan))
+
+
 def render_plan(plan: Plan, indent: int = 0,
                 actuals: dict[int, int] | None = None,
                 miss_factor: float = 8.0) -> str:

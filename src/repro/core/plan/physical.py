@@ -82,34 +82,35 @@ _MISSING = object()
 
 
 def execute_plan(fn: Runner, goddag, variables=None, options=None,
-                 functions=None, keep_temporaries: bool = False,
+                 functions=None, shell: bool = False,
                  stats: QueryStats | None = None) -> list:
-    """Run a compiled plan: root focus, then — unless
-    ``keep_temporaries`` — result items living in ``analyze-string``
-    temporaries are copied out and every temporary hierarchy is dropped
-    (Definition 4(5)).  A KyGODDAG holding no temporary at hand-over —
-    none of this evaluation, none kept by an earlier one — has no item
-    to copy, and the result is handed over as it is."""
+    """Run a compiled plan with the root as focus.
+
+    With ``shell`` — the plan calls ``analyze-string``
+    (:func:`~repro.core.plan.needs_shell`) — it runs on a private
+    :meth:`~repro.core.goddag.goddag.KyGoddag.shell` of ``goddag``
+    that takes the evaluation's temporary hierarchies; result items
+    living in one are copied out and the shell is dropped (Definition
+    4(5)).  Without, it runs on ``goddag`` itself, which then takes no
+    temporary at all."""
     from repro.core.runtime.functions import default_registry
 
     registry = dict(default_registry())
     if functions:
         registry.update(functions)
-    manager = TemporaryHierarchyManager(goddag)
-    frame = Frame(goddag, registry, options or QueryOptions(), manager,
+    if shell:
+        goddag = goddag.shell()
+    frame = Frame(goddag, registry, options or QueryOptions(),
+                  TemporaryHierarchyManager(goddag),
                   dict(variables or {}),
                   stats if stats is not None else QueryStats())
     frame.item = goddag.root
     frame.position = 1
     frame.size = 1
-    try:
-        result = fn(frame)
-        if not keep_temporaries and goddag.has_temporaries():
-            result = [snapshot(item, goddag) for item in result]
-        return result
-    finally:
-        if not keep_temporaries:
-            manager.drop_all()
+    result = fn(frame)
+    if shell:
+        result = [snapshot(item, goddag) for item in result]
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -699,13 +700,12 @@ def _mask_over(frame: Frame, term: tuple, nodes: list) -> np.ndarray:
 
 
 def _epoch(frame: Frame) -> tuple:
-    """What a verdict computed now stays true under: the span index
-    and its membership — every ``analyze-string`` temporary coming or
-    going moves it."""
-    goddag = frame.goddag
-    index = goddag.span_index()
-    return (index, goddag.version, index.incremental_adds,
-            index.incremental_removes)
+    """What a verdict computed now stays true under: the span index's
+    membership, which inside one evaluation only that evaluation's own
+    ``analyze-string`` temporaries move (each one merges into its
+    shell's index)."""
+    index = frame.goddag.span_index()
+    return index, index.incremental_adds
 
 
 def _mask_column(frame: Frame, name: str, term: tuple) -> np.ndarray:
@@ -715,7 +715,7 @@ def _mask_column(frame: Frame, name: str, term: tuple) -> np.ndarray:
     A column is a pure function of the index contents and the term, so
     the memo is keyed by term value (equal sub-predicates share one
     column) under an epoch that any membership change — an
-    ``analyze-string`` temporary coming or going — moves.
+    ``analyze-string`` temporary of this evaluation — moves.
     """
     epoch = _epoch(frame)
     memo = frame.mask_memo

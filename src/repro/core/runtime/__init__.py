@@ -25,16 +25,15 @@ def evaluate_query(goddag: KyGoddag, query: str | ast.Expr,
                    variables: dict[str, list] | None = None,
                    options: QueryOptions | None = None,
                    functions: dict[str, Any] | None = None,
-                   keep_temporaries: bool = False,
                    stats: QueryStats | None = None) -> list:
     """Compile ``query`` (text or a parsed AST) and run it once against
     ``goddag``; returns the item list.
 
     The one-shot form of ``compile_query(query).execute(goddag, …)``:
-    the root is the initial context item, every ``analyze-string``
-    temporary hierarchy is dropped when evaluation finishes (Definition
-    4(5)) and result items living in one are copied out first, unless
-    ``keep_temporaries``.  ``stats`` is a caller-owned
+    the root is the initial context item, and ``analyze-string``
+    temporaries live in a shell dropped when evaluation finishes
+    (Definition 4(5)), result items living in one copied out first.
+    ``stats`` is a caller-owned
     :class:`QueryStats` the call fills in.
     """
     # the plan package imports this one (values, context) at load time
@@ -42,4 +41,4 @@ def evaluate_query(goddag: KyGoddag, query: str | ast.Expr,
 
     return compile_query(query).execute(
         goddag, variables=variables, options=options, functions=functions,
-        keep_temporaries=keep_temporaries, stats=stats)
+        stats=stats)

@@ -11,9 +11,10 @@
    (``"xxx<a>xxx</a>xxx"``), each embedded tag pair becomes a regex
    group and each group's matches are tagged with the originating
    element name (nested tags nest);
-5. the temporary hierarchy is deleted after the whole query finishes
-   (handled by the evaluator's
-   :class:`~repro.core.goddag.temp.TemporaryHierarchyManager`).
+5. the temporary hierarchy is deleted after the whole query finishes:
+   it is made on the evaluation's private shell of the KyGODDAG
+   (:meth:`~repro.core.goddag.goddag.KyGoddag.shell`), which is
+   dropped at hand-over.
 
 Because the match markup is a real (temporary) hierarchy, the search
 results participate in *all* extended axes — the paper's central trick

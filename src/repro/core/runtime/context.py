@@ -3,8 +3,8 @@
 :class:`QueryOptions` collects the documented compatibility knobs;
 :class:`QueryStats` the per-call counters; :class:`Frame` carries the
 focus (context item, position, size), variable bindings, and the
-per-query temporary-hierarchy manager that implements Definition 4(5)
-(temporary hierarchies die with the query).
+per-query temporary-hierarchy manager (Definition 4: the temporaries
+live on the evaluation's shell and die with it).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.core.lang import ast
 from repro.core.lang.parser import parse_update
-from repro.core.plan.logical import Plan, render_plan
+from repro.core.plan.logical import Plan, needs_shell, render_plan
 from repro.core.plan.physical import compile_plan, execute_plan
 from repro.core.plan.planner import build_plan
 from repro.core.plan.rewrite import rewrite
@@ -27,7 +27,7 @@ class CompiledUpdate:
     """One update statement compiled through the full pipeline."""
 
     __slots__ = ("text", "source_ast", "rewritten_ast", "plan",
-                 "rewrites", "_runner")
+                 "rewrites", "needs_shell", "_runner")
 
     def __init__(self, text: str, source_ast: ast.Expr,
                  rewritten_ast: ast.Expr, plan: Plan,
@@ -37,13 +37,14 @@ class CompiledUpdate:
         self.rewritten_ast = rewritten_ast
         self.plan = plan
         self.rewrites = rewrites
+        self.needs_shell = needs_shell(plan)
         self._runner = runner
 
     def pending(self, goddag, variables=None,
                 options: QueryOptions | None = None) -> PendingUpdateList:
         """Evaluate targets against the pre-state; collect primitives."""
         items = execute_plan(self._runner, goddag, variables=variables,
-                             options=options)
+                             options=options, shell=self.needs_shell)
         return PendingUpdateList(items)
 
     def explain(self) -> str:

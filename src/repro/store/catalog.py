@@ -101,20 +101,6 @@ def fork_engine(engine: Engine) -> Engine:
         options=engine.options, use_cost=engine.use_cost)
 
 
-def _whole_net(engine: Engine) -> None:
-    """Run the whole invariant net; on a published (frozen) engine as a
-    plain reader, so no ``analyze-string`` temporary is half
-    registered while it looks."""
-    latch = engine.goddag.read_latch
-    if latch is not None:
-        latch.acquire_read()
-    try:
-        engine.goddag.check_invariants()
-    finally:
-        if latch is not None:
-            latch.release_read()
-
-
 class DocumentStore:
     """A directory-backed catalog of documents with MVCC snapshots."""
 
@@ -330,7 +316,7 @@ class DocumentStore:
                     engine = (live.engine if live is not None else
                               map_engine(path, header, data_start,
                                          options=self.options))
-                    _whole_net(engine)
+                    engine.goddag.check_invariants()
                 except ReproError as error:
                     out[target] = f"corrupt: {error}"
                 else:
@@ -764,11 +750,8 @@ class DocumentStore:
         def resolver(frame, _args):
             return [frame.goddag.root]
 
-        items = engine._evaluate_guarded(
-            compiled,
-            lambda: compiled.execute(
-                engine.goddag, options=engine.options,
-                functions={"collection": resolver}))
+        items = compiled.execute(engine.goddag, options=engine.options,
+                                 functions={"collection": resolver})
         return CorpusResult(
             items=[serialize_item(item) for item in items],
             mode="fused", reason=reason, shards_total=shards_total,

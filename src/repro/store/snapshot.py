@@ -6,14 +6,12 @@ that version — the store's writer never mutates a published engine, it
 forks, mutates the fork, and publishes a *new* snapshot — so reads are
 lock-free and can never observe partial update state (DESIGN.md §10).
 
-The one exception is ``analyze-string``: Definition 4 temporaries are
-real (if transient) KyGODDAG membership changes, so a query that uses
-them takes the exclusive side of the frozen goddag's reader/writer
-latch while plain queries share the read side.  The latch lives on the
-goddag itself (created by ``KyGoddag.freeze()``), so it also guards
-direct ``snapshot.engine.query(...)`` calls that bypass this wrapper;
-it never interacts with the store's writer lock — updates happen on
-forks.
+No read writes the published KyGODDAG either, ``analyze-string``
+included: a query that calls it makes its Definition 4 temporaries on
+a private shell of the structure, dropped when the query hands over
+(DESIGN.md §8).  That holds for direct ``snapshot.engine.query(...)``
+calls too, which bypass this wrapper: the shell is chosen by the
+compiled plan, not by the caller.
 """
 
 from __future__ import annotations
@@ -68,11 +66,8 @@ class Snapshot:
                                         xpath=xpath,
                                         stats=self._plan_stats())
         stats = QueryStats(plan_cache_hit=hit)
-        items = engine._evaluate_guarded(
-            compiled,
-            lambda: compiled.execute(engine.goddag, variables=variables,
-                                     options=engine.options,
-                                     stats=stats))
+        items = compiled.execute(engine.goddag, variables=variables,
+                                 options=engine.options, stats=stats)
         engine._finalize_stats(compiled, stats)
         return QueryResult(items, stats)
 
@@ -90,11 +85,7 @@ class Snapshot:
         if not analyze:
             return compiled.explain()
         stats = QueryStats()
-        engine._evaluate_guarded(
-            compiled,
-            lambda: compiled.execute(engine.goddag, variables=None,
-                                     options=engine.options,
-                                     stats=stats))
+        compiled.execute(engine.goddag, options=engine.options, stats=stats)
         return compiled.explain(
             actuals=stats.op_actuals,
             miss_factor=engine.options.cost_fallback_factor)

@@ -22,10 +22,6 @@ class NameAllocator:
         """Mark ``name`` as taken without allocating it."""
         self._taken.add(name)
 
-    def release(self, name: str) -> None:
-        """Return ``name`` to the free pool."""
-        self._taken.discard(name)
-
     def allocate(self, base: str) -> str:
         """Return a fresh name derived from ``base`` and mark it taken."""
         if base not in self._taken:

@@ -185,20 +185,20 @@ def _naive_leaves_in(goddag: KyGoddag, start: int, end: int) -> list[GNode]:
         leaf_start, leaf_end = bounds[index], bounds[index + 1]
         if leaf_end > end:
             break
-        out.append(goddag.partition._leaf(leaf_start, leaf_end))
+        out.append(goddag.partition.leaf_at(leaf_start))
     return out
 
 
 def _naive_all_leaves(goddag: KyGoddag) -> list[GNode]:
     """The seed's ``leaves()``: rebuilt from the spans on every call,
-    bypassing the partition's cached leaf list."""
-    return [goddag.partition._leaf(start, end)
-            for start, end in goddag.partition.leaf_spans()]
+    one canonical leaf looked up per cell."""
+    return [goddag.partition.leaf_at(start)
+            for start, _end in goddag.partition.leaf_spans()]
 
 
 def naive_child(goddag: KyGoddag, node: GNode) -> list[GNode]:
     if isinstance(node, GRoot):
-        return list(node.all_children)
+        return goddag.root_children()
     if isinstance(node, GElement):
         return list(node.children)
     if isinstance(node, GText):
@@ -254,9 +254,7 @@ def _naive_sibling_lists(goddag: KyGoddag,
     if parent is None or isinstance(node, GAttr):
         return []
     if isinstance(parent, GRoot):
-        hierarchy = node.hierarchy
-        assert hierarchy is not None
-        return [parent.children_in(hierarchy)]
+        return [goddag.root_children(node.hierarchy)]
     return [naive_child(goddag, parent)]
 
 

@@ -184,12 +184,3 @@ class TestMiscEdges:
             return (for $x in (10) return $x, $x)
         ''')
         assert result == [10, 1, 10, 2]
-
-    def test_keep_temporaries_leaves_hierarchy(self, goddag):
-        run(goddag, 'analyze-string(/descendant::w[2], "unawe")',
-            keep_temporaries=True)
-        assert any(name.startswith("rest")
-                   for name in goddag.hierarchy_names)
-        for name in list(goddag.hierarchy_names):
-            if name.startswith("rest"):
-                goddag.remove_hierarchy(name)

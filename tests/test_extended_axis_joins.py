@@ -16,6 +16,8 @@ Also hosts the PR-5 emission-order audit regression for
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from repro.core.goddag import (
     join_axis_batch,
 )
 from repro.core.goddag.axes import EXTENDED_AXES, axis_exists_named
+from repro.core.goddag import joins
 from repro.core.goddag.joins import TREE_EXISTS_AXES
 from repro.core.goddag.nodes import GAttr, GElement
 
@@ -96,38 +99,32 @@ class TestDifferentialJoins:
     def test_join_matches_pernode_axes(self, scenario):
         document, picks, temporary = scenario
         goddag = KyGoddag.build(document)
-        manager = TemporaryHierarchyManager(goddag)
         if temporary is not None and temporary.spans:
-            manager.create(temporary)
-        try:
-            contexts = pick_contexts(goddag, picks)
-            for axis in sorted(EXTENDED_AXES):
-                for name in PROBE_NAMES:
-                    expected = pernode_union(goddag, axis, contexts, name)
-                    got = join_axis_batch(goddag, axis, contexts, name)
-                    assert list(got) == expected, (axis, name)
-        finally:
-            manager.drop_all()
+            goddag = goddag.shell()
+            TemporaryHierarchyManager(goddag).create(temporary)
+        contexts = pick_contexts(goddag, picks)
+        for axis in sorted(EXTENDED_AXES):
+            for name in PROBE_NAMES:
+                expected = pernode_union(goddag, axis, contexts, name)
+                got = join_axis_batch(goddag, axis, contexts, name)
+                assert list(got) == expected, (axis, name)
 
     @SETTINGS
     @given(scenario=join_scenarios())
     def test_exists_matches_pernode_probe(self, scenario):
         document, picks, temporary = scenario
         goddag = KyGoddag.build(document)
-        manager = TemporaryHierarchyManager(goddag)
         if temporary is not None and temporary.spans:
-            manager.create(temporary)
-        try:
-            contexts = pick_contexts(goddag, picks)
-            for axis in sorted(EXTENDED_AXES):
-                for name in ("w", "dmg", "nosuch", "r"):
-                    got = exists_axis_batch(goddag, axis, contexts, name)
-                    for position, node in enumerate(contexts):
-                        want = axis_exists_named(goddag, axis, node, name)
-                        assert bool(got[position]) == bool(want), \
-                            (axis, name, node)
-        finally:
-            manager.drop_all()
+            goddag = goddag.shell()
+            TemporaryHierarchyManager(goddag).create(temporary)
+        contexts = pick_contexts(goddag, picks)
+        for axis in sorted(EXTENDED_AXES):
+            for name in ("w", "dmg", "nosuch", "r"):
+                got = exists_axis_batch(goddag, axis, contexts, name)
+                for position, node in enumerate(contexts):
+                    want = axis_exists_named(goddag, axis, node, name)
+                    assert bool(got[position]) == bool(want), \
+                        (axis, name, node)
 
     @SETTINGS
     @given(scenario=join_scenarios())
@@ -138,25 +135,22 @@ class TestDifferentialJoins:
         every chain, so neither has a named ancestor."""
         document, picks, temporary = scenario
         goddag = KyGoddag.build(document)
-        manager = TemporaryHierarchyManager(goddag)
         if temporary is not None and temporary.spans:
-            manager.create(temporary)
-        try:
-            root = goddag.root
-            contexts = [root, GAttr(root, "a", "1")]
-            contexts += pick_contexts(goddag, picks)
-            for axis in sorted(TREE_EXISTS_AXES):
-                for name in ("w", "dmg", "nosuch", "r"):
-                    got = exists_axis_batch(goddag, axis, contexts, name)
-                    for position, node in enumerate(contexts):
-                        want = any(
-                            isinstance(found, (GElement, type(root)))
-                            and found.name == name
-                            for found in evaluate_axis(goddag, axis, node))
-                        assert bool(got[position]) == want, \
-                            (axis, name, node)
-        finally:
-            manager.drop_all()
+            goddag = goddag.shell()
+            TemporaryHierarchyManager(goddag).create(temporary)
+        root = goddag.root
+        contexts = [root, GAttr(root, "a", "1")]
+        contexts += pick_contexts(goddag, picks)
+        for axis in sorted(TREE_EXISTS_AXES):
+            for name in ("w", "dmg", "nosuch", "r"):
+                got = exists_axis_batch(goddag, axis, contexts, name)
+                for position, node in enumerate(contexts):
+                    want = any(
+                        isinstance(found, (GElement, type(root)))
+                        and found.name == name
+                        for found in evaluate_axis(goddag, axis, node))
+                    assert bool(got[position]) == want, \
+                        (axis, name, node)
 
     @SETTINGS
     @given(scenario=join_scenarios(),
@@ -169,21 +163,18 @@ class TestDifferentialJoins:
         is no row, so never a witness under ``among``)."""
         document, picks, temporary = scenario
         goddag = KyGoddag.build(document)
-        manager = TemporaryHierarchyManager(goddag)
         if temporary is not None and temporary.spans:
-            manager.create(temporary)
-        try:
-            contexts = pick_contexts(goddag, picks)
-            for name in ("w", "dmg", "nosuch", "r"):
-                rows = goddag.span_index().name_interval(name).nodes
-                drawn = np.array([bits[row % len(bits)]
-                                  for row in range(len(rows))], dtype=bool)
-                for among in (drawn, np.zeros(len(rows), dtype=bool),
-                              np.ones(len(rows), dtype=bool)):
-                    for axis in sorted(EXTENDED_AXES):
-                        assert_among(goddag, axis, contexts, name, among)
-        finally:
-            manager.drop_all()
+            goddag = goddag.shell()
+            TemporaryHierarchyManager(goddag).create(temporary)
+        contexts = pick_contexts(goddag, picks)
+        for name in ("w", "dmg", "nosuch", "r"):
+            rows = goddag.span_index().name_interval(name).nodes
+            drawn = np.array([bits[row % len(bits)]
+                              for row in range(len(rows))], dtype=bool)
+            for among in (drawn, np.zeros(len(rows), dtype=bool),
+                          np.ones(len(rows), dtype=bool)):
+                for axis in sorted(EXTENDED_AXES):
+                    assert_among(goddag, axis, contexts, name, among)
 
     @SETTINGS
     @given(scenario=join_scenarios())
@@ -253,6 +244,49 @@ class TestExistsAmongEdges:
             got = exists_axis_batch(goddag, axis, contexts, "nosuch",
                                     among=np.zeros(0, dtype=bool))
             assert not got.any()
+
+
+class TestAbsentNameReadsNoSpan:
+    """A name with no row answers all-false before any context's span
+    is extracted; only ``xancestor`` of the root's own name, which the
+    root answers, still reads them."""
+
+    @pytest.fixture()
+    def extractions(self):
+        calls = []
+        original = joins.span_columns_of
+
+        def counting(nodes):
+            calls.append(len(nodes))
+            return original(nodes)
+
+        with mock.patch.object(joins, "span_columns_of", counting):
+            yield calls
+
+    def test_absent_name_extracts_no_span(self, goddag, extractions):
+        contexts = all_nodes(goddag)
+        for axis in sorted(EXTENDED_AXES):
+            for among in (None, np.zeros(0, dtype=bool)):
+                got = exists_axis_batch(goddag, axis, contexts, "nosuch",
+                                        among=among)
+                assert not got.any()
+        assert extractions == []
+
+    def test_root_name_xancestor_still_right(self, goddag, extractions):
+        contexts = all_nodes(goddag)
+        name = goddag.root.name
+        assert not len(goddag.span_index().name_interval(name))
+        got = exists_axis_batch(goddag, "xancestor", contexts, name)
+        assert extractions == [len(contexts)]
+        for position, node in enumerate(contexts):
+            want = axis_exists_named(goddag, "xancestor", node, name)
+            assert bool(got[position]) == bool(want), node
+        assert got.any()
+        # under ``among`` the root is no witness: nothing to read
+        extractions.clear()
+        got = exists_axis_batch(goddag, "xancestor", contexts, name,
+                                among=np.zeros(0, dtype=bool))
+        assert not got.any() and extractions == []
 
 
 class TestColumnarFlow:

@@ -41,7 +41,7 @@ class TestBuild:
     def test_root_children_per_hierarchy(self, goddag):
         physical = goddag.root.children_in("physical")
         assert [n.name for n in physical] == ["line", "line"]
-        assert len(goddag.root.all_children) > 4
+        assert len(goddag.root_children()) > 4
 
     def test_text_nodes_have_parents(self, goddag):
         for name in goddag.hierarchy_names:
@@ -146,26 +146,35 @@ class TestNodeOrder:
 
 
 class TestTemporaryHierarchies:
-    def test_add_and_remove_restores_partition(self, goddag):
+    def test_shell_temporary_splits_only_the_shells_leaves(self, goddag):
         before = [l.text for l in goddag.leaves()]
         spans = SpanSet(goddag.text, [Span(11, 16, "m")])  # "unawe"
-        goddag.add_hierarchy_from_spans("tmp", spans, temporary=True)
-        after = [l.text for l in goddag.leaves()]
+        shell = goddag.shell()
+        shell.add_hierarchy_from_spans("tmp", spans, temporary=True)
+        after = [l.text for l in shell.leaves()]
         assert "e" in after and after != before  # "endendne" split
-        assert goddag.is_temporary("tmp")
-        goddag.remove_hierarchy("tmp")
+        assert shell.is_temporary("tmp")
         assert [l.text for l in goddag.leaves()] == before
         assert not goddag.has_hierarchy("tmp")
 
-    def test_partition_version_bumps(self, goddag):
-        version = goddag.partition.version
+    def test_temporary_boundaries_are_the_shells(self, goddag):
         spans = SpanSet(goddag.text, [Span(0, 5, "x")])
-        goddag.add_hierarchy_from_spans("tmp", spans, temporary=True)
-        assert goddag.partition.version > version
+        assert not goddag.partition.is_boundary(5)
+        shell = goddag.shell()
+        shell.add_hierarchy_from_spans("tmp", spans, temporary=True)
+        assert shell.partition.is_boundary(5)
+        assert not goddag.partition.is_boundary(5)
 
-    def test_remove_unknown_hierarchy(self, goddag):
-        with pytest.raises(GoddagError, match="no hierarchy"):
-            goddag.remove_hierarchy("ghost")
+    def test_shell_and_version_each_take_their_own_kind(self, goddag):
+        spans = SpanSet(goddag.text, [Span(0, 5, "x")])
+        with pytest.raises(GoddagError, match="shell"):
+            goddag.add_hierarchy_from_spans("tmp", spans, temporary=True)
+        with pytest.raises(GoddagError, match="shell"):
+            goddag.shell().add_hierarchy_from_spans("tmp", spans)
+        goddag.freeze()
+        with pytest.raises(GoddagError, match="frozen"):
+            goddag.add_hierarchy_from_spans("tmp", spans)
+        assert not goddag.has_hierarchy("tmp")
 
     def test_mismatched_span_text_rejected(self, goddag):
         spans = SpanSet("different text")
@@ -174,9 +183,10 @@ class TestTemporaryHierarchies:
 
     def test_persistent_names_exclude_temporaries(self, goddag):
         spans = SpanSet(goddag.text, [Span(0, 5, "x")])
-        goddag.add_hierarchy_from_spans("tmp", spans, temporary=True)
-        assert "tmp" not in goddag.persistent_hierarchy_names
-        assert "tmp" in goddag.hierarchy_names
+        shell = goddag.shell()
+        shell.add_hierarchy_from_spans("tmp", spans, temporary=True)
+        assert "tmp" not in shell.persistent_hierarchy_names
+        assert "tmp" in shell.hierarchy_names
 
 
 def name_index_by_node_loop(component) -> dict[str, list]:

@@ -31,39 +31,42 @@ class TestConstruction:
         first = goddag.span_index()
         assert goddag.span_index() is first
 
-    def test_maintained_in_place_on_hierarchy_change(self, goddag):
+    def test_shell_merges_into_its_own_arrays(self, goddag):
         from repro.cmh.spans import Span, SpanSet
 
         first = goddag.span_index()
         size = len(first)
+        columns = (first._s_keys, first._e_keys, first.ranks)
+        shell = goddag.shell()
         spans = SpanSet(goddag.text, [Span(0, 5, "x")])
-        goddag.add_hierarchy_from_spans("tmp", spans, temporary=True)
-        second = goddag.span_index()
-        # The index is updated incrementally, not rebuilt.
-        assert second is first
+        shell.add_hierarchy_from_spans("tmp", spans, temporary=True)
+        second = shell.span_index()
+        # The shell's index is derived from the source's, not rebuilt.
+        assert second is not first
         assert goddag.index_full_builds == 1
+        assert shell.index_full_builds == 0
         # <x> element + its text + the trailing text node after it
         assert len(second) == size + 3
-        goddag.remove_hierarchy("tmp")
-        assert goddag.span_index() is first
-        assert len(goddag.span_index()) == size
-        assert first.incremental_adds == 1
-        assert first.incremental_removes == 1
+        assert second.incremental_adds == 1
+        assert goddag.span_index() is first and len(first) == size
+        assert all(now is held for now, held in zip(
+            (first._s_keys, first._e_keys, first.ranks), columns))
+        assert first.incremental_adds == 0
 
-    def test_lifo_lifecycle_recycles_ranks(self, goddag):
-        """Repeated analyze-string-style add/remove cycles must not
-        exhaust the packed order key's 16-bit rank field."""
-        from repro.cmh.spans import Span, SpanSet
+    def test_a_thousand_evaluations_leave_ranks_and_names(self, goddag):
+        """Every analyze-string evaluation makes its temporaries on its
+        own shell: the structure's next rank — the packed order key's
+        16-bit field — and its hierarchy names never move."""
+        from repro.core.runtime import evaluate_query
 
         goddag.span_index()
-        spans = SpanSet(goddag.text, [Span(0, 5, "x")])
-        before = goddag._next_rank
-        for _ in range(3):
-            goddag.add_hierarchy_from_spans("tmp", spans, temporary=True)
-            node = goddag.nodes_of("tmp")[0]
-            assert goddag.order_key(node) > 0
-            goddag.remove_hierarchy("tmp")
-        assert goddag._next_rank == before
+        rank, names = goddag._next_rank, goddag.hierarchy_names
+        query = ('count(analyze-string(/descendant::w[2], "e")'
+                 '/descendant::m/xancestor::w)')
+        for _ in range(1000):
+            assert evaluate_query(goddag, query) == [1]
+        assert goddag._next_rank == rank
+        assert goddag.hierarchy_names == names
 
 
 class TestOffsetGuard:

@@ -86,8 +86,9 @@ class TestDescribe:
         from repro.cmh.spans import Span, SpanSet
 
         spans = SpanSet(goddag.text, [Span(0, 5, "x")])
-        goddag.add_hierarchy_from_spans("tmp", spans, temporary=True)
-        assert "hierarchy tmp (temporary):" in describe(goddag)
+        shell = goddag.shell()
+        shell.add_hierarchy_from_spans("tmp", spans, temporary=True)
+        assert "hierarchy tmp (temporary):" in describe(shell)
 
     def test_nesting_depth_indent(self, goddag):
         text = describe(goddag)

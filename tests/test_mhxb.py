@@ -20,7 +20,7 @@ import pytest
 from repro.api import Engine, load_mhx, save_mhx
 from repro.errors import GoddagError, IntegrityError, ReproError
 from repro.cmh import MultihierarchicalDocument
-from repro.core.goddag.goddag import _HierarchyComponent
+from repro.core.goddag.goddag import KyGoddag, _HierarchyComponent
 from repro.corpus.boethius import boethius_document
 from repro.store.mhxb import (
     MAGIC,
@@ -245,9 +245,7 @@ class TestRoundTrip:
         _assert_same_results(engine, restored)
 
     def test_save_refuses_empty_document(self, tmp_path):
-        engine = Engine(MultihierarchicalDocument.from_xml(
-            "ab", {"only": "<r>ab</r>"}))
-        engine.goddag.remove_hierarchy("only")
+        engine = Engine.from_parts(KyGoddag("ab"))
         with pytest.raises(ReproError, match="empty document"):
             save_engine(engine, tmp_path / "x.mhxb")
 
@@ -499,38 +497,3 @@ class TestFrozenEngine:
         assert engine.query(
             'analyze-string(/, "si")').serialize() == expected
         engine.goddag.check_invariants()
-
-    def test_latch_side_follows_the_plan_not_the_text(self, engine):
-        """``analyze-string`` adds and removes a temporary hierarchy,
-        so its evaluation takes the exclusive side — whether the query
-        arrived as text or as a pre-parsed AST, whose compiled text is
-        a placeholder no scan can read."""
-        from repro.core.lang.parser import parse_query
-        from repro.core.plan import compile_query
-        from repro.util.concurrency import ReadWriteLatch
-
-        sides = []
-
-        class RecordingLatch(ReadWriteLatch):
-            def acquire(self, exclusive: bool) -> None:
-                sides.append(exclusive)
-                super().acquire(exclusive)
-
-        engine.goddag.freeze()
-        engine.goddag.read_latch = RecordingLatch()
-        mutating = 'count(analyze-string(/, "si")/descendant::m)'
-        plain = "count(/descendant::w)"
-        for query, exclusive in ((mutating, True), (plain, False)):
-            want = engine.query(query).serialize()
-            parsed = compile_query(parse_query(query))
-            assert "analyze-string" not in parsed.text
-            assert parsed.exclusive is exclusive
-            assert engine.execute(parsed).serialize() == want
-            assert engine.execute(
-                engine.compile(query)).serialize() == want
-            assert sides == [exclusive] * 3
-            sides.clear()
-        # the flag is the plan's: a mention in a string is not a call
-        assert not compile_query(
-            'count(/descendant::w[string(.) = "analyze-string"])'
-        ).exclusive

@@ -49,7 +49,7 @@ from repro.core.plan import compile_query, cost, logical, physical
 from repro.core.runtime import QueryOptions, functions
 from repro.core.runtime.functions import default_registry
 from repro.core.runtime.serializer import serialize_item
-from repro.errors import QueryEvaluationError, ReproError
+from repro.errors import GoddagError, QueryEvaluationError, ReproError
 from repro.markup import dom
 from repro.corpus import GeneratorConfig, generate_document
 from repro.experiments.paperdata import PAPER_QUERIES
@@ -1531,7 +1531,9 @@ class TestLiftLifetime:
         # count() is on the purity whitelist; an override that is not
         # pure moves the epoch between two bindings, and the clause
         # goes back to its per-binding path instead of serving leaves
-        # cut before the temporary existed
+        # cut before the temporary existed.  The plan calls no
+        # analyze-string, so it asks for no shell: the caller hands the
+        # evaluation one for the override's temporaries.
         costed, mechanical, _walker = skewed_engines
         query = ("for $l in /descendant::line return (count($l), "
                  "for $leaf in $l/descendant::leaf() "
@@ -1550,7 +1552,7 @@ class TestLiftLifetime:
 
             compiled = engine.compile(query)
             return compiled, compiled.execute(
-                engine.goddag, functions={"count": count})
+                engine.goddag.shell(), functions={"count": count})
 
         compiled, got = run(costed)
         assert "[lifted over $l]" in compiled.explain()
@@ -1564,7 +1566,8 @@ class TestLiftLifetime:
         # the same override inside a branch of the inner loop: the
         # leaves still ahead in that loop are decided as written, not
         # from verdicts taken before any m existed (the m elements
-        # span whole words, so the leaves cut before them sit inside)
+        # span whole words, so the leaves cut before them sit inside);
+        # on a shell the caller hands over, as above
         costed, mechanical, _walker = skewed_engines
         query = ("for $l in /descendant::line return for $leaf in "
                  "$l/descendant::leaf() return if ($leaf[ancestor::m]) "
@@ -1583,7 +1586,7 @@ class TestLiftLifetime:
 
             compiled = engine.compile(query)
             return compiled, compiled.execute(
-                engine.goddag, functions={"count": count})
+                engine.goddag.shell(), functions={"count": count})
 
         compiled, got = run(costed)
         assert "condition [lifted $leaf" in compiled.explain()
@@ -1592,6 +1595,22 @@ class TestLiftLifetime:
         assert got[:2] == [1, 1]
         assert any(isinstance(item, str) for item in got)
         assert len(states) == 1
+
+    def test_a_plain_plan_makes_no_temporary(self, skewed_engines):
+        # without a shell, the same override cannot write the
+        # structure every other evaluation reads
+        costed = skewed_engines[0]
+        builtin = default_registry()
+
+        def count(frame, args):
+            builtin["analyze-string"](frame, [[frame.goddag.root], ["a"]])
+            return builtin["count"](frame, args)
+
+        names = costed.goddag.hierarchy_names
+        with pytest.raises(GoddagError, match="shell"):
+            costed.compile("count(/descendant::line)").execute(
+                costed.goddag, functions={"count": count})
+        assert costed.goddag.hierarchy_names == names
 
     def test_compiled_plan_pins_no_goddag(self):
         document = skewed_document()

@@ -7,15 +7,17 @@ these properties pin down exactly that:
 * closure — every markup boundary is a leaf boundary;
 * maximality — every internal leaf boundary is some markup boundary
   (leaves are as long as possible);
-* reversibility — removing a hierarchy restores the previous partition.
+* reversibility — swapping a hierarchy back restores the previous
+  partition, and a shell's temporary leaves its source's as it was.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from collections import Counter
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cmh.spans import spans_of
 from repro.core.goddag import KyGoddag
@@ -73,16 +75,32 @@ def test_leaf_parents_one_text_node_per_hierarchy(document):
 
 @SETTINGS
 @given(document=multihierarchical_documents(), data=st.data())
-def test_add_remove_hierarchy_restores_partition(document, data):
+def test_shell_hierarchy_leaves_source_partition(document, data):
+    """A temporary on a shell splits the shell's leaves exactly as the
+    same markup registered for good would, and leaves the source's as
+    they were — whether or not either had made its leaf list yet."""
     goddag = KyGoddag.build(document)
-    before = [(l.start, l.end) for l in goddag.leaves()]
+    warm = data.draw(st.booleans())
+    before = [(l.start, l.end) for l in goddag.leaves()] if warm else None
     extra = data.draw(span_sets(document.text, max_spans=4))
-    goddag.add_hierarchy_from_spans("extra", extra, temporary=True)
-    # While present, the extra markup's boundaries are leaf boundaries.
+    shell = goddag.shell()
+    shell.add_hierarchy_from_spans("extra", extra, temporary=True)
+    # the first leaf read merges the added boundaries and makes the list
+    shell_leaves = shell.leaves()
+    persistent = KyGoddag.build(document)
+    persistent.add_hierarchy_from_spans("extra", extra)
+    assert [(l.start, l.end) for l in shell_leaves] \
+        == [(l.start, l.end) for l in persistent.leaves()]
     for span in extra.spans:
-        assert goddag.partition.is_boundary(span.start)
-    goddag.remove_hierarchy("extra")
-    assert [(l.start, l.end) for l in goddag.leaves()] == before
+        assert shell.partition.is_boundary(span.start)
+    source_leaves = goddag.leaves()
+    if warm:
+        assert [(l.start, l.end) for l in source_leaves] == before
+    # the cells no temporary split are the same leaf objects
+    for leaf in shell_leaves:
+        cell = goddag.partition.leaf_at(leaf.start)
+        if (cell.start, cell.end) == (leaf.start, leaf.end):
+            assert cell is leaf
 
 
 @SETTINGS
@@ -109,14 +127,15 @@ def test_leaf_at_consistent_with_leaves(document):
 
 @SETTINGS
 @given(document=multihierarchical_documents(), data=st.data())
-def test_restored_partition_swaps_like_a_counted_one(document, data):
-    """A restored partition keeps its multiset as two arrays through a
-    whole hierarchy's swap; it must end where the counter form does,
-    and so must the leaves, its fork and the source it was forked
-    from."""
+def test_swap_splices_like_a_fresh_partition(document, data):
+    """A whole hierarchy's swap must end where a partition restored from
+    the resulting multiset starts — with a leaf list made before (the
+    splice) or not (a fill after) — and the source a fork was taken
+    from must keep its arrays; the swap back restores them."""
     goddag = KyGoddag.build(document)
     built = goddag.partition
     offsets, counts = built.export_arrays()
+    before = [(l.start, l.end) for l in built.leaves()]
     restored = Partition.restore(document.text, offsets.copy(),
                                  counts.copy())
     fork = restored.fork()
@@ -127,18 +146,24 @@ def test_restored_partition_swaps_like_a_counted_one(document, data):
                           [s.end for s in extra.spans]))
     for partition in (built, fork):
         partition.swap_boundaries(old, new)
-    assert fork._refcounts is None  # still the arrays
-    for got, want in zip(fork.export_arrays(), built.export_arrays()):
-        assert np.array_equal(got, want)
-    assert fork.boundaries == built.boundaries
-    assert [(l.start, l.end) for l in fork.leaves()] == \
-        [(l.start, l.end) for l in built.leaves()]
-    for offset in range(len(document.text) + 1):
-        assert fork.is_boundary(offset) == built.is_boundary(offset)
+    multiset = Counter(dict(zip(offsets.tolist(), counts.tolist())))
+    multiset.update(new.tolist())
+    multiset.subtract(old.tolist())
+    want = sorted(multiset.items())
+    fresh = Partition.restore(document.text,
+                              np.array([o for o, _ in want]),
+                              np.array([c for _, c in want]))
+    for partition in (built, fork):
+        for got, expected in zip(partition.export_arrays(),
+                                 fresh.export_arrays()):
+            assert np.array_equal(got, expected)
+        assert partition.boundaries == fresh.boundaries
+        assert [(l.start, l.end) for l in partition.leaves()] == \
+            [(l.start, l.end) for l in fresh.leaves()]
+        for offset in range(len(document.text) + 1):
+            assert partition.is_boundary(offset) == fresh.is_boundary(offset)
     assert np.array_equal(restored.export_arrays()[0], offsets)
-    # a per-offset splice fills the counter from the arrays
-    fork.swap_boundaries(new, old)
-    fork.add_boundaries([0])
     built.swap_boundaries(new, old)
-    built.add_boundaries([0])
-    assert fork._refcounts == built._refcounts
+    assert [(l.start, l.end) for l in built.leaves()] == before
+    for got, expected in zip(built.export_arrays(), (offsets, counts)):
+        assert np.array_equal(got, expected)

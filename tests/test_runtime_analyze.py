@@ -12,7 +12,6 @@ from repro.core.plan import physical
 from repro.core.runtime import QueryOptions, evaluate_query, serialize_items
 from repro.core.runtime.analyze import compile_pattern
 from repro.experiments.paperdata import PAPER_QUERIES
-from repro.markup import dom
 
 
 def run_str(goddag, query, **kwargs):
@@ -115,28 +114,17 @@ class TestAnalyzeString:
         assert isinstance(result[0], dom.Element)
         assert result[0].name == "res"
 
-    def test_keep_temporaries_mode(self, goddag):
-        from repro.core.goddag.nodes import GElement
-
-        result = evaluate_query(
-            goddag, 'analyze-string(/descendant::w[2], "unawe")',
-            keep_temporaries=True)
-        assert isinstance(result[0], GElement)
-        assert any(name.startswith("rest")
-                   for name in goddag.hierarchy_names)
-        goddag.remove_hierarchy(result[0].hierarchy)
-
     def test_two_calls_get_distinct_hierarchies(self, goddag):
         query = '''
         let $a := analyze-string(/descendant::w[1], "ge"),
             $b := analyze-string(/descendant::w[2], "un")
         return concat(hierarchy($a), ",", hierarchy($b))
         '''
-        result = evaluate_query(goddag, query, keep_temporaries=True)
+        before = goddag.hierarchy_names
+        result = evaluate_query(goddag, query)
         names = result[0].split(",")
         assert len(set(names)) == 2
-        for name in names:
-            goddag.remove_hierarchy(name)
+        assert goddag.hierarchy_names == before
 
     def test_strip_dotstar_off_matches_whole_string(self, goddag):
         options = QueryOptions(analyze_strip_dotstar=False)
@@ -173,8 +161,8 @@ class TestAnalyzeString:
 
 class TestHandOver:
     """``execute_plan`` copies result items out of temporaries — and
-    walks the result only when the KyGODDAG holds a temporary at
-    hand-over (DESIGN.md §8)."""
+    walks the result only when the evaluation ran on a shell, that is
+    when its plan calls ``analyze-string`` (DESIGN.md §8)."""
 
     @pytest.fixture()
     def snapshots(self):
@@ -198,25 +186,11 @@ class TestHandOver:
         PAPER_QUERIES[2].query, PAPER_QUERIES[3].query,
         'analyze-string(/descendant::w[2], "unawe")/descendant::node()'))
     def test_temporaries_are_copied_out(self, goddag, snapshots, query):
+        before = goddag.hierarchy_names
         result = evaluate_query(goddag, query)
         assert len(snapshots) == len(result) > 0
-        assert not goddag.has_temporaries()
+        assert goddag.hierarchy_names == before
         for item in result:
             if isinstance(item, GNode):
                 assert item.hierarchy is None \
                     or goddag.has_hierarchy(item.hierarchy)
-
-    def test_a_kept_temporary_is_seen(self, goddag, snapshots):
-        (kept,) = evaluate_query(
-            goddag, 'analyze-string(/descendant::w[2], "unawe")',
-            keep_temporaries=True)
-        assert goddag.is_temporary(kept.hierarchy) and not snapshots
-        # this evaluation creates no temporary, yet returns a node of one
-        result = evaluate_query(goddag, "($v, /descendant::w[1])",
-                                variables={"v": [kept]})
-        assert len(snapshots) == 2
-        assert isinstance(result[0], dom.Element) and result[0] is not kept
-        assert serialize_items(result[:1]) == \
-            "<res><m>unawe</m>ndendne</res>"
-        assert isinstance(result[1], GNode)
-        goddag.remove_hierarchy(kept.hierarchy)

@@ -333,3 +333,71 @@ class TestHttpReadersVsWriter:
         for tenant in tenants:
             assert stats["tenants"][tenant]["served"] == CLIENTS
             assert stats["tenants"][tenant]["rejected"] == 0
+
+
+class TestAnalyzeStringOverHttp:
+    """``analyze-string`` readers through the HTTP boundary: corpus
+    queries on the fused path share one cached corpus engine, document
+    queries one published snapshot, and each evaluation makes its
+    temporaries on its own shell (DESIGN.md §8)."""
+
+    CQUERY = ('count(for $w in collection("c")/descendant::w'
+              '[matches(string(.), "e")] '
+              'return analyze-string($w, "e")/descendant::m)')
+
+    @pytest.fixture()
+    def served(self, tmp_path):
+        from repro.corpus import GeneratorConfig, generate_document
+
+        store = DocumentStore.init(tmp_path / "catalog")
+        store.add("boe", boethius_document(validate=False))
+        store.add_corpus("c", generate_document(
+            GeneratorConfig(n_words=1500, seed=3)), shards=4)
+        with ServerHandle(store) as handle:
+            yield handle, store
+        store.close()
+
+    def test_replies_byte_identical_to_single_connection(self, served):
+        from urllib.parse import quote
+
+        from repro.experiments.paperdata import Q_II1
+
+        handle, store = served
+        paths = ["/cquery?q=" + quote(self.CQUERY, safe=""),
+                 "/query?name=boe&q=" + quote(Q_II1.query, safe="")]
+        single = {}
+        for path in paths:
+            status, _headers, body = handle.request("GET", path)
+            assert status == 200, body
+            single[path] = body
+        assert json.loads(single[paths[0]])["mode"] == "fused"
+        errors: list[str] = []
+
+        async def client(identity: int) -> None:
+            try:
+                async with AsyncClient(handle.host,
+                                       handle.port) as connection:
+                    for turn in range(3):
+                        path = paths[(identity + turn) % len(paths)]
+                        status, body = await connection.exchange(
+                            "GET", path)
+                        if status != 200 or body != single[path]:
+                            errors.append(f"client {identity} got "
+                                          f"{status}: {body[:200]!r}")
+                            return
+            except Exception as error:  # pragma: no cover
+                errors.append(f"client {identity}: {error!r}")
+
+        async def drive() -> None:
+            await asyncio.gather(*(client(identity)
+                                   for identity in range(CLIENTS * 2)))
+
+        asyncio.run(drive())
+        assert not errors, errors[:5]
+        stats = handle.get_json("/statz")[1]
+        assert stats["rejected_queue"] == stats["rejected_quota"] == 0
+        assert not [status for status in stats["responses"]
+                    if status.startswith("5")], stats["responses"]
+        goddag = store._fused["c"].goddag
+        assert not any(goddag.is_temporary(name)
+                       for name in goddag.hierarchy_names)

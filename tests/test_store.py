@@ -788,18 +788,14 @@ class TestCommitTimeNet:
 
         offset = int(goddag._components["physical"].starts[5])
         # the update merged its swap into the published engine's two
-        # arrays; the first per-offset splice turns them into a counter
+        # arrays
         partition = goddag.partition
-        held = offsets, counts = partition._restored
+        held = offsets, counts = partition._multiset
         bumped = counts.copy()
         bumped[np.searchsorted(offsets, offset)] += 1
-        partition._restored = offsets, bumped
+        partition._multiset = offsets, bumped
         self.both_nets_raise(goddag, scope, "refcounts")
-        partition._restored = held
-        refcounts = partition._counts()
-        refcounts[offset] += 1
-        self.both_nets_raise(goddag, scope, "refcounts")
-        refcounts[offset] -= 1
+        partition._multiset = held
 
         index = goddag.span_index()
         rank = goddag.hierarchy_rank("physical")

@@ -15,8 +15,15 @@ from __future__ import annotations
 import os
 import threading
 import time
+from unittest import mock
+
+import pytest
 
 from repro.api import Engine
+from repro.core.lang.parser import parse_query
+from repro.core.plan import compile_query
+from repro.core.runtime import functions
+from repro.corpus import GeneratorConfig, generate_document
 from repro.corpus.boethius import boethius_document
 from repro.store import DocumentStore
 
@@ -136,8 +143,8 @@ class TestSnapshotReadersVsWriter:
         final.engine.goddag.check_invariants()
 
     def test_analyze_string_readers_share_one_snapshot(self, tmp_path):
-        """Definition 4 temporaries mutate membership; the snapshot
-        latch must serialize them against plain readers on the *same*
+        """Definition 4 temporaries live on each evaluation's own shell:
+        analyze-string readers and plain readers share the *same*
         snapshot without corrupting either."""
         store = DocumentStore.init(tmp_path / "catalog")
         store.add("boe", boethius_document(validate=False))
@@ -179,8 +186,9 @@ class TestSnapshotReadersVsWriter:
 
     def test_latch_guards_direct_engine_queries_too(self, tmp_path):
         """``snapshot.engine.query(...)`` bypasses the Snapshot wrapper
-        but not the latch — it lives on the frozen goddag, so direct
-        analyze-string calls racing plain readers stay serialized."""
+        but not the shell — the compiled plan chooses it, so direct
+        analyze-string calls racing plain readers write nothing the
+        others read."""
         store = DocumentStore.init(tmp_path / "catalog")
         store.add("boe", boethius_document(validate=False))
         engine = store.snapshot("boe").engine
@@ -214,3 +222,136 @@ class TestSnapshotReadersVsWriter:
             thread.join(timeout=120)
         assert not errors, errors
         engine.goddag.check_invariants()
+
+
+class TestFusedCorpusReaders:
+    """Every fused-path ``cquery`` of a corpus evaluates on one cached,
+    unfrozen corpus engine, from whatever thread asks — the server's
+    pool among them."""
+
+    QUERIES = (
+        # fused: analyze-string is not shard-local
+        'count(for $w in collection("c")/descendant::w'
+        '[matches(string(.), "e")] '
+        'return analyze-string($w, "e")/descendant::m)',
+        # fused: following:: reaches across shard cuts
+        'count(collection("c")/descendant::w[following::dmg])',
+        # aggregate
+        'count(collection("c")/descendant::w)',
+    )
+
+    def test_analyze_string_cqueries_share_the_fused_engine(self,
+                                                            tmp_path):
+        store = DocumentStore.init(tmp_path / "catalog")
+        store.add_corpus("c", generate_document(
+            GeneratorConfig(n_words=1500, seed=3)), shards=4)
+        expected = {}
+        for text in self.QUERIES:
+            expected[text] = store.cquery(text).items
+        assert store.cquery(self.QUERIES[0]).mode == "fused"
+        goddag = store._fused["c"].goddag
+        names, rank = goddag.hierarchy_names, goddag._next_rank
+
+        errors: list[str] = []
+        lock = threading.Lock()
+
+        def worker(identity: int) -> None:
+            try:
+                for turn in range(MIN_READS):
+                    text = self.QUERIES[(identity + turn)
+                                        % len(self.QUERIES)]
+                    if store.cquery(text).items != expected[text]:
+                        with lock:
+                            errors.append(f"worker {identity} diverged "
+                                          f"on {text!r}")
+                        return
+            except Exception as error:  # pragma: no cover - fail loud
+                with lock:
+                    errors.append(f"worker {identity}: {error!r}")
+
+        threads = [threading.Thread(target=worker, args=(identity,))
+                   for identity in range(max(READERS, 4))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        store.close()
+        assert not errors, errors
+        assert store._fused["c"].goddag is goddag
+        assert goddag.hierarchy_names == names
+        assert goddag._next_rank == rank
+        goddag.check_invariants()
+
+
+class TestReadersWriteNothingShared:
+    """``analyze-string`` readers of one frozen snapshot overlap, and
+    none of them writes the published KyGODDAG (DESIGN.md §8)."""
+
+    @staticmethod
+    def published_state(goddag) -> tuple:
+        index = goddag.span_index()
+        return (goddag._components, dict(goddag._components),
+                *goddag.partition.export_arrays(), index, index._s_keys,
+                index._e_keys, index.starts, index.ends, index.ranks,
+                index.e_ranks, index.preorders, goddag.version,
+                goddag._next_rank)
+
+    @pytest.mark.parametrize("direct", (False, True))
+    def test_two_analyze_string_readers_overlap(self, tmp_path, direct):
+        store = DocumentStore.init(tmp_path / "catalog")
+        store.add("boe", boethius_document(validate=False))
+        snapshot = store.snapshot("boe")
+        reader = snapshot.engine if direct else snapshot
+        query = 'count(analyze-string(/, "si")/descendant::m/xancestor::w)'
+        expected = reader.query(query).serialize()
+        goddag = snapshot.engine.goddag
+        before = self.published_state(goddag)
+
+        # both readers must be inside analyze_string at once to pass
+        barrier = threading.Barrier(2, timeout=10)
+        original = functions.analyze_string
+
+        def meeting(*args, **kwargs):
+            barrier.wait()
+            return original(*args, **kwargs)
+
+        results: list[str] = []
+        errors: list[str] = []
+        lock = threading.Lock()
+
+        def worker() -> None:
+            try:
+                observed = reader.query(query).serialize()
+                with lock:
+                    results.append(observed)
+            except Exception as error:
+                with lock:
+                    errors.append(repr(error))
+
+        with mock.patch.object(functions, "analyze_string", meeting):
+            threads = [threading.Thread(target=worker) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not errors, errors
+        assert results == [expected, expected]
+        after = self.published_state(goddag)
+        assert len(after) == len(before)
+        for now, held in zip(after, before):
+            assert now is held or (isinstance(held, (int, dict))
+                                   and now == held)
+
+    @pytest.mark.parametrize("text", (
+        'count(analyze-string(/, "si")/descendant::m)',
+        "count(/descendant::w)",
+        'count(/descendant::w[string(.) = "analyze-string"])',
+    ))
+    def test_the_plan_picks_the_shell_not_the_text(self, text):
+        """A query compiled from a pre-parsed AST, whose compiled text is
+        a placeholder no scan can read, picks the shell exactly as its
+        text does; a mention in a string literal is no call."""
+        parsed = compile_query(parse_query(text))
+        assert "analyze-string" not in parsed.text
+        assert parsed.needs_shell is compile_query(text).needs_shell
+        assert parsed.needs_shell is text.startswith("count(analyze")

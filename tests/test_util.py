@@ -81,12 +81,6 @@ class TestNameAllocator:
         assert allocator.allocate("rest") == "rest2"
         assert allocator.allocate("rest") == "rest3"
 
-    def test_release_frees_name(self):
-        allocator = NameAllocator()
-        allocator.allocate("rest")
-        allocator.release("rest")
-        assert allocator.allocate("rest") == "rest"
-
     def test_reserve(self):
         allocator = NameAllocator()
         allocator.reserve("rest")
@@ -99,39 +93,42 @@ class TestNameAllocator:
 
 
 class TestTemporaryHierarchyManager:
-    def test_context_manager_cleans_up(self, goddag):
+    def test_temporaries_live_on_the_shell(self, goddag):
         from repro.cmh.spans import Span as ASpan, SpanSet
         from repro.core.goddag import TemporaryHierarchyManager
 
         before = goddag.hierarchy_names
-        with TemporaryHierarchyManager(goddag) as manager:
-            spans = SpanSet(goddag.text, [ASpan(0, 5, "res")])
-            name = manager.create(spans)
-            assert name == "rest"
-            assert goddag.has_hierarchy("rest")
-            top = manager.top_element(name)
-            assert top.name == "res"
+        shell = goddag.shell()
+        manager = TemporaryHierarchyManager(shell)
+        spans = SpanSet(goddag.text, [ASpan(0, 5, "res")])
+        name = manager.create(spans)
+        assert name == "rest"
+        assert shell.has_hierarchy("rest") and shell.is_temporary("rest")
+        top = manager.top_element(name)
+        assert top.name == "res"
+        assert shell.parent_of(top) is goddag.root
         assert goddag.hierarchy_names == before
 
     def test_cleanup_on_exception(self, goddag):
-        from repro.cmh.spans import Span as ASpan, SpanSet
-        from repro.core.goddag import TemporaryHierarchyManager
+        """An evaluation that fails after making a temporary leaves the
+        structure as it was: the temporary was its shell's."""
+        from repro.errors import ReproError
+        from repro.core.runtime import evaluate_query
 
-        with pytest.raises(RuntimeError):
-            with TemporaryHierarchyManager(goddag) as manager:
-                manager.create(SpanSet(goddag.text,
-                                       [ASpan(0, 5, "res")]))
-                raise RuntimeError("boom")
-        assert not goddag.has_hierarchy("rest")
+        before = goddag.hierarchy_names
+        with pytest.raises(ReproError):
+            evaluate_query(goddag, '(analyze-string(/descendant::w[2], '
+                                   '"unawe"), analyze-string("x", "y"))')
+        assert goddag.hierarchy_names == before
 
-    def test_drop_all_idempotent(self, goddag):
+    def test_a_version_refuses_temporaries(self, goddag):
         from repro.cmh.spans import Span as ASpan, SpanSet
+        from repro.errors import GoddagError
         from repro.core.goddag import TemporaryHierarchyManager
 
         manager = TemporaryHierarchyManager(goddag)
-        manager.create(SpanSet(goddag.text, [ASpan(0, 5, "res")]))
-        manager.drop_all()
-        manager.drop_all()
+        with pytest.raises(GoddagError, match="shell"):
+            manager.create(SpanSet(goddag.text, [ASpan(0, 5, "res")]))
         assert not goddag.has_hierarchy("rest")
 
     def test_names_do_not_collide_with_existing(self, goddag):
@@ -140,11 +137,9 @@ class TestTemporaryHierarchyManager:
 
         goddag.add_hierarchy_from_spans(
             "rest", SpanSet(goddag.text, [ASpan(0, 2, "x")]))
-        manager = TemporaryHierarchyManager(goddag)
+        manager = TemporaryHierarchyManager(goddag.shell())
         name = manager.create(SpanSet(goddag.text, [ASpan(0, 5, "res")]))
         assert name == "rest2"
-        manager.drop_all()
-        goddag.remove_hierarchy("rest")
 
 
 class TestErrors:

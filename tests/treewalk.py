@@ -132,32 +132,27 @@ def evaluate_query(goddag: KyGoddag, query: str | ast.Expr,
                    variables: dict[str, list] | None = None,
                    options: QueryOptions | None = None,
                    functions: dict[str, Any] | None = None,
-                   keep_temporaries: bool = False,
                    stats: "QueryStats | None" = None) -> list:
     """Evaluate ``query`` against ``goddag`` and return the item list.
 
-    ``stats`` may be a caller-owned :class:`QueryStats` that the call
-    fills in.
+    Every evaluation runs on a shell of ``goddag`` (Definition 4: its
+    ``analyze-string`` temporaries go with the shell) and copies result
+    items out of temporaries.  ``stats`` may be a caller-owned
+    :class:`QueryStats` that the call fills in.
     """
     expr = parse_query(query) if isinstance(query, str) else query
     options = options or QueryOptions()
     registry = dict(default_registry())
     if functions:
         registry.update(functions)
-    manager = TemporaryHierarchyManager(goddag)
-    context = EvalContext(goddag, registry, options, manager,
+    shell = goddag.shell()
+    context = EvalContext(shell, registry, options,
+                          TemporaryHierarchyManager(shell),
                           variables=variables, stats=stats)
-    context.item = goddag.root
+    context.item = shell.root
     context.position = 1
     context.size = 1
-    try:
-        result = evaluate(expr, context)
-        if not keep_temporaries:
-            result = [snapshot(item, goddag) for item in result]
-        return result
-    finally:
-        if not keep_temporaries:
-            manager.drop_all()
+    return [snapshot(item, shell) for item in evaluate(expr, context)]
 
 
 class TreeWalkEngine:
