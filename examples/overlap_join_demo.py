@@ -8,8 +8,10 @@ interval-join operators: one sorted-array join per step over the span
 index's columnar arrays instead of one span-arithmetic call per
 context node.  This example shows
 
-* the ``explain()`` rendering of the lowered ``interval-join`` and
-  semi-join operators,
+* the ``explain()`` rendering of the lowered ``interval-join``
+  operators and of the bare ``[mask axis::name]`` probe a recognized
+  predicate becomes — one batched existence probe (a semi-join)
+  wherever it stands,
 * the per-call ``QueryStats`` join counters, and
 * a direct comparison of the batched kernel against the per-node path
   it replaced (identical results, one call instead of thousands).

@@ -301,9 +301,7 @@ class Engine:
         if not analyze:
             return compiled.explain()
         result = self.execute(compiled)
-        return compiled.explain(
-            actuals=result.stats.op_actuals,
-            miss_factor=self.options.cost_fallback_factor)
+        return compiled.explain(actuals=result.stats.op_actuals)
 
     def explain_update(self, text: str) -> str:
         """The compiled pipeline report for one update statement."""

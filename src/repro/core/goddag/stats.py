@@ -221,8 +221,8 @@ class PlanStats:
 
     def coverage(self, name: str) -> float:
         """Fraction of the text covered by ``name`` spans (clamped;
-        stacked/nested spans can exceed 1.0 — that excess is exactly
-        what the adaptive fallback exists to catch)."""
+        stacked/nested spans can exceed 1.0, so it overestimates what
+        nests — ``explain --analyze`` flags the miss)."""
         entry = self.names.get(name)
         if not entry or not self.text_length:
             return 0.0

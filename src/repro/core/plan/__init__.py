@@ -57,8 +57,11 @@ __all__ = [
 #: plans); bumped by PR 16 (costed plans lift correlated inner ``for``
 #: clauses, and standard-axis probes are mask terms); bumped by PR 18
 #: (string tests of the context node's value are mask terms: a cached
-#: plan of ``w[matches(string(.), "…")]`` would keep its per-node loop).
-PLAN_VERSION = 7
+#: plan of ``w[matches(string(.), "…")]`` would keep its per-node loop);
+#: bumped by PR 30 (``[extended-axis::name]`` is a bare mask term on
+#: every plan, filters included: a cached plan would keep the removed
+#: semi-join tag).
+PLAN_VERSION = 8
 
 
 class CompiledQuery:
@@ -91,8 +94,7 @@ class CompiledQuery:
                             options=options, functions=functions,
                             shell=self.needs_shell, stats=stats)
 
-    def explain(self, actuals: dict[int, int] | None = None,
-                miss_factor: float = 8.0) -> str:
+    def explain(self, actuals: dict[int, int] | None = None) -> str:
         """The human-readable pipeline report: query, rewrites, plan.
 
         On costed plans each step line carries its estimate; pass the
@@ -106,8 +108,7 @@ class CompiledQuery:
         else:
             lines.append("  (none)")
         lines.append("plan:")
-        lines.append(render_plan(self.plan, indent=1, actuals=actuals,
-                                 miss_factor=miss_factor))
+        lines.append(render_plan(self.plan, indent=1, actuals=actuals))
         return "\n".join(lines)
 
 

@@ -7,19 +7,18 @@ multi-step chains and multi-predicate filters *order* is the headline
 win.  This module is the optional pass behind ``use_cost=True``:
 given :class:`~repro.core.goddag.stats.PlanStats` it
 
-* reorders commutative semi-join predicate conjunctions by estimated
+* reorders stacked ``[extended-axis::name]`` probes by estimated
   selectivity-per-cost (cheap, selective probes first),
 * reverses a ``/descendant::A/axis::B`` join pair into
   ``/descendant::B[axis⁻¹::A]`` when the B side is estimated much
   smaller (the extended axes of Definition 1 are symmetric:
   ``b ∈ axis(a) ⟺ a ∈ axis⁻¹(b)``), and
 * annotates every step with an estimated output cardinality
-  (``op_id``/``est_rows``) so the physical layer can record actuals,
-  ``explain()`` can render ``est=…/act=…``, and the executor can fall
-  back to source order when an estimate misses
-  (:mod:`repro.core.plan.physical`), and
+  (``op_id``/``est_rows``) so the physical layer can record actuals
+  and ``explain()`` can render ``est=…/act=…``, and
 * decorrelates nested existence predicates
-  (``line[xdescendant::w[xancestor::dmg or …]]``) into mask plans:
+  (``line[xdescendant::w[xancestor::dmg or …]]``) into mask terms
+  (:mod:`repro.core.plan.masks`):
   the inner pattern becomes one boolean column over the name's rows
   and the outer test one subset semi-join, instead of one probe per
   candidate per inner node — constant string tests of the node's value
@@ -39,14 +38,13 @@ from __future__ import annotations
 
 import itertools
 
-from repro.core.goddag.joins import JOIN_KERNELS, TREE_EXISTS_AXES
+from repro.core.goddag.joins import JOIN_KERNELS
 from repro.core.goddag.stats import PlanStats
 from repro.core.lang import ast
 from repro.core.plan import logical as L
+from repro.core.plan import masks
 from repro.core.plan.planner import test_pushdowns
 from repro.core.plan.rewrite import PURE_FUNCTIONS
-from repro.core.runtime.functions import STRING_TESTS, string_test
-from repro.errors import FunctionError
 
 #: Definition 1 axis duality: ``b ∈ axis(a) ⟺ a ∈ REVERSE_AXIS[axis](b)``
 #: for nonempty spans (empty spans are excluded by every kernel on both
@@ -154,10 +152,15 @@ def join_fanout(stats: PlanStats, axis: str, ctx_name: str | None,
     return count / 2.0
 
 
-def join_selectivity(stats: PlanStats, axis: str, ctx_name: str | None,
-                     name: str) -> float:
-    """Estimated fraction of context nodes with ≥1 ``axis::name``
-    partner — the selectivity of a semi-join existence probe."""
+def predicate_selectivity(stats: PlanStats, predicate: L.PredicateOp,
+                          ctx_name: str | None) -> float:
+    """Estimated surviving fraction for one step predicate: for a bare
+    ``[axis::name]`` probe the fraction of context nodes with ≥1
+    partner, else :data:`DEFAULT_SEL`."""
+    probe = masks.probe(predicate.mask)
+    if probe is None:
+        return DEFAULT_SEL
+    axis, name = probe
     count = stats.nonempty(name)
     if not count:
         return 0.0
@@ -176,19 +179,8 @@ def join_selectivity(stats: PlanStats, axis: str, ctx_name: str | None,
     return max(0.0, min(1.0, join_fanout(stats, axis, ctx_name, name)))
 
 
-def predicate_selectivity(stats: PlanStats, predicate: L.PredicateOp,
-                          ctx_name: str | None) -> float:
-    """Estimated surviving fraction for one step predicate."""
-    if predicate.semi_join is not None:
-        axis, name = predicate.semi_join
-        return join_selectivity(stats, axis, ctx_name, name)
-    if predicate.positional_literal is not None:
-        return DEFAULT_SEL  # one item per context; context count unknown
-    return DEFAULT_SEL
-
-
 def probe_cost(axis: str) -> float:
-    """Relative per-candidate cost of one semi-join probe."""
+    """Relative per-candidate cost of one existence probe."""
     return KERNEL_COST.get(JOIN_KERNELS.get(axis, ""), 3.0)
 
 
@@ -199,38 +191,36 @@ def probe_cost(axis: str) -> float:
 
 def _reorder_predicates(step: L.StepOp, stats: PlanStats,
                         notes: list[str]) -> None:
-    """Sort an all-semi-join predicate conjunction by benefit.
+    """Sort stacked bare ``[extended-axis::name]`` probes by benefit.
 
-    Semi-join probes are boolean and position-free by construction, so
-    the conjunction commutes; the classic filter-ordering rank —
+    Bare probes are boolean and position-free by construction, so the
+    conjunction commutes; the classic filter-ordering rank —
     ``(1 - selectivity) / cost`` descending — runs the probes that
-    discard the most candidates per unit of work first.  The original
-    position survives in ``source_order`` so the adaptive executor can
-    restore it mid-plan (DESIGN.md §16).
+    discard the most candidates per unit of work first.  The order is
+    fixed at plan time (DESIGN.md §16).
     """
     predicates = step.predicates
     if len(predicates) < 2:
         return
-    if not all(p.semi_join is not None for p in predicates):
+    if not all(masks.probe(p.mask) for p in predicates):
         return
     ctx_name = (step.test.name
                 if isinstance(step.test, ast.NameTest) else None)
-    for position, predicate in enumerate(predicates):
-        predicate.source_order = position
+    for predicate in predicates:
         predicate.est_selectivity = predicate_selectivity(
             stats, predicate, ctx_name)
 
     def rank(predicate: L.PredicateOp) -> float:
-        cost = probe_cost(predicate.semi_join[0])
-        return -(1.0 - predicate.est_selectivity) / cost
+        axis, _name = masks.probe(predicate.mask)
+        return -(1.0 - predicate.est_selectivity) / probe_cost(axis)
 
     reordered = sorted(predicates, key=rank)
     if reordered != predicates:
         step.predicates = reordered
         order = ", ".join(
-            f"{p.semi_join[0]}::{p.semi_join[1]}"
-            f"(sel={p.est_selectivity:.2f})" for p in reordered)
-        notes.append("cost: reordered semi-join conjunction on "
+            f"{masks.render(p.mask)}(sel={p.est_selectivity:.2f})"
+            for p in reordered)
+        notes.append("cost: reordered probe conjunction on "
                      f"{step.axis}::{L.render_test(step.test)} → {order}")
 
 
@@ -241,8 +231,8 @@ def _reversible_pair(path: L.PathOp) -> tuple[L.StepOp,
     The narrow gate keeps the rewrite provably result-preserving: a
     root-anchored two-step path whose first step is a bare named
     descendant scan and whose second is an extended-axis join with at
-    most semi-join predicates (commutative, so they transfer onto the
-    reversed scan unchanged).
+    most bare probes (commutative, so they transfer onto the reversed
+    scan unchanged).
     """
     if path.anchor != "root" or path.input is not None:
         return None
@@ -259,8 +249,7 @@ def _reversible_pair(path: L.PathOp) -> tuple[L.StepOp,
         return None
     if not isinstance(second.test, ast.NameTest):
         return None
-    if not all(p.semi_join is not None and p.position_free
-               for p in second.predicates):
+    if not all(masks.probe(p.mask) for p in second.predicates):
         return None
     return first, second
 
@@ -303,8 +292,8 @@ def _reverse_join_pair(path: L.PathOp, stats: PlanStats,
         name_hint=name_hint, kernel=JOIN_KERNELS[reverse_axis])
     probe = L.PredicateOp(
         L.PathOp("relative", None, [inner], ordered_result=False),
-        boolean_only=True, position_free=True,
-        semi_join=(reverse_axis, name_a))
+        boolean_only=True, position_free=True)
+    probe.mask = masks.bare_term(probe)
     skip_leaves, leaves_only, name_hint = test_pushdowns(second.test)
     scan = L.StepOp(
         axis="descendant", test=second.test,
@@ -326,125 +315,6 @@ def _reverse_join_pair(path: L.PathOp, stats: PlanStats,
 # ---------------------------------------------------------------------------
 
 
-def _mask_term(plan: L.Plan) -> tuple | None:
-    """The mask term of a decorrelatable predicate body, else ``None``.
-
-    The recognised grammar (DESIGN.md §16): ``and`` / ``or`` /
-    ``not()`` over ``extended-axis::name`` and, recursively,
-    ``extended-axis::name[P]…``, the plain standard-axis probes
-    ``ancestor::name``, ``descendant::name`` and ``self::name``, and
-    the string tests of :func:`_value_term`.  Every such body is a pure
-    function of the context node — no position, no variable, no error
-    — so its verdicts form a column.
-    """
-    if isinstance(plan, L.BoolOp):
-        terms = tuple(_mask_term(operand) for operand in plan.operands)
-        if None in terms:
-            return None
-        return (plan.kind, terms)
-    if isinstance(plan, L.FuncOp):
-        if plan.name in STRING_TESTS:
-            return _value_term(plan)
-        if plan.name != "not" or len(plan.args) != 1:
-            return None
-        inner = _mask_term(plan.args[0])
-        return None if inner is None else ("not", inner)
-    if not (isinstance(plan, L.PathOp) and plan.input is None
-            and plan.anchor == "relative" and len(plan.steps) == 1):
-        return None
-    return _step_term(plan.steps[0])
-
-
-def _value_term(call: L.FuncOp) -> tuple | None:
-    """``("value", function, constants)`` for ``matches(S, "p"[, "f"])``,
-    ``contains`` / ``starts-with`` / ``ends-with(S, "c")`` with ``S`` the
-    context node's string value — ``string(.)``, ``string()`` or ``.``.
-
-    A pattern or flag string that does not compile is no term: its
-    error belongs to the first candidate that reaches the call, and a
-    column would raise it for a candidate list an earlier ``or``
-    operand had already accepted.
-    """
-    if len(call.args) != 2 and not (call.name == "matches"
-                                    and len(call.args) == 3):
-        return None
-    subject, *constants = call.args
-    constants = tuple(L.const_string(arg) for arg in constants)
-    if None in constants or not (isinstance(subject, L.ContextOp)
-                                 or L.is_context_string(subject)):
-        return None
-    try:
-        string_test(call.name, *constants)
-    except FunctionError:
-        return None
-    return ("value", call.name, constants)
-
-
-def _step_term(step: L.Plan) -> tuple | None:
-    """The ``("axis", axis, name, inner)`` term of one probing step."""
-    if not (isinstance(step, L.StepOp)
-            and isinstance(step.test, ast.NameTest)):
-        return None
-    if step.axis in TREE_EXISTS_AXES:
-        # a column holds the nonempty rows of a name; a standard axis
-        # also reaches empty elements, so it takes no witness subset
-        if step.predicates:
-            return None
-        return ("axis", step.axis, step.test.name, None)
-    if step.axis not in JOIN_KERNELS:
-        return None
-    if not step.predicates:
-        return ("axis", step.axis, step.test.name, None)
-    inner = _conjunction_term(step.predicates)
-    if inner is None:
-        return None
-    return ("axis", step.axis, step.test.name, inner)
-
-
-def _conjunction_term(predicates: list[L.PredicateOp]) -> tuple | None:
-    """Stacked position-free boolean predicates are a conjunction."""
-    terms = []
-    for predicate in predicates:
-        if not (predicate.boolean_only and predicate.position_free):
-            return None
-        term = _mask_term(predicate.plan)
-        if term is None:
-            return None
-        terms.append(term)
-    return terms[0] if len(terms) == 1 else ("and", tuple(terms))
-
-
-def _mask_work(stats: PlanStats, term: tuple, rows: float,
-               ctx_name: str | None) -> tuple[float, float]:
-    """``(per-node probes, column rows)``: the Python-level probes the
-    per-node loop makes for ``rows`` candidates against the rows the
-    mask columns span."""
-    kind = term[0]
-    if kind in ("and", "or"):
-        parts = [_mask_work(stats, operand, rows, ctx_name)
-                 for operand in term[1]]
-        return (sum(probes for probes, _rows in parts),
-                sum(spanned for _probes, spanned in parts))
-    if kind == "not":
-        return _mask_work(stats, term[1], rows, ctx_name)
-    if kind == "value":
-        return rows, 0.0  # one pass over the candidates, no name column
-    _kind, axis, name, inner = term
-    if inner is None:
-        return rows, 0.0
-    reached = rows * join_fanout(stats, axis, ctx_name, name)
-    probes, spanned = _mask_work(stats, inner, reached, name)
-    return rows + probes, stats.card(name) + spanned
-
-
-def _root_named_ancestor(term: tuple, root_name: str) -> bool:
-    """Does the term hold ``xancestor::<root name>[P]``?  The root is
-    in no name column, so a subset probe cannot see it as a witness."""
-    return any(part[0] == "axis" and part[1] == "xancestor"
-               and part[2] == root_name and part[3] is not None
-               for part in L.mask_terms(term))
-
-
 def _decorrelate(predicate: L.PredicateOp, stats: PlanStats,
                  rows: float | None, ctx_name: str | None,
                  counter, notes: list[str]) -> None:
@@ -454,19 +324,19 @@ def _decorrelate(predicate: L.PredicateOp, stats: PlanStats,
     one go, or ``None`` when it is entered per item of some enclosing
     loop.  Re-entered predicates only pay off through the columns the
     evaluation memoises: without one, a kernel call per entry loses to
-    the handful of probes it replaces.  Plain ``[axis::name]`` probes
-    stay semi-joins (the reorder pass and the adaptive executor work
-    on those), and ``xancestor::<root name>[P]`` stays per-node.
+    the handful of probes it replaces.  A predicate that already
+    carries a term — the planner's bare ``[axis::name]`` probe — keeps
+    it, and ``xancestor::<root name>[P]`` stays per-node.
     """
-    if (predicate.semi_join is not None
+    if (predicate.mask is not None
             or not (predicate.boolean_only and predicate.position_free)):
         return
-    term = _mask_term(predicate.plan)
+    term = masks.of_plan(predicate.plan)
     if term is None:
         return
-    if _root_named_ancestor(term, stats.root_name):
+    if masks.root_named_ancestor(term, stats.root_name):
         return
-    probes, spanned = _mask_work(
+    probes, spanned = masks.work(
         stats, term, DECORRELATION_MARGIN if rows is None else rows,
         ctx_name)
     if rows is None and not spanned:
@@ -475,7 +345,7 @@ def _decorrelate(predicate: L.PredicateOp, stats: PlanStats,
         return
     predicate.mask = term
     predicate.op_id = next(counter)
-    notes.append(f"cost: decorrelated predicate [{L.render_mask(term)}]"
+    notes.append(f"cost: decorrelated predicate [{masks.render(term)}]"
                  " into whole-column masks and subset semi-joins")
 
 
@@ -495,21 +365,6 @@ def _pure(plans: list[L.Plan]) -> bool:
             if isinstance(node, L.FuncOp) and node.name not in PURE_FUNCTIONS:
                 return False
     return True
-
-
-def _condition_term(plan: L.Plan, variable: str) -> tuple | None:
-    """The mask term of an EBV condition over ``$variable`` — ``$y[P]``
-    (stacked predicates conjoin) or ``$y/axis::name[P]`` — else
-    ``None``.  With ``$y`` bound to one node both are ``P`` of it."""
-    source = getattr(plan, "input", None)
-    if not (isinstance(source, L.VarOp) and source.name == variable):
-        return None
-    if isinstance(plan, L.FilterOp):
-        return _conjunction_term(plan.predicates)
-    if (isinstance(plan, L.PathOp) and plan.anchor == "primary"
-            and len(plan.steps) == 1):
-        return _step_term(plan.steps[0])
-    return None
 
 
 def _condition_sites(clause: L.ForOp, rest: list[L.Plan],
@@ -556,9 +411,10 @@ def _lift_for(clause: L.ForOp, rest: list[L.Plan], return_plan: L.Plan,
         return
     sites = []
     for holder, attribute in _condition_sites(clause, rest, return_plan):
-        term = _condition_term(getattr(holder, attribute), clause.variable)
-        if term is not None and not _root_named_ancestor(term,
-                                                         stats.root_name):
+        term = masks.condition_term(getattr(holder, attribute),
+                                    clause.variable)
+        if term is not None and not masks.root_named_ancestor(
+                term, stats.root_name):
             sites.append((holder, attribute, term))
     outer, body = scope[sequence.input.name]
     if not sites or not _pure(body):
@@ -572,7 +428,7 @@ def _lift_for(clause: L.ForOp, rest: list[L.Plan], return_plan: L.Plan,
             lift.terms.index(term), term))
     clause.lift = lift
     outer.feeds.append(lift.op_id)
-    rendered = ", ".join(f"[{L.render_mask(term)}]" for term in lift.terms)
+    rendered = ", ".join(f"[{masks.render(term)}]" for term in lift.terms)
     notes.append(
         f"cost: lifted for ${clause.variable} over ${lift.over}: one "
         f"batched {step.axis}::{L.render_test(step.test)} step and one "
@@ -635,7 +491,7 @@ def _lift_inner_fors(plan: L.Plan, stats: PlanStats, counter,
         else:
             if not isinstance(node, _UNCONDITIONAL):
                 scope = {}
-            for child in _subplans(node):
+            for child in L._children(node):
                 visit(child, scope)
 
     visit(plan, {})
@@ -719,27 +575,11 @@ def _filter_rows(op: L.FilterOp) -> float | None:
     return None
 
 
-def _subplans(plan: L.Plan) -> list[L.Plan]:
-    """All child plans, including those the explain tree elides —
-    except the inner paths of batched semi-join / mask / positional
-    predicates, which the physical layer never runs as plans."""
-    if isinstance(plan, L.PredicateOp):
-        if (plan.semi_join is not None or plan.mask is not None
-                or plan.positional_literal is not None):
-            return []
-        return [plan.plan]
-    if isinstance(plan, L.StepOp):
-        return list(plan.predicates)
-    if isinstance(plan, L.PathOp):
-        head = [plan.input] if plan.input is not None else []
-        return head + list(plan.steps)
-    return L._children(plan)
-
-
 def _walk(plan: L.Plan):
-    """``plan`` and every operator under it that runs, pre-order."""
+    """``plan`` and every operator under it that runs, pre-order: the
+    inner paths of mask and positional predicates are no operators."""
     yield plan
-    for child in _subplans(plan):
+    for child in L._children(plan):
         yield from _walk(child)
 
 
@@ -774,7 +614,7 @@ def apply_cost(plan: L.Plan, stats: PlanStats,
                 _decorrelate(predicate, stats, rows, None, counter, notes)
                 annotate(predicate)
             return
-        for child in _subplans(node):
+        for child in L._children(node):
             annotate(child)
 
     annotate(plan)

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 from repro.core.lang import ast
 from repro.core.plan import logical as L
+from repro.core.plan import masks
 
 #: Axes whose candidate set for an in-shard element context is fully
 #: contained in the same shard.
@@ -212,13 +213,6 @@ def _local_test(step: L.StepOp, rest: list, root_name: str,
 
 def _local_predicate(predicate: L.PredicateOp, root_name: str,
                      *, first_step: bool) -> str | None:
-    if predicate.semi_join is not None:
-        axis, name = predicate.semi_join
-        if axis not in LOCAL_AXES:
-            return f"semi-join axis {axis} reaches across shard cuts"
-        if name == root_name:
-            return "semi-join against the corpus root"
-        return None
     if first_step and predicate.positional_literal is not None:
         return "positional predicate against the corpus-root context"
     if first_step and not predicate.position_free:
@@ -231,10 +225,10 @@ def _local_predicate(predicate: L.PredicateOp, root_name: str,
 
 def _local_plan(plan: L.Plan, root_name: str, *,
                 allow_focus: bool) -> str | None:
-    """None when ``plan`` only reads shard-local state."""
-    stack = [plan]
-    while stack:
-        node = stack.pop()
+    """None when ``plan`` only reads shard-local state.  The walk
+    enters the plans of batched predicates too: a mask term is what its
+    plan says."""
+    for node in L.walk(plan):
         if isinstance(node, L.CollectionOp):
             return "nested collection() reference"
         if isinstance(node, L.PathOp) and node.anchor == "root":
@@ -251,14 +245,6 @@ def _local_plan(plan: L.Plan, root_name: str, *,
                     return f"{node.name}() against the corpus-root context"
             elif node.name not in LOCAL_FUNCTIONS:
                 return f"function {node.name}() is not shard-local"
-        if isinstance(node, L.PredicateOp):
-            if node.semi_join is not None:
-                verdict = _local_predicate(node, root_name,
-                                           first_step=False)
-                if verdict is not None:
-                    return verdict
-                continue
-        stack.extend(L._children(node))
     return None
 
 
@@ -266,7 +252,7 @@ def _required_names(steps: list) -> list[str]:
     """Element names a shard must contain to produce any result.
 
     Every axis step with a NameTest emits only nodes of that name, so
-    each spine name (and each semi-join probe name) must have non-zero
+    each spine name (and each bare probe's name) must have non-zero
     cardinality in a shard for the shard to contribute — the pruning
     precondition the manifest statistics answer.
     """
@@ -280,8 +266,10 @@ def _required_names(steps: list) -> list[str]:
         if isinstance(step.test, ast.NameTest):
             names.append(step.test.name)
         for predicate in step.predicates:
-            if predicate.semi_join is not None:
-                names.append(predicate.semi_join[1])
+            probe = masks.probe(predicate.mask)
+            if probe is not None:
+                _axis, probed = probe
+                names.append(probed)
     seen: set[str] = set()
     ordered = []
     for name in names:

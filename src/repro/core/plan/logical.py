@@ -17,10 +17,12 @@ Operator glossary (DESIGN.md §8):
                  sorted-array join over the span-index columns (§11)
 ``expr-step``    a non-axis path step, evaluated once per input node
 ``filter``       predicates over an arbitrary item sequence
-``predicate``    one step/filter predicate; on costed plans ``[mask …]``
-                 is its decorrelated form (§16) as ``render_mask``
-                 writes it: axis probes, and string tests of
-                 ``string(.)``, in query syntax
+``predicate``    one step/filter predicate; ``[mask …]`` is its batched
+                 form as ``masks.render`` writes it: the bare
+                 ``axis::name`` probe on every plan (§11), and on
+                 costed plans the decorrelated bodies (§16) — axis
+                 probes and string tests of ``string(.)``, in query
+                 syntax
 ``collection``   the roots of a sharded corpus, resolved at run time
 ``flwor``        the FLWOR pipeline (streaming unless it orders); a
                  ``for … [lifted over $x]`` clause runs once over all
@@ -176,39 +178,27 @@ class PredicateOp(Plan):
     #: never reads ``position()``/``last()``: candidate order and focus
     #: position are irrelevant to the verdict
     position_free: bool = False
-    #: a recognized cross-hierarchy existence test (``[overlapping::b]``
-    #: and friends): ``(axis, name)``; the physical layer then filters
-    #: the whole candidate set with one batched semi-join probe instead
-    #: of one per-candidate EBV evaluation (DESIGN.md §11)
-    semi_join: tuple[str, str] | None = None
     #: estimated fraction of candidates surviving this predicate, set
     #: by the cost pass (DESIGN.md §16); None on mechanical plans
     est_selectivity: float | None = None
-    #: position in the query text's predicate list, recorded when the
-    #: cost pass reorders a conjunction so the adaptive executor can
-    #: fall back to source order mid-plan
-    source_order: int = -1
-    #: the decorrelated form chosen by the cost pass (DESIGN.md §16): a
-    #: mask term — ``("and" | "or", terms)``, ``("not", term)``,
-    #: ``("axis", axis, name, term | None)`` for ``axis::name[term]`` or
-    #: ``("value", function, constants)`` for a string test of the
-    #: context node's string value against constant arguments —
+    #: the batched form (:mod:`repro.core.plan.masks`): a mask term,
     #: evaluated set-at-a-time as boolean columns instead of one EBV
-    #: evaluation of ``plan`` per candidate.  Terms are plain hashable
-    #: tuples: the executor memoises columns by term value.
+    #: evaluation of ``plan`` per candidate.  The planner sets the bare
+    #: probe of ``[extended-axis::name]`` on every plan (DESIGN.md §11);
+    #: the cost pass decorrelates other bodies into terms (§16).
     mask: tuple | None = None
     #: operator id the executor records the survivor count under
-    #: (mask predicates only; assigned by the cost pass)
+    #: (decorrelated predicates only; assigned by the cost pass)
     op_id: int = -1
 
     def _label(self) -> str:
         if self.positional_literal is not None:
             return f"predicate [position={self.positional_literal}]"
         if self.mask is not None:
-            label = f"predicate [mask {render_mask(self.mask)}]"
-        elif self.semi_join is not None:
-            axis, name = self.semi_join
-            label = f"predicate [semi-join {axis}::{name}]"
+            # masks imports this module
+            from repro.core.plan.masks import render
+
+            label = f"predicate [mask {render(self.mask)}]"
         elif self.boolean_only:
             label = "predicate [boolean]"
         else:
@@ -266,9 +256,8 @@ class IntervalJoinOp(StepOp):
     order-normalization rules treat it as a step), carrying the kernel
     family (``containment``, ``containment-reverse``, ``boundary``,
     ``stab``) the join engine will run (DESIGN.md §11).  With
-    predicates that are not all batched semi-joins or mask plans,
-    execution falls back to the per-node step machinery — the oracle
-    path.
+    predicates that are not all mask terms, execution falls back to
+    the per-node step machinery — the oracle path.
     """
 
     kernel: str = ""
@@ -420,8 +409,11 @@ class LiftedCondOp(Plan):
     term: tuple
 
     def _label(self) -> str:
+        # masks imports this module
+        from repro.core.plan.masks import render
+
         return (f"condition [lifted ${self.variable}: "
-                f"mask {render_mask(self.term)}]")
+                f"mask {render(self.term)}]")
 
 
 @dataclass
@@ -512,37 +504,6 @@ def const_string(plan: Plan) -> str | None:
     return None
 
 
-def render_mask(term: tuple, nested: bool = False) -> str:
-    """A mask term in query syntax (the ``[mask …]`` explain label)."""
-    kind = term[0]
-    if kind in ("and", "or"):
-        rendered = f" {kind} ".join(render_mask(operand, True)
-                                    for operand in term[1])
-        return f"({rendered})" if nested else rendered
-    if kind == "not":
-        return f"not({render_mask(term[1])})"
-    if kind == "value":
-        constants = ", ".join('"{}"'.format(constant.replace('"', '""'))
-                              for constant in term[2])
-        return f"{term[1]}(string(.), {constants})"
-    _kind, axis, name, inner = term
-    if inner is None:
-        return f"{axis}::{name}"
-    return f"{axis}::{name}[{render_mask(inner)}]"
-
-
-def mask_terms(term: tuple):
-    """Every term of a mask plan, the plan itself included."""
-    yield term
-    if term[0] in ("and", "or"):
-        for operand in term[1]:
-            yield from mask_terms(operand)
-    elif term[0] == "not":
-        yield from mask_terms(term[1])
-    elif term[0] == "axis" and term[3] is not None:
-        yield from mask_terms(term[3])
-
-
 def _children(plan: Plan) -> list[Plan]:
     if isinstance(plan, SeqOp):
         return list(plan.parts)
@@ -563,8 +524,7 @@ def _children(plan: Plan) -> list[Plan]:
     if isinstance(plan, QuantOp):
         return [p for _name, p in plan.bindings] + [plan.condition]
     if isinstance(plan, PredicateOp):
-        if (plan.positional_literal is not None
-                or plan.semi_join is not None or plan.mask is not None):
+        if plan.positional_literal is not None or plan.mask is not None:
             return []  # the label carries the whole story
         return [plan.plan]
     if isinstance(plan, StepOp):
@@ -622,15 +582,19 @@ def needs_shell(plan: Plan) -> bool:
                for node in walk(plan))
 
 
+#: ``explain --analyze`` flags an estimate that missed its actual by
+#: more than this factor (either way) with ``!``
+MISS_FACTOR = 8.0
+
+
 def render_plan(plan: Plan, indent: int = 0,
-                actuals: dict[int, int] | None = None,
-                miss_factor: float = 8.0) -> str:
+                actuals: dict[int, int] | None = None) -> str:
     """The indented one-operator-per-line explain tree.
 
     On costed plans each step carries its estimate; with ``actuals``
     (the executor's per-operator cardinality record, keyed by
     ``op_id``) the line becomes ``[est=… act=…]``, with ``!`` flagging
-    estimates that missed by more than ``miss_factor``.  A mask
+    estimates that missed by more than :data:`MISS_FACTOR`.  A mask
     predicate shows its survivor count as ``[act=…]``, a lifted
     ``for`` the tuples it served from its batch.
     """
@@ -647,11 +611,11 @@ def render_plan(plan: Plan, indent: int = 0,
         if actuals is not None and plan.op_id in actuals:
             actual = actuals[plan.op_id]
             annotation += f" act={actual}"
-            if (actual > plan.est_rows * miss_factor + 4
-                    or plan.est_rows > actual * miss_factor + 4):
+            if (actual > plan.est_rows * MISS_FACTOR + 4
+                    or plan.est_rows > actual * MISS_FACTOR + 4):
                 annotation += " !"
         label += f" [{annotation}]"
     lines = ["  " * indent + label]
     for child in _children(plan):
-        lines.append(render_plan(child, indent + 1, actuals, miss_factor))
+        lines.append(render_plan(child, indent + 1, actuals))
     return "\n".join(lines)

@@ -21,10 +21,7 @@ tree-walker in ``tests/treewalk.py``.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable
-
-import numpy as np
 
 from repro.errors import QueryEvaluationError
 from repro.markup import dom
@@ -39,7 +36,6 @@ from repro.core.goddag.axes import (
 from repro.core.goddag.joins import (
     ColumnarNodeSet,
     descendant_leaves_batch,
-    exists_axis_batch,
     join_axis_batch,
 )
 from repro.core.goddag.nodes import (
@@ -55,9 +51,9 @@ from repro.core.goddag.nodes import (
 )
 from repro.core.lang import ast
 from repro.core.plan import logical as L
+from repro.core.plan import masks
 from repro.core.runtime import values
 from repro.core.runtime.context import Frame, QueryOptions, QueryStats
-from repro.core.runtime.functions import string_test
 from repro.core.runtime.semantics import (
     REVERSE_AXES,
     append_content,
@@ -536,8 +532,9 @@ def _compile_update(op: L.UpdatePrimOp) -> Runner:
 # ---------------------------------------------------------------------------
 
 
-def _compile_predicate(op: L.PredicateOp):
-    """A candidate-list filter ``fn(frame, candidates) -> candidates``."""
+def _compile_predicate(op: L.PredicateOp, nodes: bool = False):
+    """A candidate-list filter ``fn(frame, candidates) -> candidates``;
+    ``nodes``: the candidates are a step's output, so KyGODDAG nodes."""
     if op.positional_literal is not None:
         position = op.positional_literal
 
@@ -574,7 +571,7 @@ def _compile_predicate(op: L.PredicateOp):
             return kept
 
         if op.mask is not None:
-            return _compile_mask(op, run_boolean)
+            return masks.compile_filter(op, run_boolean, nodes=nodes)
         return run_boolean
     plan_fn = compile_plan(op.plan)
 
@@ -604,133 +601,6 @@ def _compile_predicate(op: L.PredicateOp):
     return run
 
 
-def _compile_mask(op: L.PredicateOp, per_node):
-    """The set-at-a-time filter of a decorrelated predicate
-    (DESIGN.md §16): one boolean column per mask term over the whole
-    candidate list, no focus loop.  ``per_node`` — the predicate's
-    ordinary boolean runner — answers whenever the masks would not be
-    the same function: a candidate that is not a KyGODDAG node (it
-    raises what it always raised), an overridden builtin,
-    ``xancestor::<root name>[P]`` on a document whose root carries the
-    probed name.
-    """
-    term = op.mask
-    op_id = op.op_id
-    masks_hold = _mask_guard(term)
-    probes = any(part[0] == "axis" for part in L.mask_terms(term))
-
-    def run_mask(frame: Frame, candidates: list) -> list:
-        if not candidates:
-            return candidates
-        if not masks_hold(frame):
-            return per_node(frame, candidates)
-        for item in candidates:
-            if not isinstance(item, GNode):
-                return per_node(frame, candidates)
-        if probes and not isinstance(candidates, ColumnarNodeSet):
-            # every axis term probes the same spans: extract them once
-            candidates = ColumnarNodeSet(candidates)
-        kept = _select(candidates, _mask_over(frame, term, candidates))
-        actuals = frame.stats.op_actuals
-        actuals[op_id] = actuals.get(op_id, 0) + len(kept)
-        return kept
-
-    return run_mask
-
-
-def _mask_guard(term: tuple):
-    """``fn(frame) -> bool``: are the masks of ``term`` the function
-    its per-node evaluation computes, in this evaluation?  Not under
-    an overridden builtin the body calls — ``not``, a string test, the
-    ``string`` its subject may be written with — and not where
-    ``xancestor::name[P]`` probes the root's name: the root is a
-    witness of that axis but a row of no name column."""
-    called = set()
-    for part in L.mask_terms(term):
-        if part[0] == "not":
-            called.add("not")
-        elif part[0] == "value":
-            called.update((part[1], "string"))
-    builtins = [(name, _builtin(name)) for name in called]
-    subset_ancestors = {part[2] for part in L.mask_terms(term)
-                        if part[0] == "axis" and part[1] == "xancestor"
-                        and part[3] is not None}
-
-    def masks_hold(frame: Frame) -> bool:
-        functions = frame.functions
-        for name, builtin in builtins:
-            if functions.get(name) is not builtin:
-                return False
-        return frame.goddag.root.name not in subset_ancestors
-
-    return masks_hold
-
-
-def _mask_over(frame: Frame, term: tuple, nodes: list) -> np.ndarray:
-    """One boolean per node: the verdict of mask term ``term``.
-
-    Every batched probe counts as one axis step, run set-at-a-time by
-    the join engine; a value term is no step and counts nothing.
-    """
-    kind = term[0]
-    if kind in ("and", "or"):
-        operands = iter(term[1])
-        out = _mask_over(frame, next(operands), nodes)
-        for operand in operands:
-            part = _mask_over(frame, operand, nodes)
-            out = out & part if kind == "and" else out | part
-        return out
-    if kind == "not":
-        return ~_mask_over(frame, term[1], nodes)
-    if kind == "value":
-        verdict = string_test(term[1], *term[2])
-        return np.fromiter(
-            map(verdict, [node.string_value() for node in nodes]),
-            dtype=bool, count=len(nodes))
-    _kind, axis, name, inner = term
-    goddag = frame.goddag
-    among = None
-    if inner is not None:
-        among = _mask_column(frame, name, inner)
-    stats = frame.stats
-    stats.axis_steps += 1
-    stats.batched_steps += 1
-    stats.join_steps += 1
-    return exists_axis_batch(goddag, axis, nodes, name, among=among)
-
-
-def _epoch(frame: Frame) -> tuple:
-    """What a verdict computed now stays true under: the span index's
-    membership, which inside one evaluation only that evaluation's own
-    ``analyze-string`` temporaries move (each one merges into its
-    shell's index)."""
-    index = frame.goddag.span_index()
-    return index, index.incremental_adds
-
-
-def _mask_column(frame: Frame, name: str, term: tuple) -> np.ndarray:
-    """The verdicts of ``term`` over the rows of ``name``'s interval
-    columns, built once per evaluation.
-
-    A column is a pure function of the index contents and the term, so
-    the memo is keyed by term value (equal sub-predicates share one
-    column) under an epoch that any membership change — an
-    ``analyze-string`` temporary of this evaluation — moves.
-    """
-    epoch = _epoch(frame)
-    memo = frame.mask_memo
-    if memo is None or memo[0] != epoch:
-        memo = frame.mask_memo = (epoch, {})
-    key = (name, term)
-    column = memo[1].get(key)
-    if column is None:
-        interval = epoch[0].name_interval(name)
-        rows = ColumnarNodeSet(interval.nodes.tolist(), interval.starts,
-                               interval.ends)
-        column = memo[1][key] = _mask_over(frame, term, rows)
-    return column
-
-
 def _compile_filter(op: L.FilterOp) -> Runner:
     input_fn = compile_plan(op.input)
     predicate_fns = [_compile_predicate(p) for p in op.predicates]
@@ -749,94 +619,16 @@ def _compile_filter(op: L.FilterOp) -> Runner:
 # ---------------------------------------------------------------------------
 
 
-def _semi_join_probes(predicates: list[L.PredicateOp]
-                      ) -> list[tuple[str, str, float | None, int]]:
-    """Compile-time probe descriptors: ``(axis, name, est_selectivity,
-    source_order)`` per semi-join predicate, in plan order (which the
-    cost pass may have reordered)."""
-    return [(p.semi_join[0], p.semi_join[1], p.est_selectivity,
-             p.source_order) for p in predicates]
-
-
-def _select(candidates: list, keep: np.ndarray) -> list:
-    """The candidates a boolean column keeps, with the span columns
-    they carry."""
-    if keep.all():
-        return candidates
-    if isinstance(candidates, ColumnarNodeSet):
-        return candidates.selected(keep)
-    return [node for node, flag in zip(candidates, keep) if flag]
-
-
-def _apply_semi_joins(frame: "Frame",
-                      probes: list[tuple[str, str, float | None, int]],
-                      candidates: list) -> list:
-    """Filter a document-ordered candidate set by batched existence
-    probes — one vectorized semi-join per ``[extended-axis::name]``
-    predicate instead of one EBV evaluation per candidate.  Valid only
-    for boolean, position-free predicates (the planner guarantees it):
-    their verdicts cannot depend on candidate grouping or position.
-
-    On a cost-reordered conjunction (every probe carries an estimated
-    selectivity and a source position) the survivor count is checked
-    against the estimate chain after each probe; a miss beyond
-    ``QueryOptions.cost_fallback_factor`` abandons the cost ordering
-    and runs the remaining probes in source order — the adaptive
-    fallback of DESIGN.md §16.  Verdicts are order-independent, so
-    only the work schedule changes, never the result.
-    """
-    queue = list(probes)
-    adaptive = (len(queue) > 1
-                and all(sel is not None for _a, _n, sel, _o in queue)
-                and any(order >= 0 for _a, _n, _s, order in queue))
-    expected = float(len(candidates))
-    factor = getattr(frame.options, "cost_fallback_factor", 8.0)
-    while queue:
-        if not candidates:
-            return candidates
-        axis, name, selectivity, _order = queue.pop(0)
-        frame.stats.join_steps += 1
-        mask = exists_axis_batch(frame.goddag, axis, candidates, name)
-        if adaptive:
-            expected *= selectivity
-            actual = int(mask.sum())
-            # ratio test against max(count, 1): an estimate may be off
-            # by the configured factor in either direction before the
-            # schedule is abandoned (zero counts compare as one so the
-            # factor stays meaningful on empty survivor sets)
-            if (actual > max(expected, 1.0) * factor
-                    or expected > max(actual, 1.0) * factor):
-                frame.stats.cost_fallbacks += 1
-                queue.sort(key=lambda probe: probe[3])
-                adaptive = False
-            else:
-                expected = float(actual)
-        candidates = _select(candidates, mask)
-    return candidates
-
-
 def _compile_set_filters(predicates: list[L.PredicateOp]):
     """``[fn(frame, candidates) -> candidates]`` when every predicate
-    filters a whole candidate set at once — batched semi-join probes
-    (consecutive ones share one adaptive schedule) and decorrelated
-    mask plans — else ``None``.  All of them are boolean and
-    position-free, so their verdicts cannot depend on how the
-    candidates are grouped per input node.
+    carries a mask term and so filters a whole candidate set at once,
+    else ``None``.  All of them are boolean and position-free, so their
+    verdicts cannot depend on how the candidates are grouped per input
+    node.
     """
-    if not all(p.semi_join is not None or p.mask is not None
-               for p in predicates):
+    if not all(p.mask is not None for p in predicates):
         return None
-    filters = []
-    for batched, group in itertools.groupby(
-            predicates, key=lambda p: p.semi_join is not None):
-        if batched:
-            probes = _semi_join_probes(list(group))
-            filters.append(
-                lambda frame, candidates, probes=probes:
-                _apply_semi_joins(frame, probes, candidates))
-        else:
-            filters.extend(_compile_predicate(p) for p in group)
-    return filters
+    return [_compile_predicate(p, nodes=True) for p in predicates]
 
 
 def _compile_join(op: L.IntervalJoinOp):
@@ -846,8 +638,8 @@ def _compile_join(op: L.IntervalJoinOp):
     (:func:`repro.core.goddag.joins.join_axis_batch`): candidates are
     gathered as positions into the span-index columns and merged into
     global document order by one ``np.unique`` over packed order keys.
-    Semi-join and mask predicates filter the joined set with batched
-    existence probes (:func:`_compile_set_filters`); any other
+    Mask predicates filter the joined set with batched existence
+    probes (:func:`_compile_set_filters`); any other
     predicate shape falls back to the per-node step machinery
     (:func:`_compile_step`), which is also the oracle path.
     """
@@ -959,12 +751,13 @@ def _compile_step(op: L.StepOp):
     """
     axis = op.axis
     reverse = axis in REVERSE_AXES
-    #: all predicates are recognized cross-hierarchy existence tests:
-    #: filter the step's batched union with vectorized semi-joins
-    #: instead of looping candidates per input node (DESIGN.md §11)
+    #: all predicates carry mask terms: filter the step's batched union
+    #: with vectorized probes instead of looping candidates per input
+    #: node (DESIGN.md §11)
     set_filters = (_compile_set_filters(op.predicates)
                    if op.predicates else None)
-    predicate_fns = ([_compile_predicate(p) for p in op.predicates]
+    predicate_fns = ([_compile_predicate(p, nodes=True)
+                      for p in op.predicates]
                      if set_filters is None else set_filters)
     test_factory = _make_test_factory(op.test, axis)
     skip_leaves = op.skip_leaves
@@ -1117,9 +910,10 @@ def _compile_ebv(plan: L.Plan):
         step = plan.steps[0]
         if not step.predicates:
             return _compile_step_exists(step)
-        # a mask predicate filters the materialized step; the probe
-        # below would run its plan once per candidate
-        if all(p.boolean_only and p.position_free and p.mask is None
+        # a decorrelated predicate filters the materialized step (the
+        # probe below would run it per candidate); a bare one need not
+        if all(p.boolean_only and p.position_free
+               and (p.mask is None or masks.probe(p.mask))
                for p in step.predicates):
             return _compile_step_exists_predicated(step)
     fn = compile_plan(plan)
@@ -1519,7 +1313,7 @@ def _compile_lifted_sequence(clause: L.ForOp, per_binding: Runner) -> Runner:
     step_fn = _compile_any_step(step)
     leaf_slices = step.leaves_only and step.axis in ("descendant",
                                                      "descendant-or-self")
-    guards = [_mask_guard(term) for term in lift.terms]
+    guards = [masks.guard(term) for term in lift.terms]
 
     def batch(frame: Frame, bindings: list) -> _Lifted | None:
         for item in bindings:
@@ -1527,7 +1321,7 @@ def _compile_lifted_sequence(clause: L.ForOp, per_binding: Runner) -> Runner:
                 return None  # the ordinary path raises when it gets there
         if not all(masks_hold(frame) for masks_hold in guards):
             return None
-        epoch = _epoch(frame)
+        epoch = masks.epoch(frame)
         if leaf_slices and all(isinstance(item, (_HierarchyNode, GRoot))
                                for item in bindings):
             stats = frame.stats
@@ -1548,7 +1342,7 @@ def _compile_lifted_sequence(clause: L.ForOp, per_binding: Runner) -> Runner:
             union = ColumnarNodeSet(members.values())
         keys = [id(node) for node in union]
         return _Lifted(epoch, rows, [
-            dict(zip(keys, _mask_over(frame, term, union).tolist()))
+            dict(zip(keys, masks.over(frame, term, union).tolist()))
             for term in lift.terms])
 
     def run(frame: Frame) -> list:
@@ -1558,7 +1352,7 @@ def _compile_lifted_sequence(clause: L.ForOp, per_binding: Runner) -> Runner:
             if state.__class__ is not _Lifted:
                 # the outer clause's sequence, published and not yet used
                 state = lifted[lift_id] = batch(frame, state)
-            elif state.epoch != _epoch(frame):
+            elif state.epoch != masks.epoch(frame):
                 state = lifted[lift_id] = None
         if state is not None:
             bound = frame.variables.get(over)
@@ -1578,7 +1372,7 @@ def _compile_lifted_condition(op: L.LiftedCondOp):
     """``fn(frame) -> bool``: the batch's verdict for the node ``$y``
     is bound to, else the condition as written — also once the epoch
     has moved under the inner loop (an impure override of a whitelisted
-    builtin in an earlier tuple's branch), as :func:`_mask_column`
+    builtin in an earlier tuple's branch), as :func:`masks.column`
     re-checks on every use."""
     as_written = _compile_ebv(op.plan)
     lift_id, variable, slot = op.lift_id, op.variable, op.slot
@@ -1587,7 +1381,8 @@ def _compile_lifted_condition(op: L.LiftedCondOp):
         lifted = frame.lifted
         if lifted is not None:
             state = lifted.get(lift_id)
-            if state.__class__ is _Lifted and state.epoch == _epoch(frame):
+            if (state.__class__ is _Lifted
+                    and state.epoch == masks.epoch(frame)):
                 bound = frame.variables.get(variable)
                 if bound is not None and len(bound) == 1:
                     verdict = state.verdicts[slot].get(id(bound[0]))

@@ -22,6 +22,7 @@ from __future__ import annotations
 from repro.core.goddag.joins import JOIN_KERNELS
 from repro.core.lang import ast
 from repro.core.plan import logical as L
+from repro.core.plan import masks
 from repro.core.plan.rewrite import (
     free_variables,
     is_pure,
@@ -174,36 +175,11 @@ def _plan_predicate(pred: ast.Expr, notes: list[str]) -> L.PredicateOp:
     predicate = L.PredicateOp(_plan(pred, not boolean_only, notes),
                               boolean_only=boolean_only,
                               position_free=not uses_position(pred))
-    semi_join = _semi_join_probe(predicate)
-    if semi_join is not None:
-        predicate.semi_join = semi_join
-        axis, name = semi_join
-        notes.append(f"join-lowering: [{axis}::{name}] predicate "
-                     "batched as a semi-join existence probe")
+    predicate.mask = masks.bare_term(predicate)
+    if predicate.mask is not None:
+        notes.append(f"join-lowering: [{masks.render(predicate.mask)}] "
+                     "predicate batched as a semi-join existence probe")
     return predicate
-
-
-def _semi_join_probe(predicate: L.PredicateOp) -> tuple[str, str] | None:
-    """Recognize ``[extended-axis::name]`` cross-hierarchy predicates.
-
-    The shape the batched semi-join probes handle: a bare relative
-    single-step path over an extended axis with a plain name test and
-    no inner predicates, consumed only through its EBV (boolean,
-    position-free).  Anything else keeps the per-candidate evaluation.
-    """
-    if not predicate.boolean_only or not predicate.position_free:
-        return None
-    plan = predicate.plan
-    if not (isinstance(plan, L.PathOp) and plan.input is None
-            and plan.anchor == "relative" and len(plan.steps) == 1):
-        return None
-    step = plan.steps[0]
-    if not isinstance(step, L.StepOp) or step.predicates:
-        return None
-    if step.axis not in JOIN_KERNELS or not isinstance(
-            step.test, ast.NameTest):
-        return None
-    return step.axis, step.test.name
 
 
 def test_pushdowns(test: ast.NodeTest) -> tuple[bool, bool, str | None]:

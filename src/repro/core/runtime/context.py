@@ -42,20 +42,21 @@ class QueryStats:
     join_steps:
         Vectorized interval-join executions — one per extended-axis
         step run through the join engine plus one per batched
-        existence probe: a semi-join predicate, or one
-        ``axis::name`` term of a decorrelated mask predicate or of a
-        lifted FLWOR condition, which also counts as one batched axis
-        step (DESIGN.md §11, §16).  A value term of a mask (a string
-        test over the candidates' values) is no step and counts nowhere.
+        existence probe: one ``axis::name`` term of a mask predicate
+        (the bare ``[axis::name]`` probe, or a decorrelated body) or of
+        a lifted FLWOR condition, which also counts as one axis step
+        and one batched step (DESIGN.md §11, §16).  A value term of a
+        mask (a string test over the candidates' values) is no step and
+        counts nowhere.
     batched_extended_steps:
         Extended-axis steps actually served by the set-at-a-time join
         kernels instead of per-node span arithmetic
         (a subset of ``join_steps``; single-context steps delegated to
         the per-node walk count in ``join_steps`` only).  A predicated
-        step whose predicates are neither semi-joins nor mask plans —
-        positional, variable-dependent, or outside the decorrelated
-        grammar — runs the per-node machinery and counts in neither;
-        there every probed candidate is one ``axis_steps``.
+        step whose predicates do not all carry mask terms — positional,
+        variable-dependent, or outside the decorrelated grammar — runs
+        the per-node machinery and counts in neither; there every
+        probed candidate is one ``axis_steps``.
     plan_cache_hit:
         The compiled plan came from the engine's LRU cache instead of
         a fresh parse/rewrite/plan run.
@@ -66,10 +67,6 @@ class QueryStats:
         records the tuples it served from its batch under
         ``Lift.op_id``.  Feed it to
         ``CompiledQuery.explain(actuals=…)`` for ``est=…/act=…`` lines.
-    cost_fallbacks:
-        Times the adaptive executor abandoned a cost-chosen probe
-        order mid-plan because an estimate missed by more than
-        ``QueryOptions.cost_fallback_factor``.
     est_rows / act_rows:
         The costed plan's bottom-line estimated cardinality and the
         matching recorded actual (``None`` on mechanical plans) —
@@ -83,7 +80,6 @@ class QueryStats:
     batched_extended_steps: int = 0
     plan_cache_hit: bool = False
     op_actuals: dict[int, int] = field(default_factory=dict)
-    cost_fallbacks: int = 0
     est_rows: float | None = None
     act_rows: int | None = None
 
@@ -103,18 +99,12 @@ class QueryOptions:
         tags (``res``/``m`` per Definition 4).
     analyze_hierarchy_base:
         Base name for temporary hierarchies ("say, rest").
-    cost_fallback_factor:
-        Adaptive-execution tolerance (DESIGN.md §16): when a costed
-        plan's recorded actual cardinality misses its estimate by more
-        than this factor, the executor falls back to the safe source
-        ordering for the rest of the plan.
     """
 
     analyze_strip_dotstar: bool = True
     analyze_wrapper: str = "res"
     analyze_match: str = "m"
     analyze_hierarchy_base: str = "rest"
-    cost_fallback_factor: float = 8.0
 
 
 class Frame:
@@ -144,7 +134,7 @@ class Frame:
         self.size = 0
         self.stats = stats
         #: ``(epoch, {(name, term): column})`` — the mask columns of
-        #: this evaluation (``physical._mask_column``).  They live here
+        #: this evaluation (``masks.column``).  They live here
         #: and die with the frame: a compiled plan outlives the
         #: documents it runs against and must never hold one of their
         #: arrays.

@@ -124,8 +124,8 @@ class ServerStats:
 
     __slots__ = ("requests", "served", "inflight", "queued",
                  "peak_inflight", "rejected_queue", "rejected_quota",
-                 "disconnects", "streamed_chunks", "cost_fallbacks",
-                 "responses", "endpoints", "tenants")
+                 "disconnects", "streamed_chunks", "responses",
+                 "endpoints", "tenants")
 
     def __init__(self) -> None:
         self.requests = 0
@@ -137,7 +137,6 @@ class ServerStats:
         self.rejected_quota = 0
         self.disconnects = 0
         self.streamed_chunks = 0
-        self.cost_fallbacks = 0
         self.responses: dict[str, int] = {}
         self.endpoints: dict[str, int] = {}
         self.tenants: dict[str, dict[str, int]] = {}
@@ -169,11 +168,9 @@ class Outcome:
     snapshot_version: int | None = None
     status: int = 200
     #: cost-pass observability (DESIGN.md §16): the final operator's
-    #: estimated vs actual cardinality and how many times the adaptive
-    #: executor fell back to the mechanical ordering mid-plan
+    #: estimated vs actual cardinality
     est_rows: float | None = None
     act_rows: int | None = None
-    cost_fallbacks: int = 0
 
 
 def _as_bool(value, name: str) -> bool:
@@ -313,8 +310,7 @@ class QueryService:
                        plan_hit=stats.plan_cache_hit,
                        snapshot_version=snapshot.version,
                        est_rows=stats.est_rows,
-                       act_rows=stats.act_rows,
-                       cost_fallbacks=stats.cost_fallbacks)
+                       act_rows=stats.act_rows)
 
     def _cquery(self, text: str, workers: int, prune: bool,
                 offset: int, limit: int | None,
@@ -559,8 +555,6 @@ class QueryServer:
             return False
         status = http_error.status if http_error else outcome.status
         self.stats.note_response(status)
-        if outcome is not None:
-            self.stats.cost_fallbacks += outcome.cost_fallbacks
         tenant = self.stats.tenant(request.tenant)
         if http_error is not None and http_error.status == 429:
             tenant["rejected"] += 1
@@ -649,7 +643,6 @@ class QueryServer:
             for name, entry in self.stats.tenants.items()
         }
         return {
-            "cost_fallbacks": self.stats.cost_fallbacks,
             "disconnects": self.stats.disconnects,
             "endpoints": dict(self.stats.endpoints),
             "inflight": self.stats.inflight,
@@ -690,8 +683,6 @@ class QueryServer:
             "act_rows": (outcome.act_rows if outcome is not None
                          else None),
             "bytes_out": bytes_out,
-            "cost_fallbacks": (outcome.cost_fallbacks
-                               if outcome is not None else 0),
             "est_rows": (outcome.est_rows if outcome is not None
                          else None),
             "latency_ms": round(

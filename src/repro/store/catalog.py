@@ -43,6 +43,7 @@ import shutil
 import threading
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.api import Engine, UpdateResult, load_mhx
 from repro.errors import IntegrityError, ReproError, StoreError
@@ -52,6 +53,7 @@ from repro.core.runtime import QueryOptions
 from repro.core.runtime.serializer import serialize_item
 from repro.store import faultfs
 from repro.store.mhxb import (
+    file_identity,
     load_document,
     looks_like_mhxb,
     map_engine,
@@ -101,6 +103,14 @@ def fork_engine(engine: Engine) -> Engine:
         options=engine.options, use_cost=engine.use_cost)
 
 
+class _Loaded(NamedTuple):
+    """A cached engine and the identity of what it was loaded from
+    (:func:`~repro.store.mhxb.file_identity`, or a tuple of them)."""
+
+    identity: tuple | None
+    engine: Engine
+
+
 class DocumentStore:
     """A directory-backed catalog of documents with MVCC snapshots."""
 
@@ -124,10 +134,14 @@ class DocumentStore:
         #: the last persisted manifest payload sans generation — the
         #: batch-durability fast path skips rewriting when unchanged
         self._manifest_core: str | None = None
-        #: parent-side shard engines (serial execution)
-        self._shard_engines: dict[str, Engine] = {}
+        #: parent-side shard engines (serial execution), keyed by file
+        #: name
+        self._shard_engines: dict[str, _Loaded] = {}
         #: fused whole-corpus engines, keyed by corpus name
-        self._fused: dict[str, Engine] = {}
+        self._fused: dict[str, _Loaded] = {}
+        #: held while a fused engine is built: one build per corpus,
+        #: however many first callers arrive at once
+        self._fuse_lock = threading.Lock()
         self._pools: dict[int, ShardWorkerPool] = {}
         #: headers recovery parsed, for each document's first cold load
         self._headers: dict[str, tuple] = {}
@@ -222,7 +236,7 @@ class DocumentStore:
                     report["quarantined"].append(name)
                     changed = True
                     continue
-                self._headers[name] = (_identity(path), header, start)
+                self._headers[name] = (file_identity(path), header, start)
                 if header["version"] != entry["version"]:
                     entry["version"] = header["version"]
                     report["adopted"].append(
@@ -623,28 +637,35 @@ class DocumentStore:
                 name, f"shard {file_name}: {error}") from error
 
     def _shard_engine(self, name: str, file_name: str) -> Engine:
-        """Parent-side memmapped engine for one shard file (cached)."""
-        engine = self._shard_engines.get(file_name)
-        if engine is None:
-            engine = self._load_shard(
+        """Parent-side memmapped engine for one shard file, cached under
+        the file's identity before the load: a corpus re-added under its
+        name reuses the file names, and what a load in flight stores
+        then is told apart by the next caller."""
+        identity = file_identity(self.root / file_name)
+        cached = self._shard_engines.get(file_name)
+        if cached is None or cached.identity != identity:
+            cached = _Loaded(identity, self._load_shard(
                 name, file_name,
-                partial(Engine.from_mhxb, options=self.options))
-            self._shard_engines[file_name] = engine
-        return engine
+                partial(Engine.from_mhxb, options=self.options)))
+            self._shard_engines[file_name] = cached
+        return cached.engine
 
     def _fused_engine(self, name: str, files: list[str]) -> Engine:
-        """The whole-corpus fallback engine (cached per corpus): built
-        on the shard files' columns, concatenated — no shard engine, no
-        node and no DOM on the way (DESIGN.md §13)."""
-        engine = self._fused.get(name)
-        if engine is None:
-            engine = Engine(
-                fuse_documents([
-                    self._load_shard(name, file_name, load_document)
-                    for file_name in files]),
-                options=self.options)
-            self._fused[name] = engine
-        return engine
+        """The whole-corpus fallback engine, built once on the shard
+        files' columns, concatenated (DESIGN.md §13), and cached as
+        :meth:`_shard_engine` caches a shard."""
+        identity = tuple(file_identity(self.root / file_name)
+                         for file_name in files)
+        with self._fuse_lock:
+            cached = self._fused.get(name)
+            if cached is None or cached.identity != identity:
+                cached = _Loaded(identity, Engine(
+                    fuse_documents([
+                        self._load_shard(name, file_name, load_document)
+                        for file_name in files]),
+                    options=self.options))
+                self._fused[name] = cached
+        return cached.engine
 
     def _pool(self, workers: int) -> ShardWorkerPool:
         pool = self._pools.get(workers)
@@ -809,7 +830,7 @@ class DocumentStore:
         over the header recovery parsed, while the file is the one it
         read, else over a fresh read (DESIGN.md §12)."""
         held = self._headers.pop(name, None)
-        if held is None or held[0] != _identity(path):
+        if held is None or held[0] != file_identity(path):
             return Engine.from_mhxb(path, options=self.options,
                                     verify=self.verify_cold_loads)
         _key, header, start = held
@@ -1004,12 +1025,3 @@ def _write_json(path: Path, payload: dict,
         layer.fsync_dir(path.parent)
 
 
-def _identity(path: Path) -> tuple[int, int, int] | None:
-    """What tells one file at ``path`` from its replacement: a commit
-    renames a new file over the old one.  None when there is no file
-    to tell (a fresh read reports why)."""
-    try:
-        status = path.stat()
-    except OSError:
-        return None
-    return status.st_ino, status.st_size, status.st_mtime_ns

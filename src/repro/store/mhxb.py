@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import json
 import mmap
+import os
 import zlib
 from pathlib import Path
 
@@ -100,6 +101,17 @@ def looks_like_mhxb(path: str | Path) -> bool:
             return handle.read(len(MAGIC)) in _FORMATS
     except OSError:
         return False
+
+
+def file_identity(path: str | Path) -> tuple[int, int, int] | None:
+    """What tells the file now at ``path`` from one it replaced (a
+    commit, a corpus re-added under its name): the key of a cache of
+    loaded files.  None when there is no file (a load reports why)."""
+    try:
+        status = os.stat(path)
+    except OSError:
+        return None
+    return status.st_ino, status.st_size, status.st_mtime_ns
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from repro.core.goddag.nodes import GNode
 from repro.core.goddag.okeys import corpus_sort_order
 from repro.core.runtime.serializer import serialize_item
 from repro.errors import IntegrityError, ReproError, StoreError
+from repro.store.mhxb import file_identity
 
 #: Fold identities per aggregate — what a pruned shard contributes.
 AGGREGATE_IDENTITY = {"count": 0, "sum": 0, "exists": False,
@@ -139,11 +140,7 @@ def _worker_engine(path: str, options, verify: bool):
     paths while the pool lives."""
     from repro.api import Engine
 
-    try:
-        stat = os.stat(path)
-        stamp = (stat.st_ino, stat.st_mtime_ns)
-    except OSError:
-        stamp = None  # the load says what is wrong with the file
+    stamp = file_identity(path)
     cached = _WORKER_ENGINES.get(path)
     if cached is None or cached[0] != stamp:
         cached = _WORKER_ENGINES[path] = (

@@ -86,6 +86,4 @@ class Snapshot:
             return compiled.explain()
         stats = QueryStats()
         compiled.execute(engine.goddag, options=engine.options, stats=stats)
-        return compiled.explain(
-            actuals=stats.op_actuals,
-            miss_factor=engine.options.cost_fallback_factor)
+        return compiled.explain(actuals=stats.op_actuals)

@@ -1,4 +1,4 @@
-"""Cost-based planning (DESIGN.md §16): statistics, ordering, fallback.
+"""Cost-based planning (DESIGN.md §16): statistics, ordering, masks.
 
 Three contracts, in suite order:
 
@@ -7,9 +7,8 @@ Three contracts, in suite order:
 * a costed plan is a pure optimization — item-for-item identical to
   the mechanical lowering on the paper corpus, generated corpora, and
   hypothesis-drawn documents;
-* the adaptive executor notices misestimates mid-plan (cost_fallbacks)
-  and still returns the oracle answer, and stale statistics never
-  serve a cached plan;
+* a plan ordered on misestimated statistics still returns the oracle
+  answer, and stale statistics never serve a cached plan;
 * decorrelated predicates (mask plans: axis probes and string tests
   of the context node's value) agree item for item — and error for
   error — with the mechanical lowering and the tree-walking evaluator,
@@ -23,6 +22,7 @@ Three contracts, in suite order:
 from __future__ import annotations
 
 import gc
+import re
 import weakref
 from unittest import mock
 
@@ -45,8 +45,8 @@ from repro.core.goddag.stats import (
 )
 from repro.core.goddag.index import SpanIndex
 from repro.core.goddag.nodes import GComment, GElement, GNode, GPi, GText
-from repro.core.plan import compile_query, cost, logical, physical
-from repro.core.runtime import QueryOptions, functions
+from repro.core.plan import compile_query, cost, logical, masks, physical
+from repro.core.runtime import functions
 from repro.core.runtime.functions import default_registry
 from repro.core.runtime.serializer import serialize_item
 from repro.errors import GoddagError, QueryEvaluationError, ReproError
@@ -308,17 +308,12 @@ class TestJoinReversal:
 
 
 # ---------------------------------------------------------------------------
-# adaptivity + observability
+# misestimates + observability
 # ---------------------------------------------------------------------------
 
 
 class TestAdaptiveFallback:
     QUERY = "/descendant::w[xancestor::res][xfollowing::dmg]"
-
-    def test_misestimate_triggers_fallback(self):
-        engine = Engine(adversarial_document())
-        result = engine.query(self.QUERY)
-        assert result.stats.cost_fallbacks >= 1
 
     def test_fallback_still_matches_oracle(self):
         document = adversarial_document()
@@ -326,17 +321,6 @@ class TestAdaptiveFallback:
         mechanical = Engine(document, use_cost=False)
         assert (costed.query(self.QUERY).strings()
                 == mechanical.query(self.QUERY).strings())
-
-    def test_mechanical_plans_never_fall_back(self):
-        engine = Engine(adversarial_document(), use_cost=False)
-        result = engine.query(self.QUERY)
-        assert result.stats.cost_fallbacks == 0
-
-    def test_factor_is_configurable(self):
-        document = adversarial_document()
-        lenient = Engine(document, options=QueryOptions(
-            cost_fallback_factor=1e9))
-        assert lenient.query(self.QUERY).stats.cost_fallbacks == 0
 
 
 class TestObservability:
@@ -525,6 +509,17 @@ def reachable_from_closure(runner):
             queue.extend(vars(held).values())
 
 
+#: the planner's bare ``[extended-axis::name]`` term, on every plan
+BARE_PROBE = re.compile(r"\[mask [a-z-]+::[\w-]+\]")
+
+
+def decorrelated(report: str) -> list[str]:
+    """The lines of an explain report that show a mask the cost pass
+    made: a decorrelated predicate or a lifted condition."""
+    return [line for line in report.splitlines()
+            if "mask " in line and not BARE_PROBE.search(line)]
+
+
 def always_decorrelate():
     """Take the cost decision out of a differential run: every
     recognised predicate with something to batch gets its mask plan."""
@@ -562,7 +557,7 @@ class TestDecorrelatedPredicates:
         with always_decorrelate():
             report = compile_query(
                 query, stats=skewed_engines[0].plan_stats()).explain()
-        assert "[mask " not in report, report
+        assert not decorrelated(report), report
         assert_item_for_item(skewed_engines, query, variables)
 
     def test_few_candidates_stay_per_node(self, skewed_engines):
@@ -570,7 +565,7 @@ class TestDecorrelatedPredicates:
         # w column would cost more than the dozen probes it replaces
         query = "/descendant::dmg[xdescendant::w[xancestor::res]]"
         report = skewed_engines[0].explain(query)
-        assert "[mask " not in report and "decorrelated" not in report
+        assert not decorrelated(report) and "decorrelated" not in report
         with always_decorrelate():
             assert "predicate [mask " in compile_query(
                 query, stats=skewed_engines[0].plan_stats()).explain()
@@ -603,7 +598,7 @@ class TestDecorrelatedPredicates:
     def test_mechanical_plans_are_untouched(self, skewed_engines):
         for query in MASK_QUERIES:
             report = compile_query(query).explain()
-            assert "mask" not in report and "act=" not in report
+            assert not decorrelated(report) and "act=" not in report
 
     # No nested predicate on the corpora: a per-node oracle pays the
     # nested step per candidate per context on the 2000-word corpus
@@ -638,6 +633,42 @@ class TestDecorrelatedPredicates:
                           f"for $n in /descendant::{name} "
                           f"return $n[{tree}]"):
                 assert_item_for_item(engines, query)
+
+
+#: a bare probe in every position a predicate can stand: ``(label,
+#: query, the query without the probe)``
+PROBE_POSITIONS = (
+    ("step", "/descendant::w[overlapping::line]", "/descendant::w"),
+    ("join-step", "/descendant::line/xdescendant::w[overlapping::dmg]",
+     "/descendant::line/xdescendant::w"),
+    ("filter", "(/descendant::w)[overlapping::line]", "/descendant::w"),
+    ("let-filter", "let $w := /descendant::w return $w[overlapping::line]",
+     "let $w := /descendant::w return $w"),
+)
+
+
+class TestBareProbes:
+    """``[extended-axis::name]`` is one batched existence probe wherever
+    it stands, on costed and mechanical plans alike (DESIGN.md §11)."""
+
+    @pytest.mark.parametrize("costed", (True, False),
+                             ids=("costed", "mechanical"))
+    @pytest.mark.parametrize("label,query,unprobed", PROBE_POSITIONS,
+                             ids=[row[0] for row in PROBE_POSITIONS])
+    def test_one_probe_wherever_it_stands(self, skewed_engines, costed,
+                                          label, query, unprobed):
+        engine = skewed_engines[0 if costed else 1]
+        probe = query[query.rindex("[") + 1:-1]
+        assert f"predicate [mask {probe}]" in engine.explain(query)
+        result = engine.query(query)
+        base = engine.query(unprobed).stats
+        candidates = len(engine.query(unprobed).items)
+        assert 0 < len(result.items) < candidates
+        # one join step for the probe, no axis step per candidate
+        assert result.stats.join_steps - base.join_steps == 1
+        assert result.stats.axis_steps - base.axis_steps <= 1
+        assert (result.serialize()
+                == skewed_engines[2].query(query).serialize())
 
 
 class TestStandardAxisProbes:
@@ -871,9 +902,10 @@ class TestValueTerms:
                 assert "predicate [mask " in engines[0].explain(query)
                 assert engines[0].query(query).items
             assert not extracted
-            # the wrapper does see an axis term's extraction
+            # the wrapper does see the extraction two axis terms share
             assert engines[0].query(
-                '/descendant::w[contains(., "b") or xancestor::dmg]').items
+                '/descendant::w[contains(., "b") or xancestor::dmg'
+                ' or overlapping::line]').items
         assert extracted
 
     @pytest.mark.parametrize("query,variables", UNMASKED_VALUE_QUERIES)
@@ -881,7 +913,7 @@ class TestValueTerms:
         with always_decorrelate():
             report = compile_query(
                 query, stats=engines[0].plan_stats()).explain()
-        assert "[mask " not in report, report
+        assert not decorrelated(report), report
         assert_same_outcome(engines, query, variables)
 
     def test_uncompilable_patterns_raise_only_when_reached(self, engines):
@@ -975,7 +1007,7 @@ class TestMaskFallbacksAtRunTime:
         engines = engines_over(document)
         query = "/descendant::w[xancestor::r[xdescendant::dmg]]"
         with always_decorrelate():
-            assert "[mask " not in engines[0].explain(query)
+            assert not decorrelated(engines[0].explain(query))
             assert_item_for_item(engines, query)
             assert len(engines[0].query(query).items) == 2
             # compiled against another document's statistics, the guard
@@ -1154,24 +1186,24 @@ class TestPerNodeHoleClosed:
         words = len(engine.query("/descendant::w").items)
         calls = []
         builtin_matches = functions._REGISTRY["matches"]
-        compile_mask = physical._compile_mask
+        compile_filter = masks.compile_filter
 
         def counting_matches(frame, args):
             calls.append("matches")
             return builtin_matches(frame, args)
 
-        def counting_mask(op, per_node):
+        def counting_mask(op, per_node, **kwargs):
             def counted(frame, candidates):
                 calls.append("per-node runner")
                 return per_node(frame, candidates)
 
-            return compile_mask(op, counted)
+            return compile_filter(op, counted, **kwargs)
 
         # patched in the registry itself: passed as an override it
         # would trip the mask's guard and prove nothing
         with mock.patch.dict(functions._REGISTRY,
                              {"matches": counting_matches}), \
-                mock.patch.object(physical, "_compile_mask", counting_mask):
+                mock.patch.object(masks, "compile_filter", counting_mask):
             compile_query(query, stats=engine.plan_stats()).execute(
                 engine.goddag)
             masked = list(calls)

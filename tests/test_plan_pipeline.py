@@ -321,7 +321,7 @@ EXPLAIN_GOLDENS = {
         "plan:\n"
         "  path anchor=root\n"
         "    step descendant::line [skip-leaves]\n"
-        "      predicate [semi-join overlapping::w]"
+        "      predicate [mask overlapping::w]"
     ),
     "for $w in //w let $c := count(//line) return $c": (
         "query: for $w in //w let $c := count(//line) return $c\n"

@@ -398,6 +398,6 @@ class TestAnalyzeStringOverHttp:
         assert stats["rejected_queue"] == stats["rejected_quota"] == 0
         assert not [status for status in stats["responses"]
                     if status.startswith("5")], stats["responses"]
-        goddag = store._fused["c"].goddag
+        goddag = store._fused["c"].engine.goddag
         assert not any(goddag.is_temporary(name)
                        for name in goddag.hierarchy_names)

@@ -247,7 +247,7 @@ class TestPersistence:
     def test_fork_engine_carries_options_and_use_cost(self, store):
         """``use_cost`` used to be dropped: ``add(engine=...)`` of an
         uncosted engine silently published a costed one."""
-        options = QueryOptions(cost_fallback_factor=3.0)
+        options = QueryOptions(analyze_match="hit")
         engine = Engine(boethius_document(validate=False),
                         options=options, use_cost=False)
         fork = fork_engine(engine)

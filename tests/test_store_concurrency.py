@@ -25,7 +25,7 @@ from repro.core.plan import compile_query
 from repro.core.runtime import functions
 from repro.corpus import GeneratorConfig, generate_document
 from repro.corpus.boethius import boethius_document
-from repro.store import DocumentStore
+from repro.store import DocumentStore, catalog
 
 READERS = int(os.environ.get("REPRO_STRESS_READERS", "4"))
 BATCHES = int(os.environ.get("REPRO_STRESS_BATCHES", "16"))
@@ -249,7 +249,7 @@ class TestFusedCorpusReaders:
         for text in self.QUERIES:
             expected[text] = store.cquery(text).items
         assert store.cquery(self.QUERIES[0]).mode == "fused"
-        goddag = store._fused["c"].goddag
+        goddag = store._fused["c"].engine.goddag
         names, rank = goddag.hierarchy_names, goddag._next_rank
 
         errors: list[str] = []
@@ -277,7 +277,7 @@ class TestFusedCorpusReaders:
             thread.join(timeout=300)
         store.close()
         assert not errors, errors
-        assert store._fused["c"].goddag is goddag
+        assert store._fused["c"].engine.goddag is goddag
         assert goddag.hierarchy_names == names
         assert goddag._next_rank == rank
         goddag.check_invariants()
@@ -355,3 +355,100 @@ class TestReadersWriteNothingShared:
         assert "analyze-string" not in parsed.text
         assert parsed.needs_shell is compile_query(text).needs_shell
         assert parsed.needs_shell is text.startswith("count(analyze")
+
+
+class TestCorpusReAddedDuringALoad:
+    """A corpus removed and added again under its name while a reader
+    is loading its old shard files.  The new files take the old names,
+    so a cache keyed by name alone went on answering from what the
+    in-flight load stored after ``remove_corpus`` had cleared it; the
+    caches key by the identity of the file an engine came from."""
+
+    SCATTER = 'collection("c")/descendant::w[overlapping::line]'
+    FUSED = 'collection("c")/descendant::w[xfollowing::dmg]'
+
+    @pytest.fixture()
+    def stores(self, tmp_path):
+        old, new = (generate_document(GeneratorConfig(n_words=600,
+                                                      seed=seed))
+                    for seed in (1, 2))
+        racing = DocumentStore.init(tmp_path / "racing")
+        racing.add_corpus("c", old, shards=3)
+        fresh = DocumentStore.init(tmp_path / "fresh")
+        fresh.add_corpus("c", new, shards=3)
+        return racing, fresh, new
+
+    @staticmethod
+    def re_add_during_first_load(store, new, query: str) -> None:
+        """Run ``query`` on a reader whose first shard load, once done,
+        waits until the corpus has been removed and added again."""
+        loaded, released = threading.Event(), threading.Event()
+        original = DocumentStore._load_shard
+
+        def load_shard(self, name, file_name, load):
+            result = original(self, name, file_name, load)
+            if not loaded.is_set():
+                loaded.set()
+                released.wait(timeout=30)
+            return result
+
+        def reader():
+            try:
+                store.cquery(query)
+            except Exception:  # noqa: BLE001 - the files went under it
+                pass
+
+        with mock.patch.object(DocumentStore, "_load_shard", load_shard):
+            thread = threading.Thread(target=reader)
+            thread.start()
+            assert loaded.wait(timeout=30)
+            store.remove_corpus("c")
+            store.add_corpus("c", new, shards=3)
+            released.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+
+    def test_serial_scatter_reloads_the_new_files(self, stores):
+        racing, fresh, new = stores
+        assert racing.cquery(self.SCATTER).mode == "scatter"
+        racing._shard_engines.clear()
+        self.re_add_during_first_load(racing, new, self.SCATTER)
+        assert (racing.cquery(self.SCATTER).items
+                == fresh.cquery(self.SCATTER).items)
+
+    def test_fused_engine_rebuilds_from_the_new_files(self, stores):
+        racing, fresh, new = stores
+        assert racing.cquery(self.FUSED).mode == "fused"
+        racing._fused.clear()
+        self.re_add_during_first_load(racing, new, self.FUSED)
+        assert (racing.cquery(self.FUSED).items
+                == fresh.cquery(self.FUSED).items)
+
+    def test_concurrent_first_callers_fuse_once(self, stores):
+        racing, fresh, _new = stores
+        loaded, released = threading.Event(), threading.Event()
+        fuses = []
+        original = catalog.fuse_documents
+
+        def fuse_documents(parts):
+            fuses.append(len(parts))
+            loaded.set()
+            released.wait(timeout=30)
+            return original(parts)
+
+        answers = []
+        with mock.patch.object(catalog, "fuse_documents", fuse_documents):
+            threads = [threading.Thread(
+                target=lambda: answers.append(
+                    racing.cquery(self.FUSED).items))
+                for _ in range(2)]
+            threads[0].start()
+            assert loaded.wait(timeout=30)
+            threads[1].start()
+            time.sleep(0.2)  # the second caller arrives mid-build
+            released.set()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert fuses == [3]
+        assert answers[0] == answers[1] and answers[0]

@@ -395,11 +395,11 @@ class TestFusedPath:
             assert (len(doms), len(walks), len(clones), len(engines),
                     len(fuses)) == (0, 0, 0, 0, 1)
             assert corpus._shard_engines == {}
-            fused = corpus._fused["c"]
+            fused = corpus._fused["c"].engine
             assert [hierarchy.materialized for hierarchy
                     in fused.document.hierarchies.values()] == [False] * 4
             second = corpus.cquery(FUSED)
-            assert len(fuses) == 1 and corpus._fused["c"] is fused
+            assert len(fuses) == 1 and corpus._fused["c"].engine is fused
             # the controls: each wrapper does see a call
             files = corpus._manifest["corpora"]["c"]["files"]
             part = Engine.from_mhxb(corpus.root / files[0]).document
@@ -416,7 +416,7 @@ class TestFusedPath:
         """Byte for byte: the fused engine saves the file the uncut
         document saves."""
         corpus.cquery(FUSED)
-        corpus._fused["c"].save_mhxb(tmp_path / "fused.mhxb")
+        corpus._fused["c"].engine.save_mhxb(tmp_path / "fused.mhxb")
         Engine(document).save_mhxb(tmp_path / "uncut.mhxb")
         assert (tmp_path / "fused.mhxb").read_bytes() == \
             (tmp_path / "uncut.mhxb").read_bytes()
