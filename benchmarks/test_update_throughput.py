@@ -11,8 +11,9 @@ applier — on the largest bench corpus.
 What a markup-level update builds is gated by counts, not by a clock
 against a path nobody runs:
 ``tests/test_store.py::TestUntouchedHierarchiesUntouched`` (no DOM, no
-component from the row writer, one ``attach``, no leaf, one walked
-hierarchy per ``add markup``).  Text-changing statements
+component from the row writer, no row filled, no leaf, one checked
+hierarchy per ``add markup``) and ``tests/test_first_use.py::
+TestRowsFilledByAWrite`` (the rows an update and a rename fill).  Text-changing statements
 (insert/delete) re-register every hierarchy; their time against the
 rebuild is reported and must not fall below it.
 """

@@ -6,9 +6,10 @@ root they cross into all components.  Leaves are shared between
 hierarchies, so axes from a leaf climb/scan *all* hierarchies (this is
 what makes query I.2's ``$leaf[ancestor::w and ancestor::dmg]`` work).
 
-Because a component stores its nodes in preorder with
-``nodes[i].preorder == i`` and records each subtree's last preorder,
-the standard axes are slices (DESIGN.md §5):
+Because a component stores its rows in preorder, a node's
+``preorder`` is its row, and each row records its subtree's last row,
+the standard axes are row slices, whose nodes the component makes as
+they are asked for (DESIGN.md §5):
 
 * ``descendant``  — ``nodes[preorder+1 : subtree_end+1]`` plus the leaf
   range covered by the node's span;
@@ -102,8 +103,8 @@ def axis_descendant(goddag: KyGoddag, node: GNode) -> list[GNode]:
         return out
     if not isinstance(node, _HierarchyNode):
         return []  # leaves and attributes have no children
-    out: list[GNode] = goddag.nodes_of(node.hierarchy)[
-        node.preorder + 1:node.subtree_end + 1]
+    out: list[GNode] = goddag._components[node.hierarchy].fill(
+        slice(node.preorder + 1, node.subtree_end + 1))
     out.extend(goddag.partition.leaves_in(node.start, node.end))
     return out
 
@@ -216,8 +217,8 @@ def axis_following(goddag: KyGoddag, node: GNode) -> list[GNode]:
     if isinstance(node, GAttr):
         return axis_following(goddag, node.owner)
     assert isinstance(node, _HierarchyNode)
-    out: list[GNode] = goddag.nodes_of(node.hierarchy)[
-        node.subtree_end + 1:]
+    out: list[GNode] = goddag._components[node.hierarchy].fill(
+        slice(node.subtree_end + 1, None))
     out.extend(goddag.partition.leaves_from(node.end))
     return out
 
@@ -225,9 +226,10 @@ def axis_following(goddag: KyGoddag, node: GNode) -> list[GNode]:
 def axis_preceding(goddag: KyGoddag, node: GNode) -> list[GNode]:
     """Nodes before ``node`` in its component, plus leaves before it.
 
-    The candidates are the preorder prefix ``nodes[:preorder]``; the
-    ancestors interleaved in it are masked out with one vectorized
-    ``subtree_end < preorder`` comparison.
+    The candidates are the rows before ``preorder``; the ancestors
+    interleaved in them are masked out with one vectorized
+    ``subtree_end < preorder`` comparison, and only the rows left are
+    filled.
     """
     if isinstance(node, GRoot):
         return []
@@ -236,13 +238,17 @@ def axis_preceding(goddag: KyGoddag, node: GNode) -> list[GNode]:
     if isinstance(node, GAttr):
         return axis_preceding(goddag, node.owner)
     assert isinstance(node, _HierarchyNode)
-    component = goddag._components[node.hierarchy]
-    nodes_arr, subtree_ends = component.node_arrays()
-    prefix = nodes_arr[:node.preorder]
-    out: list[GNode] = prefix[
-        subtree_ends[:node.preorder] < node.preorder].tolist()
+    out: list[GNode] = _preceding_rows(goddag, node)
     out.extend(goddag.partition.leaves_until(node.start))
     return out
+
+
+def _preceding_rows(goddag: KyGoddag, node: _HierarchyNode) -> list[GNode]:
+    """The nodes of ``node``'s hierarchy that end before it starts."""
+    component = goddag._components[node.hierarchy]
+    preorder = node.preorder
+    return component.fill(np.flatnonzero(
+        component.subtree_ends[:preorder] < preorder).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +579,8 @@ def axis_candidates(goddag: KyGoddag, axis: str, node: GNode,
             right = int(np.searchsorted(entry.preorders,
                                         node.subtree_end, side="right"))
             return prefix + entry.nodes[left:right], exact
-        return prefix + goddag.nodes_of(node.hierarchy)[
-            node.preorder + 1:node.subtree_end + 1], False
+        return prefix + goddag._components[node.hierarchy].fill(
+            slice(node.preorder + 1, node.subtree_end + 1)), False
     if axis == "following":
         if isinstance(node, GRoot):
             return [], False
@@ -591,7 +597,8 @@ def axis_candidates(goddag: KyGoddag, axis: str, node: GNode,
             left = int(np.searchsorted(entry.preorders, node.subtree_end,
                                        side="right"))
             return entry.nodes[left:], True
-        return goddag.nodes_of(node.hierarchy)[node.subtree_end + 1:], False
+        return goddag._components[node.hierarchy].fill(
+            slice(node.subtree_end + 1, None)), False
     if axis == "preceding":
         if isinstance(node, GRoot):
             return [], False
@@ -607,14 +614,10 @@ def axis_candidates(goddag: KyGoddag, axis: str, node: GNode,
                 return [], True
             position = int(np.searchsorted(entry.preorders, node.preorder,
                                            side="left"))
-            prefix_arr = entry.nodes_arr[:position]
-            return prefix_arr[
-                entry.subtree_ends[:position] < node.preorder].tolist(), True
-        component = goddag._components[node.hierarchy]
-        nodes_arr, subtree_ends = component.node_arrays()
-        prefix_arr = nodes_arr[:node.preorder]
-        return prefix_arr[
-            subtree_ends[:node.preorder] < node.preorder].tolist(), False
+            nodes = entry.nodes
+            return [nodes[at] for at in np.flatnonzero(
+                entry.subtree_ends[:position] < node.preorder).tolist()], True
+        return _preceding_rows(goddag, node), False
     if axis == "child" and isinstance(node, GText):
         return [], False  # a text node's children are exactly its leaves
     if axis in ("xdescendant", "xfollowing", "xpreceding"):

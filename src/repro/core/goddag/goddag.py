@@ -9,11 +9,11 @@ from a :class:`~repro.cmh.spans.SpanSet`.  An evaluation that calls
 disappears with the evaluation.
 
 Each component keeps its hierarchy as the column arrays ``.mhxb``
-stores (:class:`_HierarchyComponent`); node objects are a view created
-from them — at registration when the row writer made the component in
-this process, else the first time somebody asks — so a structure is
-assembled around a mapped file's arrays (:meth:`KyGoddag.from_arrays`)
-without parsing, numbering, sorting or making a node.
+stores (:class:`_HierarchyComponent`); a node object is a view of one
+row, made the first time somebody asks for that row — so a structure is
+assembled around a mapped file's arrays or an ingest's new rows
+(:meth:`KyGoddag.from_arrays`) without parsing, numbering, sorting or
+making a node.
 Every component that is not read from a file or made by row
 arithmetic over other components (an update's row edits, a corpus
 fuse — both finished by :func:`normal_rows`) is written by one row
@@ -35,6 +35,7 @@ comparisons.
 from __future__ import annotations
 
 import threading
+from array import array
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -57,6 +58,7 @@ from repro.core.goddag.nodes import (
     GPi,
     GRoot,
     GText,
+    UNREAD,
     _HierarchyNode,
 )
 from repro.core.goddag.partition import Partition
@@ -95,14 +97,17 @@ class _HierarchyComponent:
     update touches is forked, saved and turned into a DOM without a
     Python pass over a node graph.
 
-    Node objects are a fill-once cache over the columns.  A component
-    the row writer just made attaches them at registration
-    (:meth:`bind`); one mapped from a file or made by
-    an update's row edits attaches them, once and under the component's
-    lock, the first time
-    :attr:`nodes`, :attr:`top_nodes`, :meth:`node_arrays` or
-    :meth:`span_columns` asks — a query that reads one hierarchy makes
-    that hierarchy's nodes and no other's (DESIGN.md §10).
+    Node objects are a per-row cache over the columns: an object column
+    that :meth:`fill`, the one door to a node object, fills for exactly
+    the rows a caller asks for — a name's rows (:meth:`name_entry`), a
+    step's row slice (``fill(slice(start, stop))``), the text rows
+    (:attr:`text_nodes`), the top-level rows (:attr:`top_nodes`), and
+    every row only for a caller that walks the whole hierarchy
+    (:attr:`nodes`, the span index's node columns).  A node's
+    ``parent`` and ``children`` are read off the columns when first
+    asked, so filling a row fills no other (DESIGN.md §1, §10).  The
+    component's lock makes each row's object one: two racing fills of
+    a row would hand out two objects for one node.
 
     Versions that did not change a hierarchy hold the *same* component
     object (:meth:`KyGoddag.fork`) — columns, node objects and every
@@ -118,8 +123,8 @@ class _HierarchyComponent:
                  attrs: list, comments: list, pis: list,
                  prolog: list, epilog: list,
                  root_attrs: dict[str, str],
-                 perms: tuple[np.ndarray, np.ndarray] | None = None,
-                 fresh: bool = False) -> None:
+                 perms: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> None:
         self.name = name
         self.rank = rank
         self.temporary = temporary
@@ -142,25 +147,27 @@ class _HierarchyComponent:
         self.epilog = epilog
         self.root_attrs = root_attrs
         self._perms = perms
-        # Written by the row writer in this process and not attached
-        # yet: :meth:`bind` attaches it at once (DESIGN.md §15).
-        self._fresh = fresh
-        # The base text the nodes slice, once a KyGODDAG binds it, and
-        # the node objects (:attr:`nodes`, :attr:`top_nodes`) once
-        # :meth:`attach` has published them.  The lock makes the
-        # first-use fills happen once: two racing attaches would hand
-        # out two objects for one node.
+        # The base text the nodes slice, once a KyGODDAG binds it; the
+        # object column (``None`` until the first fill, then ``None``
+        # in each row nobody has asked for) and how many of its rows
+        # are still empty.  Both are written under the lock only, the
+        # count after the rows, so a reader that finds it 0 finds
+        # every row.  The column is a list, not an object array: a
+        # node names its component, and the cycle collector sees
+        # through a list but not through an ndarray, so a dropped
+        # component would never be freed.
         self._text: str | None = None
-        self._nodes: list[_HierarchyNode] | None = None
-        self._top_nodes: list[_HierarchyNode] | None = None
+        self._objects: list[_HierarchyNode | None] | None = None
+        self._unfilled = 0
         self._lock = threading.Lock()
-        # Lazy caches over ``nodes``: the object array is filled once
-        # under the lock, the per-name and text indexes are idempotent
-        # fills (racing ones gather the same node objects).
-        self._nodes_arr: np.ndarray | None = None
+        # Idempotent caches over the filled rows (racing fills gather
+        # the same node objects): the top-level nodes, the per-name and
+        # text indexes, the row -> attributes/data maps.
+        self._top_nodes: list[_HierarchyNode] | None = None
         self._top_positions: dict[int, int] | None = None
         self._name_index: dict[str, "_NameEntry | None"] = {}
-        self._text_index: tuple[list[int], list[GText]] | None = None
+        self._text_index: tuple[array, list[GText]] | None = None
+        self._values: tuple[dict, dict] | None = None
 
     # The lazy attributes are plain properties.  A class-level
     # ``__getattr__`` (the other way to fill on first use) routes every
@@ -169,26 +176,134 @@ class _HierarchyComponent:
     # 5–10 % slower on warm per-node queries of a cold-loaded snapshot,
     # where these properties measure within noise.
 
+    def bind(self, text: str) -> None:
+        """Be registered over ``text``: the text the nodes slice."""
+        self._text = text
+
+    # -- node objects: the per-row cache --------------------------------------
+
+    def fill(self, rows: list[int] | slice) -> list[_HierarchyNode]:
+        """The node objects of ``rows`` (ascending distinct rows, or a
+        slice): the one door to a node object.  A row nobody has asked
+        for yet gets its object here, in one pass per request and under
+        the component's lock."""
+        objects = self._objects
+        if objects is None or self._unfilled:
+            objects = self._fill(rows)
+        if isinstance(rows, slice):
+            return objects[rows]
+        return [objects[row] for row in rows]
+
+    def _fill(self, rows: list[int] | slice) -> list:
+        with self._lock:
+            objects = self._objects
+            if objects is None:
+                if self._text is None:
+                    raise GoddagError(
+                        f"hierarchy '{self.name}' is registered in no "
+                        f"KyGODDAG: its nodes have no text to slice")
+                objects = [None] * len(self.kinds)
+                self._unfilled = len(objects)
+                self._objects = objects
+            if self._unfilled:
+                wanted = range(len(objects))[rows] \
+                    if isinstance(rows, slice) else rows
+                empty = [row for row in wanted if objects[row] is None]
+                if empty:
+                    self._make(empty)
+        return objects
+
+    def _make(self, rows: list[int]) -> None:
+        """Make the node object of each of ``rows`` (ascending, empty
+        yet) into the object column, constructors inlined, under the
+        lock.  The nodes name no KyGODDAG (DESIGN.md §1): every version
+        holding this component shares them."""
+        objects = self._objects
+        values = self._values
+        if values is None:
+            values = self._values = (dict(self.attrs),
+                                     {**dict(self.comments),
+                                      **dict(self.pis)})
+        attrs, data = values
+        names, text, hierarchy = self.names, self._text, self.name
+        # a run of rows reads the columns as views, else as one gather
+        at = slice(rows[0], rows[-1] + 1) \
+            if rows[-1] - rows[0] + 1 == len(rows) else rows
+        # a file's keys are taken; others are packed when a sort asks
+        okeys = [None] * len(rows) if self._okeys is None \
+            else self._okeys[at].tolist()
+        for row, kind, ident, start, end, last, okey in zip(
+                rows, self.kinds[at].tolist(), self.name_ids[at].tolist(),
+                self.starts[at].tolist(), self.ends[at].tolist(),
+                self.subtree_ends[at].tolist(), okeys):
+            if kind == KIND_ELEMENT:
+                node = GElement.__new__(GElement)
+                node._name = names[ident]
+                # shared with ``self.attrs``: nothing mutates a node's
+                # attribute mapping
+                node.attributes = attrs.get(row) or NO_ATTRIBUTES
+                node._children = None
+                node._attr_nodes = None
+                node._child_positions = None
+            elif kind == KIND_TEXT:
+                node = GText.__new__(GText)
+            elif kind == KIND_COMMENT:
+                node = GComment.__new__(GComment)
+                node.data = data[row]
+            else:
+                node = GPi.__new__(GPi)
+                node.target = names[ident]
+                node.data = data[row]
+            node._text = text
+            node.start = start
+            node.end = end
+            node._hierarchy = hierarchy
+            node._component = self
+            node._parent = UNREAD
+            node.preorder = row
+            node.subtree_end = last
+            node._okey = okey
+            objects[row] = node
+        self._unfilled -= len(rows)
+
+    def node(self, row: int) -> _HierarchyNode:
+        """The node object of one row."""
+        objects = self._objects
+        if objects is not None:
+            node = objects[row]
+            if node is not None:
+                return node
+        return self.fill([row])[0]
+
+    def filled(self) -> np.ndarray:
+        """The rows that have a node object, ascending: what somebody
+        has asked for (the invariant net compares exactly these)."""
+        return np.array([row for row, node in enumerate(self._objects or ())
+                         if node is not None], dtype=np.int64)
+
     @property
     def nodes(self) -> list[_HierarchyNode]:
-        """All nodes of the component in preorder (excluding the root).
+        """All nodes of the component in preorder (excluding the root):
+        every row filled — for a caller that walks the whole hierarchy.
 
         ``nodes[i].preorder == i``, so every standard axis over this
-        hierarchy is a contiguous slice of this list (DESIGN.md §5).
-        Attached on first use when the component was not built here.
+        hierarchy is a contiguous row slice (DESIGN.md §5).  The list
+        is the object column itself: nobody writes it.
         """
-        nodes = self._nodes
-        if nodes is None:
-            nodes = self._attach_once()
-        return nodes
+        objects = self._objects
+        if objects is None or self._unfilled:
+            objects = self._fill(slice(None))
+        return objects
 
     @property
     def top_nodes(self) -> list[_HierarchyNode]:
         """The nodes directly under the root: what each version's root
         lists as its children in this hierarchy."""
-        if self._nodes is None:
-            self._attach_once()
-        return self._top_nodes
+        top = self._top_nodes
+        if top is None:
+            top = self._top_nodes = self.fill(
+                np.flatnonzero(self.parents < 0).tolist())
+        return top
 
     def top_position(self, node: _HierarchyNode) -> int:
         """The position of ``node`` among :attr:`top_nodes`: O(1) via
@@ -199,148 +314,63 @@ class _HierarchyComponent:
                 id(top): index for index, top in enumerate(self.top_nodes)}
         return positions[id(node)]
 
-    @property
-    def attached(self) -> bool:
-        """Do the node objects exist yet?"""
-        return self._nodes is not None
+    def parent_node(self, row: int) -> _HierarchyNode | None:
+        """The parent element of ``row``; ``None`` under the root."""
+        parent = int(self.parents[row])
+        return None if parent < 0 else self.node(parent)
 
-    def _attach_once(self) -> list[_HierarchyNode]:
-        with self._lock:
-            if self._nodes is None:
-                if self._text is None:
-                    raise GoddagError(
-                        f"hierarchy '{self.name}' is registered in no "
-                        f"KyGODDAG: its nodes have no text to slice")
-                self.attach(self._text)
-        return self._nodes
-
-    def bind(self, text: str) -> None:
-        """Be registered over ``text``: attach the nodes now when the
-        row writer made the component in this process (DESIGN.md §15),
-        else on first use."""
-        self._text = text
-        if self._fresh:
-            self.attach(text)
+    def child_nodes(self, row: int) -> list[_HierarchyNode]:
+        """The children of ``row``, in preorder: the row after it, and
+        each next one after the subtree before it, up to its own
+        subtree's end."""
+        subtree_ends = self.subtree_ends
+        last = subtree_ends.item(row)
+        rows: list[int] = []
+        child = row + 1
+        while child <= last:
+            rows.append(child)
+            child = subtree_ends.item(child) + 1
+        return self.fill(rows) if rows else []
 
     @property
     def okeys(self) -> np.ndarray:
         """The packed order keys: a file's block when loaded, else
         packed on first use — a structure that is only queried keys the
-        nodes it sorts and never needs the column."""
+        nodes it makes and never needs the column."""
         okeys = self._okeys
         if okeys is None:
             okeys = self._okeys = pack_okeys(self.rank, len(self.kinds))
         return okeys
 
-    # -- derived: node objects ------------------------------------------------
-
-    def attach(self, text: str) -> None:
-        """Create the node objects from the columns, over ``text``.
-
-        One linear pass, constructors inlined: this loop builds the
-        nodes of every hierarchy a cold-loaded document is asked about,
-        and of the hierarchies an update re-registers.  The nodes
-        name no KyGODDAG (DESIGN.md §1): every version holding this
-        component shares them.  They are published by one assignment,
-        :attr:`nodes` last, so a reader that finds it finds the rest.
-        """
-        names = self.names
-        fresh, self._fresh = self._fresh, False
-        kinds, ids = self.kinds.tolist(), self.name_ids.tolist()
-        starts, ends = self.starts.tolist(), self.ends.tolist()
-        parents = self.parents.tolist()
-        subtree_ends = self.subtree_ends.tolist()
-        # a freshly built component leaves the keys to ``order_key``
-        okeys = [None] * len(kinds) if fresh else self.okeys.tolist()
-        attrs = dict(self.attrs)
-        comments = dict(self.comments)
-        pis = dict(self.pis)
-        hierarchy = self.name
-        nodes: list = []
-        top_nodes: list = []
-        for position, kind in enumerate(kinds):
-            if kind == KIND_ELEMENT:
-                node = GElement.__new__(GElement)
-                node._name = names[ids[position]]
-                # shared with ``self.attrs``: nothing mutates a node's
-                # attribute mapping
-                node.attributes = attrs.get(position) or NO_ATTRIBUTES
-                node.children = []
-                node._attr_nodes = None
-                node._child_positions = None
-            elif kind == KIND_TEXT:
-                node = GText.__new__(GText)
-            elif kind == KIND_COMMENT:
-                node = GComment.__new__(GComment)
-                node.data = comments[position]
-            else:
-                node = GPi.__new__(GPi)
-                node.target = names[ids[position]]
-                node.data = pis[position]
-            node._text = text
-            node.start = starts[position]
-            node.end = ends[position]
-            node._hierarchy = hierarchy
-            node.preorder = position
-            node.subtree_end = subtree_ends[position]
-            node._okey = okeys[position]
-            parent_position = parents[position]
-            if parent_position < 0:
-                node._parent = None  # the holding version's root
-                top_nodes.append(node)
-            else:
-                parent = nodes[parent_position]
-                node._parent = parent
-                parent.children.append(node)
-            nodes.append(node)
-        self._top_nodes = top_nodes
-        self._nodes = nodes
-
     def private_copy(self) -> "_HierarchyComponent":
-        """An unattached copy a KyGODDAG may attach and rename in place.
+        """An unfilled copy a KyGODDAG may rename in place.
 
         It shares every column but the one :meth:`rename` writes, and
-        gets its own node objects: row ``i`` of the copy is the twin of
-        row ``i`` here.  A component fresh from the writer hands that
-        over: the copy attaches at :meth:`bind`, this one on first use.
+        makes its own node objects: row ``i`` of the copy is the twin of
+        row ``i`` here.
         """
-        columns = {key: getattr(self, key) for key in COLUMNS}
+        columns = {key: getattr(self, key) for key in COLUMNS[:-1]}
         columns["name_ids"] = np.array(self.name_ids)
-        fresh, self._fresh = self._fresh, False
+        columns["okeys"] = self._okeys  # packed on first use, if not yet
         return _HierarchyComponent(
             self.name, self.rank, self.temporary, names=self.names,
             columns=columns, attrs=self.attrs, comments=self.comments,
             pis=self.pis, prolog=self.prolog, epilog=self.epilog,
-            root_attrs=self.root_attrs, perms=self.perms(), fresh=fresh)
+            root_attrs=self.root_attrs, perms=self.perms())
 
-    def node_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(nodes, subtree_ends)`` as parallel arrays, preorder order.
-
-        The object array is filled once, under the component's lock.
-        """
-        arr = self._nodes_arr
-        if arr is None:
-            nodes = self.nodes  # attaches first, under the same lock
-            with self._lock:
-                arr = self._nodes_arr
-                if arr is None:
-                    arr = np.empty(len(nodes), dtype=object)
-                    arr[:] = nodes
-                    self._nodes_arr = arr
-        return arr, self.subtree_ends
-
-    def _texts(self) -> tuple[list[int], list[GText]]:
+    def _texts(self) -> tuple[array, list[GText]]:
         index = self._text_index
         if index is None:
             rows = np.flatnonzero(self.kinds == KIND_TEXT)
-            nodes = self.nodes
-            index = (self.starts[rows].tolist(),
-                     [nodes[row] for row in rows.tolist()])
+            # packed, not a list of ints: a fifth of the memory, and
+            # ``bisect`` reads it all the same
+            starts = array("q", self.starts[rows].astype(np.int64).tobytes())
+            index = (starts, self.fill(rows.tolist()))
             self._text_index = index
         return index
 
     @property
-    def text_starts(self) -> list[int]:
+    def text_starts(self) -> array:
         """Start offsets of the text nodes, in text order (for the
         leaf -> containing text node binary search)."""
         return self._texts()[0]
@@ -366,7 +396,9 @@ class _HierarchyComponent:
         of the whole component.  Read off the columns, one name at a
         time and only for names the component can hold: ``None`` for a
         name outside ``names`` costs a list scan, and a name a rename
-        left behind in ``names`` selects no row.
+        left behind in ``names`` selects no row.  The name's nodes are
+        filled when the entry's :attr:`~_NameEntry.nodes` are first
+        read, not before.
         """
         if name not in self.names:
             return None
@@ -375,9 +407,8 @@ class _HierarchyComponent:
             rows = np.flatnonzero(
                 (self.name_ids == self.names.index(name))
                 & (self.kinds == KIND_ELEMENT))
-            index[name] = _NameEntry(
-                self.node_arrays()[0][rows], rows,
-                self.subtree_ends[rows]) if len(rows) else None
+            index[name] = _NameEntry(self, rows, self.subtree_ends[rows]) \
+                if len(rows) else None
         return index[name]
 
     def interned_ids(self, names: list[str],
@@ -414,13 +445,6 @@ class _HierarchyComponent:
         table = np.empty(len(self.names) + 1, dtype=object)
         table[:-1] = self.names  # name id -1 lands on the None
         return table[self.name_ids if rows is None else self.name_ids[rows]]
-
-    def span_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, nodes, names)`` of the span-bearing nodes — the
-        object columns the span index keeps per hierarchy; a text
-        node's name is ``None``."""
-        rows = self.span_rows()
-        return rows, self.node_arrays()[0][rows], self.row_names(rows)
 
     def perms(self) -> tuple[np.ndarray, np.ndarray]:
         """``(s_perm, e_perm)``: the stable argsorts of the span rows by
@@ -502,16 +526,27 @@ def _aux_node(entry: list) -> dom.Node:
 
 
 class _NameEntry:
-    """All elements of one name in one hierarchy, preorder-ordered."""
+    """All elements of one name in one hierarchy, preorder-ordered: the
+    rows, their subtree ends, and — filled when first read — their
+    nodes."""
 
-    __slots__ = ("nodes", "nodes_arr", "preorders", "subtree_ends")
+    __slots__ = ("component", "preorders", "subtree_ends", "_nodes")
 
-    def __init__(self, nodes_arr: np.ndarray, preorders: np.ndarray,
-                 subtree_ends: np.ndarray) -> None:
-        self.nodes = nodes_arr.tolist()
-        self.nodes_arr = nodes_arr
+    def __init__(self, component: _HierarchyComponent,
+                 preorders: np.ndarray, subtree_ends: np.ndarray) -> None:
+        self.component = component
         self.preorders = preorders
         self.subtree_ends = subtree_ends
+        self._nodes: list[GElement] | None = None
+
+    @property
+    def nodes(self) -> list[GElement]:
+        """The elements, parallel to ``preorders``."""
+        nodes = self._nodes
+        if nodes is None:
+            nodes = self._nodes = self.component.fill(
+                self.preorders.tolist())
+        return nodes
 
 
 class KyGoddag:
@@ -578,11 +613,12 @@ class KyGoddag:
         The pass behind a ``.mhxb`` cold load (DESIGN.md §10): the
         partition comes from its sorted ``(offsets, refcounts)`` and the
         span index from its numeric columns in both sorted orders —
-        nothing is parsed, aligned, numbered or sorted.  Each component
-        is bound to the text (:meth:`_HierarchyComponent.bind`): one
-        the row writer just made attaches its nodes now, one mapped
-        from a file when first asked.  The arrays may be
-        memory-mapped; they are only ever replaced, never written.
+        nothing is parsed, aligned, numbered or sorted, and no node is
+        made, whoever wrote the columns (a file, the row writer of an
+        ingest): each component is bound to the text
+        (:meth:`_HierarchyComponent.bind`) and makes a row's node when
+        somebody asks for it.  The arrays may be memory-mapped; they
+        are only ever replaced, never written.
         Without ``index_columns`` the span index is built on first use.
         """
         from repro.core.goddag.index import SpanIndex
@@ -610,12 +646,12 @@ class KyGoddag:
         with its component table, the partition's multiset, the span
         index's two node columns if they are gathered (they seat the
         root) and its cache dicts.  Everything else is handed over as
-        the same object, attached or not: every
+        the same object, filled or not: every
         :class:`_HierarchyComponent` with its columns and whatever
-        nodes and lazy caches it holds (a hierarchy first asked for
-        after the fork attaches once, for both versions), every leaf
-        made so far, every numeric index column.  Nothing is attached,
-        gathered or sorted, so a fork costs the same whatever the
+        nodes and lazy caches it holds (a row first asked for after the
+        fork is filled once, for both versions), every leaf made so
+        far, every numeric index column.  No node is made and nothing
+        is gathered or sorted, so a fork costs the same whatever the
         document's size; updates of the fork replace the components
         they touch and leave this structure as it was (DESIGN.md §10).
         Neither side owns a component afterwards: an in-place rename on
@@ -753,13 +789,12 @@ class KyGoddag:
 
         Seals what is numeric — the span index (its pending merges
         flushed, its order-key columns packed, every numeric column
-        marked read-only) and the partition's boundary array — gathers
-        the object arrays of the components that are already attached,
-        and flips ``frozen``: every mutation raises from then on.
-        It creates no node and no leaf.  What nobody has asked for yet
-        — a mapped hierarchy's nodes, the span index's node columns,
-        the leaf list — fills on first use, once, under its owner's
-        lock (DESIGN.md §10); the remaining lazy caches (name masks,
+        marked read-only) and the partition's boundary array — and
+        flips ``frozen``: every mutation raises from then on.  It
+        creates no node and no leaf, and gathers nothing.  What nobody
+        has asked for yet — a row's node, the span index's node
+        columns, the leaf list — fills on first use, once, under its
+        owner's lock (DESIGN.md §10); the remaining lazy caches (name masks,
         per-name element indexes, order keys) are idempotent fills,
         safe to race under the GIL.  Readers write nothing else here:
         an evaluation that makes ``analyze-string`` temporaries makes
@@ -768,9 +803,6 @@ class KyGoddag:
         index = self.span_index()
         index.freeze()
         self.partition.freeze()
-        for component in self._components.values():
-            if component.attached:
-                component.node_arrays()
         self.frozen = True
 
     def thaw(self) -> None:
@@ -797,26 +829,24 @@ class KyGoddag:
         arrays.  A component another version holds too is never
         written: this structure first takes a private copy of that one
         hierarchy (:meth:`_HierarchyComponent.private_copy`) and
-        renames the target's twin, the node at the same preorder.
+        renames the target's twin, the node at the same preorder — the
+        one row of the copy that is filled.
         """
         if self.frozen:
             self._frozen_violation(f"rename element <{node.name}>")
-        hierarchy = node.hierarchy
-        component = self._components.get(hierarchy)
-        if component is None or node.preorder < 0 \
-                or node.preorder >= len(component.nodes) \
-                or component.nodes[node.preorder] is not node:
+        if not self.holds(node):
             raise GoddagError(
                 "rename target is not a registered node of this KyGODDAG")
+        hierarchy = node.hierarchy
         if hierarchy not in self._owned:
-            component = component.private_copy()
-            component.attach(self.text)
+            component = self._components[hierarchy].private_copy()
+            component.bind(self.text)
             self._register(component)
             if self._index is not None:
                 self._index.reseat_component(component)
-            node = component.nodes[node.preorder]
+            node = component.node(node.preorder)
         node._name = name
-        component.rename(node.preorder, name)
+        self._components[hierarchy].rename(node.preorder, name)
         if self._index is not None:
             self._index.rename_node(node)
         self.version += 1
@@ -896,9 +926,11 @@ class KyGoddag:
         boundary bookkeeping, and span-index array coherence.  Raises
         :class:`~repro.errors.GoddagError` on the first violation — the
         post-apply safety net of the update engine.  ``components``
-        names the hierarchies whose nodes are walked (the ones an
+        names the hierarchies whose rows are checked (the ones an
         update rebuilt); every check that spans hierarchies runs over
         all of them either way, and without it this is the whole net.
+        It makes no node: only rows somebody filled are compared with
+        their objects.
         """
         from repro.core.goddag.invariants import check_invariants
 
@@ -942,14 +974,21 @@ class KyGoddag:
         was forked from — has under that name.  Everything an update
         built, whatever it says it did: an in-place rename of a shared
         component takes a private copy first.  It is what the
-        commit-time net walks node by node; for the rest, identity
+        commit-time net checks row by row; for the rest, identity
         with a verified version is the proof (DESIGN.md §9)."""
         return [name for name, component in self._components.items()
                 if held.get(name) is not component]
 
     def nodes_of(self, hierarchy: str) -> list[_HierarchyNode]:
-        """All nodes of one component in document (pre)order."""
+        """All nodes of one component in document (pre)order: every
+        row of it filled."""
         return self._components[hierarchy].nodes
+
+    def holds(self, node: GNode) -> bool:
+        """Is ``node`` a hierarchy node of a component held here?  A
+        node knows its component, so nothing is filled to answer."""
+        return isinstance(node, _HierarchyNode) \
+            and self._components.get(node._hierarchy) is node._component
 
     def root_children(self, hierarchy: str | None = None) -> list[GNode]:
         """The root's children here, in one hierarchy or — without
@@ -1288,7 +1327,7 @@ class _ComponentWriter:
             self.name, self.rank, self.temporary, names=self.names,
             columns=columns, attrs=self.attrs, comments=self.comments,
             pis=self.pis, prolog=self.prolog, epilog=self.epilog,
-            root_attrs=self.root_attrs or {}, fresh=True)
+            root_attrs=self.root_attrs or {})
 
 
 def row_spans(lengths: np.ndarray, subtree_ends: np.ndarray
@@ -1400,7 +1439,7 @@ def hierarchy_components(document: MultihierarchicalDocument,
     """Every hierarchy of ``document`` as columns, ranked in
     registration order: the columns a hierarchy still is
     (:meth:`~repro.cmh.document.Hierarchy.columns_at`), else one walk
-    of its DOM.  The former stay the document's; a caller that attaches
+    of its DOM.  The former stay the document's; a caller that makes
     nodes asks for its ``own`` — a private copy of those."""
     for rank, (name, hierarchy) in enumerate(document.hierarchies.items()):
         component = hierarchy.columns_at(rank)

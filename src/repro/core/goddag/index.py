@@ -58,6 +58,13 @@ def _end_keys(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return (ends << _OFFSET_BITS) | starts
 
 
+def _object_column(nodes: list) -> np.ndarray:
+    """``nodes`` as an object array (the index's node columns)."""
+    column = np.empty(len(nodes), dtype=object)
+    column[:] = nodes
+    return column
+
+
 def _pack_okeys(ranks: np.ndarray, preorders: np.ndarray) -> np.ndarray:
     """Packed Definition 3 order keys for span-index rows (vectorized).
 
@@ -187,7 +194,8 @@ class _SubIndex:
         nodes — read off the component's columns; its node objects
         only ``with_nodes``."""
         rows = component.span_rows()
-        objects = component.node_arrays()[0][rows] if with_nodes else None
+        objects = _object_column(component.fill(rows.tolist())) \
+            if with_nodes else None
         return cls(component.rank, objects, component.row_names(rows),
                    component.starts[rows], component.ends[rows], rows,
                    component.subtree_ends[rows], component.perms())
@@ -227,11 +235,12 @@ class SpanIndex:
 
     The two node columns are a fill-once cache over the numeric ones:
     entry ``i`` is node ``preorders[i]`` of the hierarchy ranked
-    ``ranks[i]``.  A restored index, or one that merged a hierarchy
-    nobody has attached, gathers them — attaching every hierarchy it
-    holds — the first time :attr:`nodes` or :attr:`e_nodes` is read,
-    under the index's lock; until then membership changes, forks and
-    renames edit the numeric and name columns only (DESIGN.md §10).
+    ``ranks[i]``.  An index gathers them — filling every row of every
+    hierarchy it holds — the first time :attr:`nodes` or
+    :attr:`e_nodes` is read, under the index's lock; until then
+    membership changes, forks and renames edit the numeric and name
+    columns only, and a version's merge or reseat drops gathered
+    columns rather than fill a new component (DESIGN.md §10).
     """
 
     def __init__(self, goddag: "KyGoddag") -> None:
@@ -318,7 +327,7 @@ class SpanIndex:
                 else:
                     nodes, e_nodes = self._gather(
                         self.root,
-                        lambda component: component.node_arrays()[0])
+                        lambda component: _object_column(component.nodes))
                 self._e_nodes = e_nodes
                 self._nodes = nodes  # the guard, assigned last
             return self._nodes, self._e_nodes
@@ -497,14 +506,15 @@ class SpanIndex:
             self._merge_component(component)
 
     def _merge_component(self, component: "_HierarchyComponent") -> None:
-        # The node columns follow along while they are gathered and the
-        # component's nodes exist; otherwise they are dropped, to be
-        # gathered again by their next reader.  A shell takes its
-        # base's first: a temporary's nodes exist, and a gather after
-        # the merge would be the shell's alone, once per evaluation.
-        if self._base is not None and self._nodes is None:
+        # A shell's node columns follow along: it takes its base's
+        # first and fills its temporary's span rows (small; a gather
+        # after the merge would be the shell's alone, once per
+        # evaluation).  A version's are dropped, to be gathered again
+        # by their next reader: a commit fills no row of a component
+        # it merges.
+        filled = self._base is not None
+        if filled and self._nodes is None:
             self._fill_nodes()
-        filled = self._nodes is not None and component.attached
         sub = _SubIndex.of_component(component, with_nodes=filled)
         # once merged, only the rank, the size and the component (for
         # the node gather) are ever read again
@@ -590,21 +600,16 @@ class SpanIndex:
         For a component that replaces its twin row for row
         (:meth:`_HierarchyComponent.private_copy`): spans, ranks and
         preorders stand, so only this version's two node columns change
-        — each entry's preorder is its row — if they are gathered (if
-        not, the gather will read ``component``, and no other hierarchy
-        is attached for it), and the per-name interval caches, which
-        gathered the twin's nodes, reset.
+        — they are dropped, to be gathered from ``component`` by their
+        next reader, so that a rename fills no row of the copy but its
+        target — and the per-name interval caches, which gathered the
+        twin's nodes, reset.
         """
         self._flush_pending()
         held = self._subs[component.name]
         self._subs[component.name] = _MergedSub(held.rank, held.count,
                                                 component)
-        if self._nodes is not None:
-            nodes = component.node_arrays()[0]
-            at = self.ranks == component.rank
-            self._nodes[at] = nodes[self.preorders[at]]
-            at = self.e_ranks == component.rank
-            self._e_nodes[at] = nodes[self.e_preorders[at]]
+        self._nodes = self._e_nodes = None
         self._intervals.clear()
 
     def rename_node(self, node: GNode) -> None:

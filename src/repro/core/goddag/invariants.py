@@ -9,12 +9,13 @@ module is the executable statement of what that means:
 
 * hierarchy ranks are unique and registration order follows rank, so
   the Definition 3 node order is well defined;
-* per component: every column row agrees with its node object — kind,
+* per component: every filled row agrees with its node object — kind,
   name, span, parent, preorder (``nodes[i].preorder == i``), subtree
-  end, order key, attributes, comment/PI data; forks, saves and the
-  span index read the columns, queries read the nodes — subtree
-  intervals nest, child spans tile their parent's span in order, and
-  text nodes tile the base text exactly;
+  end, order key, attributes, comment/PI data, and the child list once
+  it has been read; forks, saves and the span index read the columns,
+  queries read the nodes — subtree intervals nest, children's rows are
+  contiguous, child spans tile their parent's span in order, and text
+  nodes tile the base text exactly;
 * the order-key columns are the packed Definition 3 keys of their rank
   and row, so (with the row check) no node caches a stale key, and the
   global ``iter_nodes`` order is strictly increasing;
@@ -26,17 +27,17 @@ module is the executable statement of what that means:
   row its rank and preorder name — and, once the node columns are
   gathered, that row's node object.
 
-The second bullet is the only one that walks node objects, and it is
-the only one ``components=`` narrows: a commit passes the hierarchies
-whose component it built and gets every other bullet — each of them a
-statement about columns of *all* hierarchies — in full (DESIGN.md §9).
-Whatever a column holds is compared as a column (NumPy, or one list
-comparison), never by a Python branch per node and attribute, and the
-net creates nothing it checks: a lazy cache nobody has filled yet (a
-mapped hierarchy's nodes, the span index's node columns, leaf list,
-text index, boundary list) is derived from what the net did check, so
-there is nothing to compare it with — and a commit's net attaches no
-hierarchy it did not rebuild.
+The second bullet is the only one that reads node objects — those of
+the rows somebody filled — and it is the only one ``components=``
+narrows: a commit passes the hierarchies whose component it built and
+gets every other bullet — each of them a statement about columns of
+*all* hierarchies — in full (DESIGN.md §9).  Whatever a column holds is
+compared as a column (NumPy, or one list comparison), never by a
+Python branch per node and attribute, and the net creates nothing it
+checks: a lazy cache nobody has filled yet (a row's node, a node's
+parent or children, the span index's node columns, leaf list, text
+index, boundary list) is derived from what the net did check, so there
+is nothing to compare it with — and a commit's net fills no row.
 """
 
 from __future__ import annotations
@@ -48,13 +49,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import GoddagError
-from repro.core.goddag.index import _end_keys, _start_keys
+from repro.core.goddag.index import _end_keys, _object_column, _start_keys
 from repro.core.goddag.nodes import (
+    UNREAD,
     GComment,
     GElement,
     GPi,
     GText,
-    _HierarchyNode,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -120,8 +121,8 @@ _NODE_COLUMNS = {"start": "starts", "end": "ends",
 def _check_component(goddag: "KyGoddag", name: str) -> None:
     component = goddag._components[name]
     _check_rows(goddag, component)
-    # From here on a node attribute and its column row are one value.
-    count = len(component.nodes)
+    # From here on a filled node and its column row are one value.
+    count = len(component.kinds)
     length = len(goddag.text)
     rows = np.arange(count)
     starts, ends = component.starts, component.ends
@@ -145,104 +146,156 @@ def _check_component(goddag: "KyGoddag", name: str) -> None:
     if bad.any():
         _fail(f"hierarchy '{name}' non-element node "
               f"{int(np.argmax(bad))} has a subtree")
-    # a top-level node stores no parent: it is shared between versions
-    _check_children(name, None, component.top_nodes, 0, count - 1, 0,
-                    length)
-    for node in component.nodes:
-        if isinstance(node, GElement):
-            _check_children(name, node, node.children, node.preorder + 1,
-                            node.subtree_end, node.start, node.end)
+    _check_children(name, component, length)
     _check_text_tiling(goddag, component)
 
 
 def _check_rows(goddag: "KyGoddag",
                 component: "_HierarchyComponent") -> None:
-    """Every column row agrees with its node object."""
+    """Every filled row agrees with its node object."""
     name = component.name
-    nodes = component.nodes
-    count = len(nodes)
+    count = len(component.kinds)
     if any(len(getattr(component, key)) != count for key in (
-            "kinds", "name_ids", "starts", "ends", "parents",
-            "subtree_ends", "okeys")):
-        _fail(f"hierarchy '{name}' holds {count} nodes but columns of "
+            "name_ids", "starts", "ends", "parents", "subtree_ends",
+            "okeys")):
+        _fail(f"hierarchy '{name}' holds {count} rows but columns of "
               f"other lengths")
+    if (component.parents >= np.arange(count)).any():
+        _fail(f"hierarchy '{name}' parents column names a row at or "
+              f"after the child's own")
+    if (component.parents < -1).any():
+        _fail(f"hierarchy '{name}' parents column names a row below "
+              f"-1, the root")
+    objects = component._objects
+    if objects is None:
+        return  # nobody has asked for a node
+    if len(objects) != count:
+        _fail(f"hierarchy '{name}' holds {len(objects)} node slots for "
+              f"{count} rows")
+    filled = component.filled()
+    if len(filled) != count - component._unfilled:
+        _fail(f"hierarchy '{name}' counts {count - component._unfilled} "
+              f"filled rows, holds {len(filled)}")
+    rows = filled.tolist()
+    nodes = [objects[row] for row in rows]
 
     def compare(what: str, found: list, expected: list) -> None:
         if found != expected:
             position = next(
-                row for row, pair in enumerate(zip(found, expected))
+                index for index, pair in enumerate(zip(found, expected))
                 if pair[0] is not pair[1] and pair[0] != pair[1])
-            _fail(f"hierarchy '{name}' row {position}: column says "
+            _fail(f"hierarchy '{name}' row {rows[position]}: column says "
                   f"{what} {expected[position]!r}, node "
                   f"{nodes[position]!r} has {found[position]!r}")
 
-    kinds = component.kinds.tolist()
+    def column(key: str) -> list:
+        return getattr(component, key)[filled].tolist()
+
+    kinds = column("kinds")
     compare("class", list(map(type, nodes)),
             [_KIND_CLASSES[kind] for kind in kinds])
-    compare("preorder", list(map(attrgetter("preorder"), nodes)),
-            list(range(count)))
+    compare("preorder", list(map(attrgetter("preorder"), nodes)), rows)
     compare("hierarchy", list(map(attrgetter("_hierarchy"), nodes)),
-            [name] * count)
-    for attribute, column in _NODE_COLUMNS.items():
+            [name] * len(rows))
+    compare("component", list(map(attrgetter("_component"), nodes)),
+            [component] * len(rows))
+    for attribute, key in _NODE_COLUMNS.items():
         compare(attribute, list(map(attrgetter(attribute), nodes)),
-                getattr(component, column).tolist())
+                column(key))
     # a key is cached when a file supplied it or a sort asked for it
-    okeys = component.okeys.tolist()
     compare("order key", [okey if node._okey is None else node._okey
-                          for node, okey in zip(nodes, okeys)], okeys)
-    if (component.parents >= np.arange(count)).any():
-        _fail(f"hierarchy '{name}' parents column names a row at or "
-              f"after the child's own")
-    compare("parent", list(map(attrgetter("_parent"), nodes)),
-            [nodes[parent] if parent >= 0 else None
-             for parent in component.parents.tolist()])
+                          for node, okey in zip(nodes, column("okeys"))],
+            column("okeys"))
+    # a parent is stored once somebody has read it
+    read = [index for index, node in enumerate(nodes)
+            if node._parent is not UNREAD]
+    parents = column("parents")
+    compare("parent", [nodes[index]._parent for index in read],
+            [objects[parents[index]] if parents[index] >= 0 else None
+             for index in read])
     names = component.names
     compare("name", [node.name for node in nodes],
             [names[name_id] if name_id >= 0 else None
-             for name_id in component.name_ids.tolist()])
+             for name_id in column("name_ids")])
     attrs = dict(component.attrs)
     data = {**dict(component.comments), **dict(component.pis)}
-    for position, kind in enumerate(kinds):
-        node = nodes[position]
+    for row, kind, node in zip(rows, kinds, nodes):
         if kind == 0:
-            if (node.attributes or position in attrs) \
-                    and node.attributes != attrs.get(position):
-                _fail(f"hierarchy '{name}' attributes of row {position} "
+            if (node.attributes or row in attrs) \
+                    and node.attributes != attrs.get(row):
+                _fail(f"hierarchy '{name}' attributes of row {row} "
                       f"diverge from its node {node!r}")
-        elif kind >= 2 and node.data != data.get(position):
-            _fail(f"hierarchy '{name}' data of row {position} diverges "
+        elif kind >= 2 and node.data != data.get(row):
+            _fail(f"hierarchy '{name}' data of row {row} diverges "
                   f"from its node {node!r}")
+    # a child list is stored once somebody has read it: the children
+    # are the rows whose parent the element is, in row order
+    read = [node for node in nodes
+            if isinstance(node, GElement) and node._children is not None]
+    if read:
+        order = np.argsort(component.parents, kind="stable")
+        bounds = np.searchsorted(component.parents[order],
+                                 [[node.preorder for node in read],
+                                  [node.preorder + 1 for node in read]])
+        for node, low, high in zip(read, *bounds.tolist()):
+            if node._children != [objects[row]
+                                  for row in order[low:high].tolist()]:
+                _fail(f"hierarchy '{name}' child list of row "
+                      f"{node.preorder} diverges from its rows")
 
 
-def _check_children(name: str, parent, children, first_preorder: int,
-                    last_subtree_end: int, span_start: int,
-                    span_end: int) -> None:
-    expected = first_preorder
-    cursor = span_start
-    for child in children:
-        if not isinstance(child, _HierarchyNode):
-            _fail(f"hierarchy '{name}' has a foreign child node "
-                  f"{child!r}")
-        if child.parent is not parent:
-            _fail(f"hierarchy '{name}' node {child.preorder} has a stale "
-                  f"parent link")
-        if child.preorder != expected:
-            _fail(f"hierarchy '{name}' child preorders are not "
-                  f"contiguous: expected {expected}, found "
-                  f"{child.preorder}")
-        if child.start != cursor:
-            _fail(f"hierarchy '{name}' node {child.preorder} starts at "
-                  f"{child.start}, expected {cursor} (children must tile "
-                  f"their parent's span)")
-        cursor = child.end
-        expected = child.subtree_end + 1
-    if children and cursor != span_end:
-        _fail(f"hierarchy '{name}' children of the node spanning "
-              f"[{span_start},{span_end}) stop at {cursor}")
-    if children and expected != last_subtree_end + 1:
+def _check_children(name: str, component: "_HierarchyComponent",
+                    length: int) -> None:
+    """The tree the ``parents`` column draws, against the spans and
+    subtree ends: each node's children are contiguous in row order (the
+    first right after its parent, each next right after the subtree
+    before it), their spans tile the parent's span in order, and the
+    last child's subtree ends the parent's — the root's span is the
+    whole text, its subtree every row."""
+    count = len(component.kinds)
+    if not count:
+        return
+    rows = np.arange(count)
+    parents, starts, ends = component.parents, component.starts, \
+        component.ends
+    subtree_ends = component.subtree_ends
+    # children grouped by parent, each group in row order
+    order = np.argsort(parents, kind="stable")
+    grouped = parents[order]
+    same = grouped[1:] == grouped[:-1]
+    sibling = np.full(count, -1)  # the previous sibling of each row
+    sibling[order[1:][same]] = order[:-1][same]
+    last = order[np.append(~same, True)]  # the last child of each parent
+    after = sibling >= 0
+    before = np.maximum(sibling, 0)
+    top = parents < 0
+    up = np.maximum(parents, 0)
+    bad = np.where(after, subtree_ends[before] + 1, parents + 1) != rows
+    if bad.any():
+        position = int(np.argmax(bad))
+        _fail(f"hierarchy '{name}' child preorders are not contiguous: "
+              f"node {position} follows neither its parent nor its "
+              f"previous sibling's subtree")
+    edge = np.where(after, ends[before], np.where(top, 0, starts[up]))
+    bad = starts != edge
+    if bad.any():
+        position = int(np.argmax(bad))
+        _fail(f"hierarchy '{name}' node {position} starts at "
+              f"{starts[position]}, expected {edge[position]} (children "
+              f"must tile their parent's span)")
+    bad = ends[last] != np.where(top[last], length, ends[up[last]])
+    if bad.any():
+        position = int(last[np.argmax(bad)])
+        _fail(f"hierarchy '{name}' children of the node at row "
+              f"{parents[position]} stop at {ends[position]}, before "
+              f"their parent's end")
+    expected = np.where(top[last], count - 1, subtree_ends[up[last]])
+    bad = subtree_ends[last] != expected
+    if bad.any():
+        position = int(np.argmax(bad))
         _fail(f"hierarchy '{name}' subtree interval mismatch: children "
-              f"end at preorder {expected - 1}, parent subtree_end is "
-              f"{last_subtree_end}")
+              f"end at preorder {subtree_ends[last[position]]}, parent "
+              f"subtree_end is {expected[position]}")
 
 
 def _check_text_tiling(goddag: "KyGoddag", component) -> None:
@@ -252,11 +305,11 @@ def _check_text_tiling(goddag: "KyGoddag", component) -> None:
     starts, ends = component.starts[rows], component.ends[rows]
     index = component._text_index
     if index is not None:
-        nodes = component.nodes
-        if index[1] != [nodes[row] for row in rows.tolist()]:
+        objects = component._objects
+        if index[1] != [objects[row] for row in rows.tolist()]:
             _fail(f"hierarchy '{component.name}' text_nodes list diverges "
                   f"from the component nodes")
-        if index[0] != starts.tolist():
+        if index[0].tolist() != starts.tolist():
             _fail(f"hierarchy '{component.name}' text_starts is stale")
     edges = np.concatenate(([0], ends))
     torn = starts != edges[:-1]
@@ -292,10 +345,9 @@ def _check_order_keys(goddag: "KyGoddag") -> None:
         expected = pack_okeys(component.rank, len(component.okeys))
         if not np.array_equal(component.okeys, expected):
             position = int(np.argmax(component.okeys != expected))
-            _fail(f"stale cached order key on "
-                  f"{component.nodes[position]!r}: cached "
-                  f"{component.okeys[position]}, recomputed "
-                  f"{expected[position]}")
+            _fail(f"stale cached order key on row {position} of "
+                  f"'{name}': cached {component.okeys[position]}, "
+                  f"recomputed {expected[position]}")
     for node in (goddag.root, *(goddag.partition._leaves_list or ())):
         cached = node._okey
         if cached is not None \
@@ -364,7 +416,7 @@ def _check_span_index(goddag: "KyGoddag") -> None:
               f"{expected_count}")
     root = goddag.root
     # gathered node columns, or none: an index that gathered them holds
-    # only attached hierarchies, and one that did not attaches nothing
+    # only filled rows, and one that did not fills nothing
     gathered = index._nodes is not None
     sides = (
         ("start", index._s_keys, _start_keys, index._nodes, index.starts,
@@ -399,7 +451,10 @@ def _check_span_index(goddag: "KyGoddag") -> None:
                      | (starts[at] != component.starts[found])
                      | (ends[at] != component.ends[found]))
             if gathered:
-                stale |= nodes[at] != component.node_arrays()[0][found]
+                objects = component._objects or [None] * len(
+                    component.kinds)
+                stale |= nodes[at] != _object_column(
+                    [objects[row] for row in found.tolist()])
             if side == "start":
                 stale |= (index.subtree_ends[at]
                           != component.subtree_ends[found])

@@ -21,12 +21,18 @@ Every node with content carries a half-open character span
 these spans (see DESIGN.md).
 
 Nodes are *version-free* (DESIGN.md §1, §10): a node holds the base
-text it slices and its place in its own hierarchy, never the KyGODDAG
-it is registered in, so every version of a document that did not change
-a hierarchy shares that hierarchy's node objects.  The one per-version
-node is the root, which holds each version's own child tables; a
-top-level node therefore stores no parent — whoever asks has the
+text it slices and its row of its own hierarchy's component, never the
+KyGODDAG it is registered in, so every version of a document that did
+not change a hierarchy shares that hierarchy's node objects.  The one
+per-version node is the root, which holds each version's own child
+tables; a top-level node therefore has no parent — whoever asks has the
 KyGODDAG in hand (:meth:`KyGoddag.parent_of`).
+
+A hierarchy node is made by its component when somebody asks for its
+row (:meth:`~repro.core.goddag.goddag._HierarchyComponent.fill`), and
+its ``parent`` and ``children`` are read off the component's columns
+the first time they are asked for: making a node makes none of its
+neighbours.
 """
 
 from __future__ import annotations
@@ -49,6 +55,9 @@ PI = "processing-instruction"
 #: object instead of a fresh ``{}`` per node (nothing writes a node's
 #: attributes after construction)
 NO_ATTRIBUTES: MappingProxyType = MappingProxyType({})
+
+#: a hierarchy node's ``_parent`` until somebody reads ``parent``
+UNREAD = object()
 
 
 class GNode:
@@ -116,9 +125,9 @@ class GRoot(GNode):
     own component table — the very dict its KyGODDAG registers
     hierarchies in, in registration order — so the root lists a
     hierarchy's top-level nodes (and root attributes) without making
-    them: a component attaches its nodes when somebody first asks
-    (DESIGN.md §10).  The lists and mappings handed out belong to the
-    components and are shared, never written.  An evaluation's shell
+    them: a component makes the nodes of its top-level rows when
+    somebody first asks (DESIGN.md §10).  The lists and mappings handed
+    out belong to the components and are shared, never written.  An evaluation's shell
     shares its version's root, so the axes ask the KyGODDAG instead
     (:meth:`KyGoddag.root_children`), whose table also holds the
     shell's temporaries.
@@ -159,21 +168,17 @@ class GRoot(GNode):
 
 
 class _HierarchyNode(GNode):
-    """A node owned by exactly one hierarchy component."""
+    """A node owned by exactly one hierarchy component: row
+    ``preorder`` of ``_component``, made by its :meth:`fill
+    <repro.core.goddag.goddag._HierarchyComponent.fill>` (no constructor
+    of its own)."""
 
-    __slots__ = ("_hierarchy", "_parent", "preorder", "subtree_end")
+    __slots__ = ("_hierarchy", "_component", "_parent", "preorder",
+                 "subtree_end")
 
-    def __init__(self, text: str, hierarchy: str,
-                 start: int, end: int) -> None:
-        super().__init__(text, start, end)
-        self._hierarchy = hierarchy
-        # the parent *element*; ``None`` directly under the root
-        self._parent: GNode | None = None
-        # Preorder position within the hierarchy component and the
-        # largest preorder in this node's subtree; together they answer
-        # ancestor/descendant/following/preceding tests in O(1).
-        self.preorder = -1
-        self.subtree_end = -1
+    # ``preorder`` is the row, ``subtree_end`` the last row of the
+    # subtree: together they answer ancestor/descendant/following/
+    # preceding tests in O(1).
 
     @property
     def hierarchy(self) -> str:
@@ -181,7 +186,13 @@ class _HierarchyNode(GNode):
 
     @property
     def parent(self) -> GNode | None:
-        return self._parent
+        """The parent *element*; ``None`` directly under the root.
+        Read off the ``parents`` column when first asked."""
+        parent = self._parent
+        if parent is UNREAD:
+            parent = self._parent = self._component.parent_node(
+                self.preorder)
+        return parent
 
     def is_ancestor_of(self, other: "GNode") -> bool:
         """True when ``self`` is a within-hierarchy ancestor of ``other``."""
@@ -194,20 +205,20 @@ class _HierarchyNode(GNode):
 class GElement(_HierarchyNode):
     """An element node within one hierarchy."""
 
-    __slots__ = ("_name", "attributes", "children", "_attr_nodes",
+    __slots__ = ("_name", "attributes", "_children", "_attr_nodes",
                  "_child_positions")
 
     kind = ELEMENT
 
-    def __init__(self, text: str, hierarchy: str, name: str,
-                 start: int, end: int,
-                 attributes: dict[str, str] | None = None) -> None:
-        super().__init__(text, hierarchy, start, end)
-        self._name = name
-        self.attributes = dict(attributes) if attributes else NO_ATTRIBUTES
-        self.children: list[GNode] = []
-        self._attr_nodes: list[GAttr] | None = None
-        self._child_positions: dict[int, int] | None = None
+    @property
+    def children(self) -> list[GNode]:
+        """The child nodes, in document order: read off the columns
+        when first asked, then kept (a child list never changes)."""
+        children = self._children
+        if children is None:
+            children = self._children = self._component.child_nodes(
+                self.preorder)
+        return children
 
     def child_position(self, child: GNode) -> int:
         """The position of ``child`` in ``self.children``, O(1).
@@ -258,11 +269,6 @@ class GComment(_HierarchyNode):
 
     kind = COMMENT
 
-    def __init__(self, text: str, hierarchy: str, position: int,
-                 data: str) -> None:
-        super().__init__(text, hierarchy, position, position)
-        self.data = data
-
     def string_value(self) -> str:
         return self.data
 
@@ -273,12 +279,6 @@ class GPi(_HierarchyNode):
     __slots__ = ("target", "data")
 
     kind = PI
-
-    def __init__(self, text: str, hierarchy: str, position: int,
-                 target: str, data: str) -> None:
-        super().__init__(text, hierarchy, position, position)
-        self.target = target
-        self.data = data
 
     @property
     def name(self) -> str:

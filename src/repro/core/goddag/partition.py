@@ -110,9 +110,9 @@ class Partition:
             return
         held, counts = self._multiset
         at = np.minimum(np.searchsorted(held, offsets), len(held) - 1)
-        fresh = offsets[held[at] != offsets]
-        where = np.searchsorted(held, fresh)
-        merged = np.insert(held, where, fresh)
+        added = offsets[held[at] != offsets]
+        where = np.searchsorted(held, added)
+        merged = np.insert(held, where, added)
         total = np.insert(counts, where, 0)
         at = np.searchsorted(merged, offsets)
         before = total[at]

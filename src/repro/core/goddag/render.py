@@ -47,11 +47,12 @@ def _write(node: GNode, hierarchy: str | None, out: list[str]) -> None:
         if node.children_in(hierarchy):
             out.append(f"</{node.root_name}>")
     elif isinstance(node, GElement):
+        children = node.children
         out.append(_start_tag(node.name, node.attributes,
-                              empty=not node.children))
-        for child in node.children:
+                              empty=not children))
+        for child in children:
             _write(child, hierarchy, out)
-        if node.children:
+        if children:
             out.append(f"</{node.name}>")
     elif isinstance(node, (GText, GLeaf)):
         out.append(escape_text(node.string_value()))

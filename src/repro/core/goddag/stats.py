@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.goddag.goddag import KyGoddag
-from repro.core.goddag.nodes import GComment, GPi
+from repro.core.goddag.goddag import KIND_COMMENT, KIND_PI, KyGoddag
 
 #: Equi-depth histogram buckets; the boundary lists carry buckets + 1
 #: entries (``np.quantile(..., method="lower")`` picks actual data
@@ -125,8 +124,8 @@ def collect(goddag: KyGoddag) -> GoddagStats:
     component node has exactly one tree parent — the root or an
     element), and text→leaf edges are two ``searchsorted`` passes over
     the partition boundary array.  Comments/PIs are not span-index
-    members; the per-node scan for them runs only when the component
-    holds any (``len(nodes)`` exceeds the span row count).
+    members: they are counted off the component's ``kinds`` column.
+    No node object is made.
     """
     stats = GoddagStats(text_length=len(goddag.text),
                         leaf_count=len(goddag.partition))
@@ -140,8 +139,10 @@ def collect(goddag: KyGoddag) -> GoddagStats:
     for name in goddag.hierarchy_names:
         hierarchy = HierarchyStats(name=name,
                                    temporary=goddag.is_temporary(name))
-        component_nodes = goddag.nodes_of(name)
-        hierarchy.tree_edges = len(component_nodes)
+        kinds = goddag._components[name].kinds
+        hierarchy.tree_edges = len(kinds)
+        hierarchy.comments = int((kinds == KIND_COMMENT).sum())
+        hierarchy.processing_instructions = int((kinds == KIND_PI).sum())
         row_mask = ranks == goddag.hierarchy_rank(name)
         h_names = names_col[row_mask]
         elem_mask = np.not_equal(h_names, None)
@@ -155,12 +156,6 @@ def collect(goddag: KyGoddag) -> GoddagStats:
         text_mask[row_mask] = ~elem_mask
         hierarchy.text_leaf_edges = _text_leaf_edge_count(
             bounds, starts[text_mask], ends[text_mask])
-        if len(component_nodes) != len(h_names):
-            for node in component_nodes:
-                if isinstance(node, GComment):
-                    hierarchy.comments += 1
-                elif isinstance(node, GPi):
-                    hierarchy.processing_instructions += 1
         stats.hierarchies.append(hierarchy)
     return stats
 

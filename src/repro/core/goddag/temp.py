@@ -17,7 +17,7 @@ nothing is undone, and no other evaluation ever sees one.
 from __future__ import annotations
 
 from repro.cmh.spans import SpanSet
-from repro.core.goddag.goddag import KyGoddag
+from repro.core.goddag.goddag import KIND_ELEMENT, KyGoddag
 from repro.core.goddag.nodes import GElement
 from repro.util.ids import NameAllocator
 
@@ -43,9 +43,12 @@ class TemporaryHierarchyManager:
 
         ``analyze-string`` wraps the target node's content in a single
         ``<res>`` element, which is the hierarchy's only top-level
-        element; this accessor returns it.
+        element; this accessor returns it — the first element row, the
+        one row it fills.
         """
-        for node in self.goddag.nodes_of(hierarchy):
-            if isinstance(node, GElement):
-                return node
-        raise ValueError(f"hierarchy '{hierarchy}' has no element nodes")
+        component = self.goddag._components[hierarchy]
+        elements = component.kinds == KIND_ELEMENT
+        row = int(elements.argmax())
+        if not elements[row]:
+            raise ValueError(f"hierarchy '{hierarchy}' has no element nodes")
+        return component.node(row)

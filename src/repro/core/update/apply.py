@@ -123,9 +123,7 @@ class _Applier:
             raise UpdateError(
                 f"target hierarchy '{node.hierarchy}' is not part of "
                 f"this document")
-        registered = goddag.nodes_of(node.hierarchy)
-        if not (0 <= node.preorder < len(registered)
-                and registered[node.preorder] is node):
+        if not goddag.holds(node):
             raise UpdateError(
                 "target node does not belong to this document's "
                 "KyGODDAG (stale reference?)")
@@ -299,7 +297,7 @@ class _Applier:
             # may since have taken the hierarchy private, and its nodes
             # are then the targets' twins, row for row.
             goddag.rename_element(
-                goddag.nodes_of(node.hierarchy)[node.preorder],
+                goddag._components[node.hierarchy].node(node.preorder),
                 primitive.name)
             stats.renamed_in_place += 1
             if node.hierarchy not in stats.changed_hierarchies:

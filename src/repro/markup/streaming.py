@@ -363,8 +363,9 @@ class StreamingBuilder:
         """:meth:`save`, and the engine over the columns just written —
         the same file bytes, the engine a cold load would make of them,
         but built from what is in hand (DESIGN.md §15): the file is not
-        read back, and every hierarchy's nodes are made as the engine
-        registers it.  The engine takes private copies of the columns,
+        read back, and no node object is made — the engine makes a
+        row's node when a query first asks for it, as it does over a
+        mapped file.  The engine takes private copies of the columns,
         so the builder can go on."""
         document = self.document
         return write_engine(

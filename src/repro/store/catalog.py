@@ -91,9 +91,9 @@ def fork_engine(engine: Engine) -> Engine:
     shell (DESIGN.md §10).
 
     :meth:`KyGoddag.fork` hands the new version the source's hierarchy
-    components, leaves and span-index columns as they are — nothing is
-    attached, copied per node, re-numbered or re-sorted, and no DOM is
-    built.  The fork's DOM side derives from the components one
+    components, leaves and span-index columns as they are — no node is
+    made, nothing is copied per node, re-numbered or re-sorted, and no
+    DOM is built.  The fork's DOM side derives from the components one
     hierarchy at a time, when an update or a serialization asks.
     Options, ``use_cost`` and DTD sources carry over; the version
     counter does too, so updates continue the original's sequence.
@@ -299,7 +299,7 @@ class DocumentStore:
         (DESIGN.md §9) runs on the live snapshot's engine when there is
         one, else on a load of the file: it is where a structure the
         checksums vouch for but that is wrong in itself shows, and
-        where every hierarchy is walked — a commit walks only what it
+        where every hierarchy is checked — a commit checks only what it
         rebuilt.  A corpus is the deep scan of each of its shard files:
         ``"ok (N blocks in K shards)"``, or ``"corrupt: shard ..."``
         naming file and block.  Read-only: quarantining happens at
@@ -512,9 +512,9 @@ class DocumentStore:
         writes for the equivalent document, and the published engine is
         built over the columns, partition and span index just written
         (:meth:`~repro.markup.streaming.StreamingBuilder.publish`): no
-        DOM is made, the file is not read back, and the nodes are made
-        as the engine registers each hierarchy.  Transactional like
-        :meth:`add`.
+        DOM and no node object is made, and the file is not read back;
+        a row's node is made when a query first asks for it.
+        Transactional like :meth:`add`.
         """
         from repro.markup.streaming import _ingest
 

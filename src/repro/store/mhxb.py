@@ -38,8 +38,8 @@ directory after it.
 Every array block is 64-byte aligned and loaded as a read-only
 ``np.memmap`` over one ``mmap`` of the file, so a cold load touches only
 the pages a query actually reads; the loader never re-parses XML or
-re-sorts anything, and makes no node object: each hierarchy attaches
-its nodes from its blocks when a query first asks for them.  The DOM
+re-sorts anything, and makes no node object: a hierarchy makes the
+node of a row from its blocks when a query first asks for that row.  The DOM
 side of the document (needed only for updates and serialization)
 materializes lazily, hierarchy by hierarchy, from the same arrays on
 first access.
@@ -515,9 +515,9 @@ def load_engine(path: str | Path, options=None, verify: bool = False):
     Reconstructs the KyGODDAG — components, partition, span index,
     order keys — straight from the memory-mapped arrays
     (:meth:`KyGoddag.from_arrays`); no XML parse, no alignment pass, no
-    sort, and no node object: a hierarchy attaches its nodes the first
-    time a query asks for them, so a load that answers a question
-    about one hierarchy makes that one's nodes and no other's
+    sort, and no node object: a hierarchy makes a row's node the first
+    time a query asks for that row, so a load that answers a question
+    about one name makes that name's nodes and no other's
     (DESIGN.md §10).  Each hierarchy's DOM materializes on first
     access too (updates that touch it, serialization).
 
@@ -546,9 +546,8 @@ def write_engine(path: str | Path, *, root: str, text: str,
     """:func:`write_container`, and the engine over what it wrote —
     built from ``components`` and from the partition, span-index and
     statistics arrays computed for the file, which is not read back
-    (the ingest, DESIGN.md §15).  ``components`` were made by the row
-    writer in this process, so the engine attaches their nodes as it
-    registers them; the engine owns them from then on."""
+    (the ingest, DESIGN.md §15).  The engine owns ``components`` from
+    then on, and makes no node of them until a query asks."""
     header, arrays = _components_container(root, text, components)
     _pack(path, header, arrays, durability=durability)
     return _engine(header, arrays, text, components, options)

@@ -186,7 +186,7 @@ class ComponentBuilder:
             self.name, self.rank, self.temporary, names=self.names,
             columns=columns, attrs=self.attrs, comments=self.comments,
             pis=self.pis, prolog=prolog, epilog=epilog,
-            root_attrs=dict(root_element.attributes), fresh=True)
+            root_attrs=dict(root_element.attributes))
 
     def _intern(self, name: str) -> int:
         ident = self.interned.get(name)

@@ -221,8 +221,6 @@ class TestNameEntryFromColumns:
                 assert len(entry.nodes) == len(members)
                 assert all(found is member for found, member
                            in zip(entry.nodes, members))
-                assert all(found is member for found, member
-                           in zip(entry.nodes_arr, members))
                 assert entry.preorders.tolist() == [
                     node.preorder for node in members]
                 assert entry.subtree_ends.tolist() == [
@@ -240,7 +238,7 @@ class TestNameEntryFromColumns:
         component = goddag._components["structural"]
         assert component.name_entry("line") is None  # another hierarchy's
         assert component._name_index == {}
-        assert component._nodes_arr is None
+        assert component._objects is None
 
     @pytest.mark.parametrize("build", [
         lambda: Engine(boethius_document(validate=False)), skewed_engine],

@@ -20,7 +20,7 @@ import pytest
 from repro.api import Engine, load_mhx, save_mhx
 from repro.errors import GoddagError, IntegrityError, ReproError
 from repro.cmh import MultihierarchicalDocument
-from repro.core.goddag.goddag import KyGoddag, _HierarchyComponent
+from repro.core.goddag.goddag import KyGoddag
 from repro.corpus.boethius import boethius_document
 from repro.store.mhxb import (
     MAGIC,
@@ -33,6 +33,8 @@ from repro.store.mhxb import (
     save_engine,
     verify_blocks,
 )
+
+from tests.test_store import filling, hierarchies
 
 #: ``save_engine(Engine(boethius_document(validate=False)), path,
 #: format_version=1)`` at the last commit that had a v1 writer (PR 14).
@@ -425,21 +427,20 @@ class TestDocumentDoor:
         path = tmp_path / "doc.mhxb"
         source = Engine(boethius_document())  # with its CMH
         source.save_mhxb(path)
-        attached: list = []
-        attach = _HierarchyComponent.attach
-        with mock.patch.object(
-                _HierarchyComponent, "attach",
-                lambda *args: attached.append(args) or attach(*args)):
+        made: list = []
+        with filling(made):
             document = load_document(path)
-            assert not attached  # no node object
+            assert not made  # no node object
             control = Engine.from_mhxb(path)
-            assert not attached  # nor an engine's, until first use
+            assert not made  # nor an engine's, until first use
             for _twice in range(2):
                 for name in control.goddag.hierarchy_names:
                     control.goddag.nodes_of(name)
-        assert [component.name for component, _text in attached] \
-            == list(document.hierarchies)
-        assert len(attached) == 4  # once per hierarchy
+        assert hierarchies(made) == list(document.hierarchies)
+        # every row once
+        assert len(made) == len(set(made)) == sum(
+            len(component.kinds)
+            for component in control.goddag.components().values())
         for rank, hierarchy in enumerate(document.hierarchies.values()):
             assert hierarchy.columns_at(rank) is not None
             assert not hierarchy.materialized

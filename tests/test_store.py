@@ -278,6 +278,25 @@ def wrapping(target, attribute, seen, key):
     return mock.patch.object(target, attribute, wrapper)
 
 
+def filling(made: list):
+    """Patch the per-row fill to record ``(component, row)`` for every
+    node object it makes: :meth:`_HierarchyComponent.fill` makes them
+    in ``_make``, for exactly the rows that had none."""
+    make = _HierarchyComponent._make
+
+    def wrapper(self, rows):
+        made.extend((self, row) for row in rows)
+        return make(self, rows)
+
+    return mock.patch.object(_HierarchyComponent, "_make", wrapper)
+
+
+def hierarchies(made: list) -> list[str]:
+    """The hierarchies ``made`` (of :func:`filling`) filled rows of, in
+    order of first fill."""
+    return list(dict.fromkeys(component.name for component, _row in made))
+
+
 UNTOUCHED = ("structural", "physical", "restoration")
 EVERY = ["structural", "physical", "damage", "restoration"]
 
@@ -418,14 +437,15 @@ class TestUntouchedHierarchiesUntouched:
                 ["structural"] if kind == "rename" else rebuilt)
         after.goddag.check_invariants()
 
-    def test_add_markup_attaches_and_walks_one_hierarchy(self, stored):
-        """One ``attach`` (the cold load happened before), no leaf made
-        by the net, one hierarchy walked by it; the rest of the new
-        version *is* the old one, object for object."""
+    def test_add_markup_fills_no_row_and_checks_one_hierarchy(self, stored):
+        """No row filled (the rows the target evaluation reads were
+        filled before, and the net fills none), no leaf made by the
+        net, one hierarchy checked by it; the rest of the new version
+        *is* the old one, object for object."""
         before = stored.snapshot("doc").engine
         before.query("/descendant::line/following::w")  # fills caches
         word = self.free_word(before.goddag)
-        attached, walked, nets, leaves_in_net = [], [], [], []
+        made, walked, nets, leaves_in_net = [], [], [], []
         check = invariants.check_invariants
         leaf_init = GLeaf.__init__
 
@@ -437,8 +457,7 @@ class TestUntouchedHierarchiesUntouched:
                                          leaf_init(self, *args))[1]):
                 check(goddag, components)
 
-        with wrapping(_HierarchyComponent, "attach", attached,
-                      lambda component: component.name), \
+        with filling(made), \
                 mock.patch.object(invariants, "check_invariants", net), \
                 mock.patch.object(
                     invariants, "_check_rows",
@@ -447,7 +466,7 @@ class TestUntouchedHierarchiesUntouched:
                      rows(goddag, component))[1]):
             stored.update("doc", f'add markup mark to "damage" covering '
                                  f'(/descendant::w)[{word}]')
-        assert attached == ["damage"]
+        assert made == []
         assert nets == [["damage"]] and walked == ["damage"]
         assert not leaves_in_net
         after = stored.snapshot("doc").engine
@@ -457,7 +476,7 @@ class TestUntouchedHierarchiesUntouched:
             assert new is old
             assert all(a is b for a, b in zip(
                 after.goddag.nodes_of(name), before.goddag.nodes_of(name)))
-            assert new._nodes_arr is old._nodes_arr is not None
+            assert new._objects is old._objects is not None
             assert new._name_index is old._name_index
         assert "line" in before.goddag._components["physical"]._name_index
         assert after.goddag._components["damage"] \
@@ -483,26 +502,26 @@ class TestUntouchedHierarchiesUntouched:
         assert held.payload() == stats.collect_plan_stats(
             engine.goddag).payload()
 
-    def test_fork_attaches_nothing(self, stored):
-        """A fork makes no node and no leaf, and hands over every leaf
-        made before it (leaves are made on first use: the cold load
-        made none)."""
+    def test_fork_fills_nothing(self, stored):
+        """A fork fills no row and makes no leaf, and hands over every
+        leaf made before it (leaves are made on first use: the cold
+        load made none)."""
         engine = stored.snapshot("doc").engine
         made = engine.goddag.leaves()
-        attached, leaves = [], []
-        with wrapping(_HierarchyComponent, "attach", attached, id), \
-                wrapping(GLeaf, "__init__", leaves, id):
+        filled, leaves = [], []
+        with filling(filled), wrapping(GLeaf, "__init__", leaves, id):
             fork = fork_engine(engine)
-        assert not attached and not leaves
+        assert not filled and not leaves
         assert fork.goddag.root is not engine.goddag.root
         assert all(a is b for a, b in zip(fork.goddag.leaves(), made))
         assert len(fork.goddag.leaves()) == len(made)
         fork.goddag.check_invariants()
 
     def test_rename_takes_one_private_hierarchy(self, stored):
-        """A rename writes nothing another version holds: it attaches a
-        private copy of its one hierarchy, and the published version's
-        node and name columns stay as they were."""
+        """A rename writes nothing another version holds: it takes a
+        private copy of its one hierarchy and fills the copy's target
+        row and no other, and the published version's node and name
+        columns stay as they were."""
         published = stored.snapshot("doc")
         before = published.engine.goddag
         target = before.nodes_of("structural")[
@@ -511,12 +530,11 @@ class TestUntouchedHierarchiesUntouched:
         index = before.span_index()
         name_ids = component.name_ids.copy()
         names, e_names = index._names.copy(), index._e_names.copy()
-        attached = []
-        with wrapping(_HierarchyComponent, "attach", attached,
-                      lambda component: component.name):
+        made = []
+        with filling(made):
             stored.update("doc", 'rename node (/descendant::w)[1] as "word"')
-        assert attached == ["structural"]
         after = stored.snapshot("doc").engine.goddag
+        assert made == [(after._components["structural"], target.preorder)]
         assert target.name == "w"
         assert before._components["structural"] is component
         assert np.array_equal(component.name_ids, name_ids)

@@ -951,8 +951,8 @@ class TestNoDomOnTheWayIn:
 
     def test_tokenizer_writes_no_row_by_row(self, tmp_path):
         """Both ingest doors hand each encoding to the writer whole:
-        0 per-row ``add`` calls, 0 parses, and every hierarchy of the
-        published engine attached as it was registered."""
+        0 per-row ``add`` calls, 0 parses, and no row of the published
+        engine filled: a node is made when a query asks for its row."""
         import repro.markup.streaming as streaming
 
         document = generate_document(GeneratorConfig(n_words=1600, seed=2))
@@ -975,7 +975,7 @@ class TestNoDomOnTheWayIn:
                                                {"h": "<d>a\rb</d>"})
         assert len(adds) == 1 and len(parses) == 1
         for goddag in (snapshot.engine.goddag, engine.goddag):
-            assert all(component.attached
+            assert all(component._objects is None
                        for component in goddag.components().values())
         store.close()
 
@@ -1095,7 +1095,7 @@ class TestStateRules:
         one, two = Engine(document), Engine(document)
         for name in document.hierarchy_names:
             columns = columns_held(document, name)
-            assert not columns.attached  # nodes belong to the engines
+            assert columns._objects is None  # nodes belong to the engines
             for engine in (one, two):
                 held = engine.goddag.components()[name]
                 assert held is not columns

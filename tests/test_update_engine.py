@@ -456,12 +456,46 @@ class TestInvariantNet:
 
         goddag = engine.goddag
         component = goddag._components[goddag.hierarchy_names[0]]
+        component.nodes  # every row's node object exists
         forged = getattr(component, column).copy()
         forged[1] += 1
         setattr(component, "_okeys" if column == "okeys" else column,
                 forged)
         with pytest.raises(GoddagError, match="invariant violation"):
             goddag.check_invariants()
+
+    def test_detects_filled_node_diverging_from_its_row(self, engine):
+        """The net compares every filled row with its node object."""
+        from repro.errors import GoddagError
+
+        node = engine.query("(//a)[1]").items[0]  # fills that row
+        component = engine.goddag._components[node.hierarchy]
+        assert component.filled().tolist() == [node.preorder]
+        engine.goddag.check_invariants()
+        node.start += 1
+        with pytest.raises(GoddagError, match="column says start"):
+            engine.goddag.check_invariants()
+
+    def test_detects_children_that_do_not_tile_their_parent(self, engine):
+        """With no node object made, the tree is checked on the
+        columns: a child starting inside its previous sibling breaks
+        the tiling of their parent's span."""
+        from repro.errors import GoddagError
+
+        goddag = engine.goddag
+        component = goddag._components["blocks"]
+        # rows that are not their parent's first child (a previous
+        # sibling ends where they start)
+        later = [row for row, parent in enumerate(component.parents)
+                 if row != parent + 1 and component.starts[row] > 0]
+        assert component._objects is None and later
+        starts = component.starts.copy()
+        starts[later[0]] -= 1
+        component.starts = starts
+        with pytest.raises(GoddagError,
+                           match="must tile their parent's span"):
+            goddag.check_invariants()
+        assert component._objects is None  # the net made no node
 
     def test_detects_stale_span_index_column(self, engine):
         from repro.errors import GoddagError
