@@ -9,7 +9,7 @@ it against, so what is held here, on the largest bench corpus, is
   ingest's (``tests/dombuild.py``: parse → align → the seed's DOM
   walker), and
 * **counts** — ``Engine.from_xml`` + a query + ``save_mhxb`` calls the
-  parser 0 times and materializes 0 hierarchy DOMs.
+  parser 0 times and builds 0 hierarchy DOMs.
 
 What the ingest costs is the census's ``markup.stream_save_ms`` /
 ``markup.stream_words_per_s`` and every workload's ``setup_s``
@@ -24,6 +24,7 @@ from unittest import mock
 
 from repro.api import Engine
 from repro.bench import SCALING_SIZES, corpus_at_size
+from repro.core.goddag.goddag import _HierarchyComponent
 from repro.markup import parser
 from repro.markup.streaming import stream_save
 
@@ -58,16 +59,20 @@ def test_streaming_output_byte_identical(tmp_path):
 
 def test_ingest_parses_no_dom(tmp_path):
     text, sources = inputs_at(LARGEST)
+    build_dom = _HierarchyComponent.build_dom
     with mock.patch.object(parser, "parse",
                            side_effect=parser.parse) as parse, \
-            mock.patch("repro.markup.streaming.parse", parse):
+            mock.patch("repro.markup.streaming.parse", parse), \
+            mock.patch.object(_HierarchyComponent, "build_dom",
+                              autospec=True,
+                              side_effect=build_dom) as exports:
         engine = Engine.from_xml(text, sources)
         words = engine.query("count(/descendant::w)").items
         engine.save_mhxb(tmp_path / "engine.mhxb")
+        assert len(engine.document) == len(sources)
     assert words == [LARGEST]
     assert parse.call_count == 0
-    assert not any(hierarchy.materialized for hierarchy
-                   in engine.document.hierarchies.values())
+    assert exports.call_count == 0
     record("S-INGEST counts", "PASS",
            f"n={LARGEST}: from_xml + query + save_mhxb: 0 parser "
-           f"calls, 0 of {len(sources)} hierarchy DOMs materialized")
+           f"calls, 0 hierarchy DOMs built")

@@ -121,13 +121,13 @@ return
 
 
 def _flat_goddag(n_words):
+    from repro.cmh import Hierarchy, MultihierarchicalDocument
     from repro.core.goddag import KyGoddag
 
     document = corpus_at_size(n_words)
     flat = fragment_document(document)
-    goddag = KyGoddag(document.text, document.root_name)
-    goddag.add_hierarchy_from_dom("flat", flat)
-    return goddag
+    return KyGoddag.build(MultihierarchicalDocument(
+        document.text, [Hierarchy("flat", flat)]))
 
 
 @pytest.mark.parametrize("n_words", ENGINE_SIZES)

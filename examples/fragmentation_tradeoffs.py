@@ -27,6 +27,7 @@ from repro.baselines.flatquery import (
     primary_groups,
     search_groups,
 )
+from repro.cmh import Hierarchy, MultihierarchicalDocument
 from repro.core.goddag import KyGoddag
 from repro.core.runtime import evaluate_query
 from repro.corpus import GeneratorConfig, generate_document
@@ -69,8 +70,8 @@ def main() -> None:
     goddag = KyGoddag.build(document)
     goddag.span_index()
     flat = fragment_document(document)
-    flat_goddag = KyGoddag(document.text, document.root_name)
-    flat_goddag.add_hierarchy_from_dom("flat", flat)
+    flat_goddag = KyGoddag.build(MultihierarchicalDocument(
+        document.text, [Hierarchy("flat", flat)]))
     flat_goddag.span_index()
     marked = milestone_document(document, primary="structural")
 

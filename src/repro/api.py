@@ -18,16 +18,11 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from functools import partial
 from pathlib import Path
 from typing import Any
 
 from repro.errors import ReproError
-from repro.cmh import (
-    ConcurrentMarkupHierarchy,
-    Hierarchy,
-    MultihierarchicalDocument,
-)
+from repro.cmh import ConcurrentMarkupHierarchy, MultihierarchicalDocument
 from repro.core.goddag import KyGoddag, collect, describe, to_dot
 from repro.core.goddag.stats import GoddagStats
 from repro.core.plan import CompiledQuery, compile_query
@@ -102,27 +97,30 @@ class Engine:
 
     @property
     def document(self) -> MultihierarchicalDocument:
-        """The DOM-side document.
+        """The document: the base text and each hierarchy's columns.
 
         An engine assembled around a KyGODDAG (``.mhxb`` cold load,
         store fork) has none until it is asked for: queries and saves
-        need only the KyGODDAG.  What it then gets is a shell whose
-        hierarchies each build their DOM from the component's arrays on
-        first access, so serialization materializes only the ones it
-        prints; an update re-seats the hierarchies it changes as the
-        columns it registered (:meth:`update`) and builds no DOM.
+        need only the KyGODDAG.  What it then gets holds the KyGODDAG's
+        components, which the structure disowns — the fork rule of
+        DESIGN.md §10 with the document as the other holder, so a later
+        in-place rename copies first; a hierarchy's DOM is an export
+        made when somebody asks (:attr:`Hierarchy.document
+        <repro.cmh.document.Hierarchy.document>`).  An update re-seats
+        the hierarchies it changes (:meth:`update`).
 
-        Safe to race on a shared frozen engine: a duplicate
-        materialization just wastes work (both results are equivalent).
+        Safe to race on a shared frozen engine: a duplicate document
+        just wastes work (both hold the same components).
         """
         document = self._document
         if document is None:
             goddag = self.goddag
+            components = goddag.components()
             document = MultihierarchicalDocument(goddag.text)
             for name in goddag.persistent_hierarchy_names:
-                document.hierarchies[name] = Hierarchy(
-                    name, loader=partial(goddag.hierarchy_dom, name),
-                    root_name=goddag.root.root_name)
+                document.add_columns(components[name],
+                                     goddag.root.root_name)
+                goddag.disown(name)
             if self._dtds:
                 document.cmh = ConcurrentMarkupHierarchy.from_sources(
                     goddag.root.root_name, self._dtds)
@@ -150,7 +148,7 @@ class Engine:
 
         The ``.mhxb`` cold-load and store-fork paths: the goddag was
         reconstructed elsewhere, so nothing is rebuilt here.  Without a
-        ``document`` the DOM side derives lazily from the goddag (see
+        ``document`` one is made from the goddag when asked for (see
         :attr:`document`); ``dtds`` are the schema sources it then
         attaches.
         """
@@ -324,9 +322,12 @@ class Engine:
         ``engine.goddag.check_invariants()`` is the whole net.
 
         The engine's document, if it has one, then holds what the
-        update changed.  An engine whose document moved since it last
-        looked — another engine's update, a hierarchy whose DOM was
-        handed out since — first rebuilds its KyGODDAG from the
+        update changed (:meth:`MultihierarchicalDocument.reseat
+        <repro.cmh.document.MultihierarchicalDocument.reseat>`).  An
+        engine whose document holds another text or another
+        :class:`~repro.cmh.document.Hierarchy` object than it last saw —
+        another engine's update, a hierarchy removed and added again,
+        validation defaults — first rebuilds its KyGODDAG from the
         document, so the update starts from what the document says.
         """
         if isinstance(statement, CompiledUpdate):
@@ -349,10 +350,9 @@ class Engine:
             # the document as the other holder, so a later in-place
             # rename copies first.
             components = goddag.components()
-            document.text = goddag.text
+            document.reseat(goddag.text, [
+                components[name] for name in result.changed_hierarchies])
             for name in result.changed_hierarchies:
-                document.hierarchies[name] = Hierarchy.from_columns(
-                    components[name], goddag.text, goddag.root.root_name)
                 goddag.disown(name)
             self._seen = _holdings(document)
         return result
@@ -426,12 +426,10 @@ class Engine:
 
 
 def _holdings(document: MultihierarchicalDocument) -> list:
-    """What ``document`` holds, to be compared by identity: its text,
-    and each hierarchy with the columns it still is — a hierarchy whose
-    DOM is handed out holds none (DESIGN.md §15)."""
-    return [document.text, *(
-        part for rank, hierarchy in enumerate(document.hierarchies.values())
-        for part in (hierarchy, hierarchy.columns_at(rank)))]
+    """What ``document`` holds, to be compared by identity: its text and
+    each hierarchy — never written in place, so a change is a new
+    object (DESIGN.md §15)."""
+    return [document.text, *document.hierarchies.values()]
 
 
 def _same(now: list, seen: list) -> bool:

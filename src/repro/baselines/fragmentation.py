@@ -188,12 +188,5 @@ def defragment(document: dom.Document) -> MultihierarchicalDocument:
             tuple(attributes.items()), depth_hint=depth_counter))
     result = MultihierarchicalDocument(text)
     for hierarchy, spans in span_sets.items():
-        result.add_hierarchy(
-            _as_hierarchy(hierarchy, spans, document.root.name))
+        result.add_spans(hierarchy, spans, document.root.name)
     return result
-
-
-def _as_hierarchy(name: str, spans: SpanSet, root_name: str):
-    from repro.cmh.document import Hierarchy
-
-    return Hierarchy(name, spans.to_document(root_name))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.errors import BaselineError
 from repro.markup import dom
-from repro.cmh.document import Hierarchy, MultihierarchicalDocument
+from repro.cmh.document import MultihierarchicalDocument
 from repro.cmh.spans import Span, SpanSet, spans_of
 
 SID_ATTRIBUTE = "sid"
@@ -154,9 +154,7 @@ def demilestone(document: dom.Document,
         raise BaselineError(
             f"unmatched start markers: {sorted(starts)}")
     result = MultihierarchicalDocument(text)
-    result.add_hierarchy(Hierarchy(
-        primary, primary_spans.to_document(document.root.name)))
+    result.add_spans(primary, primary_spans, document.root.name)
     for hierarchy, spans in span_sets.items():
-        result.add_hierarchy(Hierarchy(
-            hierarchy, spans.to_document(document.root.name)))
+        result.add_spans(hierarchy, spans, document.root.name)
     return result

@@ -7,20 +7,19 @@ root r."*
 
 :class:`MultihierarchicalDocument` stores the hierarchies in
 registration order (this order is what makes the paper's Definition 3
-node order stable) and verifies the alignment invariant: the
-concatenated text content of every hierarchy equals ``S``.  During
-alignment every text node is annotated with its character span.
-
-A hierarchy that came in as XML source, or that an update wrote, is
-first of all *columns* — the rows the KyGODDAG holds (DESIGN.md §15) —
-and becomes a DOM when somebody asks for one; the update engine edits
-the rows, never a DOM (§9).
+node order stable).  Every hierarchy it holds is *columns* — the rows a
+KyGODDAG holds (DESIGN.md §15), written by the one row writer, which
+holds the encoding's text against ``S`` and its root against the
+shared one on the way in.  A DOM is either an input, walked once into
+rows (:meth:`MultihierarchicalDocument.add_hierarchy`), or an output
+built from the rows (:attr:`Hierarchy.document`); nothing reads an
+output back, and nobody writes a hierarchy in place: a change — an
+update, validation defaults — registers a new :class:`Hierarchy`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
-from functools import partial
+from collections.abc import Iterable, Mapping
 
 from repro.errors import AlignmentError, CMHError, ValidationError
 from repro.markup import dom
@@ -28,120 +27,92 @@ from repro.markup.dtd import DTD
 from repro.markup.serializer import serialize
 from repro.markup.validate import validate
 from repro.cmh.schema import ConcurrentMarkupHierarchy
+from repro.cmh.spans import SpanSet
 
 
 class Hierarchy:
-    """One named markup hierarchy: a DOM document over the base text.
+    """One named markup hierarchy over the base text: its columns.
 
-    The DOM is either given or built on first access by ``loader`` —
-    how an engine assembled around a KyGODDAG (``.mhxb`` cold load,
-    store fork) defers each hierarchy's DOM until a serialization
-    needs that one (DESIGN.md §10).
+    A hierarchy a document holds is ``(name, component, text,
+    root_name)``: the rows (a
+    :class:`~repro.core.goddag.goddag._HierarchyComponent`) the row
+    writer made over ``text`` under the shared root ``root_name``.
+    Nobody writes them.  Its DOM is an export, built from the rows on
+    each call (:attr:`document`, :attr:`root`): editing one changes
+    that DOM and nothing else.
 
-    A hierarchy that came in as XML source, or that an update wrote,
-    is *columns* (:meth:`from_columns`) until its DOM is handed out
-    (:attr:`document`, :attr:`root`); from then on it is the DOM,
-    because whoever holds a DOM may write it — user code, or
-    :meth:`validate` setting DTD defaults (DESIGN.md §15).  Updates
-    write no DOM: an engine re-seats the hierarchies it changed as
-    columns, and a DOM handed out before is a rendering of the old
-    version.  Which of the two a hierarchy is stays in here: a reader
-    asks :meth:`columns_at` or :meth:`validate`.
+    ``Hierarchy(name, dom)`` is the one way a DOM comes in: an input
+    that :meth:`MultihierarchicalDocument.add_hierarchy` walks once into
+    columns.  The document holds those, not the DOM.
     """
 
-    def __init__(self, name: str, document: dom.Document | None = None,
-                 *, loader: Callable[[], dom.Document] | None = None,
-                 root_name: str | None = None) -> None:
-        if (document is None) == (loader is None):
-            raise CMHError(
-                f"hierarchy '{name}' needs exactly one of a DOM "
-                f"document and a loader")
+    def __init__(self, name: str, document: dom.Document) -> None:
         self.name = name
-        self._document = document
-        self._loader = loader
-        self._columns = None  # the hierarchy is a DOM, or will be one
-        self._root_name = root_name
+        self.root_name = document.root.name
+        self.component = None  # an input holds no rows
+        self.text: str | None = None
+        self._input = document
 
     @classmethod
-    def from_columns(cls, columns, text: str, root_name: str) -> "Hierarchy":
-        """The hierarchy that is ``columns``: the rows a KyGODDAG holds
-        (a :class:`~repro.core.goddag.goddag._HierarchyComponent`), as
-        the row writer made them over ``text`` under ``root_name``.  Its
-        DOM is read off them when somebody first asks."""
-        hierarchy = cls(
-            columns.name, root_name=root_name,
-            loader=partial(columns.build_dom, text, root_name))
-        hierarchy._columns = columns
+    def from_columns(cls, component, text: str,
+                     root_name: str) -> "Hierarchy":
+        """The hierarchy that is ``component``, written over ``text``
+        under ``root_name``."""
+        hierarchy = cls.__new__(cls)
+        hierarchy.name = component.name
+        hierarchy.root_name = root_name
+        hierarchy.component = component
+        hierarchy.text = text
+        hierarchy._input = None
         return hierarchy
 
     @property
-    def materialized(self) -> bool:
-        """True once the DOM exists (always, unless built lazily)."""
-        return self._document is not None
-
-    def _dom(self) -> dom.Document:
-        """The DOM, for a reader in here that hands it to nobody and
-        writes nothing."""
-        document = self._document
-        if document is None:
-            document = self._document = self._loader()
-        return document
-
-    @property
     def document(self) -> dom.Document:
-        """The hierarchy's DOM document (handed out: the hierarchy is
-        no longer its columns)."""
-        self._columns = None
-        return self._dom()
+        """A new DOM document of the hierarchy, text nodes aligned: an
+        export of the rows, the hierarchy's own to nobody.  (Of an
+        input, the DOM it was given.)"""
+        if self.component is None:
+            return self._input
+        return self.component.build_dom(self.text, self.root_name)
 
     @property
     def root(self) -> dom.Element:
-        """The hierarchy's root element."""
+        """The root element of a new export (:attr:`document`)."""
         return self.document.root
 
-    @property
-    def root_name(self) -> str:
-        """The root element's name (no DOM is built to tell it)."""
-        if self._document is None and self._root_name is not None:
-            return self._root_name
-        return self._dom().root.name
-
-    def columns_at(self, rank: int):
-        """The columns this hierarchy still is, if they were written
-        for a hierarchy ranked ``rank`` — they stay the document's, and
-        nobody writes them.  ``None`` says walk :attr:`document`: the
-        DOM has been handed out, or hierarchies were removed or
-        reordered since."""
-        columns = self._columns
-        if columns is not None and columns.rank == rank:
-            return columns
-        return None
-
-    def validate(self, dtd: DTD) -> None:
-        """Validate the encoding against ``dtd``.
+    def validate(self, dtd: DTD) -> "Hierarchy":
+        """Validate the encoding against ``dtd`` — the one validator, on
+        an export — and return the hierarchy that holds the result.
 
         Validation writes the attribute defaults ``dtd`` declares into
-        the DOM it reads, so where there is one to write the DOM is
-        handed out: the columns would not have it.  Under any other
-        DTD validation only reads."""
-        writes = any(attribute.default_value is not None
-                     for element in dtd.elements.values()
-                     for attribute in element.attributes.values())
-        validate(self.document if writes else self._dom(), dtd)
+        the export it reads; under a DTD that declares any, the
+        validated export is walked back into columns at this
+        hierarchy's rank, and that is the hierarchy returned.  Under
+        any other it is this one."""
+        export = self.document
+        validate(export, dtd)
+        if not any(attribute.default_value is not None
+                   for element in dtd.elements.values()
+                   for attribute in element.attributes.values()):
+            return self
+        return Hierarchy.from_columns(
+            _walk(export, self.text, self.root_name, self.name,
+                  self.component.rank),
+            self.text, self.root_name)
 
     def to_xml(self) -> str:
-        """Serialize the hierarchy back to XML."""
-        return serialize(self._dom())
+        """Serialize the hierarchy (an export of it) to XML."""
+        return serialize(self.document)
 
-    def clone(self) -> "Hierarchy":
-        """An independent copy: of the DOM, node by node — or, of a
-        hierarchy that still is its columns, another holder of them."""
-        if self._columns is None:
-            return Hierarchy(self.name, self.document.clone())
-        copy = Hierarchy(self.name, loader=self._loader,
-                         root_name=self._root_name)
-        copy._columns = self._columns
-        return copy
+
+def _walk(document: dom.Document, text: str, root_name: str | None,
+          name: str, rank: int):
+    """The columns of ``document`` at ``rank``: one walk of the DOM into
+    the row writer, which raises the document's errors."""
+    from repro.core.goddag.goddag import _ComponentWriter, dom_component
+
+    return dom_component(_ComponentWriter(text, root_name, name, rank),
+                         document)
 
 
 class MultihierarchicalDocument:
@@ -162,11 +133,11 @@ class MultihierarchicalDocument:
                  sources: Mapping[str, str]) -> "MultihierarchicalDocument":
         """Build from XML source strings, one per hierarchy name.
 
-        Each source is tokenized straight into columns (DESIGN.md §15)
-        and its DOM left for whoever asks first.  Input the tokenizer
-        does not take on (a DOCTYPE, CDATA, carriage returns, …) goes
-        through the parser, and that DOM stays the hierarchy's: its
-        ``doctype_name`` and internal ``dtd`` are nowhere else.
+        Each source is tokenized straight into columns (DESIGN.md §15).
+        Input the tokenizer does not take on (a DOCTYPE, CDATA,
+        carriage returns, …) is parsed, and the parser's DOM walked into
+        the same row writer; its DOCTYPE name and internal subset are
+        not kept.
         """
         from repro.markup.streaming import _add_xml
 
@@ -176,34 +147,78 @@ class MultihierarchicalDocument:
         return document
 
     def add_hierarchy(self, hierarchy: Hierarchy) -> Hierarchy:
-        """Register ``hierarchy``, verifying name uniqueness, the shared
-        root, and text alignment (which also records text-node spans)."""
-        if hierarchy.name in self.hierarchies:
-            raise CMHError(
-                f"duplicate hierarchy name '{hierarchy.name}'")
-        if self.hierarchies and hierarchy.root_name != self.root_name:
-            raise CMHError(
-                f"hierarchy '{hierarchy.name}' has root "
-                f"'{hierarchy.root_name}' but the document root is "
-                f"'{self.root_name}'")
-        self._align(hierarchy)
-        self.hierarchies[hierarchy.name] = hierarchy
-        return hierarchy
+        """Register ``hierarchy`` at the next rank; returns the
+        hierarchy the document holds.
+
+        An input (``Hierarchy(name, dom)``) is walked once into columns
+        by the row writer, which raises ``CMHError`` for a root other
+        than the document's and ``AlignmentError`` for text that is not
+        ``S``; the DOM is not kept.  A hierarchy another document holds
+        comes in the same way, as an export.
+        """
+        name = hierarchy.name
+        if name in self.hierarchies:
+            raise CMHError(f"duplicate hierarchy name '{name}'")
+        return self.add_columns(
+            _walk(hierarchy.document, self.text,
+                  self.root_name if self.hierarchies else None, name,
+                  len(self.hierarchies)),
+            hierarchy.root_name)
 
     def add_columns(self, columns, root_name: str) -> Hierarchy:
-        """Register the hierarchy that is ``columns``
-        (:meth:`Hierarchy.from_columns`).  Nothing is left to verify:
-        the row writer that made them held every row against this
-        document's text and root."""
+        """Register the hierarchy that is ``columns``, as the row writer
+        made them over this document's text and root at the next rank
+        (nothing is left to verify)."""
         hierarchy = Hierarchy.from_columns(columns, self.text, root_name)
         self.hierarchies[hierarchy.name] = hierarchy
         return hierarchy
 
+    def add_spans(self, name: str, spans: SpanSet,
+                  root_name: str | None = None) -> Hierarchy:
+        """Register the hierarchy ``spans`` marks up — properly nesting
+        spans over ``S`` — written straight into columns by the span
+        walk, without a DOM.  ``root_name`` names the root of a
+        document's first hierarchy; a later one shares the document's.
+        """
+        from repro.core.goddag.goddag import _ComponentWriter, span_component
+
+        if name in self.hierarchies:
+            raise CMHError(f"duplicate hierarchy name '{name}'")
+        text = self.text
+        if spans.text != text:
+            if text.startswith(spans.text):
+                raise falls_short(name, text, len(spans.text))
+            raise diverges(name, text, 0, spans.text)
+        root = self.root_name if root_name is None else root_name
+        if self.hierarchies and root != self.root_name:
+            raise other_root(name, root, self.root_name)
+        return self.add_columns(span_component(
+            _ComponentWriter(text, root, name, len(self.hierarchies)),
+            spans.sorted_spans()), root)
+
+    def reseat(self, text: str, components: Iterable) -> None:
+        """Hold ``components`` — written over ``text`` at the ranks of
+        the hierarchies of their names — in place of those hierarchies,
+        and ``text`` as ``S``: what an update changed (a text edit
+        changes every hierarchy)."""
+        self.text = text
+        root_name = self.root_name
+        for component in components:
+            self.hierarchies[component.name] = Hierarchy.from_columns(
+                component, text, root_name)
+
     def remove_hierarchy(self, name: str) -> Hierarchy:
-        """Remove and return the named hierarchy."""
+        """Remove and return the named hierarchy; the ones after it
+        move up a rank, as re-ranked copies."""
         if name not in self.hierarchies:
             raise CMHError(f"no hierarchy named '{name}'")
-        return self.hierarchies.pop(name)
+        removed = self.hierarchies.pop(name)
+        for rank, hierarchy in enumerate(list(self.hierarchies.values())):
+            if hierarchy.component.rank != rank:
+                self.hierarchies[hierarchy.name] = Hierarchy.from_columns(
+                    hierarchy.component.reranked(rank), hierarchy.text,
+                    hierarchy.root_name)
+        return removed
 
     # -- access ---------------------------------------------------------
 
@@ -234,8 +249,11 @@ class MultihierarchicalDocument:
         """Attach a CMH schema and validate every hierarchy against it.
 
         The CMH's hierarchy names must cover this document's hierarchy
-        names, and each encoding must be valid per its DTD.
+        names, and each encoding must be valid per its DTD; the
+        document then holds what validation returned
+        (:meth:`Hierarchy.validate`).
         """
+        validated: dict[str, Hierarchy] = {}
         for name, hierarchy in self.hierarchies.items():
             if name not in cmh.dtds:
                 raise CMHError(
@@ -245,51 +263,31 @@ class MultihierarchicalDocument:
                     f"hierarchy '{name}' root '{hierarchy.root_name}' "
                     f"differs from the CMH root '{cmh.root}'")
             try:
-                hierarchy.validate(cmh.dtds[name])
+                validated[name] = hierarchy.validate(cmh.dtds[name])
             except ValidationError as error:
                 raise ValidationError(
                     f"hierarchy '{name}': {error}") from error
+        self.hierarchies.update(validated)
         self.cmh = cmh
-
-    # -- alignment ---------------------------------------------------------
-
-    def _align(self, hierarchy: Hierarchy) -> None:
-        """Verify the hierarchy's text equals ``S``; record text spans."""
-        cursor = 0
-        text = self.text
-        for node in hierarchy.document.root.iter():
-            if not isinstance(node, dom.Text):
-                continue
-            end = cursor + len(node.data)
-            if text[cursor:end] != node.data:
-                raise diverges(hierarchy.name, text, cursor, node.data)
-            node.start, node.end = cursor, end
-            cursor = end
-        if cursor != len(text):
-            raise falls_short(hierarchy.name, text, cursor)
-
-    def verify_alignment(self) -> None:
-        """Re-check every hierarchy's alignment (after a DOM was
-        written)."""
-        for hierarchy in self.hierarchies.values():
-            self._align(hierarchy)
 
     # -- forking -----------------------------------------------------------
 
     def clone(self) -> "MultihierarchicalDocument":
-        """An independent deep copy sharing only immutable pieces.
-
-        Every hierarchy DOM is cloned node-by-node (text spans survive,
-        so no re-alignment pass is needed); the CMH schema — immutable
-        once parsed — is shared.  ``DocumentStore.add(document=...)``
-        registers a clone so the caller keeps ownership of theirs; the
-        store's own versions fork from arrays instead (DESIGN.md §10).
-        """
+        """An independent copy: hierarchies are never written, so it
+        holds the same ones, and the same CMH schema (immutable once
+        parsed).  ``DocumentStore.add(document=...)`` registers a clone
+        so the caller keeps ownership of theirs."""
         copy = MultihierarchicalDocument(self.text)
-        for name, hierarchy in self.hierarchies.items():
-            copy.hierarchies[name] = hierarchy.clone()
+        copy.hierarchies = dict(self.hierarchies)
         copy.cmh = self.cmh
         return copy
+
+
+def other_root(name: str, root_name: str, expected: str) -> CMHError:
+    """The error of hierarchy ``name`` whose root is not the document's."""
+    return CMHError(
+        f"hierarchy '{name}' has root '{root_name}' but the document "
+        f"root is '{expected}'")
 
 
 def diverges(name: str, text: str, cursor: int,

@@ -2,8 +2,10 @@
 
 A :class:`KyGoddag` holds the shared base text, the shared root node,
 one component of hierarchy nodes per markup hierarchy, and the leaf
-partition.  Hierarchies may be added from an aligned DOM document or
-from a :class:`~repro.cmh.spans.SpanSet`.  An evaluation that calls
+partition.  Hierarchies come as a document's columns
+(:meth:`KyGoddag.build`), a file's, or a
+:class:`~repro.cmh.spans.SpanSet`; no method here takes or returns a
+DOM.  An evaluation that calls
 ``analyze-string`` (Definition 4) registers its match markup as
 *temporary* hierarchies of its own :meth:`KyGoddag.shell`, which
 disappears with the evaluation.
@@ -46,6 +48,7 @@ from repro.cmh.document import (
     MultihierarchicalDocument,
     diverges,
     falls_short,
+    other_root,
 )
 from repro.cmh.spans import Span, SpanSet
 from repro.core.goddag.nodes import (
@@ -349,14 +352,27 @@ class _HierarchyComponent:
         makes its own node objects: row ``i`` of the copy is the twin of
         row ``i`` here.
         """
+        return self._copy(self.rank, np.array(self.name_ids),
+                          self._okeys, self.perms())
+
+    def reranked(self, rank: int) -> "_HierarchyComponent":
+        """An unfilled copy at ``rank``: every column shared but the
+        order keys, packed for the new rank on first use.  What a
+        document holds where a hierarchy before this one was removed."""
+        return self._copy(rank, self.name_ids, None, self._perms)
+
+    def _copy(self, rank: int, name_ids: np.ndarray,
+              okeys: np.ndarray | None,
+              perms: tuple[np.ndarray, np.ndarray] | None
+              ) -> "_HierarchyComponent":
         columns = {key: getattr(self, key) for key in COLUMNS[:-1]}
-        columns["name_ids"] = np.array(self.name_ids)
-        columns["okeys"] = self._okeys  # packed on first use, if not yet
+        columns["name_ids"] = name_ids
+        columns["okeys"] = okeys  # packed on first use, if None
         return _HierarchyComponent(
-            self.name, self.rank, self.temporary, names=self.names,
+            self.name, rank, self.temporary, names=self.names,
             columns=columns, attrs=self.attrs, comments=self.comments,
             pis=self.pis, prolog=self.prolog, epilog=self.epilog,
-            root_attrs=self.root_attrs, perms=self.perms())
+            root_attrs=self.root_attrs, perms=perms)
 
     def _texts(self) -> tuple[array, list[GText]]:
         index = self._text_index
@@ -588,14 +604,13 @@ class KyGoddag:
 
     @classmethod
     def build(cls, document: MultihierarchicalDocument) -> "KyGoddag":
-        """Build a KyGODDAG from an aligned multihierarchical document.
+        """Build a KyGODDAG from a multihierarchical document.
 
-        A hierarchy that is a DOM is walked.  Of one that still is its
-        columns the structure takes a :meth:`private copy
-        <_HierarchyComponent.private_copy>`: the columns stay the
-        document's, shared and never written (so the next structure
-        built from it finds them as they were); the nodes are this
-        structure's own and go with it."""
+        Of each hierarchy's columns the structure takes a
+        :meth:`private copy <_HierarchyComponent.private_copy>`: the
+        columns stay the document's, shared and never written (so the
+        next structure built from it finds them as they were); the
+        nodes are this structure's own and go with it."""
         text = document.text
         components = list(hierarchy_components(document, own=True))
         return cls.from_arrays(
@@ -719,30 +734,6 @@ class KyGoddag:
                 f"shell (KyGoddag.shell), and only there")
         if name in self._components:
             raise GoddagError(f"duplicate hierarchy name '{name}'")
-
-    def add_hierarchy_from_dom(self, name: str, document: dom.Document,
-                               temporary: bool = False) -> None:
-        """Register a hierarchy from an aligned DOM document: the one
-        door of this structure that takes a DOM.
-
-        The document's text nodes must cover the base text contiguously
-        (spans are derived by walking); a DOM that does not fit is a
-        :class:`GoddagError`.
-        """
-        self._admit(name, temporary)
-        root_name = self.root.root_name
-        if document.root.name != root_name:
-            raise GoddagError(
-                f"hierarchy '{name}' has root element "
-                f"'{document.root.name}', expected '{root_name}'")
-        try:
-            component = dom_component(
-                _ComponentWriter(self.text, root_name, name,
-                                 self._next_rank, temporary),
-                document)
-        except CMHError as error:
-            raise GoddagError(str(error)) from error
-        self._add_component(component)
 
     def add_hierarchy_from_spans(self, name: str, spans: SpanSet,
                                  temporary: bool = False) -> None:
@@ -1013,11 +1004,6 @@ class KyGoddag:
             return self.root
         return parent
 
-    def hierarchy_dom(self, hierarchy: str) -> dom.Document:
-        """One hierarchy as a freshly built, aligned DOM document."""
-        return self._components[hierarchy].build_dom(
-            self.text, self.root.root_name)
-
     def iter_nodes(self, include_leaves: bool = True,
                    include_attributes: bool = False) -> Iterator[GNode]:
         """All nodes in global document order (Definition 3)."""
@@ -1190,8 +1176,7 @@ class _ComponentWriter:
     fails half way is dropped with its writer and nothing is left
     behind.  Errors are the document's
     (:class:`~repro.errors.CMHError`,
-    :class:`~repro.errors.AlignmentError`); a door with another
-    taxonomy translates.
+    :class:`~repro.errors.AlignmentError`).
     """
 
     def __init__(self, text: str, root_name: str | None, name: str,
@@ -1226,9 +1211,7 @@ class _ComponentWriter:
         if self.root_name is None:
             self.root_name = name
         elif name != self.root_name:
-            raise CMHError(
-                f"hierarchy '{self.name}' has root '{name}' but the "
-                f"document root is '{self.root_name}'")
+            raise other_root(self.name, name, self.root_name)
         self.root_attrs = dict(attrs) if attrs else {}
 
     def aside(self, entry: list) -> None:
@@ -1344,10 +1327,11 @@ def row_spans(lengths: np.ndarray, subtree_ends: np.ndarray
 def dom_component(writer: _ComponentWriter,
                   document: dom.Document) -> _HierarchyComponent:
     """The columns of one hierarchy given as a DOM: one preorder walk
-    pushing into ``writer`` — every document that was built as a DOM
-    (the corpus generator's, a hand-made one, what the parser made of a
-    source the tokenizer does not take on) and
-    :meth:`KyGoddag.add_hierarchy_from_dom`."""
+    pushing into ``writer`` — the one way a DOM becomes rows
+    (``MultihierarchicalDocument.add_hierarchy`` of a
+    ``Hierarchy(name, dom)``, what the parser made of a source the
+    tokenizer does not take on, an export validation wrote defaults
+    into)."""
     for child in document.children:
         if isinstance(child, dom.Element):
             writer.root(child.name, child.attributes)
@@ -1436,21 +1420,12 @@ def _check_fits(component: _HierarchyComponent, old: _HierarchyComponent,
 def hierarchy_components(document: MultihierarchicalDocument,
                          own: bool = False
                          ) -> Iterator[_HierarchyComponent]:
-    """Every hierarchy of ``document`` as columns, ranked in
-    registration order: the columns a hierarchy still is
-    (:meth:`~repro.cmh.document.Hierarchy.columns_at`), else one walk
-    of its DOM.  The former stay the document's; a caller that makes
-    nodes asks for its ``own`` — a private copy of those."""
-    for rank, (name, hierarchy) in enumerate(document.hierarchies.items()):
-        component = hierarchy.columns_at(rank)
-        if component is None:
-            component = dom_component(
-                _ComponentWriter(document.text, document.root_name, name,
-                                 rank),
-                hierarchy.document)
-        elif own:
-            component = component.private_copy()
-        yield component
+    """Every hierarchy of ``document`` as its columns, ranked in
+    registration order.  They stay the document's; a caller that makes
+    nodes asks for its ``own`` — a private copy of each."""
+    for hierarchy in document.hierarchies.values():
+        component = hierarchy.component
+        yield component.private_copy() if own else component
 
 
 def normal_rows(columns: dict[str, np.ndarray]

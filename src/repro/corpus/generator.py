@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.cmh import Hierarchy, MultihierarchicalDocument
+from repro.cmh import MultihierarchicalDocument
 from repro.cmh.spans import Span, SpanSet
 from repro.corpus.vocabulary import WordSource
 
@@ -86,8 +86,7 @@ def generate_document(config: GeneratorConfig) -> MultihierarchicalDocument:
                                       config.boundary_cross_rate, rng),
     }
     for name, spans in builders.items():
-        document.add_hierarchy(
-            Hierarchy(name, spans.to_document("r")))
+        document.add_spans(name, spans, "r")
     return document
 
 

@@ -17,7 +17,7 @@ generator name    TEI-flavored name
 
 from __future__ import annotations
 
-from repro.cmh import Hierarchy, MultihierarchicalDocument
+from repro.cmh import MultihierarchicalDocument
 from repro.cmh.spans import Span, SpanSet, spans_of
 from repro.corpus.generator import GeneratorConfig, generate_document
 
@@ -42,6 +42,5 @@ def generate_tei_document(config: GeneratorConfig
             spans.add(Span(span.start, span.end,
                            renames.get(span.name, span.name),
                            span.attributes, span.depth_hint))
-        result.add_hierarchy(
-            Hierarchy(name, spans.to_document("TEI")))
+        result.add_spans(name, spans, "TEI")
     return result

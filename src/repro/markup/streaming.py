@@ -22,8 +22,10 @@ non-predefined entities) and raises the internal ``_FastPathMiss`` on
 *anything* it is not bit-perfectly sure about; the caller then goes
 through the canonical :func:`repro.markup.parser.parse`, so the error
 taxonomy — ``MarkupError`` with line/column, ``CMHError``,
-``AlignmentError`` — is the parser's and the document's.  A failed
-hierarchy is dropped with its writer: nothing half-built is left.
+``AlignmentError`` — is the parser's and the document's, and the
+parser's DOM goes through the document's DOM door into the same row
+writer.  A failed hierarchy is dropped with its writer: nothing
+half-built is left.
 Standoff annotation layers (token/sentence/entity character spans from
 NLP pipelines) enter through :meth:`StreamingBuilder.add_layer`, as
 sorted spans pushed into the same writer.
@@ -42,7 +44,7 @@ from repro.cmh.document import Hierarchy, MultihierarchicalDocument
 from repro.cmh.spans import Span, SpanSet
 from repro.core.goddag.goddag import (KIND_COMMENT, KIND_ELEMENT, KIND_PI,
                                       KIND_TEXT, _ComponentWriter,
-                                      hierarchy_components, span_component)
+                                      hierarchy_components)
 from repro.errors import CMHError, MarkupError
 from repro.markup.entities import PREDEFINED, decode_char_reference
 from repro.markup.parser import parse
@@ -305,8 +307,8 @@ class StreamingBuilder:
     Feed it XML encodings (:meth:`add_hierarchy`) and/or standoff span
     layers (:meth:`add_layer`), then :meth:`save` — the file is, byte
     for byte, what ``save_engine`` writes for the engine built from the
-    same input, so ``Engine.from_mhxb`` loads it with the DOM still
-    lazy.  What has been fed so far is :attr:`document`, the document
+    same input, so ``Engine.from_mhxb`` loads it.  What has been fed so
+    far is :attr:`document`, the document
     ``from_xml`` would have made of it; a corpus is cut out of that
     (:func:`repro.store.sharding.save_shards`).
     """
@@ -340,15 +342,8 @@ class StreamingBuilder:
         overlap rejection, nesting) are those of
         ``SpanSet(text, spans)``, registered without building a DOM.
         """
-        document = self.document
-        span_set = SpanSet(self.text, [_as_span(span) for span in spans])
-        root_name = document.root_name
-        if name in document.hierarchies:
-            raise CMHError(f"duplicate hierarchy name '{name}'")
-        document.add_columns(span_component(
-            _ComponentWriter(self.text, root_name, name,
-                             len(document.hierarchies)),
-            span_set.sorted_spans()), root_name)
+        self.document.add_spans(
+            name, SpanSet(self.text, [_as_span(span) for span in spans]))
 
     def save(self, path: str | Path, *, durability: str = "off") -> int:
         """Write the columns as a ``.mhxb`` container; returns its size."""

@@ -93,8 +93,8 @@ def fork_engine(engine: Engine) -> Engine:
     :meth:`KyGoddag.fork` hands the new version the source's hierarchy
     components, leaves and span-index columns as they are — no node is
     made, nothing is copied per node, re-numbered or re-sorted, and no
-    DOM is built.  The fork's DOM side derives from the components one
-    hierarchy at a time, when an update or a serialization asks.
+    DOM is built.  The fork's document, if somebody asks for one, holds
+    those components (:attr:`Engine.document`).
     Options, ``use_cost`` and DTD sources carry over; the version
     counter does too, so updates continue the original's sequence.
     """

@@ -39,10 +39,9 @@ Every array block is 64-byte aligned and loaded as a read-only
 ``np.memmap`` over one ``mmap`` of the file, so a cold load touches only
 the pages a query actually reads; the loader never re-parses XML or
 re-sorts anything, and makes no node object: a hierarchy makes the
-node of a row from its blocks when a query first asks for that row.  The DOM
-side of the document (needed only for updates and serialization)
-materializes lazily, hierarchy by hierarchy, from the same arrays on
-first access.
+node of a row from its blocks when a query first asks for that row.  A
+hierarchy's DOM is an export of the same arrays, made only for whoever
+asks for one.
 
 The module has two halves.  *Engine ⇄ arrays* is thin, because the
 per-hierarchy blocks are the form a
@@ -127,9 +126,9 @@ def save_engine(engine, path: str | Path, *,
     the same logical state twice — or saving a freshly cold-loaded or
     forked engine — produces byte-identical files.  Nothing is walked:
     every hierarchy component already holds its file blocks, and what
-    lives only on the DOM side (DTD sources, comments around the root
-    element) is kept with the engine and the components, so saving
-    never materializes a DOM.  ``durability="full"`` additionally
+    no row holds (DTD sources, comments around the root element) is
+    kept with the engine and the components, so saving builds no
+    DOM.  ``durability="full"`` additionally
     fsyncs the temp file before the rename and the directory after it,
     so the commit survives a power cut; ``"off"`` (the default for
     direct library use — the store applies its own policy) leaves
@@ -518,8 +517,7 @@ def load_engine(path: str | Path, options=None, verify: bool = False):
     sort, and no node object: a hierarchy makes a row's node the first
     time a query asks for that row, so a load that answers a question
     about one name makes that name's nodes and no other's
-    (DESIGN.md §10).  Each hierarchy's DOM materializes on first
-    access too (updates that touch it, serialization).
+    (DESIGN.md §10).
 
     ``verify=True`` deep-scans every block checksum before any array is
     trusted (the store's cold-load policy); the default keeps the load
@@ -577,8 +575,8 @@ def load_document(path: str | Path, verify: bool = False
                   ) -> MultihierarchicalDocument:
     """The document a ``.mhxb`` file holds, every hierarchy still its
     columns (DESIGN.md §15): the door for a reader that wants the rows
-    and no engine — no node object is made, and a hierarchy's DOM only
-    if somebody asks for it.  ``verify`` as in :func:`load_engine`.
+    and no engine — no node object is made.  ``verify`` as in
+    :func:`load_engine`.
     """
     path = Path(path)
     header, data_start = _checked_header(path, verify)

@@ -131,37 +131,24 @@ class CorpusStats:
 # ---------------------------------------------------------------------------
 
 
-def _element_spans(document: MultihierarchicalDocument,
+def _element_spans(components: list[_HierarchyComponent]
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends) of every non-root element across all hierarchies."""
-    starts: list[int] = []
-    ends: list[int] = []
-    lengths = _subtree_lengths(document)
-    for hierarchy in document.hierarchies.values():
-        cursor = 0
-        stack: list[dom.Node] = list(reversed(hierarchy.root.children))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, dom.Text):
-                cursor += len(node.data)
-            elif isinstance(node, dom.Element):
-                # Preorder: the subtree's text nodes advance the cursor
-                # before the next sibling is popped, so ``cursor`` here
-                # is exactly this element's start offset.  Zero-length
-                # elements are skipped: they cannot strictly contain
-                # any position, and counting their collapsed span would
-                # unbalance the open/closed tally at exactly their
-                # offset (masking a real straddler there).
-                if lengths[id(node)]:
-                    starts.append(cursor)
-                    ends.append(cursor + lengths[id(node)])
-                stack.extend(reversed(node.children))
-    return (np.asarray(sorted(starts), dtype=np.int64),
-            np.asarray(sorted(ends), dtype=np.int64))
+    """The sorted starts and the sorted ends of every non-root element
+    across ``components``.  Zero-length elements are left out: they
+    cannot strictly contain any position, and counting their collapsed
+    span would unbalance the open/closed tally at exactly their offset
+    (masking a real straddler there)."""
+    return np.sort(np.concatenate(
+        [np.empty((2, 0), dtype=np.int64), *(
+            np.stack((component.starts, component.ends))[
+                :, (component.kinds == KIND_ELEMENT)
+                & (component.ends > component.starts)]
+            for component in components)], axis=1))
 
 
-def _subtree_lengths(document: MultihierarchicalDocument) -> dict[int, int]:
-    """``id(node) -> total text length`` for every parent node."""
+def _subtree_lengths(roots: list[dom.Element]) -> dict[int, int]:
+    """``id(node) -> total text length`` for every parent node under
+    ``roots`` (one export per hierarchy, held for the whole cut)."""
     lengths: dict[int, int] = {}
 
     def measure(node: dom.Node) -> int:
@@ -173,8 +160,8 @@ def _subtree_lengths(document: MultihierarchicalDocument) -> dict[int, int]:
             return total
         return 0
 
-    for hierarchy in document.hierarchies.values():
-        measure(hierarchy.root)
+    for root in roots:
+        measure(root)
     return lengths
 
 
@@ -183,9 +170,8 @@ def valid_cut_positions(starts: np.ndarray, ends: np.ndarray,
     """Interior positions no span in the sorted columns strictly
     contains.
 
-    The column-level core of :func:`valid_cuts`, shared with
-    :func:`shard_bounds`, which reads the same sorted element start/end
-    columns off hierarchy components.
+    The core of :func:`valid_cuts` and :func:`shard_bounds`, over
+    the sorted element start/end columns of the hierarchy components.
     """
     candidates = np.unique(np.concatenate((starts, ends)))
     candidates = candidates[(candidates > 0) & (candidates < total)]
@@ -204,7 +190,7 @@ def valid_cuts(document: MultihierarchicalDocument) -> np.ndarray:
     ``#{start < p} == #{end <= p}`` — i.e. no element span strictly
     contains it.
     """
-    starts, ends = _element_spans(document)
+    starts, ends = _element_spans(list(hierarchy_components(document)))
     return valid_cut_positions(starts, ends, len(document.text))
 
 
@@ -252,14 +238,15 @@ def choose_cuts(document: MultihierarchicalDocument,
 # ---------------------------------------------------------------------------
 
 
-def _slice_hierarchy(hierarchy: Hierarchy, lo: int, hi: int, total: int,
+def _slice_hierarchy(whole: dom.Element, lo: int, hi: int, total: int,
                      lengths: dict[int, int]) -> dom.Document:
-    """The hierarchy's encoding restricted to text span ``[lo, hi)``."""
+    """The encoding under root element ``whole`` restricted to text
+    span ``[lo, hi)``."""
     document = dom.Document()
-    root = dom.Element(hierarchy.root.name, hierarchy.root.attributes)
+    root = dom.Element(whole.name, whole.attributes)
     document.append(root)
     cursor = 0
-    for child in hierarchy.root.children:
+    for child in whole.children:
         if isinstance(child, dom.Text):
             start, end = cursor, cursor + len(child.data)
             cursor = end
@@ -296,32 +283,37 @@ def shard_document(document: MultihierarchicalDocument, n_shards: int,
 
     Each shard is a full :class:`MultihierarchicalDocument` over its
     text slice, hierarchies in the original registration order (the
-    order is what keeps packed okeys comparable across shards).
-    Alignment is re-verified per shard on construction, so a slicing
-    bug fails loudly here rather than corrupting query results.
+    order is what keeps packed okeys comparable across shards).  The
+    slices are cut from one export per hierarchy and walked back in
+    through the document's DOM door, which holds every slice against
+    its text, so a slicing bug fails loudly here rather than
+    corrupting query results.
     """
     if not document.hierarchies:
         raise StoreError("cannot shard a document with no hierarchies")
     cuts = choose_cuts(document, n_shards)
     total = len(document.text)
     bounds = [0, *cuts, total]
-    lengths = _subtree_lengths(document)
+    roots = {name: hierarchy.root
+             for name, hierarchy in document.hierarchies.items()}
+    lengths = _subtree_lengths(list(roots.values()))
     shards: list[MultihierarchicalDocument] = []
     stats: list[ShardStats] = []
+    name_hierarchies: dict[str, set[str]] = {}
     for lo, hi in zip(bounds, bounds[1:]):
         shard = MultihierarchicalDocument(document.text[lo:hi])
-        for name, hierarchy in document.hierarchies.items():
-            sliced = _slice_hierarchy(hierarchy, lo, hi, total, lengths)
-            shard.add_hierarchy(Hierarchy(name, sliced))
+        cards: dict[str, int] = {}
+        for name, root in roots.items():
+            held = shard.add_hierarchy(Hierarchy(
+                name, _slice_hierarchy(root, lo, hi, total, lengths)))
+            component = held.component
+            for element in component.row_names(np.flatnonzero(
+                    component.kinds == KIND_ELEMENT)).tolist():
+                cards[element] = cards.get(element, 0) + 1
+                name_hierarchies.setdefault(element, set()).add(name)
         shards.append(shard)
         stats.append(ShardStats(
-            lo=lo, hi=hi, words=len(shard.text.split()),
-            cards=_cardinalities(shard)))
-    name_hierarchies: dict[str, set[str]] = {}
-    for shard in shards:
-        for name, hierarchy in shard.hierarchies.items():
-            for node in hierarchy.root.iter_elements():
-                name_hierarchies.setdefault(node.name, set()).add(name)
+            lo=lo, hi=hi, words=len(shard.text.split()), cards=cards))
     corpus = CorpusStats(
         root_name=document.root_name,
         hierarchy_names=document.hierarchy_names,
@@ -329,14 +321,6 @@ def shard_document(document: MultihierarchicalDocument, n_shards: int,
                           for name, hierarchies in name_hierarchies.items()},
         shards=stats)
     return shards, corpus
-
-
-def _cardinalities(document: MultihierarchicalDocument) -> dict[str, int]:
-    cards: dict[str, int] = {}
-    for hierarchy in document.hierarchies.values():
-        for node in hierarchy.root.iter_elements():
-            cards[node.name] = cards.get(node.name, 0) + 1
-    return cards
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +339,7 @@ def shard_bounds(text: str, components: list[_HierarchyComponent],
     total = len(text)
     cuts: list[int] = []
     if n_shards > 1:
-        # non-empty elements only: see :func:`_element_spans`
-        starts, ends = np.sort(np.concatenate(
-            [np.stack((component.starts, component.ends))[
-                :, (component.kinds == KIND_ELEMENT)
-                & (component.ends > component.starts)]
-             for component in components], axis=1))
+        starts, ends = _element_spans(components)
         cuts = balanced_cuts(valid_cut_positions(starts, ends, total),
                              total, n_shards)
     bounds = [0, *cuts, total]
@@ -425,9 +404,9 @@ def _slice_component(component: _HierarchyComponent, lo: int, hi: int,
 def save_shards(document: MultihierarchicalDocument, n_shards: int,
                 path_for: Callable[[int], str | Path], *,
                 durability: str = "off") -> CorpusStats:
-    """Cut ``document``'s columns (those a hierarchy still is, else one
-    walk of its DOM) into up to ``n_shards`` ``.mhxb`` files — the
-    corpus writer behind every way a corpus gets into a store.
+    """Cut ``document``'s columns into up to ``n_shards`` ``.mhxb``
+    files — the corpus writer behind every way a corpus gets into a
+    store.
 
     The files and the returned :class:`CorpusStats` are, byte for byte,
     those of :func:`shard_document` followed by one ``save_engine`` per
@@ -475,12 +454,11 @@ def fuse_documents(shards: list[MultihierarchicalDocument],
     """Reassemble shard documents into one whole-corpus document.
 
     The inverse of :func:`_slice_component`, and like it row
-    arithmetic: per hierarchy the parts' columns (those a part still
-    is, else one walk of its DOM) are concatenated — rows shifted by
+    arithmetic: per hierarchy the parts' columns are concatenated —
+    rows shifted by
     the rows before them, spans by the text before them — and the text
     nodes the cuts split are merged again, so the fused document is,
-    column for column, the one that was cut.  It is a document of
-    columns; a DOM is built for whoever asks.  The non-distributable
+    column for column, the one that was cut.  The non-distributable
     query fallback evaluates here.
     """
     if not shards:

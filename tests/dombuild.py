@@ -2,7 +2,8 @@
 
 How every document came in before XML was tokenized straight into
 columns (DESIGN.md §15): :func:`repro.markup.parser.parse` builds a
-DOM per encoding, the document aligns it against the base text, and
+DOM per encoding, :func:`align` holds it against the base text — the
+alignment pass the package's document had — and
 :class:`ComponentBuilder` — the walker that then lived in
 ``repro.core.goddag.goddag`` — turns the aligned DOM into a hierarchy
 component with its own interning, its own text comparison and its own
@@ -13,12 +14,17 @@ None of it is part of the package.  It is the independent side of the
 differential suite (``tests/test_streaming.py``): the package's row
 writer, fed by its tokenizer, its DOM walk and its span walk, has to
 produce these columns and, through the shared file writer, these bytes.
+The package's document holds columns only, so the reference keeps its
+own DOMs (:class:`DomDocument`); a test that needs the package's
+document of them takes :meth:`DomDocument.package`, which hands each
+DOM to the package's DOM door — a differential of that walk against
+:class:`ComponentBuilder` in its own right.
 :func:`fuse_dom_documents` is the corpus reassembled node by node, which
 the column fuse of ``repro.store.sharding`` is held against
 (``tests/test_sharding.py::TestFuse``).
 It shares with the package the column container
-(``_HierarchyComponent``), the parser and ``.mhxb`` packing — nothing
-that writes a row.
+(``_HierarchyComponent``), the parser, the validator, the alignment
+errors' wording and ``.mhxb`` packing — nothing that writes a row.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cmh import Hierarchy, MultihierarchicalDocument
+from repro.cmh import (ConcurrentMarkupHierarchy, Hierarchy,
+                       MultihierarchicalDocument)
+from repro.cmh.document import diverges, falls_short, other_root
 from repro.cmh.spans import SpanSet
 from repro.core.goddag.goddag import (
     COLUMNS,
@@ -40,15 +48,98 @@ from repro.core.goddag.goddag import (
 from repro.errors import CMHError, GoddagError
 from repro.markup import dom
 from repro.markup.parser import parse
+from repro.markup.serializer import serialize
+from repro.markup.validate import validate
 from repro.store.mhxb import write_container
 
 
-def dom_document(text: str,
-                 sources: dict[str, str]) -> MultihierarchicalDocument:
+def align(name: str, text: str, document: dom.Document) -> None:
+    """Hold hierarchy ``name``'s DOM against the base text ``text`` and
+    record every text node's span: the document's alignment pass as it
+    was, with its errors."""
+    cursor = 0
+    for node in document.root.iter():
+        if not isinstance(node, dom.Text):
+            continue
+        end = cursor + len(node.data)
+        if text[cursor:end] != node.data:
+            raise diverges(name, text, cursor, node.data)
+        node.start, node.end = cursor, end
+        cursor = end
+    if cursor != len(text):
+        raise falls_short(name, text, cursor)
+
+
+class DomDocument:
+    """The reference's multihierarchical document: a base text and one
+    aligned DOM per hierarchy, its own to edit (``RebuildOracle`` does).
+    """
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.hierarchies: dict[str, dom.Document] = {}
+        self.cmh: ConcurrentMarkupHierarchy | None = None
+
+    def add(self, name: str, document: dom.Document) -> None:
+        """Register ``document`` as hierarchy ``name``, as the
+        package's ``add_hierarchy`` did: name, shared root, alignment."""
+        if name in self.hierarchies:
+            raise CMHError(f"duplicate hierarchy name '{name}'")
+        if self.hierarchies and document.root.name != self.root_name:
+            raise other_root(name, document.root.name, self.root_name)
+        align(name, self.text, document)
+        self.hierarchies[name] = document
+
+    def realign(self) -> None:
+        """Hold every DOM against the text again (after an edit)."""
+        for name, document in self.hierarchies.items():
+            align(name, self.text, document)
+
+    def attach_cmh(self, cmh: ConcurrentMarkupHierarchy) -> None:
+        """Validate every DOM against its DTD, defaults written in."""
+        for name, document in self.hierarchies.items():
+            validate(document, cmh.dtds[name])
+        self.cmh = cmh
+
+    @property
+    def root_name(self) -> str:
+        return next(iter(self.hierarchies.values())).root.name
+
+    @property
+    def hierarchy_names(self) -> list[str]:
+        return list(self.hierarchies)
+
+    def __getitem__(self, name: str) -> dom.Document:
+        return self.hierarchies[name]
+
+    def to_xml(self, name: str) -> str:
+        return serialize(self.hierarchies[name])
+
+    def package(self) -> MultihierarchicalDocument:
+        """The package's document of these DOMs, each handed to its DOM
+        door (``add_hierarchy(Hierarchy(name, dom))``), and the schema
+        they were validated against."""
+        package = MultihierarchicalDocument(
+            self.text, [Hierarchy(name, document)
+                        for name, document in self.hierarchies.items()])
+        package.cmh = self.cmh
+        return package
+
+    @classmethod
+    def exported(cls, document: MultihierarchicalDocument
+                 ) -> "DomDocument":
+        """The reference document of a package document's exports."""
+        reference = cls(document.text)
+        for name, hierarchy in document.hierarchies.items():
+            reference.add(name, hierarchy.document)
+        return reference
+
+
+def dom_document(text: str, sources: dict[str, str]) -> DomDocument:
     """``from_xml`` as it was: one parsed, aligned DOM per hierarchy."""
-    document = MultihierarchicalDocument(text)
+    document = DomDocument(text)
     for name, source in sources.items():
-        document.add_hierarchy(Hierarchy(name, parse(source)))
+        document.add(name, parse(source))
     return document
 
 
@@ -100,13 +191,13 @@ def _emit_text(base: str, stack: list[tuple[dom.Element, int]],
 
 
 def fuse_dom_documents(shards: list[MultihierarchicalDocument],
-                       ) -> MultihierarchicalDocument:
+                       ) -> DomDocument:
     """``repro.store.fuse_documents`` as it was: the parts' top-level
-    nodes cloned under a fresh root per hierarchy, ``normalize()`` to
-    merge the text nodes the cuts split, and the alignment pass of
-    ``add_hierarchy``."""
+    nodes (of each part's export) cloned under a fresh root per
+    hierarchy, ``normalize()`` to merge the text nodes the cuts split,
+    and the alignment pass."""
     text = "".join(shard.text for shard in shards)
-    fused = MultihierarchicalDocument(text)
+    fused = DomDocument(text)
     first = shards[0]
     for name in first.hierarchy_names:
         shard_root = first[name].root
@@ -117,7 +208,7 @@ def fuse_dom_documents(shards: list[MultihierarchicalDocument],
             for child in shard[name].root.children:
                 root.append(child.clone())
         root.normalize()
-        fused.add_hierarchy(Hierarchy(name, document))
+        fused.add(name, document)
     return fused
 
 
@@ -234,17 +325,17 @@ class ComponentBuilder:
             # doctype/etc. — nothing to represent
 
 
-def reference_components(document: MultihierarchicalDocument
+def reference_components(document: DomDocument
                          ) -> list[_HierarchyComponent]:
     """Every hierarchy's DOM through :class:`ComponentBuilder`."""
     root_name = document.root_name
     return [ComponentBuilder(document.text, root_name, name, rank,
-                             False).build_from_dom(hierarchy.document)
+                             False).build_from_dom(hierarchy)
             for rank, (name, hierarchy)
             in enumerate(document.hierarchies.items())]
 
 
-def reference_save(document: MultihierarchicalDocument,
+def reference_save(document: DomDocument,
                    path: str | Path) -> list[_HierarchyComponent]:
     """Write the ``.mhxb`` file of ``document``'s reference components;
     returns them."""

@@ -6,7 +6,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.errors import CMHError
-from repro.cmh import Hierarchy, MultihierarchicalDocument
+from repro.cmh import MultihierarchicalDocument
 from repro.cmh.spans import Span, SpanSet
 
 def examples(count: int) -> int:
@@ -67,8 +67,7 @@ def multihierarchical_documents(draw, max_hierarchies: int = 3,
                                      max_value=max_hierarchies))
     for index in range(n_hierarchies):
         spans = draw(span_sets(text, max_spans=max_spans))
-        document.add_hierarchy(
-            Hierarchy(f"h{index}", spans.to_document("r")))
+        document.add_spans(f"h{index}", spans, "r")
     return document
 
 

@@ -126,13 +126,40 @@ class TestMultihierarchicalDocument:
         with pytest.raises(ValidationError, match="physical"):
             document.attach_cmh(cmh)
 
-    def test_verify_alignment_detects_mutation(self, base_text, encodings):
+    def test_a_hand_edited_export_changes_nothing(self, base_text,
+                                                  encodings, tmp_path):
+        """A hierarchy's DOM is an export: editing one — its text, an
+        element's name — reaches neither the document, nor an engine
+        over it, nor what it serializes or saves."""
+        from repro.api import Engine, load_mhx, save_mhx
+
         document = MultihierarchicalDocument.from_xml(base_text, encodings)
-        first_text = next(
-            document["physical"].document.root.iter_text())
+        control = MultihierarchicalDocument.from_xml(base_text, encodings)
+        engine, control_engine = Engine(document), Engine(control)
+        export = document["physical"].document
+        first_text = next(export.root.iter_text())
         first_text.data = "CORRUPTED" + first_text.data
-        with pytest.raises(AlignmentError):
-            document.verify_alignment()
+        next(document["structural"].root.iter_elements("w")).name = "word"
+
+        def state(of: MultihierarchicalDocument) -> tuple:
+            return of.text, {name: hierarchy.to_xml()
+                             for name, hierarchy in of.hierarchies.items()}
+
+        assert state(document) == state(control)
+        save_mhx(document, tmp_path / "edited.mhx")
+        save_mhx(control, tmp_path / "control.mhx")
+        assert (tmp_path / "edited.mhx").read_bytes() == \
+            (tmp_path / "control.mhx").read_bytes()
+        assert state(load_mhx(tmp_path / "edited.mhx")) == state(control)
+        query = "for $w in /descendant::w return string($w)"
+        assert Engine(document).query(query).items == \
+            Engine(control).query(query).items
+        for one in (engine, control_engine):
+            one.update('rename node (/descendant::w)[1] as "first"')
+            one.update('insert node <w>eac</w> after (/descendant::w)[2]')
+        assert state(document) == state(control)
+        assert engine.query(query).items == \
+            control_engine.query(query).items
 
     def test_hierarchy_to_xml(self, base_text, encodings):
         document = MultihierarchicalDocument.from_xml(base_text, encodings)

@@ -60,15 +60,17 @@ class TestBuild:
     def test_duplicate_hierarchy_rejected(self, boethius_doc):
         goddag = KyGoddag.build(boethius_doc)
         with pytest.raises(GoddagError, match="duplicate"):
-            goddag.add_hierarchy_from_dom(
-                "physical", boethius_doc["physical"].document)
+            goddag.add_hierarchy_from_spans(
+                "physical", SpanSet(goddag.text))
 
-    def test_wrong_root_rejected(self, goddag):
+    def test_wrong_root_rejected(self, boethius_doc):
+        from repro.cmh import Hierarchy
+        from repro.errors import CMHError
         from repro.markup import parse
 
-        wrong = parse(f"<other>{goddag.text}</other>")
-        with pytest.raises(GoddagError, match="root element"):
-            goddag.add_hierarchy_from_dom("extra", wrong)
+        wrong = parse(f"<other>{boethius_doc.text}</other>")
+        with pytest.raises(CMHError, match="has root 'other'"):
+            boethius_doc.clone().add_hierarchy(Hierarchy("extra", wrong))
 
     def test_string_values(self, goddag):
         word = next(goddag.elements("w"))

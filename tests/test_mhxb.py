@@ -79,33 +79,45 @@ class TestRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
     def test_saving_never_materializes_the_dom(self, tmp_path):
-        """What lives only on the DOM side — DTD sources, comments and
-        PIs around the root element — is kept with the engine and its
-        components, so a cold load, a fork and a fork's fork re-save
-        the same bytes without building a DOM node."""
-        from repro.markup import dom
+        """What no row holds — DTD sources, comments and PIs around the
+        root element — is kept with the engine and its components, so
+        a cold load, a fork and a fork's fork re-save the same bytes
+        without building a DOM."""
+        from repro.core.goddag.goddag import _HierarchyComponent
+        from repro.corpus.boethius import ENCODINGS, boethius_cmh
         from repro.store import fork_engine
 
-        document = boethius_document(validate=True)  # carries DTDs
-        hierarchy = next(iter(document.hierarchies.values()))
-        hierarchy.document.insert(0, dom.Comment("prolog"))
-        hierarchy.document.append(dom.ProcessingInstruction("epi", "log"))
+        from tests.test_store import wrapping
+
+        first_name, *_rest = ENCODINGS
+        sources = dict(ENCODINGS)
+        sources[first_name] = \
+            f"<!--prolog-->{sources[first_name]}<?epi log?>"
+        document = MultihierarchicalDocument.from_xml(
+            boethius_document().text, sources)
+        document.attach_cmh(boethius_cmh())  # carries DTDs
+        hierarchy = document[first_name]
         first = tmp_path / "first.mhxb"
-        Engine(document).save_mhxb(first)
-        expected = first.read_bytes()
-        cold = Engine.from_mhxb(first)
-        fork = fork_engine(cold)
-        grandchild = fork_engine(fork)
-        for label, candidate in (("cold", cold), ("fork", fork),
-                                 ("fork of fork", grandchild)):
-            path = tmp_path / "again.mhxb"
-            candidate.save_mhxb(path)
-            assert path.read_bytes() == expected, label
-            assert candidate._document is None, label
+        doms: list = []
+        with wrapping(_HierarchyComponent, "build_dom", doms,
+                      lambda component: component.name):
+            Engine(document).save_mhxb(first)
+            expected = first.read_bytes()
+            cold = Engine.from_mhxb(first)
+            fork = fork_engine(cold)
+            grandchild = fork_engine(fork)
+            for label, candidate in (("cold", cold), ("fork", fork),
+                                     ("fork of fork", grandchild)):
+                path = tmp_path / "again.mhxb"
+                candidate.save_mhxb(path)
+                assert path.read_bytes() == expected, label
+                assert candidate._document is None, label
+        assert doms == []
         assert grandchild.document.cmh.sources() == document.cmh.sources()
         assert grandchild.document.hierarchies[hierarchy.name].to_xml() \
             == hierarchy.to_xml()
-        assert "<!--prolog-->" in hierarchy.to_xml()
+        assert hierarchy.to_xml().startswith("<!--prolog--><r>")
+        assert hierarchy.to_xml().endswith("</r><?epi log?>")
 
     def test_cold_load_passes_invariants(self, engine, tmp_path):
         path = tmp_path / "doc.mhxb"
@@ -427,8 +439,14 @@ class TestDocumentDoor:
         path = tmp_path / "doc.mhxb"
         source = Engine(boethius_document())  # with its CMH
         source.save_mhxb(path)
+        from repro.core.goddag.goddag import _HierarchyComponent
+
+        from tests.test_store import wrapping
+
         made: list = []
-        with filling(made):
+        doms: list = []
+        with filling(made), wrapping(_HierarchyComponent, "build_dom",
+                                     doms, lambda component: component):
             document = load_document(path)
             assert not made  # no node object
             control = Engine.from_mhxb(path)
@@ -442,14 +460,16 @@ class TestDocumentDoor:
             len(component.kinds)
             for component in control.goddag.components().values())
         for rank, hierarchy in enumerate(document.hierarchies.values()):
-            assert hierarchy.columns_at(rank) is not None
-            assert not hierarchy.materialized
+            assert hierarchy.component.rank == rank
         assert document.text == source.goddag.text
         assert document.root_name == "r"
         assert document.cmh.sources() == source.dtd_sources()
         # what it holds is what the file holds
         again = tmp_path / "again.mhxb"
-        Engine(document).save_mhxb(again)
+        with wrapping(_HierarchyComponent, "build_dom", doms,
+                      lambda component: component):
+            Engine(document).save_mhxb(again)
+        assert doms == []  # and no DOM, the load's or the save's
         assert again.read_bytes() == path.read_bytes()
         for name, hierarchy in document.hierarchies.items():
             assert hierarchy.to_xml() == source.document[name].to_xml()

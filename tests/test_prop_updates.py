@@ -27,8 +27,9 @@ does (DESIGN.md §10): every statement is applied to a
 generation's arrays.  The fork must agree with the oracle and the
 generation it was forked from must not change by a byte — its saved
 ``.mhxb`` image, its probe results, its invariants — whether it was
-built, cold-loaded, or cold-loaded with its DOM already materialized,
-and whatever part of its DOM earlier statements left materialized.
+built, cold-loaded, or cold-loaded with its document already made
+(every hierarchy exported once), and whether or not earlier statements
+made the document of the generation before.
 """
 
 from __future__ import annotations
@@ -213,8 +214,8 @@ def test_forked_sequences_leave_every_source_untouched(data):
                 _assert_probes_match(fork, oracle, context)
                 _assert_columns_match(fork, oracle,
                                       source.goddag.components())
-                # sometimes look at the DOM side too, sometimes leave
-                # the next generation's source partly materialized
+                # sometimes look at the document too, so the next
+                # generation's source sometimes has one
                 if data.draw(st.booleans(), label=f"peek-{step}"):
                     _assert_states_match(fork, oracle, context)
             source.goddag.check_invariants()

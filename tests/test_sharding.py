@@ -28,8 +28,9 @@ from repro.store import fuse_documents, shard_document, valid_cuts
 from repro.store.mhxb import load_document, write_container
 from repro.store.sharding import (CorpusStats, ShardStats, choose_cuts,
                                   save_shards)
-from tests.dombuild import (assert_same_columns, fuse_dom_documents,
-                            reference_components, reference_save)
+from tests.dombuild import (DomDocument, assert_same_columns,
+                            fuse_dom_documents, reference_components,
+                            reference_save)
 from tests.strategies import multihierarchical_documents
 from tests.test_plan_cost import skewed_document
 
@@ -138,6 +139,20 @@ class TestShardDocument:
         with pytest.raises(StoreError, match="no hierarchies"):
             shard_document(MultihierarchicalDocument("abc"), 2)
 
+    def test_one_export_per_hierarchy(self):
+        """Each hierarchy's DOM is exported once per call, whatever the
+        shard count; the shards' statistics come off their columns."""
+        from tests.test_store import wrapping
+
+        document = corpus(800)
+        for n_shards in (1, 4):
+            doms: list = []
+            with wrapping(_HierarchyComponent, "build_dom", doms,
+                          lambda component: component.name):
+                shards, _stats = shard_document(document, n_shards)
+            assert len(shards) == n_shards
+            assert doms == document.hierarchy_names
+
     def test_boethius_shards(self):
         document = boethius_document(validate=False)
         shards, stats = shard_document(document, 2)
@@ -164,16 +179,18 @@ class TestFuse:
     def assert_fuses_alike(tmp: pathlib.Path, parts: list
                            ) -> MultihierarchicalDocument:
         """Column fuse == DOM fuse + reference walker: text, columns,
-        ``.mhxb`` bytes, and every hierarchy's XML.  (The column fuse
-        runs first: the DOM fuse asks every part for its DOM, after
-        which the part is no longer its columns.)"""
-        fused = fuse_documents(parts)
-        assert not any(hierarchy.materialized
-                       for hierarchy in fused.hierarchies.values())
+        ``.mhxb`` bytes, and every hierarchy's XML.  The column fuse
+        builds no DOM and walks none."""
+        import repro.core.goddag.goddag as goddag_module
+
+        from tests.test_store import wrapping
+
+        doms: list = []
+        with wrapping(_HierarchyComponent, "build_dom", doms, id), \
+                wrapping(goddag_module, "dom_component", doms, id):
+            fused = fuse_documents(parts)
+        assert doms == []
         columns = list(hierarchy_components(fused))
-        for component in columns:  # what the fuse made, not a DOM walk
-            assert fused[component.name].columns_at(component.rank) \
-                is component
         reference = fuse_dom_documents(parts)
         assert fused.text == reference.text
         assert fused.hierarchy_names == reference.hierarchy_names
@@ -185,7 +202,7 @@ class TestFuse:
         assert (tmp / "fused.mhxb").read_bytes() == \
             (tmp / "reference.mhxb").read_bytes()
         for name in reference.hierarchy_names:
-            assert fused[name].to_xml() == reference[name].to_xml()
+            assert fused[name].to_xml() == reference.to_xml(name)
         return fused
 
     @classmethod
@@ -202,7 +219,8 @@ class TestFuse:
                      for index in range(count)]
         cut, _stats = shard_document(document, n_shards)
         assert len(cut) == count
-        uncut = reference_save(document, tmp / "uncut.mhxb")
+        uncut = reference_save(DomDocument.exported(document),
+                               tmp / "uncut.mhxb")
         for parts in (read_back, cut):
             fused = cls.assert_fuses_alike(tmp, parts)
             assert_same_columns(list(hierarchy_components(fused)), uncut)
@@ -285,7 +303,7 @@ class TestFuse:
             "xy", {"h": "<r><a>x</a><b>y</b></r>"})
         second = MultihierarchicalDocument.from_xml(
             "zw", {"h": "<r><b>z</b><?c d?><a>w</a></r>"})
-        held = second["h"].columns_at(0)
+        held = second["h"].component
         padded = MultihierarchicalDocument("zw")
         padded.add_columns(_HierarchyComponent(
             "h", 0, False, names=["unused", *held.names, "never"],
@@ -299,7 +317,7 @@ class TestFuse:
             prolog=[], epilog=[], root_attrs={}), "r")
         for parts in ([first, second], [first, padded], [padded, first]):
             fused = fuse_documents(parts)
-            component = fused["h"].columns_at(0)
+            component = fused["h"].component
             used = [component.names[ident]
                     for ident in component.name_ids.tolist() if ident >= 0]
             assert component.names == list(dict.fromkeys(used))
@@ -350,7 +368,8 @@ class TestFuse:
 
     def test_dom_and_column_parts_mixed(self, tmp_path):
         document = generate_document(GeneratorConfig(n_words=300, seed=5))
-        uncut = reference_save(document, tmp_path / "uncut.mhxb")
+        uncut = reference_save(DomDocument.exported(document),
+                               tmp_path / "uncut.mhxb")
         stats = save_shards(document, 4,
                             lambda index: tmp_path / f"p{index}.mhxb")
         assert len(stats.shards) == 4
@@ -358,13 +377,9 @@ class TestFuse:
         tokenized = MultihierarchicalDocument.from_xml(
             cut[2].text, {name: cut[2][name].to_xml()
                           for name in cut[2].hierarchy_names})
+        # a file's columns, the DOM door's, the tokenizer's, a file's
         parts = [load_document(tmp_path / "p0.mhxb"), cut[1], tokenized,
                  load_document(tmp_path / "p3.mhxb")]
-        kinds = [[hierarchy.columns_at(rank) is not None
-                  for rank, hierarchy
-                  in enumerate(part.hierarchies.values())]
-                 for part in parts]
-        assert kinds == [[True] * 4, [False] * 4, [True] * 4, [True] * 4]
         fused = self.assert_fuses_alike(tmp_path, parts)
         assert_same_columns(list(hierarchy_components(fused)), uncut)
 
@@ -375,7 +390,7 @@ class TestFuse:
             "h": "<!--before--><r k='v'><a>a</a>bc</r><?after x?>"})
         fused = self.assert_fuses_alike(tmp_path, [part])
         assert fused["h"].to_xml() == '<r k="v"><a>a</a>bc</r>'
-        component = fused["h"].columns_at(0)
+        component = fused["h"].component
         assert component.kinds.tolist() == [KIND_ELEMENT, KIND_TEXT,
                                             KIND_TEXT]
 
@@ -425,9 +440,10 @@ def _element_spans(hierarchy: Hierarchy, text: str):
                 cursor += len(child.data)
             elif isinstance(child, dom.Element):
                 cursor = walk(child, cursor)
-        if node is not hierarchy.root:
+        if node is not root:
             spans.append((start, cursor))
         return cursor
 
-    walk(hierarchy.root, 0)
+    root = hierarchy.root
+    walk(root, 0)
     return spans

@@ -374,10 +374,11 @@ class TestUntouchedHierarchiesUntouched:
         assert after.goddag.changed_components(
             before.goddag.components()) == ["damage"]
         assert after.goddag.index_full_builds == 0
-        assert before._document is None  # the source built no DOM
-        assert [name for name, hierarchy
-                in after.document.hierarchies.items()
-                if hierarchy.materialized] == []
+        assert before._document is None  # the source built no document
+        with wrapping(_HierarchyComponent, "build_dom", doms,
+                      lambda component: component.name):
+            assert after.document.hierarchy_names == EVERY
+        assert doms == []  # nor does the document of the new version
         assert after.query("count(//mark)").serialize() == "1"
         # untouched hierarchies still share the published arrays
         for name in UNTOUCHED:
@@ -430,8 +431,10 @@ class TestUntouchedHierarchiesUntouched:
         assert components == (["structural"] if kind == "insert" else [])
         after = stored.snapshot("doc").engine
         assert before._document is None and after._document is None
-        assert not any(hierarchy.materialized for hierarchy
-                       in after.document.hierarchies.values())
+        with wrapping(_HierarchyComponent, "build_dom", doms,
+                      lambda component: component.name):
+            assert after.document.hierarchy_names == EVERY
+        assert doms == []
         assert after.goddag.changed_components(
             before.goddag.components()) == (
                 ["structural"] if kind == "rename" else rebuilt)

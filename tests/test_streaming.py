@@ -27,8 +27,9 @@ from repro.api import Engine
 from repro.cmh import Hierarchy, MultihierarchicalDocument
 from repro.cmh.spans import Span, SpanSet
 from repro.corpus.boethius import BASE_TEXT, ENCODINGS
-from repro.core.goddag import KyGoddag
-from repro.core.goddag.goddag import _ComponentWriter, hierarchy_components
+from repro.core.goddag.goddag import (KIND_TEXT, _ComponentWriter,
+                                      _HierarchyComponent,
+                                      hierarchy_components)
 from repro.corpus.generator import GeneratorConfig, generate_document
 from repro.errors import (AlignmentError, CMHError, MarkupError, ReproError,
                           StoreError)
@@ -40,7 +41,7 @@ from repro.markup.streaming import (StreamingBuilder, _FastPathMiss,
 from repro.store import DocumentStore
 from repro.store.sharding import save_shards, shard_bounds, shard_document
 
-from tests.dombuild import (assert_same_columns, dom_document,
+from tests.dombuild import (DomDocument, assert_same_columns, dom_document,
                             reference_save, span_document)
 from tests.strategies import (examples, multihierarchical_documents,
                               span_sets)
@@ -57,8 +58,8 @@ def columns_of(holder) -> list:
 
 
 def columns_held(document, name: str):
-    """The columns ``document``'s hierarchy ``name`` still is, if any."""
-    return document[name].columns_at(document.hierarchy_names.index(name))
+    """The columns ``document``'s hierarchy ``name`` is."""
+    return document[name].component
 
 
 def assert_identical(tmp_path, text: str, sources: dict[str, str]) -> None:
@@ -101,7 +102,7 @@ class TestByteIdentity:
         path = tmp_path / "s.mhxb"
         stream_save(BASE_TEXT, dict(ENCODINGS), path)
         engine = Engine.from_mhxb(path)
-        reference = Engine(dom_document(BASE_TEXT, dict(ENCODINGS)))
+        reference = Engine(dom_document(BASE_TEXT, dict(ENCODINGS)).package())
         assert engine.query("count(/descendant::w)").items == \
             reference.query("count(/descendant::w)").items
         assert engine.goddag.hierarchy_names == \
@@ -314,7 +315,7 @@ class TestStandoffLayers:
     def base_source(self):
         return f"<doc><p>{self.PROSE}</p></doc>"
 
-    def dom_with_layers(self, layers: dict) -> MultihierarchicalDocument:
+    def dom_with_layers(self, layers: dict) -> DomDocument:
         document = dom_document(self.PROSE, {"base": self.base_source()})
         for name, spans in layers.items():
             span_set = SpanSet(self.PROSE, [
@@ -322,8 +323,7 @@ class TestStandoffLayers:
                 for row in spans
                 for (s, e, n, *rest) in [row]
                 for a in [rest[0] if rest else {}]])
-            document.add_hierarchy(Hierarchy(
-                name, span_document(span_set, document.root_name)))
+            document.add(name, span_document(span_set, document.root_name))
         return document
 
     def assert_layers_identical(self, tmp_path, layers: dict) -> None:
@@ -639,10 +639,11 @@ class TestStreamingShards:
                             sources: dict[str, str], n_shards: int):
         """Column slicer == DOM slicer + reference walker: statistics
         and every shard file."""
-        parts, dom_stats = shard_document(dom_document(text, sources),
-                                          n_shards)
+        parts, dom_stats = shard_document(
+            dom_document(text, sources).package(), n_shards)
         for index, part in enumerate(parts):
-            reference_save(part, tmp / f"dom{index:04d}.mhxb")
+            reference_save(DomDocument.exported(part),
+                           tmp / f"dom{index:04d}.mhxb")
         builder = StreamingBuilder(text)
         for name, source in sources.items():
             builder.add_hierarchy(name, source)
@@ -935,15 +936,18 @@ class TestNoDomOnTheWayIn:
         text, sources = corpus
         parses: list = []
         parse_ = counting(parses, parser.parse)
+        doms: list = []
         with mock.patch.object(parser, "parse", parse_), \
-                mock.patch.object(streaming, "parse", parse_):
+                mock.patch.object(streaming, "parse", parse_), \
+                mock.patch.object(
+                    _HierarchyComponent, "build_dom",
+                    counting(doms, _HierarchyComponent.build_dom)):
             engine = Engine.from_xml(text, sources)
             assert engine.query("count(/descendant::w)").items == [400]
             engine.save_mhxb(tmp_path / "doc.mhxb")
+            assert len(engine.document) == 4
             parse_("<control/>")  # the wrapper does see a call
-        assert len(parses) == 1
-        assert [hierarchy.materialized for hierarchy
-                in engine.document.hierarchies.values()] == [False] * 4
+        assert len(parses) == 1 and doms == []
         # the control: input the tokenizer does not take on is parsed
         with mock.patch.object(streaming, "parse", parse_):
             MultihierarchicalDocument.from_xml("a\nb", {"h": "<d>a\rb</d>"})
@@ -969,11 +973,12 @@ class TestNoDomOnTheWayIn:
             snapshot = store.add_streaming("doc", text, sources)
             engine = Engine.from_xml(text, sources)
             assert (adds, parses) == ([], [])
-            # the controls: a DOM walk adds rows, a miss parses
-            KyGoddag.build(dom_document("ab", {"h": "<d>ab</d>"}))
+            # the controls: a DOM walk adds rows, a miss parses — and
+            # walks the parser's DOM
+            dom_document("ab", {"h": "<d>ab</d>"}).package()
             MultihierarchicalDocument.from_xml("a\nb",
                                                {"h": "<d>a\rb</d>"})
-        assert len(adds) == 1 and len(parses) == 1
+        assert len(adds) == 2 and len(parses) == 1
         for goddag in (snapshot.engine.goddag, engine.goddag):
             assert all(component._objects is None
                        for component in goddag.components().values())
@@ -996,79 +1001,91 @@ class TestNoDomOnTheWayIn:
         assert result.items[0] > 100
         assert len(built) == 1 and len(elements) == 1
 
+    def test_a_generated_document_walks_no_dom(self):
+        """The generator registers span sets straight into columns: an
+        engine over its document builds and walks no DOM."""
+        import repro.core.goddag.goddag as goddag_module
+
+        walks: list = []
+        doms: list = []
+        with mock.patch.object(
+                goddag_module, "dom_component",
+                counting(walks, goddag_module.dom_component)), \
+                mock.patch.object(
+                    _HierarchyComponent, "build_dom",
+                    counting(doms, _HierarchyComponent.build_dom)):
+            engine = Engine(generate_document(
+                GeneratorConfig(n_words=400, seed=3)))
+            assert engine.query("count(//w)").items == [400]
+            assert (walks, doms) == ([], [])
+            # the control: the DOM door walks
+            MultihierarchicalDocument(
+                "ab", [Hierarchy("h", parse("<d>ab</d>"))])
+        assert len(walks) == 1
+
     def test_add_corpus_builds_no_engine(self, corpus, tmp_path):
         text, sources = corpus
         document = MultihierarchicalDocument.from_xml(text, sources)
         store = DocumentStore.init(tmp_path / "s")
         engines: list = []
+        doms: list = []
         with mock.patch.object(Engine, "__init__",
                                counting(engines, Engine.__init__)), \
                 mock.patch.object(
                     Engine, "from_parts",
-                    counting(engines, Engine.from_parts)):
+                    counting(engines, Engine.from_parts)), \
+                mock.patch.object(
+                    _HierarchyComponent, "build_dom",
+                    counting(doms, _HierarchyComponent.build_dom)):
             stats = store.add_corpus("c", document, shards=3)
-            assert not engines
+            assert not engines and not doms
             Engine(document)  # the control
         assert len(engines) == 1
         assert len(stats.shards) == 3
-        assert not any(hierarchy.materialized
-                       for hierarchy in document.hierarchies.values())
         assert store.cquery('count(collection("c")//w)').items == ["400"]
         store.close()
 
 
 class TestStateRules:
-    """What a hierarchy *is* between XML and KyGODDAG (DESIGN.md §15)."""
+    """What a hierarchy *is* between XML and KyGODDAG (DESIGN.md §15):
+    its columns, always; a DOM goes in through one walk and comes out as
+    an export."""
 
     @staticmethod
     def image(engine, path) -> bytes:
         engine.save_mhxb(path)
         return path.read_bytes()
 
-    def test_columns_until_the_dom_is_handed_out(self, tmp_path):
-        """(a) An update through ``engine.document`` — a rename, a
+    def test_an_update_reaches_the_document_as_columns(self, tmp_path):
+        """An update through an engine over a document — a rename, a
         wrap, a text edit — reaches the next engine built from the same
         document without a DOM: the engine re-seats what it changed as
-        the columns it registered.  A hand edit of a DOM handed out
-        reaches the next engine, and the next update of an engine built
-        before it, which takes the document in first; a DOM taken out
-        before an update is a rendering of the old version."""
+        the columns it registered.  A DOM exported before an update is
+        a rendering of the old version."""
         document = MultihierarchicalDocument.from_xml(BASE_TEXT,
                                                       dict(ENCODINGS))
         engine = Engine(document)
         assert engine.document is document
-        assert all(columns_held(document, name) is not None and
-                   not document[name].materialized
-                   for name in document.hierarchy_names)
         engine.update('rename node (/descendant::w)[1] as "word"')
-        assert not document["structural"].materialized
         assert columns_held(document, "structural") is \
             engine.goddag.components()["structural"]
         assert Engine(document).query("count(//word)").items == [1]
         engine.update('add markup mark to "damage" covering '
                       '(/descendant::w)[2]')
-        assert not any(document[name].materialized
-                       for name in document.hierarchy_names)
-        handed = document["structural"].document
-        next(handed.root.iter_elements("word")).name = "w"
-        rebuilt = Engine(document)
-        assert rebuilt.query("count(//word)").items == [0]
-        assert rebuilt.query("count(//mark)").items == [1]
+        exported = document["structural"].document
         engine.update("insert node <w>eac</w> after (/descendant::w)[2]")
-        assert engine.query("count(//word)").items == [0]  # the hand edit
-        assert all(columns_held(document, name) is not None
-                   for name in document.hierarchy_names)
-        assert Engine(document).query("count(//w)").items == [7]
-        assert len(list(handed.root.iter_elements("w"))) == 6
+        assert Engine(document).query("count(//w)").items == [6]
+        assert Engine(document).query("count(//mark)").items == [1]
+        assert len(list(exported.root.iter_elements("w"))) == 5
         # the oracle of it all: the DOM ingest of what the document says
         assert self.image(Engine(document), tmp_path / "a.mhxb") == \
             self.image(Engine(dom_document(
                 document.text, {name: document[name].to_xml()
-                                for name in document.hierarchy_names})),
-                tmp_path / "b.mhxb")
+                                for name in document.hierarchy_names}
+            ).package()), tmp_path / "b.mhxb")
 
     def test_an_engine_takes_in_what_moved_under_it(self):
-        """(a) Of two engines over one document, the second's update
+        """Of two engines over one document, the second's update
         starts from what the first's put there: neither write is lost."""
         document = MultihierarchicalDocument.from_xml(BASE_TEXT,
                                                       dict(ENCODINGS))
@@ -1084,7 +1101,7 @@ class TestStateRules:
 
     def test_a_documents_columns_are_shared_and_never_written(
             self, tmp_path):
-        """(b) Two engines from one ``from_xml`` document read the same
+        """Two engines from one ``from_xml`` document read the same
         column arrays and own their nodes; a rename on one — in place,
         on its own ``name_ids`` — leaves the other, the file it saves
         and the document's columns as they were."""
@@ -1122,50 +1139,60 @@ class TestStateRules:
         one.update('rename node (/descendant::word)[1] as "w"')
         assert (renamed.name_ids == ids).all()
         assert one.goddag.components()["structural"] is not renamed
-        # a clone is one more holder of the same columns
+        # a clone holds the same hierarchies
         clone = document.clone()
-        assert columns_held(clone, "physical") is \
-            columns_held(document, "physical")
-        assert columns_held(clone, "structural") is \
-            one.goddag.components()["structural"]
+        assert clone.hierarchies == document.hierarchies
+        assert all(clone[name] is document[name]
+                   for name in document.hierarchy_names)
 
-    def test_fast_path_miss_keeps_the_parsed_dom(self):
-        """(c) ``doctype_name``/``dtd`` live only in the parser's DOM:
-        it stays the hierarchy's, next to column-backed neighbours."""
-        source = ('<!DOCTYPE d [<!ELEMENT d (#PCDATA|x)*>'
-                  '<!ELEMENT x (#PCDATA)><!ENTITY e "yy">]>'
-                  "<d>xx-&e;</d>")
-        document = MultihierarchicalDocument.from_xml(
-            "xx-yy", {"plain": "<d><x>xx</x>-yy</d>", "typed": source})
-        plain, typed = document["plain"], document["typed"]
-        assert columns_held(document, "plain") is not None
-        assert not plain.materialized
-        assert columns_held(document, "typed") is None and typed.materialized
-        assert typed.document.doctype_name == "d"
-        assert typed.document.dtd is not None
-        assert not plain.materialized  # told the root without a DOM
-        engine = Engine(document)
-        assert engine.query("count(//x)").items == [1]
-        assert engine.query("string(/)").items == ["xx-yy"]
+    def test_a_fast_path_miss_yields_columns(self):
+        """A source the tokenizer does not take on is parsed once and
+        its DOM walked into the row writer; the DOCTYPE name and the
+        internal subset are not kept, and no DOM is built back."""
+        import repro.markup.streaming as streaming
         from repro.cmh import ConcurrentMarkupHierarchy
         from repro.errors import ValidationError
 
+        source = ('<!DOCTYPE d [<!ELEMENT d (#PCDATA|x)*>'
+                  '<!ELEMENT x (#PCDATA)><!ENTITY e "yy">]>'
+                  "<d><![CDATA[xx]]>-&e;</d>")
+        parses: list = []
+        doms: list = []
+        with mock.patch.object(streaming, "parse",
+                               counting(parses, streaming.parse)), \
+                mock.patch.object(
+                    _HierarchyComponent, "build_dom",
+                    counting(doms, _HierarchyComponent.build_dom)):
+            document = MultihierarchicalDocument.from_xml(
+                "xx-yy", {"plain": "<d><x>xx</x>-yy</d>", "typed": source})
+        assert (len(parses), len(doms)) == (1, 0)
+        assert set(columns_held(document, "typed").kinds.tolist()) == \
+            {KIND_TEXT}
+        assert document["typed"].document.doctype_name is None
+        assert document["typed"].to_xml() == "<d>xx-yy</d>"
+        engine = Engine(document)
+        assert engine.query("count(//x)").items == [1]
+        assert engine.query("string(/)").items == ["xx-yy"]
+        held = dict(document.hierarchies)
         dtds = {"plain": "<!ELEMENT d (#PCDATA|x)*><!ELEMENT x (#PCDATA)>",
                 "typed": "<!ELEMENT d (#PCDATA)>"}
         document.attach_cmh(
             ConcurrentMarkupHierarchy.from_sources("d", dtds))
-        # validated, and nothing written: still its columns
-        assert columns_held(document, "plain") is not None
+        # validated, and nothing to write: the same hierarchies
+        assert document.hierarchies == held
+        assert all(document[name] is held[name] for name in held)
         dtds["plain"] = "<!ELEMENT d (#PCDATA)>"
         with pytest.raises(ValidationError, match="hierarchy 'plain'"):
             document.attach_cmh(
                 ConcurrentMarkupHierarchy.from_sources("d", dtds))
 
     def test_validation_defaults_reach_the_engine(self, tmp_path):
-        """(c) ``attach_cmh`` writes the attribute defaults a DTD
-        declares into the DOM: that hierarchy stops being its columns,
-        so the engine, the file and ``to_xml`` all have them — as the
-        reference ingest does, which validates the DOMs it walks."""
+        """``attach_cmh`` validates an export and, where the DTD
+        declares attribute defaults, walks the validated export back
+        into columns at the same rank: the engine, the file and
+        ``to_xml`` all have them — as the reference ingest does, which
+        validates the DOMs it walks — and the columns held before are
+        not written."""
         from repro.api import load_mhx
         from repro.cmh import ConcurrentMarkupHierarchy
         from tests.dombuild import reference_components
@@ -1177,12 +1204,19 @@ class TestStateRules:
                           '<!ATTLIST x k CDATA "dflt" f CDATA #FIXED "1">',
                 "plain": '<!ELEMENT d (#PCDATA|y)*><!ELEMENT y (#PCDATA)>'
                          '<!ATTLIST y k CDATA #IMPLIED>'}
+        unvalidated = MultihierarchicalDocument.from_xml(text, sources)
+        bare = unvalidated["marked"]
+        attrs = [[row, dict(value)] for row, value in bare.component.attrs]
+        unvalidated.attach_cmh(
+            ConcurrentMarkupHierarchy.from_sources("d", dtds))
+        assert unvalidated["marked"] is not bare  # a new hierarchy
+        assert unvalidated["marked"].component.rank == 0
+        assert unvalidated["plain"].component.rank == 1
+        assert bare.component.attrs == attrs  # not written
         (tmp_path / "d.mhx").write_text(json.dumps(
             {"format": "mhx-1", "text": text, "hierarchies": sources,
              "dtds": dtds}), encoding="utf-8")
         document = load_mhx(tmp_path / "d.mhx")
-        assert columns_held(document, "marked") is None  # written: a DOM
-        assert columns_held(document, "plain") is not None  # only read
         engine = Engine(document)
         assert engine.query("/descendant::x/string(@k)").items == \
             ["dflt", "set"]
@@ -1194,7 +1228,7 @@ class TestStateRules:
         assert_same_columns(list(engine.goddag.components().values()),
                             reference_components(reference))
         assert self.image(engine, tmp_path / "a.mhxb") == \
-            self.image(Engine(reference), tmp_path / "b.mhxb")
+            self.image(Engine(reference.package()), tmp_path / "b.mhxb")
         # the store's path door and a clone see the same document
         store = DocumentStore.init(tmp_path / "s")
         store.add("d", path=tmp_path / "d.mhx")
@@ -1204,15 +1238,35 @@ class TestStateRules:
             "count(//x[@k = 'dflt'])").items == [1]
         store.close()
 
-    def test_reordered_hierarchies_are_walked_at_their_new_rank(
-            self, tmp_path):
+    def test_a_removal_reranks_without_a_walk(self, tmp_path):
+        """The hierarchies after a removed one move up a rank as
+        re-ranked copies — every array shared but the order keys — and
+        nothing is walked."""
+        import repro.core.goddag.goddag as goddag_module
+
         document = MultihierarchicalDocument.from_xml(BASE_TEXT,
                                                       dict(ENCODINGS))
-        document.remove_hierarchy(document.hierarchy_names[0])
+        before = {name: columns_held(document, name)
+                  for name in document.hierarchy_names}
+        for one in before.values():
+            one.okeys  # packed at the old rank
+        walks: list = []
+        with mock.patch.object(
+                goddag_module, "dom_component",
+                counting(walks, goddag_module.dom_component)):
+            document.remove_hierarchy(document.hierarchy_names[0])
+            engine = Engine(document)
+        assert walks == []
+        for rank, name in enumerate(document.hierarchy_names):
+            moved, held = before[name], columns_held(document, name)
+            assert held.rank == rank and held is not moved
+            assert held.kinds is moved.kinds and held.starts is moved.starts
+            assert held.name_ids is moved.name_ids
+            assert (held.okeys != moved.okeys).all()
         sources = {name: document[name].to_xml()
                    for name in document.hierarchy_names}
-        assert self.image(Engine(document), tmp_path / "a.mhxb") == \
-            self.image(Engine(dom_document(BASE_TEXT, sources)),
+        assert self.image(engine, tmp_path / "a.mhxb") == \
+            self.image(Engine(dom_document(BASE_TEXT, sources).package()),
                        tmp_path / "b.mhxb")
 
     DOORS = {
@@ -1223,11 +1277,14 @@ class TestStateRules:
             builder.add_hierarchy(name, source)
             for builder in [StreamingBuilder(text)]
             for name, source in sources.items()],
+        "dom": lambda text, sources: MultihierarchicalDocument(
+            text, [Hierarchy(name, parse(source))
+                   for name, source in sources.items()]),
     }
 
     @pytest.mark.parametrize("door", sorted(DOORS))
     def test_document_doors_keep_their_errors(self, door):
-        """(d) the document's taxonomy, wherever XML comes in."""
+        """The document's taxonomy, wherever XML comes in."""
         enter = self.DOORS[door]
         with pytest.raises(AlignmentError) as caught:
             enter("abcdef", {"h": "<d>abcXef</d>"})
@@ -1245,25 +1302,26 @@ class TestStateRules:
             enter("ab", {"h": "<d>a\n<e>b</d>"})
         assert (caught.value.line, caught.value.column) == (2, 7)
 
-    def test_goddag_doors_keep_their_errors(self, goddag):
-        """(d) a DOM that does not fit is a ``GoddagError``, and the
-        structure it was offered to is as before."""
-        from repro.errors import GoddagError
-
-        held = goddag.components()
-        version = goddag.version
-        short = parse(f"<r>{goddag.text[:-1]}</r>")
-        wrong = parse(f"<r>{goddag.text[:-1]}X</r>")
-        other = parse(f"<other>{goddag.text}</other>")
-        for offered in (short, wrong, other):
-            with pytest.raises(GoddagError) as caught:
-                goddag.add_hierarchy_from_dom("extra", offered)
-            assert type(caught.value) is GoddagError
-        with pytest.raises(GoddagError, match="has root element 'other', "
-                                              "expected 'r'"):
-            goddag.add_hierarchy_from_dom("extra", other)
-        assert goddag.components() == held and goddag.version == version
-        goddag.check_invariants()
+    def test_the_dom_door_keeps_the_documents_errors(self):
+        """A DOM that does not fit the document — short, diverging, or
+        under another root — raises the document's error, and the
+        document it was offered to is as before."""
+        document = MultihierarchicalDocument.from_xml(BASE_TEXT,
+                                                      dict(ENCODINGS))
+        held = dict(document.hierarchies)
+        short = parse(f"<r>{BASE_TEXT[:-1]}</r>")
+        wrong = parse(f"<r>{BASE_TEXT[:-1]}X</r>")
+        other = parse(f"<other>{BASE_TEXT}</other>")
+        for offered, error, message in (
+                (short, AlignmentError, "covers only the first"),
+                (wrong, AlignmentError, "diverges from the base text"),
+                (other, CMHError, "has root 'other' but the document "
+                                  "root is 'r'")):
+            with pytest.raises(error, match=message) as caught:
+                document.add_hierarchy(Hierarchy("extra", offered))
+            assert type(caught.value) is error
+            assert document.hierarchies == held
+        assert Engine(document).query("count(//w)").items == [6]
 
     def test_component_doors_refuse_a_misfit(self, goddag):
         """(d) ``replace_hierarchy`` and ``rebuild_hierarchies`` take

@@ -2,8 +2,9 @@
 
 A :class:`RebuildOracle` keeps a document only as its *serialized* form
 (base text + one XML string per hierarchy).  Every update re-parses the
-strings, builds a fresh KyGODDAG to evaluate the statement's targets,
-applies the pending update list to the hierarchies' **DOMs** with
+strings into DOMs of its own (``tests.dombuild.dom_document``), builds
+a fresh KyGODDAG from them to evaluate the statement's targets,
+applies the pending update list to those **DOMs** with
 :func:`apply_to_dom`, and re-serializes — the slowest correct
 implementation imaginable, and deliberately so.  It shares no editing
 code with the package's applier (``repro.core.update.apply``, which
@@ -31,7 +32,8 @@ edits):
    node containing the edit start (for pure insertions: the node
    containing the preceding character).
 4. **Re-align**: the DOMs are normalized (adjacent text merged, empty
-   text dropped) and the document re-verifies alignment.
+   text dropped) and held against the new text again
+   (``tests.dombuild.align``).
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ from repro.core.update.pul import (
 )
 from repro.errors import UpdateConflictError, UpdateError
 from repro.markup import dom
+
+from tests.dombuild import DomDocument, dom_document
 
 
 class RebuildOracle:
@@ -77,15 +81,15 @@ class RebuildOracle:
 
     def apply(self, statement: str, variables=None) -> None:
         """Apply one update by full re-parse, DOM surgery, re-serialize."""
-        document = self.document()
-        goddag = KyGoddag.build(document)
+        document = dom_document(self.text, self.sources)
+        goddag = KyGoddag.build(document.package())
         goddag.span_index()
         pending = compile_update(statement).pending(goddag,
                                                     variables=variables)
         apply_to_dom(document, goddag, pending)
         self.text = document.text
-        self.sources = {name: hierarchy.to_xml()
-                        for name, hierarchy in document.hierarchies.items()}
+        self.sources = {name: document.to_xml(name)
+                        for name in document.hierarchy_names}
 
     # -- probing -------------------------------------------------------------
 
@@ -112,7 +116,7 @@ class _TextEdit:
     owner: str  # hierarchy whose DOM absorbed this edit structurally
 
 
-def apply_to_dom(document: MultihierarchicalDocument, goddag: KyGoddag,
+def apply_to_dom(document: DomDocument, goddag: KyGoddag,
                  pending: PendingUpdateList) -> None:
     """Apply ``pending`` — evaluated against ``goddag``, which was built
     from ``document`` — to ``document``'s DOMs and text.  Conflict and
@@ -134,7 +138,7 @@ class _DomApplier:
         """The DOM nodes of one hierarchy in component preorder."""
         nodes = self._dom_maps.get(hierarchy)
         if nodes is None:
-            root = self.document.hierarchies[hierarchy].document.root
+            root = self.document[hierarchy].root
             nodes = [node for node in root.iter() if node is not root
                      and isinstance(node, (dom.Element, dom.Text,
                                            dom.Comment,
@@ -188,9 +192,9 @@ class _DomApplier:
         new_text = self._splice_text()
         self._propagate_edits()
         for name in self.dirty:
-            self.document.hierarchies[name].document.normalize()
+            self.document[name].normalize()
         self.document.text = new_text
-        self.document.verify_alignment()
+        self.document.realign()
 
     def _build_edits(self, pending) -> None:
         for primitive in pending:
@@ -239,8 +243,7 @@ class _DomApplier:
 
     def _validate_add_markup(self, pending) -> None:
         for primitive in pending.of_kind("add-markup"):
-            root = self.document.hierarchies[
-                primitive.hierarchy].document.root
+            root = self.document[primitive.hierarchy].root
             length = len(self.document.text)
             if not (0 <= primitive.start <= primitive.end <= length):
                 raise UpdateError(
@@ -250,8 +253,7 @@ class _DomApplier:
             _find_wrap_parent(root, primitive.start, primitive.end)
 
     def _wrap(self, primitive: AddMarkupPrim) -> None:
-        root = self.document.hierarchies[
-            primitive.hierarchy].document.root
+        root = self.document[primitive.hierarchy].root
         start, end = primitive.start, primitive.end
         parent = _find_wrap_parent(root, start, end)
         _split_text_child(parent, start)
@@ -296,7 +298,7 @@ class _DomApplier:
             return
         ordered = sorted(self.edits, key=lambda e: e.start, reverse=True)
         for name, hierarchy in self.document.hierarchies.items():
-            texts = [node for node in hierarchy.document.root.iter_text()
+            texts = [node for node in hierarchy.root.iter_text()
                      if node.start is not None]
             for edit in ordered:
                 if edit.owner == name:
@@ -305,7 +307,7 @@ class _DomApplier:
                         and edit.replacement:
                     # No aligned text node exists (empty base text):
                     # materialize one at the end of the root element.
-                    hierarchy.document.root.append(
+                    hierarchy.root.append(
                         dom.Text(edit.replacement))
 
 
