@@ -32,10 +32,12 @@ document-order merge — no per-node Python key computation, no object
 sort.  Results flow onward as a :class:`ColumnarNodeSet` so chained
 join steps and batched existence probes never re-extract spans.
 
-The per-node axis functions in :mod:`repro.core.goddag.axes` stay
-untouched as the semantic oracle — ``tests/test_extended_axis_joins.py``
-asserts element-for-element equality on randomized multi-hierarchy
-corpora, mirroring PR 1's treatment of the standard axes.
+The per-node axis functions in :mod:`repro.core.goddag.axes` are the
+runtime's one-context path, not an oracle: the oracle is the literal
+Definition 1 transcription in ``tests/naive.py``, which the per-node
+functions are held to, and ``tests/test_extended_axis_joins.py``
+asserts these kernels element-for-element equal to the per-node
+functions on randomized multi-hierarchy corpora.
 """
 
 from __future__ import annotations

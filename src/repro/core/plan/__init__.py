@@ -12,7 +12,9 @@ the array-backed navigation engine (DESIGN.md §8):
 3. :mod:`~repro.core.plan.logical` — the typed operator IR and the
    ``explain()`` rendering;
 4. :mod:`~repro.core.plan.physical` — closure compilation and
-   set-at-a-time step execution over the batched axis entry point.
+   set-at-a-time step execution over the batched axis entry point,
+   with the batched predicates of :mod:`~repro.core.plan.masks` and
+   the lifted inner ``for`` clauses of :mod:`~repro.core.plan.lift`.
 
 :func:`compile_query` produces a :class:`CompiledQuery`; the engine
 caches these in an LRU keyed by query text + options, and
@@ -60,8 +62,10 @@ __all__ = [
 #: plan of ``w[matches(string(.), "…")]`` would keep its per-node loop);
 #: bumped by PR 30 (``[extended-axis::name]`` is a bare mask term on
 #: every plan, filters included: a cached plan would keep the removed
-#: semi-join tag).
-PLAN_VERSION = 8
+#: semi-join tag); bumped when ``order by`` became the last stage of
+#: the one FLWOR chain (an ordered FLWOR's invariant ``let``/``where``
+#: are hoisted: a cached plan would run them once per tuple).
+PLAN_VERSION = 9
 
 
 class CompiledQuery:

@@ -24,9 +24,10 @@ given :class:`~repro.core.goddag.stats.PlanStats` it
   candidate per inner node — constant string tests of the node's value
   (``w[matches(string(.), "…")]``) are columns of the same kind — and
 * lifts a correlated inner ``for $y in $x/axis::test`` whose body
-  branches on such a pattern over ``$y``: its sequences are computed
-  for all bindings of ``$x`` in one batched step and the condition is
-  one mask over their union.
+  branches on such a pattern over ``$y`` (:mod:`repro.core.plan.lift`,
+  eligibility and execution both): its sequences are computed for all
+  bindings of ``$x`` in one batched step and the condition is one mask
+  over their union.
 
 Every transform preserves item-for-item results — the mechanical
 lowering stays on as the differential oracle
@@ -41,10 +42,10 @@ import itertools
 from repro.core.goddag.joins import JOIN_KERNELS
 from repro.core.goddag.stats import PlanStats
 from repro.core.lang import ast
+from repro.core.plan import lift
 from repro.core.plan import logical as L
 from repro.core.plan import masks
 from repro.core.plan.planner import test_pushdowns
-from repro.core.plan.rewrite import PURE_FUNCTIONS
 
 #: Definition 1 axis duality: ``b ∈ axis(a) ⟺ a ∈ REVERSE_AXIS[axis](b)``
 #: for nonempty spans (empty spans are excluded by every kernel on both
@@ -88,15 +89,6 @@ REVERSAL_MARGIN = 2.0
 #: re-entered from some enclosing loop — the loop is assumed to run
 #: MARGIN times with one candidate each.
 DECORRELATION_MARGIN = 16.0
-
-#: Steps a lifted inner ``for`` may take from its outer variable: the
-#: downward axes, whose per-binding sequences together stay within
-#: depth × document size (a ``following::`` step per binding would
-#: hold a quadratic number of items at once).
-LIFTABLE_AXES = frozenset({
-    "child", "descendant", "descendant-or-self", "xdescendant",
-})
-
 
 # ---------------------------------------------------------------------------
 # estimation primitives
@@ -350,154 +342,6 @@ def _decorrelate(predicate: L.PredicateOp, stats: PlanStats,
 
 
 # ---------------------------------------------------------------------------
-# inner-FLWOR lifting
-# ---------------------------------------------------------------------------
-
-
-def _pure(plans: list[L.Plan]) -> bool:
-    """Can evaluating ``plans`` leave the document as it found it —
-    no ``analyze-string`` temporary, no function the planner cannot
-    see?  The same whitelist that hoists loop invariants."""
-    for plan in plans:
-        for node in L.walk(plan):
-            if isinstance(node, (L.UpdatePrimOp, L.CollectionOp)):
-                return False
-            if isinstance(node, L.FuncOp) and node.name not in PURE_FUNCTIONS:
-                return False
-    return True
-
-
-def _condition_sites(clause: L.ForOp, rest: list[L.Plan],
-                     return_plan: L.Plan):
-    """``(holder, attribute)`` of every condition the tuples of
-    ``clause`` branch on while its variable is still theirs: the
-    ``where`` clauses after it and the ``if`` chain of the body."""
-    for later in rest:
-        if isinstance(later, L.WhereOp):
-            yield later, "plan"
-        elif clause.variable in (later.variable, getattr(
-                later, "position_variable", None)):
-            return  # rebound: what follows reads another value
-
-    def chain(plan: L.Plan):
-        if isinstance(plan, L.IfOp):
-            yield plan, "condition"
-            yield from chain(plan.then)
-            yield from chain(plan.otherwise)
-
-    yield from chain(return_plan)
-
-
-def _lift_for(clause: L.ForOp, rest: list[L.Plan], return_plan: L.Plan,
-              scope: dict[str, tuple[L.ForOp, list[L.Plan]]],
-              stats: PlanStats, counter, notes: list[str]) -> None:
-    """Mark ``for $y in $x/axis::test`` as lifted over the enclosing
-    ``for $x`` when its tuples branch on a mask condition over ``$y``
-    and everything ``for $x`` loops over is pure (DESIGN.md §16 names
-    every shape left alone)."""
-    sequence = clause.sequence
-    if clause.position_variable is not None:
-        return
-    if not (isinstance(sequence, L.PathOp) and sequence.anchor == "primary"
-            and isinstance(sequence.input, L.VarOp)
-            and len(sequence.steps) == 1):
-        return
-    step = sequence.steps[0]
-    # a hierarchy-restricted test can raise on an unknown name; the
-    # batch runs ahead of the bindings and must not raise for them
-    if (sequence.input.name not in scope or not isinstance(step, L.StepOp)
-            or step.axis not in LIFTABLE_AXES or step.predicates
-            or getattr(step.test, "hierarchies", ())):
-        return
-    sites = []
-    for holder, attribute in _condition_sites(clause, rest, return_plan):
-        term = masks.condition_term(getattr(holder, attribute),
-                                    clause.variable)
-        if term is not None and not masks.root_named_ancestor(
-                term, stats.root_name):
-            sites.append((holder, attribute, term))
-    outer, body = scope[sequence.input.name]
-    if not sites or not _pure(body):
-        return
-    lift = L.Lift(next(counter), sequence.input.name)
-    for holder, attribute, term in sites:
-        if term not in lift.terms:
-            lift.terms.append(term)
-        setattr(holder, attribute, L.LiftedCondOp(
-            getattr(holder, attribute), lift.op_id, clause.variable,
-            lift.terms.index(term), term))
-    clause.lift = lift
-    outer.feeds.append(lift.op_id)
-    rendered = ", ".join(f"[{masks.render(term)}]" for term in lift.terms)
-    notes.append(
-        f"cost: lifted for ${clause.variable} over ${lift.over}: one "
-        f"batched {step.axis}::{L.render_test(step.test)} step and one "
-        f"mask per condition {rendered} over all bindings")
-
-
-#: operators that evaluate every child once per evaluation of their
-#: own: what an enclosing loop reaches through them it reaches always
-_UNCONDITIONAL = (L.SeqOp, L.ConstructOp, L.FuncOp)
-
-
-def _lift_inner_fors(plan: L.Plan, stats: PlanStats, counter,
-                     notes: list[str]) -> None:
-    """Find every correlated inner ``for`` worth lifting, in place.
-
-    ``scope`` maps a variable to the streaming ``for`` clause binding
-    it and everything that clause loops over, which must be pure:
-    between the batch and the last tuple nothing may move the document
-    (an ``analyze-string`` temporary re-cuts the leaves).  An
-    ``order by`` FLWOR binds from snapshots, not from the clause, and
-    enters nothing.
-
-    The batch runs over *every* binding of the outer clause, so a
-    variable stays in scope only while each of its bindings is certain
-    to arrive: through ``let`` clauses, sequences, constructors and
-    function arguments.  Past a ``where``, a further ``for`` (whose
-    sequence may be empty), an ``if`` branch or any operator that runs
-    a child per item or not at all, the scope starts empty — a
-    selective outer loop would pay for sequences and masks of bindings
-    that never reach the inner clause.
-    """
-    def visit(node: L.Plan, scope: dict) -> None:
-        if isinstance(node, L.FLWOROp):
-            scope = dict(scope)
-            for position, clause in enumerate(node.clauses):
-                rest = node.clauses[position + 1:]
-                if isinstance(clause, L.ForOp):
-                    visit(clause.sequence, scope)
-                    if node.streaming:
-                        _lift_for(clause, rest, node.return_plan, scope,
-                                  stats, counter, notes)
-                    scope = {}
-                    if node.streaming:
-                        scope[clause.variable] = (
-                            clause, rest + [node.return_plan])
-                elif isinstance(clause, L.OrderOp):
-                    for key, _descending, _empty_least in clause.specs:
-                        visit(key, scope)
-                elif isinstance(clause, L.LetOp):
-                    visit(clause.plan, scope)
-                    scope.pop(clause.variable, None)
-                else:
-                    visit(clause.plan, scope)
-                    scope = {}  # a where: later clauses see survivors
-            visit(node.return_plan, scope)
-        elif isinstance(node, L.IfOp):
-            visit(node.condition, scope)
-            visit(node.then, {})
-            visit(node.otherwise, {})
-        else:
-            if not isinstance(node, _UNCONDITIONAL):
-                scope = {}
-            for child in L._children(node):
-                visit(child, scope)
-
-    visit(plan, {})
-
-
-# ---------------------------------------------------------------------------
 # annotation
 # ---------------------------------------------------------------------------
 
@@ -618,7 +462,7 @@ def apply_cost(plan: L.Plan, stats: PlanStats,
             annotate(child)
 
     annotate(plan)
-    _lift_inner_fors(plan, stats, counter, notes)
+    lift.lift_inner_fors(plan, stats, counter, notes)
     return next(counter)
 
 

@@ -287,7 +287,7 @@ def _required_names(steps: list) -> list[str]:
 def _concatenable_flwor(plan: L.FLWOROp, collection: str, root_name: str,
                         name_hierarchies: dict[str, list[str]],
                         ) -> str | None:
-    if not plan.streaming:
+    if plan.order_by is not None:
         return "order-by FLWOR needs a global sort"
     if not plan.clauses or not isinstance(plan.clauses[0], L.ForOp):
         return "FLWOR does not open with a for clause"

@@ -3,7 +3,7 @@
 A small IR of typed operators between the rewritten AST and the
 physical closures.  Every operator renders one line of the
 ``explain()`` tree; annotations computed by the planner (order
-sensitivity, pushdown hints, invariance, streaming mode) appear in
+sensitivity, pushdown hints, invariance, lifting) appear in
 square brackets so golden snapshot tests pin them down.
 
 Operator glossary (DESIGN.md §8):
@@ -24,9 +24,9 @@ Operator glossary (DESIGN.md §8):
                  probes and string tests of ``string(.)``, in query
                  syntax
 ``collection``   the roots of a sharded corpus, resolved at run time
-``flwor``        the FLWOR pipeline (streaming unless it orders); a
-                 ``for … [lifted over $x]`` clause runs once over all
-                 bindings of ``$x`` (costed plans, §16)
+``flwor``        the FLWOR pipeline: one tuple stream, ``order-by`` its
+                 last stage; a ``for … [lifted over $x]`` clause runs
+                 once over all bindings of ``$x`` (costed plans, §16)
 ``quantified``   some/every
 ``union``/``intersect``/``except``  node-set algebra by order key
 ``construct``    a direct element constructor
@@ -428,13 +428,16 @@ class OrderOp(Plan):
 class FLWOROp(Plan):
     clauses: list[Plan]
     return_plan: Plan
-    #: tuple stream processed with a mutable frame; an order-by clause
-    #: forces materialized variable snapshots instead
-    streaming: bool = True
+
+    @property
+    def order_by(self) -> OrderOp | None:
+        """The ``order by`` clause, which the grammar admits only
+        last, or ``None``."""
+        last = self.clauses[-1] if self.clauses else None
+        return last if isinstance(last, OrderOp) else None
 
     def _label(self) -> str:
-        return "flwor [{}]".format(
-            "streaming" if self.streaming else "materialized")
+        return "flwor"
 
 
 @dataclass

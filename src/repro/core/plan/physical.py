@@ -8,7 +8,11 @@ and deduplicated by the packed int64 order keys (DESIGN.md §8).
 
 The :class:`~repro.core.runtime.context.Frame` is the mutable
 evaluation state: focus and variable bindings are mutated in place
-with save/restore instead of cloning a context per item.
+with save/restore instead of cloning a context per item.  A FLWOR is
+one continuation chain over it, ``order by`` the chain's last stage;
+the batched form of a predicate is :mod:`~repro.core.plan.masks`' and
+that of a lifted inner ``for`` :mod:`~repro.core.plan.lift`'s, both
+handed the closures compiled here for the clause as written.
 
 Semantics contract (DESIGN.md §8): a step's *output* is always
 document-ordered and duplicate-free; only the candidate order a
@@ -33,11 +37,7 @@ from repro.core.goddag.axes import (
     leaf_candidates,
     tested_candidates,
 )
-from repro.core.goddag.joins import (
-    ColumnarNodeSet,
-    descendant_leaves_batch,
-    join_axis_batch,
-)
+from repro.core.goddag.joins import join_axis_batch
 from repro.core.goddag.nodes import (
     GAttr,
     GComment,
@@ -47,9 +47,9 @@ from repro.core.goddag.nodes import (
     GPi,
     GRoot,
     GText,
-    _HierarchyNode,
 )
 from repro.core.lang import ast
+from repro.core.plan import lift
 from repro.core.plan import logical as L
 from repro.core.plan import masks
 from repro.core.runtime import values
@@ -887,7 +887,7 @@ def _compile_step(op: L.StepOp):
 
 def _compile_ebv(plan: L.Plan):
     if isinstance(plan, L.LiftedCondOp):
-        return _compile_lifted_condition(plan)
+        return lift.compile_condition(plan, _compile_ebv(plan.plan))
     if isinstance(plan, L.BoolOp):
         operands = [_compile_ebv(o) for o in plan.operands]
         if plan.kind == "or":
@@ -1124,28 +1124,32 @@ def _compile_path(op: L.PathOp) -> Runner:
 
 
 def _compile_flwor(op: L.FLWOROp) -> Runner:
-    if not op.streaming:
-        return _compile_flwor_materialized(op)
-    return _compile_flwor_streaming(op)
-
-
-def _compile_flwor_streaming(op: L.FLWOROp) -> Runner:
     """Continuation-compiled tuple stream over the mutable frame.
 
     Invariant ``let``/``where`` clauses evaluate on the first tuple of
     each FLWOR execution and reuse the value — lazy loop-invariant
     hoisting that keeps error timing and the empty-stream case exactly
-    as evaluating the clause once per tuple would.
+    as evaluating the clause once per tuple would.  An ``order by``,
+    which can only be the last clause, is the stream's last stage: the
+    chain hands it one snapshot of the bindings per tuple, it sorts the
+    snapshots (stable, last key first) and runs the return once per
+    snapshot.
     """
     return_fn = compile_plan(op.return_plan)
+    order = op.order_by
     cells: list[list] = []
 
-    def tail(frame: Frame, out: list) -> None:
-        out.extend(return_fn(frame))
+    if order is None:
+        def tail(frame: Frame, out: list) -> None:
+            out.extend(return_fn(frame))
+    else:
+        def tail(frame: Frame, out: list) -> None:
+            out.append(dict(frame.variables))
 
     step = tail
     for clause in reversed(op.clauses):
-        step = _make_streaming_clause(clause, step, cells)
+        if clause is not order:
+            step = _make_clause(clause, step, cells)
 
     def run(frame: Frame) -> list:
         out: list = []
@@ -1154,17 +1158,44 @@ def _compile_flwor_streaming(op: L.FLWOROp) -> Runner:
         step(frame, out)
         return out
 
-    return run
+    if order is None:
+        return run
+    specs = [(compile_plan(key), descending, empty_least)
+             for key, descending, empty_least in order.specs]
+
+    def run_ordered(frame: Frame) -> list:
+        tuples = run(frame)
+        saved = frame.variables
+        try:
+            for key_fn, descending, empty_least in reversed(specs):
+                keyed = []
+                for bindings in tuples:
+                    frame.variables = bindings
+                    keyed.append((order_key_value(key_fn(frame),
+                                                  empty_least), bindings))
+                keyed.sort(key=lambda pair: pair[0], reverse=descending)
+                tuples = [bindings for _key, bindings in keyed]
+            out: list = []
+            for bindings in tuples:
+                frame.variables = bindings
+                out.extend(return_fn(frame))
+            return out
+        finally:
+            frame.variables = saved
+
+    return run_ordered
 
 
-def _make_streaming_clause(clause: L.Plan, nxt, cells: list):
+def _make_clause(clause: L.Plan, nxt, cells: list):
     if isinstance(clause, L.ForOp):
         sequence_fn = compile_plan(clause.sequence)
         if clause.lift is not None:
-            sequence_fn = _compile_lifted_sequence(clause, sequence_fn)
+            sequence_fn = lift.compile_sequence(
+                clause, sequence_fn,
+                _compile_any_step(clause.sequence.steps[0]))
         feeds = tuple(clause.feeds)
         if feeds:
-            sequence_fn = _publish_bindings(sequence_fn, feeds)
+            sequence_fn = lift.publish_bindings(sequence_fn, feeds)
         variable = clause.variable
         position_variable = clause.position_variable
 
@@ -1196,8 +1227,8 @@ def _make_streaming_clause(clause: L.Plan, nxt, cells: list):
                         variables.pop(position_variable, None)
                     else:
                         variables[position_variable] = old_position
-                for lift_id in feeds:
-                    frame.lifted.pop(lift_id, None)
+                if feeds:
+                    lift.release_bindings(frame, feeds)
 
         return run_for
     if isinstance(clause, L.LetOp):
@@ -1259,220 +1290,8 @@ def _make_streaming_clause(clause: L.Plan, nxt, cells: list):
 
         return run_where
     raise TypeError(  # pragma: no cover - planner guarantees clause types
-        f"unknown streaming clause {type(clause).__name__}")
+        f"unknown FLWOR clause {type(clause).__name__}")
 
-
-# -- lifted inner ``for`` clauses (DESIGN.md §16) ----------------------------
-
-
-class _Lifted:
-    """What one evaluation holds for one lifted ``for $y in
-    $x/axis::test``: per binding of ``$x`` its sequence, per lifted
-    condition the verdict of every node in any of them.
-
-    Both are keyed by ``id()`` of nodes the state itself keeps alive,
-    and both are pure functions of the node under ``epoch`` — whatever
-    ``$x`` or ``$y`` happens to be bound to when they are looked up, a
-    hit is the value the clause as written would compute.
-    """
-
-    __slots__ = ("epoch", "rows", "verdicts", "__weakref__")
-
-    def __init__(self, epoch: tuple, rows: dict[int, list],
-                 verdicts: list[dict[int, bool]]) -> None:
-        self.epoch = epoch
-        self.rows = rows
-        self.verdicts = verdicts
-
-
-def _publish_bindings(sequence_fn: Runner, feeds: tuple[int, ...]) -> Runner:
-    """The outer side of a lift: hand the clause's whole sequence to
-    the inner clauses lifted over its variable.  Nothing is computed
-    here — the first inner clause the loop reaches does that — so a
-    body that never gets there costs nothing and no error moves."""
-    def run(frame: Frame) -> list:
-        sequence = sequence_fn(frame)
-        lifted = frame.lifted
-        if lifted is None:
-            lifted = frame.lifted = {}
-        for lift_id in feeds:
-            lifted[lift_id] = sequence
-        return sequence
-
-    return run
-
-
-def _compile_lifted_sequence(clause: L.ForOp, per_binding: Runner) -> Runner:
-    """The sequence of a lifted ``for``: the current binding's row of
-    the batch, or — no batch, a binding outside it, the document moved
-    since — ``per_binding``, the clause's ordinary path."""
-    lift = clause.lift
-    lift_id, over = lift.op_id, lift.over
-    step = clause.sequence.steps[0]
-    step_id = step.op_id
-    step_fn = _compile_any_step(step)
-    leaf_slices = step.leaves_only and step.axis in ("descendant",
-                                                     "descendant-or-self")
-    guards = [masks.guard(term) for term in lift.terms]
-
-    def batch(frame: Frame, bindings: list) -> _Lifted | None:
-        for item in bindings:
-            if not isinstance(item, GNode):
-                return None  # the ordinary path raises when it gets there
-        if not all(masks_hold(frame) for masks_hold in guards):
-            return None
-        epoch = masks.epoch(frame)
-        if leaf_slices and all(isinstance(item, (_HierarchyNode, GRoot))
-                               for item in bindings):
-            stats = frame.stats
-            stats.axis_steps += 1
-            stats.batched_steps += 1
-            sequences, union = descendant_leaves_batch(frame.goddag,
-                                                       bindings)
-            rows = {id(item): sequence
-                    for item, sequence in zip(bindings, sequences)}
-        else:
-            rows = {}
-            members: dict[int, GNode] = {}
-            for item in bindings:
-                if id(item) not in rows:
-                    rows[id(item)] = sequence = step_fn(frame, [item])
-                    for node in sequence:
-                        members[id(node)] = node
-            union = ColumnarNodeSet(members.values())
-        keys = [id(node) for node in union]
-        return _Lifted(epoch, rows, [
-            dict(zip(keys, masks.over(frame, term, union).tolist()))
-            for term in lift.terms])
-
-    def run(frame: Frame) -> list:
-        lifted = frame.lifted
-        state = lifted.get(lift_id) if lifted is not None else None
-        if state is not None:
-            if state.__class__ is not _Lifted:
-                # the outer clause's sequence, published and not yet used
-                state = lifted[lift_id] = batch(frame, state)
-            elif state.epoch != masks.epoch(frame):
-                state = lifted[lift_id] = None
-        if state is not None:
-            bound = frame.variables.get(over)
-            if bound is not None and len(bound) == 1:
-                row = state.rows.get(id(bound[0]))
-                if row is not None:
-                    actuals = frame.stats.op_actuals
-                    actuals[lift_id] = actuals.get(lift_id, 0) + len(row)
-                    actuals[step_id] = actuals.get(step_id, 0) + len(row)
-                    return row
-        return per_binding(frame)
-
-    return run
-
-
-def _compile_lifted_condition(op: L.LiftedCondOp):
-    """``fn(frame) -> bool``: the batch's verdict for the node ``$y``
-    is bound to, else the condition as written — also once the epoch
-    has moved under the inner loop (an impure override of a whitelisted
-    builtin in an earlier tuple's branch), as :func:`masks.column`
-    re-checks on every use."""
-    as_written = _compile_ebv(op.plan)
-    lift_id, variable, slot = op.lift_id, op.variable, op.slot
-
-    def run(frame: Frame) -> bool:
-        lifted = frame.lifted
-        if lifted is not None:
-            state = lifted.get(lift_id)
-            if (state.__class__ is _Lifted
-                    and state.epoch == masks.epoch(frame)):
-                bound = frame.variables.get(variable)
-                if bound is not None and len(bound) == 1:
-                    verdict = state.verdicts[slot].get(id(bound[0]))
-                    if verdict is not None:
-                        return verdict
-        return as_written(frame)
-
-    return run
-
-
-def _compile_flwor_materialized(op: L.FLWOROp) -> Runner:
-    """Tuple-list FLWOR (order-by present): the tuple stream is
-    materialized as one variable snapshot per tuple, so ``order by``
-    can sort it (stable, last key first)."""
-    compiled: list[tuple] = []
-    for clause in op.clauses:
-        if isinstance(clause, L.ForOp):
-            compiled.append(("for", clause.variable,
-                             clause.position_variable,
-                             compile_plan(clause.sequence)))
-        elif isinstance(clause, L.LetOp):
-            compiled.append(("let", clause.variable,
-                             compile_plan(clause.plan)))
-        elif isinstance(clause, L.WhereOp):
-            compiled.append(("where", _compile_ebv(clause.plan)))
-        elif isinstance(clause, L.OrderOp):
-            compiled.append(("order", [
-                (compile_plan(key), descending, empty_least)
-                for key, descending, empty_least in clause.specs]))
-    return_fn = compile_plan(op.return_plan)
-
-    def run(frame: Frame) -> list:
-        saved = frame.variables
-        tuples: list[dict] = [dict(saved)]
-        try:
-            for entry in compiled:
-                kind = entry[0]
-                if kind == "for":
-                    _kind, variable, position_variable, sequence_fn = entry
-                    expanded: list[dict] = []
-                    for bindings in tuples:
-                        frame.variables = bindings
-                        sequence = sequence_fn(frame)
-                        for position, item in enumerate(sequence, start=1):
-                            bound = dict(bindings)
-                            bound[variable] = [item]
-                            if position_variable:
-                                bound[position_variable] = [position]
-                            expanded.append(bound)
-                    tuples = expanded
-                elif kind == "let":
-                    _kind, variable, value_fn = entry
-                    rebound: list[dict] = []
-                    for bindings in tuples:
-                        frame.variables = bindings
-                        value = value_fn(frame)
-                        bound = dict(bindings)
-                        bound[variable] = value
-                        rebound.append(bound)
-                    tuples = rebound
-                elif kind == "where":
-                    _kind, condition_fn = entry
-                    kept: list[dict] = []
-                    for bindings in tuples:
-                        frame.variables = bindings
-                        if condition_fn(frame):
-                            kept.append(bindings)
-                    tuples = kept
-                else:  # order
-                    _kind, specs = entry
-                    decorated = list(tuples)
-                    for key_fn, descending, empty_least in reversed(specs):
-                        keyed = []
-                        for bindings in decorated:
-                            frame.variables = bindings
-                            keyed.append((order_key_value(
-                                key_fn(frame), empty_least), bindings))
-                        keyed.sort(key=lambda pair: pair[0],
-                                   reverse=descending)
-                        decorated = [b for _key, b in keyed]
-                    tuples = decorated
-            out: list = []
-            for bindings in tuples:
-                frame.variables = bindings
-                out.extend(return_fn(frame))
-            return out
-        finally:
-            frame.variables = saved
-
-    return run
 
 
 _COMPILERS = {

@@ -261,8 +261,6 @@ def _plan_path(expr: ast.PathExpr, ordered: bool,
 
 
 def _plan_flwor(expr: ast.FLWORExpr, notes: list[str]) -> L.FLWOROp:
-    streaming = not any(isinstance(c, ast.OrderByClause)
-                        for c in expr.clauses)
     clauses: list[L.Plan] = []
     variant: set[str] = set()   # names whose value changes per tuple
     looped = False              # a for-clause has been seen
@@ -276,8 +274,7 @@ def _plan_flwor(expr: ast.FLWORExpr, notes: list[str]) -> L.FLWOROp:
             if clause.position_variable:
                 variant.add(clause.position_variable)
         elif isinstance(clause, ast.LetClause):
-            invariant = (streaming and looped
-                         and is_pure(clause.expression)
+            invariant = (looped and is_pure(clause.expression)
                          and not (free_variables(clause.expression)
                                   & variant))
             if invariant:
@@ -292,8 +289,7 @@ def _plan_flwor(expr: ast.FLWORExpr, notes: list[str]) -> L.FLWOROp:
                 _plan(clause.expression, True, notes),
                 invariant=invariant))
         elif isinstance(clause, ast.WhereClause):
-            invariant = (streaming and looped
-                         and is_pure(clause.condition)
+            invariant = (looped and is_pure(clause.condition)
                          and not (free_variables(clause.condition)
                                   & variant))
             if invariant:
@@ -310,5 +306,4 @@ def _plan_flwor(expr: ast.FLWORExpr, notes: list[str]) -> L.FLWOROp:
         else:  # pragma: no cover - parser guarantees clause types
             raise TypeError(
                 f"unknown FLWOR clause {type(clause).__name__}")
-    return L.FLWOROp(clauses, _plan(expr.return_expr, True, notes),
-                     streaming=streaming)
+    return L.FLWOROp(clauses, _plan(expr.return_expr, True, notes))

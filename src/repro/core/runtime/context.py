@@ -140,9 +140,9 @@ class Frame:
         #: arrays.
         self.mask_memo = None
         #: ``{Lift.op_id: state}`` — what the lifted inner ``for``
-        #: clauses of this evaluation batch over and have batched
-        #: (``physical._compile_lifted_sequence``); on the frame for
-        #: the reason ``mask_memo`` is.
+        #: clauses of this evaluation batch over and have batched; only
+        #: :mod:`repro.core.plan.lift` reads or writes it.  On the frame
+        #: for the reason ``mask_memo`` is.
         self.lifted = None
 
     def context_item(self) -> Any:

@@ -26,9 +26,9 @@ written one ``.mhxb`` file per shard — no DOM, no engine), and the way
 back is the same arithmetic run the other way (:func:`fuse_documents`:
 the parts' columns concatenated into the whole-corpus document the
 non-distributable fallback evaluates on).
-:func:`shard_document`, the slicer over DOMs, states the same cut on
-the other representation: it is what the column slicer is tested
-against, file for file.
+:func:`shard_document` makes the same cut as in-memory documents.  The
+DOM slicer the column cut is held against, file for file, lives with
+the other DOM references in ``tests/dombuild.py``.
 """
 
 from __future__ import annotations
@@ -39,13 +39,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cmh.document import (Hierarchy, MultihierarchicalDocument,
-                                falls_short)
+from repro.cmh.document import MultihierarchicalDocument, falls_short
 from repro.core.goddag.goddag import (KIND_ELEMENT, KIND_TEXT,
                                       _HierarchyComponent,
                                       hierarchy_components, normal_rows)
 from repro.errors import StoreError
-from repro.markup import dom
 from repro.store.mhxb import write_container
 
 
@@ -146,25 +144,6 @@ def _element_spans(components: list[_HierarchyComponent]
             for component in components)], axis=1))
 
 
-def _subtree_lengths(roots: list[dom.Element]) -> dict[int, int]:
-    """``id(node) -> total text length`` for every parent node under
-    ``roots`` (one export per hierarchy, held for the whole cut)."""
-    lengths: dict[int, int] = {}
-
-    def measure(node: dom.Node) -> int:
-        if isinstance(node, dom.Text):
-            return len(node.data)
-        if isinstance(node, dom.ParentNode):
-            total = sum(measure(child) for child in node.children)
-            lengths[id(node)] = total
-            return total
-        return 0
-
-    for root in roots:
-        measure(root)
-    return lengths
-
-
 def valid_cut_positions(starts: np.ndarray, ends: np.ndarray,
                         total: int) -> np.ndarray:
     """Interior positions no span in the sorted columns strictly
@@ -198,7 +177,7 @@ def balanced_cuts(cuts: np.ndarray, total: int,
                   n_shards: int) -> list[int]:
     """The size-balanced subset of valid ``cuts`` nearest the
     ``i·total/n`` targets — deduplicated, ascending, possibly shorter
-    than ``n_shards - 1``.  Shared with :func:`shard_bounds`."""
+    than ``n_shards - 1``."""
     if not len(cuts):
         return []
     targets = np.arange(1, n_shards) * (total / n_shards)
@@ -217,121 +196,10 @@ def balanced_cuts(cuts: np.ndarray, total: int,
     return sorted(chosen)
 
 
-def choose_cuts(document: MultihierarchicalDocument,
-                n_shards: int) -> list[int]:
-    """Size-balanced valid cuts for an ``n_shards``-way partition.
-
-    Picks, for each target ``i·len/n``, the nearest valid cut; returns
-    the deduplicated ascending list (possibly shorter than
-    ``n_shards - 1`` when the markup offers fewer distinct cuts).
-    """
-    if n_shards < 1:
-        raise StoreError(f"shard count must be >= 1, got {n_shards}")
-    if n_shards == 1:
-        return []
-    return balanced_cuts(valid_cuts(document), len(document.text),
-                         n_shards)
-
-
-# ---------------------------------------------------------------------------
-# shard construction
-# ---------------------------------------------------------------------------
-
-
-def _slice_hierarchy(whole: dom.Element, lo: int, hi: int, total: int,
-                     lengths: dict[int, int]) -> dom.Document:
-    """The encoding under root element ``whole`` restricted to text
-    span ``[lo, hi)``."""
-    document = dom.Document()
-    root = dom.Element(whole.name, whole.attributes)
-    document.append(root)
-    cursor = 0
-    for child in whole.children:
-        if isinstance(child, dom.Text):
-            start, end = cursor, cursor + len(child.data)
-            cursor = end
-            piece_lo, piece_hi = max(start, lo), min(end, hi)
-            if piece_lo < piece_hi:
-                root.append(dom.Text(
-                    child.data[piece_lo - start:piece_hi - start]))
-            continue
-        length = lengths.get(id(child), 0)
-        start, end = cursor, cursor + length
-        cursor = end
-        if start == end:
-            # Empty elements / comments / PIs: attach to the shard whose
-            # span contains their position (the last shard takes the
-            # document-final position).
-            owns = (lo <= start < hi) or (start == total and hi == total)
-            if owns:
-                root.append(child.clone())
-            continue
-        if end <= lo or start >= hi:
-            continue
-        if start < lo or end > hi:
-            raise StoreError(
-                f"element <{child.name}> spans [{start}, {end}) across "
-                f"the shard cut at [{lo}, {hi}) — cut selection must "
-                "only produce element-boundary positions")
-        root.append(child.clone())
-    return document
-
-
-def shard_document(document: MultihierarchicalDocument, n_shards: int,
-                   ) -> tuple[list[MultihierarchicalDocument], CorpusStats]:
-    """Partition ``document`` into up to ``n_shards`` shard documents.
-
-    Each shard is a full :class:`MultihierarchicalDocument` over its
-    text slice, hierarchies in the original registration order (the
-    order is what keeps packed okeys comparable across shards).  The
-    slices are cut from one export per hierarchy and walked back in
-    through the document's DOM door, which holds every slice against
-    its text, so a slicing bug fails loudly here rather than
-    corrupting query results.
-    """
-    if not document.hierarchies:
-        raise StoreError("cannot shard a document with no hierarchies")
-    cuts = choose_cuts(document, n_shards)
-    total = len(document.text)
-    bounds = [0, *cuts, total]
-    roots = {name: hierarchy.root
-             for name, hierarchy in document.hierarchies.items()}
-    lengths = _subtree_lengths(list(roots.values()))
-    shards: list[MultihierarchicalDocument] = []
-    stats: list[ShardStats] = []
-    name_hierarchies: dict[str, set[str]] = {}
-    for lo, hi in zip(bounds, bounds[1:]):
-        shard = MultihierarchicalDocument(document.text[lo:hi])
-        cards: dict[str, int] = {}
-        for name, root in roots.items():
-            held = shard.add_hierarchy(Hierarchy(
-                name, _slice_hierarchy(root, lo, hi, total, lengths)))
-            component = held.component
-            for element in component.row_names(np.flatnonzero(
-                    component.kinds == KIND_ELEMENT)).tolist():
-                cards[element] = cards.get(element, 0) + 1
-                name_hierarchies.setdefault(element, set()).add(name)
-        shards.append(shard)
-        stats.append(ShardStats(
-            lo=lo, hi=hi, words=len(shard.text.split()), cards=cards))
-    corpus = CorpusStats(
-        root_name=document.root_name,
-        hierarchy_names=document.hierarchy_names,
-        name_hierarchies={name: sorted(hierarchies)
-                          for name, hierarchies in name_hierarchies.items()},
-        shards=stats)
-    return shards, corpus
-
-
-# ---------------------------------------------------------------------------
-# the corpus writer: columns cut into shard files
-# ---------------------------------------------------------------------------
-
-
 def shard_bounds(text: str, components: list[_HierarchyComponent],
                  n_shards: int) -> list[tuple[int, int]]:
-    """The ``[lo, hi)`` text ranges of an ``n_shards``-way cut: what
-    :func:`choose_cuts` picks, read off the columns."""
+    """The ``[lo, hi)`` text ranges of an ``n_shards``-way cut, read
+    off the columns: the valid cuts :func:`balanced_cuts` keeps."""
     if not components:
         raise StoreError("cannot shard a document with no hierarchies")
     if n_shards < 1:
@@ -346,10 +214,29 @@ def shard_bounds(text: str, components: list[_HierarchyComponent],
     return list(zip(bounds, bounds[1:]))
 
 
+def choose_cuts(document: MultihierarchicalDocument,
+                n_shards: int) -> list[int]:
+    """Size-balanced valid cuts for an ``n_shards``-way partition: the
+    interior bounds of :func:`shard_bounds`.
+
+    Picks, for each target ``i·len/n``, the nearest valid cut; returns
+    the deduplicated ascending list (possibly shorter than
+    ``n_shards - 1`` when the markup offers fewer distinct cuts).
+    """
+    bounds = shard_bounds(document.text,
+                          list(hierarchy_components(document)), n_shards)
+    return [lo for lo, _hi in bounds[1:]]
+
+
+# ---------------------------------------------------------------------------
+# the corpus writer: columns cut into shard files
+# ---------------------------------------------------------------------------
+
+
 def _slice_component(component: _HierarchyComponent, lo: int, hi: int,
                      total: int) -> _HierarchyComponent:
-    """``component`` restricted to the text span ``[lo, hi)``: row for
-    row what :func:`_slice_hierarchy` leaves of the DOM.
+    """``component`` restricted to the text span ``[lo, hi)``: its
+    hierarchy's export restricted to the span, row for row.
 
     A shard keeps the top-level subtrees inside its span — a top-level
     text node clipped to it, a zero-length node where the half-open
@@ -401,17 +288,67 @@ def _slice_component(component: _HierarchyComponent, lo: int, hi: int,
         prolog=[], epilog=[], root_attrs=component.root_attrs)
 
 
+def _count_cards(parts: list[_HierarchyComponent],
+                 name_hierarchies: dict[str, set[str]]) -> dict[str, int]:
+    """One shard's element count per name over its ``parts``; notes in
+    ``name_hierarchies`` the hierarchies each name occurs in."""
+    cards: dict[str, int] = {}
+    for part in parts:
+        counts = np.bincount(part.name_ids[part.kinds == KIND_ELEMENT],
+                             minlength=len(part.names))
+        for ident in np.flatnonzero(counts).tolist():
+            name = part.names[ident]
+            cards[name] = cards.get(name, 0) + int(counts[ident])
+            name_hierarchies.setdefault(name, set()).add(part.name)
+    return cards
+
+
+def _corpus_stats(document: MultihierarchicalDocument,
+                  shards: list[ShardStats],
+                  name_hierarchies: dict[str, set[str]]) -> CorpusStats:
+    """The statistics of a cut of ``document`` into ``shards``."""
+    return CorpusStats(
+        root_name=document.root_name,
+        hierarchy_names=document.hierarchy_names,
+        name_hierarchies={name: sorted(names) for name, names
+                          in name_hierarchies.items()},
+        shards=shards)
+
+
+def shard_document(document: MultihierarchicalDocument, n_shards: int,
+                   ) -> tuple[list[MultihierarchicalDocument], CorpusStats]:
+    """Partition ``document`` into up to ``n_shards`` shard documents:
+    the cut :func:`save_shards` writes, each part a document of its
+    sliced columns over its text slice, hierarchies in registration
+    order (the order is what keeps packed okeys comparable across
+    shards)."""
+    text = document.text
+    total = len(text)
+    components = list(hierarchy_components(document))
+    bounds = shard_bounds(text, components, n_shards)
+    root_name = document.root_name
+    documents: list[MultihierarchicalDocument] = []
+    shards: list[ShardStats] = []
+    name_hierarchies: dict[str, set[str]] = {}
+    for lo, hi in bounds:
+        parts = [_slice_component(component, lo, hi, total)
+                 for component in components]
+        shard = MultihierarchicalDocument(text[lo:hi])
+        for part in parts:
+            shard.add_columns(part, root_name)
+        documents.append(shard)
+        shards.append(ShardStats(lo=lo, hi=hi, words=len(shard.text.split()),
+                                 cards=_count_cards(parts,
+                                                    name_hierarchies)))
+    return documents, _corpus_stats(document, shards, name_hierarchies)
+
+
 def save_shards(document: MultihierarchicalDocument, n_shards: int,
                 path_for: Callable[[int], str | Path], *,
                 durability: str = "off") -> CorpusStats:
     """Cut ``document``'s columns into up to ``n_shards`` ``.mhxb``
     files — the corpus writer behind every way a corpus gets into a
-    store.
-
-    The files and the returned :class:`CorpusStats` are, byte for byte,
-    those of :func:`shard_document` followed by one ``save_engine`` per
-    part.
-    """
+    store — one file per part of :func:`shard_document`'s cut."""
     text = document.text
     total = len(text)
     components = list(hierarchy_components(document))
@@ -424,24 +361,11 @@ def save_shards(document: MultihierarchicalDocument, n_shards: int,
                  for component in components]
         write_container(path_for(index), root=root_name, text=text[lo:hi],
                         components=parts, durability=durability)
-        cards: dict[str, int] = {}
-        for part in parts:
-            counts = np.bincount(
-                part.name_ids[part.kinds == KIND_ELEMENT],
-                minlength=len(part.names))
-            for ident in np.flatnonzero(counts).tolist():
-                name = part.names[ident]
-                cards[name] = cards.get(name, 0) + int(counts[ident])
-                name_hierarchies.setdefault(name, set()).add(part.name)
         shards.append(ShardStats(lo=lo, hi=hi,
                                  words=len(text[lo:hi].split()),
-                                 cards=cards))
-    return CorpusStats(
-        root_name=root_name,
-        hierarchy_names=document.hierarchy_names,
-        name_hierarchies={name: sorted(names) for name, names
-                          in name_hierarchies.items()},
-        shards=shards)
+                                 cards=_count_cards(parts,
+                                                    name_hierarchies)))
+    return _corpus_stats(document, shards, name_hierarchies)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,14 @@ own DOMs (:class:`DomDocument`); a test that needs the package's
 document of them takes :meth:`DomDocument.package`, which hands each
 DOM to the package's DOM door — a differential of that walk against
 :class:`ComponentBuilder` in its own right.
-:func:`fuse_dom_documents` is the corpus reassembled node by node, which
-the column fuse of ``repro.store.sharding`` is held against
-(``tests/test_sharding.py::TestFuse``).
+:func:`fuse_dom_documents` is the corpus reassembled node by node, and
+:func:`shard_dom_document` the corpus cut node by node: the column fuse
+and the column cut of ``repro.store.sharding`` are held against them
+(``tests/test_sharding.py``, ``tests/test_streaming.py``).
 It shares with the package the column container
 (``_HierarchyComponent``), the parser, the validator, the alignment
-errors' wording and ``.mhxb`` packing — nothing that writes a row.
+errors' wording, ``.mhxb`` packing and where a corpus is cut —
+nothing that writes a row.
 """
 
 from __future__ import annotations
@@ -45,12 +47,13 @@ from repro.core.goddag.goddag import (
     KIND_TEXT,
     _HierarchyComponent,
 )
-from repro.errors import CMHError, GoddagError
+from repro.errors import CMHError, GoddagError, StoreError
 from repro.markup import dom
 from repro.markup.parser import parse
 from repro.markup.serializer import serialize
 from repro.markup.validate import validate
 from repro.store.mhxb import write_container
+from repro.store.sharding import CorpusStats, ShardStats, choose_cuts
 
 
 def align(name: str, text: str, document: dom.Document) -> None:
@@ -210,6 +213,100 @@ def fuse_dom_documents(shards: list[MultihierarchicalDocument],
         root.normalize()
         fused.add(name, document)
     return fused
+
+
+def _subtree_lengths(roots: list[dom.Element]) -> dict[int, int]:
+    """``id(node) -> total text length`` for every parent node under
+    ``roots`` (one export per hierarchy, held for the whole cut)."""
+    lengths: dict[int, int] = {}
+
+    def measure(node: dom.Node) -> int:
+        if isinstance(node, dom.Text):
+            return len(node.data)
+        if isinstance(node, dom.ParentNode):
+            total = sum(measure(child) for child in node.children)
+            lengths[id(node)] = total
+            return total
+        return 0
+
+    for root in roots:
+        measure(root)
+    return lengths
+
+
+def _slice_hierarchy(whole: dom.Element, lo: int, hi: int, total: int,
+                     lengths: dict[int, int]) -> dom.Document:
+    """The encoding under root element ``whole`` restricted to text
+    span ``[lo, hi)``."""
+    document = dom.Document()
+    root = dom.Element(whole.name, whole.attributes)
+    document.append(root)
+    cursor = 0
+    for child in whole.children:
+        if isinstance(child, dom.Text):
+            start, end = cursor, cursor + len(child.data)
+            cursor = end
+            piece_lo, piece_hi = max(start, lo), min(end, hi)
+            if piece_lo < piece_hi:
+                root.append(dom.Text(
+                    child.data[piece_lo - start:piece_hi - start]))
+            continue
+        length = lengths.get(id(child), 0)
+        start, end = cursor, cursor + length
+        cursor = end
+        if start == end:
+            # Empty elements / comments / PIs: attach to the shard whose
+            # span contains their position (the last shard takes the
+            # document-final position).
+            owns = (lo <= start < hi) or (start == total and hi == total)
+            if owns:
+                root.append(child.clone())
+            continue
+        if end <= lo or start >= hi:
+            continue
+        if start < lo or end > hi:
+            raise StoreError(
+                f"element <{child.name}> spans [{start}, {end}) across "
+                f"the shard cut at [{lo}, {hi}) — cut selection must "
+                "only produce element-boundary positions")
+        root.append(child.clone())
+    return document
+
+
+def shard_dom_document(document: MultihierarchicalDocument, n_shards: int,
+                       ) -> tuple[list[DomDocument], CorpusStats]:
+    """``repro.store.shard_document`` as it was: the package's cut
+    positions, one export per hierarchy, each sliced node by node and
+    held against its shard's text, the statistics counted off the
+    slices."""
+    if not document.hierarchies:
+        raise StoreError("cannot shard a document with no hierarchies")
+    total = len(document.text)
+    bounds = [0, *choose_cuts(document, n_shards), total]
+    roots = {name: hierarchy.root
+             for name, hierarchy in document.hierarchies.items()}
+    lengths = _subtree_lengths(list(roots.values()))
+    shards: list[DomDocument] = []
+    stats: list[ShardStats] = []
+    name_hierarchies: dict[str, set[str]] = {}
+    for lo, hi in zip(bounds, bounds[1:]):
+        shard = DomDocument(document.text[lo:hi])
+        cards: dict[str, int] = {}
+        for name, root in roots.items():
+            sliced = _slice_hierarchy(root, lo, hi, total, lengths)
+            shard.add(name, sliced)
+            for element in sliced.root.iter_elements():
+                cards[element.name] = cards.get(element.name, 0) + 1
+                name_hierarchies.setdefault(element.name, set()).add(name)
+        shards.append(shard)
+        stats.append(ShardStats(
+            lo=lo, hi=hi, words=len(shard.text.split()), cards=cards))
+    return shards, CorpusStats(
+        root_name=document.root_name,
+        hierarchy_names=document.hierarchy_names,
+        name_hierarchies={name: sorted(hierarchies)
+                          for name, hierarchies in name_hierarchies.items()},
+        shards=stats)
 
 
 def document_level_nodes(hier_doc: dom.Document) -> tuple[list, list]:

@@ -250,6 +250,76 @@ def nested_flwor_conditionals(draw) -> str:
             f"return if ($i[{tree}]) then 1 idiv 0 else $i")
 
 
+#: ``order by`` keys over ``$a``: strings, numbers, and a key that is
+#: empty for short values (what ``empty greatest|least`` places)
+ORDER_KEYS = ("string($a)", "string-length(string($a))",
+              "count($a/descendant::leaf())",
+              "if (string-length(string($a)) > 3) then string($a) else ()")
+
+#: the one subexpression of a drawn ordered FLWOR that may raise, for
+#: the values that start with "s" only
+RAISING = 'if (starts-with(string($a), "s")) then 1 idiv 0 else 1'
+
+
+@st.composite
+def ordered_flwors(draw) -> str:
+    """A FLWOR that ends in ``order by``: one or two ``for`` clauses
+    (the first maybe with ``at $p``), maybe a ``let`` and a ``where``,
+    one or two keys with ``descending`` / ``empty greatest|least``,
+    and maybe a nested FLWOR or an ``analyze-string`` in the return or
+    in a key.
+
+    At most one subexpression can raise — in the ``let``, the
+    ``where``, a key or the return — so the error every engine reports
+    is the same one.
+    """
+    raising = draw(st.sampled_from(
+        (None, None, None, "let", "where", "key", "return")))
+    at = draw(st.booleans())
+    clauses = [f"for $a{' at $p' if at else ''} in "
+               f"{draw(st.sampled_from(OUTER_PATHS))}"]
+    if draw(st.booleans()):
+        clauses.append("for $b in " + draw(st.sampled_from(
+            ("$a/descendant::leaf()", "$a/xdescendant::w", "(1, 2)",
+             "/descendant::dmg"))))
+    if raising == "let":
+        clauses.append(f"let $c := {RAISING}")
+    elif draw(st.booleans()):
+        clauses.append("let $c := " + draw(st.sampled_from(
+            ("count(/descendant::w)", "string($a)",
+             "$a/descendant::leaf()"))))
+    if raising == "where":
+        clauses.append(f"where {RAISING} = 1")
+    elif draw(st.booleans()):
+        clauses.append("where " + draw(st.sampled_from(
+            (f"$a[{draw(predicate_trees(depth=1))}]",
+             "count(/descendant::dmg) > 0", "string-length(string($a)) > 1",
+             "exists($a/descendant::leaf())"))))
+    keys = list(draw(st.lists(
+        st.sampled_from(ORDER_KEYS + ("$p",) if at else ORDER_KEYS),
+        min_size=1, max_size=2)))
+    nested = draw(st.sampled_from((None, "return", "key")))
+    nesting = draw(st.sampled_from((
+        "for $i in $a/descendant::leaf() return string($i)",
+        'analyze-string($a, "[ae]")')))
+    if nested == "key":
+        keys[-1] = f"count({nesting})"
+    if raising == "key":
+        keys[0] = RAISING
+    specs = ", ".join(
+        key + draw(st.sampled_from(("", " ascending", " descending")))
+        + draw(st.sampled_from(("", " empty greatest", " empty least")))
+        for key in keys)
+    body = "string($a)"
+    if nested == "return":
+        body = f"<r>{{{nesting}}}</r>"
+    elif raising == "return":
+        body = RAISING
+    elif draw(st.booleans()):
+        body = "($a, $p)" if at else "<r>{$a}</r>"
+    return f"{' '.join(clauses)} order by {specs} return {body}"
+
+
 # ---------------------------------------------------------------------------
 # update statements (the differential update fuzzer, DESIGN.md §9)
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from repro.core.goddag.stats import (
 )
 from repro.core.goddag.index import SpanIndex
 from repro.core.goddag.nodes import GComment, GElement, GNode, GPi, GText
-from repro.core.plan import compile_query, cost, logical, masks, physical
+from repro.core.plan import compile_query, cost, lift, logical, masks
 from repro.core.runtime import functions
 from repro.core.runtime.functions import default_registry
 from repro.core.runtime.serializer import serialize_item
@@ -58,13 +58,15 @@ from repro.store.plancache import SharedPlanCache
 from tests.strategies import (
     ELEMENT_NAMES,
     VALUE_SUBJECTS,
+    examples,
     multihierarchical_documents,
     nested_flwor_conditionals,
+    ordered_flwors,
     predicate_trees,
 )
 from tests.treewalk import TreeWalkEngine
 
-SETTINGS = settings(max_examples=30, deadline=None)
+SETTINGS = settings(max_examples=examples(30), deadline=None)
 
 #: queries that exercise every estimator branch: standard axes,
 #: containment / boundary / stab join kernels, semi-join conjunctions,
@@ -1508,14 +1510,14 @@ class TestLiftLifetime:
         """Weak references to every lifted state an evaluation makes."""
         made = []
 
-        class Watched(physical._Lifted):
+        class Watched(lift._Lifted):
             __slots__ = ()
 
             def __init__(self, *args):
                 super().__init__(*args)
                 made.append(weakref.ref(self))
 
-        with mock.patch.object(physical, "_Lifted", Watched):
+        with mock.patch.object(lift, "_Lifted", Watched):
             yield made
 
     def test_state_dies_with_the_evaluation(self, skewed_engines,
@@ -1655,3 +1657,30 @@ class TestLiftLifetime:
         gc.collect()
         assert released() is None
         assert compiled.explain()
+
+
+class TestOrderedFlwors:
+    """``order by`` is the last stage of the one FLWOR chain: its
+    ``for``/``let``/``where`` run tuple by tuple, the keys and the
+    return after the stream, as written for every tuple."""
+
+    HOISTED = ("for $x in (3, 1, 2) let $c := count(/descendant::w) "
+               "order by $x return $c + $x")
+
+    def test_an_invariant_let_runs_once(self, boethius_engines):
+        costed = boethius_engines[0]
+        assert "hoist-invariant: let $c" in costed.explain(self.HOISTED)
+        result = costed.query(self.HOISTED)
+        assert result.items == [7, 8, 9]
+        assert result.stats.axis_steps == 1
+        assert_item_for_item(boethius_engines, self.HOISTED)
+
+    @SETTINGS
+    @given(query=ordered_flwors())
+    def test_drawn_on_boethius(self, boethius_engines, query):
+        assert_same_outcome(boethius_engines, query)
+
+    @SETTINGS
+    @given(document=multihierarchical_documents(), query=ordered_flwors())
+    def test_drawn_on_drawn_documents(self, document, query):
+        assert_same_outcome(engines_over(document), query)

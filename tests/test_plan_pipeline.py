@@ -334,7 +334,7 @@ EXPLAIN_GOLDENS = {
         "descendant::T\n"
         "  - hoist-invariant: let $c evaluated once per FLWOR execution\n"
         "plan:\n"
-        "  flwor [streaming]\n"
+        "  flwor\n"
         "    for $w\n"
         "      path anchor=root\n"
         "        step descendant::w [skip-leaves]\n"

@@ -30,7 +30,7 @@ from repro.store.sharding import (CorpusStats, ShardStats, choose_cuts,
                                   save_shards)
 from tests.dombuild import (DomDocument, assert_same_columns,
                             fuse_dom_documents, reference_components,
-                            reference_save)
+                            reference_save, shard_dom_document)
 from tests.strategies import multihierarchical_documents
 from tests.test_plan_cost import skewed_document
 
@@ -140,8 +140,8 @@ class TestShardDocument:
             shard_document(MultihierarchicalDocument("abc"), 2)
 
     def test_one_export_per_hierarchy(self):
-        """Each hierarchy's DOM is exported once per call, whatever the
-        shard count; the shards' statistics come off their columns."""
+        """No hierarchy is exported, whatever the shard count: the cut
+        slices columns, and the shards' statistics come off them."""
         from tests.test_store import wrapping
 
         document = corpus(800)
@@ -151,7 +151,7 @@ class TestShardDocument:
                           lambda component: component.name):
                 shards, _stats = shard_document(document, n_shards)
             assert len(shards) == n_shards
-            assert doms == document.hierarchy_names
+            assert doms == []
 
     def test_boethius_shards(self):
         document = boethius_document(validate=False)
@@ -209,16 +209,24 @@ class TestFuse:
     def assert_round_trip(cls, tmp: pathlib.Path,
                           document: MultihierarchicalDocument,
                           n_shards: int) -> int:
-        """Cut ``document`` — as files read back node-free, and as DOM
-        parts — and fuse: both ways give back its columns and its
-        ``.mhxb`` bytes.  Returns the number of parts."""
+        """Cut ``document`` — as files read back node-free, and as
+        in-memory parts — and fuse: both ways give back its columns and
+        its ``.mhxb`` bytes.  The files and the statistics are the DOM
+        slicer's.  Returns the number of parts."""
         stats = save_shards(document, n_shards,
                             lambda index: tmp / f"part{index:04d}.mhxb")
         count = len(stats.shards)
         read_back = [load_document(tmp / f"part{index:04d}.mhxb")
                      for index in range(count)]
-        cut, _stats = shard_document(document, n_shards)
+        cut, cut_stats = shard_document(document, n_shards)
         assert len(cut) == count
+        reference, reference_stats = shard_dom_document(document, n_shards)
+        assert stats.to_json() == cut_stats.to_json() == \
+            reference_stats.to_json()
+        for index, part in enumerate(reference):
+            reference_save(part, tmp / "slice.mhxb")
+            assert (tmp / "slice.mhxb").read_bytes() == \
+                (tmp / f"part{index:04d}.mhxb").read_bytes()
         uncut = reference_save(DomDocument.exported(document),
                                tmp / "uncut.mhxb")
         for parts in (read_back, cut):
@@ -373,13 +381,13 @@ class TestFuse:
         stats = save_shards(document, 4,
                             lambda index: tmp_path / f"p{index}.mhxb")
         assert len(stats.shards) == 4
-        cut, _stats = shard_document(document, 4)
+        cut, _stats = shard_dom_document(document, 4)
         tokenized = MultihierarchicalDocument.from_xml(
-            cut[2].text, {name: cut[2][name].to_xml()
+            cut[2].text, {name: cut[2].to_xml(name)
                           for name in cut[2].hierarchy_names})
         # a file's columns, the DOM door's, the tokenizer's, a file's
-        parts = [load_document(tmp_path / "p0.mhxb"), cut[1], tokenized,
-                 load_document(tmp_path / "p3.mhxb")]
+        parts = [load_document(tmp_path / "p0.mhxb"), cut[1].package(),
+                 tokenized, load_document(tmp_path / "p3.mhxb")]
         fused = self.assert_fuses_alike(tmp_path, parts)
         assert_same_columns(list(hierarchy_components(fused)), uncut)
 

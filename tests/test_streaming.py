@@ -42,7 +42,8 @@ from repro.store import DocumentStore
 from repro.store.sharding import save_shards, shard_bounds, shard_document
 
 from tests.dombuild import (DomDocument, assert_same_columns, dom_document,
-                            reference_save, span_document)
+                            reference_components, reference_save,
+                            shard_dom_document, span_document)
 from tests.strategies import (examples, multihierarchical_documents,
                               span_sets)
 
@@ -638,22 +639,25 @@ class TestStreamingShards:
     def assert_slices_agree(tmp: pathlib.Path, text: str,
                             sources: dict[str, str], n_shards: int):
         """Column slicer == DOM slicer + reference walker: statistics
-        and every shard file."""
-        parts, dom_stats = shard_document(
+        and every shard file, written or held in memory."""
+        parts, dom_stats = shard_dom_document(
             dom_document(text, sources).package(), n_shards)
         for index, part in enumerate(parts):
-            reference_save(DomDocument.exported(part),
-                           tmp / f"dom{index:04d}.mhxb")
+            reference_save(part, tmp / f"dom{index:04d}.mhxb")
         builder = StreamingBuilder(text)
         for name, source in sources.items():
             builder.add_hierarchy(name, source)
         stats = save_shards(
             builder.document, n_shards,
             lambda index: tmp / f"st{index:04d}.mhxb")
-        assert dom_stats.to_json() == stats.to_json()
-        for index in range(len(parts)):
+        cut, cut_stats = shard_document(builder.document, n_shards)
+        assert dom_stats.to_json() == stats.to_json() == cut_stats.to_json()
+        assert len(cut) == len(parts)
+        for index, part in enumerate(cut):
             assert (tmp / f"dom{index:04d}.mhxb").read_bytes() == \
                 (tmp / f"st{index:04d}.mhxb").read_bytes()
+            assert_same_columns(list(hierarchy_components(part)),
+                                reference_components(parts[index]))
         return stats
 
     @settings(deadline=None, max_examples=examples(60))
