@@ -62,9 +62,9 @@ class QueryResult:
 
     def strings(self) -> list[str]:
         """Each item serialized individually."""
-        from repro.core.runtime.serializer import serialize_item
+        from repro.core.runtime.serializer import serialize_each
 
-        return [serialize_item(item) for item in self.items]
+        return serialize_each(self.items)
 
     def serialize(self, mode: str = "paper") -> str:
         """The whole sequence as one string (see serializer modes)."""

@@ -101,8 +101,13 @@ class Hierarchy:
             self.text, self.root_name)
 
     def to_xml(self) -> str:
-        """Serialize the hierarchy (an export of it) to XML."""
-        return serialize(self.document)
+        """Serialize the hierarchy to XML: written from the rows, no
+        DOM built (of an input, its DOM serialized)."""
+        if self.component is None:
+            return serialize(self._input)
+        from repro.core.goddag.render import hierarchy_xml
+
+        return hierarchy_xml(self.component, self.text, self.root_name)
 
 
 def _walk(document: dom.Document, text: str, root_name: str | None,

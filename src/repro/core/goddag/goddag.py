@@ -171,6 +171,13 @@ class _HierarchyComponent:
         self._name_index: dict[str, "_NameEntry | None"] = {}
         self._text_index: tuple[array, list[GText]] | None = None
         self._values: tuple[dict, dict] | None = None
+        # The row writer's (repro.core.goddag.render): the name table
+        # the tags were made from, with ``<name>`` and ``</name>`` per
+        # name id; the text the character data flag was read from,
+        # with the flag; the attribute value flag.
+        self._tags: tuple[list[str], list[str], list[str]] | None = None
+        self._text_escapes: tuple[str, bool] | None = None
+        self._attribute_escapes: bool | None = None
 
     # The lazy attributes are plain properties.  A class-level
     # ``__getattr__`` (the other way to fill on first use) routes every
@@ -222,12 +229,7 @@ class _HierarchyComponent:
         lock.  The nodes name no KyGODDAG (DESIGN.md §1): every version
         holding this component shares them."""
         objects = self._objects
-        values = self._values
-        if values is None:
-            values = self._values = (dict(self.attrs),
-                                     {**dict(self.comments),
-                                      **dict(self.pis)})
-        attrs, data = values
+        attrs, data = self.row_values()
         names, text, hierarchy = self.names, self._text, self.name
         # a run of rows reads the columns as views, else as one gather
         at = slice(rows[0], rows[-1] + 1) \
@@ -268,6 +270,16 @@ class _HierarchyComponent:
             node._okey = okey
             objects[row] = node
         self._unfilled -= len(rows)
+
+    def row_values(self) -> tuple[dict, dict]:
+        """``(attributes, data)``: row -> attribute mapping of the
+        elements that have one, row -> data of the comments and PIs."""
+        values = self._values
+        if values is None:
+            values = self._values = (dict(self.attrs),
+                                     {**dict(self.comments),
+                                      **dict(self.pis)})
+        return values
 
     def node(self, row: int) -> _HierarchyNode:
         """The node object of one row."""
@@ -446,6 +458,37 @@ class _HierarchyComponent:
         if np.array_equal(remap[used], used):
             return ids
         return remap[ids]  # -1 (no name) reads the trailing -1
+
+    # -- the row writer's tables (repro.core.goddag.render) ------------------
+
+    def tags(self) -> tuple[list[str], list[str]]:
+        """``(opens, closes)``: ``<name>`` and ``</name>`` per name id,
+        made once per name table (a rename that adds a name replaces
+        the table, so no tag outlives it)."""
+        tags = self._tags
+        if tags is None or tags[0] is not self.names:
+            names = self.names
+            tags = self._tags = (names, [f"<{name}>" for name in names],
+                                 [f"</{name}>" for name in names])
+        return tags[1], tags[2]
+
+    def escapes(self, text: str) -> tuple[bool, bool]:
+        """Whether character data of ``text`` and attribute values of
+        this hierarchy (the root's among them) need escaping at all:
+        ``&``, ``<`` or ``>`` anywhere in the text; ``&``, ``<``,
+        ``"``, a newline or a tab in any value."""
+        seen = self._text_escapes
+        if seen is None or seen[0] is not text:
+            seen = self._text_escapes = (
+                text, "&" in text or "<" in text or ">" in text)
+        attributes = self._attribute_escapes
+        if attributes is None:
+            values = "".join([value for _row, mapping in self.attrs
+                              for value in mapping.values()]
+                             + list(self.root_attrs.values()))
+            attributes = self._attribute_escapes = any(
+                char in values for char in '&<"\n\t')
+        return seen[1], attributes
 
     # -- derived: span-index permutations, DOM --------------------------------
 

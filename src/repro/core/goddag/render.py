@@ -1,17 +1,30 @@
 """Rendering a KyGODDAG: XML per hierarchy, DOT, and a text outline.
 
-``serialize_node`` regenerates the XML of any subtree within one
-hierarchy component — this is how Example 1's
-``<res><m>un<a>a</a>we</m>ndendne</res>`` is produced and how query
-results containing KyGODDAG elements are printed.  ``to_dot`` and
-``describe`` reproduce Figure 2 (the KyGODDAG of the Boethius sample)
-as GraphViz input and as a human-readable outline.
+The XML of KyGODDAG elements is written from their component's columns
+by one row writer (:func:`element_xml`, DESIGN.md §11 *Serialization
+from rows*): a run of element rows of one hierarchy in one call, with
+no node object made or read.  This is how Example 1's
+``<res><m>un<a>a</a>we</m>ndendne</res>`` is produced, how query
+results holding KyGODDAG elements are printed
+(:mod:`repro.core.runtime.serializer`), and how a hierarchy is written
+back as an XML source (:func:`hierarchy_xml`).  ``serialize_node`` is
+the one-node form.  ``to_dot`` and ``describe`` reproduce Figure 2
+(the KyGODDAG of the Boethius sample) as GraphViz input and as a
+human-readable outline.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.markup.serializer import escape_attribute, escape_text
-from repro.core.goddag.goddag import KyGoddag
+from repro.core.goddag.goddag import (
+    KIND_COMMENT,
+    KIND_ELEMENT,
+    KIND_TEXT,
+    KyGoddag,
+    _HierarchyComponent,
+)
 from repro.core.goddag.nodes import (
     GComment,
     GElement,
@@ -22,6 +35,12 @@ from repro.core.goddag.nodes import (
     GText,
 )
 
+#: runs shorter than this are written off the columns' scalars, with no
+#: NumPy set-up: the gathers of the vectorised path pay for themselves
+#: from about 16 rows, and at 25 (a server page) the two paths are
+#: within a few microseconds of each other
+SMALL_RUN = 32
+
 
 def serialize_node(node: GNode, hierarchy: str | None = None) -> str:
     """Serialize a node's subtree back to XML within its hierarchy.
@@ -30,47 +49,176 @@ def serialize_node(node: GNode, hierarchy: str | None = None) -> str:
     (all components share the root's tag).  Text and leaf nodes
     serialize to their escaped character data.
     """
-    out: list[str] = []
-    _write(node, hierarchy, out)
-    return "".join(out)
-
-
-def _write(node: GNode, hierarchy: str | None, out: list[str]) -> None:
     if isinstance(node, GRoot):
         if hierarchy is None:
             raise ValueError(
                 "serializing the shared root requires a hierarchy name")
-        out.append(_start_tag(node.root_name, node.attributes_in(hierarchy),
-                              empty=not node.children_in(hierarchy)))
-        for child in node.children_in(hierarchy):
-            _write(child, hierarchy, out)
-        if node.children_in(hierarchy):
-            out.append(f"</{node.root_name}>")
-    elif isinstance(node, GElement):
-        children = node.children
-        out.append(_start_tag(node.name, node.attributes,
-                              empty=not children))
-        for child in children:
-            _write(child, hierarchy, out)
-        if children:
-            out.append(f"</{node.name}>")
-    elif isinstance(node, (GText, GLeaf)):
-        out.append(escape_text(node.string_value()))
-    elif isinstance(node, GComment):
-        out.append(f"<!--{node.data}-->")
-    elif isinstance(node, GPi):
-        separator = " " if node.data else ""
-        out.append(f"<?{node.target}{separator}{node.data}?>")
-    else:  # pragma: no cover - attributes handled by callers
-        raise ValueError(f"cannot serialize node kind {node.kind!r}")
+        return root_xml(node, hierarchy)
+    if isinstance(node, GElement):
+        return element_xml(node._component, [node.preorder])[0]
+    if isinstance(node, (GText, GLeaf)):
+        return escape_text(node.string_value())
+    if isinstance(node, GComment):
+        return f"<!--{node.data}-->"
+    if isinstance(node, GPi):
+        return _pi(node.target, node.data)
+    raise ValueError(f"cannot serialize node kind {node.kind!r}")
 
 
-def _start_tag(name: str, attributes: dict[str, str], empty: bool) -> str:
-    # most elements have none, and share one read-only empty mapping
-    attrs = "".join(f' {key}="{escape_attribute(value)}"'
-                    for key, value in attributes.items()
-                    ) if attributes else ""
-    return f"<{name}{attrs}/>" if empty else f"<{name}{attrs}>"
+def root_xml(root: GRoot, hierarchy: str) -> str:
+    """The shared root within one hierarchy: the root tag, with the
+    hierarchy's root attributes, around its top-level rows."""
+    component = root.components.get(hierarchy)
+    if component is None:
+        return f"<{root.root_name}/>"
+    out: list[str] = []
+    _write_root(component, root._text, root.root_name, out)
+    return "".join(out)
+
+
+def hierarchy_xml(component: _HierarchyComponent, text: str,
+                  root_name: str) -> str:
+    """A hierarchy as an XML source over ``text``: the comments and PIs
+    before the root element, the root element around every row, and
+    those after it."""
+    out = [_aside(entry) for entry in component.prolog]
+    _write_root(component, text, root_name, out)
+    out.extend(_aside(entry) for entry in component.epilog)
+    return "".join(out)
+
+
+def element_xml(component: _HierarchyComponent,
+                rows: list[int]) -> list[str]:
+    """The XML of each of ``rows`` — element rows of ``component``,
+    which must be registered — in the order given, off the columns.
+
+    An element whose one child is text (every ``w``, ``line`` and
+    ``dmg`` of a generated manuscript) is its open tag, a slice of the
+    base text and its close tag; any other is one walk of its rows.
+    Character data and attribute values are escaped only when the
+    component's flags say some need it (:meth:`escapes
+    <repro.core.goddag.goddag._HierarchyComponent.escapes>`).
+    """
+    text = component._text
+    if len(rows) < SMALL_RUN:
+        kinds, ends_of = component.kinds, component.subtree_ends
+        lasts = [ends_of.item(row) for row in rows]
+        simple = [last == row + 1 and kinds.item(last) == KIND_TEXT
+                  for row, last in zip(rows, lasts)]
+        ids_of, starts_of, span_ends_of = (
+            component.name_ids, component.starts, component.ends)
+        ids = [ids_of.item(row) for row in rows]
+        starts = [starts_of.item(row) for row in rows]
+        ends = [span_ends_of.item(row) for row in rows]
+    else:
+        at = np.asarray(rows, dtype=np.int64)
+        last_rows = component.subtree_ends[at]
+        after = np.minimum(at + 1, len(component.kinds) - 1)
+        lasts = last_rows.tolist()
+        simple = ((last_rows == at + 1)
+                  & (component.kinds[after] == KIND_TEXT)).tolist()
+        ids = component.name_ids[at].tolist()
+        # an element whose one child is text spans exactly that text
+        starts = component.starts[at].tolist()
+        ends = component.ends[at].tolist()
+    names = component.names
+    opens, closes = component.tags()
+    escape_chars, escape_values = component.escapes(text)
+    attributes = component.row_values()[0]
+    out: list[str] = []
+    for row, last, one_text, ident, start, end in zip(
+            rows, lasts, simple, ids, starts, ends):
+        mapping = attributes.get(row) if attributes else None
+        if one_text:
+            chars = text[start:end]
+            if escape_chars:
+                chars = escape_text(chars)
+            if mapping:
+                attrs = _attributes(mapping, escape_values)
+                out.append(f"<{names[ident]}{attrs}>{chars}{closes[ident]}")
+            else:
+                out.append(f"{opens[ident]}{chars}{closes[ident]}")
+        else:
+            parts: list[str] = []
+            _write_rows(component, text, row, last, parts)
+            out.append("".join(parts))
+    return out
+
+
+def _write_root(component: _HierarchyComponent, text: str, root_name: str,
+                out: list[str]) -> None:
+    mapping = component.root_attrs
+    attrs = _attributes(mapping, component.escapes(text)[1]) \
+        if mapping else ""
+    count = len(component.kinds)
+    if not count:
+        out.append(f"<{root_name}{attrs}/>")
+        return
+    out.append(f"<{root_name}{attrs}>")
+    _write_rows(component, text, 0, count - 1, out)
+    out.append(f"</{root_name}>")
+
+
+def _write_rows(component: _HierarchyComponent, text: str, first: int,
+                last: int, out: list[str]) -> None:
+    """Rows ``first`` to ``last`` — whole subtrees, in preorder — into
+    ``out``: one pass over the rows, ``subtree_ends`` saying where each
+    open element closes."""
+    stop = last + 1
+    kinds = component.kinds[first:stop].tolist()
+    ids = component.name_ids[first:stop].tolist()
+    starts = component.starts[first:stop].tolist()
+    ends = component.ends[first:stop].tolist()
+    lasts = component.subtree_ends[first:stop].tolist()
+    names = component.names
+    opens, closes = component.tags()
+    escape_chars, escape_values = component.escapes(text)
+    attributes, data = component.row_values()
+    # the open elements, innermost last: (last row, close tag)
+    closing: list[tuple[int, str]] = []
+    for row, kind, ident, start, end, subtree_end in zip(
+            range(first, stop), kinds, ids, starts, ends, lasts):
+        while closing and closing[-1][0] < row:
+            out.append(closing.pop()[1])
+        if kind == KIND_TEXT:
+            chars = text[start:end]
+            out.append(escape_text(chars) if escape_chars else chars)
+        elif kind == KIND_ELEMENT:
+            mapping = attributes.get(row)
+            empty = subtree_end == row
+            if mapping:
+                attrs = _attributes(mapping, escape_values)
+                out.append(f"<{names[ident]}{attrs}/>" if empty
+                           else f"<{names[ident]}{attrs}>")
+            else:
+                out.append(f"<{names[ident]}/>" if empty else opens[ident])
+            if not empty:
+                closing.append((subtree_end, closes[ident]))
+        elif kind == KIND_COMMENT:
+            out.append(f"<!--{data[row]}-->")
+        else:
+            out.append(_pi(names[ident], data[row]))
+    while closing:
+        out.append(closing.pop()[1])
+
+
+def _attributes(mapping, escape: bool) -> str:
+    if escape:
+        return "".join([f' {key}="{escape_attribute(value)}"'
+                        for key, value in mapping.items()])
+    return "".join([f' {key}="{value}"' for key, value in mapping.items()])
+
+
+def _pi(target: str, data: str) -> str:
+    separator = " " if data else ""
+    return f"<?{target}{separator}{data}?>"
+
+
+def _aside(entry: list) -> str:
+    """A comment or PI around the root element (``prolog``/``epilog``)."""
+    if entry[0] == "comment":
+        return f"<!--{entry[1]}-->"
+    return _pi(entry[1], entry[2])
 
 
 def to_dot(goddag: KyGoddag) -> str:

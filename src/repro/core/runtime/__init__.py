@@ -8,7 +8,11 @@ from repro.core.goddag.goddag import KyGoddag
 from repro.core.lang import ast
 from repro.core.runtime.context import Frame, QueryOptions, QueryStats
 from repro.core.runtime.functions import default_registry
-from repro.core.runtime.serializer import serialize_item, serialize_items
+from repro.core.runtime.serializer import (
+    serialize_each,
+    serialize_item,
+    serialize_items,
+)
 
 __all__ = [
     "Frame",
@@ -16,6 +20,7 @@ __all__ = [
     "QueryStats",
     "evaluate_query",
     "default_registry",
+    "serialize_each",
     "serialize_item",
     "serialize_items",
 ]

@@ -63,7 +63,7 @@ from repro.server.http import (
     response,
     stream_head,
 )
-from repro.core.runtime.serializer import serialize_item
+from repro.core.runtime.serializer import serialize_each
 from repro.server.quota import TenantQuotas
 from repro.store import DocumentStore
 
@@ -295,7 +295,7 @@ class QueryService:
                   else snapshot.query(text))
         # slice first: only the page that goes out is serialized
         page, nxt = _page(result.items, offset, limit)
-        page = [serialize_item(item) for item in page]
+        page = serialize_each(page)
         payload = {
             "name": name,
             "next": nxt,

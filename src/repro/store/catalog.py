@@ -50,7 +50,7 @@ from repro.errors import IntegrityError, ReproError, StoreError
 from repro.cmh import MultihierarchicalDocument
 from repro.core.plan.distribute import classify, find_collections
 from repro.core.runtime import QueryOptions
-from repro.core.runtime.serializer import serialize_item
+from repro.core.runtime.serializer import serialize_each, serialize_item
 from repro.store import faultfs
 from repro.store.mhxb import (
     file_identity,
@@ -774,7 +774,7 @@ class DocumentStore:
         items = compiled.execute(engine.goddag, options=engine.options,
                                  functions={"collection": resolver})
         return CorpusResult(
-            items=[serialize_item(item) for item in items],
+            items=serialize_each(items),
             mode="fused", reason=reason, shards_total=shards_total,
             shards_executed=shards_total, workers=1)
 

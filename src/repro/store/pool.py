@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.core.goddag.nodes import GNode
 from repro.core.goddag.okeys import corpus_sort_order
-from repro.core.runtime.serializer import serialize_item
+from repro.core.runtime.serializer import serialize_each
 from repro.errors import IntegrityError, ReproError, StoreError
 from repro.store.mhxb import file_identity
 
@@ -119,9 +119,8 @@ def run_shard(engine, plans, text: str, mode: str):
             raise StoreError(
                 "scatter plan produced non-node items; the classifier "
                 "should have routed this query to the fused path")
-        return ("nodes", [serialize_item(item) for item in items],
-                okeys)
-    return ("items", [serialize_item(item) for item in items])
+        return ("nodes", serialize_each(items), okeys)
+    return ("items", serialize_each(items))
 
 
 # ---------------------------------------------------------------------------

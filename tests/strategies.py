@@ -6,8 +6,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.errors import CMHError
-from repro.cmh import MultihierarchicalDocument
+from repro.cmh import Hierarchy, MultihierarchicalDocument
 from repro.cmh.spans import Span, SpanSet
+from repro.markup import dom
 
 def examples(count: int) -> int:
     """A property test's example budget: ``count`` under the tier-1
@@ -25,16 +26,32 @@ TEXT_ALPHABET = "ab ϸx"
 
 ELEMENT_NAMES = ("w", "line", "dmg", "res", "seg")
 
+#: :data:`TEXT_ALPHABET` and the three characters character data escapes
+ESCAPED_ALPHABET = TEXT_ALPHABET + "&<>"
+
+#: attribute values: every character an attribute value escapes, and ``>``
+#: (which it does not)
+ATTRIBUTE_ALPHABET = 'a &<>"\n\t'
+
 
 @st.composite
-def base_texts(draw, min_size: int = 1, max_size: int = 40) -> str:
-    return draw(st.text(alphabet=TEXT_ALPHABET, min_size=min_size,
+def base_texts(draw, min_size: int = 1, max_size: int = 40,
+               alphabet: str = TEXT_ALPHABET) -> str:
+    return draw(st.text(alphabet=alphabet, min_size=min_size,
                         max_size=max_size))
 
 
+def attribute_maps(max_size: int = 2):
+    return st.dictionaries(st.sampled_from(("n", "type", "x")),
+                           st.text(alphabet=ATTRIBUTE_ALPHABET, max_size=3),
+                           max_size=max_size)
+
+
 @st.composite
-def span_sets(draw, text: str, max_spans: int = 6) -> SpanSet:
-    """A properly-nesting span set over ``text``.
+def span_sets(draw, text: str, max_spans: int = 6,
+              attributes: bool = False) -> SpanSet:
+    """A properly-nesting span set over ``text``, its elements with
+    drawn attributes when ``attributes``.
 
     Spans are drawn independently; draws that would properly overlap an
     already accepted span are discarded (not shrunk away), which keeps
@@ -48,8 +65,9 @@ def span_sets(draw, text: str, max_spans: int = 6) -> SpanSet:
         start = draw(st.integers(min_value=0, max_value=len(text)))
         end = draw(st.integers(min_value=start, max_value=len(text)))
         name = draw(st.sampled_from(ELEMENT_NAMES))
+        attrs = tuple(draw(attribute_maps()).items()) if attributes else ()
         try:
-            spans.add(Span(start, end, name, depth_hint=index))
+            spans.add(Span(start, end, name, attrs, depth_hint=index))
         except CMHError:
             continue  # properly overlapping within one hierarchy
     return spans
@@ -59,15 +77,52 @@ def span_sets(draw, text: str, max_spans: int = 6) -> SpanSet:
 def multihierarchical_documents(draw, max_hierarchies: int = 3,
                                 max_spans: int = 6,
                                 min_text: int = 1,
-                                max_text: int = 40
+                                max_text: int = 40,
+                                alphabet: str = TEXT_ALPHABET,
+                                decorated: bool = False
                                 ) -> MultihierarchicalDocument:
-    text = draw(base_texts(min_size=min_text, max_size=max_text))
+    """A document of up to ``max_hierarchies`` span hierarchies over a
+    text drawn from ``alphabet``.  ``decorated`` draws attributes on
+    the elements and the root, and comments and PIs inside elements,
+    between text and around the root element (:func:`decorations`)."""
+    text = draw(base_texts(min_size=min_text, max_size=max_text,
+                           alphabet=alphabet))
     document = MultihierarchicalDocument(text)
     n_hierarchies = draw(st.integers(min_value=1,
                                      max_value=max_hierarchies))
     for index in range(n_hierarchies):
-        spans = draw(span_sets(text, max_spans=max_spans))
-        document.add_spans(f"h{index}", spans, "r")
+        spans = draw(span_sets(text, max_spans=max_spans,
+                               attributes=decorated))
+        if decorated:
+            document.add_hierarchy(Hierarchy(
+                f"h{index}", draw(decorations(spans.to_document("r")))))
+        else:
+            document.add_spans(f"h{index}", spans, "r")
+    return document
+
+
+_MISC_DATA = st.text(alphabet="a &<>", max_size=3)
+
+
+@st.composite
+def decorations(draw, document: dom.Document) -> dom.Document:
+    """``document`` with drawn root attributes and comments and PIs
+    inserted into element child lists and around the root element."""
+    root = document.root
+    for name, value in draw(attribute_maps()).items():
+        root.set(name, value)
+    # the document itself among the parents: before or after the root
+    parents = [document, root, *root.iter_elements()]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        if draw(st.booleans()):
+            node = dom.Comment(draw(_MISC_DATA))
+        else:
+            node = dom.ProcessingInstruction(
+                draw(st.sampled_from(("pi", "x-y"))), draw(_MISC_DATA))
+        parent = draw(st.sampled_from(parents))
+        parent.insert(draw(st.integers(min_value=0,
+                                       max_value=len(parent.children))),
+                      node)
     return document
 
 

@@ -33,7 +33,7 @@ from repro.core.goddag import invariants
 from repro.core.goddag.goddag import KIND_ELEMENT, _HierarchyComponent
 from repro.core.goddag.index import SpanIndex
 from repro.core.goddag.nodes import GLeaf, GNode
-from repro.core.runtime.serializer import serialize_item
+from repro.core.runtime.serializer import serialize_each, serialize_item
 from repro.errors import ReproError
 from repro.store import DocumentStore, fork_engine, mhxb, save_engine
 from repro.store.mhxb import load_document
@@ -49,6 +49,7 @@ from tests.strategies import (
     update_ops,
 )
 from tests.test_store import filling, hierarchies, wrapping
+from tests import nodewalk
 from tests.treewalk import TreeWalkEngine
 
 #: the light class of the store-write benchmark: one hierarchy's names
@@ -284,7 +285,8 @@ class TestRacingFirstReaders:
     columns are made once, and every thread is handed the same node
     objects.  One round per query, each on a fresh cold load, with
     that query asked first by every thread, so each fill is raced by
-    all eight at least once."""
+    all eight at least once; each thread then prints its answers, so
+    the row writer's tables are raced for too."""
 
     QUERIES = ("/child::*", "/descendant::w[overlapping::dmg]",
                "//leaf()", "/descendant::line/xdescendant::w",
@@ -298,6 +300,7 @@ class TestRacingFirstReaders:
         gather = SpanIndex._gather
         barrier = threading.Barrier(8)
         results: list = [None] * 8
+        printed: list = [None] * 8
 
         def counted_gather(index, root_value, column):
             if root_value is index.root:  # the node columns
@@ -314,6 +317,8 @@ class TestRacingFirstReaders:
                 results[slot] = error
                 return
             results[slot] = [answers[query] for query in self.QUERIES]
+            printed[slot] = [serialize_each(items)
+                             for items in results[slot]]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads inside the fills
@@ -347,11 +352,60 @@ class TestRacingFirstReaders:
                 assert len(got) == len(want)
                 assert all(a is b if isinstance(b, GNode) else a == b
                            for a, b in zip(got, want))
-        assert [[serialize_item(item) for item in items]
-                for items in first] == [
-            [serialize_item(item) for item in items]
-            for items in results[-1]]
+        assert all(strings == printed[0] for strings in printed)
+        assert printed[0] == [nodewalk.strings(items) for items in first]
         goddag.check_invariants()
+
+
+class TestSerializationMakesNoNode:
+    """Printing a result makes no node object (DESIGN.md §11,
+    *Serialization from rows*): the row writer reads the columns, so
+    the rows the query filled are all there are afterwards — where the
+    node walk fills every text child."""
+
+    WORDS = "/descendant::w"
+    LINES = "/descendant::line[overlapping::w]"
+
+    def test_a_warm_word_result(self, document):
+        engine = Engine(document.clone())
+        engine.query(self.WORDS)  # the plan cached, the rows filled
+        result = engine.query(self.WORDS)
+        made: list = []
+        with filling(made):
+            strings = result.strings()
+            whole = result.serialize()
+        assert made == []
+        assert whole == "".join(strings)
+        with filling(made):
+            assert nodewalk.strings(result.items) == strings
+        # the control: the node walk fills each word's one text child
+        assert len(made) == len(result.items)
+
+    def test_lines_through_run_shard(self, document, tmp_path,
+                                     monkeypatch):
+        """The ``lines`` shape of a corpus scatter, as a worker runs it
+        on a cold-loaded shard."""
+        from repro.store import pool
+        from repro.store.plancache import SharedPlanCache
+
+        path = tmp_path / "shard.mhxb"
+        save_engine(Engine(document.clone()), path)
+        shard = Engine.from_mhxb(path)
+        made: list = []
+        serialize = pool.serialize_each
+
+        def watched(items):
+            with filling(made):
+                return serialize(items)
+
+        monkeypatch.setattr(pool, "serialize_each", watched)
+        kind, strings, _okeys = pool.run_shard(
+            shard, SharedPlanCache(), f'collection("c"){self.LINES}',
+            "scatter")
+        assert kind == "nodes" and strings
+        assert made == []
+        oracle = Engine(document.clone()).query(self.LINES).items
+        assert strings == nodewalk.strings(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +455,7 @@ def probe_queries(draw) -> list[str]:
 
 
 def items_of(engine, query: str) -> list[str]:
-    return [serialize_item(item) for item in engine.query(query).items]
+    return engine.query(query).strings()
 
 
 @SETTINGS
@@ -426,9 +480,10 @@ def test_lazy_snapshot_answers_as_eager_engines(tmp_path_factory, document,
             if isinstance(b, GNode):
                 assert a is b, query
             else:
-                assert serialize_item(a) == serialize_item(b), query
-        expected = items_of(eager, query)
-        assert [serialize_item(item) for item in got] == expected, query
+                assert serialize_item(a) == nodewalk.serialize_item(b), query
+        # the reference side serializes node by node (tests/nodewalk.py)
+        expected = nodewalk.strings(eager.query(query).items)
+        assert serialize_each(got) == expected, query
         assert items_of(built, query) == expected, query
     lazy.goddag.check_invariants()
     built.goddag.check_invariants()

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.goddag import KyGoddag
-from repro.core.runtime import evaluate_query
+from repro.core.runtime import evaluate_query, serialize_each, serialize_items
 
 from tests.strategies import multihierarchical_documents
+from tests.treewalk import TreeWalkEngine
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -118,3 +119,22 @@ def test_reverse_reverse_is_identity(document):
 def test_string_of_root_is_base_text(document):
     goddag = KyGoddag.build(document)
     assert evaluate_query(goddag, "string(/)") == [document.text]
+
+
+@SETTINGS
+@given(document=multihierarchical_documents(), axis=AXES, name=NAMES)
+def test_results_serialize_as_the_tree_walk_does(document, axis, name):
+    """The pipeline's results, through the row writer, print as the
+    tree-walker's results through the node-walking oracle."""
+    goddag = KyGoddag.build(document)
+    walker = TreeWalkEngine(goddag)
+    for query in (f"/descendant::*/{axis}::{name}", "/", "//leaf()",
+                  f"/descendant::{name}/descendant::leaf()",
+                  f"(/descendant::{name}, //leaf(), count(//*), 'x', 1)",
+                  f"for $e in /descendant::* return ($e, string($e))"):
+        items = evaluate_query(goddag, query)
+        reference = walker.query(query)
+        assert serialize_each(items) == reference.strings(), query
+        for mode in ("paper", "xquery"):
+            assert serialize_items(items, mode) \
+                == reference.serialize(mode), (query, mode)

@@ -17,6 +17,7 @@ from repro.cmh.spans import spans_of
 from repro.core.goddag import KyGoddag
 from repro.core.runtime import evaluate_query, serialize_items
 
+from tests import nodewalk
 from tests.strategies import multihierarchical_documents
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -34,8 +35,9 @@ def test_analyze_string_preserves_content(document, data):
     """The <res> markup re-tags the node's content without changing it."""
     goddag = KyGoddag.build(document)
     pattern = re.escape(data.draw(_patterns))
-    out = serialize_items(evaluate_query(
-        goddag, f'analyze-string(/, "{pattern}")'))
+    items = evaluate_query(goddag, f'analyze-string(/, "{pattern}")')
+    out = serialize_items(items)
+    assert out == nodewalk.serialize_items(items)
     # The root wraps all of S: stripping tags must give back S exactly
     # (the alphabet contains no XML-escaped characters).
     assert _strip_tags(out) == document.text
@@ -47,8 +49,9 @@ def test_analyze_string_tags_every_match(document, data):
     goddag = KyGoddag.build(document)
     needle = data.draw(_patterns)
     pattern = re.escape(needle)
-    out = serialize_items(evaluate_query(
-        goddag, f'analyze-string(/, "{pattern}")'))
+    items = evaluate_query(goddag, f'analyze-string(/, "{pattern}")')
+    out = serialize_items(items)
+    assert out == nodewalk.serialize_items(items)
     expected_matches = len(re.findall(pattern, document.text))
     assert out.count("<m>") == expected_matches
 

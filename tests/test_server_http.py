@@ -305,19 +305,19 @@ class TestQueryEndpoint:
         from repro.server import service
 
         handle, _store, _log = served
-        calls = []
+        handed = []
 
-        def counting(item):
-            calls.append(item)
-            return serialize_item(item)
+        def counting(items):
+            handed.extend(items)
+            return serialize_each(items)
 
-        serialize_item = service.serialize_item
-        monkeypatch.setattr(service, "serialize_item", counting)
+        serialize_each = service.serialize_each
+        monkeypatch.setattr(service, "serialize_each", counting)
         raw = raw_exchange(
             handle, b"GET /query?name=boe&q=/descendant::w"
             + extra.encode() + b" HTTP/1.1\r\nConnection: close\r\n\r\n")
         assert raw.startswith(b"HTTP/1.1 200")
-        assert len(calls) == sent
+        assert len(handed) == sent
         assert b'"total":6' in raw
 
     def test_bad_offset_and_limit_400(self, served):

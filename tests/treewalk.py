@@ -18,7 +18,9 @@ initial context item, and — per Definition 4(5) — tears down every
 temporary hierarchy created by ``analyze-string`` when evaluation
 finishes, snapshotting result items that live in one first.
 :class:`TreeWalkEngine` gives it the ``query()`` surface of
-:class:`repro.api.Engine` for tests that compare engines.
+:class:`repro.api.Engine` for tests that compare engines; its results
+serialize node by node (``tests/nodewalk.py``), not through the row
+writer the engines under test use.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ from repro.core.runtime.values import (
     predicate_holds,
     singleton_number,
 )
+
+from tests import nodewalk
 
 
 class EvalContext:
@@ -155,6 +159,16 @@ def evaluate_query(goddag: KyGoddag, query: str | ast.Expr,
     return [snapshot(item, shell) for item in evaluate(expr, context)]
 
 
+class WalkedResult(QueryResult):
+    """A tree-walker's result: serialized by the node-walking oracle."""
+
+    def strings(self) -> list[str]:
+        return nodewalk.strings(self.items)
+
+    def serialize(self, mode: str = "paper") -> str:
+        return nodewalk.serialize_items(self.items, mode)
+
+
 class TreeWalkEngine:
     """The tree-walker behind :meth:`repro.api.Engine.query`'s
     signature, for tests that run one query through several engines."""
@@ -167,7 +181,7 @@ class TreeWalkEngine:
         stats = QueryStats()
         items = evaluate_query(self.goddag, text, variables=variables,
                                stats=stats)
-        return QueryResult(items, stats)
+        return WalkedResult(items, stats)
 
 
 # ---------------------------------------------------------------------------
