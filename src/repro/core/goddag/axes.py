@@ -574,11 +574,8 @@ def axis_candidates(goddag: KyGoddag, axis: str, node: GNode,
             entry = goddag._components[node.hierarchy].name_entry(name)
             if entry is None:
                 return prefix, exact
-            left = int(np.searchsorted(entry.preorders, node.preorder,
-                                       side="right"))
-            right = int(np.searchsorted(entry.preorders,
-                                        node.subtree_end, side="right"))
-            return prefix + entry.nodes[left:right], exact
+            return prefix + entry.nodes[
+                _named(entry, "descendant", node)], exact
         return prefix + goddag._components[node.hierarchy].fill(
             slice(node.preorder + 1, node.subtree_end + 1)), False
     if axis == "following":
@@ -594,9 +591,7 @@ def axis_candidates(goddag: KyGoddag, axis: str, node: GNode,
             entry = goddag._components[node.hierarchy].name_entry(name)
             if entry is None:
                 return [], True
-            left = int(np.searchsorted(entry.preorders, node.subtree_end,
-                                       side="right"))
-            return entry.nodes[left:], True
+            return entry.nodes[_named(entry, axis, node)], True
         return goddag._components[node.hierarchy].fill(
             slice(node.subtree_end + 1, None)), False
     if axis == "preceding":
@@ -612,11 +607,9 @@ def axis_candidates(goddag: KyGoddag, axis: str, node: GNode,
             entry = goddag._components[node.hierarchy].name_entry(name)
             if entry is None:
                 return [], True
-            position = int(np.searchsorted(entry.preorders, node.preorder,
-                                           side="left"))
             nodes = entry.nodes
-            return [nodes[at] for at in np.flatnonzero(
-                entry.subtree_ends[:position] < node.preorder).tolist()], True
+            return [nodes[at] for at in
+                    _named(entry, axis, node).tolist()], True
         return _preceding_rows(goddag, node), False
     if axis == "child" and isinstance(node, GText):
         return [], False  # a text node's children are exactly its leaves
@@ -627,6 +620,23 @@ def axis_candidates(goddag: KyGoddag, axis: str, node: GNode,
     if any(isinstance(candidate, GLeaf) for candidate in out):
         return [c for c in out if not isinstance(c, GLeaf)], False
     return out, False
+
+
+def _named(entry, axis: str, node: _HierarchyNode) -> slice | np.ndarray:
+    """Which of ``entry``'s elements (a per-name index entry of
+    ``node``'s own hierarchy) lie on ``axis`` — ``descendant``,
+    ``following`` or ``preceding`` — from ``node``: a slice of the
+    entry, or its positions in preorder."""
+    preorders = entry.preorders
+    if axis == "descendant":
+        return slice(
+            int(np.searchsorted(preorders, node.preorder, side="right")),
+            int(np.searchsorted(preorders, node.subtree_end, side="right")))
+    if axis == "following":
+        return slice(int(np.searchsorted(preorders, node.subtree_end,
+                                         side="right")), None)
+    before = int(np.searchsorted(preorders, node.preorder, side="left"))
+    return np.flatnonzero(entry.subtree_ends[:before] < node.preorder)
 
 
 def tested_candidates(goddag: KyGoddag, axis: str, node: GNode,
@@ -642,6 +652,42 @@ def tested_candidates(goddag: KyGoddag, axis: str, node: GNode,
     if test is None or exact:
         return found
     return [candidate for candidate in found if test(candidate)]
+
+
+def picked_candidate(goddag: KyGoddag, axis: str, node: GNode, name: str,
+                     position: int, reverse: bool = False
+                     ) -> tuple[list[GNode], int] | None:
+    """``([candidates[position - 1]], len(candidates))`` — ``[]`` when
+    ``position`` is out of range, counted from the end with ``reverse``
+    — of the exact name slice ``axis_candidates(goddag, axis, node,
+    name, True)`` returns, read off the per-name index rows
+    (:attr:`_NameEntry.preorders`): only the picked row is filled.
+    ``None`` where that step is no exact slice, for the caller to take
+    the candidates.  Where several hierarchies hold the name (the
+    root's descendants), their runs follow one another in rank order,
+    which is document order.
+    """
+    if isinstance(node, GRoot) and axis == "descendant":
+        entries = [goddag._components[hierarchy].name_entry(name)
+                   for hierarchy in goddag.hierarchy_names]
+        runs = [(entry.component, entry.preorders)
+                for entry in entries if entry is not None]
+    elif isinstance(node, _HierarchyNode) \
+            and axis in ("descendant", "following", "preceding"):
+        entry = goddag._components[node.hierarchy].name_entry(name)
+        runs = [] if entry is None else [
+            (entry.component, entry.preorders[_named(entry, axis, node)])]
+    else:
+        return None
+    count = sum(len(rows) for _component, rows in runs)
+    if not 1 <= position <= count:
+        return [], count
+    at = count - position if reverse else position - 1
+    for component, rows in runs:
+        if at < len(rows):
+            break
+        at -= len(rows)
+    return [component.node(int(rows[at]))], count
 
 
 def leaf_candidates(goddag: KyGoddag, axis: str,

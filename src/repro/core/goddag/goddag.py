@@ -37,6 +37,7 @@ comparisons.
 from __future__ import annotations
 
 import threading
+import zlib
 from array import array
 from collections.abc import Iterable, Iterator
 
@@ -178,6 +179,9 @@ class _HierarchyComponent:
         self._tags: tuple[list[str], list[str], list[str]] | None = None
         self._text_escapes: tuple[str, bool] | None = None
         self._attribute_escapes: bool | None = None
+        # The CRC32 of each file block taken as it is from this
+        # component (:meth:`block_crc`): block key -> checksum.
+        self._crcs: dict[str, int] = {}
 
     # The lazy attributes are plain properties.  A class-level
     # ``__getattr__`` (the other way to fill on first use) routes every
@@ -362,10 +366,13 @@ class _HierarchyComponent:
 
         It shares every column but the one :meth:`rename` writes, and
         makes its own node objects: row ``i`` of the copy is the twin of
-        row ``i`` here.
+        row ``i`` here.  It takes the block checksums known here
+        (:meth:`block_crc`); the rename drops the one it invalidates.
         """
-        return self._copy(self.rank, np.array(self.name_ids),
+        copy = self._copy(self.rank, np.array(self.name_ids),
                           self._okeys, self.perms())
+        copy._crcs = dict(self._crcs)  # the same bytes, until a rename
+        return copy
 
     def reranked(self, rank: int) -> "_HierarchyComponent":
         """An unfilled copy at ``rank``: every column shared but the
@@ -520,6 +527,21 @@ class _HierarchyComponent:
                 np.argsort(_end_keys(starts, ends), kind="stable"))
         return perms
 
+    def block_crc(self, key: str, block: np.ndarray) -> int:
+        """The CRC32 of ``block``, the file block ``key`` of this
+        component — one of :data:`COLUMNS` or a permutation, written as
+        it is (contiguous).  The first file written with it computes
+        it; every later one takes it from here, a fill-once cache like
+        :meth:`perms`: the columns are never written once the component
+        is registered, but by :meth:`rename`, which drops the checksum
+        of the one column it writes.  A :meth:`private_copy` starts
+        with its source's checksums, its columns being the same bytes
+        until that rename."""
+        crc = self._crcs.get(key)
+        if crc is None:
+            crc = self._crcs[key] = zlib.crc32(block)
+        return crc
+
     def build_dom(self, text: str, root_name: str) -> dom.Document:
         """This hierarchy's DOM document, text nodes aligned."""
         document = dom.Document()
@@ -576,6 +598,7 @@ class _HierarchyComponent:
             ids = self.name_ids = np.array(ids)
         ids[position] = ident
         self._name_index = {}
+        self._crcs.pop("name_ids", None)
 
 
 def _aux_node(entry: list) -> dom.Node:

@@ -3,19 +3,21 @@
 The paper's Figure 2 is a drawing; its checkable content is the node
 and edge inventory of the KyGODDAG built from Figure 1's encodings.
 :func:`collect` computes that inventory so the FIG2 benchmark (and
-EXPERIMENTS.md) can compare counts.  It is vectorized over the span
-index columns (``tests/test_plan_cost.py`` checks it against a
-per-node walk) because the same machinery feeds
+EXPERIMENTS.md) can compare counts.  It is vectorized over the
+hierarchy components' columns (``tests/test_plan_cost.py`` checks it
+against a per-node walk) because the same columns feed
 :class:`PlanStats` on the plan-compile path (DESIGN.md §16): per
 hierarchy per-name cardinalities, per-name span sums and bounds, and
 equi-depth histograms over the element start/length columns — enough
 for the cost model in :mod:`repro.core.plan.cost` to rank join orders
-and semi-join probes.
+and semi-join probes.  Every aggregate groups integer name ids and
+maps them to names afterwards; no object column is sorted.
 
 ``PlanStats`` is versioned with :attr:`KyGoddag.version` and travels
 with the document: :func:`plan_stats_payload` computes the identical
 payload straight from ``.mhxb`` arrays at save time (see
-``repro.store.mhxb._pack``), so a cold-loaded engine costs plans
+``repro.store.mhxb._pack``) through the same aggregation as
+:func:`collect_plan_stats`, so a cold-loaded engine costs plans
 without re-scanning, and :meth:`PlanStats.fingerprint` (which excludes
 the version — identical documents share costed plans) keys the shared
 plan cache.
@@ -29,7 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.goddag.goddag import KIND_COMMENT, KIND_PI, KyGoddag
+from repro.core.goddag.goddag import (
+    KIND_COMMENT,
+    KIND_ELEMENT,
+    KIND_PI,
+    KIND_TEXT,
+    KyGoddag,
+)
 
 #: Equi-depth histogram buckets; the boundary lists carry buckets + 1
 #: entries (``np.quantile(..., method="lower")`` picks actual data
@@ -119,45 +127,43 @@ def _text_leaf_edge_count(bounds: np.ndarray, starts: np.ndarray,
 def collect(goddag: KyGoddag) -> GoddagStats:
     """Compute the node/edge inventory of ``goddag`` (vectorized).
 
-    Element/text counts come off the span index columns (one boolean
-    mask per hierarchy), tree edges are the component node count (every
-    component node has exactly one tree parent — the root or an
-    element), and text→leaf edges are two ``searchsorted`` passes over
-    the partition boundary array.  Comments/PIs are not span-index
-    members: they are counted off the component's ``kinds`` column.
-    No node object is made.
+    Everything comes off each hierarchy component's columns: element
+    counts per name are one ``bincount`` of the element rows' name ids,
+    text nodes, comments and PIs are counted off ``kinds``, tree edges
+    are the component's row count (every component node has exactly
+    one tree parent — the root or an element), and text→leaf edges are
+    two ``searchsorted`` passes over the partition boundary array.  No
+    node object is made and the span index is not consulted.
     """
     stats = GoddagStats(text_length=len(goddag.text),
                         leaf_count=len(goddag.partition))
-    index = goddag.span_index()
-    index._flush_pending()
-    names_col = index._names
-    ranks = index.ranks
-    starts = index.starts
-    ends = index.ends
     bounds = goddag.partition.boundary_array
     for name in goddag.hierarchy_names:
+        component = goddag._components[name]
+        kinds = component.kinds
         hierarchy = HierarchyStats(name=name,
-                                   temporary=goddag.is_temporary(name))
-        kinds = goddag._components[name].kinds
+                                   temporary=component.temporary)
         hierarchy.tree_edges = len(kinds)
-        hierarchy.comments = int((kinds == KIND_COMMENT).sum())
-        hierarchy.processing_instructions = int((kinds == KIND_PI).sum())
-        row_mask = ranks == goddag.hierarchy_rank(name)
-        h_names = names_col[row_mask]
-        elem_mask = np.not_equal(h_names, None)
-        values, counts = np.unique(h_names[elem_mask],
-                                   return_counts=True)
-        hierarchy.elements_by_name = {
-            str(value): int(count)
-            for value, count in zip(values, counts)}
-        hierarchy.text_nodes = int(len(h_names) - elem_mask.sum())
-        text_mask = row_mask.copy()
-        text_mask[row_mask] = ~elem_mask
+        hierarchy.comments = int(np.count_nonzero(kinds == KIND_COMMENT))
+        hierarchy.processing_instructions = int(
+            np.count_nonzero(kinds == KIND_PI))
+        hierarchy.elements_by_name = _element_counts(
+            component.name_ids[kinds == KIND_ELEMENT], component.names)
+        texts = kinds == KIND_TEXT
+        hierarchy.text_nodes = int(np.count_nonzero(texts))
         hierarchy.text_leaf_edges = _text_leaf_edge_count(
-            bounds, starts[text_mask], ends[text_mask])
+            bounds, component.starts[texts], component.ends[texts])
         stats.hierarchies.append(hierarchy)
     return stats
+
+
+def _element_counts(ids: np.ndarray, names: list[str]) -> dict[str, int]:
+    """Name -> count of the element name ids ``ids`` (ids into
+    ``names``, which holds no name twice): one ``bincount``, mapped to
+    names afterwards."""
+    counts = np.bincount(ids, minlength=len(names))
+    return {names[ident]: int(counts[ident])
+            for ident in np.flatnonzero(counts).tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -310,49 +316,68 @@ def _equi_depth(values: np.ndarray) -> list[int]:
     return [int(v) for v in quantiles]
 
 
-def _name_aggregates(names: np.ndarray, starts: np.ndarray,
-                     ends: np.ndarray) -> dict[str, dict[str, int]]:
+def _name_aggregates(ids: np.ndarray, starts: np.ndarray,
+                     ends: np.ndarray,
+                     names: list[str]) -> dict[str, dict[str, int]]:
     """Per-name count/total_len/min_start/max_end over nonempty spans.
 
-    Order-independent (grouped reductions), so the live span-index
-    columns and the ``.mhxb`` per-hierarchy concatenation produce the
-    identical mapping.
+    Grouped by name id — one stable sort of the ids, then one
+    ``reduceat`` per aggregate over the runs — and mapped to ``names``
+    after grouping.  Order-independent, so the live components and a
+    ``.mhxb`` file's blocks produce the identical mapping.
     """
-    if not len(names):
+    if not len(ids):
         return {}
-    values, inverse = np.unique(names, return_inverse=True)
-    lengths = ends - starts
-    counts = np.bincount(inverse, minlength=len(values))
-    totals = np.zeros(len(values), dtype=np.int64)
-    np.add.at(totals, inverse, lengths)
-    min_starts = np.full(len(values), np.iinfo(np.int64).max,
-                         dtype=np.int64)
-    np.minimum.at(min_starts, inverse, starts)
-    max_ends = np.zeros(len(values), dtype=np.int64)
-    np.maximum.at(max_ends, inverse, ends)
+    order = np.argsort(ids, kind="stable")
+    ids, starts, ends = ids[order], starts[order], ends[order]
+    heads = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    counts = np.diff(np.append(heads, len(ids)))
+    totals = np.add.reduceat(ends - starts, heads)
+    min_starts = np.minimum.reduceat(starts, heads)
+    max_ends = np.maximum.reduceat(ends, heads)
     return {
-        str(value): {
-            "count": int(counts[position]),
-            "total_len": int(totals[position]),
-            "min_start": int(min_starts[position]),
-            "max_end": int(max_ends[position]),
+        names[ident]: {
+            "count": int(count),
+            "total_len": int(total),
+            "min_start": int(low),
+            "max_end": int(high),
         }
-        for position, value in enumerate(values)}
+        for ident, count, total, low, high in zip(
+            ids[heads].tolist(), counts.tolist(), totals.tolist(),
+            min_starts.tolist(), max_ends.tolist())}
 
 
-def _assemble_plan_stats(*, version: int, root_name: str,
-                         text: str, leaf_count: int, span_count: int,
-                         hierarchy_names: list[str],
-                         cards: dict[str, dict[str, int]],
-                         elem_names: np.ndarray,
-                         elem_starts: np.ndarray,
-                         elem_ends: np.ndarray) -> PlanStats:
-    """The shared tail of both collectors: filter to nonempty spans,
-    aggregate, histogram."""
-    nonempty = elem_starts < elem_ends
-    starts = elem_starts[nonempty]
-    ends = elem_ends[nonempty]
-    names = elem_names[nonempty]
+def _plan_stats(*, version: int, root_name: str, text: str,
+                leaf_count: int, names: list[str],
+                hierarchies: list[tuple[str, np.ndarray, np.ndarray,
+                                        np.ndarray, np.ndarray]]
+                ) -> PlanStats:
+    """The one aggregation behind both collectors.
+
+    ``hierarchies`` lists, in rank order, each hierarchy's name and its
+    ``kinds``, name-id, ``starts`` and ``ends`` columns, the ids
+    indexing the one table ``names``: per hierarchy the element counts,
+    then over the nonempty elements of all of them the per-name
+    aggregates and the two histograms.
+    """
+    cards: dict[str, dict[str, int]] = {}
+    elem_ids: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    elem_starts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    elem_ends: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    span_count = 0
+    for name, kinds, ids, starts, ends in hierarchies:
+        span_count += int(np.count_nonzero(kinds <= KIND_TEXT))
+        elem = kinds == KIND_ELEMENT
+        elem_ids.append(ids[elem])
+        elem_starts.append(starts[elem])
+        elem_ends.append(ends[elem])
+        cards[name] = _element_counts(elem_ids[-1], names)
+    ids = np.concatenate(elem_ids)
+    starts = np.concatenate(elem_starts)
+    ends = np.concatenate(elem_ends)
+    nonempty = starts < ends
+    starts = starts[nonempty]
+    ends = ends[nonempty]
     return PlanStats(
         version=version,
         root_name=root_name,
@@ -360,40 +385,32 @@ def _assemble_plan_stats(*, version: int, root_name: str,
         word_count=len(text.split()),
         leaf_count=leaf_count,
         span_count=span_count,
-        hierarchy_names=list(hierarchy_names),
+        hierarchy_names=[hierarchy[0] for hierarchy in hierarchies],
         cards=cards,
-        names=_name_aggregates(names, starts, ends),
+        names=_name_aggregates(ids[nonempty], starts, ends, names),
         start_hist=_equi_depth(starts),
         len_hist=_equi_depth(ends - starts))
 
 
 def collect_plan_stats(goddag: KyGoddag) -> PlanStats:
-    """Plan statistics straight off the live span index columns."""
-    index = goddag.span_index()
-    index._flush_pending()
-    names_col = index._names
-    ranks = index.ranks
-    starts = index.starts
-    ends = index.ends
-    elem_mask = np.not_equal(names_col, None) & (ranks != -1)
-    cards: dict[str, dict[str, int]] = {}
+    """Plan statistics straight off the live components' columns, their
+    name ids interned into one table in rank order (what a file's name
+    table is)."""
+    names: list[str] = []
+    interned: dict[str, int] = {}
+    hierarchies = []
     for name in goddag.hierarchy_names:
-        row_mask = elem_mask & (ranks == goddag.hierarchy_rank(name))
-        values, counts = np.unique(names_col[row_mask],
-                                   return_counts=True)
-        cards[name] = {str(value): int(count)
-                       for value, count in zip(values, counts)}
-    return _assemble_plan_stats(
+        component = goddag._components[name]
+        hierarchies.append((name, component.kinds,
+                            component.interned_ids(names, interned),
+                            component.starts, component.ends))
+    return _plan_stats(
         version=goddag.version,
         root_name=goddag.root.root_name,
         text=goddag.text,
         leaf_count=len(goddag.partition),
-        span_count=max(0, len(index) - 1),
-        hierarchy_names=goddag.hierarchy_names,
-        cards=cards,
-        elem_names=names_col[elem_mask],
-        elem_starts=starts[elem_mask],
-        elem_ends=ends[elem_mask])
+        names=names,
+        hierarchies=hierarchies)
 
 
 def plan_stats_payload(header: dict,
@@ -403,46 +420,18 @@ def plan_stats_payload(header: dict,
     Called at pack time (``repro.store.mhxb._pack``) so an engine's
     file and the ingest's carry the identical statistics block in
     the header: every aggregate here is order-independent, and
-    the per-hierarchy tables hold the same element multiset the live
-    span index does.
+    the per-hierarchy blocks hold the same element multiset the live
+    components do.
     """
-    name_table = header["names"]
-    table = np.empty(len(name_table), dtype=object)
-    table[:] = name_table
-    text = bytes(np.ascontiguousarray(arrays["text"])).decode("utf-8")
-    cards: dict[str, dict[str, int]] = {}
-    elem_names: list[np.ndarray] = []
-    elem_starts: list[np.ndarray] = []
-    elem_ends: list[np.ndarray] = []
-    span_count = 0
-    for position, meta in enumerate(header["hierarchies"]):
-        prefix = f"h{position}"
-        kinds = np.asarray(arrays[f"{prefix}/kinds"])
-        ids = np.asarray(arrays[f"{prefix}/name_ids"])
-        starts = np.asarray(arrays[f"{prefix}/starts"])
-        ends = np.asarray(arrays[f"{prefix}/ends"])
-        span_count += int((kinds <= 1).sum())  # elements + text nodes
-        elem = kinds == 0
-        values, counts = np.unique(ids[elem], return_counts=True)
-        cards[meta["name"]] = {
-            name_table[int(value)]: int(count)
-            for value, count in zip(values, counts)}
-        elem_names.append(table[ids[elem]])
-        elem_starts.append(starts[elem])
-        elem_ends.append(ends[elem])
-    stats = _assemble_plan_stats(
+    return _plan_stats(
         version=int(header["version"]),
         root_name=str(header["root"]),
-        text=text,
+        text=bytes(np.ascontiguousarray(arrays["text"])).decode("utf-8"),
         leaf_count=max(0, len(arrays["partition/offsets"]) - 1),
-        span_count=span_count,
-        hierarchy_names=[meta["name"]
-                         for meta in header["hierarchies"]],
-        cards=cards,
-        elem_names=(np.concatenate(elem_names) if elem_names
-                    else np.empty(0, dtype=object)),
-        elem_starts=(np.concatenate(elem_starts) if elem_starts
-                     else np.empty(0, dtype=np.int64)),
-        elem_ends=(np.concatenate(elem_ends) if elem_ends
-                   else np.empty(0, dtype=np.int64)))
-    return stats.payload()
+        names=header["names"],
+        hierarchies=[
+            (meta["name"], *(np.asarray(arrays[f"h{position}/{key}"])
+                             for key in ("kinds", "name_ids", "starts",
+                                         "ends")))
+            for position, meta in enumerate(header["hierarchies"])],
+    ).payload()

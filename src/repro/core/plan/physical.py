@@ -35,6 +35,7 @@ from repro.core.goddag.axes import (
     emits_document_order,
     evaluate_axis_batch,
     leaf_candidates,
+    picked_candidate,
     tested_candidates,
 )
 from repro.core.goddag.joins import join_axis_batch
@@ -602,14 +603,54 @@ def _compile_predicate(op: L.PredicateOp, nodes: bool = False):
 
 
 def _compile_filter(op: L.FilterOp) -> Runner:
-    input_fn = compile_plan(op.input)
     predicate_fns = [_compile_predicate(p) for p in op.predicates]
+    input_fn = _compile_picked_path(op)
+    if input_fn is None:
+        input_fn = compile_plan(op.input)
+    else:
+        predicate_fns = predicate_fns[1:]  # the path made the pick
 
     def run(frame: Frame) -> list:
         current = input_fn(frame)
         for predicate in predicate_fns:
             current = predicate(frame, current)
         return current
+
+    return run
+
+
+def _picks_rows(op: L.Plan) -> bool:
+    """Is ``op`` a step whose candidates from the root or a hierarchy
+    node are exact per-name index slices (``axes.axis_candidates``), so
+    a constant position over them is a pick among the slice's rows
+    (``axes.picked_candidate``)?"""
+    return (type(op) is L.StepOp
+            and op.axis in ("descendant", "following", "preceding")
+            and isinstance(op.test, ast.NameTest)
+            and op.name_hint == op.test.name
+            and op.skip_leaves and not op.leaves_only)
+
+
+def _compile_picked_path(op: L.FilterOp) -> Runner | None:
+    """``(path)[k]`` where the path's last step :func:`_picks_rows` and
+    has no predicate of its own: a runner for the path and the ``[k]``,
+    whose last step applies the pick itself (:func:`_compile_step`'s
+    ``pick``), so that from one context node it fills the picked row
+    alone (DESIGN.md §9, the update target).  ``None`` for any other
+    filter."""
+    path = op.input
+    if not (op.predicates and op.predicates[0].positional_literal is not None
+            and isinstance(path, L.PathOp) and path.steps):
+        return None
+    step = path.steps[-1]
+    if step.predicates or not step.ordered or not _picks_rows(step):
+        return None
+    head_fn = compile_plan(L.PathOp(path.anchor, path.input, path.steps[:-1],
+                                    path.ordered_result))
+    step_fn = _compile_step(step, pick=op.predicates[0])
+
+    def run(frame: Frame) -> list:
+        return step_fn(frame, head_fn(frame))
 
     return run
 
@@ -741,13 +782,20 @@ def _make_test_factory(test: ast.NodeTest, axis: str):
     raise QueryEvaluationError(f"unknown node test kind {kind!r}")
 
 
-def _compile_step(op: L.StepOp):
+def _compile_step(op: L.StepOp, pick: L.PredicateOp | None = None):
     """``fn(frame, inputs) -> outputs`` for one set-at-a-time axis step.
 
     Output is always document-ordered and duplicate-free unless
     ``op.ordered`` is off, where no consumer can observe the order and
     sorts are skipped.  Predicates see each input node's candidates in
     document order, reversed on reverse axes.
+
+    ``pick`` is a filter's constant ``[k]`` over the output of an
+    ordered step with no predicates (:func:`_compile_picked_path`): the
+    runner returns only the picked node, read off the rows from one
+    context node where ``axes.picked_candidate`` can, and records the
+    step's own cardinality as its actual when the step carries an
+    operator id.
     """
     axis = op.axis
     reverse = axis in REVERSE_AXES
@@ -764,9 +812,53 @@ def _compile_step(op: L.StepOp):
     leaves_only = op.leaves_only
     hint = op.name_hint
     emit_any = not op.ordered
+    # a constant position first over an exact name slice: pick the row
+    position = op.predicates[0].positional_literal \
+        if op.predicates and _picks_rows(op) else None
+    pick_fn = None if pick is None else _compile_predicate(pick)
+
+    def picked_output(frame: Frame, inputs: list, test) -> list:
+        """``pick`` over the step's output (its bookkeeping done)."""
+        found = None
+        if len(inputs) == 1:
+            found = picked_candidate(frame.goddag, axis, inputs[0], hint,
+                                     pick.positional_literal)
+        if found is None:
+            out = evaluate_axis_batch(
+                frame.goddag, axis, inputs, hint, skip_leaves=skip_leaves,
+                leaves_only=leaves_only, test=test)
+            found = pick_fn(frame, out), len(out)
+        if op.op_id >= 0:
+            _add_actual(frame.stats, op.op_id, found[1])
+        return found[0]
+
+    def filtered(frame: Frame, node: GNode, test) -> list:
+        """The candidates of ``node`` that pass every predicate, in the
+        order the predicates see them."""
+        goddag = frame.goddag
+        ordered = emits_document_order(axis, node)
+        if ordered:
+            frame.stats.ordered_steps += 1
+        picked = None if position is None else picked_candidate(
+            goddag, axis, node, hint, position, reverse)
+        if picked is not None:
+            found, predicates = picked[0], predicate_fns[1:]
+        else:
+            found = tested_candidates(goddag, axis, node, hint,
+                                      skip_leaves, leaves_only, test)
+            predicates = predicate_fns
+            if not ordered:
+                found = goddag.sort_nodes(found)
+                if reverse:
+                    found.reverse()
+        for predicate in predicates:
+            found = predicate(frame, found)
+        return found
 
     def run(frame: Frame, inputs: list) -> list:
         if not inputs:
+            if pick is not None and op.op_id >= 0:
+                _add_actual(frame.stats, op.op_id, 0)
             return []
         for item in inputs:
             if not isinstance(item, GNode):
@@ -812,6 +904,8 @@ def _compile_step(op: L.StepOp):
                 return out
             if len(inputs) == 1 and emits_document_order(axis, inputs[0]):
                 stats.ordered_steps += 1
+            if pick is not None:
+                return picked_output(frame, inputs, test)
             return evaluate_axis_batch(
                 goddag, axis, inputs, hint, skip_leaves=skip_leaves,
                 leaves_only=leaves_only, test=test)
@@ -832,36 +926,14 @@ def _compile_step(op: L.StepOp):
         # axes count positions away from the context node),
         # then one merge across inputs.
         if len(inputs) == 1:
-            node = inputs[0]
-            found = tested_candidates(goddag, axis, node, hint,
-                                      skip_leaves, leaves_only, test)
-            if emits_document_order(axis, node):
-                stats.ordered_steps += 1
-                for predicate in predicate_fns:
-                    found = predicate(frame, found)
-                return found
-            found = goddag.sort_nodes(found)
-            if reverse:
-                found.reverse()
-            for predicate in predicate_fns:
-                found = predicate(frame, found)
+            found = filtered(frame, inputs[0], test)
             if reverse:
                 found.reverse()  # outputs are always document-ordered
             return found
         out = []
         seen = set()
         for node in inputs:
-            found = tested_candidates(goddag, axis, node, hint,
-                                      skip_leaves, leaves_only, test)
-            if emits_document_order(axis, node):
-                stats.ordered_steps += 1
-            else:
-                found = goddag.sort_nodes(found)
-                if reverse:
-                    found.reverse()
-            for predicate in predicate_fns:
-                found = predicate(frame, found)
-            for candidate in found:
+            for candidate in filtered(frame, node, test):
                 key = id(candidate)
                 if key not in seen:
                     seen.add(key)
@@ -1080,10 +1152,14 @@ def _record_actuals(step_fn, op_id: int):
     ``op_id == -1`` and are never wrapped: zero overhead."""
     def run(frame: Frame, inputs: list) -> list:
         out = step_fn(frame, inputs)
-        actuals = frame.stats.op_actuals
-        actuals[op_id] = actuals.get(op_id, 0) + len(out)
+        _add_actual(frame.stats, op_id, len(out))
         return out
     return run
+
+
+def _add_actual(stats, op_id: int, count: int) -> None:
+    """Add ``count`` rows to operator ``op_id``'s actual cardinality."""
+    stats.op_actuals[op_id] = stats.op_actuals.get(op_id, 0) + count
 
 
 def _compile_any_step(step: L.Plan):

@@ -144,14 +144,14 @@ def save_engine(engine, path: str | Path, *,
         raise ReproError(
             "cannot save a KyGODDAG holding temporary (analyze-string) "
             "hierarchies")
-    header, arrays = _container(
+    header, arrays, crcs = _container(
         root=goddag.root.root_name, version=goddag.version,
         text=goddag.text,
         components=[goddag._components[name]
                     for name in goddag.hierarchy_names],
         partition=goddag.partition.export_arrays(),
         dtds=engine.dtd_sources())
-    size = _pack(path, header, arrays, durability=durability)
+    size = _pack(path, header, arrays, crcs, durability=durability)
     held = getattr(goddag, "_plan_stats", None)
     if held is None or held.version != goddag.version:
         from repro.core.goddag.stats import PlanStats
@@ -175,13 +175,14 @@ def write_container(path: str | Path, *, root: str, text: str,
     does not depend on which tables the components happen to carry; a
     component whose ids already agree is written as it is.
     """
-    header, arrays = _components_container(root, text, components)
-    return _pack(path, header, arrays, durability=durability)
+    return _pack(path, *_components_container(root, text, components),
+                 durability=durability)
 
 
 def _components_container(root: str, text: str,
                           components: list[_HierarchyComponent]
-                          ) -> tuple[dict, dict[str, np.ndarray]]:
+                          ) -> tuple[dict, dict[str, np.ndarray],
+                                     dict[str, int]]:
     """:func:`_container` of components no KyGODDAG holds: the
     partition is read off their columns, the version is their count."""
     return _container(
@@ -193,9 +194,20 @@ def _components_container(root: str, text: str,
 def _container(*, root: str, version: int, text: str,
                components: list[_HierarchyComponent],
                partition: tuple[np.ndarray, np.ndarray],
-               dtds: dict | None) -> tuple[dict, dict[str, np.ndarray]]:
-    """The header and the array blocks of a container, for
-    :func:`_pack` (which adds the statistics and the directory)."""
+               dtds: dict | None
+               ) -> tuple[dict, dict[str, np.ndarray], dict[str, int]]:
+    """The header, the array blocks and the checksums already known
+    of a container, for :func:`_pack` (which adds the statistics and
+    the directory).
+
+    A block a component hands over as it is — a column, the name ids
+    where they need no remapping, a permutation — takes its CRC32 from
+    the component (:meth:`_HierarchyComponent.block_crc`): a hierarchy
+    no commit touched is the same component object as in the last
+    file, so its checksums are not computed again.  What is derived
+    per file (remapped name ids, the span index, the partition, the
+    text) is checksummed by :func:`_pack`.
+    """
     if not components:
         raise ReproError("cannot save an empty document to .mhxb")
     if len(text) >= (1 << 31):
@@ -205,6 +217,7 @@ def _container(*, root: str, version: int, text: str,
     names: list[str] = []
     interned: dict[str, int] = {}
     arrays: dict[str, np.ndarray] = {}
+    crcs: dict[str, int] = {}
     hierarchy_meta: list[dict] = []
     # rank -1: the shared root seeds both sorted orders.
     sub_starts = [np.array([0], dtype=np.int64)]
@@ -214,14 +227,15 @@ def _container(*, root: str, version: int, text: str,
     sub_subtrees = [np.array([-1], dtype=np.int64)]
     for position, component in enumerate(components):
         prefix = f"h{position}"
-        for key in COLUMNS:
-            arrays[f"{prefix}/{key}"] = getattr(component, key)
-        arrays[f"{prefix}/name_ids"] = component.interned_ids(names,
-                                                              interned)
+        ids = component.interned_ids(names, interned)
+        blocks = {key: getattr(component, key) for key in COLUMNS}
+        blocks["name_ids"] = ids
+        blocks["s_perm"], blocks["e_perm"] = component.perms()
+        for key, block in blocks.items():
+            block = arrays[f"{prefix}/{key}"] = np.ascontiguousarray(block)
+            if key != "name_ids" or ids is component.name_ids:
+                crcs[f"{prefix}/{key}"] = component.block_crc(key, block)
         rows = component.span_rows()
-        s_perm, e_perm = component.perms()
-        arrays[f"{prefix}/s_perm"] = s_perm
-        arrays[f"{prefix}/e_perm"] = e_perm
         hierarchy_meta.append({
             "name": component.name,
             "rank": component.rank,
@@ -253,7 +267,7 @@ def _container(*, root: str, version: int, text: str,
         "hierarchies": hierarchy_meta,
         "dtds": dtds,
     }
-    return header, arrays
+    return header, arrays, crcs
 
 
 def _save_span_index(arrays, sub_starts, sub_ends, sub_ranks,
@@ -285,7 +299,12 @@ def _save_span_index(arrays, sub_starts, sub_ends, sub_ranks,
 
 
 def _pack(path: str | Path, header: dict, arrays: dict[str, np.ndarray],
-          *, durability: str = "off") -> int:
+          crcs: dict[str, int], *, durability: str = "off") -> int:
+    """Write the container: ``crcs`` holds the checksums of the blocks
+    already known (:func:`_container`), the rest are computed here.
+    Each block is written from its array's buffer, its padding in front
+    of it in the same write (at most one copy of the block), so a
+    commit makes one routed write per block."""
     if durability not in ("full", "off"):
         raise ReproError(
             f"unknown .mhxb durability {durability!r} "
@@ -300,20 +319,21 @@ def _pack(path: str | Path, header: dict, arrays: dict[str, np.ndarray],
         header["plan_stats"] = plan_stats_payload(header, arrays)
     directory: dict[str, dict] = {}
     offset = 0
-    blocks: list[tuple[int, bytes]] = []
+    blocks: list[tuple[int, memoryview]] = []
     for key, array in arrays.items():
         array = np.ascontiguousarray(array)
         offset = _align(offset)
-        payload = array.tobytes()
+        payload = memoryview(array).cast("B")
+        crc = crcs.get(key)
         directory[key] = {
             "dtype": array.dtype.str,
             "shape": list(array.shape),
             "offset": offset,
             "nbytes": len(payload),
-            "crc32": zlib.crc32(payload),
+            "crc32": zlib.crc32(payload) if crc is None else crc,
         }
         blocks.append((offset, payload))
-        offset += array.nbytes
+        offset += len(payload)
     header["arrays"] = directory
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
     preamble = len(MAGIC_V2) + 8 + 4
@@ -331,8 +351,8 @@ def _pack(path: str | Path, header: dict, arrays: dict[str, np.ndarray],
                                        - len(header_bytes)))
         cursor = 0
         for block_offset, payload in blocks:
-            layer.write(handle,
-                        b"\x00" * (block_offset - cursor) + payload)
+            gap = block_offset - cursor
+            layer.write(handle, b"\x00" * gap + payload if gap else payload)
             cursor = block_offset + len(payload)
         size = handle.tell()
         if durability == "full":
@@ -546,8 +566,8 @@ def write_engine(path: str | Path, *, root: str, text: str,
     statistics arrays computed for the file, which is not read back
     (the ingest, DESIGN.md §15).  The engine owns ``components`` from
     then on, and makes no node of them until a query asks."""
-    header, arrays = _components_container(root, text, components)
-    _pack(path, header, arrays, durability=durability)
+    header, arrays, crcs = _components_container(root, text, components)
+    _pack(path, header, arrays, crcs, durability=durability)
     return _engine(header, arrays, text, components, options)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import mmap
+import re
 import sys
 import threading
 import weakref
@@ -206,10 +207,11 @@ class TestColdLoadMakesNoNode:
 
 class TestRowsFilledByAWrite:
     """What the store-write cycle fills at n=800, counted by wrapping
-    the fill: the ingest nothing, the benchmark's update the word rows
-    its target evaluation reads and nothing inside the commit's net, a
-    rename its private copy's target row and no other row of the
-    copy."""
+    the fill: the ingest nothing; an update whose target is
+    ``(/descendant::w)[k]`` the target's row alone — the pick is made
+    among the name's index rows (DESIGN.md §9) — and nothing inside the
+    commit's net; a rename besides that its private copy's twin of the
+    row and no other row of the copy; an out-of-range ``[k]`` nothing."""
 
     @pytest.fixture()
     def ingested(self, tmp_path, document):
@@ -220,8 +222,8 @@ class TestRowsFilledByAWrite:
         yield store
         store.close()
 
-    def test_update_fills_word_rows_and_the_net_none(self, ingested,
-                                                     marked):
+    def test_update_fills_the_target_row_and_the_net_none(self, ingested,
+                                                          marked):
         made, in_net = [], []
         check = invariants.check_invariants
 
@@ -230,18 +232,32 @@ class TestRowsFilledByAWrite:
             check(goddag, components)
             in_net.extend(made[count:])
 
+        word = int(re.search(r"\[(\d+)\]$", marked[1]).group(1))
         with filling(made), \
                 mock.patch.object(invariants, "check_invariants", net):
             ingested.update("doc", marked[1])
         goddag = ingested.snapshot("doc").engine.goddag
         structural = goddag._components["structural"]
         assert in_net == []
-        assert hierarchies(made) == ["structural"]
-        assert sorted(row for _component, row in made) \
-            == named_rows(structural, "w")
+        assert made == [(structural, named_rows(structural, "w")[word - 1])]
         assert ingested.query("doc", MARK_QUERY).serialize() \
             == marked[0].query(MARK_QUERY).serialize()
         goddag.check_invariants()
+
+    def test_replace_value_fills_the_target_row(self, ingested, document):
+        published = ingested.snapshot("doc").engine.goddag
+        structural = published._components["structural"]
+        statement = 'replace value of node (/descendant::w)[3] with "eac"'
+        made = []
+        with filling(made):
+            ingested.update("doc", statement)
+        assert made == [(structural, named_rows(structural, "w")[2])]
+        eager = Engine(document.clone())
+        eager.update(statement)
+        for query in ("string((/descendant::w)[3])", "count(//leaf())"):
+            assert ingested.query("doc", query).serialize() \
+                == eager.query(query).serialize()
+        ingested.snapshot("doc").engine.goddag.check_invariants()
 
     def test_rename_fills_the_copys_target_row(self, ingested):
         published = ingested.snapshot("doc").engine.goddag
@@ -254,15 +270,32 @@ class TestRowsFilledByAWrite:
         copy = after._components["structural"]
         assert copy is not shared
         words = named_rows(shared, "w")
-        # the published component's word rows (the target evaluation),
-        # and of the copy the target's twin alone
-        assert {component for component, _row in made} == {shared, copy}
-        assert [row for component, row in made if component is copy] \
-            == [words[2]]
+        # the target's row of the published component (the target
+        # evaluation), then the copy's twin of it
+        assert made == [(shared, words[2]), (copy, words[2])]
         assert copy.filled().tolist() == [words[2]]
         assert ingested.query("doc", "count(//word)").serialize() == "1"
         after.check_invariants()
         published.check_invariants()
+
+    @pytest.mark.parametrize("statement", [
+        'add markup mark to "damage" covering (/descendant::w)[{}]',
+        'rename node (/descendant::w)[{}] as "word"',
+        'replace value of node (/descendant::w)[{}] with "eac"',
+    ])
+    def test_an_out_of_range_target_fills_nothing(self, ingested,
+                                                  document, statement):
+        words = len(named_rows(
+            ingested.snapshot("doc").engine.goddag._components[
+                "structural"], "w"))
+        statement = statement.format(words + 1)
+        made = []
+        with filling(made):
+            result, = ingested.update("doc", statement)
+        assert made == []
+        assert result.applied == Engine(document.clone()).update(
+            statement).applied == 0
+        assert ingested.query("doc", "count(//word)").serialize() == "0"
 
 
 def test_dropped_hierarchies_are_collected(document):

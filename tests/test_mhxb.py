@@ -329,6 +329,23 @@ class TestChecksums:
         assert header["format"] == MHXB_FORMAT
         assert path.read_bytes()[:len(MAGIC_V2)] == MAGIC_V2
 
+    def test_an_in_place_rename_drops_the_checksum_it_invalidates(
+            self, engine, tmp_path):
+        """A component keeps the checksums of the blocks it was saved
+        with (DESIGN.md §10).  An engine that built its KyGODDAG renames
+        in place, on the very component it saved: the next save must
+        checksum the name ids the rename wrote."""
+        physical = engine.goddag._components["physical"]
+        engine.save_mhxb(tmp_path / "before.mhxb")
+        assert "name_ids" in physical._crcs  # the file's ids as they are
+        engine.update('rename node (/descendant::line)[2] as "vline"')
+        assert engine.goddag._components["physical"] is physical
+        path = tmp_path / "renamed.mhxb"
+        engine.save_mhxb(path)
+        header, data_start = read_header(path)
+        assert verify_blocks(path) == len(header["arrays"])
+        assert header["names"][:2] == ["line", "vline"]
+
     def test_bit_flip_in_every_block_is_detected_and_named(
             self, engine, tmp_path):
         """Satellite: corrupt each block in turn; ``verify_blocks``

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import gc
 import re
+import tempfile
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -53,6 +55,7 @@ from repro.errors import GoddagError, QueryEvaluationError, ReproError
 from repro.markup import dom
 from repro.corpus import GeneratorConfig, generate_document
 from repro.experiments.paperdata import PAPER_QUERIES
+from repro.store.mhxb import read_header
 from repro.store.plancache import SharedPlanCache
 
 from tests.strategies import (
@@ -203,6 +206,45 @@ class TestPlanStats:
         goddag = KyGoddag.build(document)
         first = collect_plan_stats(goddag).payload()
         assert collect_plan_stats(goddag).payload() == first
+
+    @staticmethod
+    def assert_file_payload_is_live(engine: Engine) -> None:
+        """``plan_stats_payload`` over the blocks a save packs (the
+        header's statistics) equals ``collect_plan_stats`` over the
+        live components: both go through one aggregation by name id."""
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "doc.mhxb"
+            engine.save_mhxb(path)
+            header, _start = read_header(path)
+        assert header["plan_stats"] \
+            == collect_plan_stats(engine.goddag).payload()
+
+    @SETTINGS
+    @given(document=multihierarchical_documents(decorated=True),
+           data=st.data())
+    def test_file_payload_equals_live_payload(self, document, data):
+        """Drawn documents with PI targets in their name tables, then
+        a drawn rename (which may leave a dead name behind)."""
+        engine = Engine(document)
+        self.assert_file_payload_is_live(engine)
+        elements = int(engine.query("count(/descendant::*)").items[0])
+        if elements:
+            target = data.draw(st.integers(1, elements), label="target")
+            name = data.draw(st.sampled_from(ELEMENT_NAMES), label="name")
+            engine.update(
+                f'rename node (/descendant::*)[{target}] as "{name}"')
+            self.assert_file_payload_is_live(engine)
+
+    def test_a_dead_name_counts_nowhere(self, boethius_doc):
+        engine = Engine(boethius_doc)
+        engine.update('for $l in /descendant::line '
+                      'return rename node $l as "row"')
+        physical = engine.goddag._components["physical"]
+        assert physical.names == ["line", "row"]  # "line" is dead
+        self.assert_file_payload_is_live(engine)
+        stats = engine.plan_stats()
+        assert stats.cards["physical"] == {"row": 2}
+        assert "line" not in stats.names
 
 
 def boethius_document_copy(document):

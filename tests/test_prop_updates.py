@@ -30,6 +30,12 @@ generation it was forked from must not change by a byte — its saved
 built, cold-loaded, or cold-loaded with its document already made
 (every hierarchy exported once), and whether or not earlier statements
 made the document of the generation before.
+
+A third commits batches of 1–3 statements through a persisting
+``DocumentStore`` and holds every file it writes, byte for byte,
+against ``save_engine`` of the oracle's document built from scratch:
+a commit reuses the block checksums of the hierarchies it left alone
+(DESIGN.md §10), and none may be stale.
 """
 
 from __future__ import annotations
@@ -268,6 +274,67 @@ def test_unpersisted_generations_compact_to_the_oracle(document, ops):
         engine.goddag.check_invariants()
         _assert_probes_match(engine, oracle, "after compact + reopen")
         _assert_states_match(engine, oracle, "after compact + reopen")
+        reopened.close()
+
+
+#: Every kind of statement, half of them renames: the one in-place
+#: writer of a column, which must not leave a block checksum stale.
+COMMIT_OPS = st.one_of(update_ops(),
+                       update_ops().map(lambda op: {**op, "kind": "rename"}))
+
+
+@settings(max_examples=max(40, FUZZ_EXAMPLES // 5), deadline=None,
+          suppress_health_check=[HealthCheck.data_too_large,
+                                 HealthCheck.too_slow])
+@given(document=multihierarchical_documents(max_text=30),
+       batches=st.lists(st.lists(COMMIT_OPS, min_size=1, max_size=3),
+                        min_size=1, max_size=5))
+def test_commits_write_the_oracles_bytes(document, batches):
+    """Persisted commits of 1–3 statement batches: after every commit
+    the store's ``.mhxb`` is, byte for byte, what ``save_engine`` writes
+    for the oracle's document built from scratch — an engine whose
+    components never carried a block checksum.  A commit takes the
+    checksums of every hierarchy it left alone from the component
+    (DESIGN.md §10), so one that outlived a change of its block shows
+    here as a stale ``crc32`` in the header; the file the last commit
+    left must also reopen and pass ``verify()``."""
+    oracle = RebuildOracle(document)
+    with tempfile.TemporaryDirectory() as scratch:
+        folder = Path(scratch)
+        store = DocumentStore.init(folder / "catalog")
+        store.add("doc", document)
+        for batch in batches:
+            engine = store.snapshot("doc").engine
+            element_count = int(engine.query(
+                "count(/descendant::*)").items[0])
+            leaf_count = int(engine.query("count(//leaf())").items[0])
+            statements = [
+                build_update_statement(
+                    op, element_count, leaf_count,
+                    engine.goddag.persistent_hierarchy_names)
+                for op in batch]
+            statements = [statement for statement in statements
+                          if statement is not None]
+            if not statements:
+                continue
+            try:
+                store.update("doc", statements)
+            except (UpdateError, QueryEvaluationError):
+                assert store.snapshot("doc").engine is engine
+                continue
+            for statement in statements:
+                oracle.apply(statement)
+            expected = Engine(oracle.document())
+            # the one thing a from-scratch engine cannot know
+            expected.goddag.version = store.snapshot("doc").engine.version
+            save_engine(expected, folder / "oracle.mhxb")
+            assert (store.root / "doc.mhxb").read_bytes() \
+                == (folder / "oracle.mhxb").read_bytes(), statements
+        store.close()
+        reopened = DocumentStore(folder / "catalog")
+        assert reopened.verify("doc")["doc"].startswith("ok")
+        _assert_states_match(reopened.snapshot("doc").engine, oracle,
+                             "after the last commit + reopen")
         reopened.close()
 
 

@@ -75,7 +75,7 @@ def rewrite_block(path, block: str, edit) -> None:
               in _map_arrays(path, header, data_start).items()}
     edit(arrays[block])
     del header["arrays"]
-    _pack(path, header, arrays)
+    _pack(path, header, arrays, {})
     assert verify_blocks(path)
 
 
