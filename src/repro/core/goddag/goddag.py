@@ -36,6 +36,7 @@ comparisons.
 
 from __future__ import annotations
 
+import json
 import threading
 import zlib
 from array import array
@@ -74,6 +75,19 @@ KIND_ELEMENT, KIND_TEXT, KIND_COMMENT, KIND_PI = 0, 1, 2, 3
 #: the per-hierarchy numeric columns, in ``.mhxb`` block order
 COLUMNS = ("kinds", "name_ids", "starts", "ends", "parents",
            "subtree_ends", "okeys")
+
+#: what is not numeric, in ``.mhxb`` header order: the metadata a
+#: file's header carries per hierarchy beside its name and sizes
+METADATA = ("root_attrs", "attrs", "comments", "pis", "prolog", "epilog")
+
+
+def metadata_json(meta: dict) -> str:
+    """The :data:`METADATA` members of one hierarchy's ``meta`` as a
+    ``.mhxb`` header holds them: ``"root_attrs": {…}, "attrs": […], …``
+    in order, byte for byte what ``json.dumps(…, ensure_ascii=False)``
+    writes for them inside the hierarchy's object."""
+    return json.dumps({key: meta[key] for key in METADATA},
+                      ensure_ascii=False)[1:-1]
 
 
 def pack_okeys(rank: int, count: int) -> np.ndarray:
@@ -179,9 +193,11 @@ class _HierarchyComponent:
         self._tags: tuple[list[str], list[str], list[str]] | None = None
         self._text_escapes: tuple[str, bool] | None = None
         self._attribute_escapes: bool | None = None
-        # The CRC32 of each file block taken as it is from this
-        # component (:meth:`block_crc`): block key -> checksum.
-        self._crcs: dict[str, int] = {}
+        # What a file holds of this component, encoded once: the CRC32
+        # of each block taken as it is (:meth:`block_crc`), block key
+        # -> checksum, and under ``"header"`` the JSON of its metadata
+        # (:meth:`header_fragment`).
+        self._encoded: dict[str, int | str] = {}
 
     # The lazy attributes are plain properties.  A class-level
     # ``__getattr__`` (the other way to fill on first use) routes every
@@ -371,7 +387,7 @@ class _HierarchyComponent:
         """
         copy = self._copy(self.rank, np.array(self.name_ids),
                           self._okeys, self.perms())
-        copy._crcs = dict(self._crcs)  # the same bytes, until a rename
+        copy._encoded = dict(self._encoded)  # the same bytes, until a rename
         return copy
 
     def reranked(self, rank: int) -> "_HierarchyComponent":
@@ -387,11 +403,15 @@ class _HierarchyComponent:
         columns = {key: getattr(self, key) for key in COLUMNS[:-1]}
         columns["name_ids"] = name_ids
         columns["okeys"] = okeys  # packed on first use, if None
-        return _HierarchyComponent(
+        copy = _HierarchyComponent(
             self.name, rank, self.temporary, names=self.names,
             columns=columns, attrs=self.attrs, comments=self.comments,
             pis=self.pis, prolog=self.prolog, epilog=self.epilog,
             root_attrs=self.root_attrs, perms=perms)
+        fragment = self._encoded.get("header")
+        if fragment is not None:  # the same metadata objects
+            copy._encoded["header"] = fragment
+        return copy
 
     def _texts(self) -> tuple[array, list[GText]]:
         index = self._text_index
@@ -537,10 +557,23 @@ class _HierarchyComponent:
         of the one column it writes.  A :meth:`private_copy` starts
         with its source's checksums, its columns being the same bytes
         until that rename."""
-        crc = self._crcs.get(key)
+        crc = self._encoded.get(key)
         if crc is None:
-            crc = self._crcs[key] = zlib.crc32(block)
+            crc = self._encoded[key] = zlib.crc32(block)
         return crc
+
+    def header_fragment(self) -> str:
+        """This hierarchy's :func:`metadata_json`, encoded by the first
+        file written with the component and taken from here by every
+        later one — a fill-once cache like :meth:`block_crc`:
+        the writer that made the component closed these lists, and
+        nothing writes them afterwards (a rename writes a column, not
+        the metadata), so every copy shares them and the fragment."""
+        fragment = self._encoded.get("header")
+        if fragment is None:
+            fragment = self._encoded["header"] = metadata_json(
+                {key: getattr(self, key) for key in METADATA})
+        return fragment
 
     def build_dom(self, text: str, root_name: str) -> dom.Document:
         """This hierarchy's DOM document, text nodes aligned."""
@@ -598,7 +631,7 @@ class _HierarchyComponent:
             ids = self.name_ids = np.array(ids)
         ids[position] = ident
         self._name_index = {}
-        self._crcs.pop("name_ids", None)
+        self._encoded.pop("name_ids", None)
 
 
 def _aux_node(entry: list) -> dom.Node:
@@ -1390,6 +1423,12 @@ def row_spans(lengths: np.ndarray, subtree_ends: np.ndarray
     return cursor[:-1], cursor[subtree_ends + 1]
 
 
+#: what XML skips between a PI's target and its data
+#: (``markup.parser.XMLParser._parse_pi``): data a DOM was handed with
+#: such a lead would not read back from the document's own ``to_xml()``
+_XML_SPACE = " \t\r\n"
+
+
 def dom_component(writer: _ComponentWriter,
                   document: dom.Document) -> _HierarchyComponent:
     """The columns of one hierarchy given as a DOM: one preorder walk
@@ -1405,7 +1444,8 @@ def dom_component(writer: _ComponentWriter,
         elif isinstance(child, dom.Comment):
             writer.aside(["comment", child.data])
         elif isinstance(child, dom.ProcessingInstruction):
-            writer.aside(["pi", child.target, child.data])
+            writer.aside(["pi", child.target,
+                          child.data.lstrip(_XML_SPACE)])
     return writer.finish()
 
 
@@ -1424,7 +1464,7 @@ def _push_children(children: list[dom.Node], add, close,
         elif isinstance(node, dom.Comment):
             add(KIND_COMMENT, None, node.data)
         elif isinstance(node, dom.ProcessingInstruction):
-            add(KIND_PI, node.target, node.data)
+            add(KIND_PI, node.target, node.data.lstrip(_XML_SPACE))
         # doctype/etc. — nothing to represent
 
 

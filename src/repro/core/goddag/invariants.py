@@ -28,16 +28,27 @@ module is the executable statement of what that means:
   gathered, that row's node object.
 
 The second bullet is the only one that reads node objects — those of
-the rows somebody filled — and it is the only one ``components=``
-narrows: a commit passes the hierarchies whose component it built and
-gets every other bullet — each of them a statement about columns of
-*all* hierarchies — in full (DESIGN.md §9).  Whatever a column holds is
-compared as a column (NumPy, or one list comparison), never by a
-Python branch per node and attribute, and the net creates nothing it
-checks: a lazy cache nobody has filled yet (a row's node, a node's
-parent or children, the span index's node columns, leaf list, text
-index, boundary list) is derived from what the net did check, so there
-is nothing to compare it with — and a commit's net fills no row.
+the rows somebody filled — and ``components=`` narrows it to the
+hierarchies whose component a commit built.  It narrows the last one
+too: key order, the keys against the spans, the root entry and every
+hierarchy's entry count still cover the whole index, and the entries
+of a built hierarchy are compared in full, but those of any other —
+its component the object a verified version holds, its entries moved
+only by merges that keep their relative order — are proven on integer
+columns: they are its span rows in the order its own permutation sorts
+them, each carrying that row's span and subtree end.  Their names moved
+with the preorders they were verified beside and are not compared
+again; gathered node columns, which a commit's merge drops, are
+compared wherever they exist.  Every other bullet is a statement about
+columns of *all* hierarchies and runs in full (DESIGN.md §9).
+
+Whatever a column holds is compared as a column (NumPy, or one list
+comparison), never by a Python branch per node and attribute, and the
+net creates nothing it checks: a lazy cache nobody has filled yet (a
+row's node, a node's parent or children, the span index's node
+columns, leaf list, text index, boundary list) is derived from what the
+net did check, so there is nothing to compare it with — and a commit's
+net fills no row.
 """
 
 from __future__ import annotations
@@ -71,9 +82,11 @@ def check_invariants(goddag: "KyGoddag",
     """Verify the structural contract; raise on the first breach.
 
     Without ``components`` this is the whole net.  With it, the
-    per-node passes run over the named hierarchies only — the caller
-    vouches that every other component is the object a verified
-    version holds — and everything else runs unchanged.
+    per-node passes and the full comparison of span-index entries run
+    over the named hierarchies only — the caller vouches that every
+    other component is the object a verified version holds, and their
+    entries are proven on integer columns — and everything else runs
+    unchanged.
     """
     names = goddag.hierarchy_names
     if components is not None:
@@ -85,7 +98,7 @@ def check_invariants(goddag: "KyGoddag",
         _check_component(goddag, name)
     _check_order_keys(goddag)
     _check_partition(goddag)
-    _check_span_index(goddag)
+    _check_span_index(goddag, None if components is None else set(names))
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +416,28 @@ def _check_partition(goddag: "KyGoddag") -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_span_index(goddag: "KyGoddag") -> None:
+def _check_span_index(goddag: "KyGoddag",
+                      built: set[str] | None) -> None:
+    """The index against the columns.  Key order, the keys against the
+    spans, the root entry and every hierarchy's entry count are checked
+    over the whole index; each entry of a hierarchy in ``built`` (all,
+    when ``None``) is compared in full with the row it names.  Another
+    hierarchy's component is the object a verified version holds, and
+    its entries are that version's, only moved by merges that keep
+    their relative order: they are proven on integer columns — its
+    entries are its span rows in its sort order, each with that row's
+    span and subtree end — and their names, which moved with them, are
+    not compared again; gathered nodes are, wherever they exist
+    (DESIGN.md §9)."""
     index = goddag._index
     if index is None:
         return
+    index._flush_pending()
     components = [goddag._components[name]
                   for name in goddag.hierarchy_names]
-    expected_count = 1 + sum(len(component.span_rows())
-                             for component in components)
-    if len(index) != expected_count:
-        _fail(f"span index holds {len(index)} entries, expected "
-              f"{expected_count}")
+    span_rows = [component.span_rows() for component in components]
+    # the root once, each hierarchy its span rows
+    expected_count = 1 + sum(len(rows) for rows in span_rows)
     root = goddag.root
     # gathered node columns, or none: an index that gathered them holds
     # only filled rows, and one that did not fills nothing
@@ -432,6 +456,9 @@ def _check_span_index(goddag: "KyGoddag") -> None:
                                          np.asarray(ends))):
             _fail(f"span index {side}-sorted keys diverge from the "
                   f"span columns")
+        if len(ranks) != expected_count:
+            _fail(f"span index {side}-side holds {len(ranks)} entries, "
+                  f"expected {expected_count}")
         at_root = np.flatnonzero(ranks == -1)
         if (len(at_root) != 1
                 or (gathered and nodes[at_root[0]] is not root)
@@ -439,17 +466,34 @@ def _check_span_index(goddag: "KyGoddag") -> None:
                     preorders[at_root[0]], names[at_root[0]])
                 != (root.start, root.end, -1, root.name)):
             _fail(f"span index {side}-side root entry is stale")
-        seen = 1
-        for component in components:
-            at = ranks == component.rank
+        for component, rows in zip(components, span_rows):
+            # positions, not a mask: one scan, then every column a gather
+            at = np.flatnonzero(ranks == component.rank)
+            if len(at) != len(rows):
+                _fail(f"span index {side}-side holds {len(at)} entries "
+                      f"of hierarchy '{component.name}', which has "
+                      f"{len(rows)} span nodes")
             found = preorders[at]
-            seen += len(found)
-            if not np.array_equal(np.sort(found), component.span_rows()):
-                _fail(f"span index {side}-side entries of hierarchy "
-                      f"'{component.name}' are not its span nodes")
-            stale = ((names[at] != component.row_names(found))
-                     | (starts[at] != component.starts[found])
-                     | (ends[at] != component.ends[found]))
+            if built is None or component.name in built:
+                if not np.array_equal(np.sort(found), rows):
+                    _fail(f"span index {side}-side entries of hierarchy "
+                          f"'{component.name}' are not its span nodes")
+                stale = names[at] != component.row_names(found)
+            else:
+                # the span rows in the order the hierarchy's own
+                # permutation sorts them — each row once, equal keys
+                # by row: the stable order every merge keeps
+                held = keys[at]
+                if not np.array_equal(
+                        found, rows[component.perms()[side == "end"]]) \
+                        or bool(((held[1:] == held[:-1])
+                                 & (found[1:] <= found[:-1])).any()):
+                    _fail(f"span index {side}-side entries of hierarchy "
+                          f"'{component.name}' are not its span nodes "
+                          f"in {side} order")
+                stale = np.zeros(len(found), dtype=bool)
+            stale |= ((starts[at] != component.starts[found])
+                      | (ends[at] != component.ends[found]))
             if gathered:
                 objects = component._objects or [None] * len(
                     component.kinds)
@@ -459,12 +503,9 @@ def _check_span_index(goddag: "KyGoddag") -> None:
                 stale |= (index.subtree_ends[at]
                           != component.subtree_ends[found])
             if stale.any():
-                position = int(np.flatnonzero(at)[np.argmax(stale)])
+                position = int(at[np.argmax(stale)])
                 _fail(f"span index {side}-side entry {position} (row "
                       f"{preorders[position]} of '{component.name}') is "
                       f"stale")
-        if seen != len(ranks):
-            _fail(f"span index {side}-side holds entries of an "
-                  f"unregistered hierarchy")
     if index.subtree_ends[index.ranks == -1].tolist() != [-1]:
         _fail("span index start-side root entry is stale")

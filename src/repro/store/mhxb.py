@@ -76,6 +76,7 @@ from repro.cmh import ConcurrentMarkupHierarchy, MultihierarchicalDocument
 from repro.store import faultfs
 from repro.core.goddag.goddag import (
     COLUMNS,
+    METADATA,
     KyGoddag,
     _HierarchyComponent,
     partition_arrays,
@@ -144,14 +145,15 @@ def save_engine(engine, path: str | Path, *,
         raise ReproError(
             "cannot save a KyGODDAG holding temporary (analyze-string) "
             "hierarchies")
-    header, arrays, crcs = _container(
+    header, arrays, crcs, fragments = _container(
         root=goddag.root.root_name, version=goddag.version,
         text=goddag.text,
         components=[goddag._components[name]
                     for name in goddag.hierarchy_names],
         partition=goddag.partition.export_arrays(),
         dtds=engine.dtd_sources())
-    size = _pack(path, header, arrays, crcs, durability=durability)
+    size = _pack(path, header, arrays, crcs, fragments,
+                 durability=durability)
     held = getattr(goddag, "_plan_stats", None)
     if held is None or held.version != goddag.version:
         from repro.core.goddag.stats import PlanStats
@@ -182,7 +184,7 @@ def write_container(path: str | Path, *, root: str, text: str,
 def _components_container(root: str, text: str,
                           components: list[_HierarchyComponent]
                           ) -> tuple[dict, dict[str, np.ndarray],
-                                     dict[str, int]]:
+                                     dict[str, int], list[str]]:
     """:func:`_container` of components no KyGODDAG holds: the
     partition is read off their columns, the version is their count."""
     return _container(
@@ -195,10 +197,11 @@ def _container(*, root: str, version: int, text: str,
                components: list[_HierarchyComponent],
                partition: tuple[np.ndarray, np.ndarray],
                dtds: dict | None
-               ) -> tuple[dict, dict[str, np.ndarray], dict[str, int]]:
-    """The header, the array blocks and the checksums already known
-    of a container, for :func:`_pack` (which adds the statistics and
-    the directory).
+               ) -> tuple[dict, dict[str, np.ndarray], dict[str, int],
+                          list[str]]:
+    """The header, the array blocks, the checksums already known and
+    each hierarchy's encoded metadata of a container, for :func:`_pack`
+    (which adds the statistics and the directory).
 
     A block a component hands over as it is — a column, the name ids
     where they need no remapping, a permutation — takes its CRC32 from
@@ -206,7 +209,9 @@ def _container(*, root: str, version: int, text: str,
     no commit touched is the same component object as in the last
     file, so its checksums are not computed again.  What is derived
     per file (remapped name ids, the span index, the partition, the
-    text) is checksummed by :func:`_pack`.
+    text) is checksummed by :func:`_pack`.  The header's metadata of
+    such a hierarchy — attributes, comments, PIs — is not encoded again
+    either: :meth:`_HierarchyComponent.header_fragment` keeps its JSON.
     """
     if not components:
         raise ReproError("cannot save an empty document to .mhxb")
@@ -219,6 +224,7 @@ def _container(*, root: str, version: int, text: str,
     arrays: dict[str, np.ndarray] = {}
     crcs: dict[str, int] = {}
     hierarchy_meta: list[dict] = []
+    fragments: list[str] = []
     # rank -1: the shared root seeds both sorted orders.
     sub_starts = [np.array([0], dtype=np.int64)]
     sub_ends = [np.array([len(text)], dtype=np.int64)]
@@ -240,14 +246,10 @@ def _container(*, root: str, version: int, text: str,
             "name": component.name,
             "rank": component.rank,
             "count": len(component.kinds),
-            "root_attrs": component.root_attrs,
-            "attrs": component.attrs,
-            "comments": component.comments,
-            "pis": component.pis,
-            "prolog": component.prolog,
-            "epilog": component.epilog,
+            **{key: getattr(component, key) for key in METADATA},
             "span_count": len(rows),
         })
+        fragments.append(component.header_fragment())
         sub_starts.append(component.starts[rows])
         sub_ends.append(component.ends[rows])
         sub_ranks.append(np.full(len(rows), component.rank,
@@ -267,7 +269,7 @@ def _container(*, root: str, version: int, text: str,
         "hierarchies": hierarchy_meta,
         "dtds": dtds,
     }
-    return header, arrays, crcs
+    return header, arrays, crcs, fragments
 
 
 def _save_span_index(arrays, sub_starts, sub_ends, sub_ranks,
@@ -299,12 +301,15 @@ def _save_span_index(arrays, sub_starts, sub_ends, sub_ranks,
 
 
 def _pack(path: str | Path, header: dict, arrays: dict[str, np.ndarray],
-          crcs: dict[str, int], *, durability: str = "off") -> int:
+          crcs: dict[str, int], fragments: list[str], *,
+          durability: str = "off") -> int:
     """Write the container: ``crcs`` holds the checksums of the blocks
-    already known (:func:`_container`), the rest are computed here.
-    Each block is written from its array's buffer, its padding in front
-    of it in the same write (at most one copy of the block), so a
-    commit makes one routed write per block."""
+    already known (:func:`_container`), the rest are computed here, and
+    ``fragments`` each hierarchy's encoded metadata
+    (:func:`~repro.core.goddag.goddag.metadata_json`).  Each block is
+    written from its array's buffer, its padding in front of it in the
+    same write (at most one copy of the block), so a commit makes one
+    routed write per block."""
     if durability not in ("full", "off"):
         raise ReproError(
             f"unknown .mhxb durability {durability!r} "
@@ -335,7 +340,7 @@ def _pack(path: str | Path, header: dict, arrays: dict[str, np.ndarray],
         blocks.append((offset, payload))
         offset += len(payload)
     header["arrays"] = directory
-    header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    header_bytes = _header_json(header, fragments).encode("utf-8")
     preamble = len(MAGIC_V2) + 8 + 4
     data_start = _align(preamble + len(header_bytes))
     path = Path(path)
@@ -363,6 +368,31 @@ def _pack(path: str | Path, header: dict, arrays: dict[str, np.ndarray],
     if durability == "full":
         layer.fsync_dir(path.parent)
     return size
+
+
+#: ``json.dumps(value, ensure_ascii=False)``, its encoder made once
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _header_json(header: dict, fragments: list[str]) -> str:
+    """``json.dumps(header, ensure_ascii=False)``, with the
+    :data:`METADATA` members of each hierarchy spliced in from
+    ``fragments`` (:meth:`_HierarchyComponent.header_fragment`) rather
+    than encoded again: an object's JSON is the ``, ``-join of its
+    members', a list's of its items', so the bytes are the same."""
+
+    def hierarchy(meta: dict, fragment: str) -> str:
+        members = [fragment if key == METADATA[0]
+                   else f"{_encode(key)}: {_encode(value)}"
+                   for key, value in meta.items()
+                   if key not in METADATA[1:]]
+        return "{" + ", ".join(members) + "}"
+
+    return "{" + ", ".join(
+        f"{_encode(key)}: "
+        + ("[" + ", ".join(map(hierarchy, value, fragments)) + "]"
+           if key == "hierarchies" else _encode(value))
+        for key, value in header.items()) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +596,9 @@ def write_engine(path: str | Path, *, root: str, text: str,
     statistics arrays computed for the file, which is not read back
     (the ingest, DESIGN.md §15).  The engine owns ``components`` from
     then on, and makes no node of them until a query asks."""
-    header, arrays, crcs = _components_container(root, text, components)
-    _pack(path, header, arrays, crcs, durability=durability)
+    header, arrays, crcs, fragments = _components_container(
+        root, text, components)
+    _pack(path, header, arrays, crcs, fragments, durability=durability)
     return _engine(header, arrays, text, components, options)
 
 

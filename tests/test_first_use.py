@@ -8,9 +8,11 @@ Here: which rows a cold load, a first query, a fork, a save, a compact,
 an ingest, an update and a rename fill, counted by wrapping the fill
 (``tests/test_store.py::filling``, as
 ``tests/test_mhxb.py::TestRoundTrip::
-test_cold_load_maps_once_and_builds_nothing`` counts its maps); eight
-racing first readers of one cold snapshot; and a differential of lazily
-loaded snapshots against eager engines and the tree-walker.
+test_cold_load_maps_once_and_builds_nothing`` counts its maps); what a
+commit's net compares and its file encodes again for the hierarchies
+it did not change; eight racing first readers of one cold snapshot;
+and a differential of lazily loaded snapshots against eager engines and
+the tree-walker.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from tests.strategies import (
     predicate_trees,
     update_ops,
 )
-from tests.test_store import filling, hierarchies, wrapping
+from tests.test_store import encoding, filling, hierarchies, wrapping
 from tests import nodewalk
 from tests.treewalk import TreeWalkEngine
 
@@ -296,6 +298,63 @@ class TestRowsFilledByAWrite:
         assert result.applied == Engine(document.clone()).update(
             statement).applied == 0
         assert ingested.query("doc", "count(//word)").serialize() == "0"
+
+
+class TestACommitRecomputesWhatItChanged:
+    """What the store-write cycle at n=800 checks and encodes again,
+    counted by wrapping: the ingest encodes every hierarchy's header
+    fragment; the update's net compares the name column of the one
+    hierarchy the update built (DESIGN.md §9) and its file encodes that
+    hierarchy's fragment alone; a compact of the unchanged document
+    encodes none (DESIGN.md §10)."""
+
+    def test_the_update_checks_and_encodes_one_hierarchy(
+            self, tmp_path, document, marked):
+        store = DocumentStore.init(tmp_path / "catalog")
+        sources = {name: hierarchy.to_xml()
+                   for name, hierarchy in document.hierarchies.items()}
+        encoded, named, nets, inside = [], [], [], []
+        with encoding(encoded):
+            store.add_streaming("doc", document.text, sources)
+        assert encoded == ["structural", "physical", "damage",
+                           "restoration"]
+        check = invariants.check_invariants
+        row_names = _HierarchyComponent.row_names
+
+        def net(goddag, components=None):
+            goddag._index._flush_pending()  # a merge reads names too
+            nets.append(components)
+            inside.append(True)
+            try:
+                check(goddag, components)
+            finally:
+                inside.clear()
+
+        def names_of(component, rows=None):
+            if inside:
+                named.append(component.name)
+            return row_names(component, rows)
+
+        encoded.clear()
+        with encoding(encoded), \
+                mock.patch.object(invariants, "check_invariants", net), \
+                mock.patch.object(_HierarchyComponent, "row_names",
+                                  names_of):
+            store.update("doc", marked[1])
+            # one name comparison per sorted order, of one hierarchy
+            assert nets == [["damage"]] and named == ["damage"] * 2
+            assert encoded == ["damage"]
+            # where the whole net compares every hierarchy's
+            named.clear()
+            goddag = store.snapshot("doc").engine.goddag
+            net(goddag)
+            assert sorted(set(named)) == sorted(goddag.hierarchy_names)
+            committed = (store.root / "doc.mhxb").read_bytes()
+            encoded.clear()
+            store.compact("doc")
+            assert encoded == []
+        assert (store.root / "doc.mhxb").read_bytes() == committed
+        store.close()
 
 
 def test_dropped_hierarchies_are_collected(document):

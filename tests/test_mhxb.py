@@ -3,7 +3,8 @@
 Round-trip fidelity (byte-identical re-serialization, identical query
 results against the ``.mhx`` JSON path), cold-load reconstruction
 invariants, lazy DOM materialization, the wrong-format error behavior
-of both loaders, block/header checksum detection, and v1→v2 format
+of both loaders, block/header checksum detection, header fragments
+against ``json.dumps`` of the same header, and v1→v2 format
 compatibility.
 """
 
@@ -11,17 +12,22 @@ from __future__ import annotations
 
 import json
 import mmap
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Engine, load_mhx, save_mhx
 from repro.errors import GoddagError, IntegrityError, ReproError
-from repro.cmh import MultihierarchicalDocument
+from repro.cmh import Hierarchy, MultihierarchicalDocument
 from repro.core.goddag.goddag import KyGoddag
 from repro.corpus.boethius import boethius_document
+from repro.markup import dom
+from repro.store import fork_engine, mhxb
 from repro.store.mhxb import (
     MAGIC,
     MAGIC_V2,
@@ -34,7 +40,13 @@ from repro.store.mhxb import (
     verify_blocks,
 )
 
-from tests.test_store import filling, hierarchies
+from tests.strategies import (
+    ESCAPED_ALPHABET,
+    examples,
+    multihierarchical_documents,
+    span_sets,
+)
+from tests.test_store import encoding, filling, hierarchies
 
 #: ``save_engine(Engine(boethius_document(validate=False)), path,
 #: format_version=1)`` at the last commit that had a v1 writer (PR 14).
@@ -258,6 +270,31 @@ class TestRoundTrip:
              in engine.document.hierarchies.items()}
         _assert_same_results(engine, restored)
 
+    def test_pi_data_loses_the_lead_xml_skips(self, tmp_path):
+        """A DOM may hand a PI data that starts with whitespace, which
+        XML skips after the target: the DOM door drops it too, inside
+        the root element and around it, so the document saves the same
+        ``.mhxb`` as its own ``to_xml()``."""
+        source = dom.Document()
+        source.append(dom.ProcessingInstruction("lead", " \t<"))
+        root = dom.Element("r")
+        root.append(dom.ProcessingInstruction("t", " <"))
+        root.append(dom.Text("ab"))
+        source.append(root)
+        source.append(dom.ProcessingInstruction("tail", "\r\n x "))
+        built = MultihierarchicalDocument("ab")
+        built.add_hierarchy(Hierarchy("h", source))
+        parsed = MultihierarchicalDocument.from_xml(
+            "ab", {"h": built.hierarchies["h"].to_xml()})
+        save_engine(Engine(built), tmp_path / "built.mhxb")
+        save_engine(Engine(parsed), tmp_path / "parsed.mhxb")
+        assert (tmp_path / "built.mhxb").read_bytes() \
+            == (tmp_path / "parsed.mhxb").read_bytes()
+        meta, = read_header(tmp_path / "built.mhxb")[0]["hierarchies"]
+        assert meta["pis"] == [[0, "<"]]
+        assert meta["prolog"] == [["pi", "lead", "<"]]
+        assert meta["epilog"] == [["pi", "tail", "x "]]
+
     def test_save_refuses_empty_document(self, tmp_path):
         engine = Engine.from_parts(KyGoddag("ab"))
         with pytest.raises(ReproError, match="empty document"):
@@ -337,7 +374,7 @@ class TestChecksums:
         checksum the name ids the rename wrote."""
         physical = engine.goddag._components["physical"]
         engine.save_mhxb(tmp_path / "before.mhxb")
-        assert "name_ids" in physical._crcs  # the file's ids as they are
+        assert "name_ids" in physical._encoded  # the file's ids as they are
         engine.update('rename node (/descendant::line)[2] as "vline"')
         assert engine.goddag._components["physical"] is physical
         path = tmp_path / "renamed.mhxb"
@@ -410,6 +447,133 @@ class TestChecksums:
         engine.save_mhxb(path)
         restored = Engine.from_mhxb(path)
         _assert_same_results(engine, restored)
+
+
+def header_bytes(path) -> bytes:
+    """The header JSON a ``.mhxb`` v2 file holds, as written."""
+    payload = Path(path).read_bytes()
+    start = len(MAGIC_V2) + 8 + 4
+    return payload[start:start + int.from_bytes(
+        payload[len(MAGIC_V2):len(MAGIC_V2) + 8], "little")]
+
+
+def packed_header(save) -> tuple[dict, bytes]:
+    """``(the header dict _pack was handed, json.dumps of it)`` for the
+    one file ``save()`` writes: the header encoded whole, from the
+    components' own metadata, with no fragment cache."""
+    headers = []
+    pack = mhxb._pack
+
+    def recording(path, header, *args, **kwargs):
+        size = pack(path, header, *args, **kwargs)
+        headers.append(header)  # as _pack completed it
+        return size
+
+    with mock.patch.object(mhxb, "_pack", recording):
+        save()
+    header, = headers
+    return header, json.dumps(header, ensure_ascii=False).encode("utf-8")
+
+
+#: what a header escapes or holds as it is: non-ASCII, quotes,
+#: backslashes, control characters, ``&<>``
+_HEADER_DATA = st.text(alphabet='ϸé"\\\n\t&<> a', max_size=4)
+
+
+@st.composite
+def header_documents(draw) -> MultihierarchicalDocument:
+    """Decorated documents (attributes, comments and PIs inside and
+    around the root, ``&<>`` in the text), one more hierarchy whose
+    root attribute, comment and PI hold :data:`_HEADER_DATA`, and one
+    given as spans, whose metadata lists are all empty."""
+    document = draw(multihierarchical_documents(
+        max_text=20, decorated=True, alphabet=ESCAPED_ALPHABET))
+    source = draw(span_sets(document.text, attributes=True)).to_document(
+        "r")
+    source.root.set("n", draw(_HEADER_DATA))
+    source.root.insert(0, dom.Comment(draw(_HEADER_DATA)))
+    source.append(dom.ProcessingInstruction("pi", draw(_HEADER_DATA)))
+    document.add_hierarchy(Hierarchy("extra", source))
+    document.add_spans("bare", draw(span_sets(document.text)), "r")
+    return document
+
+
+class TestHeaderFragments:
+    """A header spliced from each component's encoded metadata
+    (:meth:`_HierarchyComponent.header_fragment`, DESIGN.md §10) is,
+    byte for byte, ``json.dumps`` of the same header."""
+
+    @settings(max_examples=examples(40), deadline=None)
+    @given(document=header_documents())
+    def test_spliced_header_is_the_whole_dump(self, document):
+        engine = Engine(document)
+        with tempfile.TemporaryDirectory() as scratch:
+            folder = Path(scratch)
+            # the first file encodes every fragment, the second takes
+            # them all from the components
+            for name in ("first", "again"):
+                path = folder / f"{name}.mhxb"
+                _header, dumped = packed_header(
+                    lambda: save_engine(engine, path))
+                assert header_bytes(path) == dumped
+            assert (folder / "first.mhxb").read_bytes() \
+                == (folder / "again.mhxb").read_bytes()
+            assert all("header" in component._encoded for component
+                       in engine.goddag.components().values())
+
+    def test_a_stale_fragment_fails_the_comparison(self, tmp_path):
+        """Another component's fragment cached on this one: the file
+        says what that one holds, and the bytes differ."""
+        engine = Engine(decorated_document())
+        components = engine.goddag.components()
+        components["b"]._encoded["header"] = \
+            components["a"].header_fragment()
+        path = tmp_path / "stale.mhxb"
+        header, dumped = packed_header(lambda: save_engine(engine, path))
+        assert header_bytes(path) != dumped
+        assert read_header(path)[0]["hierarchies"][1]["attrs"] \
+            == header["hierarchies"][0]["attrs"] == [[1, {"x": "1"}]]
+
+    def test_copies_write_correct_headers(self, tmp_path):
+        """A re-ranked copy (a hierarchy before it removed) and a
+        private copy (a rename on a fork) keep their source's fragment
+        — its metadata is theirs — and write the header a whole dump
+        writes."""
+        encoded: list = []
+        document = decorated_document()
+        for hierarchy in document.hierarchies.values():
+            hierarchy.component.header_fragment()
+        document.remove_hierarchy("a")
+        engine = Engine(document)
+        path = tmp_path / "reranked.mhxb"
+        with encoding(encoded):
+            header, dumped = packed_header(lambda: save_engine(engine,
+                                                               path))
+            assert encoded == []
+            assert [(meta["name"], meta["rank"])
+                    for meta in header["hierarchies"]] \
+                == [("b", 0), ("c", 1)]
+            assert header_bytes(path) == dumped
+            fork = fork_engine(engine)
+            fork.update('rename node (/descendant::s)[1] as "seg"')
+            copy = fork.goddag.components()["b"]
+            assert copy is not engine.goddag.components()["b"]
+            path = tmp_path / "renamed.mhxb"
+            header, dumped = packed_header(lambda: save_engine(fork,
+                                                               path))
+            assert encoded == []
+        assert header_bytes(path) == dumped
+        assert Engine.from_mhxb(path).query(
+            "count(//seg)").serialize() == "1"
+
+
+def decorated_document() -> MultihierarchicalDocument:
+    """Three hierarchies, each with its own attributes, comments and
+    PIs: no two header fragments alike."""
+    return MultihierarchicalDocument.from_xml("abcd", {
+        "a": '<r id="top"><!--lead--><w x="1">ab</w><?p d?><w>cd</w></r>',
+        "b": '<r><s n="&amp;">abc</s><s>d</s></r><!--after-->',
+        "c": '<r k="é"><line n="1">ab</line><!--c--><line>cd</line></r>'})
 
 
 class TestV1Compatibility:

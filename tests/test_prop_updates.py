@@ -286,18 +286,20 @@ COMMIT_OPS = st.one_of(update_ops(),
 @settings(max_examples=max(40, FUZZ_EXAMPLES // 5), deadline=None,
           suppress_health_check=[HealthCheck.data_too_large,
                                  HealthCheck.too_slow])
-@given(document=multihierarchical_documents(max_text=30),
+@given(document=multihierarchical_documents(max_text=30, decorated=True),
        batches=st.lists(st.lists(COMMIT_OPS, min_size=1, max_size=3),
                         min_size=1, max_size=5))
 def test_commits_write_the_oracles_bytes(document, batches):
-    """Persisted commits of 1–3 statement batches: after every commit
-    the store's ``.mhxb`` is, byte for byte, what ``save_engine`` writes
-    for the oracle's document built from scratch — an engine whose
-    components never carried a block checksum.  A commit takes the
-    checksums of every hierarchy it left alone from the component
-    (DESIGN.md §10), so one that outlived a change of its block shows
-    here as a stale ``crc32`` in the header; the file the last commit
-    left must also reopen and pass ``verify()``."""
+    """Persisted commits of 1–3 statement batches on decorated
+    documents: after every commit the store's ``.mhxb`` is, byte for
+    byte, what ``save_engine`` writes for the oracle's document built
+    from scratch — an engine whose components never carried a block
+    checksum or an encoded header fragment.  A commit takes the
+    checksums and the header metadata (attributes, comments, PIs) of
+    every hierarchy it left alone from the component (DESIGN.md §10),
+    so one that outlived a change shows here as a stale ``crc32`` or
+    stale metadata in the header; the file the last commit left must
+    also reopen and pass ``verify()``."""
     oracle = RebuildOracle(document)
     with tempfile.TemporaryDirectory() as scratch:
         folder = Path(scratch)

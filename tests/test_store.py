@@ -291,6 +291,21 @@ def filling(made: list):
     return mock.patch.object(_HierarchyComponent, "_make", wrapper)
 
 
+def encoding(encoded: list):
+    """Patch the header fragment cache to record the name of every
+    component whose metadata it encodes:
+    :meth:`_HierarchyComponent.header_fragment` with nothing cached."""
+    fragment = _HierarchyComponent.header_fragment
+
+    def wrapper(self):
+        if "header" not in self._encoded:
+            encoded.append(self.name)
+        return fragment(self)
+
+    return mock.patch.object(_HierarchyComponent, "header_fragment",
+                             wrapper)
+
+
 def hierarchies(made: list) -> list[str]:
     """The hierarchies ``made`` (of :func:`filling`) filled rows of, in
     order of first fill."""

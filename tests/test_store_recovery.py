@@ -68,6 +68,7 @@ def rewrite_block(path, block: str, edit) -> None:
     """Rewrite one array block *with valid checksums*: the file a
     writer with a bug would leave, not the one a bad disk would — every
     CRC passes and the structure is wrong in itself."""
+    from repro.core.goddag.goddag import metadata_json
     from repro.store.mhxb import _map_arrays, _pack
 
     header, data_start = read_header(path)
@@ -75,7 +76,8 @@ def rewrite_block(path, block: str, edit) -> None:
               in _map_arrays(path, header, data_start).items()}
     edit(arrays[block])
     del header["arrays"]
-    _pack(path, header, arrays, {})
+    _pack(path, header, arrays, {},
+          [metadata_json(meta) for meta in header["hierarchies"]])
     assert verify_blocks(path)
 
 

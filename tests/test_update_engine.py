@@ -10,6 +10,7 @@ and the CLI ``update`` command.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import Engine, load_mhx
@@ -512,6 +513,88 @@ class TestInvariantNet:
         engine.goddag.partition.add_boundaries([2])
         with pytest.raises(GoddagError):
             engine.goddag.check_invariants()
+
+    @pytest.fixture()
+    def committed(self, engine):
+        """A real one-hierarchy commit: ``blocks`` rebuilt, ``halves``
+        untouched, the span index merged into; the net over what the
+        commit built passes."""
+        goddag = engine.goddag
+        goddag.span_index()
+        held = goddag.components()
+        engine.update("add markup seg to 'blocks' covering (//a)[1]")
+        changed = goddag.changed_components(held)
+        assert changed == ["blocks"]
+        assert goddag._components["halves"] is held["halves"]
+        goddag.check_invariants(components=changed)
+        return goddag, changed
+
+    @staticmethod
+    def untouched_entries(goddag) -> list[int]:
+        """Start-side positions of ``halves``' entries — ``<c>``, its
+        text ``abcd`` (the same span) and the text ``ef`` — in order."""
+        index = goddag.span_index()
+        at = np.flatnonzero(index.ranks == goddag.hierarchy_rank("halves"))
+        assert index.preorders[at].tolist() == [0, 1, 2]
+        return at.tolist()
+
+    @pytest.mark.parametrize("pair", [(0, 2), (0, 1)])
+    def test_scoped_net_detects_swapped_untouched_preorders(
+            self, committed, pair):
+        """Two entries of the untouched hierarchy name each other's
+        rows: with different spans the gathered spans disagree; with
+        the same span (``<c>`` and its text) only the order proof —
+        its entries are its span rows in its own sort order — sees
+        it."""
+        from repro.errors import GoddagError
+
+        goddag, changed = committed
+        index = goddag.span_index()
+        at = self.untouched_entries(goddag)
+        swap = [at[pair[0]], at[pair[1]]]
+        index.preorders = index.preorders.copy()
+        index.preorders[swap] = index.preorders[swap[::-1]]
+        with pytest.raises(GoddagError, match="span index start-side"):
+            goddag.check_invariants(components=changed)
+
+    def test_scoped_net_detects_a_dropped_untouched_entry(
+            self, committed):
+        """One entry of the untouched hierarchy gone from every
+        start-side column at once, the columns still aligned."""
+        from repro.errors import GoddagError
+
+        goddag, changed = committed
+        index = goddag.span_index()
+        keep = np.ones(len(index.ranks), dtype=bool)
+        keep[self.untouched_entries(goddag)[2]] = False
+        for attribute in ("_s_keys", "starts", "ends", "ranks",
+                          "preorders", "subtree_ends", "_names"):
+            setattr(index, attribute, getattr(index, attribute)[keep])
+        assert index._nodes is None
+        with pytest.raises(GoddagError, match="span index start-side"):
+            goddag.check_invariants(components=changed)
+
+    def test_scoped_net_detects_a_shifted_untouched_start(
+            self, committed):
+        """The untouched text ``ef`` starts one character late, its key
+        packed again from the shifted span: keys are sorted and agree
+        with the span columns, and the span gathered by preorder does
+        not."""
+        from repro.core.goddag.index import _start_keys
+        from repro.errors import GoddagError
+
+        goddag, changed = committed
+        index = goddag.span_index()
+        entry = self.untouched_entries(goddag)[2]
+        starts, keys = index.starts.copy(), index._s_keys.copy()
+        starts[entry] += 1
+        keys[entry] = _start_keys(starts[entry], index.ends[entry])
+        index.starts, index._s_keys = starts, keys
+        assert (np.diff(keys) >= 0).all()
+        with pytest.raises(GoddagError,
+                           match=r"span index start-side entry .* "
+                                 r"of 'halves'\) is stale"):
+            goddag.check_invariants(components=changed)
 
 
 # ---------------------------------------------------------------------------
