@@ -1,12 +1,12 @@
 """S-UPDATE — incremental update apply vs rebuild-per-update.
 
-Applying update statements through the live engine (in-place renames,
-partition boundary splicing, span-index component surgery — never a
-from-scratch rebuild) must produce serializations byte-identical to the
-naive baseline — re-parse every hierarchy's XML, rebuild the KyGODDAG
-and its span index for every statement, as
-:class:`tests.updateoracle.RebuildOracle` does with its own DOM
-applier — on the largest bench corpus.
+Applying update statements through the live engine (renames that copy
+one name column per hierarchy, partition boundary splicing, span-index
+component surgery — never a from-scratch rebuild) must produce
+serializations byte-identical to the naive baseline — re-parse every
+hierarchy's XML, rebuild the KyGODDAG and its span index for every
+statement, as :class:`tests.updateoracle.RebuildOracle` does with its
+own DOM applier — on the largest bench corpus.
 
 What a markup-level update builds is gated by counts, not by a clock
 against a path nobody runs:

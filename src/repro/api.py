@@ -102,10 +102,9 @@ class Engine:
         An engine assembled around a KyGODDAG (``.mhxb`` cold load,
         store fork) has none until it is asked for: queries and saves
         need only the KyGODDAG.  What it then gets holds the KyGODDAG's
-        components, which the structure disowns — the fork rule of
-        DESIGN.md §10 with the document as the other holder, so a later
-        in-place rename copies first; a hierarchy's DOM is an export
-        made when somebody asks (:attr:`Hierarchy.document
+        components — shared, as versions share them (DESIGN.md §10):
+        nothing writes a registered component; a hierarchy's DOM is an
+        export made when somebody asks (:attr:`Hierarchy.document
         <repro.cmh.document.Hierarchy.document>`).  An update re-seats
         the hierarchies it changes (:meth:`update`).
 
@@ -120,7 +119,6 @@ class Engine:
             for name in goddag.persistent_hierarchy_names:
                 document.add_columns(components[name],
                                      goddag.root.root_name)
-                goddag.disown(name)
             if self._dtds:
                 document.cmh = ConcurrentMarkupHierarchy.from_sources(
                     goddag.root.root_name, self._dtds)
@@ -346,14 +344,11 @@ class Engine:
         result = apply_pending(goddag, pending, check=check)
         if document is not None:
             # The engine's own document holds what the update changed
-            # as the columns now registered — the fork rule of §10 with
-            # the document as the other holder, so a later in-place
-            # rename copies first.
+            # as the columns now registered, shared as versions share
+            # them (§10).
             components = goddag.components()
             document.reseat(goddag.text, [
                 components[name] for name in result.changed_hierarchies])
-            for name in result.changed_hierarchies:
-                goddag.disown(name)
             self._seen = _holdings(document)
         return result
 

@@ -130,10 +130,9 @@ class _HierarchyComponent:
     Versions that did not change a hierarchy hold the *same* component
     object (:meth:`KyGoddag.fork`) — columns, node objects and every
     lazy cache a reader already paid for, or will — so nothing here is
-    written once a component is registered but those fill-once caches.
-    The one in-place writer, :meth:`rename`, runs on a component its
-    KyGODDAG built itself (:meth:`private_copy`) and copies first what
-    it finds read-only.
+    written once a component is registered but those fill-once caches:
+    a change, a rename among them (:meth:`renamed`), is a new
+    component.
     """
 
     def __init__(self, name: str, rank: int, temporary: bool, *,
@@ -186,11 +185,10 @@ class _HierarchyComponent:
         self._name_index: dict[str, "_NameEntry | None"] = {}
         self._text_index: tuple[array, list[GText]] | None = None
         self._values: tuple[dict, dict] | None = None
-        # The row writer's (repro.core.goddag.render): the name table
-        # the tags were made from, with ``<name>`` and ``</name>`` per
-        # name id; the text the character data flag was read from,
-        # with the flag; the attribute value flag.
-        self._tags: tuple[list[str], list[str], list[str]] | None = None
+        # The row writer's (repro.core.goddag.render): ``<name>`` and
+        # ``</name>`` per name id; the text the character data flag was
+        # read from, with the flag; the attribute value flag.
+        self._tags: tuple[list[str], list[str]] | None = None
         self._text_escapes: tuple[str, bool] | None = None
         self._attribute_escapes: bool | None = None
         # What a file holds of this component, encoded once: the CRC32
@@ -378,16 +376,28 @@ class _HierarchyComponent:
         return okeys
 
     def private_copy(self) -> "_HierarchyComponent":
-        """An unfilled copy a KyGODDAG may rename in place.
+        """An unfilled copy with node objects of its own: every column
+        shared, row ``i`` of the copy the twin of row ``i`` here.  It
+        takes the block checksums known here (:meth:`block_crc`)."""
+        copy = self._copy(self.rank, self.name_ids, self._okeys,
+                          self.perms())
+        copy._encoded = dict(self._encoded)  # the same bytes
+        return copy
 
-        It shares every column but the one :meth:`rename` writes, and
-        makes its own node objects: row ``i`` of the copy is the twin of
-        row ``i`` here.  It takes the block checksums known here
-        (:meth:`block_crc`); the rename drops the one it invalidates.
-        """
-        copy = self._copy(self.rank, np.array(self.name_ids),
-                          self._okeys, self.perms())
-        copy._encoded = dict(self._encoded)  # the same bytes, until a rename
+    def renamed(self, renames: dict[int, str]) -> "_HierarchyComponent":
+        """An unfilled copy with element row ``r`` named ``renames[r]``:
+        every column, order key, permutation and block checksum shared
+        but ``name_ids``.  The names the table lacks are appended, in
+        the order of ``renames``, to a new table."""
+        idents = {name: ident for ident, name in enumerate(self.names)}
+        for name in renames.values():
+            idents.setdefault(name, len(idents))
+        name_ids = self.name_ids.copy()
+        name_ids[list(renames)] = [idents[name] for name in renames.values()]
+        copy = self._copy(self.rank, name_ids, self._okeys, self._perms)
+        copy.names = list(idents)
+        copy._encoded.update((key, value) for key, value
+                             in self._encoded.items() if key != "name_ids")
         return copy
 
     def reranked(self, rank: int) -> "_HierarchyComponent":
@@ -411,6 +421,7 @@ class _HierarchyComponent:
         fragment = self._encoded.get("header")
         if fragment is not None:  # the same metadata objects
             copy._encoded["header"] = fragment
+        copy._values = self._values  # and the same rows
         return copy
 
     def _texts(self) -> tuple[array, list[GText]]:
@@ -490,14 +501,12 @@ class _HierarchyComponent:
 
     def tags(self) -> tuple[list[str], list[str]]:
         """``(opens, closes)``: ``<name>`` and ``</name>`` per name id,
-        made once per name table (a rename that adds a name replaces
-        the table, so no tag outlives it)."""
+        made once (a rename's new names are a new component's)."""
         tags = self._tags
-        if tags is None or tags[0] is not self.names:
-            names = self.names
-            tags = self._tags = (names, [f"<{name}>" for name in names],
-                                 [f"</{name}>" for name in names])
-        return tags[1], tags[2]
+        if tags is None:
+            tags = self._tags = ([f"<{name}>" for name in self.names],
+                                 [f"</{name}>" for name in self.names])
+        return tags
 
     def escapes(self, text: str) -> tuple[bool, bool]:
         """Whether character data of ``text`` and attribute values of
@@ -553,10 +562,8 @@ class _HierarchyComponent:
         it is (contiguous).  The first file written with it computes
         it; every later one takes it from here, a fill-once cache like
         :meth:`perms`: the columns are never written once the component
-        is registered, but by :meth:`rename`, which drops the checksum
-        of the one column it writes.  A :meth:`private_copy` starts
-        with its source's checksums, its columns being the same bytes
-        until that rename."""
+        is registered.  A copy starts with its source's checksums of
+        the columns it shares (:meth:`private_copy`, :meth:`renamed`)."""
         crc = self._encoded.get(key)
         if crc is None:
             crc = self._encoded[key] = zlib.crc32(block)
@@ -567,7 +574,7 @@ class _HierarchyComponent:
         file written with the component and taken from here by every
         later one — a fill-once cache like :meth:`block_crc`:
         the writer that made the component closed these lists, and
-        nothing writes them afterwards (a rename writes a column, not
+        nothing writes them afterwards (a rename changes a column, not
         the metadata), so every copy shares them and the fragment."""
         fragment = self._encoded.get("header")
         if fragment is None:
@@ -616,23 +623,6 @@ class _HierarchyComponent:
             nodes.append(node)
         return document
 
-    # -- in-place mutation ----------------------------------------------------
-
-    def rename(self, position: int, name: str) -> None:
-        """Point row ``position`` at ``name`` (an element rename)."""
-        names = self.names
-        if name in names:
-            ident = names.index(name)
-        else:
-            ident = len(names)
-            self.names = [*names, name]  # the old table may be shared
-        ids = self.name_ids
-        if not ids.flags.writeable:
-            ids = self.name_ids = np.array(ids)
-        ids[position] = ident
-        self._name_index = {}
-        self._encoded.pop("name_ids", None)
-
 
 def _aux_node(entry: list) -> dom.Node:
     if entry[0] == "comment":
@@ -675,11 +665,6 @@ class KyGoddag:
         # whatever component this structure holds under its name
         self._components: dict[str, _HierarchyComponent] = \
             self.root.components
-        # The hierarchies whose component this structure built itself
-        # and no other version holds: the only ones it may write in
-        # place (:meth:`rename_element`).  A fork owns none, and takes
-        # its source's away (:meth:`fork`).
-        self._owned: set[str] = set()
         self._next_rank = 0
         self._index = None  # built lazily by repro.core.goddag.index
         # Full SpanIndex constructions (benchmarks assert that the
@@ -707,8 +692,7 @@ class KyGoddag:
 
         Of each hierarchy's columns the structure takes a
         :meth:`private copy <_HierarchyComponent.private_copy>`: the
-        columns stay the document's, shared and never written (so the
-        next structure built from it finds them as they were); the
+        columns stay the document's, shared and never written; the
         nodes are this structure's own and go with it."""
         text = document.text
         components = list(hierarchy_components(document, own=True))
@@ -745,7 +729,7 @@ class KyGoddag:
                     f"duplicate hierarchy name '{component.name}'")
             goddag._next_rank = max(goddag._next_rank, component.rank + 1)
             component.bind(text)
-            goddag._register(component)
+            goddag._seat(component)
         if index_columns is not None:
             goddag._index = SpanIndex.restore(goddag.root, index_columns,
                                               components)
@@ -768,8 +752,6 @@ class KyGoddag:
         is gathered or sorted, so a fork costs the same whatever the
         document's size; updates of the fork replace the components
         they touch and leave this structure as it was (DESIGN.md §10).
-        Neither side owns a component afterwards: an in-place rename on
-        either takes a private copy of that hierarchy first.
         """
         fork = KyGoddag(self.text, self.root.root_name)
         fork.partition = self.partition.fork()
@@ -779,7 +761,6 @@ class KyGoddag:
         if self._index is not None:
             fork._index = self._index.fork(fork.root)
         fork.version = self.version
-        self._owned = set()
         return fork
 
     def shell(self) -> "KyGoddag":
@@ -794,15 +775,13 @@ class KyGoddag:
         component, the partition's two arrays and the span index's
         columns and caches; what a temporary adds goes into new arrays
         and dicts of the shell's.  Making one copies the component
-        table and nothing the size of the document, and takes no
-        ownership away: a later in-place rename here does not copy.
+        table and nothing the size of the document.
         """
         shell = KyGoddag.__new__(KyGoddag)
         shell.text = self.text
         shell.root = self.root
         shell.partition = self.partition.shell()
         shell._components = dict(self._components)
-        shell._owned = set()
         shell._next_rank = self._next_rank
         shell._index = None if self._index is None else self._index.shell()
         shell.index_full_builds = 0
@@ -817,11 +796,6 @@ class KyGoddag:
         replaced hierarchy keeps its place in the Definition 3
         iteration order)."""
         self._components[component.name] = component
-
-    def _register(self, component: _HierarchyComponent) -> None:
-        """Seat a component this structure bound itself."""
-        self._seat(component)
-        self._owned.add(component.name)
 
     def _admit(self, name: str, temporary: bool) -> None:
         if self.frozen:
@@ -854,7 +828,7 @@ class KyGoddag:
 
     def _finish_component(self, component: _HierarchyComponent) -> None:
         component.bind(self.text)
-        self._register(component)
+        self._seat(component)
         if self._index is not None:
             # Merge the new hierarchy into the live index instead of
             # discarding it (DESIGN.md §6) — the analyze-string hot path.
@@ -877,10 +851,12 @@ class KyGoddag:
     def freeze(self) -> None:
         """Pin the structure so concurrent readers can share it.
 
-        Seals what is numeric — the span index (its pending merges
-        flushed, its order-key columns packed, every numeric column
-        marked read-only) and the partition's boundary array — and
-        flips ``frozen``: every mutation raises from then on.  It
+        Seals what is numeric — each held component's columns, the span
+        index (its pending merges flushed, its order-key columns
+        packed, every numeric and name column marked read-only) and the
+        partition's boundary array — and flips ``frozen``: every
+        mutation raises from then on; nothing registered is written
+        anywhere, so a write into a sealed array is a fault.  It
         creates no node and no leaf, and gathers nothing.  What nobody
         has asked for yet — a row's node, the span index's node
         columns, the leaf list — fills on first use, once, under its
@@ -890,61 +866,32 @@ class KyGoddag:
         an evaluation that makes ``analyze-string`` temporaries makes
         them on its own :meth:`shell`.
         """
-        index = self.span_index()
-        index.freeze()
+        for component in self._components.values():
+            for key in COLUMNS[:-1]:  # the order keys are a cache
+                getattr(component, key).setflags(write=False)
+        self.span_index().freeze()
         self.partition.freeze()
         self.frozen = True
-
-    def thaw(self) -> None:
-        """Re-allow mutation.
-
-        For callers that want to mutate a frozen (e.g. cold-loaded)
-        structure *they exclusively own* in place; the store never
-        thaws a published snapshot — it forks instead.  Arrays that
-        were marked read-only are replaced wholesale by the mutation
-        paths, never written in place, so no unlocking is needed.
-        """
-        self.frozen = False
 
     # ------------------------------------------------------------------
     # mutation (the transactional update engine, DESIGN.md §9)
     # ------------------------------------------------------------------
 
-    def rename_element(self, node: GElement, name: str) -> None:
-        """Rename one element in place.
-
-        Structure, spans, preorder numbers and order keys are all
-        untouched, so only the name-derived caches need patching: the
-        component's per-name element index and the span index's name
-        arrays.  A component another version holds too is never
-        written: this structure first takes a private copy of that one
-        hierarchy (:meth:`_HierarchyComponent.private_copy`) and
-        renames the target's twin, the node at the same preorder — the
-        one row of the copy that is filled.
-        """
+    def rename_element(self, hierarchy: str, renames: dict[int, str]
+                       ) -> None:
+        """Rename element rows of one hierarchy, ``{preorder: name}``, by
+        seating a copy (:meth:`_HierarchyComponent.renamed`): no row is
+        filled, and a node or result taken before keeps its name."""
         if self.frozen:
-            self._frozen_violation(f"rename element <{node.name}>")
-        if not self.holds(node):
-            raise GoddagError(
-                "rename target is not a registered node of this KyGODDAG")
-        hierarchy = node.hierarchy
-        if hierarchy not in self._owned:
-            component = self._components[hierarchy].private_copy()
-            component.bind(self.text)
-            self._register(component)
-            if self._index is not None:
-                self._index.reseat_component(component)
-            node = component.node(node.preorder)
-        node._name = name
-        self._components[hierarchy].rename(node.preorder, name)
+            self._frozen_violation(f"rename elements of '{hierarchy}'")
+        old = self._components[hierarchy]
+        component = old.renamed(renames)
+        component.bind(self.text)
+        self._seat(component)
         if self._index is not None:
-            self._index.rename_node(node)
+            self._index.rename_entries(old, component, np.fromiter(
+                renames, np.int64, len(renames)))
         self.version += 1
-
-    def disown(self, name: str) -> None:
-        """Another holder (a document, §10) now shares the component
-        under ``name``: the next in-place rename copies it first."""
-        self._owned.discard(name)
 
     def replace_hierarchy(self, component: _HierarchyComponent) -> None:
         """Register ``component`` in place of the hierarchy of its name.
@@ -1062,8 +1009,8 @@ class KyGoddag:
         """The hierarchies whose component is not the object ``held``
         — an earlier :meth:`components`, this structure's or the one it
         was forked from — has under that name.  Everything an update
-        built, whatever it says it did: an in-place rename of a shared
-        component takes a private copy first.  It is what the
+        built, whatever it says it did: every change, a rename among
+        them, seats a new component.  It is what the
         commit-time net checks row by row; for the rest, identity
         with a verified version is the proof (DESIGN.md §9)."""
         return [name for name, component in self._components.items()

@@ -238,8 +238,8 @@ class SpanIndex:
     ``ranks[i]``.  An index gathers them — filling every row of every
     hierarchy it holds — the first time :attr:`nodes` or
     :attr:`e_nodes` is read, under the index's lock; until then
-    membership changes, forks and renames edit the numeric and name
-    columns only, and a version's merge or reseat drops gathered
+    membership changes, forks and renames replace the numeric and name
+    columns only, and a version's merge or rename drops gathered
     columns rather than fill a new component (DESIGN.md §10).
     """
 
@@ -369,12 +369,10 @@ class SpanIndex:
 
         All thirteen numeric and name columns, both ``nonempty`` masks
         and every cached mask, interval and order-key column are handed
-        over as they are — membership changes replace arrays, never
-        write them.  The two node columns, if they are gathered, are
-        copied once, to seat the new version's root; if not, the fork
-        gathers its own on first use.  The two name columns turn
-        read-only on both sides, so whichever side renames next copies
-        them first (:meth:`rename_node`).
+        over as they are — membership changes and renames replace
+        arrays, never write them.  The two node columns, if they are
+        gathered, are copied once, to seat the new version's root; if
+        not, the fork gathers its own on first use.
         """
         self._flush_pending()
         with self._lock:  # a reader may be gathering the node columns
@@ -394,8 +392,6 @@ class SpanIndex:
             fork._nodes[self.ranks == -1] = root
             fork._e_nodes = e_nodes.copy()
             fork._e_nodes[self.e_ranks == -1] = root
-        self._names.setflags(write=False)
-        self._e_names.setflags(write=False)
         return fork
 
     def shell(self) -> "SpanIndex":
@@ -473,18 +469,16 @@ class SpanIndex:
         return index
 
     def freeze(self) -> None:
-        """Flush pending membership changes and mark the numeric arrays
-        read-only — accidental in-place writes then raise instead of
-        tearing a concurrent snapshot reader (DESIGN.md §10).  Array
+        """Flush pending membership changes and mark the numeric and
+        name arrays read-only — an in-place write then raises instead
+        of tearing a concurrent snapshot reader (DESIGN.md §10).  Array
         *replacement* stays possible — a fork's update and a shell's
         temporaries merge into fresh arrays."""
         self._flush_pending()
         self.okey_columns()
-        for array in (self._s_keys, self.starts, self.ends, self.ranks,
-                      self.preorders, self.subtree_ends, self._e_keys,
-                      self.e_starts, self.ends_sorted, self.e_ranks,
-                      self.e_preorders):
-            array.setflags(write=False)
+        for attribute in (*self.COLUMNS.values(), "e_preorders", "_names",
+                          "_e_names"):
+            getattr(self, attribute).setflags(write=False)
 
     # -- incremental maintenance --------------------------------------------
 
@@ -570,8 +564,6 @@ class SpanIndex:
         if sub is None or not len(sub):
             return
         keep = self.ranks != sub.rank
-        # read off the live name column, not the sub-index's own table:
-        # in-place renames patch only the former
         names = {name for name in self._names[~keep] if name is not None}
         self._s_keys = self._s_keys[keep]
         self.starts = self.starts[keep]
@@ -594,55 +586,40 @@ class SpanIndex:
         self._clear_derived(names=names)
         self.incremental_removes += 1
 
-    def reseat_component(self, component: "_HierarchyComponent") -> None:
-        """Point one hierarchy's entries at ``component``'s nodes.
-
-        For a component that replaces its twin row for row
-        (:meth:`_HierarchyComponent.private_copy`): spans, ranks and
-        preorders stand, so only this version's two node columns change
-        — they are dropped, to be gathered from ``component`` by their
-        next reader, so that a rename fills no row of the copy but its
-        target — and the per-name interval caches, which gathered the
-        twin's nodes, reset.
-        """
+    def rename_entries(self, old: "_HierarchyComponent",
+                       component: "_HierarchyComponent",
+                       rows: np.ndarray) -> None:
+        """Hold ``component``, ``old`` with the element ``rows`` renamed
+        (:meth:`KyGoddag.rename_element`): each name column becomes a
+        copy with the new names at the rows' entries, found in both
+        orders by key bisection plus a rank and preorder match, all rows
+        at once.  The node columns drop, and so do the masks and the
+        intervals (which hold nodes) of every name of the hierarchy."""
         self._flush_pending()
-        held = self._subs[component.name]
-        self._subs[component.name] = _MergedSub(held.rank, held.count,
-                                                component)
+        held = self._subs[old.name]
+        self._subs[old.name] = _MergedSub(held.rank, held.count, component)
+        starts, ends = old.starts[rows], old.ends[rows]
+        renamed = component.row_names(rows)
+        for attribute, keys, ranks, preorders, key in (
+                ("_names", self._s_keys, self.ranks, self.preorders,
+                 _start_keys(starts, ends)),
+                ("_e_names", self._e_keys, self.e_ranks, self.e_preorders,
+                 _end_keys(starts, ends))):
+            left = np.searchsorted(keys, key, side="left")
+            runs = np.searchsorted(keys, key, side="right") - left
+            # every position of every row's run
+            positions = np.repeat(left - np.cumsum(runs) + runs, runs) \
+                + np.arange(int(runs.sum()))
+            match = (ranks[positions] == held.rank) \
+                & (preorders[positions] == np.repeat(rows, runs))
+            column = getattr(self, attribute).copy()
+            column[positions[match]] = np.repeat(renamed, runs)[match]
+            setattr(self, attribute, column)
         self._nodes = self._e_nodes = None
-        self._intervals.clear()
-
-    def rename_node(self, node: GNode) -> None:
-        """Patch the name arrays after an in-place element rename.
-
-        The node's spans (and therefore its packed merge keys and array
-        positions) are unchanged, so the patch is two bisects into the
-        sorted key arrays plus a rank and preorder match over the
-        (tiny) equal-key runs — no node column is read.  Name columns
-        another version shares (:meth:`fork`) are copied before the
-        first write.
-        """
-        self._flush_pending()
-        if not self._names.flags.writeable:
-            self._names = self._names.copy()
-            self._e_names = self._e_names.copy()
-        rank = self._subs[node.hierarchy].rank
-        start, end = int(node.start), int(node.end)
-        for keys, ranks, preorders, names, key in (
-                (self._s_keys, self.ranks, self.preorders, self._names,
-                 (start << _OFFSET_BITS) | (_OFFSET_MASK - end)),
-                (self._e_keys, self.e_ranks, self.e_preorders,
-                 self._e_names, (end << _OFFSET_BITS) | start)):
-            left = int(np.searchsorted(keys, key, side="left"))
-            right = int(np.searchsorted(keys, key, side="right"))
-            names[left:right][(ranks[left:right] == rank)
-                              & (preorders[left:right] == node.preorder)] \
-                = node.name
-        # Spans, ranks and preorders are untouched: the order-key
-        # columns stay valid; only the name-derived caches reset.
-        self._name_masks.clear()
-        self._e_name_masks.clear()
-        self._intervals.clear()
+        for name in component.names:  # the old table and the new names
+            self._name_masks.pop(name, None)
+            self._e_name_masks.pop(name, None)
+            self._intervals.pop(name, None)
 
     def reset_root(self) -> None:
         """Re-seed the root entry after a base-text length change.

@@ -2,9 +2,10 @@
 
 ``check_invariants`` raises :class:`~repro.errors.GoddagError` on the
 first violation.  It is the post-apply safety net of the transactional
-update engine: every code path that mutates a KyGODDAG in place
-(hierarchy replacement, in-place renames, base-text rebuilds) must
-leave a structure indistinguishable from a from-scratch build, and this
+update engine: every code path that mutates a KyGODDAG (hierarchy
+replacement, renames, base-text rebuilds — each seats new components
+and writes none it replaces) must leave a structure indistinguishable
+from a from-scratch build, and this
 module is the executable statement of what that means:
 
 * hierarchy ranks are unique and registration order follows rank, so

@@ -14,8 +14,9 @@ The update engine in three stages:
    working copies of the touched hierarchies' columns, disjoint
    base-text splices absorbed by every other hierarchy's text rows,
    and incremental KyGODDAG registration (partition boundary swaps,
-   span-index component surgery, in-place renames) — never a DOM and
-   never a from-scratch rebuild.
+   span-index component surgery, one renamed copy per hierarchy a
+   rename touches) — never a DOM, never a from-scratch rebuild, and
+   nothing registered written.
 
 The naive re-parse/rebuild reference the differential fuzzer and the
 throughput benchmarks compare against lives in ``tests/updateoracle.py``.

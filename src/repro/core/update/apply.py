@@ -7,9 +7,11 @@ primitive edits a working copy of the rows of the hierarchy it touches
 — nothing registered is written, so a statement that fails leaves
 nothing to undo:
 
-* a rename sets a row's name; ``remove markup`` drops one row, whose
-  children take its parent; ``add markup`` splits at most two text rows
-  and inserts one element row over the covered children;
+* a rename sets a row's name — where no other primitive makes rows,
+  in one copy of the name column per hierarchy (``rename_element``);
+  ``remove markup`` drops one row, whose children take its parent;
+  ``add markup`` splits at most two text rows and inserts one element
+  row over the covered children;
 * ``replace value of`` / ``delete`` / ``insert`` splice one row range
   in their owner hierarchy (in that kind order) and contribute one
   base-text edit in pre-state offsets, which every other hierarchy
@@ -63,11 +65,11 @@ class UpdateApplyStats:
     counts: dict[str, int] = field(default_factory=dict)
     #: hierarchies re-registered through the incremental splice path
     replaced_hierarchies: list[str] = field(default_factory=list)
-    #: elements renamed fully in place (no re-registration at all)
+    #: elements renamed without a row rebuild
     renamed_in_place: int = 0
     #: every hierarchy the apply changed: the re-registered ones and
-    #: those renamed in place — what the net walks and an engine's
-    #: document re-seats
+    #: those renamed without a row rebuild — what the net walks and an
+    #: engine's document re-seats
     changed_hierarchies: list[str] = field(default_factory=list)
     #: net base-text growth in characters (0 for markup-only updates)
     text_delta: int = 0
@@ -141,10 +143,16 @@ class _Applier:
         self._check_edit_conflicts()
         self._validate_add_markup(pending)
 
+        renames: dict[str, dict[int, str]] = {}  # where there are no rows
         for primitive in pending.of_kind("rename"):
-            rows = self.rows.get(primitive.node.hierarchy)
+            node = primitive.node
+            rows = self.rows.get(node.hierarchy)
             if rows is not None:
-                rows.rename(primitive.node.preorder, primitive.name)
+                rows.name_ids[rows.row(node.preorder)] = \
+                    rows.intern(primitive.name)
+            else:
+                renames.setdefault(node.hierarchy, {})[node.preorder] = \
+                    primitive.name
         for primitive in pending.of_kind("remove-markup"):
             self.rows[primitive.node.hierarchy].unwrap(
                 primitive.node.preorder)
@@ -165,7 +173,8 @@ class _Applier:
                 if name != edit.owner:
                     rows.absorb(edit)
         return self._register(text, [rows.finish(len(text))
-                                     for rows in self.rows.values()])
+                                     for rows in self.rows.values()],
+                              renames)
 
     # -- edit construction ---------------------------------------------------
 
@@ -276,8 +285,8 @@ class _Applier:
 
     # -- registration --------------------------------------------------------
 
-    def _register(self, text: str, components: list[_HierarchyComponent]
-                  ) -> UpdateApplyStats:
+    def _register(self, text: str, components: list[_HierarchyComponent],
+                  renames: dict[str, dict[int, str]]) -> UpdateApplyStats:
         goddag = self.goddag
         stats = UpdateApplyStats(counts=self.pending.counts())
         stats.replaced_hierarchies = list(self.rows)
@@ -289,19 +298,10 @@ class _Applier:
         else:
             for component in components:
                 goddag.replace_hierarchy(component)
-        for primitive in self.pending.of_kind("rename"):
-            node = primitive.node
-            if node.hierarchy in self.rows:
-                continue  # the new component has the new name
-            # Targets resolved against the pre-state; an earlier rename
-            # may since have taken the hierarchy private, and its nodes
-            # are then the targets' twins, row for row.
-            goddag.rename_element(
-                goddag._components[node.hierarchy].node(node.preorder),
-                primitive.name)
-            stats.renamed_in_place += 1
-            if node.hierarchy not in stats.changed_hierarchies:
-                stats.changed_hierarchies.append(node.hierarchy)
+        for hierarchy, batch in renames.items():
+            goddag.rename_element(hierarchy, batch)
+            stats.renamed_in_place += len(batch)
+            stats.changed_hierarchies.append(hierarchy)
         return stats
 
 
@@ -434,9 +434,6 @@ class _Rows:
             setattr(self, key, np.concatenate(
                 (column[:low], column[high:]) if block is None
                 else (column[:low], block[key], column[high:])))
-
-    def rename(self, preorder: int, name: str) -> None:
-        self.name_ids[self.row(preorder)] = self.intern(name)
 
     def unwrap(self, preorder: int) -> None:
         """Drop one element row; its children take its parent."""

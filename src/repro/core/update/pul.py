@@ -58,7 +58,8 @@ class UpdatePrimitive:
 
 @dataclass
 class RenamePrim(UpdatePrimitive):
-    """Rename one element (in place, structure untouched)."""
+    """Rename one element: structure, spans and order keys untouched,
+    its hierarchy a copy with a new name column."""
 
     node: GElement
     name: str

@@ -212,8 +212,8 @@ class TestRowsFilledByAWrite:
     the fill: the ingest nothing; an update whose target is
     ``(/descendant::w)[k]`` the target's row alone — the pick is made
     among the name's index rows (DESIGN.md §9) — and nothing inside the
-    commit's net; a rename besides that its private copy's twin of the
-    row and no other row of the copy; an out-of-range ``[k]`` nothing."""
+    commit's net; a rename no row of the component it seats; an
+    out-of-range ``[k]`` nothing."""
 
     @pytest.fixture()
     def ingested(self, tmp_path, document):
@@ -261,7 +261,7 @@ class TestRowsFilledByAWrite:
                 == eager.query(query).serialize()
         ingested.snapshot("doc").engine.goddag.check_invariants()
 
-    def test_rename_fills_the_copys_target_row(self, ingested):
+    def test_rename_fills_the_published_target_row_only(self, ingested):
         published = ingested.snapshot("doc").engine.goddag
         shared = published._components["structural"]
         made = []
@@ -273,9 +273,9 @@ class TestRowsFilledByAWrite:
         assert copy is not shared
         words = named_rows(shared, "w")
         # the target's row of the published component (the target
-        # evaluation), then the copy's twin of it
-        assert made == [(shared, words[2]), (copy, words[2])]
-        assert copy.filled().tolist() == [words[2]]
+        # evaluation), and no row of the copy
+        assert made == [(shared, words[2])]
+        assert copy.filled().tolist() == []
         assert ingested.query("doc", "count(//word)").serialize() == "1"
         after.check_invariants()
         published.check_invariants()

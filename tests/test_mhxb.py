@@ -366,17 +366,22 @@ class TestChecksums:
         assert header["format"] == MHXB_FORMAT
         assert path.read_bytes()[:len(MAGIC_V2)] == MAGIC_V2
 
-    def test_an_in_place_rename_drops_the_checksum_it_invalidates(
+    def test_a_rename_drops_the_checksum_it_invalidates(
             self, engine, tmp_path):
         """A component keeps the checksums of the blocks it was saved
-        with (DESIGN.md §10).  An engine that built its KyGODDAG renames
-        in place, on the very component it saved: the next save must
-        checksum the name ids the rename wrote."""
+        with (DESIGN.md §10).  A rename replaces the component saved by
+        a copy with new name ids: the copy keeps every other checksum,
+        and the next save checksums the new name ids."""
         physical = engine.goddag._components["physical"]
         engine.save_mhxb(tmp_path / "before.mhxb")
         assert "name_ids" in physical._encoded  # the file's ids as they are
+        saved = dict(physical._encoded)
         engine.update('rename node (/descendant::line)[2] as "vline"')
-        assert engine.goddag._components["physical"] is physical
+        renamed = engine.goddag._components["physical"]
+        assert renamed is not physical
+        assert "name_ids" not in renamed._encoded
+        del saved["name_ids"]
+        assert renamed._encoded == saved
         path = tmp_path / "renamed.mhxb"
         engine.save_mhxb(path)
         header, data_start = read_header(path)
@@ -689,9 +694,9 @@ class TestFrozenEngine:
         # nothing mutated, not even the DOM side
         assert {name: hierarchy.to_xml() for name, hierarchy
                 in engine.document.hierarchies.items()} == before
-        engine.goddag.thaw()
-        engine.update("delete node /descendant::note[1]")
-        assert engine.query("count(//note)").serialize() == "0"
+        fork = fork_engine(engine)
+        fork.update("delete node /descendant::note[1]")
+        assert fork.query("count(//note)").serialize() == "0"
 
     def test_frozen_engine_still_answers_analyze_string(self, engine):
         expected = engine.query('analyze-string(/, "si")').serialize()

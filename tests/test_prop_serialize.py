@@ -7,7 +7,7 @@ it replaced.  Here the two are compared byte for byte on drawn
 documents whose text holds ``&``, ``<`` and ``>``, whose attribute
 values hold every character an attribute value escapes, and whose
 hierarchies hold comments, PIs, empty and nested elements: every item
-kind, mixed sequences in both modes, elements after an in-place rename,
+kind, mixed sequences in both modes, elements after a rename,
 on a fork, on a cold-loaded snapshot and out of ``analyze-string``, and
 each hierarchy written back as XML.
 """
@@ -119,9 +119,9 @@ def test_mixed_sequences(document, data):
 
 @SETTINGS
 @given(document=DOCUMENTS, data=st.data())
-def test_elements_after_an_in_place_rename(document, data):
-    """The first rename renames a private copy, the second the copy in
-    place; the tags the row writer made before each are not reused."""
+def test_elements_after_a_rename(document, data):
+    """Each rename seats a new component with a new name column; the
+    tags the row writer made before each are not reused."""
     goddag = KyGoddag.build(document)
     for _ in range(2):
         elements = [node for node in hierarchy_nodes(goddag)
@@ -129,8 +129,9 @@ def test_elements_after_an_in_place_rename(document, data):
         assume(elements)
         serialize_each(elements)  # the tag tables are made
         target = data.draw(st.sampled_from(elements))
-        goddag.rename_element(target, data.draw(
-            st.sampled_from(ELEMENT_NAMES + ("renamed", "other"))))
+        goddag.rename_element(target.hierarchy, {
+            target.preorder: data.draw(
+                st.sampled_from(ELEMENT_NAMES + ("renamed", "other")))})
         assert_prints_as_the_node_walk(evaluate_query(goddag, EVERY_ITEM))
 
 
@@ -144,8 +145,9 @@ def test_elements_on_a_fork(document, data):
     elements = [node for node in hierarchy_nodes(fork)
                 if isinstance(node, GElement)]
     if elements:
-        fork.rename_element(data.draw(st.sampled_from(elements)),
-                            "renamed")
+        target = data.draw(st.sampled_from(elements))
+        fork.rename_element(target.hierarchy,
+                            {target.preorder: "renamed"})
         assert_prints_as_the_node_walk(evaluate_query(fork, EVERY_ITEM))
     # the version the fork came from prints as it did
     assert serialize_each(evaluate_query(goddag, EVERY_ITEM)) == before

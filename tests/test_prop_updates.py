@@ -5,7 +5,7 @@ sequence of 1–30 random update statements, applied two ways:
 
 * **incremental engine** — one :class:`~repro.api.Engine` whose live
   KyGODDAG is patched in place across the whole sequence (partition
-  splices, span-index component surgery, in-place renames);
+  splices, span-index component surgery, renamed copies);
 * **rebuild oracle** — a :class:`tests.updateoracle.RebuildOracle`
   that keeps only serialized state and, for every statement, re-parses,
   applies it with its own DOM applier and re-serializes.
@@ -53,6 +53,7 @@ from repro.store import DocumentStore, fork_engine, save_engine
 
 from tests.dombuild import assert_same_columns
 from tests.strategies import (
+    ELEMENT_NAMES,
     build_update_statement,
     multihierarchical_documents,
     update_ops,
@@ -277,8 +278,8 @@ def test_unpersisted_generations_compact_to_the_oracle(document, ops):
         reopened.close()
 
 
-#: Every kind of statement, half of them renames: the one in-place
-#: writer of a column, which must not leave a block checksum stale.
+#: Every kind of statement, half of them renames: a copy that shares
+#: every block but the name ids, whose checksum it must not inherit.
 COMMIT_OPS = st.one_of(update_ops(),
                        update_ops().map(lambda op: {**op, "kind": "rename"}))
 
@@ -338,6 +339,48 @@ def test_commits_write_the_oracles_bytes(document, batches):
         _assert_states_match(reopened.snapshot("doc").engine, oracle,
                              "after the last commit + reopen")
         reopened.close()
+
+
+@settings(max_examples=max(40, FUZZ_EXAMPLES // 5), deadline=None,
+          suppress_health_check=[HealthCheck.data_too_large,
+                                 HealthCheck.too_slow])
+@given(document=multihierarchical_documents(max_text=30), data=st.data())
+def test_one_statement_renames_many_elements(document, data):
+    """A statement renaming several elements — nested ones of one span
+    among them, which share a merge key — renames each hierarchy in one
+    batch (``KyGoddag.rename_element``): the engine agrees with the
+    oracle column for column, its index passes the whole net, its file
+    is the oracle's byte for byte, and a result taken before prints as
+    it did."""
+    engine = Engine(document)
+    engine.goddag.span_index()
+    oracle = RebuildOracle(document)
+    count = int(engine.query("count(/descendant::*)").items[0])
+    if not count:
+        return
+    picks = data.draw(st.lists(st.integers(1, count), min_size=1,
+                               unique=True), label="picks")
+    statement = ", ".join(
+        f'rename node (/descendant::*)[{pick}] as '
+        f'"{data.draw(st.sampled_from(ELEMENT_NAMES + ("note",)))}"'
+        for pick in picks)
+    taken = engine.query("/descendant::*")
+    printed = taken.serialize()
+    held = engine.goddag.components()
+    engine.update(statement)
+    oracle.apply(statement)
+    _assert_states_match(engine, oracle, "after a batch rename")
+    _assert_columns_match(engine, oracle, held)
+    _assert_probes_match(engine, oracle, "after a batch rename")
+    engine.goddag.check_invariants()
+    assert taken.serialize() == printed
+    expected = Engine(oracle.document())
+    expected.goddag.version = engine.version
+    with tempfile.TemporaryDirectory() as scratch:
+        save_engine(engine, Path(scratch) / "engine.mhxb")
+        save_engine(expected, Path(scratch) / "oracle.mhxb")
+        assert (Path(scratch) / "engine.mhxb").read_bytes() \
+            == (Path(scratch) / "oracle.mhxb").read_bytes(), statement
 
 
 def test_fuzzer_actually_applied_updates():

@@ -1106,9 +1106,9 @@ class TestStateRules:
     def test_a_documents_columns_are_shared_and_never_written(
             self, tmp_path):
         """Two engines from one ``from_xml`` document read the same
-        column arrays and own their nodes; a rename on one — in place,
-        on its own ``name_ids`` — leaves the other, the file it saves
-        and the document's columns as they were."""
+        column arrays and own their nodes; a rename on one — a new
+        component with ``name_ids`` of its own — leaves the other, the
+        file it saves and the document's columns as they were."""
         import numpy as np
 
         document = MultihierarchicalDocument.from_xml(BASE_TEXT,
@@ -1121,22 +1121,23 @@ class TestStateRules:
                 held = engine.goddag.components()[name]
                 assert held is not columns
                 assert np.shares_memory(held.starts, columns.starts)
-                assert not np.shares_memory(held.name_ids,
-                                            columns.name_ids)
+                assert np.shares_memory(held.name_ids, columns.name_ids)
         before = self.image(two, tmp_path / "before.mhxb")
         held = one.goddag.components()
         columns = columns_held(document, "structural")
         ids, names = columns.name_ids.copy(), list(columns.names)
         one.update('rename node (/descendant::w)[1] as "word"')
-        assert one.goddag.components() == held  # renamed in place
+        after = one.goddag.components()
+        assert after.pop("structural") is not held.pop("structural")
+        assert after == held  # the other hierarchies are untouched
         assert one.query("count(//word)").items == [1]
         assert two.query("count(//word)").items == [0]
         assert (columns.name_ids == ids).all() and columns.names == names
         assert self.image(two, tmp_path / "after.mhxb") == before
         two.goddag.check_invariants()
         one.goddag.check_invariants()
-        # the document now holds what ``one`` renamed, so ``one`` copies
-        # it before its next rename
+        # the document now holds what ``one`` renamed, and ``one``'s
+        # next rename seats another component
         renamed = columns_held(document, "structural")
         assert renamed is one.goddag.components()["structural"]
         ids = renamed.name_ids.copy()

@@ -2,19 +2,24 @@
 
 Covers the statement grammar and its static updating-ness rules, the
 pending-update-list conflict matrix, atomicity of rejected statements,
-the incremental apply paths (in-place rename, single-hierarchy
-re-registration, full text rebuild), the stale-plan regression (plan
-caches keyed by document version), post-mutation ``.mhx`` round trips,
-and the CLI ``update`` command.
+the incremental apply paths (rename, single-hierarchy re-registration,
+full text rebuild), what a rename leaves alone, the stale-plan
+regression (plan caches keyed by document version), post-mutation
+``.mhx`` round trips, and the CLI ``update`` command.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.api import Engine, load_mhx
 from repro.cli import main
+from repro.core.goddag.goddag import _HierarchyComponent
+from repro.core.goddag.index import SpanIndex
+from repro.corpus.boethius import boethius_document
 from repro.errors import (
     QuerySyntaxError,
     UpdateConflictError,
@@ -400,6 +405,76 @@ class TestPlanCacheInvalidation:
         compiled = engine.compile("count(//a)")
         engine.update("rename node (//b)[1] as 'beta'")
         assert engine.compile("count(//a)") is not compiled
+
+
+# ---------------------------------------------------------------------------
+# a rename seats a new component: nothing registered is written
+# ---------------------------------------------------------------------------
+
+
+class TestRenameReplaces:
+    def test_a_result_taken_before_a_rename_keeps_its_name(self, engine):
+        held = engine.query("//a")
+        engine.update("rename node (//a)[1] as 'alpha'")
+        assert held.serialize() == "<a>abc</a>"
+        assert held.items[0].name == "a"
+        assert engine.query("//alpha").serialize() == "<alpha>abc</alpha>"
+
+    def test_renaming_every_w_copies_its_hierarchy_once(self):
+        """One copy of ``structural`` and one new pair of index name
+        columns, however many elements the statement renames; the old
+        columns keep their names."""
+        engine = Engine(boethius_document())
+        goddag = engine.goddag
+        index = goddag.span_index()
+        before = goddag.components()
+        names, e_names = index._names, index._e_names
+        words = engine.query("count(//w)").items[0]
+        copied, renamed = [], []
+        copy, rename_entries = (_HierarchyComponent._copy,
+                                SpanIndex.rename_entries)
+
+        def counted_copy(component, *args):
+            copied.append(component.name)
+            return copy(component, *args)
+
+        def counted_entries(index, old, component, rows):
+            renamed.append((old.name, len(rows)))
+            return rename_entries(index, old, component, rows)
+
+        with mock.patch.object(_HierarchyComponent, "_copy", counted_copy), \
+                mock.patch.object(SpanIndex, "rename_entries",
+                                  counted_entries):
+            result = engine.update(
+                'for $w in //w return rename node $w as "token"')
+        assert copied == ["structural"]
+        assert renamed == [("structural", words)]
+        assert result.renamed_in_place == words
+        assert result.changed_hierarchies == ["structural"]
+        assert index._names is not names and index._e_names is not e_names
+        assert "token" not in {*names, *e_names}
+        assert before["structural"].row_names().tolist().count("w") == words
+        after = goddag.components()
+        assert after.pop("structural") is not before.pop("structural")
+        assert after == before
+        assert engine.query("count(//token)").items == [words]
+        assert engine.query("count(//w)").items == [0]
+        goddag.check_invariants()
+
+    def test_freeze_seals_every_registered_column(self, engine):
+        """Nothing registered is written, so a frozen structure seals
+        its components' numeric columns and the index's name columns
+        too: a stray write raises."""
+        goddag = engine.goddag
+        goddag.freeze()
+        index = goddag.span_index()
+        for component in goddag.components().values():
+            with pytest.raises(ValueError, match="read-only"):
+                component.name_ids[0] = 0
+            assert not component.starts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            index._names[0] = "a"
+        assert not index._e_names.flags.writeable
 
 
 # ---------------------------------------------------------------------------
